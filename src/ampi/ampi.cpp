@@ -1,6 +1,7 @@
 #include "ampi/ampi.hpp"
 
 #include "coll/coll.hpp"
+#include "hw/cuda.hpp"
 #include "obs/span.hpp"
 
 #include <algorithm>
@@ -643,9 +644,7 @@ void World::deliver(int dst_rank, PostedRecv& p, Envelope& env) {
   auto impl = p.impl;
 
   if (env.inlined) {
-    if (env.data_valid && !env.data.empty() && rt_.system().memory.dereferenceable(p.buf)) {
-      std::memcpy(p.buf, env.data.data(), env.data.size());
-    }
+    if (env.data_valid) cuda::moveBytes(rt_.system(), p.buf, env.data.data(), env.data.size());
     // The inline payload is consumed: recycle its storage into the shared
     // eager pool (it was taken from there in isendImpl).
     rt_.cmi().ucx().recycleBuffer(std::move(env.data));

@@ -48,9 +48,9 @@ void BlockState::init(hw::System& system, const JacobiConfig& cfg, const Decompo
     d_recv[0][i] = cuda::deviceAlloc(system, pe_id, bytes, backed);
     d_recv[1][i] = cuda::deviceAlloc(system, pe_id, bytes, backed);
     if (mode == Mode::HostStaging) {
-      h_send[i].init(system, bytes, backed);
-      h_recv[0][i].init(system, bytes, backed);
-      h_recv[1][i].init(system, bytes, backed);
+      h_send[i] = cuda::HostBuffer(system, bytes);
+      h_recv[0][i] = cuda::HostBuffer(system, bytes);
+      h_recv[1][i] = cuda::HostBuffer(system, bytes);
     }
   }
 

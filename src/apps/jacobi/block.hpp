@@ -16,37 +16,6 @@
 
 namespace cux::jacobi {
 
-/// A host buffer that is real in backed mode and an address-space
-/// reservation at paper scale (where 1536 PEs x 12 faces of ~19 MB would
-/// not fit in memory).
-class HostStage {
- public:
-  HostStage() = default;
-  void init(hw::System& sys, std::size_t n, bool backed) {
-    sys_ = &sys;
-    if (backed) {
-      storage_.resize(n);
-      ptr_ = storage_.data();
-    } else {
-      ptr_ = sys.memory.allocHostUnbacked(n);
-      unbacked_ = true;
-    }
-  }
-  ~HostStage() {
-    if (unbacked_ && ptr_ != nullptr) sys_->memory.freeDevice(ptr_);
-  }
-  HostStage(const HostStage&) = delete;
-  HostStage& operator=(const HostStage&) = delete;
-
-  [[nodiscard]] void* get() const noexcept { return ptr_; }
-
- private:
-  hw::System* sys_ = nullptr;
-  void* ptr_ = nullptr;
-  std::vector<std::byte> storage_;
-  bool unbacked_ = false;
-};
-
 struct BlockState {
   void init(hw::System& sys, const JacobiConfig& cfg, const Decomposition& dec, int block_id,
             int pe);
@@ -76,7 +45,9 @@ struct BlockState {
   /// senders may run one iteration ahead, and their halo for iteration i+1
   /// must not overwrite the not-yet-unpacked face of iteration i.
   void* d_recv[2][kNumDirs] = {};
-  HostStage h_send[kNumDirs], h_recv[2][kNumDirs];
+  /// -H staging faces: address-space reservations at paper scale (1536 PEs
+  /// x 12 faces of ~19 MB would not fit in memory), real in backed mode.
+  cuda::HostBuffer h_send[kNumDirs], h_recv[2][kNumDirs];
 
   /// Comm buffer handed to the transport for direction d.
   [[nodiscard]] void* sendBuf(Dir d) const {

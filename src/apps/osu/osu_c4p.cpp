@@ -22,7 +22,7 @@ struct C4pEnv {
   c4p::ChannelEnd* ends[2] = {nullptr, nullptr};
   int pes[2] = {0, 1};
   void* d_buf[2] = {nullptr, nullptr};
-  std::vector<std::byte> h_buf[2];
+  cuda::HostBuffer h_buf[2];
   std::unique_ptr<cuda::Stream> stream[2];
   double result = 0;
 };
@@ -53,19 +53,19 @@ sim::FutureTask c4pLatencyMain(C4pEnv* env, int side) {
     } else {
       // Host-staging branch of paper Fig. 8.
       if (client) {
-        py.cudaDtoH(pe, env->h_buf[side].data(), env->d_buf[side], n, *env->stream[side]);
+        py.cudaDtoH(pe, env->h_buf[side].get(), env->d_buf[side], n, *env->stream[side]);
         co_await py.streamSynchronize(pe, *env->stream[side]);
-        co_await ch->send(env->h_buf[side].data(), n);
-        co_await ch->recv(env->h_buf[side].data(), n);
-        py.cudaHtoD(pe, env->d_buf[side], env->h_buf[side].data(), n, *env->stream[side]);
+        co_await ch->send(env->h_buf[side].get(), n);
+        co_await ch->recv(env->h_buf[side].get(), n);
+        py.cudaHtoD(pe, env->d_buf[side], env->h_buf[side].get(), n, *env->stream[side]);
         co_await py.streamSynchronize(pe, *env->stream[side]);
       } else {
-        co_await ch->recv(env->h_buf[side].data(), n);
-        py.cudaHtoD(pe, env->d_buf[side], env->h_buf[side].data(), n, *env->stream[side]);
+        co_await ch->recv(env->h_buf[side].get(), n);
+        py.cudaHtoD(pe, env->d_buf[side], env->h_buf[side].get(), n, *env->stream[side]);
         co_await py.streamSynchronize(pe, *env->stream[side]);
-        py.cudaDtoH(pe, env->h_buf[side].data(), env->d_buf[side], n, *env->stream[side]);
+        py.cudaDtoH(pe, env->h_buf[side].get(), env->d_buf[side], n, *env->stream[side]);
         co_await py.streamSynchronize(pe, *env->stream[side]);
-        co_await ch->send(env->h_buf[side].data(), n);
+        co_await ch->send(env->h_buf[side].get(), n);
       }
     }
     if (client && it >= env->warmup) sys.obs.markIteration(sys.engine.now());
@@ -92,9 +92,9 @@ sim::FutureTask c4pBandwidthMain(C4pEnv* env, int side) {
       sends.reserve(static_cast<std::size_t>(env->window));
       for (int w = 0; w < env->window; ++w) {
         if (env->mode == Mode::HostStaging) {
-          py.cudaDtoH(pe, env->h_buf[side].data(), env->d_buf[side], n, *env->stream[side]);
+          py.cudaDtoH(pe, env->h_buf[side].get(), env->d_buf[side], n, *env->stream[side]);
           co_await py.streamSynchronize(pe, *env->stream[side]);
-          sends.push_back(ch->send(env->h_buf[side].data(), n));
+          sends.push_back(ch->send(env->h_buf[side].get(), n));
         } else {
           sends.push_back(ch->send(env->d_buf[side], n));
         }
@@ -105,11 +105,10 @@ sim::FutureTask c4pBandwidthMain(C4pEnv* env, int side) {
       // channel.recv suspends the coroutine (charm4py semantics), so window
       // receives complete strictly one after another — this serialisation is
       // what caps Charm4py's bandwidth below the other models (Sec. IV-B2).
-      void* dst = env->mode == Mode::Device ? env->d_buf[side]
-                                            : static_cast<void*>(env->h_buf[side].data());
+      void* dst = env->mode == Mode::Device ? env->d_buf[side] : env->h_buf[side].get();
       for (int w = 0; w < env->window; ++w) co_await ch->recv(dst, n);
       if (env->mode == Mode::HostStaging) {
-        py.cudaHtoD(pe, env->d_buf[side], env->h_buf[side].data(), n, *env->stream[side]);
+        py.cudaHtoD(pe, env->d_buf[side], env->h_buf[side].get(), n, *env->stream[side]);
         co_await py.streamSynchronize(pe, *env->stream[side]);
       }
       co_await ch->send(&ack, sizeof ack);
@@ -147,7 +146,7 @@ struct C4pFixture {
     env.pes[1] = b;
     for (int s = 0; s < 2; ++s) {
       env.d_buf[s] = cuda::deviceAlloc(*sys, env.pes[s], bytes);
-      if (cfg.mode == Mode::HostStaging) env.h_buf[s].resize(bytes);
+      if (cfg.mode == Mode::HostStaging) env.h_buf[s] = cuda::HostBuffer(*sys, bytes);
       env.stream[s] = std::make_unique<cuda::Stream>(*sys, env.pes[s]);
     }
   }

@@ -27,14 +27,14 @@ struct OsuChare : ck::Chare {
   ck::Proxy<OsuChare> peer;
   bool client = false;
   void* d_buf = nullptr;
-  std::vector<std::byte> h_buf;
+  cuda::HostBuffer h_buf;
   std::unique_ptr<cuda::Stream> stream;
   int it = 0;
   int window_got = 0;
   sim::TimePoint t0 = 0;
 
   [[nodiscard]] void* recvDst() {
-    return env->mode == Mode::Device ? d_buf : static_cast<void*>(h_buf.data());
+    return env->mode == Mode::Device ? d_buf : h_buf.get();
   }
   [[nodiscard]] hw::System& sys() { return ckRuntime().system(); }
 
@@ -56,9 +56,9 @@ struct OsuChare : ck::Chare {
     if (env->mode == Mode::Device) {
       peer.sendFrom<&OsuChare::latPing>(myPe(), ck::Buffer(d_buf, env->bytes));
     } else {
-      stream->memcpyAsync(h_buf.data(), d_buf, env->bytes, cuda::MemcpyKind::DeviceToHost);
+      stream->memcpyAsync(h_buf.get(), d_buf, env->bytes, cuda::MemcpyKind::DeviceToHost);
       stream->synchronize().onReady([this] {
-        peer.sendFrom<&OsuChare::latPing>(myPe(), ck::Buffer(h_buf.data(), env->bytes));
+        peer.sendFrom<&OsuChare::latPing>(myPe(), ck::Buffer(h_buf.get(), env->bytes));
       });
     }
   }
@@ -69,10 +69,10 @@ struct OsuChare : ck::Chare {
       peer.sendFrom<&OsuChare::latPong>(myPe(), ck::Buffer(d_buf, env->bytes));
       return;
     }
-    stream->memcpyAsync(d_buf, h_buf.data(), env->bytes, cuda::MemcpyKind::HostToDevice);
-    stream->memcpyAsync(h_buf.data(), d_buf, env->bytes, cuda::MemcpyKind::DeviceToHost);
+    stream->memcpyAsync(d_buf, h_buf.get(), env->bytes, cuda::MemcpyKind::HostToDevice);
+    stream->memcpyAsync(h_buf.get(), d_buf, env->bytes, cuda::MemcpyKind::DeviceToHost);
     stream->synchronize().onReady([this] {
-      peer.sendFrom<&OsuChare::latPong>(myPe(), ck::Buffer(h_buf.data(), env->bytes));
+      peer.sendFrom<&OsuChare::latPong>(myPe(), ck::Buffer(h_buf.get(), env->bytes));
     });
   }
 
@@ -82,7 +82,7 @@ struct OsuChare : ck::Chare {
       latIterDone();
       return;
     }
-    stream->memcpyAsync(d_buf, h_buf.data(), env->bytes, cuda::MemcpyKind::HostToDevice);
+    stream->memcpyAsync(d_buf, h_buf.get(), env->bytes, cuda::MemcpyKind::HostToDevice);
     stream->synchronize().onReady([this] { latIterDone(); });
   }
 
@@ -112,9 +112,9 @@ struct OsuChare : ck::Chare {
       // Per-message staging through the (serialising) stream, as the OSU -H
       // adaptations do.
       for (int w = 0; w < env->window; ++w) {
-        stream->memcpyAsync(h_buf.data(), d_buf, env->bytes, cuda::MemcpyKind::DeviceToHost);
+        stream->memcpyAsync(h_buf.get(), d_buf, env->bytes, cuda::MemcpyKind::DeviceToHost);
         stream->synchronize().onReady([this] {
-          peer.sendFrom<&OsuChare::bwData>(myPe(), ck::Buffer(h_buf.data(), env->bytes));
+          peer.sendFrom<&OsuChare::bwData>(myPe(), ck::Buffer(h_buf.get(), env->bytes));
         });
       }
     }
@@ -127,7 +127,7 @@ struct OsuChare : ck::Chare {
       peer.sendFrom<&OsuChare::bwAck>(myPe(), 1);
       return;
     }
-    stream->memcpyAsync(d_buf, h_buf.data(), env->bytes, cuda::MemcpyKind::HostToDevice);
+    stream->memcpyAsync(d_buf, h_buf.get(), env->bytes, cuda::MemcpyKind::HostToDevice);
     stream->synchronize().onReady([this] { peer.sendFrom<&OsuChare::bwAck>(myPe(), 1); });
   }
 
@@ -179,7 +179,7 @@ struct CharmFixture {
     c.env = &env;
     c.peer = peer;
     c.d_buf = cuda::deviceAlloc(*sys, pe, env.bytes);
-    if (env.mode == Mode::HostStaging) c.h_buf.resize(env.bytes);
+    if (env.mode == Mode::HostStaging) c.h_buf = cuda::HostBuffer(*sys, env.bytes);
     c.stream = std::make_unique<cuda::Stream>(*sys, pe);
   }
 

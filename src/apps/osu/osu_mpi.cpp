@@ -23,7 +23,7 @@ struct PairEnv {
   // Per-side device buffers and staging state.
   void* d_send[2] = {nullptr, nullptr};
   void* d_recv[2] = {nullptr, nullptr};
-  std::vector<std::byte> h_send[2], h_recv[2];
+  cuda::HostBuffer h_send[2], h_recv[2];
   std::unique_ptr<cuda::Stream> stream[2];
   double result_us = 0;
   hw::System* sys = nullptr;  ///< for iteration marks (critical-path attribution)
@@ -51,12 +51,12 @@ sim::FutureTask latencyMain(RankT* r, PairEnv* env) {
         co_await r->send(env->d_send[side], n, peer, 1);
         co_await r->recv(env->d_recv[side], n, peer, 2);
       } else {
-        env->stream[side]->memcpyAsync(env->h_send[side].data(), env->d_send[side], n,
+        env->stream[side]->memcpyAsync(env->h_send[side].get(), env->d_send[side], n,
                                        cuda::MemcpyKind::DeviceToHost);
         co_await env->stream[side]->synchronize();
-        co_await r->send(env->h_send[side].data(), n, peer, 1);
-        co_await r->recv(env->h_recv[side].data(), n, peer, 2);
-        env->stream[side]->memcpyAsync(env->d_recv[side], env->h_recv[side].data(), n,
+        co_await r->send(env->h_send[side].get(), n, peer, 1);
+        co_await r->recv(env->h_recv[side].get(), n, peer, 2);
+        env->stream[side]->memcpyAsync(env->d_recv[side], env->h_recv[side].get(), n,
                                        cuda::MemcpyKind::HostToDevice);
         co_await env->stream[side]->synchronize();
       }
@@ -65,14 +65,14 @@ sim::FutureTask latencyMain(RankT* r, PairEnv* env) {
         co_await r->recv(env->d_recv[side], n, peer, 1);
         co_await r->send(env->d_send[side], n, peer, 2);
       } else {
-        co_await r->recv(env->h_recv[side].data(), n, peer, 1);
-        env->stream[side]->memcpyAsync(env->d_recv[side], env->h_recv[side].data(), n,
+        co_await r->recv(env->h_recv[side].get(), n, peer, 1);
+        env->stream[side]->memcpyAsync(env->d_recv[side], env->h_recv[side].get(), n,
                                        cuda::MemcpyKind::HostToDevice);
         co_await env->stream[side]->synchronize();
-        env->stream[side]->memcpyAsync(env->h_send[side].data(), env->d_send[side], n,
+        env->stream[side]->memcpyAsync(env->h_send[side].get(), env->d_send[side], n,
                                        cuda::MemcpyKind::DeviceToHost);
         co_await env->stream[side]->synchronize();
-        co_await r->send(env->h_send[side].data(), n, peer, 2);
+        co_await r->send(env->h_send[side].get(), n, peer, 2);
       }
     }
     if (client && it >= env->warmup && env->sys != nullptr) {
@@ -96,16 +96,15 @@ sim::FutureTask bandwidthMain(RankT* r, PairEnv* env) {
   for (int it = 0; it < env->warmup + env->iters; ++it) {
     if (client && it == env->warmup) t0 = r->timeUs();
     if (client) {
-      const void* buf = env->mode == Mode::Device
-                            ? env->d_send[side]
-                            : static_cast<const void*>(env->h_send[side].data());
+      const void* buf =
+          env->mode == Mode::Device ? env->d_send[side] : env->h_send[side].get();
       std::vector<RequestT> reqs;
       reqs.reserve(static_cast<std::size_t>(env->window));
       for (int w = 0; w < env->window; ++w) {
         if (env->mode == Mode::HostStaging) {
           // Per-message synchronous staging, as in the OSU-GPU -H adaptation
           // (cudaMemcpy before every MPI_Isend).
-          env->stream[side]->memcpyAsync(env->h_send[side].data(), env->d_send[side], n,
+          env->stream[side]->memcpyAsync(env->h_send[side].get(), env->d_send[side], n,
                                          cuda::MemcpyKind::DeviceToHost);
           co_await env->stream[side]->synchronize();
         }
@@ -114,14 +113,13 @@ sim::FutureTask bandwidthMain(RankT* r, PairEnv* env) {
       co_await r->waitAll(reqs);
       co_await r->recv(&ack, sizeof ack, peer, 999);
     } else {
-      void* buf = env->mode == Mode::Device ? env->d_recv[side]
-                                            : static_cast<void*>(env->h_recv[side].data());
+      void* buf = env->mode == Mode::Device ? env->d_recv[side] : env->h_recv[side].get();
       std::vector<RequestT> reqs;
       reqs.reserve(static_cast<std::size_t>(env->window));
       for (int w = 0; w < env->window; ++w) reqs.push_back(r->irecv(buf, n, peer, w));
       co_await r->waitAll(reqs);
       if (env->mode == Mode::HostStaging) {
-        env->stream[side]->memcpyAsync(env->d_recv[side], env->h_recv[side].data(), n,
+        env->stream[side]->memcpyAsync(env->d_recv[side], env->h_recv[side].get(), n,
                                        cuda::MemcpyKind::HostToDevice);
         co_await env->stream[side]->synchronize();
       }
@@ -151,22 +149,19 @@ sim::FutureTask biBandwidthMain(RankT* r, PairEnv* env) {
   for (int it = 0; it < env->warmup + env->iters; ++it) {
     if (client && it == env->warmup) t0 = r->timeUs();
     if (env->mode == Mode::HostStaging) {
-      env->stream[side]->memcpyAsync(env->h_send[side].data(), env->d_send[side], n,
+      env->stream[side]->memcpyAsync(env->h_send[side].get(), env->d_send[side], n,
                                      cuda::MemcpyKind::DeviceToHost);
       co_await env->stream[side]->synchronize();
     }
-    const void* sbuf = env->mode == Mode::Device
-                           ? env->d_send[side]
-                           : static_cast<const void*>(env->h_send[side].data());
-    void* rbuf = env->mode == Mode::Device ? env->d_recv[side]
-                                           : static_cast<void*>(env->h_recv[side].data());
+    const void* sbuf = env->mode == Mode::Device ? env->d_send[side] : env->h_send[side].get();
+    void* rbuf = env->mode == Mode::Device ? env->d_recv[side] : env->h_recv[side].get();
     std::vector<RequestT> reqs;
     reqs.reserve(static_cast<std::size_t>(2 * env->window));
     for (int w = 0; w < env->window; ++w) reqs.push_back(r->irecv(rbuf, n, peer, 2000 + w));
     for (int w = 0; w < env->window; ++w) reqs.push_back(r->isend(sbuf, n, peer, 2000 + w));
     co_await r->waitAll(reqs);
     if (env->mode == Mode::HostStaging) {
-      env->stream[side]->memcpyAsync(env->d_recv[side], env->h_recv[side].data(), n,
+      env->stream[side]->memcpyAsync(env->d_recv[side], env->h_recv[side].get(), n,
                                      cuda::MemcpyKind::HostToDevice);
       co_await env->stream[side]->synchronize();
     }
@@ -244,8 +239,8 @@ struct MpiFixture {
       env.d_send[s] = cuda::deviceAlloc(*sys, pes[s], bytes);
       env.d_recv[s] = cuda::deviceAlloc(*sys, pes[s], bytes);
       if (cfg.mode == Mode::HostStaging) {
-        env.h_send[s].resize(bytes);
-        env.h_recv[s].resize(bytes);
+        env.h_send[s] = cuda::HostBuffer(*sys, bytes);
+        env.h_recv[s] = cuda::HostBuffer(*sys, bytes);
       }
       env.stream[s] = std::make_unique<cuda::Stream>(*sys, pes[s]);
     }

@@ -56,9 +56,8 @@ struct Env {
     std::uint64_t capacity = 0;
     void* pack[2] = {};            ///< per phase-direction pack buffer
     void* recv[2] = {};
-    void* h_pack[2] = {};          ///< -H staging (backed vector or unbacked region)
-    void* h_recv[2] = {};
-    std::vector<std::byte> h_backing[4];
+    cuda::HostBuffer h_pack[2];    ///< -H staging
+    cuda::HostBuffer h_recv[2];
     std::unique_ptr<cuda::Stream> stream;
     std::uint64_t comm_ns = 0;
     std::uint64_t migrants = 0;
@@ -187,10 +186,10 @@ sim::FutureTask rankMain(ampi::Rank* r, Env* env) {
         }
       };
       // Low-direction sends pair with high-direction receives and vice versa.
-      co_await exchange(lo, hi, rd.pack[0], rd.recv[1], rd.h_pack[0], rd.h_recv[1], nlow,
-                        in_from_hi, 300 + phase);
-      co_await exchange(hi, lo, rd.pack[1], rd.recv[0], rd.h_pack[1], rd.h_recv[0], nhigh,
-                        in_from_lo, 400 + phase);
+      co_await exchange(lo, hi, rd.pack[0], rd.recv[1], rd.h_pack[0].get(), rd.h_recv[1].get(),
+                        nlow, in_from_hi, 300 + phase);
+      co_await exchange(hi, lo, rd.pack[1], rd.recv[0], rd.h_pack[1].get(), rd.h_recv[0].get(),
+                        nhigh, in_from_lo, 400 + phase);
       rd.comm_ns += r->system().engine.now() - comm_start;
 
       // 2c. Unpack kernel: append arrivals to storage.
@@ -238,16 +237,8 @@ struct Instance {
         rd.pack[i] = cuda::deviceAlloc(*sys, rank, cap * sizeof(Particle));
         rd.recv[i] = cuda::deviceAlloc(*sys, rank, cap * sizeof(Particle));
         if (cfg.mode == Mode::HostStaging) {
-          if (cfg.backed) {
-            rd.h_backing[i].resize(cap * sizeof(Particle));
-            rd.h_backing[2 + i].resize(cap * sizeof(Particle));
-            rd.h_pack[i] = rd.h_backing[i].data();
-            rd.h_recv[i] = rd.h_backing[2 + i].data();
-          } else {
-            // Paper-scale: unbacked host staging areas (never dereferenced).
-            rd.h_pack[i] = sys->memory.allocHostUnbacked(cap * sizeof(Particle));
-            rd.h_recv[i] = sys->memory.allocHostUnbacked(cap * sizeof(Particle));
-          }
+          rd.h_pack[i] = cuda::HostBuffer(*sys, cap * sizeof(Particle));
+          rd.h_recv[i] = cuda::HostBuffer(*sys, cap * sizeof(Particle));
         }
       }
       rd.stream = std::make_unique<cuda::Stream>(*sys, rank);
@@ -270,10 +261,6 @@ struct Instance {
       for (int i = 0; i < 2; ++i) {
         cuda::deviceFree(*sys, rd.pack[i]);
         cuda::deviceFree(*sys, rd.recv[i]);
-        if (!env.cfg->backed && rd.h_pack[i] != nullptr) {
-          sys->memory.freeDevice(rd.h_pack[i]);
-          sys->memory.freeDevice(rd.h_recv[i]);
-        }
       }
     }
   }

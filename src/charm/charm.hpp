@@ -14,6 +14,7 @@
 #include "charm/pup.hpp"
 #include "converse/converse.hpp"
 #include "core/device_comm.hpp"
+#include "hw/cuda.hpp"
 #include "model/model.hpp"
 #include "obs/span.hpp"
 
@@ -366,8 +367,8 @@ void entryThunk(Runtime& rt, int pe, Chare* obj, std::shared_ptr<cmi::Message> m
   for (const auto& [i, poff] : packed) {
     Buffer& b = (*bufs)[i];
     assert(b.data() != nullptr && b.capacity() >= b.size() && "post entry must set destinations");
-    if (msg->payload_valid && rt.system().memory.dereferenceable(b.data()) && b.size() > 0) {
-      std::memcpy(b.data(), msg->payload().data() + poff, b.size());
+    if (msg->payload_valid) {
+      cuda::moveBytes(rt.system(), b.data(), msg->payload().data() + poff, b.size());
     }
     packed_bytes += b.size();
   }

@@ -340,9 +340,8 @@ void Charm4py::matchOne(int pe, EndpointState& st, obs::Phase matched) {
     cmi::Pe& cpu = rt_.cmi().pe(pe);
     auto done = p.done;
     if (env.inlined) {
-      if (env.data_valid && !env.data.empty() &&
-          rt_.system().memory.dereferenceable(p.buf)) {
-        std::memcpy(p.buf, env.data.data(), env.data.size());
+      if (env.data_valid) {
+        cuda::moveBytes(rt_.system(), p.buf, env.data.data(), env.data.size());
       }
       const double py_copy_us =
           (static_cast<double>(env.bytes) / 1e3) / costs.py_host_copy_gbps;

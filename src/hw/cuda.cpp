@@ -16,6 +16,22 @@ void* deviceAlloc(hw::System& sys, int device, std::size_t size, bool backed) {
 
 void deviceFree(hw::System& sys, void* p) { sys.memory.freeDevice(p); }
 
+HostBuffer::HostBuffer(hw::System& sys, std::size_t size) : sys_(&sys), size_(size) {
+  if (size == 0) return;
+  if (sys.config.backed_device_memory) {
+    backing_ = std::make_unique<std::byte[]>(size);
+    ptr_ = backing_.get();
+  } else {
+    ptr_ = sys.memory.allocHostUnbacked(size);
+  }
+}
+
+void HostBuffer::release() noexcept {
+  if (ptr_ != nullptr && backing_ == nullptr) sys_->memory.freeDevice(ptr_);
+  ptr_ = nullptr;
+  backing_.reset();
+}
+
 MemcpyKind inferKind(hw::System& sys, const void* dst, const void* src) {
   const bool d_dev = sys.memory.isDevice(dst);
   const bool s_dev = sys.memory.isDevice(src);

@@ -4,6 +4,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "hw/system.hpp"
@@ -70,6 +71,47 @@ class DeviceBuffer {
   hw::System* sys_;
   void* ptr_;
   std::size_t size_;
+};
+
+/// RAII host staging buffer for the -H (host-staging) paths. One rule, no
+/// knob: it is backed iff the machine backs device memory. A backed buffer is
+/// plain, zero-initialised host memory; an unbacked one is a
+/// MemoryRegistry::allocHostUnbacked region that classifies as host memory
+/// but is never dereferenced, so timing-only runs charge the staging copies
+/// in simulated time without moving bytes on the host. A zero-byte buffer
+/// holds a null pointer and allocates nothing. Must be destroyed before its
+/// System.
+class HostBuffer {
+ public:
+  HostBuffer() = default;
+  HostBuffer(hw::System& sys, std::size_t size);
+  ~HostBuffer() { release(); }
+  HostBuffer(HostBuffer&& o) noexcept
+      : sys_(o.sys_), ptr_(std::exchange(o.ptr_, nullptr)), size_(o.size_),
+        backing_(std::move(o.backing_)) {}
+  HostBuffer& operator=(HostBuffer&& o) noexcept {
+    if (this != &o) {
+      release();
+      sys_ = o.sys_;
+      ptr_ = std::exchange(o.ptr_, nullptr);
+      size_ = o.size_;
+      backing_ = std::move(o.backing_);
+    }
+    return *this;
+  }
+  HostBuffer(const HostBuffer&) = delete;
+  HostBuffer& operator=(const HostBuffer&) = delete;
+
+  [[nodiscard]] void* get() const noexcept { return ptr_; }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+ private:
+  void release() noexcept;
+
+  hw::System* sys_ = nullptr;
+  void* ptr_ = nullptr;
+  std::size_t size_ = 0;
+  std::unique_ptr<std::byte[]> backing_;  ///< set iff backed and non-empty
 };
 
 /// In-order execution stream bound to one GPU.
@@ -175,7 +217,11 @@ class GraphBuilder {
 MemcpyKind inferKind(hw::System& sys, const void* dst, const void* src);
 
 /// Performs the byte movement for a completed copy if both ends are
-/// dereferenceable (exposed for the UCX transports, which share the rule).
+/// dereferenceable. Every copy into memory the caller did not just allocate
+/// goes through it (CUDA copies, UCX eager/rendezvous receive completion, the
+/// Charm++ entry thunk, AMPI and Charm4py inline delivery, RMA, the
+/// collectives), so unbacked memory is never touched. Copies into a freshly
+/// allocated message buffer test only `memory.dereferenceable(src)`.
 void moveBytes(hw::System& sys, void* dst, const void* src, std::size_t bytes);
 
 }  // namespace cux::cuda

@@ -2,13 +2,18 @@
 
 #include <sys/mman.h>
 
-#include <cassert>
-#include <cstdlib>
 #include <new>
+#include <stdexcept>
 
 namespace cux::hw {
 
 namespace {
+
+void requireNonZero(std::size_t size) {
+  if (size == 0) {
+    throw std::invalid_argument("MemoryRegistry: zero-byte regions are not representable");
+  }
+}
 
 void* reserveUnbacked(std::size_t size) {
   // PROT_NONE reservation: consumes address space only, so classifying fake
@@ -32,7 +37,7 @@ MemoryRegistry::~MemoryRegistry() {
 }
 
 void* MemoryRegistry::allocDevice(int device, std::size_t size, bool backed) {
-  assert(size > 0 && "zero-byte device allocations are not representable");
+  requireNonZero(size);
   void* p = backed ? ::operator new(size, std::align_val_t{64}) : reserveUnbacked(size);
   const auto base = reinterpret_cast<std::uintptr_t>(p);
   regions_.emplace(base, Region{base, size, MemSpace::Device, device, backed});
@@ -41,7 +46,7 @@ void* MemoryRegistry::allocDevice(int device, std::size_t size, bool backed) {
 }
 
 void* MemoryRegistry::allocHostUnbacked(std::size_t size) {
-  assert(size > 0);
+  requireNonZero(size);
   void* p = reserveUnbacked(size);
   const auto base = reinterpret_cast<std::uintptr_t>(p);
   regions_.emplace(base, Region{base, size, MemSpace::Host, -1, false});
@@ -52,8 +57,10 @@ void* MemoryRegistry::allocHostUnbacked(std::size_t size) {
 void MemoryRegistry::freeDevice(void* p) {
   const auto base = reinterpret_cast<std::uintptr_t>(p);
   auto it = regions_.find(base);
-  assert(it != regions_.end() && "freeDevice of a pointer not from allocDevice");
-  if (it == regions_.end()) return;
+  if (it == regions_.end()) {
+    throw std::invalid_argument(
+        "MemoryRegistry::freeDevice: pointer is not the base of a registry region");
+  }
   bytes_allocated_ -= it->second.size;
   if (it->second.backed) {
     ::operator delete(p, std::align_val_t{64});

@@ -39,17 +39,19 @@ class MemoryRegistry {
   MemoryRegistry& operator=(const MemoryRegistry&) = delete;
 
   /// Allocates `size` bytes of simulated device memory on GPU `device`.
+  /// Throws std::invalid_argument when `size` is zero.
   void* allocDevice(int device, std::size_t size, bool backed);
 
   /// Allocates an *unbacked* host-space region: address space that classifies
-  /// as host memory but is never dereferenced. The large-scale benches use
-  /// this for host staging buffers whose paper-sized footprint (hundreds of
-  /// GB across 1536 simulated PEs) could not be physically allocated.
+  /// as host memory but is never dereferenced. Timing-only runs stage through
+  /// these (cuda::HostBuffer), as do the large-scale benches whose
+  /// paper-sized footprint (hundreds of GB across 1536 simulated PEs) could
+  /// not be physically allocated. Throws std::invalid_argument when `size`
+  /// is zero.
   void* allocHostUnbacked(std::size_t size);
 
-  /// Releases a pointer returned by allocDevice()/allocHostUnbacked().
-  /// Passing any other pointer is a precondition violation (asserts in debug
-  /// builds).
+  /// Releases a pointer returned by allocDevice()/allocHostUnbacked(). Throws
+  /// std::invalid_argument for any other pointer (in every build type).
   void freeDevice(void* p);
 
   /// Region containing `p`, or nullptr for ordinary host memory.

@@ -1095,9 +1095,7 @@ void Worker::completeRecvFromEager(PostedRecv r, Incoming msg) {
                       payload_valid = msg.payload_valid, tag = msg.tag, src_pe = msg.src_pe,
                       len = msg.len]() mutable {
     hw::System& sys = ctx_.system();
-    if (payload_valid && !payload.empty() && sys.memory.dereferenceable(buf)) {
-      std::memcpy(buf, payload.data(), payload.size());
-    }
+    if (payload_valid) cuda::moveBytes(sys, buf, payload.data(), payload.size());
     // The payload has been consumed: its storage goes back to the eager pool
     // so the steady-state path stops allocating per message.
     ctx_.recycleBuffer(std::move(payload));

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "hw/cuda.hpp"
@@ -196,6 +197,31 @@ TEST(Memory, ManyAllocationsTracked) {
   EXPECT_EQ(sys.memory.bytesAllocated(), 0u);
 }
 
+// Caller-input checks on the registry hold in every build type (not only
+// under assert): a foreign or double free and a zero-byte region throw and
+// leave the registry untouched.
+TEST(Memory, FreeOfForeignPointerThrows) {
+  hw::System sys(summitCfg(1));
+  void* p = cuda::deviceAlloc(sys, 0, 256, /*backed=*/false);
+  int x = 0;
+  EXPECT_THROW(sys.memory.freeDevice(&x), std::invalid_argument);
+  EXPECT_THROW(sys.memory.freeDevice(static_cast<char*>(p) + 8), std::invalid_argument);
+  EXPECT_EQ(sys.memory.liveAllocations(), 1u);
+  sys.memory.freeDevice(p);
+  EXPECT_THROW(sys.memory.freeDevice(p), std::invalid_argument);  // double free
+  EXPECT_EQ(sys.memory.liveAllocations(), 0u);
+  EXPECT_EQ(sys.memory.bytesAllocated(), 0u);
+}
+
+TEST(Memory, ZeroSizeRegionsThrow) {
+  hw::System sys(summitCfg(1));
+  EXPECT_THROW((void)sys.memory.allocDevice(0, 0, /*backed=*/true), std::invalid_argument);
+  EXPECT_THROW((void)sys.memory.allocDevice(0, 0, /*backed=*/false), std::invalid_argument);
+  EXPECT_THROW((void)sys.memory.allocHostUnbacked(0), std::invalid_argument);
+  EXPECT_EQ(sys.memory.liveAllocations(), 0u);
+  EXPECT_EQ(sys.memory.bytesAllocated(), 0u);
+}
+
 // --------------------------------------------------------------------------
 // CUDA shim
 // --------------------------------------------------------------------------
@@ -289,6 +315,80 @@ TEST(Cuda, UnbackedCopiesSkipByteMovement) {
   s.memcpyAsync(host.data(), dev.get(), 1024, cuda::MemcpyKind::DeviceToHost);
   sys.engine.run();
   EXPECT_EQ(host[0], 7);  // unchanged: source was unbacked
+}
+
+hw::MachineConfig stagingCfg(bool backed) {
+  hw::MachineConfig cfg = summitCfg(1);
+  cfg.backed_device_memory = backed;
+  return cfg;
+}
+
+// Timing-only machines stage through address space: the buffer classifies as
+// host memory (so protocol choices match a backed run) but is never touched.
+TEST(HostBuffer, UnbackedOnTimingOnlyMachine) {
+  hw::System sys(stagingCfg(false));
+  const std::size_t baseline = sys.memory.liveAllocations();
+  {
+    cuda::HostBuffer h(sys, 1u << 20);
+    ASSERT_NE(h.get(), nullptr);
+    EXPECT_EQ(h.size(), 1u << 20);
+    EXPECT_FALSE(sys.memory.isDevice(h.get()));
+    EXPECT_EQ(sys.memory.spaceOf(h.get()), hw::MemSpace::Host);
+    EXPECT_FALSE(sys.memory.dereferenceable(h.get()));
+    EXPECT_EQ(sys.memory.liveAllocations(), baseline + 1);
+  }
+  EXPECT_EQ(sys.memory.liveAllocations(), baseline);
+  EXPECT_EQ(sys.memory.bytesAllocated(), 0u);
+}
+
+TEST(HostBuffer, BackedIsWritableHostMemory) {
+  hw::System sys(stagingCfg(true));
+  const std::size_t baseline = sys.memory.liveAllocations();
+  {
+    cuda::HostBuffer h(sys, 4096);
+    auto* b = static_cast<unsigned char*>(h.get());
+    EXPECT_EQ(b[0], 0);  // zero-initialised, like the vectors it replaces
+    EXPECT_EQ(b[4095], 0);
+    EXPECT_EQ(sys.memory.spaceOf(h.get()), hw::MemSpace::Host);
+    EXPECT_TRUE(sys.memory.dereferenceable(h.get()));
+    for (std::size_t i = 0; i < 4096; ++i) b[i] = static_cast<unsigned char>(i * 7);
+
+    // Staged round trip through a device buffer reads back bit-exact.
+    cuda::DeviceBuffer d(sys, 0, 4096);
+    cuda::HostBuffer back(sys, 4096);
+    cuda::Stream s(sys, 0);
+    s.memcpyAsync(d.get(), h.get(), 4096, cuda::MemcpyKind::HostToDevice);
+    s.memcpyAsync(back.get(), d.get(), 4096, cuda::MemcpyKind::DeviceToHost);
+    sys.engine.run();
+    EXPECT_EQ(std::memcmp(back.get(), h.get(), 4096), 0);
+  }
+  EXPECT_EQ(sys.memory.liveAllocations(), baseline);
+}
+
+TEST(HostBuffer, ZeroBytesAllocatesNothing) {
+  for (const bool backed : {false, true}) {
+    hw::System sys(stagingCfg(backed));
+    cuda::HostBuffer h(sys, 0);
+    EXPECT_EQ(h.get(), nullptr);
+    EXPECT_EQ(h.size(), 0u);
+    EXPECT_EQ(sys.memory.liveAllocations(), 0u);
+  }
+}
+
+TEST(HostBuffer, MoveTransfersOwnership) {
+  hw::System sys(stagingCfg(false));
+  cuda::HostBuffer a(sys, 4096);
+  void* p = a.get();
+  cuda::HostBuffer b(std::move(a));
+  EXPECT_EQ(a.get(), nullptr);
+  EXPECT_EQ(b.get(), p);
+  a = cuda::HostBuffer(sys, 8192);  // into a moved-from buffer
+  EXPECT_EQ(sys.memory.liveAllocations(), 2u);
+  b = std::move(a);  // releases b's old region
+  EXPECT_EQ(sys.memory.liveAllocations(), 1u);
+  EXPECT_EQ(b.size(), 8192u);
+  b = cuda::HostBuffer();
+  EXPECT_EQ(sys.memory.liveAllocations(), 0u);
 }
 
 TEST(Cuda, KernelTimingIncludesLaunchOverhead) {

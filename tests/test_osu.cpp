@@ -1,6 +1,32 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
+
 #include "apps/osu/osu.hpp"
+
+// Counting operator new: bytes requested through the global allocator, so a
+// test can bound the host memory one benchmark point allocates. The
+// replacements are kept out of line: inlined into this file's own
+// new-expressions, GCC would flag the malloc/free pairing as mismatched.
+static std::uint64_t g_alloc_bytes = 0;
+
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  g_alloc_bytes += n;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new[](std::size_t n) {
+  g_alloc_bytes += n;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -47,16 +73,18 @@ TEST_P(OsuLatencySanity, PositiveAndMonotonicOverSize) {
   EXPECT_LT(pts[1].value, pts[2].value);
 }
 
+std::string stackParamName(const ::testing::TestParamInfo<Stack>& info) {
+  std::string n = name(info.param);
+  for (char& c : n) {
+    if (c == '+') c = 'p';
+  }
+  return n;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllStacks, OsuLatencySanity,
                          ::testing::Values(Stack::Charm, Stack::Ampi, Stack::Ompi,
                                            Stack::Charm4py),
-                         [](const ::testing::TestParamInfo<Stack>& info) {
-                           std::string n = name(info.param);
-                           for (char& c : n) {
-                             if (c == '+') c = 'p';
-                           }
-                           return n;
-                         });
+                         stackParamName);
 
 // The paper's headline: GPU-aware beats host staging, with the gap widening
 // with message size, for every stack and placement.
@@ -156,6 +184,29 @@ TEST(OsuBandwidth, Charm4pyBelowOthersButRising) {
   EXPECT_LT(pts[1].value / 1000.0, 45.0);
   EXPECT_GT(pts[1].value, pts[0].value);
 }
+
+// The OSU fixtures are timing-only, so -H staging buffers are address space,
+// not host memory: a 4 MiB host-staged bandwidth point allocates about what
+// the GPU-aware point does. Real 4 MiB staging vectors would add 8-16 MiB.
+class OsuHostStagingMemory : public ::testing::TestWithParam<Stack> {};
+
+TEST_P(OsuHostStagingMemory, FourMiBBandwidthPointAllocatesLikeDevice) {
+  constexpr std::size_t kBytes = 4u << 20;
+  auto bytesAllocated = [&](Mode m) {
+    const auto cfg = quick(GetParam(), m, Placement::IntraNode);
+    const std::uint64_t before = g_alloc_bytes;
+    EXPECT_GT(bandwidthPoint(cfg, kBytes), 0.0);
+    return g_alloc_bytes - before;
+  };
+  const std::uint64_t host = bytesAllocated(Mode::HostStaging);
+  const std::uint64_t device = bytesAllocated(Mode::Device);
+  EXPECT_LE(host, device + (2u << 20)) << "-H allocated " << host << " B, -D " << device << " B";
+}
+
+INSTANTIATE_TEST_SUITE_P(AllStacks, OsuHostStagingMemory,
+                         ::testing::Values(Stack::Charm, Stack::Ampi, Stack::Ompi,
+                                           Stack::Charm4py),
+                         stackParamName);
 
 TEST(OsuDeterminism, RepeatedRunsIdentical) {
   auto cfg = quick(Stack::Ampi, Mode::Device, Placement::InterNode);
