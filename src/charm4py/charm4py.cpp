@@ -89,7 +89,6 @@ void Charm4py::onPeFailed(int pe) {
   std::vector<sim::Promise<void>> to_fail;
   for (const std::uint64_t chan : newly_dead) {
     for (int side = 0; side < 2; ++side) {
-      // makeChannel appends side 0 then side 1, so ends_ is indexable.
       ChannelEnd* e = ends_[chan * 2 + static_cast<std::uint64_t>(side)].get();
       EndpointState& st = endpoint(chan, side);
       // Queued envelopes can never match: both sides refuse future receives
@@ -131,6 +130,7 @@ Channel Charm4py::makeChannel(int pe_a, int pe_b) {
     ends_.push_back(std::move(end));
     return ends_.back().get();
   };
+  endpoints_.resize(endpoints_.size() + 2);
   return Channel{mk(0, pe_a), mk(1, pe_b)};
 }
 
@@ -178,21 +178,16 @@ sim::Future<void> ChannelEnd::recv(void* buf, std::uint64_t bytes) {
 bool ChannelEnd::aborted() const { return owner_->channelDead(chan_); }
 
 Charm4py::EndpointState& Charm4py::endpoint(std::uint64_t chan, int side) {
-  return endpoints_[chan * 2 + static_cast<std::uint64_t>(side)];
+  std::unique_ptr<EndpointState>& st = endpoints_[chan * 2 + static_cast<std::uint64_t>(side)];
+  if (!st) st = std::make_unique<EndpointState>();
+  return *st;
 }
 
 sim::Future<void> Charm4py::sendImpl(ChannelEnd& end, const void* buf, std::uint64_t bytes) {
   const int src_pe = end.pe_;
   const int dst_side = 1 - end.side_;
-  ChannelEnd* peer = nullptr;
   // Destination PE: the other end of the channel.
-  for (auto& e : ends_) {
-    if (e->chan_ == end.chan_ && e->side_ == dst_side) {
-      peer = e.get();
-      break;
-    }
-  }
-  assert(peer != nullptr);
+  const ChannelEnd* peer = ends_[end.chan_ * 2 + static_cast<std::uint64_t>(dst_side)].get();
   const model::LayerCosts& costs = rt_.costs();
   cmi::Pe& pe = rt_.cmi().pe(src_pe);
   pe.charge(sim::usec(costs.py_call_us));

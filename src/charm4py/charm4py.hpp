@@ -201,8 +201,11 @@ class Charm4py {
 
   ck::Runtime& rt_;
   std::vector<ck::Proxy<PerPeChare>> chares_;  // one per PE
+  // makeChannel appends side 0 then side 1 of each channel to both vectors,
+  // so both are indexed by chan*2+side. Endpoint state is allocated on first
+  // use, so making a channel allocates no deques.
   std::vector<std::unique_ptr<ChannelEnd>> ends_;
-  std::unordered_map<std::uint64_t, EndpointState> endpoints_;  // key: chan*2+side
+  std::vector<std::unique_ptr<EndpointState>> endpoints_;
   std::unordered_map<std::uint64_t, PendingCall> calls_;
   std::uint64_t next_chan_ = 0;
   std::uint64_t next_call_ = 0;

@@ -2,8 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <optional>
+#include <vector>
 
 /// \file memory.hpp
 /// Simulated device memory and pointer classification.
@@ -14,10 +13,10 @@
 ///
 /// * **backed** — real host memory stands in for device memory, so copies
 ///   move actual bytes and tests can verify end-to-end data integrity;
-/// * **unbacked** — PROT_NONE address-space reservations with no physical
-///   pages, used by the large-scale figure benches where the paper's domains
-///   (e.g. 3072^3 doubles) would need terabytes. Timing is identical; only
-///   the byte movement is skipped.
+/// * **unbacked** — address space with no physical pages, carved from a few
+///   large PROT_NONE reservations the registry owns; used by the large-scale
+///   figure benches where the paper's domains (e.g. 3072^3 doubles) would
+///   need terabytes. Timing is identical; only the byte movement is skipped.
 
 namespace cux::hw {
 
@@ -54,7 +53,8 @@ class MemoryRegistry {
   /// std::invalid_argument for any other pointer (in every build type).
   void freeDevice(void* p);
 
-  /// Region containing `p`, or nullptr for ordinary host memory.
+  /// Region containing `p`, or nullptr for ordinary host memory. The pointer
+  /// is valid until the next allocation or free.
   [[nodiscard]] const Region* find(const void* p) const;
 
   [[nodiscard]] bool isDevice(const void* p) const {
@@ -78,11 +78,41 @@ class MemoryRegistry {
     return r == nullptr || r->backed;
   }
 
-  [[nodiscard]] std::size_t liveAllocations() const noexcept { return regions_.size(); }
+  [[nodiscard]] std::size_t liveAllocations() const noexcept { return live_; }
   [[nodiscard]] std::uint64_t bytesAllocated() const noexcept { return bytes_allocated_; }
 
  private:
-  std::map<std::uintptr_t, Region> regions_;  // keyed by base address
+  /// Regions sorted by base, with the search keys kept contiguous.
+  struct RegionIndex {
+    std::vector<std::uintptr_t> bases;
+    std::vector<Region> regions;  ///< parallel to `bases`
+
+    /// Position of the entry with the greatest base <= addr, or npos.
+    [[nodiscard]] std::size_t floor(std::uintptr_t addr) const noexcept;
+    /// Entry containing `addr`, or nullptr.
+    [[nodiscard]] const Region* containing(std::uintptr_t addr) const noexcept;
+    /// Position of the live entry whose base is exactly `addr`, or npos.
+    [[nodiscard]] std::size_t exact(std::uintptr_t addr) const noexcept;
+  };
+
+  /// One PROT_NONE reservation. Regions are carved bump-wise and
+  /// page-aligned from `base`, so its index is sorted by construction; a
+  /// freed region stays as a tombstone (size 0) until compaction.
+  struct Reservation {
+    std::uintptr_t base = 0;
+    std::size_t capacity = 0;
+    std::size_t used = 0;  ///< bump offset: [base, base + used) is carved
+    std::size_t dead = 0;  ///< tombstones in `index`
+    RegionIndex index;
+  };
+
+  void* carve(std::size_t size, MemSpace space, int device);
+  void release(std::size_t reservation, std::size_t pos);
+
+  std::vector<Reservation> reservations_;  ///< creation order; back() is carved
+  RegionIndex backed_;                     ///< heap-allocated backed regions
+  std::size_t next_reservation_ = std::size_t{1} << 30;  ///< at least doubles each time
+  std::size_t live_ = 0;
   std::uint64_t bytes_allocated_ = 0;
 };
 

@@ -1,6 +1,6 @@
 #include "hw/pool.hpp"
 
-#include <cassert>
+#include <stdexcept>
 
 namespace cux::hw {
 
@@ -13,6 +13,7 @@ void* DevicePool::alloc(int device, std::size_t size, bool backed) {
   if (it != free_.end() && !it->second.empty()) {
     void* p = it->second.back();
     it->second.pop_back();
+    live_.find(p)->second.cached = false;
     ++hits_;
     bytes_cached_ -= rounded;
     bytes_live_ += rounded;
@@ -31,9 +32,12 @@ void* DevicePool::alloc(int device, std::size_t size, bool backed) {
 void DevicePool::free(void* p) {
   if (p == nullptr) return;
   const auto it = live_.find(p);
-  assert(it != live_.end() && "DevicePool::free of a pointer the pool never handed out");
-  if (it == live_.end()) return;
-  const Block b = it->second;
+  if (it == live_.end()) {
+    throw std::invalid_argument("DevicePool::free: pointer was not handed out by this pool");
+  }
+  Block& b = it->second;
+  if (b.cached) throw std::invalid_argument("DevicePool::free: block is already free");
+  b.cached = true;
   free_[ClassKey{b.device, b.backed, b.size}].push_back(p);
   bytes_live_ -= b.size;
   bytes_cached_ += b.size;

@@ -12,8 +12,8 @@
 /// Caching device-memory pool in the CuPy / PyTorch-caching-allocator style:
 /// freed blocks are kept in per-(device, backed, size-class) freelists and
 /// handed back to later allocations of the same class instead of going
-/// through the registry (which, for unbacked regions, costs an mmap/mprotect
-/// round trip per allocation). Sizes round up to 512-byte bins, so a training
+/// through the registry (a heap allocation for backed regions, fresh address
+/// space for unbacked ones). Sizes round up to 512-byte bins, so a training
 /// step that frees and reallocates its gradient buckets reuses the same
 /// regions every iteration — the steady state allocates nothing.
 ///
@@ -40,6 +40,8 @@ class DevicePool {
 
   /// Returns `p` (a pointer obtained from alloc) to the pool. The region
   /// stays registered — and, when backed, keeps its contents — until trim().
+  /// Null is a no-op. Throws std::invalid_argument, in every build type, for
+  /// a pointer the pool did not hand out or a block that is already free.
   void free(void* p);
 
   /// Releases every cached (free) block back to the registry.
@@ -57,6 +59,7 @@ class DevicePool {
     int device = 0;
     bool backed = false;
     std::size_t size = 0;  ///< rounded size
+    bool cached = false;   ///< on a freelist, not handed out
   };
   struct ClassKey {
     int device;

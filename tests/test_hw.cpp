@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
+#include "apps/jacobi/jacobi.hpp"
 #include "hw/cuda.hpp"
 #include "hw/system.hpp"
 #include "model/model.hpp"
@@ -220,6 +223,192 @@ TEST(Memory, ZeroSizeRegionsThrow) {
   EXPECT_THROW((void)sys.memory.allocHostUnbacked(0), std::invalid_argument);
   EXPECT_EQ(sys.memory.liveAllocations(), 0u);
   EXPECT_EQ(sys.memory.bytesAllocated(), 0u);
+}
+
+TEST(MemoryDeathTest, UnbackedRegionsFaultOnDereference) {
+  hw::MemoryRegistry mem;
+  auto* d = static_cast<volatile char*>(mem.allocDevice(0, 4096, /*backed=*/false));
+  auto* h = static_cast<volatile char*>(mem.allocHostUnbacked(4096));
+  EXPECT_DEATH(d[17] = 1, "");
+  EXPECT_DEATH((void)h[0], "");
+  mem.freeDevice(const_cast<char*>(d));
+  mem.freeDevice(const_cast<char*>(h));
+}
+
+// Seeded cross-check against a reference model: a std::map of live ranges.
+// Random sequences of backed, unbacked-device and unbacked-host allocations
+// and frees (enough to compact the indexes, fill several reservations and
+// release dead ones), each followed by queries of base, interior,
+// one-past-end, freed, stack and heap pointers and a double free.
+TEST(Memory, RegistryMatchesReferenceModel) {
+  struct Ref {
+    std::size_t size;
+    hw::MemSpace space;
+    int device;
+    bool backed;
+  };
+  hw::MemoryRegistry mem;
+  std::map<std::uintptr_t, Ref> live;
+  std::vector<std::uintptr_t> freed;
+  std::uint64_t live_bytes = 0;
+  sim::SplitMix64 rng(20210517);
+  int on_stack = 0;
+  const auto on_heap = std::make_unique<int>(0);
+
+  auto check = [&](std::uintptr_t addr) {
+    const Ref* want = nullptr;
+    std::uintptr_t want_base = 0;
+    auto it = live.upper_bound(addr);
+    if (it != live.begin()) {
+      --it;
+      if (addr - it->first < it->second.size) {
+        want = &it->second;
+        want_base = it->first;
+      }
+    }
+    const void* p = reinterpret_cast<const void*>(addr);
+    const hw::Region* got = mem.find(p);
+    ASSERT_EQ(got != nullptr, want != nullptr) << std::hex << addr;
+    if (want == nullptr) {
+      EXPECT_FALSE(mem.isDevice(p));
+      EXPECT_EQ(mem.deviceOf(p), -1);
+      EXPECT_TRUE(mem.dereferenceable(p));
+      return;
+    }
+    EXPECT_EQ(got->base, want_base);
+    EXPECT_EQ(got->size, want->size);
+    EXPECT_EQ(got->space, want->space);
+    EXPECT_EQ(got->backed, want->backed);
+    EXPECT_EQ(mem.deviceOf(p), want->space == hw::MemSpace::Device ? want->device : -1);
+    EXPECT_EQ(mem.dereferenceable(p), want->backed);
+  };
+  auto freeOne = [&](std::map<std::uintptr_t, Ref>::iterator it) {
+    mem.freeDevice(reinterpret_cast<void*>(it->first));
+    live_bytes -= it->second.size;
+    freed.push_back(it->first);
+    live.erase(it);
+  };
+
+  for (int step = 0; step < 6000; ++step) {
+    if (live.empty() || rng.below(100) < 52) {
+      const int device = static_cast<int>(rng.below(6));
+      void* p = nullptr;
+      Ref r{};
+      switch (rng.below(3)) {
+        case 0:
+          r = Ref{1 + rng.below(2048), hw::MemSpace::Device, device, true};
+          p = mem.allocDevice(device, r.size, true);
+          break;
+        case 1:
+          // Mostly face-sized regions, now and then a grid-sized one that
+          // outgrows the carved reservation.
+          r = Ref{1 + rng.below(rng.below(8) == 0 ? std::uint64_t{1} << 31 : 1u << 22),
+                  hw::MemSpace::Device, device, false};
+          p = mem.allocDevice(device, r.size, false);
+          break;
+        default:
+          r = Ref{1 + rng.below(1u << 20), hw::MemSpace::Host, -1, false};
+          p = mem.allocHostUnbacked(r.size);
+          break;
+      }
+      const auto base = reinterpret_cast<std::uintptr_t>(p);
+      ASSERT_TRUE(live.emplace(base, r).second) << "address handed out twice";
+      live_bytes += r.size;
+    } else {
+      freeOne(std::next(live.begin(), static_cast<std::ptrdiff_t>(rng.below(live.size()))));
+    }
+    ASSERT_EQ(mem.liveAllocations(), live.size());
+    ASSERT_EQ(mem.bytesAllocated(), live_bytes);
+
+    if (!live.empty()) {
+      const auto& [base, r] =
+          *std::next(live.begin(), static_cast<std::ptrdiff_t>(rng.below(live.size())));
+      check(base);
+      check(base + rng.below(r.size));
+      check(base + r.size - 1);
+      check(base + r.size);
+    }
+    if (!freed.empty()) {
+      // A freed base is a double free unless the allocator handed it out
+      // again (the heap for backed regions, the kernel for a released
+      // reservation).
+      const std::uintptr_t f = freed[rng.below(freed.size())];
+      check(f);
+      check(f + rng.below(64));
+      if (live.count(f) == 0) {
+        EXPECT_THROW(mem.freeDevice(reinterpret_cast<void*>(f)), std::invalid_argument);
+      }
+    }
+    check(reinterpret_cast<std::uintptr_t>(&on_stack));
+    check(reinterpret_cast<std::uintptr_t>(on_heap.get()));
+  }
+
+  while (!live.empty()) {
+    freeOne(std::next(live.begin(), static_cast<std::ptrdiff_t>(rng.below(live.size()))));
+  }
+  EXPECT_EQ(mem.liveAllocations(), 0u);
+  EXPECT_EQ(mem.bytesAllocated(), 0u);
+  for (const std::uintptr_t f : freed) {
+    check(f);
+    EXPECT_THROW(mem.freeDevice(reinterpret_cast<void*>(f)), std::invalid_argument);
+  }
+
+  // A region larger than what is left of the carved (now fully dead)
+  // reservation moves carving to a new one and releases the old.
+  void* big = mem.allocDevice(2, std::uint64_t{1} << 40, false);
+  EXPECT_EQ(mem.deviceOf(static_cast<char*>(big) + (std::uint64_t{1} << 39)), 2);
+  for (const std::uintptr_t f : freed) check(f);
+  mem.freeDevice(big);
+  EXPECT_EQ(mem.liveAllocations(), 0u);
+}
+
+// Paper-scale footprint with no simulation: the region pattern of Fig. 15's
+// 256-node weak-scaling row (1536 GPUs, 12288 x 12288 x 6144 cells, ~15 TB
+// of halo grids), as jacobi::BlockState allocates it in host-staging mode:
+// two halo grids per block plus send/receive face buffers on the device and
+// their host staging copies.
+TEST(Memory, PaperScaleJacobiFootprint) {
+  const int blocks = 256 * 6;
+  const jacobi::Decomposition d =
+      jacobi::decompose(jacobi::weakScaledGrid(jacobi::kWeakBase, 8), blocks);
+  const std::uint64_t halo_bytes =
+      static_cast<std::uint64_t>(d.block.x + 2) * (d.block.y + 2) * (d.block.z + 2) * 8;
+  hw::MemoryRegistry mem;
+  std::vector<void*> ptrs;
+  std::uint64_t bytes = 0;
+  auto alloc = [&](void* p, std::uint64_t n) {
+    ptrs.push_back(p);
+    bytes += n;
+  };
+  for (int b = 0; b < blocks; ++b) {
+    for (int g = 0; g < 2; ++g) alloc(mem.allocDevice(b, halo_bytes, false), halo_bytes);
+    for (int i = 0; i < jacobi::kNumDirs; ++i) {
+      const auto dir = static_cast<jacobi::Dir>(i);
+      if (d.neighbor(b, dir) < 0) continue;
+      const std::uint64_t face = d.faceBytes(dir);
+      for (int k = 0; k < 3; ++k) alloc(mem.allocDevice(b, face, false), face);
+      for (int k = 0; k < 3; ++k) alloc(mem.allocHostUnbacked(face), face);
+    }
+  }
+  EXPECT_GT(bytes, std::uint64_t{15} * 1000 * 1000 * 1000 * 1000);  // 15 TB
+  EXPECT_EQ(mem.liveAllocations(), ptrs.size());
+  EXPECT_EQ(mem.bytesAllocated(), bytes);
+
+  // Classify every region, as a GPU-aware send does, at base and last byte.
+  std::size_t devices = 0;
+  for (std::size_t i = 0; i < ptrs.size(); ++i) {
+    const hw::Region* r = mem.find(ptrs[i]);
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(mem.find(static_cast<char*>(ptrs[i]) + r->size - 1), r);
+    EXPECT_FALSE(mem.dereferenceable(ptrs[i]));
+    if (mem.isDevice(ptrs[i])) ++devices;
+  }
+  EXPECT_EQ(devices, ptrs.size() - (ptrs.size() - 2 * blocks) / 2);
+
+  for (void* p : ptrs) mem.freeDevice(p);
+  EXPECT_EQ(mem.liveAllocations(), 0u);
+  EXPECT_EQ(mem.bytesAllocated(), 0u);
+  for (void* p : ptrs) EXPECT_EQ(mem.find(p), nullptr);
 }
 
 // --------------------------------------------------------------------------
@@ -469,6 +658,42 @@ TEST(DevicePool, HighWatermarkTracksPeakLiveBytes) {
   void* c = sys.pool.alloc(0, 2048, backed);
   EXPECT_EQ(sys.pool.bytesHighWatermark(), 3072u);
   sys.pool.free(c);
+}
+
+// Caller checks hold in every build type: a double free would otherwise put
+// one block on the freelist twice and hand it out to two owners.
+TEST(DevicePool, DoubleFreeThrows) {
+  hw::System sys(summitCfg(1));
+  const bool backed = sys.config.backed_device_memory;
+  void* a = sys.pool.alloc(0, 512, backed);
+  sys.pool.free(a);
+  EXPECT_THROW(sys.pool.free(a), std::invalid_argument);
+  EXPECT_EQ(sys.pool.bytesLive(), 0u);
+  EXPECT_EQ(sys.pool.bytesCached(), 512u);
+  void* b = sys.pool.alloc(0, 512, backed);
+  void* c = sys.pool.alloc(0, 512, backed);
+  EXPECT_NE(b, c);
+  EXPECT_EQ(sys.pool.bytesLive(), 1024u);
+  sys.pool.free(b);
+  sys.pool.free(c);
+  EXPECT_THROW(sys.pool.free(c), std::invalid_argument);
+  EXPECT_EQ(sys.pool.bytesLive(), 0u);
+}
+
+TEST(DevicePool, FreeOfForeignPointerThrows) {
+  hw::System sys(summitCfg(1));
+  const bool backed = sys.config.backed_device_memory;
+  void* a = sys.pool.alloc(0, 512, backed);
+  void* direct = sys.memory.allocDevice(0, 512, backed);  // registry, not pool
+  int x = 0;
+  EXPECT_THROW(sys.pool.free(&x), std::invalid_argument);
+  EXPECT_THROW(sys.pool.free(static_cast<char*>(a) + 8), std::invalid_argument);
+  EXPECT_THROW(sys.pool.free(direct), std::invalid_argument);
+  EXPECT_EQ(sys.pool.bytesLive(), 512u);
+  EXPECT_EQ(sys.pool.bytesCached(), 0u);
+  sys.pool.free(nullptr);  // no-op
+  sys.pool.free(a);
+  sys.memory.freeDevice(direct);
 }
 
 TEST(DevicePool, BackedBlocksKeepContentsAcrossReuse) {
