@@ -1,25 +1,14 @@
-#include <chrono>
 #include <cstdio>
 
 #include "apps/osu/osu.hpp"
-#include "hw/system.hpp"
-#include "model/model.hpp"
-#include "sim/shard.hpp"
 
 /// Ablation: SMP vs non-SMP build. The paper pins its whole evaluation to
 /// the non-SMP configuration (one PE per process, Sec. IV-A). In the SMP
 /// build every network operation of a node funnels through one
 /// communication thread; with six GPUs' traffic behind one thread, injection
 /// serialisation costs latency and (window) bandwidth — this sweep shows
-/// how much.
-///
-/// Two complementary views:
-///   1. Modeled (virtual time): what SMP mode costs the *simulated machine*
-///      via the comm-thread hop model (smp_comm_thread).
-///   2. Measured (wall clock): what SMP mode buys/costs the *simulator
-///      itself* when the event loop is sharded across OS threads
-///      (sim::ShardedEngine) — events/s at shard counts 1/2/4 on the same
-///      deterministic message storm.
+/// how much, in virtual time, via the comm-thread hop model
+/// (smp_comm_thread).
 
 int main() {
   using namespace cux;
@@ -61,38 +50,6 @@ int main() {
       return osu::runMultiLatency(cfg)[0].value;
     };
     std::printf("%-10zu %14.2f %14.2f\n", s, multi(false), multi(true));
-  }
-
-  // ------------------------------------------------------------------------
-  // Measured: sharded simulator wall-clock throughput (events/s) on the
-  // deterministic message storm, lookahead derived from the summit model's
-  // link latencies. speedup < 1 on a single-core host is expected — the rows
-  // then quantify the epoch-barrier coordination overhead alone.
-  // ------------------------------------------------------------------------
-  std::printf("\n# measured: sharded event loop (message storm, summit(2) latencies)\n");
-  std::printf("%-7s %12s %12s %12s %10s %8s %12s\n", "shards", "events", "wall_ms",
-              "events_per_s", "speedup", "epochs", "cross_posts");
-  double base_ms = 0.0;
-  for (int shards : {1, 2, 4}) {
-    model::Model m = model::summit(2);
-    m.machine.smp_shards = shards;
-    hw::System sys(m.machine);
-    sim::ShardedEngine se(sys.shardPlan());
-    sim::StormConfig storm;
-    storm.walkers_per_pe = 8;
-    storm.hops = 192;
-    const auto t0 = std::chrono::steady_clock::now();
-    const sim::StormResult r = sim::runMessageStorm(se, storm, [&sys](int a, int b) {
-      return sys.machine.pathLatency(sys.machine.hostToHostPath(a, b));
-    });
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (shards == 1) base_ms = ms;
-    const double evps = ms > 0.0 ? static_cast<double>(se.eventsProcessed()) / (ms / 1e3) : 0.0;
-    std::printf("%-7d %12llu %12.2f %12.0f %10.2f %8llu %12llu\n", shards,
-                static_cast<unsigned long long>(se.eventsProcessed()), ms, evps,
-                ms > 0.0 ? base_ms / ms : 0.0, static_cast<unsigned long long>(r.epochs),
-                static_cast<unsigned long long>(r.cross_posts));
   }
   return 0;
 }

@@ -5,7 +5,6 @@
 #include "model/model.hpp"
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
-#include "sim/shard.hpp"
 #include "ucx/context.hpp"
 
 /// Real-time (wall-clock) performance of the simulator's hot paths with
@@ -159,37 +158,6 @@ void BM_EngineChain(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineChain)->Arg(16384);
 
-/// SMP-mode sharded engine driving the deterministic message storm at
-/// varying shard counts (Arg0 = shards; shards=1 is the classic
-/// single-threaded engine with zero coordination overhead, the baseline the
-/// multi-shard rows are compared against). Measured in wall-clock time
-/// (UseRealTime) because the work spreads across shard threads; on a
-/// single-core host the multi-shard rows show pure coordination overhead
-/// rather than speedup — see the methodology note in BENCH_engine.json.
-void BM_ShardedEngineStorm(benchmark::State& state) {
-  const int shards = static_cast<int>(state.range(0));
-  const int pes = 8;
-  sim::StormConfig cfg;
-  cfg.walkers_per_pe = 4;
-  cfg.hops = 64;
-  const auto latency = [](int a, int b) {
-    return static_cast<sim::Duration>(50 + 7 * ((a * 13 + b * 31) % 6));
-  };
-  std::uint64_t deliveries = 0;
-  for (auto _ : state) {
-    sim::ShardPlan plan;
-    plan.shards = shards;
-    plan.num_pes = pes;
-    plan.lookahead = 50;  // == min latency, the tightest safe window
-    sim::ShardedEngine se(plan);
-    const sim::StormResult r = sim::runMessageStorm(se, cfg, latency);
-    deliveries = r.deliveries;
-    benchmark::DoNotOptimize(r.hash);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(deliveries));
-}
-BENCHMARK(BM_ShardedEngineStorm)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
 // --------------------------------------------------------------------------
 // Protocol-layer hot paths
 // --------------------------------------------------------------------------
@@ -225,13 +193,9 @@ void BM_MemoryClassification(benchmark::State& state) {
 }
 BENCHMARK(BM_MemoryClassification);
 
-// The matcher benches run both engines (BENCH_ucx_matching.json): `bucketed`
-// is the production matcher with the pooled message path, `linear` the
-// retained reference matcher (pools still on, isolating matcher cost), and
-// `linear_nopool` the seed-equivalent configuration — linear scans plus a
-// fresh heap allocation per request/payload — i.e. the "before" numbers on
-// the same fixed harness. Setup (System/Context construction) is hoisted out
-// of the timing loop; every iteration fully drains the queues, so one
+// The matcher benches (BENCH_ucx_matching.json) measure the bucketed tag
+// matcher with the pooled message path. Setup (System/Context construction)
+// is hoisted out of the timing loop; every iteration fully drains the queues, so one
 // Context serves all iterations. Each send is drained through the engine
 // immediately (steady-state matching at depth N), so the event heap stays
 // shallow and the measurement isolates the matcher instead of the engine's
@@ -239,16 +203,13 @@ BENCHMARK(BM_MemoryClassification);
 
 /// Posted-queue depth: posts N exact receives, then delivers N matching
 /// messages in reverse tag order (each arrival's match sits at the tail of a
-/// post-ordered scan — the linear matcher's worst case, the bucketed
+/// post-ordered scan — a linear matcher's worst case, the bucketed
 /// matcher's common case).
-void BM_UcxTagMatching(benchmark::State& state, ucx::MatcherImpl impl, bool pooling) {
+void BM_UcxTagMatching(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   model::Model m = model::summit(1);
   hw::System sys(m.machine);
-  ucx::UcxConfig cfg = m.ucx;
-  cfg.matcher = impl;
-  cfg.pooling = pooling;
-  ucx::Context ctx(sys, cfg);
+  ucx::Context ctx(sys, m.ucx);
   std::vector<std::byte> buf(64);
   std::vector<std::byte> src(64);
   for (auto _ : state) {
@@ -262,31 +223,20 @@ void BM_UcxTagMatching(benchmark::State& state, ucx::MatcherImpl impl, bool pool
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK_CAPTURE(BM_UcxTagMatching, bucketed, ucx::MatcherImpl::Bucketed, true)
+BENCHMARK(BM_UcxTagMatching)
     ->Arg(64)
     ->Arg(512)
-    ->Arg(4096)
-    ->Arg(16384);
-BENCHMARK_CAPTURE(BM_UcxTagMatching, linear, ucx::MatcherImpl::Linear, true)
-    ->Arg(64)
-    ->Arg(512)
-    ->Arg(4096)
-    ->Arg(16384);
-BENCHMARK_CAPTURE(BM_UcxTagMatching, linear_nopool, ucx::MatcherImpl::Linear, false)
     ->Arg(4096)
     ->Arg(16384);
 
 /// Unexpected-queue-heavy: all N messages arrive before any receive is
-/// posted, so every tagRecv scans/probes the unexpected queue. Receives are
-/// posted in reverse arrival order (linear worst case).
-void BM_UcxTagMatchingUnexpected(benchmark::State& state, ucx::MatcherImpl impl, bool pooling) {
+/// posted, so every tagRecv probes the unexpected queue. Receives are
+/// posted in reverse arrival order (a linear scan's worst case).
+void BM_UcxTagMatchingUnexpected(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   model::Model m = model::summit(1);
   hw::System sys(m.machine);
-  ucx::UcxConfig cfg = m.ucx;
-  cfg.matcher = impl;
-  cfg.pooling = pooling;
-  ucx::Context ctx(sys, cfg);
+  ucx::Context ctx(sys, m.ucx);
   std::vector<std::byte> buf(64);
   std::vector<std::byte> src(64);
   for (auto _ : state) {
@@ -301,26 +251,18 @@ void BM_UcxTagMatchingUnexpected(benchmark::State& state, ucx::MatcherImpl impl,
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK_CAPTURE(BM_UcxTagMatchingUnexpected, bucketed, ucx::MatcherImpl::Bucketed, true)
+BENCHMARK(BM_UcxTagMatchingUnexpected)
     ->Arg(512)
-    ->Arg(4096);
-BENCHMARK_CAPTURE(BM_UcxTagMatchingUnexpected, linear, ucx::MatcherImpl::Linear, true)
-    ->Arg(512)
-    ->Arg(4096);
-BENCHMARK_CAPTURE(BM_UcxTagMatchingUnexpected, linear_nopool, ucx::MatcherImpl::Linear, false)
     ->Arg(4096);
 
 /// Wildcard mix: 7 of 8 receives are exact, 1 of 8 uses a masked wildcard
 /// (low tag bits) that only its own tag class can match. Exercises the
 /// exact-vs-wildcard sequence arbitration on every arrival.
-void BM_UcxTagMatchingWildcardMix(benchmark::State& state, ucx::MatcherImpl impl, bool pooling) {
+void BM_UcxTagMatchingWildcardMix(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   model::Model m = model::summit(1);
   hw::System sys(m.machine);
-  ucx::UcxConfig cfg = m.ucx;
-  cfg.matcher = impl;
-  cfg.pooling = pooling;
-  ucx::Context ctx(sys, cfg);
+  ucx::Context ctx(sys, m.ucx);
   std::vector<std::byte> buf(64);
   std::vector<std::byte> src(64);
   for (auto _ : state) {
@@ -337,23 +279,16 @@ void BM_UcxTagMatchingWildcardMix(benchmark::State& state, ucx::MatcherImpl impl
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK_CAPTURE(BM_UcxTagMatchingWildcardMix, bucketed, ucx::MatcherImpl::Bucketed, true)
-    ->Arg(4096);
-BENCHMARK_CAPTURE(BM_UcxTagMatchingWildcardMix, linear, ucx::MatcherImpl::Linear, true)->Arg(4096);
-BENCHMARK_CAPTURE(BM_UcxTagMatchingWildcardMix, linear_nopool, ucx::MatcherImpl::Linear, false)
+BENCHMARK(BM_UcxTagMatchingWildcardMix)
     ->Arg(4096);
 
 /// Cancellation at depth: posts N receives and cancels them all. The
-/// bucketed matcher unlinks each in O(1) through the request back-pointer;
-/// the linear matcher pays an O(posted) scan per cancel.
-void BM_UcxCancelRecv(benchmark::State& state, ucx::MatcherImpl impl, bool pooling) {
+/// matcher unlinks each in O(1) through the request back-pointer.
+void BM_UcxCancelRecv(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   model::Model m = model::summit(1);
   hw::System sys(m.machine);
-  ucx::UcxConfig cfg = m.ucx;
-  cfg.matcher = impl;
-  cfg.pooling = pooling;
-  ucx::Context ctx(sys, cfg);
+  ucx::Context ctx(sys, m.ucx);
   std::vector<std::byte> buf(64);
   std::vector<ucx::RequestPtr> reqs;
   reqs.reserve(static_cast<std::size_t>(n));
@@ -363,29 +298,23 @@ void BM_UcxCancelRecv(benchmark::State& state, ucx::MatcherImpl impl, bool pooli
           ctx.worker(1).tagRecv(buf.data(), 64, static_cast<ucx::Tag>(i), ucx::kFullMask, {}));
     }
     // Cancel in reverse post order: each target sits at the tail of the
-    // remaining posted list, so the linear matcher pays its full O(posted)
-    // scan per cancel while the bucketed matcher unlinks via the slot
-    // back-pointer without scanning.
+    // remaining posted list, which a scan would have to walk in full; the
+    // slot back-pointer unlinks it without scanning.
     for (auto it = reqs.rbegin(); it != reqs.rend(); ++it) ctx.worker(1).cancelRecv(*it);
     reqs.clear();
     sys.engine.run();
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK_CAPTURE(BM_UcxCancelRecv, bucketed, ucx::MatcherImpl::Bucketed, true)->Arg(4096);
-BENCHMARK_CAPTURE(BM_UcxCancelRecv, linear, ucx::MatcherImpl::Linear, true)->Arg(4096);
-BENCHMARK_CAPTURE(BM_UcxCancelRecv, linear_nopool, ucx::MatcherImpl::Linear, false)->Arg(4096);
+BENCHMARK(BM_UcxCancelRecv)->Arg(4096);
 
-void BM_SimulatedMessagesPerSecond(benchmark::State& state, ucx::MatcherImpl impl, bool pooling) {
+void BM_SimulatedMessagesPerSecond(benchmark::State& state) {
   // End-to-end: how many simulated eager messages the whole stack retires
   // per wall-clock second. Setup is hoisted so the per-message cost (matcher
   // + pools + engine) is what's measured.
   model::Model m = model::summit(2);
   hw::System sys(m.machine);
-  ucx::UcxConfig cfg = m.ucx;
-  cfg.matcher = impl;
-  cfg.pooling = pooling;
-  ucx::Context ctx(sys, cfg);
+  ucx::Context ctx(sys, m.ucx);
   std::vector<std::byte> src(256), dst(256);
   constexpr int kMsgs = 1000;
   int done = 0;
@@ -400,9 +329,7 @@ void BM_SimulatedMessagesPerSecond(benchmark::State& state, ucx::MatcherImpl imp
   }
   state.SetItemsProcessed(state.iterations() * kMsgs);
 }
-BENCHMARK_CAPTURE(BM_SimulatedMessagesPerSecond, bucketed, ucx::MatcherImpl::Bucketed, true);
-BENCHMARK_CAPTURE(BM_SimulatedMessagesPerSecond, linear, ucx::MatcherImpl::Linear, true);
-BENCHMARK_CAPTURE(BM_SimulatedMessagesPerSecond, linear_nopool, ucx::MatcherImpl::Linear, false);
+BENCHMARK(BM_SimulatedMessagesPerSecond);
 
 }  // namespace
 

@@ -22,7 +22,7 @@
 ///  * `CollImpl::Reference` — the classical whole-message algorithms
 ///    (binomial broadcast/reduce, recursive-doubling allreduce, ring
 ///    allgather, pairwise alltoall). Retained verbatim as the cross-check
-///    oracle, same pattern as the tag-matcher's `MatcherImpl::Linear`.
+///    oracle for the pipelined algorithms.
 ///  * `CollImpl::Ring` / `CollImpl::Tree` — chunked, *pipelined* algorithms:
 ///    messages are split into segments sized by `CollConfig::chunk_bytes`
 ///    and segment k+1's transfer overlaps segment k's modelled reduction

@@ -91,22 +91,6 @@ class UtilRecorder {
     return win_;
   }
 
-  /// Additive cross-shard merge (class totals, windows); per-resource detail
-  /// merges by registration index, which matches when every shard registered
-  /// the same machine.
-  void mergeFrom(const UtilRecorder& other) {
-    for (std::size_t i = 0; i < other.res_.size(); ++i) {
-      if (i >= res_.size()) {
-        res_.push_back(other.res_[i]);
-        ++class_count_[static_cast<std::size_t>(other.res_[i].cls)];
-      } else {
-        res_[i].busy_ns += other.res_[i].busy_ns;
-      }
-    }
-    for (std::size_t c = 0; c < kResClassCount; ++c) class_busy_[c] += other.class_busy_[c];
-    for (const auto& [key, ns] : other.win_) win_[key] += ns;
-  }
-
   void clear() {
     for (Entry& e : res_) e.busy_ns = 0;
     class_busy_ = {};

@@ -10,7 +10,7 @@ namespace cux::obs {
 namespace {
 
 /// Exemplar sampling order: lexicographic on stable span content, so the
-/// sample is independent of fold order and shard partition.
+/// sample is independent of fold order.
 bool exemplarLess(const SpanInfo& a, const SpanInfo& b) noexcept {
   if (a.begin != b.begin) return a.begin < b.begin;
   if (a.src_pe != b.src_pe) return a.src_pe < b.src_pe;
@@ -93,29 +93,6 @@ void WindowAggregator::insertExemplar(WindowStats& w, const SpanInfo& info,
   ex.events.assign(events, events + n_events);
   w.exemplars.insert(pos, std::move(ex));
   if (w.exemplars.size() > cap) w.exemplars.pop_back();
-}
-
-void WindowAggregator::mergeFrom(const WindowAggregator& other) {
-  if (cfg_.window_ns == 0) cfg_ = other.cfg_;
-  for (const auto& [key, theirs] : other.map_) {
-    WindowStats& w = map_[key];
-    w.spans += theirs.spans;
-    w.completed += theirs.completed;
-    w.errored += theirs.errored;
-    w.cancelled += theirs.cancelled;
-    w.retries += theirs.retries;
-    w.fallbacks += theirs.fallbacks;
-    w.early_arrivals += theirs.early_arrivals;
-    w.multipath_events += theirs.multipath_events;
-    w.bytes += theirs.bytes;
-    w.total.merge(theirs.total);
-    w.meta.merge(theirs.meta);
-    w.post_delay.merge(theirs.post_delay);
-    w.early_wait.merge(theirs.early_wait);
-    w.data.merge(theirs.data);
-    for (const SpanExemplar& ex : theirs.exemplars)
-      insertExemplar(w, ex.info, ex.events.data(), ex.events.size());
-  }
 }
 
 void WindowAggregator::emit(Sink& sink) const {

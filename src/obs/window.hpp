@@ -17,8 +17,7 @@
 /// simulated-time window index) and hold per-phase log2 latency histograms,
 /// terminal/retry/fallback counts, and a deterministic exemplar sample of
 /// full spans. Steady-state memory is O(windows), independent of message
-/// count, and the merge is associative + commutative so sharded runs reduce
-/// to the same aggregate regardless of shard count.
+/// count.
 
 namespace cux::obs {
 
@@ -44,11 +43,6 @@ struct LatHist {
     ++buckets[std::bit_width(ns)];
     ++count;
     sum += ns;
-  }
-  void merge(const LatHist& o) noexcept {
-    for (std::size_t i = 0; i < kBuckets; ++i) buckets[i] += o.buckets[i];
-    count += o.count;
-    sum += o.sum;
   }
 };
 
@@ -91,8 +85,7 @@ struct WindowStats {
   LatHist early_wait;  ///< EarlyArrival -> matched (paper's limitation)
   LatHist data;        ///< recv-ready -> Completed
   /// The N lexicographically-smallest spans by (begin, src_pe, dst_pe,
-  /// bytes, tag). "Smallest N of the union == smallest N of the merged
-  /// parts", so the sample is identical for any shard partition.
+  /// bytes, tag), so the sample does not depend on fold order.
   std::vector<SpanExemplar> exemplars;
 };
 
@@ -111,9 +104,6 @@ class WindowAggregator {
   /// exemplar, both bounded.
   void fold(const SpanInfo& info, const SpanEvent* events, std::size_t n_events);
 
-  /// Additive merge; exemplars re-sampled to the N smallest of the union.
-  void mergeFrom(const WindowAggregator& other);
-
   [[nodiscard]] const Map& windows() const noexcept { return map_; }
   [[nodiscard]] std::size_t size() const noexcept { return map_.size(); }
   [[nodiscard]] bool empty() const noexcept { return map_.empty(); }
@@ -122,8 +112,7 @@ class WindowAggregator {
   /// Emits every window through `sink` in deterministic key order.
   void emit(Sink& sink) const;
 
-  /// Deterministic JSON dump (no exemplar events, just identifying fields) —
-  /// what the shard-invariance tests compare.
+  /// Deterministic JSON dump (no exemplar events, just identifying fields).
   void dumpJson(std::ostream& os) const;
 
   /// Writes the JSON fields (no surrounding braces) of one window; shared by

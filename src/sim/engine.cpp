@@ -1,7 +1,6 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
 
 namespace cux::sim {
@@ -41,7 +40,6 @@ void Engine::popHeap() noexcept {
 EventId Engine::schedule(TimePoint t, Callback cb) {
   if (t < now_) {
     ++past_clamped_;
-    assert(!strict_past_ && "schedule() into the past with assertNoPastSchedule() enabled");
     t = now_;
   }
   const std::uint32_t slot = acquireSlot();
@@ -89,28 +87,6 @@ void Engine::run() {
   // Consume the stop request (whether it interrupted this call or was
   // pending at entry): each stop() affects exactly one run call.
   stopped_ = false;
-}
-
-bool Engine::runUntil(TimePoint t) {
-  while (!stopped_) {
-    // Skip tombstoned heads without advancing time past t.
-    while (!heap_.empty() && stale(heap_.front())) popHeap();
-    if (heap_.empty()) {
-      // Drained: the clock still advances to the window boundary so epoch
-      // loops read a consistent elapsed time whether or not events existed.
-      if (t > now_) now_ = t;
-      return true;
-    }
-    if (heap_.front().time > t) {
-      if (t > now_) now_ = t;  // never rewind when t < now()
-      return false;
-    }
-    popAndRun();
-  }
-  stopped_ = false;
-  // A tombstone-only heap has no live work: agree with empty() instead of
-  // reporting "not drained" off the raw heap size.
-  return empty();
 }
 
 bool Engine::step() { return popAndRun(); }

@@ -46,10 +46,7 @@ class Engine {
   [[nodiscard]] TimePoint now() const noexcept { return now_; }
 
   /// Schedules `cb` at absolute virtual time `t` (clamped to now()). A
-  /// past-time schedule increments pastClamped(); with
-  /// assertNoPastSchedule(true) it additionally asserts in debug builds —
-  /// the shard coordinator enables this to turn a conservative-lookahead
-  /// violation into a hard failure instead of a silently reordered event.
+  /// past-time schedule increments pastClamped().
   EventId schedule(TimePoint t, Callback cb);
 
   /// Schedules `cb` after `delay` nanoseconds of virtual time.
@@ -65,23 +62,14 @@ class Engine {
   /// Runs until the event queue drains or stop() is called.
   void run();
 
-  /// Runs until virtual time would exceed `t`; remaining events stay queued.
-  /// Returns true if no live events remain (drained). Clock contract: on a
-  /// normal return — drained or first-future-event — now() == max(t, entry
-  /// now()), so callers stepping epochs read a consistent clock whether or
-  /// not events existed in the window; a runUntil(t) with t < now() leaves
-  /// the clock untouched (time never rewinds). When interrupted by stop(),
-  /// now() stays at the last processed event.
-  bool runUntil(TimePoint t);
-
   /// Executes exactly one event if available; returns false on empty queue.
   bool step();
 
-  /// Requests the current — or, if none is active, the NEXT — run()/
-  /// runUntil() call to return before processing further events. Exactly one
-  /// run call consumes the request: a stop() issued outside the run loop is
-  /// honored by the next run call (which returns immediately) rather than
-  /// silently discarded, and the call after that proceeds normally.
+  /// Requests the current — or, if none is active, the NEXT — run() call to
+  /// return before processing further events. Exactly one run() consumes the
+  /// request: a stop() issued outside the run loop is honored by the next
+  /// run() (which returns immediately) rather than silently discarded, and
+  /// the call after that proceeds normally.
   void stop() noexcept { stopped_ = true; }
 
   /// Whether a stop() request is pending (not yet consumed by a run call).
@@ -96,13 +84,8 @@ class Engine {
   [[nodiscard]] TimePoint nextEventTime() noexcept;
 
   /// Number of schedule() calls whose target time lay in the past and was
-  /// clamped to now(). Protocols that must never generate causality
-  /// violations (the sharded conservative sync) assert this stays zero.
+  /// clamped to now().
   [[nodiscard]] std::uint64_t pastClamped() const noexcept { return past_clamped_; }
-
-  /// Debug aid: when on, a schedule() into the past asserts (debug builds)
-  /// instead of only counting + clamping.
-  void assertNoPastSchedule(bool on) noexcept { strict_past_ = on; }
 
  private:
   /// Heap entry: POD only, so priority-queue sifts move 24 bytes instead of
@@ -149,7 +132,6 @@ class Engine {
   std::uint64_t live_events_ = 0;
   std::uint64_t past_clamped_ = 0;
   bool stopped_ = false;
-  bool strict_past_ = false;
 };
 
 }  // namespace cux::sim

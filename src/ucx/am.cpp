@@ -1,8 +1,22 @@
 #include "ucx/am.hpp"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace cux::ucx {
+
+namespace {
+
+/// An id >= 256 would spill into the PE bits of the (pe << 8) | id keys and
+/// alias another PE's registrations.
+void checkId(const char* op, std::uint32_t id) {
+  if (id >= 256) {
+    throw std::invalid_argument(std::string("ActiveMessages::") + op + ": id " +
+                                std::to_string(id) + " does not fit in 8 tag bits");
+  }
+}
+
+}  // namespace
 
 ActiveMessages::ActiveMessages(Context& ctx) : ctx_(ctx) {
   for (int pe = 0; pe < ctx.numWorkers(); ++pe) {
@@ -26,15 +40,17 @@ ActiveMessages::ActiveMessages(Context& ctx) : ctx_(ctx) {
 }
 
 void ActiveMessages::registerAm(int pe, std::uint32_t id, Allocator alloc, Handler handler) {
-  assert(id < 256 && "AM ids occupy 8 tag bits");
+  checkId("registerAm", id);
   const std::uint64_t key = (static_cast<std::uint64_t>(pe) << 8) | id;
-  assert(regs_.find(key) == regs_.end() && "AM id already registered on this PE");
-  regs_.emplace(key, Registration{std::move(alloc), std::move(handler)});
+  if (!regs_.try_emplace(key, Registration{std::move(alloc), std::move(handler)}).second) {
+    throw std::invalid_argument("ActiveMessages::registerAm: id " + std::to_string(id) +
+                                " already registered on PE " + std::to_string(pe));
+  }
 }
 
 RequestPtr ActiveMessages::amSend(int src_pe, int dst_pe, std::uint32_t id, const void* buf,
                                   std::uint64_t len, CompletionFn cb) {
-  assert(id < 256);
+  checkId("amSend", id);
   auto& seq = seq_[(static_cast<std::uint64_t>(src_pe) << 8) | id];
   const Tag tag = makeTag(id, src_pe, seq++);
   return ctx_.tagSend(src_pe, dst_pe, buf, len, tag, std::move(cb));

@@ -36,10 +36,13 @@ class ActiveMessages {
   ActiveMessages(const ActiveMessages&) = delete;
   ActiveMessages& operator=(const ActiveMessages&) = delete;
 
-  /// Registers AM id `id` on `pe`. One registration per (pe, id).
+  /// Registers AM id `id` on `pe`. One registration per (pe, id); throws
+  /// std::invalid_argument for id >= 256 (ids occupy 8 tag bits) or an id
+  /// already registered on `pe`.
   void registerAm(int pe, std::uint32_t id, Allocator alloc, Handler handler);
 
-  /// Sends `len` bytes at `buf` (host or device) to AM `id` on `dst_pe`.
+  /// Sends `len` bytes at `buf` (host or device) to AM `id` on `dst_pe`;
+  /// throws std::invalid_argument for id >= 256.
   RequestPtr amSend(int src_pe, int dst_pe, std::uint32_t id, const void* buf,
                     std::uint64_t len, CompletionFn cb = {});
 

@@ -135,7 +135,7 @@ class Context {
   /// RequestPtr outlives this Context (the arena is shared into the
   /// control blocks).
   [[nodiscard]] RequestPtr makeRequest() {
-    return cfg_.pooling ? req_pool_.make() : std::make_shared<Request>();
+    return req_pool_.make();
   }
   [[nodiscard]] std::uint64_t requestPoolHits() const noexcept { return req_pool_.hits(); }
   [[nodiscard]] std::uint64_t requestPoolMisses() const noexcept { return req_pool_.misses(); }

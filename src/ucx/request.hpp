@@ -48,10 +48,10 @@ struct Request {
   // --- matcher back-pointer (internal to ucx::Worker) ----------------------
   /// While the request is a posted receive, the slot id of its entry in the
   /// owning worker's bucketed store; lets cancelRecv unlink in O(1) instead
-  /// of scanning the posted queue. Reset when the receive matches, cancels,
-  /// or was posted through the reference linear matcher.
+  /// of scanning the posted queue. Reset when the receive matches or
+  /// cancels.
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
-  enum class MatchQueue : std::uint8_t { None, Exact, Wildcard, Linear };
+  enum class MatchQueue : std::uint8_t { None, Exact, Wildcard };
   std::uint32_t match_slot = kNoSlot;
   MatchQueue match_queue = MatchQueue::None;
 };

@@ -1,6 +1,7 @@
 #include "ucx/rma.hpp"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "hw/cuda.hpp"
 
@@ -13,6 +14,17 @@ namespace {
   req->peer_pe = peer;
   req->bytes = bytes;
   return req;
+}
+
+/// Rejects an invalid rkey and any access outside the registered region.
+/// Written as `offset > length - len` so that offset + len cannot wrap.
+void checkAccess(const char* op, const RemoteKey& rkey, std::uint64_t offset,
+                 std::uint64_t len) {
+  if (!rkey.valid()) throw std::invalid_argument(std::string("Rma::") + op + ": invalid rkey");
+  if (len > rkey.length || offset > rkey.length - len) {
+    throw std::invalid_argument(std::string("Rma::") + op +
+                                ": access outside the registered region");
+  }
 }
 
 }  // namespace
@@ -36,7 +48,7 @@ sim::TimePoint Rma::dataTransfer(int from_pe, const void* from, int to_pe, void*
 
 RequestPtr Rma::put(int src_pe, const void* lbuf, std::uint64_t len, const RemoteKey& rkey,
                     std::uint64_t offset, CompletionFn cb) {
-  assert(rkey.valid() && offset + len <= rkey.length && "put outside registered region");
+  checkAccess("put", rkey, offset, len);
   ++puts_;
   auto req = makeReq(rkey.pe, len);
   hw::System& sys = ctx_.system();
@@ -54,7 +66,7 @@ RequestPtr Rma::put(int src_pe, const void* lbuf, std::uint64_t len, const Remot
 
 RequestPtr Rma::get(int src_pe, void* lbuf, std::uint64_t len, const RemoteKey& rkey,
                     std::uint64_t offset, CompletionFn cb) {
-  assert(rkey.valid() && offset + len <= rkey.length && "get outside registered region");
+  checkAccess("get", rkey, offset, len);
   ++gets_;
   auto req = makeReq(rkey.pe, len);
   hw::System& sys = ctx_.system();
@@ -75,7 +87,7 @@ RequestPtr Rma::get(int src_pe, void* lbuf, std::uint64_t len, const RemoteKey& 
 
 RequestPtr Rma::atomicFetchAdd(int src_pe, const RemoteKey& rkey, std::uint64_t offset,
                                std::uint64_t operand, std::uint64_t* result, CompletionFn cb) {
-  assert(rkey.valid() && offset + 8 <= rkey.length);
+  checkAccess("atomicFetchAdd", rkey, offset, 8);
   ++atomics_;
   auto req = makeReq(rkey.pe, 8);
   hw::System& sys = ctx_.system();
@@ -105,7 +117,7 @@ RequestPtr Rma::atomicFetchAdd(int src_pe, const RemoteKey& rkey, std::uint64_t 
 RequestPtr Rma::atomicCompareSwap(int src_pe, const RemoteKey& rkey, std::uint64_t offset,
                                   std::uint64_t expected, std::uint64_t desired,
                                   std::uint64_t* result, CompletionFn cb) {
-  assert(rkey.valid() && offset + 8 <= rkey.length);
+  checkAccess("atomicCompareSwap", rkey, offset, 8);
   ++atomics_;
   auto req = makeReq(rkey.pe, 8);
   hw::System& sys = ctx_.system();

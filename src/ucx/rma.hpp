@@ -41,6 +41,9 @@ class Rma {
 
   /// One-sided put: writes `len` local bytes to rkey.base + offset.
   /// Completion = remote completion (data visible at the target).
+  ///
+  /// Every operation below throws std::invalid_argument for an invalid
+  /// rkey or an access that does not lie inside the registered region.
   RequestPtr put(int src_pe, const void* lbuf, std::uint64_t len, const RemoteKey& rkey,
                  std::uint64_t offset, CompletionFn cb = {});
 

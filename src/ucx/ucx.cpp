@@ -225,11 +225,6 @@ sim::TimePoint Context::stageDeviceEager(sim::TimePoint t, int pe, std::uint64_t
 }
 
 std::vector<std::byte> Context::takeBuffer(std::uint64_t len) {
-  if (!cfg_.pooling) {
-    std::vector<std::byte> v;
-    v.resize(len);
-    return v;
-  }
   if (!buf_pool_.empty()) {
     std::vector<std::byte> v = std::move(buf_pool_.back());
     buf_pool_.pop_back();
@@ -249,7 +244,6 @@ std::vector<std::byte> Context::takeBuffer(std::uint64_t len) {
 }
 
 void Context::recycleBuffer(std::vector<std::byte>&& buf) {
-  if (!cfg_.pooling) return;  // pooling disabled: let the buffer free normally
   if (buf.capacity() == 0 || buf.capacity() > kMaxPooledBufferBytes ||
       buf_pool_bytes_ + buf.capacity() > kMaxPooledBytes) {
     return;  // dropped: keep idle memory bounded
@@ -834,8 +828,6 @@ Context::RndvResult Context::multipathRndvData(const Worker::Incoming& msg, int 
 // Worker
 // ---------------------------------------------------------------------------
 
-bool Worker::linearMatcher() const { return ctx_.config().matcher == MatcherImpl::Linear; }
-
 void Worker::dispatchMatch(PostedRecv r, Incoming msg) {
   if (msg.is_rndv) {
     startRndvTransfer(std::move(r), std::move(msg));
@@ -853,30 +845,11 @@ RequestPtr Worker::tagRecv(void* buf, std::uint64_t len, Tag tag, Tag mask, Comp
   // limitation); the span timeline records how long it sat queued.
   obs::SpanCollector& spans = ctx_.system().obs.spans;
 
-  if (linearMatcher()) {
-    // Reference matcher: scan the unexpected queue in arrival order.
-    for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
-      ++linear_scan_steps_;
-      if (tagsMatch(it->tag, tag, mask)) {
-        Incoming msg = std::move(*it);
-        unexpected_.erase(it);
-        spans.phase(spans.spanForTag(msg.tag), ctx_.system().engine.now(),
-                    obs::Phase::MatchedUnexpected, pe_, msg.len);
-        dispatchMatch(std::move(r), std::move(msg));
-        return req;
-      }
-    }
-    req->match_queue = Request::MatchQueue::Linear;
-    posted_.push_back(std::move(r));
-    if (posted_.size() > posted_hwm_) posted_hwm_ = posted_.size();
-    return req;
-  }
-
-  // Bucketed matcher. An exact (kFullMask) receive probes the hash chain of
-  // its full tag; a wildcard receive walks the store in arrival order. The
-  // chain is FIFO and collisions are filtered by the predicate, so the first
-  // satisfying entry is the earliest-arrived match either way — exactly what
-  // the linear scan would have found.
+  // An exact (kFullMask) receive probes the hash chain of its full tag; a
+  // wildcard receive walks the store in arrival order. The chain is FIFO and
+  // collisions are filtered by the predicate, so the first satisfying entry
+  // is the earliest-arrived match either way — exactly what an arrival-order
+  // scan of every unexpected message would have found.
   const std::uint32_t hit =
       mask == kFullMask
           ? unexpected_idx_.findChain(tag, [tag](const Incoming& m) { return m.tag == tag; })
@@ -913,13 +886,6 @@ void Worker::setBufferedHandler(Tag tag, Tag mask, BufferProvider fn) {
 }
 
 std::optional<Worker::ProbeInfo> Worker::probe(Tag tag, Tag mask) const {
-  if (linearMatcher()) {
-    for (const Incoming& msg : unexpected_) {
-      ++linear_scan_steps_;
-      if (tagsMatch(msg.tag, tag, mask)) return ProbeInfo{msg.tag, msg.len, msg.src_pe};
-    }
-    return std::nullopt;
-  }
   const std::uint32_t hit =
       mask == kFullMask
           ? unexpected_idx_.findChain(tag, [tag](const Incoming& m) { return m.tag == tag; })
@@ -958,18 +924,6 @@ bool Worker::cancelRecv(const RequestPtr& req) {
       deliverCancel(std::move(r.cb));
       return true;
     }
-    case Request::MatchQueue::Linear:
-      for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-        ++linear_scan_steps_;
-        if (it->req == req) {
-          CompletionFn cb = std::move(it->cb);
-          posted_.erase(it);
-          req->match_queue = Request::MatchQueue::None;
-          deliverCancel(std::move(cb));
-          return true;
-        }
-      }
-      return false;
     case Request::MatchQueue::None:
       break;  // never posted, or already matched/cancelled
   }
@@ -989,46 +943,27 @@ void Worker::noteDuplicateSuppressed(int src_pe, std::uint64_t len, Tag tag) {
 void Worker::onArrival(Incoming msg) {
   obs::SpanCollector& spans = ctx_.system().obs.spans;
   const std::uint64_t arrival_span = spans.spanForTag(msg.tag);
-  if (linearMatcher()) {
-    // Reference matcher: scan posted receives in post order.
-    bool matched = false;
-    for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-      ++linear_scan_steps_;
-      if (tagsMatch(msg.tag, it->tag, it->mask)) {
-        PostedRecv r = std::move(*it);
-        posted_.erase(it);
-        r.req->match_queue = Request::MatchQueue::None;
-        spans.phase(arrival_span, ctx_.system().engine.now(), obs::Phase::MatchedPosted, pe_,
-                    msg.len);
-        dispatchMatch(std::move(r), std::move(msg));
-        matched = true;
-        break;
-      }
-    }
-    if (matched) return;
-  } else {
-    // Earliest exact candidate: the chain keyed by the full tag is FIFO, so
-    // its first entry carrying this tag is the earliest-posted exact receive.
-    const std::uint32_t ex = posted_exact_.findChain(
-        msg.tag, [tag = msg.tag](const PostedRecv& r) { return r.tag == tag; });
-    // Earliest wildcard candidate: post-order walk of the wildcard store.
-    const std::uint32_t wi = posted_wild_.findOrdered(
-        [tag = msg.tag](const PostedRecv& r) { return tagsMatch(tag, r.tag, r.mask); });
-    constexpr std::uint32_t kNil = sim::BucketFifo<PostedRecv>::kNil;
-    if (ex != kNil || wi != kNil) {
-      // Arbitrate by post sequence number: the smaller seq is the receive a
-      // single post-ordered scan would have reached first.
-      const bool exact_wins =
-          ex != kNil && (wi == kNil || posted_exact_.seqOf(ex) < posted_wild_.seqOf(wi));
-      auto& store = exact_wins ? posted_exact_ : posted_wild_;
-      PostedRecv r = store.take(exact_wins ? ex : wi);
-      r.req->match_slot = Request::kNoSlot;
-      r.req->match_queue = Request::MatchQueue::None;
-      spans.phase(arrival_span, ctx_.system().engine.now(), obs::Phase::MatchedPosted, pe_,
-                  msg.len);
-      dispatchMatch(std::move(r), std::move(msg));
-      return;
-    }
+  // Earliest exact candidate: the chain keyed by the full tag is FIFO, so
+  // its first entry carrying this tag is the earliest-posted exact receive.
+  const std::uint32_t ex = posted_exact_.findChain(
+      msg.tag, [tag = msg.tag](const PostedRecv& r) { return r.tag == tag; });
+  // Earliest wildcard candidate: post-order walk of the wildcard store.
+  const std::uint32_t wi = posted_wild_.findOrdered(
+      [tag = msg.tag](const PostedRecv& r) { return tagsMatch(tag, r.tag, r.mask); });
+  constexpr std::uint32_t kNil = sim::BucketFifo<PostedRecv>::kNil;
+  if (ex != kNil || wi != kNil) {
+    // Arbitrate by post sequence number: the smaller seq is the receive a
+    // single post-ordered scan would have reached first.
+    const bool exact_wins =
+        ex != kNil && (wi == kNil || posted_exact_.seqOf(ex) < posted_wild_.seqOf(wi));
+    auto& store = exact_wins ? posted_exact_ : posted_wild_;
+    PostedRecv r = store.take(exact_wins ? ex : wi);
+    r.req->match_slot = Request::kNoSlot;
+    r.req->match_queue = Request::MatchQueue::None;
+    spans.phase(arrival_span, ctx_.system().engine.now(), obs::Phase::MatchedPosted, pe_,
+                msg.len);
+    dispatchMatch(std::move(r), std::move(msg));
+    return;
   }
   // Active-message style: a buffered handler supplies the destination at
   // match time, so even rendezvous payloads start moving immediately — no
@@ -1051,14 +986,9 @@ void Worker::onArrival(Incoming msg) {
   // the early arrival the paper's totals hide — the matching tagRecv later
   // records MatchedUnexpected, closing the wait interval.
   spans.phase(arrival_span, ctx_.system().engine.now(), obs::Phase::EarlyArrival, pe_, msg.len);
-  if (linearMatcher()) {
-    unexpected_.push_back(std::move(msg));
-    if (unexpected_.size() > unexpected_hwm_) unexpected_hwm_ = unexpected_.size();
-  } else {
-    const Tag t = msg.tag;
-    const std::uint64_t seq = match_seq_++;
-    unexpected_idx_.push(t, seq, std::move(msg));
-  }
+  const Tag t = msg.tag;
+  const std::uint64_t seq = match_seq_++;
+  unexpected_idx_.push(t, seq, std::move(msg));
 }
 
 Worker::MatchStats Worker::matchStats() const {

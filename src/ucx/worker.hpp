@@ -26,16 +26,13 @@
 ///    receives and machine-layer traffic can share the worker (in practice
 ///    the MSG_BITS of the tag keep their tag spaces disjoint).
 ///
-/// Two implementations provide those semantics (UcxConfig::matcher):
-///
-///  * `Bucketed` (default): posted full-mask receives and unexpected messages
-///    live in sim::BucketFifo stores hashed by full tag, wildcard-mask
-///    receives in a separate insertion-ordered store. Exact lookups are O(1)
-///    expected; a shared monotonic sequence number arbitrates exact-vs-
-///    wildcard candidates so post order is preserved bit-for-bit across the
-///    split. Cancellation is O(1) through the request's slot back-pointer.
-///  * `Linear`: the original deque scans, retained as the reference matcher
-///    for the randomized cross-check and trace-hash equality tests.
+/// Posted full-mask receives and unexpected messages live in sim::BucketFifo
+/// stores hashed by full tag, wildcard-mask receives in a separate
+/// insertion-ordered store. Exact lookups are O(1) expected; a shared
+/// monotonic sequence number arbitrates exact-vs-wildcard candidates so post
+/// order is preserved bit-for-bit across the split. Cancellation is O(1)
+/// through the request's slot back-pointer. tests/test_matcher.cpp checks
+/// these semantics against a plain two-deque scan model.
 ///
 /// See the "tag-matching engine" section of docs/architecture.md.
 
@@ -87,13 +84,13 @@ class Worker {
   void setBufferedHandler(Tag tag, Tag mask, BufferProvider fn);
 
   /// Cancels a pending posted receive; returns false if it already matched.
-  /// O(1) under the bucketed matcher: the request's match_slot back-pointer
-  /// unlinks it directly, no scan of the other posted receives.
+  /// O(1): the request's match_slot back-pointer unlinks it directly, no
+  /// scan of the other posted receives.
   bool cancelRecv(const RequestPtr& req);
 
   /// Probe metadata of a pending unexpected message (ucp_tag_probe_nb with
   /// remove=0): tag, length and source of the first match, if any. Exact
-  /// (kFullMask) probes are O(1) expected under the bucketed matcher.
+  /// (kFullMask) probes are O(1) expected.
   struct ProbeInfo {
     Tag tag = 0;
     std::uint64_t len = 0;
@@ -103,28 +100,23 @@ class Worker {
 
   // --- statistics --------------------------------------------------------
   [[nodiscard]] std::size_t postedCount() const noexcept {
-    return posted_.size() + posted_exact_.size() + posted_wild_.size();
+    return posted_exact_.size() + posted_wild_.size();
   }
-  [[nodiscard]] std::size_t unexpectedCount() const noexcept {
-    return unexpected_.size() + unexpected_idx_.size();
-  }
+  [[nodiscard]] std::size_t unexpectedCount() const noexcept { return unexpected_idx_.size(); }
   /// Largest size the posted-receive store ever reached.
   [[nodiscard]] std::size_t postedHighWatermark() const noexcept { return posted_hwm_; }
   /// Largest size the unexpected queue ever reached; retransmission storms
   /// inflate it, and the fault-injection tests assert it stays bounded.
   [[nodiscard]] std::size_t unexpectedHighWatermark() const noexcept {
-    return unexpected_hwm_ > unexpected_idx_.highWatermark() ? unexpected_hwm_
-                                                             : unexpected_idx_.highWatermark();
+    return unexpected_idx_.highWatermark();
   }
   /// Duplicate deliveries suppressed by the reliability layer
   /// (a retransmit racing a jitter-delayed original).
   [[nodiscard]] std::uint64_t duplicatesSuppressed() const noexcept { return dups_suppressed_; }
-  /// Total matcher node visits (bucket chains, wildcard list, and — under the
-  /// reference matcher — linear scans). The O(1) regression tests assert on
-  /// deltas of this counter.
+  /// Total matcher node visits (bucket chains and wildcard list). The O(1)
+  /// regression tests assert on deltas of this counter.
   [[nodiscard]] std::uint64_t matchScanSteps() const noexcept {
-    return posted_exact_.scanSteps() + posted_wild_.scanSteps() + unexpected_idx_.scanSteps() +
-           linear_scan_steps_;
+    return posted_exact_.scanSteps() + posted_wild_.scanSteps() + unexpected_idx_.scanSteps();
   }
 
   /// Snapshot of the matching engine's occupancy for sweeps/diagnostics
@@ -186,7 +178,6 @@ class Worker {
     bool src_device = false;  ///< receiver pays the un-staging cost for device eager
   };
 
-  [[nodiscard]] bool linearMatcher() const;
   void onArrival(Incoming msg);
   /// Accounting for a retransmit copy suppressed before delivery (the
   /// original already arrived); called by Context::reliableTransmit.
@@ -211,7 +202,7 @@ class Worker {
   Context& ctx_;
   int pe_;
 
-  // --- bucketed matcher (UcxConfig::matcher == MatcherImpl::Bucketed) ------
+  // --- tag matcher ---------------------------------------------------------
   // Exact (kFullMask) posted receives, hashed by full tag; FIFO per tag.
   sim::BucketFifo<PostedRecv> posted_exact_;
   // Wildcard-mask posted receives in post order (findOrdered scans).
@@ -226,16 +217,10 @@ class Worker {
   /// scan would have found first.
   std::uint64_t match_seq_ = 0;
 
-  // --- reference linear matcher (MatcherImpl::Linear) ----------------------
-  std::deque<PostedRecv> posted_;
-  std::deque<Incoming> unexpected_;
-
   std::deque<Handler> handlers_;  // deque: handler addresses stay stable
   std::deque<BufferedHandler> buffered_handlers_;
   std::size_t posted_hwm_ = 0;
-  std::size_t unexpected_hwm_ = 0;
   std::uint64_t dups_suppressed_ = 0;
-  mutable std::uint64_t linear_scan_steps_ = 0;
 };
 
 }  // namespace cux::ucx

@@ -8,7 +8,6 @@
 #include "apps/osu/osu.hpp"
 #include "hw/cuda.hpp"
 #include "model/model.hpp"
-#include "sim/shard.hpp"
 #include "ucx/stream.hpp"
 
 /// End-to-end determinism guarantees and edge cases the per-module suites do
@@ -163,48 +162,6 @@ TEST(Edges, TinyMachineOnePePerNode) {
   });
   sys.engine.run();
   EXPECT_EQ(token, 5);
-}
-
-// --------------------------------------------------------------------------
-// SMP sharding over a real machine model: the shard plan derives its
-// lookahead from hw::Machine link latencies, and a message storm routed with
-// those same latencies must be reproducible run-to-run at a fixed shard
-// count (and can never violate the conservative window).
-// --------------------------------------------------------------------------
-
-TEST(Determinism, ShardedStormOnSummitIsReproducible) {
-  auto once = [](int shards) {
-    model::Model m = model::summit(2);
-    m.machine.smp_shards = shards;
-    hw::System sys(m.machine);
-    const sim::ShardPlan plan = sys.shardPlan();
-    EXPECT_EQ(plan.shards, shards);
-    EXPECT_GE(plan.lookahead, 1u);
-    sim::ShardedEngine se(plan);
-    sim::StormConfig cfg;
-    cfg.walkers_per_pe = 2;
-    cfg.hops = 12;
-    // Route hops over the host (shm/NIC) paths of the same machine the
-    // lookahead came from, so cross-shard latencies are >= lookahead by
-    // construction.
-    const sim::StormResult r = sim::runMessageStorm(se, cfg, [&sys](int a, int b) {
-      return sys.machine.pathLatency(sys.machine.hostToHostPath(a, b));
-    });
-    EXPECT_EQ(se.pastClamped(), 0u) << "machine-derived lookahead violated";
-    return r;
-  };
-  for (int shards : {1, 2}) {
-    const sim::StormResult a = once(shards);
-    const sim::StormResult b = once(shards);
-    EXPECT_EQ(a.hash, b.hash) << "shards=" << shards;
-    EXPECT_EQ(a.deliveries, b.deliveries) << "shards=" << shards;
-    EXPECT_EQ(a.last_delivery, b.last_delivery) << "shards=" << shards;
-  }
-  // Physical outcomes are partitioning-invariant on the real machine too.
-  const sim::StormResult s1 = once(1);
-  const sim::StormResult s2 = once(2);
-  EXPECT_EQ(s1.deliveries, s2.deliveries);
-  EXPECT_EQ(s1.last_delivery, s2.last_delivery);
 }
 
 TEST(Edges, OsuSweepWithCustomSizes) {

@@ -1,11 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <new>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "model/model.hpp"
@@ -15,15 +12,15 @@
 
 /// Tag-matching engine semantics and complexity guarantees.
 ///
-/// The bucketed matcher (UcxConfig::matcher == Bucketed) must be
-/// observationally identical to the retained reference linear matcher: same
-/// completion order, same cancellation outcomes, same probe results, for any
-/// interleaving of posts, arrivals, cancels and probes — including wildcard
-/// masks racing exact receives. The seeded property test here replays
-/// randomized interleavings through both engines side by side and compares
-/// the full delivery logs. Complexity is pinned with the matchScanSteps()
-/// counter (cancel must not scan) and with a global allocation counter
-/// (steady-state eager traffic must not touch the heap).
+/// The bucketed matcher must be observationally identical to a plain scan
+/// of a posted deque and an unexpected deque: same receive outcomes, same
+/// probe results, for any interleaving of posts, arrivals, cancels and
+/// probes — including wildcard masks racing exact receives. The seeded
+/// property test here replays randomized interleavings through the real
+/// worker and through such a model (ModelMatcher below) and compares the
+/// logs. Complexity is pinned with the matchScanSteps() counter (cancel must
+/// not scan) and with a global allocation counter (steady-state eager
+/// traffic must not touch the heap).
 
 // --------------------------------------------------------------------------
 // Global allocation counter: every operator new in this binary ticks it. The
@@ -53,8 +50,7 @@ namespace {
 using namespace cux;
 
 struct Harness {
-  explicit Harness(ucx::MatcherImpl impl, int nodes = 1) : m(model::summit(nodes)) {
-    m.ucx.matcher = impl;
+  explicit Harness(int nodes = 1) : m(model::summit(nodes)) {
     sys = std::make_unique<hw::System>(m.machine);
     ctx = std::make_unique<ucx::Context>(*sys, m.ucx);
   }
@@ -64,35 +60,102 @@ struct Harness {
 };
 
 // --------------------------------------------------------------------------
-// Seeded randomized cross-check: bucketed vs reference linear matcher
+// Seeded randomized cross-check: real matcher vs a two-deque scan model
 // --------------------------------------------------------------------------
 
-/// One observable event; the logs of both engines must be element-wise equal.
-struct LogEntry {
-  char kind;  ///< 'r' recv done, 'x' recv cancelled, 's' send done, 'p' probe
-  ucx::Tag tag = 0;
-  std::uint64_t bytes = 0;
-  int peer = -1;
-  friend bool operator==(const LogEntry&, const LogEntry&) = default;
+constexpr std::int64_t kPending = -1;
+constexpr std::int64_t kCancelled = -2;
+constexpr std::int64_t kNoProbeHit = -3;
+
+/// Reference semantics: receives scan the unexpected deque in arrival order,
+/// arrivals scan the posted deque in post order. Every send issued before a
+/// drain arrives during that drain, in send order.
+class ModelMatcher {
+ public:
+  void post(ucx::Tag tag, ucx::Tag mask) {
+    const std::size_t id = outcome_.size();
+    outcome_.push_back(kPending);
+    for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
+      if (matches(*it, tag, mask)) {
+        outcome_[id] = static_cast<std::int64_t>(*it);
+        unexpected_.erase(it);
+        return;
+      }
+    }
+    posted_.push_back({id, tag, mask});
+  }
+  void send(ucx::Tag tag) { in_flight_.push_back(tag); }
+  void cancel(std::size_t id) {
+    for (auto it = posted_.begin(); it != posted_.end(); ++it) {
+      if (it->id == id) {
+        outcome_[id] = kCancelled;
+        posted_.erase(it);
+        return;
+      }
+    }
+  }
+  [[nodiscard]] std::int64_t probe(ucx::Tag tag, ucx::Tag mask) const {
+    for (const ucx::Tag t : unexpected_) {
+      if (matches(t, tag, mask)) return static_cast<std::int64_t>(t);
+    }
+    return kNoProbeHit;
+  }
+  void drain() {
+    for (const ucx::Tag t : in_flight_) arrive(t);
+    in_flight_.clear();
+  }
+  [[nodiscard]] const std::vector<std::int64_t>& outcomes() const { return outcome_; }
+  [[nodiscard]] std::size_t postedCount() const { return posted_.size(); }
+  [[nodiscard]] std::size_t unexpectedCount() const { return unexpected_.size(); }
+
+ private:
+  struct Posted {
+    std::size_t id;
+    ucx::Tag tag;
+    ucx::Tag mask;
+  };
+  static bool matches(ucx::Tag msg, ucx::Tag tag, ucx::Tag mask) {
+    return (msg & mask) == (tag & mask);
+  }
+  void arrive(ucx::Tag t) {
+    for (auto it = posted_.begin(); it != posted_.end(); ++it) {
+      if (matches(t, it->tag, it->mask)) {
+        outcome_[it->id] = static_cast<std::int64_t>(t);
+        posted_.erase(it);
+        return;
+      }
+    }
+    unexpected_.push_back(t);
+  }
+
+  std::deque<Posted> posted_;
+  std::deque<ucx::Tag> unexpected_;
+  std::vector<ucx::Tag> in_flight_;
+  std::vector<std::int64_t> outcome_;  ///< per receive: matched tag, kPending or kCancelled
 };
 
-/// Replays one seeded interleaving of post/arrival/cancel/probe/drain ops
-/// and returns the observable log. Both engines get the *same* op sequence
-/// because the sequence is derived from the seed alone.
-std::vector<LogEntry> replay(ucx::MatcherImpl impl, std::uint64_t seed) {
-  Harness h(impl);
-  ucx::Worker& w = h.ctx->worker(1);
-  sim::SplitMix64 rng(seed);
+/// Observable state of one replay; the real and model logs must agree.
+struct MatchLog {
+  std::vector<std::int64_t> recv;    ///< per receive in post order
+  std::vector<std::int64_t> probes;  ///< every probe result in op order
+  std::size_t posted = 0;
+  std::size_t unexpected = 0;
+};
 
-  std::vector<LogEntry> log;
-  // Stable buffers: ops index into preallocated storage.
+struct Op {
+  enum Kind { Post, Send, Cancel, Probe, Drain } kind;
+  ucx::Tag tag = 0;
+  ucx::Tag mask = 0;
+  std::size_t recv = 0;  ///< Cancel: index of the receive, in post order
+};
+
+/// One seeded interleaving of post/send/cancel/probe/drain ops.
+std::vector<Op> generateOps(std::uint64_t seed) {
   constexpr int kOps = 400;
-  constexpr std::uint64_t kLen = 64;
-  std::deque<std::vector<std::byte>> bufs;
-  std::vector<ucx::RequestPtr> outstanding;
-
+  sim::SplitMix64 rng(seed);
   auto randomTag = [&rng] { return static_cast<ucx::Tag>(rng.below(12)); };
-
+  std::vector<Op> ops;
+  std::size_t posts = 0;
   for (int op = 0; op < kOps; ++op) {
     switch (rng.below(10)) {
       case 0:
@@ -101,69 +164,111 @@ std::vector<LogEntry> replay(ucx::MatcherImpl impl, std::uint64_t seed) {
         const ucx::Tag tag = randomTag();
         const std::uint32_t kind = rng.below(8);
         const ucx::Tag mask = kind < 5 ? ucx::kFullMask : (kind < 7 ? ucx::Tag{0x3} : ucx::Tag{0});
-        bufs.emplace_back(kLen);
-        auto* log_p = &log;
-        outstanding.push_back(w.tagRecv(bufs.back().data(), kLen, tag, mask,
-                                        [log_p](ucx::Request& r) {
-                                          log_p->push_back({r.cancelled() ? 'x' : 'r',
-                                                            r.matched_tag, r.bytes, r.peer_pe});
-                                        }));
+        ops.push_back({Op::Post, tag, mask});
+        ++posts;
         break;
       }
       case 3:
       case 4:
-      case 5: {  // send a message into the worker
-        const ucx::Tag tag = randomTag();
-        bufs.emplace_back(kLen);
-        auto* log_p = &log;
-        h.ctx->tagSend(0, 1, bufs.back().data(), kLen, tag, [log_p](ucx::Request& r) {
-          log_p->push_back({'s', r.matched_tag, r.bytes, r.peer_pe});
-        });
+      case 5:  // send a message into the worker
+        ops.push_back({Op::Send, randomTag()});
         break;
-      }
-      case 6: {  // cancel a random outstanding receive (may already be done)
-        if (!outstanding.empty()) {
-          const std::size_t i = rng.below(outstanding.size());
-          w.cancelRecv(outstanding[i]);
-        }
+      case 6:  // cancel a random receive (may already be done)
+        if (posts > 0) ops.push_back({Op::Cancel, 0, 0, rng.below(posts)});
         break;
-      }
       case 7:
       case 8: {  // probe: exact or masked
         const ucx::Tag tag = randomTag();
-        const ucx::Tag mask = rng.below(2) == 0 ? ucx::kFullMask : ucx::Tag{0x3};
-        if (auto info = w.probe(tag, mask)) {
-          log.push_back({'p', info->tag, info->len, info->src_pe});
-        }
+        ops.push_back({Op::Probe, tag, rng.below(2) == 0 ? ucx::kFullMask : ucx::Tag{0x3}});
         break;
       }
-      default: {  // let in-flight traffic land (arrivals + completions)
-        h.sys->engine.run();
+      default:  // let in-flight traffic land (arrivals + completions)
+        ops.push_back({Op::Drain});
         break;
-      }
     }
   }
-  h.sys->engine.run();
+  ops.push_back({Op::Drain});
+  return ops;
+}
 
-  // Final queue occupancy is part of the observable state.
-  log.push_back({'q', static_cast<ucx::Tag>(w.postedCount()), w.unexpectedCount(), 0});
+MatchLog replayReal(const std::vector<Op>& ops) {
+  Harness h;
+  ucx::Worker& w = h.ctx->worker(1);
+  constexpr std::uint64_t kLen = 64;
+  MatchLog log;
+  std::deque<std::vector<std::byte>> bufs;  // stable buffers
+  std::vector<ucx::RequestPtr> reqs;
+  for (const Op& op : ops) {
+    switch (op.kind) {
+      case Op::Post: {
+        bufs.emplace_back(kLen);
+        const std::size_t id = log.recv.size();
+        log.recv.push_back(kPending);
+        reqs.push_back(w.tagRecv(bufs.back().data(), kLen, op.tag, op.mask,
+                                 [&log, id](ucx::Request& r) {
+                                   log.recv[id] = r.cancelled()
+                                                      ? kCancelled
+                                                      : static_cast<std::int64_t>(r.matched_tag);
+                                 }));
+        break;
+      }
+      case Op::Send:
+        bufs.emplace_back(kLen);
+        h.ctx->tagSend(0, 1, bufs.back().data(), kLen, op.tag, {});
+        break;
+      case Op::Cancel:
+        w.cancelRecv(reqs[op.recv]);
+        break;
+      case Op::Probe: {
+        const auto info = w.probe(op.tag, op.mask);
+        log.probes.push_back(info ? static_cast<std::int64_t>(info->tag) : kNoProbeHit);
+        break;
+      }
+      case Op::Drain:
+        h.sys->engine.run();
+        break;
+    }
+  }
+  log.posted = w.postedCount();
+  log.unexpected = w.unexpectedCount();
+  return log;
+}
+
+MatchLog replayModel(const std::vector<Op>& ops) {
+  ModelMatcher model;
+  MatchLog log;
+  for (const Op& op : ops) {
+    switch (op.kind) {
+      case Op::Post: model.post(op.tag, op.mask); break;
+      case Op::Send: model.send(op.tag); break;
+      case Op::Cancel: model.cancel(op.recv); break;
+      case Op::Probe: log.probes.push_back(model.probe(op.tag, op.mask)); break;
+      case Op::Drain: model.drain(); break;
+    }
+  }
+  log.recv = model.outcomes();
+  log.posted = model.postedCount();
+  log.unexpected = model.unexpectedCount();
   return log;
 }
 
 TEST(MatcherCrossCheck, RandomInterleavingsMatchReferenceMatcher) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const auto bucketed = replay(ucx::MatcherImpl::Bucketed, seed);
-    const auto linear = replay(ucx::MatcherImpl::Linear, seed);
-    ASSERT_EQ(bucketed.size(), linear.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < bucketed.size(); ++i) {
-      ASSERT_TRUE(bucketed[i] == linear[i])
-          << "seed " << seed << " diverges at event " << i << ": bucketed {" << bucketed[i].kind
-          << ", tag " << bucketed[i].tag << ", bytes " << bucketed[i].bytes << ", peer "
-          << bucketed[i].peer << "} vs linear {" << linear[i].kind << ", tag " << linear[i].tag
-          << ", bytes " << linear[i].bytes << ", peer " << linear[i].peer << "}";
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    const std::vector<Op> ops = generateOps(seed);
+    const MatchLog real = replayReal(ops);
+    const MatchLog model = replayModel(ops);
+    ASSERT_EQ(real.recv.size(), model.recv.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < real.recv.size(); ++i) {
+      ASSERT_EQ(real.recv[i], model.recv[i]) << "seed " << seed << ", receive " << i;
     }
+    ASSERT_EQ(real.probes.size(), model.probes.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < real.probes.size(); ++i) {
+      ASSERT_EQ(real.probes[i], model.probes[i]) << "seed " << seed << ", probe " << i;
+    }
+    EXPECT_EQ(real.posted, model.posted) << "seed " << seed;
+    EXPECT_EQ(real.unexpected, model.unexpected) << "seed " << seed;
     // Each seed should actually exercise the matcher.
-    EXPECT_GT(bucketed.size(), 50u) << "seed " << seed;
+    EXPECT_GT(real.recv.size(), 50u) << "seed " << seed;
   }
 }
 
@@ -173,7 +278,7 @@ TEST(MatcherCrossCheck, RandomInterleavingsMatchReferenceMatcher) {
 // --------------------------------------------------------------------------
 
 TEST(MatcherComplexity, CancelOfOnePostedReceiveDoesNotScanTheRest) {
-  Harness h(ucx::MatcherImpl::Bucketed);
+  Harness h;
   ucx::Worker& w = h.ctx->worker(1);
   constexpr int kPosted = 10000;
   std::vector<std::byte> buf(64);
@@ -202,27 +307,8 @@ TEST(MatcherComplexity, CancelOfOnePostedReceiveDoesNotScanTheRest) {
   (void)done;
 }
 
-TEST(MatcherComplexity, ReferenceLinearCancelDoesScanValidatingTheCounter) {
-  // Sanity check that matchScanSteps() actually measures scans: the linear
-  // matcher must pay ~N/2 node visits for the same cancel the bucketed
-  // matcher does for free.
-  Harness h(ucx::MatcherImpl::Linear);
-  ucx::Worker& w = h.ctx->worker(1);
-  constexpr int kPosted = 10000;
-  std::vector<std::byte> buf(64);
-  std::vector<ucx::RequestPtr> reqs;
-  reqs.reserve(kPosted);
-  for (int i = 0; i < kPosted; ++i) {
-    reqs.push_back(w.tagRecv(buf.data(), 64, static_cast<ucx::Tag>(i), ucx::kFullMask, {}));
-  }
-  const std::uint64_t steps_before = w.matchScanSteps();
-  EXPECT_TRUE(w.cancelRecv(reqs[kPosted / 2]));
-  EXPECT_GE(w.matchScanSteps() - steps_before, static_cast<std::uint64_t>(kPosted / 2));
-  h.sys->engine.run();
-}
-
 TEST(MatcherComplexity, ExactProbeDoesNotScanUnexpectedQueue) {
-  Harness h(ucx::MatcherImpl::Bucketed);
+  Harness h;
   ucx::Worker& w = h.ctx->worker(1);
   constexpr int kMsgs = 4096;
   std::vector<std::byte> src(64);
@@ -240,12 +326,31 @@ TEST(MatcherComplexity, ExactProbeDoesNotScanUnexpectedQueue) {
   EXPECT_LE(w.matchScanSteps() - steps_before, 4u);
 }
 
+TEST(MatcherComplexity, WildcardProbeMissScansEveryUnexpectedMessage) {
+  // Validates the counter itself: a wildcard probe that matches nothing
+  // must walk the whole arrival-order list, and matchScanSteps() must see it.
+  Harness h;
+  ucx::Worker& w = h.ctx->worker(1);
+  constexpr int kMsgs = 4096;
+  std::vector<std::byte> src(64);
+  for (int i = 0; i < kMsgs; ++i) {
+    h.ctx->tagSend(0, 1, src.data(), 64, static_cast<ucx::Tag>(i), {});
+  }
+  h.sys->engine.run();
+  ASSERT_EQ(w.unexpectedCount(), static_cast<std::size_t>(kMsgs));
+
+  const std::uint64_t steps_before = w.matchScanSteps();
+  // Tags 0..4095 all have bits 12-15 clear, so no message matches.
+  EXPECT_FALSE(w.probe(ucx::Tag{0x1000}, ucx::Tag{0xF000}).has_value());
+  EXPECT_GE(w.matchScanSteps() - steps_before, static_cast<std::uint64_t>(kMsgs));
+}
+
 // --------------------------------------------------------------------------
 // Zero per-message heap allocations on the steady-state eager path
 // --------------------------------------------------------------------------
 
 TEST(MatcherAllocations, SteadyStateEagerPathIsAllocationFree) {
-  Harness h(ucx::MatcherImpl::Bucketed);
+  Harness h;
   ucx::Worker& w = h.ctx->worker(1);
   constexpr int kTags = 64;
   constexpr std::uint64_t kLen = 256;
@@ -290,26 +395,12 @@ TEST(MatcherAllocations, SteadyStateEagerPathIsAllocationFree) {
   EXPECT_GT(h.ctx->bufferPoolHits(), 0u);
 }
 
-TEST(MatcherAllocations, PoolingOffFallsBackToPlainAllocation) {
-  Harness h(ucx::MatcherImpl::Bucketed);
-  h.m.ucx.pooling = false;
-  hw::System sys(h.m.machine);
-  ucx::Context ctx(sys, h.m.ucx);
-  std::vector<std::byte> src(256), dst(256);
-  ctx.worker(1).tagRecv(dst.data(), 256, ucx::Tag{1}, ucx::kFullMask, {});
-  ctx.tagSend(0, 1, src.data(), 256, ucx::Tag{1}, {});
-  sys.engine.run();
-  // No pool traffic at all when the gate is off.
-  EXPECT_EQ(ctx.requestPoolHits() + ctx.requestPoolMisses(), 0u);
-  EXPECT_EQ(ctx.bufferPoolHits() + ctx.bufferPoolMisses(), 0u);
-}
-
 // --------------------------------------------------------------------------
 // Match statistics surface (gpucomm_sweep --metric match)
 // --------------------------------------------------------------------------
 
 TEST(MatcherStats, OccupancyAndWatermarksAreReported) {
-  Harness h(ucx::MatcherImpl::Bucketed);
+  Harness h;
   ucx::Worker& w = h.ctx->worker(1);
   std::vector<std::byte> buf(64), src(64);
   for (int i = 0; i < 100; ++i) {

@@ -8,13 +8,12 @@
 #include "hw/cuda.hpp"
 #include "hw/path_sched.hpp"
 #include "model/model.hpp"
-#include "sim/shard.hpp"
 #include "ucx/context.hpp"
 
 /// Multi-path NVLink / multi-rail NIC transfers: route enumeration on
 /// hw::Machine, the occupancy-aware chunk scheduler, CUDA-graph batched
 /// submission, the determinism contracts (disabled == bit-identical to the
-/// seed; enabled == run-to-run and shard-count invariant), and the measured
+/// seed; enabled == run-to-run identical), and the measured
 /// speedups the feature exists for.
 
 namespace {
@@ -348,45 +347,6 @@ TEST(MultiPath, UnderLossCompletesAndReroutes) {
   sys.engine.run();
   EXPECT_EQ(done, 8);  // every transfer completed despite the loss
   EXPECT_GT(ctx.multipathReroutes(), 0u);  // at least one chunk changed route
-}
-
-// --------------------------------------------------------------------------
-// Shard-count invariance: the chunk schedule is a pure function of topology
-// and occupancy, so routing a sharded message storm by scheduler-chosen
-// paths gives identical physical outcomes at any shard count.
-// --------------------------------------------------------------------------
-
-TEST(MultipathShard, SchedulerRoutedStormIsShardCountInvariant) {
-  auto once = [](int shards) {
-    model::Model m = model::summit(2);
-    m.machine.smp_shards = shards;
-    m.machine.nvlink_bricks = 2;
-    m.machine.nic_rails = 2;
-    hw::System sys(m.machine);
-    const sim::ShardPlan plan = sys.shardPlan();
-    sim::ShardedEngine se(plan);
-    sim::StormConfig cfg;
-    cfg.walkers_per_pe = 2;
-    cfg.hops = 12;
-    // Hop latency = the scheduler's pick for a 1 MiB chunk over the
-    // enumerated routes, read-only (project/best mutate nothing), so the
-    // same deterministic choice is made regardless of which shard asks.
-    const sim::StormResult r = sim::runMessageStorm(se, cfg, [&sys](int a, int b) {
-      auto routes = sys.machine.deviceRoutes(a, b, 1, false);
-      if (routes.empty()) return sys.machine.pathLatency(sys.machine.hostToHostPath(a, b));
-      const hw::PathScheduler sched(std::move(routes));
-      const std::size_t pick = sched.best(0, 1u << 20);
-      return hw::Machine::pathLatency(sched.route(pick).path);
-    });
-    EXPECT_EQ(se.pastClamped(), 0u) << "machine-derived lookahead violated";
-    return r;
-  };
-  const sim::StormResult s1 = once(1);
-  const sim::StormResult s1b = once(1);
-  const sim::StormResult s2 = once(2);
-  EXPECT_EQ(s1.hash, s1b.hash);
-  EXPECT_EQ(s1.deliveries, s2.deliveries);
-  EXPECT_EQ(s1.last_delivery, s2.last_delivery);
 }
 
 }  // namespace

@@ -1,34 +1,30 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "obs/sink.hpp"
 #include "obs/span.hpp"
-#include "sim/shard.hpp"
+#include "sim/engine.hpp"
+#include "sim/rng.hpp"
 
 /// Bounded-memory streaming observability (ROADMAP item 4): a message storm
 /// at >= 10x the collector's default span capacity must run with collector
-/// memory independent of the message count, the storm timeline must be
-/// bit-identical with the observation hook on or off, and the windowed
-/// aggregates must merge to the same result for every shard count.
+/// memory independent of the message count.
 
 // --------------------------------------------------------------------------
 // Live-byte heap accounting. Every allocation is prefixed with a 16-byte
 // header holding its size, so operator delete can subtract exactly what
-// operator new added. Atomics, because the sharded storm allocates from
-// every shard thread. (Alloc *counts* would be the wrong metric here: the
+// operator new added. (Alloc *counts* would be the wrong metric here: the
 // open-span index legitimately allocates one hash node per begin and frees
 // it at retirement — bounded live memory is the contract, not zero mallocs.)
 // --------------------------------------------------------------------------
 
-static std::atomic<std::uint64_t> g_live{0};
-static std::atomic<std::uint64_t> g_peak{0};
+static std::uint64_t g_live = 0;
+static std::uint64_t g_peak = 0;
 
 namespace {
 constexpr std::size_t kHeader = 16;  // preserves max_align_t alignment
@@ -37,18 +33,15 @@ void* trackedAlloc(std::size_t n) {
   void* raw = std::malloc(n + kHeader);
   if (raw == nullptr) throw std::bad_alloc();
   *static_cast<std::uint64_t*>(raw) = n;
-  const std::uint64_t live = g_live.fetch_add(n, std::memory_order_relaxed) + n;
-  std::uint64_t peak = g_peak.load(std::memory_order_relaxed);
-  while (peak < live &&
-         !g_peak.compare_exchange_weak(peak, live, std::memory_order_relaxed)) {
-  }
+  g_live += n;
+  g_peak = std::max(g_peak, g_live);
   return static_cast<char*>(raw) + kHeader;
 }
 
 void trackedFree(void* p) noexcept {
   if (p == nullptr) return;
   char* raw = static_cast<char*>(p) - kHeader;
-  g_live.fetch_sub(*reinterpret_cast<std::uint64_t*>(raw), std::memory_order_relaxed);
+  g_live -= *reinterpret_cast<std::uint64_t*>(raw);
   std::free(raw);
 }
 }  // namespace
@@ -64,33 +57,6 @@ namespace {
 
 using namespace cux;
 
-// Same latency shape as test_shard.cpp: varied but >= 50 ns, so a 50 ns
-// lookahead is safe at any shard count.
-sim::Duration stormLatency(int a, int b) {
-  return 50 + 7 * static_cast<sim::Duration>((a * 13 + b * 31) % 6);
-}
-
-sim::ShardPlan stormPlan(int shards, int pes) {
-  sim::ShardPlan p;
-  p.shards = shards;
-  p.num_pes = pes;
-  p.lookahead = 50;
-  return p;
-}
-
-/// One streaming span per delivery, recorded entirely on the delivering
-/// shard's thread (the storm contract: on_delivery runs on that shard's
-/// thread, so per-shard collectors need no locks).
-void attachSpanHook(sim::StormConfig& cfg, std::vector<obs::SpanCollector>& cols) {
-  cfg.on_delivery = [&cols](int shard, int pe, sim::TimePoint t, std::uint32_t walker,
-                            int hops_left) {
-    obs::SpanCollector& c = cols[static_cast<std::size_t>(shard)];
-    const std::uint64_t id = c.begin(t, pe, pe, walker, "storm.hop");
-    c.phase(id, t, obs::Phase::MatchedPosted, pe, static_cast<std::uint64_t>(hops_left));
-    c.end(id, t, obs::Phase::Completed, pe);
-  };
-}
-
 // --------------------------------------------------------------------------
 // Bounded memory at 10x the default span capacity (the acceptance bar:
 // >= 40960 deliveries vs the collector's default 4096-span reservation).
@@ -103,8 +69,48 @@ constexpr std::uint64_t kDeliveries =
     static_cast<std::uint64_t>(kPes) * kWalkers * (kHops + 1);
 static_assert(kDeliveries >= 10 * 4096, "storm must be >= 10x the default span capacity");
 
+/// Random-walk message storm on one engine: every PE injects kWalkers
+/// walkers; each delivery records one span and forwards the walker to a
+/// pseudo-random PE after a varied latency, kHops times.
+struct Storm {
+  sim::Engine engine;
+  obs::SpanCollector spans;
+  std::uint64_t deliveries = 0;
+
+  static sim::Duration latency(int a, int b) {
+    return 50 + 7 * static_cast<sim::Duration>((a * 13 + b * 31) % 6);
+  }
+
+  void hop(int pe, std::uint64_t rng_state, std::uint32_t walker, int hops_left) {
+    ++deliveries;
+    const sim::TimePoint t = engine.now();
+    const std::uint64_t id = spans.begin(t, pe, pe, walker, "storm.hop");
+    spans.phase(id, t, obs::Phase::MatchedPosted, pe, static_cast<std::uint64_t>(hops_left));
+    spans.end(id, t, obs::Phase::Completed, pe);
+    if (hops_left <= 0) return;
+    sim::SplitMix64 rng(rng_state);
+    const int dst = static_cast<int>(rng.below(kPes));
+    const std::uint64_t next_state = rng.next();
+    engine.after(latency(pe, dst), [this, dst, next_state, walker, hops_left] {
+      hop(dst, next_state, walker, hops_left - 1);
+    });
+  }
+
+  void run() {
+    for (int pe = 0; pe < kPes; ++pe) {
+      for (int w = 0; w < kWalkers; ++w) {
+        const auto walker = static_cast<std::uint32_t>(pe * kWalkers + w);
+        sim::SplitMix64 seeder(0x5eed ^ (0x9E3779B97F4A7C15ULL * (walker + 1)));
+        const std::uint64_t state = seeder.next();
+        engine.schedule(walker % 128, [this, pe, state, walker] { hop(pe, state, walker, kHops); });
+      }
+    }
+    engine.run();
+  }
+};
+
 struct StormRun {
-  sim::StormResult result;
+  std::uint64_t deliveries = 0;
   std::int64_t live_growth = 0;  ///< bytes still allocated after the run
   std::int64_t peak_growth = 0;  ///< peak bytes above the pre-run level
   std::uint64_t begun = 0;
@@ -115,37 +121,26 @@ struct StormRun {
 };
 
 StormRun runTenXStorm(bool streaming) {
-  sim::ShardedEngine se(stormPlan(4, kPes));
-  std::vector<obs::SpanCollector> cols(static_cast<std::size_t>(se.shards()));
-  sim::StormConfig cfg;
-  cfg.walkers_per_pe = kWalkers;
-  cfg.hops = kHops;
-  attachSpanHook(cfg, cols);
-
-  // Snapshot before enable(): the collectors' up-front reservations are part
-  // of their footprint (retained mode pre-reserves O(default span count)).
-  const std::uint64_t before = g_live.load(std::memory_order_relaxed);
-  g_peak.store(before, std::memory_order_relaxed);
-  for (obs::SpanCollector& c : cols) {
-    if (streaming) {
-      c.enableStreaming({}, nullptr);
-    } else {
-      c.enable();
-    }
+  Storm storm;
+  // Snapshot before enable(): the collector's up-front reservation is part
+  // of its footprint (retained mode pre-reserves O(default span count)).
+  const std::uint64_t before = g_live;
+  g_peak = before;
+  if (streaming) {
+    storm.spans.enableStreaming({}, nullptr);
+  } else {
+    storm.spans.enable();
   }
+  storm.run();
   StormRun out;
-  out.result = sim::runMessageStorm(se, cfg, stormLatency);
-  out.live_growth = static_cast<std::int64_t>(g_live.load(std::memory_order_relaxed)) -
-                    static_cast<std::int64_t>(before);
-  out.peak_growth = static_cast<std::int64_t>(g_peak.load(std::memory_order_relaxed)) -
-                    static_cast<std::int64_t>(before);
-  for (const obs::SpanCollector& c : cols) {
-    out.begun += c.begun();
-    out.retired += c.retired();
-    out.open += c.openCount();
-    out.open_hwm = std::max(out.open_hwm, c.openHighWatermark());
-    out.dropped += c.droppedEvents();
-  }
+  out.deliveries = storm.deliveries;
+  out.live_growth = static_cast<std::int64_t>(g_live) - static_cast<std::int64_t>(before);
+  out.peak_growth = static_cast<std::int64_t>(g_peak) - static_cast<std::int64_t>(before);
+  out.begun = storm.spans.begun();
+  out.retired = storm.spans.retired();
+  out.open = storm.spans.openCount();
+  out.open_hwm = storm.spans.openHighWatermark();
+  out.dropped = storm.spans.droppedEvents();
   return out;
 }
 
@@ -153,7 +148,7 @@ TEST(StreamObs, TenXStormStaysBoundedWhileRetainedModeGrows) {
   const StormRun streaming = runTenXStorm(/*streaming=*/true);
   const StormRun retained = runTenXStorm(/*streaming=*/false);
 
-  ASSERT_EQ(streaming.result.deliveries, kDeliveries);
+  ASSERT_EQ(streaming.deliveries, kDeliveries);
   EXPECT_EQ(streaming.begun, kDeliveries);
   EXPECT_EQ(streaming.retired, kDeliveries) << "every span must retire through streaming";
   EXPECT_EQ(streaming.open, 0u);
@@ -165,79 +160,14 @@ TEST(StreamObs, TenXStormStaysBoundedWhileRetainedModeGrows) {
   // windows), not O(deliveries). 1 MiB is ~25 B/span of headroom; the real
   // footprint (slot pool + a handful of windows) is far below it.
   EXPECT_LT(streaming.live_growth, std::int64_t{1} << 20)
-      << "streaming collectors retained per-message memory";
+      << "streaming collector retained per-message memory";
   EXPECT_LT(streaming.peak_growth, std::int64_t{2} << 20)
-      << "streaming collectors ballooned mid-run";
+      << "streaming collector ballooned mid-run";
 
   // Retained mode keeps every span + 3 events (~150 B/span): the growth gap
   // is what the streaming mode exists to remove.
   EXPECT_GT(retained.live_growth, std::int64_t{4} << 20);
   EXPECT_GT(retained.live_growth, 4 * std::max<std::int64_t>(streaming.live_growth, 1));
-}
-
-// --------------------------------------------------------------------------
-// Trace invisibility: the hook and the streaming collectors change nothing
-// about the storm timeline.
-// --------------------------------------------------------------------------
-
-TEST(StreamObs, HookAndStreamingCollectorsLeaveStormTimelineUntouched) {
-  const int pes = 8;
-  sim::StormConfig cfg;
-  cfg.walkers_per_pe = 3;
-  cfg.hops = 24;
-
-  sim::ShardedEngine bare_se(stormPlan(3, pes));
-  const sim::StormResult bare = sim::runMessageStorm(bare_se, cfg, stormLatency);
-
-  sim::ShardedEngine obs_se(stormPlan(3, pes));
-  std::vector<obs::SpanCollector> cols(static_cast<std::size_t>(obs_se.shards()));
-  for (obs::SpanCollector& c : cols) c.enableStreaming({}, nullptr);
-  attachSpanHook(cfg, cols);
-  const sim::StormResult observed = sim::runMessageStorm(obs_se, cfg, stormLatency);
-
-  EXPECT_EQ(observed.hash, bare.hash);
-  EXPECT_EQ(observed.deliveries, bare.deliveries);
-  EXPECT_EQ(observed.last_delivery, bare.last_delivery);
-  EXPECT_EQ(observed.epochs, bare.epochs);
-  EXPECT_EQ(observed.cross_posts, bare.cross_posts);
-  std::uint64_t retired = 0;
-  for (const obs::SpanCollector& c : cols) retired += c.retired();
-  EXPECT_EQ(retired, bare.deliveries) << "the hook must still observe every delivery";
-}
-
-// --------------------------------------------------------------------------
-// Window-merge determinism: per-shard aggregates merged in shard-index order
-// reduce to the same windows — exemplars included — for every shard count.
-// --------------------------------------------------------------------------
-
-TEST(StreamObs, MergedWindowsAreInvariantAcrossShardCounts) {
-  const int pes = 12;
-  const std::uint64_t deliveries = 12ull * 4 * 64;
-  auto windowsJson = [&](int shards) {
-    sim::ShardedEngine se(stormPlan(shards, pes));
-    std::vector<obs::SpanCollector> cols(static_cast<std::size_t>(se.shards()));
-    for (obs::SpanCollector& c : cols) c.enableStreaming({}, nullptr);
-    sim::StormConfig cfg;
-    cfg.walkers_per_pe = 4;
-    cfg.hops = 63;
-    attachSpanHook(cfg, cols);
-    const sim::StormResult r = sim::runMessageStorm(se, cfg, stormLatency);
-    EXPECT_EQ(r.deliveries, deliveries) << "shards=" << shards;
-
-    obs::SpanCollector merged;
-    merged.enableStreaming({}, nullptr);
-    for (const obs::SpanCollector& c : cols) merged.mergeFrom(c);
-    EXPECT_EQ(merged.retired(), deliveries) << "shards=" << shards;
-    std::ostringstream os;
-    merged.windows().dumpJson(os);
-    return os.str();
-  };
-
-  const std::string base = windowsJson(1);
-  ASSERT_NE(base.find("storm.hop"), std::string::npos);
-  for (int shards : {2, 3, 4}) {
-    EXPECT_EQ(windowsJson(shards), base) << "shards=" << shards;
-  }
 }
 
 // --------------------------------------------------------------------------
@@ -260,10 +190,10 @@ TEST(StreamObs, SteadyStateRetirementHoldsLiveMemoryFlat) {
   };
   for (sim::TimePoint t = 100; t < 164; ++t) spanAt(t);  // fault pool + exemplars in
 
-  const std::int64_t before = static_cast<std::int64_t>(g_live.load(std::memory_order_relaxed));
+  const std::int64_t before = static_cast<std::int64_t>(g_live);
   for (sim::TimePoint t = 1000; t < 11000; ++t) spanAt(t);
   const std::int64_t growth =
-      static_cast<std::int64_t>(g_live.load(std::memory_order_relaxed)) - before;
+      static_cast<std::int64_t>(g_live) - before;
 
   EXPECT_LE(growth, 4096) << "steady-state retirement must not accumulate memory";
   EXPECT_EQ(sc.retired(), 64u + 10000u);

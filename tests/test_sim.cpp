@@ -123,30 +123,18 @@ TEST(Engine, CancelFromInsideCallback) {
   EXPECT_TRUE(e.empty());
 }
 
-TEST(Engine, RunUntilSkipsCancelledHead) {
+TEST(Engine, StepSkipsCancelledHead) {
   sim::Engine e;
   int count = 0;
   auto head = e.schedule(10, [&] { ++count; });
   e.schedule(40, [&] { ++count; });
   EXPECT_TRUE(e.cancel(head));
-  EXPECT_FALSE(e.runUntil(25));  // cancelled head must not fire nor advance past 25
-  EXPECT_EQ(count, 0);
-  EXPECT_EQ(e.now(), 25u);
-  e.run();
+  EXPECT_EQ(e.nextEventTime(), 40u);  // the tombstone is not the next event
+  EXPECT_TRUE(e.step());              // runs the live event, not the cancelled head
   EXPECT_EQ(count, 1);
-}
-
-TEST(Engine, RunUntilStopsBeforeLaterEvents) {
-  sim::Engine e;
-  int count = 0;
-  e.schedule(10, [&] { ++count; });
-  e.schedule(20, [&] { ++count; });
-  e.schedule(30, [&] { ++count; });
-  EXPECT_FALSE(e.runUntil(25));
-  EXPECT_EQ(count, 2);
-  EXPECT_EQ(e.now(), 25u);
-  e.run();
-  EXPECT_EQ(count, 3);
+  EXPECT_EQ(e.now(), 40u);
+  EXPECT_FALSE(e.step());
+  EXPECT_EQ(count, 1);
 }
 
 TEST(Engine, StopInterruptsRun) {
@@ -161,57 +149,6 @@ TEST(Engine, StopInterruptsRun) {
   EXPECT_EQ(count, 1);
   e.run();
   EXPECT_EQ(count, 2);
-}
-
-TEST(Engine, RunUntilDrainedAdvancesClockToTarget) {
-  // Epoch loops (the shard coordinator) read now() as "time consumed": the
-  // drained path must advance the clock to the window boundary exactly like
-  // the future-event path does.
-  sim::Engine e;
-  e.schedule(10, [] {});
-  EXPECT_TRUE(e.runUntil(100));
-  EXPECT_EQ(e.now(), 100u);
-  // An entirely empty window advances the clock too.
-  EXPECT_TRUE(e.runUntil(250));
-  EXPECT_EQ(e.now(), 250u);
-}
-
-TEST(Engine, RunUntilNeverRewindsClock) {
-  sim::Engine e;
-  e.schedule(100, [] {});
-  e.run();
-  EXPECT_EQ(e.now(), 100u);
-  EXPECT_TRUE(e.runUntil(50));  // drained, target in the past: clock untouched
-  EXPECT_EQ(e.now(), 100u);
-  e.schedule(200, [] {});
-  EXPECT_FALSE(e.runUntil(50));  // future event beyond a past target
-  EXPECT_EQ(e.now(), 100u);
-}
-
-TEST(Engine, RunUntilAfterStopAgreesWithEmptyOnTombstoneOnlyHeap) {
-  // stop() with only cancelled tombstones left must report "drained": the
-  // heap is non-empty but holds no live work (live_events_ == 0).
-  sim::Engine e;
-  sim::EventId victim = 0;
-  e.schedule(10, [&] {
-    e.stop();
-    EXPECT_TRUE(e.cancel(victim));
-  });
-  victim = e.schedule(20, [] { FAIL() << "cancelled event fired"; });
-  EXPECT_TRUE(e.runUntil(100));
-  EXPECT_TRUE(e.empty());
-  EXPECT_EQ(e.now(), 10u);  // stop path: clock stays at the last event
-}
-
-TEST(Engine, RunUntilStopWithLiveEventsReportsNotDrained) {
-  sim::Engine e;
-  e.schedule(10, [&] { e.stop(); });
-  e.schedule(20, [] {});
-  EXPECT_FALSE(e.runUntil(100));
-  EXPECT_FALSE(e.empty());
-  EXPECT_EQ(e.now(), 10u);
-  EXPECT_TRUE(e.runUntil(100));
-  EXPECT_EQ(e.now(), 100u);
 }
 
 TEST(Engine, PendingStopIsHonoredByNextRunExactlyOnce) {
@@ -230,28 +167,31 @@ TEST(Engine, PendingStopIsHonoredByNextRunExactlyOnce) {
   EXPECT_EQ(ran, 1);
 }
 
-TEST(Engine, PendingStopAppliesToRunUntilToo) {
+TEST(Engine, PendingStopLeavesQueueAndClockUntouched) {
   sim::Engine e;
   int ran = 0;
   e.schedule(10, [&] { ++ran; });
   e.stop();
-  EXPECT_FALSE(e.runUntil(100));  // live event remains: not drained
+  e.run();  // consumes the request without processing anything
   EXPECT_EQ(ran, 0);
   EXPECT_EQ(e.now(), 0u);
-  EXPECT_TRUE(e.runUntil(100));
+  EXPECT_FALSE(e.empty());
+  EXPECT_EQ(e.nextEventTime(), 10u);
+  e.run();
   EXPECT_EQ(ran, 1);
 }
 
-TEST(Engine, CancelDuringRunUntilLeavesConsistentState) {
+TEST(Engine, CancelDuringRunLeavesConsistentState) {
   sim::Engine e;
   int ran = 0;
   sim::EventId victim = e.schedule(30, [&] { ++ran; });
   e.schedule(10, [&] { EXPECT_TRUE(e.cancel(victim)); });
   e.schedule(20, [&] { ++ran; });
-  EXPECT_TRUE(e.runUntil(50));  // tombstone at 30 is not live work
+  e.run();
   EXPECT_EQ(ran, 1);
-  EXPECT_EQ(e.now(), 50u);
+  EXPECT_EQ(e.now(), 20u);  // popping the tombstone at 30 does not advance the clock
   EXPECT_TRUE(e.empty());
+  EXPECT_EQ(e.nextEventTime(), sim::Engine::kNoEvent);
 }
 
 TEST(Engine, PastClampedCountsSilentClamps) {

@@ -38,11 +38,8 @@ TEST(TraceHash, OrderSensitive) {
 enum class ObsMode { Off, Retained, Streaming };
 
 std::uint64_t mixedUcxTrafficHash(const sim::FaultConfig& fault = {},
-                                  ucx::MatcherImpl matcher = ucx::MatcherImpl::Bucketed,
-                                  bool pooling = true, ObsMode obs = ObsMode::Off) {
+                                  ObsMode obs = ObsMode::Off) {
   model::Model m = model::summit(2);
-  m.ucx.matcher = matcher;
-  m.ucx.pooling = pooling;
   m.machine.fault = fault;
   obs::NullSink sink;
   hw::System sys(m.machine);
@@ -100,10 +97,8 @@ TEST(TraceHash, MixedUcxTrafficBitIdenticalAcrossRuns) {
 }
 
 std::uint64_t deviceCommHash(bool smp, const sim::FaultConfig& fault = {},
-                             ucx::MatcherImpl matcher = ucx::MatcherImpl::Bucketed,
                              ObsMode obs = ObsMode::Off) {
   model::Model m = model::summit(2);
-  m.ucx.matcher = matcher;
   m.costs.smp_comm_thread = smp;
   m.machine.fault = fault;
   obs::NullSink sink;
@@ -147,24 +142,16 @@ TEST(TraceHash, DeviceCommBitIdenticalAcrossRuns) {
   EXPECT_NE(deviceCommHash(false), deviceCommHash(true));
 }
 
-// The bucketed matcher's contract: on fault-free traces it is bit-identical
-// to the reference linear matcher — same matches, same timestamps, same
+// The tag matcher's contract: on fault-free traces it is bit-identical to
+// the original linear-scan matcher — same matches, same timestamps, same
 // event order — for the full protocol mix (eager/rendezvous, host/device,
 // posted/unexpected, active messages) and for the machine-layer device path.
-// Pooling must likewise be timing-invisible: it recycles storage, never
-// changes behaviour.
+// The constants were captured while both matchers still ran side by side and
+// agreed; a matcher change that moves any of them changes behaviour.
 TEST(TraceHash, BucketedMatcherBitIdenticalToLinearReference) {
-  EXPECT_EQ(mixedUcxTrafficHash({}, ucx::MatcherImpl::Bucketed),
-            mixedUcxTrafficHash({}, ucx::MatcherImpl::Linear));
-  EXPECT_EQ(deviceCommHash(false, {}, ucx::MatcherImpl::Bucketed),
-            deviceCommHash(false, {}, ucx::MatcherImpl::Linear));
-  EXPECT_EQ(deviceCommHash(true, {}, ucx::MatcherImpl::Bucketed),
-            deviceCommHash(true, {}, ucx::MatcherImpl::Linear));
-}
-
-TEST(TraceHash, PoolingIsTraceInvisible) {
-  EXPECT_EQ(mixedUcxTrafficHash({}, ucx::MatcherImpl::Bucketed, true),
-            mixedUcxTrafficHash({}, ucx::MatcherImpl::Bucketed, false));
+  EXPECT_EQ(mixedUcxTrafficHash(), 0xad6e018849762653ull);
+  EXPECT_EQ(deviceCommHash(false), 0x4ce326817043075aull);
+  EXPECT_EQ(deviceCommHash(true), 0x69ff80aba70e48aeull);
 }
 
 // The determinism contract of the fault injector: while DISABLED it must be
@@ -190,17 +177,17 @@ TEST(TraceHash, DisabledInjectorIsBitIdenticalToNoInjector) {
 // hash bit-identical. This must hold on the clean timeline AND on a faulty
 // one, where the Retry/Fallback/Errored span phases fire too.
 TEST(TraceHash, ObservabilityIsTraceInvisible) {
-  EXPECT_EQ(mixedUcxTrafficHash({}, ucx::MatcherImpl::Bucketed, true, ObsMode::Off),
-            mixedUcxTrafficHash({}, ucx::MatcherImpl::Bucketed, true, ObsMode::Retained));
-  EXPECT_EQ(deviceCommHash(false, {}, ucx::MatcherImpl::Bucketed, ObsMode::Off),
-            deviceCommHash(false, {}, ucx::MatcherImpl::Bucketed, ObsMode::Retained));
-  EXPECT_EQ(deviceCommHash(true, {}, ucx::MatcherImpl::Bucketed, ObsMode::Off),
-            deviceCommHash(true, {}, ucx::MatcherImpl::Bucketed, ObsMode::Retained));
+  EXPECT_EQ(mixedUcxTrafficHash({}, ObsMode::Off),
+            mixedUcxTrafficHash({}, ObsMode::Retained));
+  EXPECT_EQ(deviceCommHash(false, {}, ObsMode::Off),
+            deviceCommHash(false, {}, ObsMode::Retained));
+  EXPECT_EQ(deviceCommHash(true, {}, ObsMode::Off),
+            deviceCommHash(true, {}, ObsMode::Retained));
   const auto loss = sim::FaultConfig::uniformLoss(0.1, 3);
-  EXPECT_EQ(mixedUcxTrafficHash(loss, ucx::MatcherImpl::Bucketed, true, ObsMode::Off),
-            mixedUcxTrafficHash(loss, ucx::MatcherImpl::Bucketed, true, ObsMode::Retained));
-  EXPECT_EQ(deviceCommHash(false, loss, ucx::MatcherImpl::Bucketed, ObsMode::Off),
-            deviceCommHash(false, loss, ucx::MatcherImpl::Bucketed, ObsMode::Retained));
+  EXPECT_EQ(mixedUcxTrafficHash(loss, ObsMode::Off),
+            mixedUcxTrafficHash(loss, ObsMode::Retained));
+  EXPECT_EQ(deviceCommHash(false, loss, ObsMode::Off),
+            deviceCommHash(false, loss, ObsMode::Retained));
 }
 
 // The same contract for the bounded-memory mode: windowed aggregation and
@@ -209,17 +196,17 @@ TEST(TraceHash, ObservabilityIsTraceInvisible) {
 // with observability off. Faulty timelines exercise the Retry/Fallback
 // retirement paths too.
 TEST(TraceHash, StreamingObservabilityIsTraceInvisible) {
-  EXPECT_EQ(mixedUcxTrafficHash({}, ucx::MatcherImpl::Bucketed, true, ObsMode::Off),
-            mixedUcxTrafficHash({}, ucx::MatcherImpl::Bucketed, true, ObsMode::Streaming));
-  EXPECT_EQ(deviceCommHash(false, {}, ucx::MatcherImpl::Bucketed, ObsMode::Off),
-            deviceCommHash(false, {}, ucx::MatcherImpl::Bucketed, ObsMode::Streaming));
-  EXPECT_EQ(deviceCommHash(true, {}, ucx::MatcherImpl::Bucketed, ObsMode::Off),
-            deviceCommHash(true, {}, ucx::MatcherImpl::Bucketed, ObsMode::Streaming));
+  EXPECT_EQ(mixedUcxTrafficHash({}, ObsMode::Off),
+            mixedUcxTrafficHash({}, ObsMode::Streaming));
+  EXPECT_EQ(deviceCommHash(false, {}, ObsMode::Off),
+            deviceCommHash(false, {}, ObsMode::Streaming));
+  EXPECT_EQ(deviceCommHash(true, {}, ObsMode::Off),
+            deviceCommHash(true, {}, ObsMode::Streaming));
   const auto loss = sim::FaultConfig::uniformLoss(0.1, 3);
-  EXPECT_EQ(mixedUcxTrafficHash(loss, ucx::MatcherImpl::Bucketed, true, ObsMode::Off),
-            mixedUcxTrafficHash(loss, ucx::MatcherImpl::Bucketed, true, ObsMode::Streaming));
-  EXPECT_EQ(deviceCommHash(false, loss, ucx::MatcherImpl::Bucketed, ObsMode::Off),
-            deviceCommHash(false, loss, ucx::MatcherImpl::Bucketed, ObsMode::Streaming));
+  EXPECT_EQ(mixedUcxTrafficHash(loss, ObsMode::Off),
+            mixedUcxTrafficHash(loss, ObsMode::Streaming));
+  EXPECT_EQ(deviceCommHash(false, loss, ObsMode::Off),
+            deviceCommHash(false, loss, ObsMode::Streaming));
 }
 
 // Enabled faults are themselves deterministic: a fixed seed reproduces the

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "hw/cuda.hpp"
 #include "model/model.hpp"
 #include "sim/rng.hpp"
+#include "ucx/am.hpp"
 #include "ucx/rma.hpp"
 #include "ucx/stream.hpp"
 
@@ -129,6 +132,75 @@ TEST(Rma, UnbackedRegionsMoveNoBytesButKeepTiming) {
   rma.put(0, local.get(), n, rkey, 0, [&](ucx::Request&) { done_at = f.sys->engine.now(); });
   f.sys->engine.run();
   EXPECT_GT(sim::toUs(done_at), sim::toUs(sim::transferTime(n, 12.5)));
+}
+
+// Caller-input checks run in every build type, not only under assert.
+
+TEST(Rma, InvalidRkeyThrows) {
+  Fix f;
+  ucx::Rma rma(*f.ctx);
+  std::vector<std::byte> local(64);
+  std::uint64_t result = 0;
+  const ucx::RemoteKey none;
+  EXPECT_THROW(rma.put(0, local.data(), 64, none, 0), std::invalid_argument);
+  EXPECT_THROW(rma.get(0, local.data(), 64, none, 0), std::invalid_argument);
+  EXPECT_THROW(rma.atomicFetchAdd(0, none, 0, 1, &result), std::invalid_argument);
+  EXPECT_THROW(rma.atomicCompareSwap(0, none, 0, 0, 1, &result), std::invalid_argument);
+  EXPECT_TRUE(f.sys->engine.empty()) << "a rejected operation must schedule nothing";
+}
+
+TEST(Rma, OutOfRangeAccessThrows) {
+  Fix f;
+  ucx::Rma rma(*f.ctx);
+  std::vector<std::byte> remote(4096), local(4096);
+  const auto rkey = rma.memMap(6, remote.data(), remote.size());
+  std::uint64_t result = 0;
+  // One byte past the end.
+  EXPECT_THROW(rma.put(0, local.data(), 1024, rkey, 3073), std::invalid_argument);
+  EXPECT_THROW(rma.get(0, local.data(), 4097, rkey, 0), std::invalid_argument);
+  EXPECT_THROW(rma.atomicFetchAdd(0, rkey, 4089, 1, &result), std::invalid_argument);
+  EXPECT_THROW(rma.atomicCompareSwap(0, rkey, 4089, 0, 1, &result), std::invalid_argument);
+  // offset + len wraps to 1: a naive sum check would accept it.
+  EXPECT_THROW(rma.put(0, local.data(), 2, rkey, UINT64_MAX), std::invalid_argument);
+  EXPECT_THROW(rma.get(0, local.data(), 2, rkey, UINT64_MAX), std::invalid_argument);
+  EXPECT_THROW(rma.atomicFetchAdd(0, rkey, UINT64_MAX - 6, 1, &result), std::invalid_argument);
+  EXPECT_TRUE(f.sys->engine.empty());
+  // The exact end of the region is still in range.
+  bool done = false;
+  rma.put(0, local.data(), 1024, rkey, 3072, [&](ucx::Request&) { done = true; });
+  rma.atomicFetchAdd(0, rkey, 4088, 1, &result);
+  f.sys->engine.run();
+  EXPECT_TRUE(done);
+}
+
+TEST(ActiveMessages, IdOutsideEightTagBitsThrows) {
+  Fix f;
+  ucx::ActiveMessages am(*f.ctx);
+  std::vector<std::byte> buf(64);
+  auto alloc = [&buf](std::uint64_t, int) -> void* { return buf.data(); };
+  auto handler = [](void*, std::uint64_t, int) {};
+  EXPECT_THROW(am.registerAm(0, 256, alloc, handler), std::invalid_argument);
+  EXPECT_THROW(am.amSend(0, 1, 256, buf.data(), 64), std::invalid_argument);
+  // id 256 on PE 0 would have aliased id 0 on PE 1.
+  am.registerAm(1, 0, alloc, handler);
+  am.registerAm(0, 255, alloc, handler);
+}
+
+TEST(ActiveMessages, DuplicateRegistrationThrows) {
+  Fix f;
+  ucx::ActiveMessages am(*f.ctx);
+  std::vector<std::byte> buf(64);
+  int first = 0;
+  auto alloc = [&buf](std::uint64_t, int) -> void* { return buf.data(); };
+  am.registerAm(2, 7, alloc, [&first](void*, std::uint64_t, int) { ++first; });
+  EXPECT_THROW(am.registerAm(2, 7, alloc, [](void*, std::uint64_t, int) {}),
+               std::invalid_argument);
+  am.registerAm(3, 7, alloc, [](void*, std::uint64_t, int) {});  // other PE: fine
+  // The original registration still receives the message.
+  std::vector<std::byte> src(64);
+  am.amSend(0, 2, 7, src.data(), 64);
+  f.sys->engine.run();
+  EXPECT_EQ(first, 1);
 }
 
 // --------------------------------------------------------------------------

@@ -14,7 +14,6 @@
 ///
 /// Output is CSV on stdout (one row per size / per node count / per rate).
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -40,7 +39,6 @@
 #include "obs/report.hpp"
 #include "obs/sink.hpp"
 #include "sim/fault.hpp"
-#include "sim/shard.hpp"
 
 using namespace cux;
 
@@ -65,7 +63,6 @@ struct Args {
   double drop = 0.0;
   std::uint64_t fault_seed = 0x5eed;
   std::vector<double> drops{0.0, 0.01, 0.02, 0.05, 0.10};  // --metric loss sweep
-  int shards = 4;                                          // --metric shard sweeps 1..N
   coll::CollImpl impl = coll::CollImpl::Auto;              // --metric coll / train
   bool impl_set = false;
   int ranks = 8;  ///< collective members / training workers (--metric coll, train)
@@ -126,7 +123,7 @@ StreamObs g_stream;  // NOLINT: single-threaded CLI driver state
   std::fprintf(
       stderr,
       "usage: %s [options]\n"
-      "  --metric latency|bandwidth|jacobi|loss|match|breakdown|shard|coll|train|failstop|"
+      "  --metric latency|bandwidth|jacobi|loss|match|breakdown|coll|train|failstop|"
       "multipath|profile\n"
       "                                      what to measure\n"
       "                                      (profile: critical-path attribution —\n"
@@ -164,10 +161,6 @@ StreamObs g_stream;  // NOLINT: single-threaded CLI driver state
       "                                      anatomy — compute, bucket allreduce\n"
       "                                      union vs sum, overlap ratio; uses\n"
       "                                      --ranks, --steps, --impl)\n"
-      "                                      (shard: SMP-mode sharded event loop —\n"
-      "                                      wall-clock events/s and determinism\n"
-      "                                      check of the message storm at shard\n"
-      "                                      counts 1..--shards; uses --nodes)\n"
       "                                      (match: tag-matching engine occupancy\n"
       "                                      per stack — posted/unexpected\n"
       "                                      high-watermarks, bucket counts, longest\n"
@@ -192,8 +185,6 @@ StreamObs g_stream;  // NOLINT: single-threaded CLI driver state
       "  --fault-seed N                      fault injector seed (default 0x5eed)\n"
       "  --drops a,b,c                       drop rates in %% for --metric loss\n"
       "                                      (default 0,1,2,5,10)\n"
-      "  --shards N                          max shard count for --metric shard\n"
-      "                                      (default 4)\n"
       "  --impl auto|ring|tree|reference     collective algorithm (default: sweep\n"
       "                                      ring, tree, reference for coll; auto\n"
       "                                      for train)\n"
@@ -284,9 +275,6 @@ Args parse(int argc, char** argv) {
       a.drops.clear();
       for (std::size_t pct : parseSizes(need(i))) a.drops.push_back(static_cast<double>(pct) / 100.0);
       if (a.drops.empty()) usage(argv[0]);
-    } else if (opt == "--shards") {
-      a.shards = std::atoi(need(i));
-      if (a.shards < 1) usage(argv[0]);
     } else if (opt == "--impl") {
       const auto v = coll::parseImpl(need(i));
       if (!v) usage(argv[0]);
@@ -728,97 +716,6 @@ int runBreakdown(const Args& a) {
     }
     obs::writePerfetto(f, last_spans);
     std::fprintf(stderr, "breakdown: wrote Perfetto trace to %s\n", a.perfetto.c_str());
-  }
-  return 0;
-}
-
-// --metric shard: SMP-mode sharded event loop — wall-clock throughput plus a
-// built-in determinism check (every shard count runs twice and the timeline
-// hashes must agree; a mismatch makes the tool exit nonzero, which is what
-// the CI smoke step relies on).
-int runShard(const Args& a) {
-  const int max_shards = a.shards;
-  if (a.json) std::printf("{\"metric\":\"shard\",\"points\":[");
-  if (!a.json)
-    std::printf("shards,deliveries,wall_ms,events_per_sec,epochs,cross_posts,hash,"
-                "deterministic\n");
-  bool first = true;
-  bool all_ok = true;
-  for (int shards = 1; shards <= max_shards; ++shards) {
-    // With --stream-obs, every delivery records a span into a per-shard
-    // streaming collector (no cross-thread sharing); the per-shard window
-    // aggregates merge additively after the run, so the emitted windows are
-    // shard-count invariant. The hook runs after the hash record and feeds
-    // nothing back, so the storm hash is unchanged.
-    auto once = [&](double* wall_ms, std::uint64_t* events,
-                    std::vector<obs::SpanCollector>* cols) {
-      model::Model m = model::summit(a.nodes < 2 ? 2 : a.nodes);
-      m.machine.smp_shards = shards;
-      hw::System sys(m.machine);
-      sim::ShardedEngine se(sys.shardPlan());
-      sim::StormConfig storm;
-      storm.walkers_per_pe = 4;
-      storm.hops = 64;
-      storm.seed = a.fault_seed;
-      if (cols != nullptr) {
-        cols->resize(static_cast<std::size_t>(se.shards()));
-        for (obs::SpanCollector& c : *cols) c.enableStreaming({}, nullptr);
-        storm.on_delivery = [cols](int shard, int pe, sim::TimePoint t, std::uint32_t walker,
-                                   int hops_left) {
-          obs::SpanCollector& c = (*cols)[static_cast<std::size_t>(shard)];
-          const std::uint64_t id =
-              c.begin(t, pe, pe, static_cast<std::uint64_t>(walker), "storm.hop");
-          c.phase(id, t, obs::Phase::MatchedPosted, pe, static_cast<std::uint64_t>(hops_left));
-          c.end(id, t, obs::Phase::Completed, pe);
-        };
-      }
-      const auto t0 = std::chrono::steady_clock::now();
-      const sim::StormResult r = sim::runMessageStorm(se, storm, [&sys](int x, int y) {
-        return sys.machine.pathLatency(sys.machine.hostToHostPath(x, y));
-      });
-      const auto t1 = std::chrono::steady_clock::now();
-      *wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-      *events = se.eventsProcessed();
-      return r;
-    };
-    double ms_a = 0.0, ms_b = 0.0;
-    std::uint64_t ev_a = 0, ev_b = 0;
-    std::vector<obs::SpanCollector> cols;
-    const sim::StormResult ra = once(&ms_a, &ev_a, g_stream.active() ? &cols : nullptr);
-    const sim::StormResult rb = once(&ms_b, &ev_b, nullptr);
-    if (g_stream.active() && !cols.empty()) {
-      // Merge the per-shard window aggregates in shard-index order and emit
-      // them; the merged windows are identical at every shard count.
-      obs::SpanCollector merged;
-      merged.enableStreaming({}, g_stream.jsonl.get());
-      for (const obs::SpanCollector& c : cols) merged.mergeFrom(c);
-      merged.flushWindows();
-    }
-    const bool ok = ra.hash == rb.hash && ra.deliveries == rb.deliveries &&
-                    ra.last_delivery == rb.last_delivery;
-    all_ok = all_ok && ok;
-    const double evps = ms_a > 0.0 ? static_cast<double>(ev_a) / (ms_a / 1e3) : 0.0;
-    if (a.json) {
-      std::printf("%s{\"shards\":%d,\"deliveries\":%llu,\"wall_ms\":%.3f,"
-                  "\"events_per_sec\":%.0f,\"epochs\":%llu,\"cross_posts\":%llu,"
-                  "\"hash\":\"%016llx\",\"deterministic\":%s}",
-                  first ? "" : ",", shards, static_cast<unsigned long long>(ra.deliveries),
-                  ms_a, evps, static_cast<unsigned long long>(ra.epochs),
-                  static_cast<unsigned long long>(ra.cross_posts),
-                  static_cast<unsigned long long>(ra.hash), ok ? "true" : "false");
-    } else {
-      std::printf("%d,%llu,%.3f,%.0f,%llu,%llu,%016llx,%s\n", shards,
-                  static_cast<unsigned long long>(ra.deliveries), ms_a, evps,
-                  static_cast<unsigned long long>(ra.epochs),
-                  static_cast<unsigned long long>(ra.cross_posts),
-                  static_cast<unsigned long long>(ra.hash), ok ? "yes" : "NO");
-    }
-    first = false;
-  }
-  if (a.json) std::printf("]}\n");
-  if (!all_ok) {
-    std::fprintf(stderr, "shard: DETERMINISM VIOLATION — repeated runs disagreed\n");
-    return 1;
   }
   return 0;
 }
@@ -1428,7 +1325,6 @@ int main(int argc, char** argv) {
   if (a.metric == "loss") return runLoss(a);
   if (a.metric == "match") return runMatch(a);
   if (a.metric == "breakdown") return runBreakdown(a);
-  if (a.metric == "shard") return runShard(a);
   if (a.metric == "multipath") return runMultipath(a);
   if (a.metric == "coll") return runColl(a);
   if (a.metric == "train") return runTrainMetric(a);
