@@ -18,8 +18,10 @@ namespace cux::ck {
 class Buffer {
  public:
   enum class Mode : std::uint8_t {
-    Rndv,    ///< transferred separately under a machine-layer tag
-    Packed,  ///< small host payload packed into the metadata message
+    Rndv,     ///< transferred separately under a machine-layer tag
+    Packed,   ///< small host payload packed into the metadata message
+    Phantom,  ///< as Packed, but the source is unbacked: the message carries
+              ///< the length on the wire, not the bytes (see pup.hpp)
   };
 
   Buffer() = default;

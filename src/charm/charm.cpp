@@ -1,5 +1,8 @@
 #include "charm/charm.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace cux::ck {
 
 namespace detail {
@@ -35,37 +38,48 @@ void Runtime::dispatch(cmi::Message msg) {
   Unpacker u(msg.payload());
   const auto chare_idx = u.unpack<std::uint32_t>();
   const auto entry_id = u.unpack<std::uint32_t>();
-  Chare* obj = chareAt(pe, chare_idx);
-  assert(obj != nullptr && "entry-method message for unknown chare");
-  assert(entry_id < detail::entryTable().size());
+  const auto& local = chares_[static_cast<std::size_t>(pe)];
+  Chare* obj = chare_idx < local.size() ? local[chare_idx].get() : nullptr;
+  if (obj == nullptr) {
+    throw std::logic_error("ck::Runtime: entry-method message for unknown chare " +
+                           std::to_string(chare_idx) + " on PE " + std::to_string(pe));
+  }
+  if (entry_id >= detail::entryTable().size()) {
+    throw std::logic_error("ck::Runtime: entry-method message for unknown entry id " +
+                           std::to_string(entry_id));
+  }
   cmi_->pe(pe).charge(sim::usec(costs().charm_entry_us));
   const auto off = u.offset();
-  detail::entryTable()[entry_id].invoke(*this, pe, obj,
-                                        std::make_shared<cmi::Message>(std::move(msg)), off);
+  detail::entryTable()[entry_id].invoke(*this, pe, obj, std::move(msg), off);
 }
 
-void Runtime::packBuffer(Packer& p, const Buffer& b, int src_pe, int dst_pe,
+Buffer::Mode Runtime::classify(const Buffer& b) const {
+  if (sys_.memory.isDevice(b.source()) || b.size() >= costs().host_pack_threshold) {
+    return Buffer::Mode::Rndv;
+  }
+  return sys_.memory.dereferenceable(b.source()) && b.size() > 0 ? Buffer::Mode::Packed
+                                                                 : Buffer::Mode::Phantom;
+}
+
+void Runtime::packBuffer(Packer& p, const Buffer& b, Buffer::Mode m, int src_pe, int dst_pe,
                          std::uint64_t& inline_bulk) {
-  const bool rndv = sys_.memory.isDevice(b.source()) || b.size() >= costs().host_pack_threshold;
-  if (rndv) {
-    p.pack(static_cast<std::uint8_t>(Buffer::Mode::Rndv));
-    p.pack(b.size());
+  p.pack(static_cast<std::uint8_t>(m));
+  p.pack(b.size());
+  if (m == Buffer::Mode::Rndv) {
     core::CmiDeviceBuffer cdb{b.source(), b.size(), 0};
     dev_->lrtsSendDevice(src_pe, dst_pe, cdb, b.sentCallback(), core::DeviceRecvType::Charm);
     p.pack(cdb.tag);
+    return;
+  }
+  if (m == Buffer::Mode::Packed) {
+    p.raw(b.source(), b.size());
   } else {
-    p.pack(static_cast<std::uint8_t>(Buffer::Mode::Packed));
-    p.pack(b.size());
-    if (sys_.memory.dereferenceable(b.source()) && b.size() > 0) {
-      p.raw(b.source(), b.size());
-    } else {
-      p.zeros(b.size());
-    }
-    inline_bulk += b.size();
-    // Packed sends complete locally once the copy is made.
-    if (b.sentCallback()) {
-      cmi_->pe(src_pe).exec(sim::usec(costs().callback_us), b.sentCallback());
-    }
+    p.zeros(b.size());
+  }
+  inline_bulk += b.size();
+  // Packed sends complete locally once the copy is made.
+  if (b.sentCallback()) {
+    cmi_->pe(src_pe).exec(sim::usec(costs().callback_us), b.sentCallback());
   }
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -85,7 +86,7 @@ template <class Tuple>
 }
 
 struct EntryDesc {
-  void (*invoke)(Runtime&, int pe, Chare*, std::shared_ptr<cmi::Message>, std::size_t off);
+  void (*invoke)(Runtime&, int pe, Chare*, cmi::Message&& msg, std::size_t off);
 };
 
 [[nodiscard]] std::vector<EntryDesc>& entryTable();
@@ -101,8 +102,7 @@ struct PostOf {
 };
 
 template <auto M>
-void entryThunk(Runtime& rt, int pe, Chare* obj, std::shared_ptr<cmi::Message> msg,
-                std::size_t off);
+void entryThunk(Runtime& rt, int pe, Chare* obj, cmi::Message&& msg, std::size_t off);
 
 template <auto M>
 [[nodiscard]] std::uint32_t entryId() {
@@ -190,19 +190,33 @@ class Runtime {
   template <auto M, class... Args>
   void sendFrom(int src_pe, ChareId dst, Args&&... args);
 
+  /// Converse handler id that carries entry-method messages.
+  [[nodiscard]] int converseHandler() const noexcept { return handler_; }
+
   [[nodiscard]] Chare* chareAt(int pe, std::uint32_t idx) {
     return chares_[static_cast<std::size_t>(pe)][idx].get();
   }
 
  private:
   template <auto>
-  friend void detail::entryThunk(Runtime&, int, Chare*, std::shared_ptr<cmi::Message>,
-                                 std::size_t);
+  friend void detail::entryThunk(Runtime&, int, Chare*, cmi::Message&&, std::size_t);
 
+  /// Runs the entry method a message names. Throws std::logic_error for an
+  /// unknown entry id or chare.
   void dispatch(cmi::Message msg);
-  /// Packs one Buffer argument: rendezvous (device or large host) buffers go
-  /// through LrtsSendDevice; small host buffers are packed inline.
-  void packBuffer(Packer& p, const Buffer& b, int src_pe, int dst_pe,
+  /// How a Buffer argument travels: rendezvous for device or large host
+  /// buffers, packed inline for small host ones — phantom when the source is
+  /// unbacked.
+  [[nodiscard]] Buffer::Mode classify(const Buffer& b) const;
+  /// Bytes a Buffer argument of mode `m` adds to the packed message.
+  [[nodiscard]] static std::size_t packedSize(const Buffer& b, Buffer::Mode m) noexcept {
+    return 1 + sizeof(std::uint64_t) +
+           (m == Buffer::Mode::Rndv ? sizeof(std::uint64_t)
+                                    : (m == Buffer::Mode::Packed ? b.size() : 0));
+  }
+  /// Packs one Buffer argument of mode `m`: rendezvous buffers go through
+  /// LrtsSendDevice; small host buffers are packed inline.
+  void packBuffer(Packer& p, const Buffer& b, Buffer::Mode m, int src_pe, int dst_pe,
                   std::uint64_t& inline_bulk);
 
   hw::System& sys_;
@@ -269,21 +283,43 @@ void Runtime::sendFrom(int src_pe, ChareId dst, Args&&... args) {
   static_assert(sizeof...(Args) == Traits::arity, "argument count mismatch");
   assert(src_pe >= 0 && src_pe < numPes());
 
-  Packer p;
+  // Classify every buffer once and size the message exactly: the packer
+  // reserves the Converse header in front, so the payload is written once
+  // and never reallocated or copied again on its way into UCX.
+  constexpr std::uint32_t nbuf = detail::bufferCount<Tuple>();
+  [[maybe_unused]] std::array<Buffer::Mode, nbuf> modes{};
+  std::size_t bytes = cmi::Message::kHeaderBytes + 3 * sizeof(std::uint32_t);
+  {
+    [[maybe_unused]] std::size_t bi = 0;
+    (
+        [&] {
+          if constexpr (detail::is_buffer_v<Args>) {
+            modes[bi] = classify(args);
+            bytes += packedSize(args, modes[bi]);
+            ++bi;
+          } else {
+            bytes += ck::packedSize(args);
+          }
+        }(),
+        ...);
+  }
+  Packer p(cmi::Message::kHeaderBytes, bytes);
   p.pack(dst.index);
   p.pack(detail::entryId<M>());
-  constexpr std::uint32_t nbuf = detail::bufferCount<Tuple>();
   p.pack(nbuf);
 
   std::uint64_t inline_bulk = 0;
   // Pass 1: buffers, in declaration order.
-  (
-      [&] {
-        if constexpr (detail::is_buffer_v<Args>) {
-          packBuffer(p, args, src_pe, dst.pe, inline_bulk);
-        }
-      }(),
-      ...);
+  {
+    [[maybe_unused]] std::size_t bi = 0;
+    (
+        [&] {
+          if constexpr (detail::is_buffer_v<Args>) {
+            packBuffer(p, args, modes[bi++], src_pe, dst.pe, inline_bulk);
+          }
+        }(),
+        ...);
+  }
   // Pass 2: host args, in declaration order.
   (
       [&] {
@@ -297,7 +333,9 @@ void Runtime::sendFrom(int src_pe, ChareId dst, Args&&... args) {
   const double copy_us =
       (static_cast<double>(inline_bulk + p.bulkBytes()) / 1e3) / sys_.config.host_memcpy_gbps;
   cmi_->pe(src_pe).charge(sim::usec(costs().charm_msg_alloc_us + copy_us));
-  cmi_->send(src_pe, dst.pe, handler_, p.take());
+  assert(p.size() == bytes && "packed-size estimate out of step with Packer");
+  const std::uint64_t phantom = p.phantomBytes();
+  cmi_->sendPacked(src_pe, dst.pe, handler_, p.take(), phantom);
 }
 
 namespace detail {
@@ -325,14 +363,32 @@ void invokeWithArgs(Runtime& rt, Chare* obj, Unpacker& u, std::vector<Buffer>& b
   }(std::make_index_sequence<std::tuple_size_v<Tuple>>{});
 }
 
+/// An entry invocation waiting for its rendezvous buffers: the message (its
+/// host arguments are unpacked only once every buffer has landed), the
+/// buffers, and the count still in flight.
+struct PendingEntry {
+  cmi::Message msg;
+  std::vector<Buffer> bufs;
+  std::size_t args_off = 0;
+  std::uint32_t pending = 0;
+};
+
 template <auto M>
-void entryThunk(Runtime& rt, int pe, Chare* obj, std::shared_ptr<cmi::Message> msg,
-                std::size_t off) {
-  Unpacker u(msg->payload(), off);
+void entryThunk(Runtime& rt, int pe, Chare* obj, cmi::Message&& msg, std::size_t off) {
+  Unpacker u(msg.payload(), off);
   const auto nbuf = u.unpack<std::uint32_t>();
-  auto bufs = std::make_shared<std::vector<Buffer>>();
-  bufs->reserve(nbuf);
-  std::vector<std::pair<std::size_t, std::size_t>> packed;  // (buffer idx, payload offset)
+  if (nbuf == 0) {
+    // Host arguments only (the common case): invoke straight from the
+    // message, no shared state.
+    std::vector<Buffer> none;
+    invokeWithArgs<M>(rt, obj, u, none);
+    return;
+  }
+  auto st = std::make_shared<PendingEntry>();
+  st->bufs.reserve(nbuf);
+  // Inline buffers: (buffer idx, payload offset, bytes carried). Phantom
+  // ones have only a length in the message.
+  std::vector<std::tuple<std::size_t, std::size_t, bool>> packed;
   for (std::uint32_t i = 0; i < nbuf; ++i) {
     const auto mode = static_cast<Buffer::Mode>(u.unpack<std::uint8_t>());
     const auto size = u.unpack<std::uint64_t>();
@@ -346,29 +402,31 @@ void entryThunk(Runtime& rt, int pe, Chare* obj, std::shared_ptr<cmi::Message> m
       obs::SpanCollector& spans = rt.system().obs.spans;
       spans.phase(spans.spanForTag(b.tag()), rt.system().engine.now(),
                   obs::Phase::MetaArrived, pe, b.size());
+      ++st->pending;
     } else {
-      packed.emplace_back(i, u.offset());
-      u.skip(size);
+      const bool carried = mode == Buffer::Mode::Packed;
+      packed.emplace_back(i, u.offset(), carried);
+      if (carried) u.skip(size);
     }
-    bufs->push_back(std::move(b));
+    st->bufs.push_back(std::move(b));
   }
-  const std::size_t args_off = u.offset();
+  st->args_off = u.offset();
 
-  if (nbuf > 0) {
-    auto& post = PostOf<M>::fn;
-    assert(post && "entry with ck::Buffer parameters needs setPostEntry<>()");
-    post(obj, std::span<Buffer>(*bufs), Unpacker(msg->payload(), args_off));
-  }
+  auto& post = PostOf<M>::fn;
+  assert(post && "entry with ck::Buffer parameters needs setPostEntry<>()");
+  post(obj, std::span<Buffer>(st->bufs), Unpacker(msg.payload(), st->args_off));
 
   // Small host payloads packed into the metadata message: copy into the
   // user-provided destinations now (the receive-side runtime memcpy the
-  // paper attributes host-staging slowdowns to).
+  // paper attributes host-staging slowdowns to). A phantom payload's
+  // destination is left as is, as for any copy from unbacked memory, but
+  // its copy time is charged all the same.
   std::uint64_t packed_bytes = 0;
-  for (const auto& [i, poff] : packed) {
-    Buffer& b = (*bufs)[i];
+  for (const auto& [i, poff, carried] : packed) {
+    const Buffer& b = st->bufs[i];
     assert(b.data() != nullptr && b.capacity() >= b.size() && "post entry must set destinations");
-    if (msg->payload_valid) {
-      cuda::moveBytes(rt.system(), b.data(), msg->payload().data() + poff, b.size());
+    if (carried && msg.payload_valid) {
+      cuda::moveBytes(rt.system(), b.data(), msg.payload().data() + poff, b.size());
     }
     packed_bytes += b.size();
   }
@@ -378,25 +436,20 @@ void entryThunk(Runtime& rt, int pe, Chare* obj, std::shared_ptr<cmi::Message> m
     rt.cmi().pe(pe).charge(sim::usec(copy_us));
   }
 
-  auto invoke = [&rt, obj, bufs, msg, args_off] {
-    Unpacker u2(msg->payload(), args_off);
-    invokeWithArgs<M>(rt, obj, u2, *bufs);
-  };
-
-  auto pending = std::make_shared<int>(0);
-  for (const Buffer& b : *bufs) {
-    if (b.mode() == Buffer::Mode::Rndv) ++*pending;
-  }
-  if (*pending == 0) {
-    invoke();
+  if (st->pending == 0) {
+    Unpacker args(msg.payload(), st->args_off);
+    invokeWithArgs<M>(rt, obj, args, st->bufs);
     return;
   }
-  for (Buffer& b : *bufs) {
+  st->msg = std::move(msg);
+  for (const Buffer& b : st->bufs) {
     if (b.mode() != Buffer::Mode::Rndv) continue;
     assert(b.data() != nullptr && b.capacity() >= b.size() && "post entry must set destinations");
     rt.dev().lrtsRecvDevice(pe, core::DeviceRdmaOp{b.data(), b.size(), b.tag()},
-                            core::DeviceRecvType::Charm, [pending, invoke] {
-                              if (--*pending == 0) invoke();
+                            core::DeviceRecvType::Charm, [&rt, obj, st] {
+                              if (--st->pending != 0) return;
+                              Unpacker args(st->msg.payload(), st->args_off);
+                              invokeWithArgs<M>(rt, obj, args, st->bufs);
                             });
   }
 }

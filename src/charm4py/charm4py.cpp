@@ -14,18 +14,17 @@ struct Charm4py::PerPeChare : ck::Chare {
   explicit PerPeChare(Charm4py* o) : owner(o) {}
 
   void chanMsg(std::uint64_t chan, std::uint8_t dst_side, std::uint64_t bytes,
-               std::uint64_t dtag, std::uint32_t seq, std::uint8_t inlined,
-               std::vector<std::byte> data, std::uint8_t src_host,
-               std::uint8_t data_valid, std::uint64_t span) {
+               std::uint64_t dtag, std::uint32_t seq, std::uint8_t inlined, ck::Bytes data,
+               std::uint8_t src_host, std::uint64_t span) {
     Envelope env;
     env.bytes = bytes;
     env.dtag = dtag;
     env.span = span;
     env.seq = seq;
     env.inlined = inlined != 0;
-    env.data = std::move(data);
+    env.data = std::move(data.data);
     env.src_host = src_host != 0;
-    env.data_valid = data_valid != 0;
+    env.data_valid = data.valid;
     owner->onEnvelope(myPe(), chan, static_cast<int>(dst_side), std::move(env));
   }
 
@@ -228,12 +227,12 @@ sim::Future<void> Charm4py::sendImpl(ChannelEnd& end, const void* buf, std::uint
         core::DeviceRecvType::Charm4py);
     chares_[static_cast<std::size_t>(peer->pe_)].sendFrom<&PerPeChare::chanMsg>(
         src_pe, end.chan_, static_cast<std::uint8_t>(dst_side), bytes, cdb.tag, seq,
-        std::uint8_t{0}, std::vector<std::byte>{},
-        static_cast<std::uint8_t>(device ? 0 : 1), std::uint8_t{1}, std::uint64_t{0});
+        std::uint8_t{0}, ck::BytesRef{}, static_cast<std::uint8_t>(device ? 0 : 1),
+        std::uint64_t{0});
   } else {
-    std::vector<std::byte> data(bytes);
-    const bool valid = rt_.system().memory.dereferenceable(buf);
-    if (valid && bytes > 0) std::memcpy(data.data(), buf, bytes);
+    // Packed straight from the user buffer (one copy); an unbacked source
+    // travels as its length only.
+    const ck::BytesRef data{buf, bytes, rt_.system().memory.dereferenceable(buf)};
     // Inline messages bypass the machine layer: mint the span here and ship
     // it inside the message (0 when observability is off).
     std::uint64_t span = 0;
@@ -245,8 +244,7 @@ sim::Future<void> Charm4py::sendImpl(ChannelEnd& end, const void* buf, std::uint
     }
     chares_[static_cast<std::size_t>(peer->pe_)].sendFrom<&PerPeChare::chanMsg>(
         src_pe, end.chan_, static_cast<std::uint8_t>(dst_side), bytes, std::uint64_t{0}, seq,
-        std::uint8_t{1}, std::move(data), std::uint8_t{1},
-        static_cast<std::uint8_t>(valid ? 1 : 0), span);
+        std::uint8_t{1}, data, std::uint8_t{1}, span);
     pe.exec(0, [done] { done.set(); });
   }
   return done.future();

@@ -4,6 +4,8 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "converse/pe.hpp"
@@ -25,10 +27,13 @@
 namespace cux::cmi {
 
 /// A received Converse message. `payload_valid` is false when the sending
-/// side's payload lived in unbacked (simulation-only) memory.
+/// side's payload lived in unbacked (simulation-only) memory. `len` is the
+/// wire length: `raw.size()` plus any phantom bytes the sender carried as
+/// length only (see Converse::sendPacked).
 struct Message {
   int src_pe = -1;
   bool payload_valid = true;
+  std::uint64_t len = 0;
   std::vector<std::byte> raw;  ///< header + payload
 
   [[nodiscard]] std::span<const std::byte> payload() const noexcept {
@@ -36,6 +41,11 @@ struct Message {
   }
   static constexpr std::size_t kHeaderBytes = 8;  // handler id + source PE
 };
+// A message rides by value in the scheduler continuations (handler pointer
+// plus message, behind the PE's own pointer; the SMP hop adds the runtime
+// pointer and destination PE).
+static_assert(sim::SmallFn::fitsInline<std::tuple<void*, void*, void*, int, Message>>(),
+              "a Converse delivery continuation must fit an engine slot");
 
 using HandlerFn = std::function<void(Message)>;
 
@@ -62,19 +72,48 @@ class Converse {
   /// Sends `payload` from `src_pe` to handler `handler` on `dst_pe`
   /// (CmiSyncSendAndFree). The sender PE is charged the Converse send cost;
   /// delivery charges the scheduler-pickup cost on the destination PE.
+  /// Throws std::invalid_argument for an unregistered handler id.
   void send(int src_pe, int dst_pe, int handler, std::vector<std::byte> payload);
+
+  /// send() for a message packed in place: `raw` starts with
+  /// Message::kHeaderBytes reserved for the Converse header (written here,
+  /// so the payload is never copied again), and `phantom_bytes` more bytes
+  /// travel on the wire than `raw` holds — packed fields whose source is
+  /// unbacked memory (see ck::Packer::zeros).
+  void sendPacked(int src_pe, int dst_pe, int handler, std::vector<std::byte> raw,
+                  std::uint64_t phantom_bytes);
 
   /// Runs `fn` on `pe` as if a local message had been scheduled (used to
   /// bootstrap programs and to serialise completion callbacks onto PEs).
-  void runOn(int pe, std::function<void()> fn, sim::Duration overhead = 0);
+  template <class F>
+  void runOn(int pe_id, F&& fn, sim::Duration overhead = 0) {
+    pe(pe_id).exec(overhead, std::forward<F>(fn));
+  }
 
   /// Injects a network operation originating on `src_pe`: non-SMP, it fires
   /// once the PE's software work retires; in SMP mode it additionally
   /// serialises through (and is charged to) the node's communication thread.
-  void inject(int src_pe, std::function<void()> fn);
+  template <class F>
+  void inject(int src_pe, F&& fn) {
+    Pe& src = pe(src_pe);
+    if (!costs_.smp_comm_thread) {
+      sys_.engine.schedule(src.busyUntil(), std::forward<F>(fn));
+      return;
+    }
+    // SMP build: hand the operation to the node's comm thread once the
+    // worker PE's software retires; the comm thread serialises all of the
+    // node's network traffic.
+    Pe& ct = commThreadOf(src_pe);
+    sys_.engine.schedule(src.busyUntil(),
+                         [&ct, cost = sim::usec(costs_.comm_thread_us),
+                          fn = std::forward<F>(fn)]() mutable { ct.exec(cost, std::move(fn)); });
+  }
 
  private:
   void onHostMessage(int dst_pe, ucx::Delivery d);
+  [[nodiscard]] Pe& commThreadOf(int pe_id) {
+    return *comm_threads_[static_cast<std::size_t>(sys_.machine.nodeOfPe(pe_id))];
+  }
 
   hw::System& sys_;
   ucx::Context& ucx_;

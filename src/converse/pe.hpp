@@ -1,6 +1,6 @@
 #pragma once
 
-#include <functional>
+#include <utility>
 
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
@@ -27,12 +27,23 @@ class Pe {
   [[nodiscard]] int id() const noexcept { return id_; }
 
   /// Serialised execution: `fn` runs after `overhead` of PE time, queued
-  /// behind any previously scheduled work on this PE.
-  void exec(sim::Duration overhead, std::function<void()> fn) {
+  /// behind any previously scheduled work on this PE. The callable moves
+  /// straight into the engine slot (one event, no type-erased wrapper).
+  template <class F>
+  void exec(sim::Duration overhead, F&& fn) {
     const sim::TimePoint start =
         engine_.now() > busy_until_ ? engine_.now() : busy_until_;
     busy_until_ = start + overhead;
-    hooked_schedule(busy_until_, std::move(fn));
+    engine_.schedule(busy_until_, [this, fn = std::forward<F>(fn)]() mutable {
+      if (current_pe == nullptr) {
+        fn();
+        return;
+      }
+      const int prev = *current_pe;
+      *current_pe = id_;
+      fn();
+      *current_pe = prev;
+    });
   }
 
   /// Extends the PE's busy horizon without scheduling anything; used to
@@ -47,21 +58,12 @@ class Pe {
   [[nodiscard]] sim::TimePoint busyUntil() const noexcept { return busy_until_; }
   [[nodiscard]] sim::Engine& engine() noexcept { return engine_; }
 
-  /// Hook invoked around every exec() continuation; the Converse runtime
-  /// installs one that tracks the "current PE" for proxy sends.
-  std::function<void(int pe, std::function<void()>&)> run_hook;
+  /// "Current PE" slot: when set, every exec() continuation writes this PE's
+  /// id into it while it runs (restoring the previous value afterwards). The
+  /// Converse runtime points it at its currentPe() for proxy sends.
+  int* current_pe = nullptr;
 
  private:
-  void hooked_schedule(sim::TimePoint t, std::function<void()> fn) {
-    engine_.schedule(t, [this, fn = std::move(fn)]() mutable {
-      if (run_hook) {
-        run_hook(id_, fn);
-      } else {
-        fn();
-      }
-    });
-  }
-
   sim::Engine& engine_;
   int id_;
   sim::TimePoint busy_until_ = 0;

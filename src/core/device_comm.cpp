@@ -80,8 +80,7 @@ void DeviceComm::onPeerFailed(int dead_pe) {
   }
 }
 
-void DeviceComm::failDeadRecv(int pe_id, const DeviceRdmaOp& op,
-                              const std::function<void()>& cb) {
+void DeviceComm::failDeadRecv(int pe_id, const DeviceRdmaOp& op, DoneFn cb) {
   ++peer_failed_recvs_;
   hw::System& sys = cmi_.system();
   sys.trace.record(sys.engine.now(), sim::TraceCat::PeFail, pe_id,
@@ -93,11 +92,11 @@ void DeviceComm::failDeadRecv(int pe_id, const DeviceRdmaOp& op,
   // drain (the coroutine behind it would otherwise hang forever). The data
   // never arrived — survivors observe that through the model layer's
   // revocation/abort surface, not through this completion.
-  if (cb) cmi_.pe(pe_id).exec(sim::usec(cmi_.costs().callback_us), cb);
+  if (cb) cmi_.pe(pe_id).exec(sim::usec(cmi_.costs().callback_us), std::move(cb));
 }
 
 void DeviceComm::issueSend(int src_pe, int dst_pe, const void* ptr, std::uint64_t size,
-                           std::uint64_t tag, std::function<void()> on_complete) {
+                           std::uint64_t tag, DoneFn on_complete) {
   hw::System& sys = cmi_.system();
   if (sys.fault.enabled() && cmi_.ucx().peerKnownDead(sys.engine.now(), dst_pe)) {
     // The destination is already declared dead: every route blackholes, so
@@ -110,7 +109,9 @@ void DeviceComm::issueSend(int src_pe, int dst_pe, const void* ptr, std::uint64_
                      "send-dead-dst");
     sys.obs.spans.end(sys.obs.spans.spanForTag(tag), sys.engine.now(), obs::Phase::Errored,
                       src_pe);
-    if (on_complete) cmi_.pe(src_pe).exec(sim::usec(cmi_.costs().callback_us), on_complete);
+    if (on_complete) {
+      cmi_.pe(src_pe).exec(sim::usec(cmi_.costs().callback_us), std::move(on_complete));
+    }
     return;
   }
   if (sys.fault.enabled() && sys.fault.linkDown(sys.engine.now(), src_pe, dst_pe)) {
@@ -121,38 +122,36 @@ void DeviceComm::issueSend(int src_pe, int dst_pe, const void* ptr, std::uint64_
   }
   sys.obs.spans.phase(sys.obs.spans.spanForTag(tag), sys.engine.now(), obs::Phase::PayloadSent,
                       src_pe, size);
-  cmi_.ucx().tagSend(src_pe, dst_pe, ptr, size, tag,
-                     [this, src_pe, dst_pe, ptr, size, tag, cb = std::move(on_complete)](
-                         ucx::Request& r) {
-                       if (r.peerFailed() && !r.data_delivered) {
-                         // The detector blamed a dead endpoint: the
-                         // host-staged fallback would blackhole too. Close
-                         // the span and complete the sender so its model
-                         // layer can drain.
-                         ++peer_failed_sends_;
-                         hw::System& sys = cmi_.system();
-                         sys.obs.spans.end(sys.obs.spans.spanForTag(tag), sys.engine.now(),
-                                           obs::Phase::Errored, src_pe);
-                         if (cb) cmi_.pe(src_pe).exec(sim::usec(cmi_.costs().callback_us), cb);
-                         return;
-                       }
-                       if (r.failed() && !r.data_delivered) {
-                         startFallback(src_pe, dst_pe, ptr, size, tag, cb, "retries-exhausted");
-                         return;
-                       }
-                       // r.failed() with data_delivered: the rendezvous data
-                       // landed and the receiver completed Done — only the
-                       // ATS was lost. The receive is consumed, so a resend
-                       // under this tag could never match: suppress the
-                       // fallback and complete normally.
-                       if (r.failed()) ++acks_lost_;
-                       if (cb) cmi_.pe(src_pe).exec(sim::usec(cmi_.costs().callback_us), cb);
-                     });
+  auto done = [this, src_pe, dst_pe, ptr, size, tag,
+               cb = std::move(on_complete)](ucx::Request& r) mutable {
+    if (r.peerFailed() && !r.data_delivered) {
+      // The detector blamed a dead endpoint: the host-staged fallback would
+      // blackhole too. Close the span and complete the sender so its model
+      // layer can drain.
+      ++peer_failed_sends_;
+      hw::System& sys = cmi_.system();
+      sys.obs.spans.end(sys.obs.spans.spanForTag(tag), sys.engine.now(), obs::Phase::Errored,
+                        src_pe);
+      if (cb) cmi_.pe(src_pe).exec(sim::usec(cmi_.costs().callback_us), std::move(cb));
+      return;
+    }
+    if (r.failed() && !r.data_delivered) {
+      startFallback(src_pe, dst_pe, ptr, size, tag, std::move(cb), "retries-exhausted");
+      return;
+    }
+    // r.failed() with data_delivered: the rendezvous data landed and the
+    // receiver completed Done — only the ATS was lost. The receive is
+    // consumed, so a resend under this tag could never match: suppress the
+    // fallback and complete normally.
+    if (r.failed()) ++acks_lost_;
+    if (cb) cmi_.pe(src_pe).exec(sim::usec(cmi_.costs().callback_us), std::move(cb));
+  };
+  static_assert(ucx::CompletionFn::fitsInline<decltype(done)>());
+  cmi_.ucx().tagSend(src_pe, dst_pe, ptr, size, tag, std::move(done));
 }
 
 void DeviceComm::startFallback(int src_pe, int dst_pe, const void* ptr, std::uint64_t size,
-                               std::uint64_t tag, std::function<void()> on_complete,
-                               const char* why) {
+                               std::uint64_t tag, DoneFn on_complete, const char* why) {
   ++fallbacks_;
   hw::System& sys = cmi_.system();
   sys.trace.record(sys.engine.now(), sim::TraceCat::Fallback, src_pe, dst_pe, size, tag, why);
@@ -163,7 +162,7 @@ void DeviceComm::startFallback(int src_pe, int dst_pe, const void* ptr, std::uin
   // receive still matches — the transfer recovers, only the timing suffers.
   cmi_.ucx().tagSendHostStaged(
       src_pe, dst_pe, ptr, size, tag,
-      [this, src_pe, dst_pe, size, tag, cb = std::move(on_complete)](ucx::Request& r) {
+      [this, src_pe, dst_pe, size, tag, cb = std::move(on_complete)](ucx::Request& r) mutable {
         if (r.peerFailed() && !r.data_delivered) {
           // The peer died while the fallback was in flight. Unlike the
           // live-peer terminal failure below, withholding on_complete here
@@ -176,7 +175,7 @@ void DeviceComm::startFallback(int src_pe, int dst_pe, const void* ptr, std::uin
                            "fallback-peer-failed");
           sys.obs.spans.end(sys.obs.spans.spanForTag(tag), sys.engine.now(),
                             obs::Phase::Errored, src_pe);
-          if (cb) cmi_.pe(src_pe).exec(sim::usec(cmi_.costs().callback_us), cb);
+          if (cb) cmi_.pe(src_pe).exec(sim::usec(cmi_.costs().callback_us), std::move(cb));
           return;
         }
         if (r.failed() && !r.data_delivered) {
@@ -193,12 +192,12 @@ void DeviceComm::startFallback(int src_pe, int dst_pe, const void* ptr, std::uin
                             obs::Phase::Errored, src_pe);
           return;
         }
-        if (cb) cmi_.pe(src_pe).exec(sim::usec(cmi_.costs().callback_us), cb);
+        if (cb) cmi_.pe(src_pe).exec(sim::usec(cmi_.costs().callback_us), std::move(cb));
       });
 }
 
 void DeviceComm::lrtsSendDevice(int src_pe, int dst_pe, CmiDeviceBuffer& buf,
-                                std::function<void()> on_complete, DeviceRecvType recv_type) {
+                                DoneFn on_complete, DeviceRecvType recv_type) {
   const TagScheme& tags = cmi_.tags();
   assert(static_cast<std::uint64_t>(src_pe) <= tags.maxPe() &&
          "source PE does not fit in PE_BITS; adjust the tag scheme split");
@@ -244,13 +243,14 @@ void DeviceComm::lrtsSendDevice(int src_pe, int dst_pe, CmiDeviceBuffer& buf,
   const void* ptr = buf.ptr;
   const std::uint64_t size = buf.size;
   const std::uint64_t tag = buf.tag;
-  cmi_.inject(src_pe, [this, src_pe, dst_pe, ptr, size, tag, cb = std::move(on_complete)] {
-    issueSend(src_pe, dst_pe, ptr, size, tag, cb);
-  });
+  cmi_.inject(src_pe,
+              [this, src_pe, dst_pe, ptr, size, tag, cb = std::move(on_complete)]() mutable {
+                issueSend(src_pe, dst_pe, ptr, size, tag, std::move(cb));
+              });
 }
 
 void DeviceComm::lrtsSendDeviceUserTag(int src_pe, int dst_pe, CmiDeviceBuffer& buf,
-                                       std::uint64_t user_tag, std::function<void()> on_complete,
+                                       std::uint64_t user_tag, DoneFn on_complete,
                                        DeviceRecvType recv_type) {
   const TagScheme& tags = cmi_.tags();
   // The whole PE+CNT field carries the user tag; uniqueness is the caller's
@@ -285,14 +285,15 @@ void DeviceComm::lrtsSendDeviceUserTag(int src_pe, int dst_pe, CmiDeviceBuffer& 
   // scheduled directly at pe.busyUntil()) lets user-tag sends overtake
   // regular device sends from the same PE in SMP mode, where injection
   // serialises through the node's comm thread.
-  cmi_.inject(src_pe, [this, src_pe, dst_pe, ptr, size, tag, cb = std::move(on_complete)] {
-    issueSend(src_pe, dst_pe, ptr, size, tag, cb);
-  });
+  cmi_.inject(src_pe,
+              [this, src_pe, dst_pe, ptr, size, tag, cb = std::move(on_complete)]() mutable {
+                issueSend(src_pe, dst_pe, ptr, size, tag, std::move(cb));
+              });
 }
 
 void DeviceComm::lrtsRecvDeviceUserTag(int pe_id, void* dst, std::uint64_t size,
                                        std::uint64_t user_tag, DeviceRecvType type,
-                                       std::function<void()> on_complete) {
+                                       DoneFn on_complete) {
   const TagScheme& tags = cmi_.tags();
   DeviceRdmaOp op;
   op.dst = dst;
@@ -302,7 +303,7 @@ void DeviceComm::lrtsRecvDeviceUserTag(int pe_id, void* dst, std::uint64_t size,
 }
 
 void DeviceComm::lrtsRecvDevice(int pe_id, const DeviceRdmaOp& op, DeviceRecvType type,
-                                std::function<void()> on_complete) {
+                                DoneFn on_complete) {
   ++recvs_by_type_[static_cast<std::size_t>(type)];
   cmi_.system().trace.record(cmi_.system().engine.now(), sim::TraceCat::LrtsRecv, pe_id, -1,
                              op.size, op.tag, "");
@@ -317,11 +318,11 @@ void DeviceComm::lrtsRecvDevice(int pe_id, const DeviceRdmaOp& op, DeviceRecvTyp
 }
 
 void DeviceComm::postDeviceRecv(int pe_id, const DeviceRdmaOp& op,
-                                std::function<void()> on_complete) {
+                                DoneFn on_complete) {
   // Receives post through inject(): in SMP mode the comm thread owns the
   // UCX worker, so posting from the worker PE would race (in ordering terms)
   // with the sends the comm thread serialises.
-  cmi_.inject(pe_id, [this, pe_id, op, cb = std::move(on_complete)] {
+  cmi_.inject(pe_id, [this, pe_id, op, cb = std::move(on_complete)]() mutable {
     hw::System& sys = cmi_.system();
     // Device/ZcopyHost tags name their source PE; DeviceUser tags repurpose
     // that field for the user value, so only the former can be screened
@@ -338,46 +339,48 @@ void DeviceComm::postDeviceRecv(int pe_id, const DeviceRdmaOp& op,
       // is itself declared dead (live senders drain sends to it locally, so
       // no payload will ever arrive) — would park the receive forever. Drain
       // now so the coroutine behind it can reach its abort exit.
-      failDeadRecv(pe_id, op, cb);
+      failDeadRecv(pe_id, op, std::move(cb));
       return;
     }
-    ucx::RequestPtr req = cmi_.ucx().worker(pe_id).tagRecv(
-        op.dst, op.size, op.tag, ucx::kFullMask, [this, pe_id, op, cb](ucx::Request& r) {
-          outstanding_recvs_.erase(op.tag);
-          if (r.cancelled() || r.peerFailed()) {
-            // The source PE is dead. Cancelled: the detector's sweep pulled
-            // this still-unmatched receive (onPeerFailed — the only cancel
-            // source on this path). PeerFailed: a matched rendezvous whose
-            // remaining legs can never finish. Either way no fallback is
-            // coming from a dead sender, so re-posting would hang; drain
-            // instead.
-            failDeadRecv(pe_id, op, cb);
-            return;
-          }
-          if (r.failed()) {
-            // A matched rendezvous exhausted its retry budget: the buffer was
-            // never written, and the sender is degrading to the host-staged
-            // route under the same tag. Re-post so the fallback can match —
-            // completing here would report data that never arrived, and the
-            // fallback message would rot in the unexpected queue. Each
-            // re-post consumes one terminal failure, so this cannot spin.
-            ++recv_reposts_;
-            hw::System& sys = cmi_.system();
-            sys.trace.record(sys.engine.now(), sim::TraceCat::Retry, pe_id, r.peer_pe, op.size,
-                             op.tag, "recv-repost");
-            sys.obs.spans.phase(sys.obs.spans.spanForTag(op.tag), sys.engine.now(),
-                                obs::Phase::RecvRepost, pe_id, op.size);
-            postDeviceRecv(pe_id, op, cb);
-            return;
-          }
-          // Span terminal: data delivered at the machine layer (the model
-          // layer's own callback cost comes after and is not part of the
-          // wire lifecycle).
-          hw::System& sys = cmi_.system();
-          sys.obs.spans.end(sys.obs.spans.spanForTag(op.tag), sys.engine.now(),
-                            obs::Phase::Completed, pe_id);
-          if (cb) cmi_.pe(pe_id).exec(sim::usec(cmi_.costs().callback_us), cb);
-        });
+    auto done = [this, pe_id, op, cb = std::move(cb)](ucx::Request& r) mutable {
+      outstanding_recvs_.erase(op.tag);
+      if (r.cancelled() || r.peerFailed()) {
+        // The source PE is dead. Cancelled: the detector's sweep pulled
+        // this still-unmatched receive (onPeerFailed — the only cancel
+        // source on this path). PeerFailed: a matched rendezvous whose
+        // remaining legs can never finish. Either way no fallback is
+        // coming from a dead sender, so re-posting would hang; drain
+        // instead.
+        failDeadRecv(pe_id, op, std::move(cb));
+        return;
+      }
+      if (r.failed()) {
+        // A matched rendezvous exhausted its retry budget: the buffer was
+        // never written, and the sender is degrading to the host-staged
+        // route under the same tag. Re-post so the fallback can match —
+        // completing here would report data that never arrived, and the
+        // fallback message would rot in the unexpected queue. Each
+        // re-post consumes one terminal failure, so this cannot spin.
+        ++recv_reposts_;
+        hw::System& sys = cmi_.system();
+        sys.trace.record(sys.engine.now(), sim::TraceCat::Retry, pe_id, r.peer_pe, op.size,
+                         op.tag, "recv-repost");
+        sys.obs.spans.phase(sys.obs.spans.spanForTag(op.tag), sys.engine.now(),
+                            obs::Phase::RecvRepost, pe_id, op.size);
+        postDeviceRecv(pe_id, op, std::move(cb));
+        return;
+      }
+      // Span terminal: data delivered at the machine layer (the model
+      // layer's own callback cost comes after and is not part of the
+      // wire lifecycle).
+      hw::System& sys = cmi_.system();
+      sys.obs.spans.end(sys.obs.spans.spanForTag(op.tag), sys.engine.now(),
+                        obs::Phase::Completed, pe_id);
+      if (cb) cmi_.pe(pe_id).exec(sim::usec(cmi_.costs().callback_us), std::move(cb));
+    };
+    static_assert(ucx::CompletionFn::fitsInline<decltype(done)>());
+    ucx::RequestPtr req =
+        cmi_.ucx().worker(pe_id).tagRecv(op.dst, op.size, op.tag, ucx::kFullMask, std::move(done));
     // Track the posted receive so a later failure announcement can sweep it
     // (see onPeerFailed): by decoded source PE for Device/ZcopyHost tags, by
     // owning PE for every tag type. Only bother when PE failures are

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -43,6 +42,12 @@ struct DeviceRdmaOp {
 
 enum class DeviceRecvType : std::uint8_t { Charm, Ampi, Charm4py, Raw };
 
+/// Model-layer completion of a device send or receive. Sized for the model
+/// layers' continuations (a request or promise plus a status, or a PE
+/// pointer and a wake-up cost); it rides inside the UCX request's
+/// ucx::CompletionFn, so it is moved, never copied.
+using DoneFn = sim::InlineFn<void(), 56>;
+
 class DeviceComm {
  public:
   explicit DeviceComm(cmi::Converse& cmi);
@@ -68,7 +73,7 @@ class DeviceComm {
   /// terminally, `on_complete` is withheld rather than reporting data that
   /// never arrived.
   void lrtsSendDevice(int src_pe, int dst_pe, CmiDeviceBuffer& buf,
-                      std::function<void()> on_complete = {},
+                      DoneFn on_complete = {},
                       DeviceRecvType type = DeviceRecvType::Raw);
 
   /// LrtsRecvDevice: posts the receive for an incoming GPU/zero-copy buffer.
@@ -77,13 +82,13 @@ class DeviceComm {
   /// host-staged route), the receive is re-posted under the same tag until
   /// the fallback delivers.
   void lrtsRecvDevice(int pe, const DeviceRdmaOp& op, DeviceRecvType type,
-                      std::function<void()> on_complete);
+                      DoneFn on_complete);
 
   /// CmiSendDevice: thin Converse-level wrapper over LrtsSendDevice
   /// (paper Figs. 6/7/9 show it between the model layer and the machine
   /// layer).
   void cmiSendDevice(int src_pe, int dst_pe, CmiDeviceBuffer& buf,
-                     std::function<void()> on_complete = {},
+                     DoneFn on_complete = {},
                      DeviceRecvType type = DeviceRecvType::Raw) {
     lrtsSendDevice(src_pe, dst_pe, buf, std::move(on_complete), type);
   }
@@ -98,13 +103,13 @@ class DeviceComm {
 
   /// Sends under tag MsgType::DeviceUser | user_tag (low 60 bits).
   void lrtsSendDeviceUserTag(int src_pe, int dst_pe, CmiDeviceBuffer& buf,
-                             std::uint64_t user_tag, std::function<void()> on_complete = {},
+                             std::uint64_t user_tag, DoneFn on_complete = {},
                              DeviceRecvType type = DeviceRecvType::Raw);
 
   /// Pre-posts the receive for a user-tagged transfer; callable before the
   /// sender has even initiated it.
   void lrtsRecvDeviceUserTag(int pe, void* dst, std::uint64_t size, std::uint64_t user_tag,
-                             DeviceRecvType type, std::function<void()> on_complete);
+                             DeviceRecvType type, DoneFn on_complete);
 
   // --- accounting ---------------------------------------------------------
   [[nodiscard]] std::uint64_t sendsByType(DeviceRecvType t) const {
@@ -149,20 +154,20 @@ class DeviceComm {
   /// link is down at issue time or when the GPU-aware send fails terminally
   /// with the data undelivered.
   void issueSend(int src_pe, int dst_pe, const void* ptr, std::uint64_t size, std::uint64_t tag,
-                 std::function<void()> on_complete);
+                 DoneFn on_complete);
   void startFallback(int src_pe, int dst_pe, const void* ptr, std::uint64_t size,
-                     std::uint64_t tag, std::function<void()> on_complete, const char* why);
+                     std::uint64_t tag, DoneFn on_complete, const char* why);
   /// Posts the machine-layer receive; on terminal rendezvous failure the
   /// receive is re-posted (same tag) instead of completing, so the sender's
   /// host-staged fallback still finds a match — unless the source PE is
   /// dead, in which case the receive drains through failDeadRecv.
-  void postDeviceRecv(int pe, const DeviceRdmaOp& op, std::function<void()> on_complete);
+  void postDeviceRecv(int pe, const DeviceRdmaOp& op, DoneFn on_complete);
   /// Failure-detector announcement hook: cancels still-unmatched posted
   /// receives whose tag names the dead PE as source.
   void onPeerFailed(int dead_pe);
   /// Terminates a receive whose source PE is dead: ends the span (Errored),
   /// traces, and runs the model callback so the operation drains.
-  void failDeadRecv(int pe, const DeviceRdmaOp& op, const std::function<void()>& cb);
+  void failDeadRecv(int pe, const DeviceRdmaOp& op, DoneFn cb);
 
   cmi::Converse& cmi_;
   std::vector<std::uint64_t> counters_;  // per-PE tag counters

@@ -77,7 +77,7 @@ void Stream::memcpyAsync(void* dst, const void* src, std::size_t bytes, MemcpyKi
   enqueue(std::move(op));
 }
 
-void Stream::launch(sim::Duration cost, std::function<void()> body) {
+void Stream::launch(sim::Duration cost, EffectFn body) {
   hw::System& sys = sys_;
   Op op;
   const int device = device_;
@@ -108,7 +108,7 @@ sim::Future<void> Stream::synchronize() {
   return done.future();
 }
 
-GraphBuilder& GraphBuilder::addKernel(sim::Duration cost, std::function<void()> body) {
+GraphBuilder& GraphBuilder::addKernel(sim::Duration cost, EffectFn body) {
   hw::System& sys = sys_;
   const int device = device_;
   Graph::Node node;
@@ -193,11 +193,8 @@ void Stream::kick() {
   Op op = std::move(ops_.front());
   ops_.pop_front();
   const sim::TimePoint finish = op.timing(sys_.engine.now());
-  auto effect = std::move(op.effect);
-  auto done = op.done;
-  sys_.engine.schedule(finish, [this, effect = std::move(effect), done]() mutable {
-    if (effect) effect();
-    done.set();
+  sys_.engine.schedule(finish, [this, effect = std::move(op.effect)] {
+    effect();
     kick();
   });
 }

@@ -2,13 +2,13 @@
 
 #include <cstddef>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "hw/system.hpp"
 #include "sim/future.hpp"
+#include "sim/small_fn.hpp"
 #include "sim/time.hpp"
 
 /// \file cuda.hpp
@@ -114,6 +114,11 @@ class HostBuffer {
   std::unique_ptr<std::byte[]> backing_;  ///< set iff backed and non-empty
 };
 
+/// Op timing: completion time given the op's start time.
+using TimingFn = sim::InlineFn<sim::TimePoint(sim::TimePoint), 56>;
+/// Op effect: runs at completion (byte movement, a kernel's body).
+using EffectFn = sim::InlineFn<void(), 56>;
+
 /// In-order execution stream bound to one GPU.
 class Stream {
  public:
@@ -130,7 +135,7 @@ class Stream {
 
   /// Enqueues a kernel costing `cost` of device time; `body` (may be empty)
   /// runs at completion and performs the kernel's effect on backed memory.
-  void launch(sim::Duration cost, std::function<void()> body = {});
+  void launch(sim::Duration cost, EffectFn body = {});
 
   /// Future fulfilled when every op enqueued so far has completed (plus the
   /// fixed synchronisation overhead).
@@ -143,10 +148,8 @@ class Stream {
   friend class Graph;
 
   struct Op {
-    // Returns completion time given the op's start time.
-    std::function<sim::TimePoint(sim::TimePoint)> timing;
-    std::function<void()> effect;  // runs at completion
-    sim::Promise<void> done;
+    TimingFn timing;
+    EffectFn effect;
   };
 
   void enqueue(Op op);
@@ -180,8 +183,8 @@ class Graph {
   friend class GraphBuilder;
 
   struct Node {
-    std::function<sim::TimePoint(sim::TimePoint)> timing;  // no per-node launch overhead
-    std::function<void()> effect;
+    TimingFn timing;  // no per-node launch overhead
+    EffectFn effect;
   };
 
   std::shared_ptr<const std::vector<Node>> nodes_;
@@ -197,7 +200,7 @@ class GraphBuilder {
 
   /// Adds a kernel node costing `cost` device time; `body` runs at graph
   /// completion.
-  GraphBuilder& addKernel(sim::Duration cost, std::function<void()> body = {});
+  GraphBuilder& addKernel(sim::Duration cost, EffectFn body = {});
 
   /// Adds a memcpy node (same link/engine costs as Stream::memcpyAsync,
   /// minus the per-call enqueue overhead).

@@ -1,42 +1,72 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
 
 /// \file small_fn.hpp
-/// Move-only callable wrapper with a large inline buffer, used as the
-/// engine's event callback type.
+/// Move-only callable wrappers with inline storage: the one callable type of
+/// the per-message path.
 ///
-/// `std::function<void()>` heap-allocates any capture above ~16 bytes, which
-/// is nearly every continuation the communication layers schedule (request
-/// pointer + completion function is already 48 bytes). SmallFn sizes its
-/// inline storage for the largest hot-path captures in the repository — a
-/// `Worker::Incoming` arrival plus the worker pointer (see ucx/worker.hpp) —
-/// so the event hot path performs zero per-event allocations. Callables that
-/// still do not fit fall back to the heap transparently.
+/// `std::function` heap-allocates any capture above ~16 bytes and copies its
+/// target whenever it is copied, which is nearly every continuation the
+/// communication layers build (a request pointer plus a completion is
+/// already 48 bytes). `InlineFn<R(A...), Capacity>` stores callables of up
+/// to `Capacity` bytes in place and falls back to the heap transparently for
+/// larger ones. It is move-only, so a continuation is never copied: it moves
+/// from the layer that builds it into the slot that runs it (an engine slot,
+/// a UCX request, a future).
+///
+/// Capacities in use (see the capture audit in docs/architecture.md):
+///  * `sim::SmallFn` (engine events): 144 bytes, a `Worker::Incoming`
+///    arrival plus the worker pointer.
+///  * `ucx::CompletionFn`: the DeviceComm completion captures.
+///  * `core::DoneFn`, `cuda::Stream` ops and future callbacks: 56 bytes,
+///    the model-layer completions (request state plus a status).
 
 namespace cux::sim {
 
-class SmallFn {
- public:
-  /// Sized so that every event lambda scheduled by src/ucx, src/core and
-  /// src/converse fits inline; keep in sync with the capture audit in
-  /// docs/architecture.md if Worker::Incoming grows. (144 = the 128-byte
-  /// Incoming — including the reliability sequence number — plus the worker
-  /// pointer, rounded up to the next 16-byte alignment boundary.)
-  static constexpr std::size_t kInlineCapacity = 144;
+template <class Sig, std::size_t Capacity>
+class InlineFn;
 
-  SmallFn() noexcept = default;
-  SmallFn(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
+namespace detail {
+
+template <class T>
+struct IsInlineFn : std::false_type {};
+template <class Sig, std::size_t C>
+struct IsInlineFn<InlineFn<Sig, C>> : std::true_type {};
+template <class T>
+struct IsStdFunction : std::false_type {};
+template <class Sig>
+struct IsStdFunction<std::function<Sig>> : std::true_type {};
+
+/// Callables that can be empty: wrapping an empty one yields an empty
+/// InlineFn, so `if (fn)` keeps meaning "something to run".
+template <class F>
+inline constexpr bool kNullable = std::is_pointer_v<F> || std::is_member_pointer_v<F> ||
+                                  IsStdFunction<F>::value || IsInlineFn<F>::value;
+
+}  // namespace detail
+
+template <class R, class... A, std::size_t Capacity>
+class InlineFn<R(A...), Capacity> {
+ public:
+  static constexpr std::size_t kInlineCapacity = Capacity;
+
+  InlineFn() noexcept = default;
+  InlineFn(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
 
   template <typename F,
-            typename = std::enable_if_t<!std::is_same_v<std::remove_cvref_t<F>, SmallFn> &&
-                                        std::is_invocable_r_v<void, std::remove_cvref_t<F>&>>>
-  SmallFn(F&& f) {  // NOLINT(google-explicit-constructor)
+            typename = std::enable_if_t<!std::is_same_v<std::remove_cvref_t<F>, InlineFn> &&
+                                        std::is_invocable_r_v<R, std::remove_cvref_t<F>&, A...>>>
+  InlineFn(F&& f) {  // NOLINT(google-explicit-constructor)
     using Fn = std::remove_cvref_t<F>;
+    if constexpr (detail::kNullable<Fn>) {
+      if (!f) return;
+    }
     if constexpr (fitsInline<Fn>()) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       ops_ = &InlineOps<Fn>::ops;
@@ -46,12 +76,12 @@ class SmallFn {
     }
   }
 
-  SmallFn(SmallFn&& other) noexcept : ops_(other.ops_) {
+  InlineFn(InlineFn&& other) noexcept : ops_(other.ops_) {
     if (ops_) ops_->relocate(storage_, other.storage_);
     other.ops_ = nullptr;
   }
 
-  SmallFn& operator=(SmallFn&& other) noexcept {
+  InlineFn& operator=(InlineFn&& other) noexcept {
     if (this != &other) {
       reset();
       ops_ = other.ops_;
@@ -61,10 +91,10 @@ class SmallFn {
     return *this;
   }
 
-  SmallFn(const SmallFn&) = delete;
-  SmallFn& operator=(const SmallFn&) = delete;
+  InlineFn(const InlineFn&) = delete;
+  InlineFn& operator=(const InlineFn&) = delete;
 
-  ~SmallFn() { reset(); }
+  ~InlineFn() { reset(); }
 
   /// Destroys the held callable (no-op when empty).
   void reset() noexcept {
@@ -76,28 +106,41 @@ class SmallFn {
 
   [[nodiscard]] explicit operator bool() const noexcept { return ops_ != nullptr; }
 
-  void operator()() {
-    if (ops_) ops_->invoke(storage_);
+  /// Invokes the held callable; calling an empty InlineFn is a no-op for
+  /// `void` signatures and undefined otherwise.
+  R operator()(A... args) const {
+    if constexpr (std::is_void_v<R>) {
+      if (ops_) ops_->invoke(storage_, std::forward<A>(args)...);
+    } else {
+      return ops_->invoke(storage_, std::forward<A>(args)...);
+    }
   }
 
   /// True when a callable of type `Fn` is stored without a heap allocation
   /// (exposed for the capture-size regression tests).
   template <typename Fn>
   [[nodiscard]] static constexpr bool fitsInline() noexcept {
-    return sizeof(Fn) <= kInlineCapacity && alignof(Fn) <= alignof(std::max_align_t) &&
+    return sizeof(Fn) <= Capacity && alignof(Fn) <= kAlign &&
            std::is_nothrow_move_constructible_v<Fn>;
   }
 
  private:
+  /// Pointer alignment, not max_align_t: captures are pointers, integers and
+  /// standard containers, and an InlineFn nested in another one's capture
+  /// then adds no padding. Over-aligned callables take the heap path.
+  static constexpr std::size_t kAlign = alignof(void*);
+
   struct Ops {
-    void (*invoke)(void*);
+    R (*invoke)(void*, A&&...);
     void (*relocate)(void* dst, void* src) noexcept;  ///< move-construct dst, destroy src
     void (*destroy)(void*) noexcept;
   };
 
   template <typename Fn>
   struct InlineOps {
-    static void invoke(void* p) { (*std::launder(reinterpret_cast<Fn*>(p)))(); }
+    static R invoke(void* p, A&&... args) {
+      return std::invoke(*std::launder(reinterpret_cast<Fn*>(p)), std::forward<A>(args)...);
+    }
     static void relocate(void* dst, void* src) noexcept {
       Fn* s = std::launder(reinterpret_cast<Fn*>(src));
       ::new (dst) Fn(std::move(*s));
@@ -110,14 +153,24 @@ class SmallFn {
   template <typename Fn>
   struct HeapOps {
     static Fn* get(void* p) noexcept { return *std::launder(reinterpret_cast<Fn**>(p)); }
-    static void invoke(void* p) { (*get(p))(); }
+    static R invoke(void* p, A&&... args) {
+      return std::invoke(*get(p), std::forward<A>(args)...);
+    }
     static void relocate(void* dst, void* src) noexcept { ::new (dst) Fn*(get(src)); }
     static void destroy(void* p) noexcept { delete get(p); }
     static constexpr Ops ops{&invoke, &relocate, &destroy};
   };
 
+  // Invocation is const like std::function's: the stored callable itself
+  // may be mutable.
+  alignas(kAlign) mutable std::byte storage_[Capacity];
   const Ops* ops_ = nullptr;
-  alignas(std::max_align_t) std::byte storage_[kInlineCapacity];
 };
+
+/// The engine's event callback: sized so that every event lambda scheduled
+/// by src/ucx, src/core and src/converse fits inline (144 bytes: an
+/// arrival capture, `Worker::Incoming` plus the worker pointer, with room to
+/// spare; worker.hpp checks that budget at compile time).
+using SmallFn = InlineFn<void(), 144>;
 
 }  // namespace cux::sim

@@ -3,9 +3,7 @@
 #include <coroutine>
 #include <cstdio>
 #include <exception>
-#include <memory>
 #include <utility>
-#include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/future.hpp"
@@ -72,22 +70,6 @@ class [[nodiscard]] FutureTask {
   explicit FutureTask(Future<void> f) : future_(std::move(f)) {}
   Future<void> future_;
 };
-
-/// Future fulfilled when every input future is fulfilled.
-[[nodiscard]] inline Future<void> allOf(const std::vector<Future<void>>& futures) {
-  Promise<void> done;
-  auto remaining = std::make_shared<std::size_t>(futures.size());
-  if (*remaining == 0) {
-    done.set();
-    return done.future();
-  }
-  for (const auto& f : futures) {
-    f.onReady([done, remaining] {
-      if (--*remaining == 0) done.set();
-    });
-  }
-  return done.future();
-}
 
 /// Awaitable that suspends the current coroutine for `d` nanoseconds of
 /// virtual time. Usage: `co_await delay(engine, usec(5));`

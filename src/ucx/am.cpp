@@ -27,7 +27,7 @@ ActiveMessages::ActiveMessages(Context& ctx) : ctx_(ctx) {
           const std::uint64_t key =
               (static_cast<std::uint64_t>(pe) << 8) | idOf(tag);
           auto it = regs_.find(key);
-          if (it == regs_.end()) return {nullptr, {}};  // unregistered id: decline
+          if (it == regs_.end()) return {nullptr, CompletionFn{}};  // unregistered id: decline
           void* buf = it->second.alloc(len, src_pe);
           Handler& handler = it->second.handler;
           CompletionFn done = [this, &handler, buf, len, src_pe](Request&) {

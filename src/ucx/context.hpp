@@ -53,6 +53,13 @@ class Context {
   RequestPtr amSend(int src_pe, int dst_pe, Tag tag, std::vector<std::byte> payload,
                     CompletionFn cb = {});
 
+  /// amSend whose wire length is `payload.size() + phantom_bytes`: the
+  /// phantom bytes stand for a source in unbacked (simulation-only) memory,
+  /// so they are charged on every link, counted in bytesSent() and reported
+  /// as Delivery::len, but never materialised on the host.
+  RequestPtr amSendPhantom(int src_pe, int dst_pe, Tag tag, std::vector<std::byte> payload,
+                           std::uint64_t phantom_bytes, CompletionFn cb = {});
+
   /// Like tagSend, but a device-memory source is first staged to the host
   /// (cudaMemcpy D2H through the GPU egress link) and then sent as a host
   /// message under the same tag. This is the degraded route DeviceComm falls
@@ -181,15 +188,19 @@ class Context {
   [[nodiscard]] sim::TimePoint stageDeviceEager(sim::TimePoint t, int pe, std::uint64_t len,
                                                 bool egress);
 
+  /// A pooled send request carrying its completion, counted as started.
+  [[nodiscard]] RequestPtr makeSendRequest(int dst_pe, std::uint64_t len, Tag tag,
+                                           CompletionFn cb);
+
   /// Protocol selection body shared by tagSend and the host-staged fallback
   /// (which re-enters it with src_device forced off after the D2H copy).
   void startSend(int src_pe, int dst_pe, const void* buf, std::uint64_t len, Tag tag,
-                 bool src_device, RequestPtr req, CompletionFn cb);
+                 bool src_device, RequestPtr req);
 
   void sendEager(int src_pe, int dst_pe, const void* buf, std::uint64_t len, Tag tag,
-                 bool src_device, RequestPtr req, CompletionFn cb);
+                 bool src_device, RequestPtr req);
   void sendRndv(int src_pe, int dst_pe, const void* buf, std::uint64_t len, Tag tag,
-                bool src_device, RequestPtr req, CompletionFn cb);
+                bool src_device, RequestPtr req);
 
   /// Result of the rendezvous data movement. `ok == false` means a leg
   /// (CTS or data) exhausted its retransmission budget: the sender has been
@@ -201,7 +212,8 @@ class Context {
   };
 
   /// Executes the rendezvous data movement once the receiver has matched.
-  /// Called by Worker::startRndvTransfer; returns the data arrival time and
+  /// Called by Worker::startRndvTransfer and deliverToHandler (a null
+  /// `dst_buf` counts as host memory); returns the data arrival time and
   /// schedules sender-side completion (Done via ATS, or Error).
   RndvResult rndvTransfer(const Worker::Incoming& msg, int dst_pe, void* dst_buf);
 

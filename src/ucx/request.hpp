@@ -2,10 +2,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
+#include <utility>
 #include <vector>
+
+#include "sim/small_fn.hpp"
 
 /// \file request.hpp
 /// Non-blocking operation handles, the moral equivalent of ucs_status_ptr_t
@@ -25,6 +27,18 @@ inline constexpr Tag kFullMask = ~Tag{0};
 /// through the completion callback exactly once — an operation never hangs.
 enum class ReqState : std::uint8_t { Pending, Done, Cancelled, Error, PeerFailed };
 
+struct Request;
+
+/// Completion callback; the request is fully populated when invoked. Sized
+/// for the machine layer's completions (DeviceComm's send and receive
+/// continuations, which carry a model-layer core::DoneFn); larger captures
+/// fall back to the heap.
+using CompletionFn = sim::InlineFn<void(Request&), 104>;
+
+/// One in-flight operation. The request owns its completion (as
+/// ucp_request_param_t.cb does in real UCX): every engine event that may
+/// finish the operation captures only the RequestPtr, and the completion is
+/// never copied. complete() is the single terminal transition.
 struct Request {
   ReqState state = ReqState::Pending;
   Tag matched_tag = 0;        ///< actual tag of the matched message (recv side)
@@ -54,12 +68,25 @@ struct Request {
   enum class MatchQueue : std::uint8_t { None, Exact, Wildcard };
   std::uint32_t match_slot = kNoSlot;
   MatchQueue match_queue = MatchQueue::None;
+
+  /// Fired by complete(); empty once it has run.
+  CompletionFn completion;
 };
 
-using RequestPtr = std::shared_ptr<Request>;
+/// Terminal transition of a request: if it is still Pending, moves the
+/// completion out, sets `s` and invokes the completion; otherwise does
+/// nothing. The completion is moved out first: one that captures its own
+/// RequestPtr is released as it runs instead of keeping the request alive,
+/// and one that re-enters the machine layer sees the request already
+/// terminal.
+inline void complete(Request& r, ReqState s) {
+  if (r.state != ReqState::Pending) return;
+  CompletionFn cb = std::move(r.completion);
+  r.state = s;
+  if (cb) cb(r);
+}
 
-/// Completion callback; the request is fully populated when invoked.
-using CompletionFn = std::function<void(Request&)>;
+using RequestPtr = std::shared_ptr<Request>;
 
 namespace detail {
 

@@ -9,10 +9,11 @@ namespace cux::ucx {
 
 namespace {
 
-[[nodiscard]] RequestPtr makeReq(int peer, std::uint64_t bytes) {
+[[nodiscard]] RequestPtr makeReq(int peer, std::uint64_t bytes, CompletionFn cb) {
   auto req = std::make_shared<Request>();
   req->peer_pe = peer;
   req->bytes = bytes;
+  req->completion = std::move(cb);
   return req;
 }
 
@@ -50,16 +51,15 @@ RequestPtr Rma::put(int src_pe, const void* lbuf, std::uint64_t len, const Remot
                     std::uint64_t offset, CompletionFn cb) {
   checkAccess("put", rkey, offset, len);
   ++puts_;
-  auto req = makeReq(rkey.pe, len);
+  auto req = makeReq(rkey.pe, len, std::move(cb));
   hw::System& sys = ctx_.system();
   const sim::TimePoint t0 =
       sys.engine.now() + sim::usec(ctx_.config().send_overhead_us);
   void* dst = static_cast<std::byte*>(rkey.base) + offset;
   const sim::TimePoint arrival = dataTransfer(src_pe, lbuf, rkey.pe, dst, len, t0);
-  sys.engine.schedule(arrival, [&sys, req, cb = std::move(cb), dst, lbuf, len] {
+  sys.engine.schedule(arrival, [&sys, req, dst, lbuf, len] {
     cuda::moveBytes(sys, dst, lbuf, len);
-    req->state = ReqState::Done;
-    if (cb) cb(*req);
+    complete(*req, ReqState::Done);
   });
   return req;
 }
@@ -68,7 +68,7 @@ RequestPtr Rma::get(int src_pe, void* lbuf, std::uint64_t len, const RemoteKey& 
                     std::uint64_t offset, CompletionFn cb) {
   checkAccess("get", rkey, offset, len);
   ++gets_;
-  auto req = makeReq(rkey.pe, len);
+  auto req = makeReq(rkey.pe, len, std::move(cb));
   hw::System& sys = ctx_.system();
   // Get: the request travels to the target (header), the data streams back.
   const sim::TimePoint t0 =
@@ -77,10 +77,9 @@ RequestPtr Rma::get(int src_pe, void* lbuf, std::uint64_t len, const RemoteKey& 
       sys.machine.hostToHostPath(src_pe, rkey.pe), t0, ctx_.config().header_bytes);
   const void* src = static_cast<const std::byte*>(rkey.base) + offset;
   const sim::TimePoint arrival = dataTransfer(rkey.pe, src, src_pe, lbuf, len, at_target);
-  sys.engine.schedule(arrival, [&sys, req, cb = std::move(cb), lbuf, src, len] {
+  sys.engine.schedule(arrival, [&sys, req, lbuf, src, len] {
     cuda::moveBytes(sys, lbuf, src, len);
-    req->state = ReqState::Done;
-    if (cb) cb(*req);
+    complete(*req, ReqState::Done);
   });
   return req;
 }
@@ -89,7 +88,7 @@ RequestPtr Rma::atomicFetchAdd(int src_pe, const RemoteKey& rkey, std::uint64_t 
                                std::uint64_t operand, std::uint64_t* result, CompletionFn cb) {
   checkAccess("atomicFetchAdd", rkey, offset, 8);
   ++atomics_;
-  auto req = makeReq(rkey.pe, 8);
+  auto req = makeReq(rkey.pe, 8, std::move(cb));
   hw::System& sys = ctx_.system();
   const sim::TimePoint t0 = sys.engine.now() + sim::usec(ctx_.config().send_overhead_us);
   // Round trip: operation to the target NIC, result back.
@@ -107,9 +106,8 @@ RequestPtr Rma::atomicFetchAdd(int src_pe, const RemoteKey& rkey, std::uint64_t 
     if (result != nullptr) *result = *w;
     *w += operand;
   });
-  sys.engine.schedule(done, [req, cb = std::move(cb)] {
-    req->state = ReqState::Done;
-    if (cb) cb(*req);
+  sys.engine.schedule(done, [req] {
+    complete(*req, ReqState::Done);
   });
   return req;
 }
@@ -119,7 +117,7 @@ RequestPtr Rma::atomicCompareSwap(int src_pe, const RemoteKey& rkey, std::uint64
                                   std::uint64_t* result, CompletionFn cb) {
   checkAccess("atomicCompareSwap", rkey, offset, 8);
   ++atomics_;
-  auto req = makeReq(rkey.pe, 8);
+  auto req = makeReq(rkey.pe, 8, std::move(cb));
   hw::System& sys = ctx_.system();
   const sim::TimePoint t0 = sys.engine.now() + sim::usec(ctx_.config().send_overhead_us);
   const sim::TimePoint at_target = hw::Machine::ctrlTransfer(
@@ -133,9 +131,8 @@ RequestPtr Rma::atomicCompareSwap(int src_pe, const RemoteKey& rkey, std::uint64
     if (result != nullptr) *result = *w;
     if (*w == expected) *w = desired;
   });
-  sys.engine.schedule(done, [req, cb = std::move(cb)] {
-    req->state = ReqState::Done;
-    if (cb) cb(*req);
+  sys.engine.schedule(done, [req] {
+    complete(*req, ReqState::Done);
   });
   return req;
 }

@@ -51,8 +51,9 @@ RequestPtr Streams::streamRecv(int pe, int from_pe, void* buf, std::uint64_t len
   auto req = std::make_shared<Request>();
   req->peer_pe = from_pe;
   req->bytes = len;
+  req->completion = std::move(cb);
   PairState& st = pair(pe, from_pe);
-  st.waiting.push_back(PendingRecv{req, buf, len, 0, std::move(cb)});
+  st.waiting.push_back(PendingRecv{req, buf, len, 0});
   drain(st);
   return req;
 }
@@ -105,8 +106,7 @@ void Streams::drain(PairState& st) {
       if (s.consumed == s.len) st.segments.pop_front();
     }
     st.bytes_avail -= p.len;
-    p.req->state = ReqState::Done;
-    if (p.cb) p.cb(*p.req);
+    complete(*p.req, ReqState::Done);
   }
 }
 

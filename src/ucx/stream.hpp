@@ -48,7 +48,6 @@ class Streams {
     void* buf;
     std::uint64_t len;
     std::uint64_t filled = 0;
-    CompletionFn cb;
   };
   struct Segment {
     std::vector<std::byte> data;

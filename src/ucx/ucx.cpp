@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <utility>
@@ -97,8 +98,7 @@ struct Context::WireState {
   /// Control message (rendezvous RTS): flies at control latency, and the
   /// sender request is completed later by the ATS (or by exhaustion here).
   bool ctrl = false;
-  RequestPtr req;
-  CompletionFn cb;
+  RequestPtr req;  ///< sender request (owns the completion)
   bool delivered = false;
 };
 
@@ -138,10 +138,7 @@ void Context::reliableTransmit(const std::shared_ptr<WireState>& ws, int attempt
       // delivery (rendezvous RTS senders instead complete via ATS).
       if (!ws->ctrl && ws->req) {
         ws->req->data_delivered = true;
-        if (ws->req->state == ReqState::Pending) {
-          ws->req->state = ReqState::Done;
-          if (ws->cb) ws->cb(*ws->req);
-        }
+        complete(*ws->req, ReqState::Done);
       }
       worker(ws->dst_pe).onArrival(std::move(ws->proto));
     });
@@ -162,20 +159,14 @@ void Context::reliableTransmit(const std::shared_ptr<WireState>& ws, int attempt
                         ws->proto.tag, "peer-failed");
       sys_.obs.spans.phase(sys_.obs.spans.spanForTag(ws->proto.tag), t, obs::Phase::PeFailed,
                            ws->src_pe);
-      if (ws->req && ws->req->state == ReqState::Pending) {
-        ws->req->state = ReqState::PeerFailed;
-        if (ws->cb) ws->cb(*ws->req);
-      }
+      if (ws->req) complete(*ws->req, ReqState::PeerFailed);
       return;
     }
     if (attempt >= cfg_.max_retries) {
       ++send_errors_;
       sys_.trace.record(sys_.engine.now(), sim::TraceCat::Drop, ws->src_pe, ws->dst_pe,
                         ws->proto.len, ws->proto.tag, "retries-exhausted");
-      if (ws->req && ws->req->state == ReqState::Pending) {
-        ws->req->state = ReqState::Error;
-        if (ws->cb) ws->cb(*ws->req);
-      }
+      if (ws->req) complete(*ws->req, ReqState::Error);
       return;
     }
     ++retransmits_;
@@ -253,30 +244,36 @@ void Context::recycleBuffer(std::vector<std::byte>&& buf) {
   buf_pool_.push_back(std::move(buf));
 }
 
-RequestPtr Context::tagSend(int src_pe, int dst_pe, const void* buf, std::uint64_t len, Tag tag,
-                            CompletionFn cb) {
+RequestPtr Context::makeSendRequest(int dst_pe, std::uint64_t len, Tag tag, CompletionFn cb) {
   auto req = makeRequest();
   req->peer_pe = dst_pe;
   req->bytes = len;
   req->matched_tag = tag;
+  req->completion = std::move(cb);
   ++sends_started_;
   bytes_sent_ += len;
-  startSend(src_pe, dst_pe, buf, len, tag, sys_.memory.isDevice(buf), req, std::move(cb));
+  return req;
+}
+
+RequestPtr Context::tagSend(int src_pe, int dst_pe, const void* buf, std::uint64_t len, Tag tag,
+                            CompletionFn cb) {
+  auto req = makeSendRequest(dst_pe, len, tag, std::move(cb));
+  startSend(src_pe, dst_pe, buf, len, tag, sys_.memory.isDevice(buf), req);
   return req;
 }
 
 void Context::startSend(int src_pe, int dst_pe, const void* buf, std::uint64_t len, Tag tag,
-                        bool src_device, RequestPtr req, CompletionFn cb) {
+                        bool src_device, RequestPtr req) {
   const std::uint64_t eager_limit = src_device ? cfg_.device_eager_threshold
                                                : cfg_.host_eager_threshold;
   if (len <= eager_limit) {
     sys_.trace.record(sys_.engine.now(), sim::TraceCat::UcxSend, src_pe, dst_pe, len, tag,
                       src_device ? "eager-device" : "eager-host");
-    sendEager(src_pe, dst_pe, buf, len, tag, src_device, std::move(req), std::move(cb));
+    sendEager(src_pe, dst_pe, buf, len, tag, src_device, std::move(req));
   } else {
     sys_.trace.record(sys_.engine.now(), sim::TraceCat::UcxSend, src_pe, dst_pe, len, tag,
                       src_device ? "rndv-device" : "rndv-host");
-    sendRndv(src_pe, dst_pe, buf, len, tag, src_device, std::move(req), std::move(cb));
+    sendRndv(src_pe, dst_pe, buf, len, tag, src_device, std::move(req));
   }
 }
 
@@ -284,12 +281,7 @@ RequestPtr Context::tagSendHostStaged(int src_pe, int dst_pe, const void* buf, s
                                       Tag tag, CompletionFn cb) {
   if (!sys_.memory.isDevice(buf)) return tagSend(src_pe, dst_pe, buf, len, tag, std::move(cb));
 
-  auto req = makeRequest();
-  req->peer_pe = dst_pe;
-  req->bytes = len;
-  req->matched_tag = tag;
-  ++sends_started_;
-  bytes_sent_ += len;
+  auto req = makeSendRequest(dst_pe, len, tag, std::move(cb));
 
   // Degraded route: cudaMemcpy D2H through the GPU egress link first, then a
   // plain host-memory send under the same tag (a pre-posted receive still
@@ -299,23 +291,21 @@ RequestPtr Context::tagSendHostStaged(int src_pe, int dst_pe, const void* buf, s
   const hw::GpuId gpu = sys_.machine.gpuOfPe(src_pe);
   const sim::TimePoint staged =
       sys_.machine.gpuUp(gpu).reserve(engine.now() + sim::usec(cfg_.cuda_stage_latency_us), len);
-  engine.schedule(staged, [this, src_pe, dst_pe, buf, len, tag, req, cb = std::move(cb)]() mutable {
-    startSend(src_pe, dst_pe, buf, len, tag, /*src_device=*/false, std::move(req),
-              std::move(cb));
+  engine.schedule(staged, [this, src_pe, dst_pe, buf, len, tag, req]() mutable {
+    startSend(src_pe, dst_pe, buf, len, tag, /*src_device=*/false, std::move(req));
   });
   return req;
 }
 
 RequestPtr Context::amSend(int src_pe, int dst_pe, Tag tag, std::vector<std::byte> payload,
                            CompletionFn cb) {
-  auto req = makeRequest();
-  req->peer_pe = dst_pe;
-  req->bytes = payload.size();
-  req->matched_tag = tag;
-  ++sends_started_;
-  bytes_sent_ += payload.size();
+  return amSendPhantom(src_pe, dst_pe, tag, std::move(payload), 0, std::move(cb));
+}
 
-  const std::uint64_t len = payload.size();
+RequestPtr Context::amSendPhantom(int src_pe, int dst_pe, Tag tag, std::vector<std::byte> payload,
+                                  std::uint64_t phantom_bytes, CompletionFn cb) {
+  const std::uint64_t len = payload.size() + phantom_bytes;
+  auto req = makeSendRequest(dst_pe, len, tag, std::move(cb));
   sim::Engine& engine = sys_.engine;
   Worker& dst = worker(dst_pe);
 
@@ -333,14 +323,10 @@ RequestPtr Context::amSend(int src_pe, int dst_pe, Tag tag, std::vector<std::byt
       ws->dst_pe = dst_pe;
       ws->cls = sim::MsgClass::Am;
       ws->req = req;
-      ws->cb = std::move(cb);
       engine.schedule(t0, [this, ws] { reliableTransmit(ws, 0); });
       return req;
     }
-    engine.schedule(t0, [req, cb] {
-      req->state = ReqState::Done;
-      if (cb) cb(*req);
-    });
+    engine.schedule(t0, [req] { complete(*req, ReqState::Done); });
     const hw::Path path = sys_.machine.hostToHostPath(src_pe, dst_pe);
     const sim::TimePoint arrival = sys_.machine.transfer(path, t0, len + cfg_.header_bytes);
     Worker::Incoming msg;
@@ -359,7 +345,7 @@ RequestPtr Context::amSend(int src_pe, int dst_pe, Tag tag, std::vector<std::byt
   // sender-side ATS completion when recv_overhead exceeds the ATS control
   // latency, so tying the payload's lifetime to the sender callback (as an
   // earlier revision did) is a use-after-free.
-  auto shared_payload = std::make_shared<const std::vector<std::byte>>(std::move(payload));
+  auto shared_payload = std::make_shared<std::vector<std::byte>>(std::move(payload));
   const sim::TimePoint t0 = engine.now() + sim::usec(cfg_.send_overhead_us);
   Worker::Incoming msg;
   msg.tag = tag;
@@ -368,7 +354,6 @@ RequestPtr Context::amSend(int src_pe, int dst_pe, Tag tag, std::vector<std::byt
   msg.is_rndv = true;
   msg.src_ptr = shared_payload->data();
   msg.send_req = req;
-  msg.send_cb = cb;
   msg.payload_owner = std::move(shared_payload);
   if (reliable()) {
     // The RTS is a control message: retransmitted until one copy is
@@ -381,7 +366,6 @@ RequestPtr Context::amSend(int src_pe, int dst_pe, Tag tag, std::vector<std::byt
     ws->cls = sim::MsgClass::RndvCtrl;
     ws->ctrl = true;
     ws->req = req;
-    ws->cb = std::move(cb);
     engine.schedule(t0, [this, ws] { reliableTransmit(ws, 0); });
     return req;
   }
@@ -393,7 +377,7 @@ RequestPtr Context::amSend(int src_pe, int dst_pe, Tag tag, std::vector<std::byt
 }
 
 void Context::sendEager(int src_pe, int dst_pe, const void* buf, std::uint64_t len, Tag tag,
-                        bool src_device, RequestPtr req, CompletionFn cb) {
+                        bool src_device, RequestPtr req) {
   sim::Engine& engine = sys_.engine;
   sim::TimePoint t0 = engine.now() + sim::usec(cfg_.send_overhead_us);
   if (src_device) t0 = stageDeviceEager(t0, src_pe, len, /*egress=*/true);
@@ -420,16 +404,12 @@ void Context::sendEager(int src_pe, int dst_pe, const void* buf, std::uint64_t l
     ws->dst_pe = dst_pe;
     ws->cls = sim::MsgClass::Eager;
     ws->req = std::move(req);
-    ws->cb = std::move(cb);
     engine.schedule(t0, [this, ws] { reliableTransmit(ws, 0); });
     return;
   }
 
   // Eager sends complete locally once the payload has been captured.
-  engine.schedule(t0, [req, cb] {
-    req->state = ReqState::Done;
-    if (cb) cb(*req);
-  });
+  engine.schedule(t0, [req = std::move(req)] { complete(*req, ReqState::Done); });
 
   const hw::Path path = sys_.machine.hostToHostPath(src_pe, dst_pe);
   const sim::TimePoint arrival = sys_.machine.transfer(path, t0, len + cfg_.header_bytes);
@@ -439,7 +419,7 @@ void Context::sendEager(int src_pe, int dst_pe, const void* buf, std::uint64_t l
 }
 
 void Context::sendRndv(int src_pe, int dst_pe, const void* buf, std::uint64_t len, Tag tag,
-                       bool src_device, RequestPtr req, CompletionFn cb) {
+                       bool src_device, RequestPtr req) {
   sim::Engine& engine = sys_.engine;
   const sim::TimePoint t0 = engine.now() + sim::usec(cfg_.send_overhead_us);
 
@@ -451,7 +431,6 @@ void Context::sendRndv(int src_pe, int dst_pe, const void* buf, std::uint64_t le
   msg.src_ptr = buf;
   msg.src_device = src_device;
   msg.send_req = req;
-  msg.send_cb = cb;
 
   if (reliable()) {
     auto ws = std::make_shared<WireState>();
@@ -461,7 +440,6 @@ void Context::sendRndv(int src_pe, int dst_pe, const void* buf, std::uint64_t le
     ws->cls = sim::MsgClass::RndvCtrl;
     ws->ctrl = true;
     ws->req = std::move(req);
-    ws->cb = std::move(cb);
     engine.schedule(t0, [this, ws] { reliableTransmit(ws, 0); });
     return;
   }
@@ -616,7 +594,6 @@ Context::RndvResult Context::rndvTransfer(const Worker::Incoming& msg, int dst_p
   }
 
   RequestPtr send_req = msg.send_req;
-  CompletionFn send_cb = msg.send_cb;
 
   if (failed) {
     // The CTS or data leg exhausted its budget (or a peer is known dead):
@@ -634,11 +611,8 @@ Context::RndvResult Context::rndvTransfer(const Worker::Incoming& msg, int dst_p
     }
     sys_.trace.record(data_arrival, sim::TraceCat::Drop, src_pe, dst_pe, len, msg.tag,
                       "rndv-failed");
-    engine.schedule(data_arrival, [send_req, send_cb, peer_dead] {
-      if (send_req && send_req->state == ReqState::Pending) {
-        send_req->state = peer_dead ? ReqState::PeerFailed : ReqState::Error;
-        if (send_cb) send_cb(*send_req);
-      }
+    engine.schedule(data_arrival, [send_req = std::move(send_req), peer_dead] {
+      if (send_req) complete(*send_req, peer_dead ? ReqState::PeerFailed : ReqState::Error);
     });
     return {data_arrival, false};
   }
@@ -678,7 +652,7 @@ Context::RndvResult Context::rndvTransfer(const Worker::Incoming& msg, int dst_p
                        src_pe, ats_ok ? 1 : 0);
   const bool ats_peer_dead =
       !ats_ok && (peerKnownDead(ats_arrival, src_pe) || peerKnownDead(ats_arrival, dst_pe));
-  engine.schedule(ats_arrival, [send_req, send_cb, ats_ok, ats_peer_dead] {
+  engine.schedule(ats_arrival, [send_req = std::move(send_req), ats_ok, ats_peer_dead] {
     if (send_req && send_req->state == ReqState::Pending) {
       // The data leg finished before the ATS was even attempted, so the
       // receiver has the payload either way; an Error (or PeerFailed, when
@@ -686,9 +660,8 @@ Context::RndvResult Context::rndvTransfer(const Worker::Incoming& msg, int dst_p
       // lost. Callers must not resend: the matched receive is consumed, and
       // a resend under the same tag could never match.
       send_req->data_delivered = true;
-      send_req->state =
-          ats_ok ? ReqState::Done : (ats_peer_dead ? ReqState::PeerFailed : ReqState::Error);
-      if (send_cb) send_cb(*send_req);
+      complete(*send_req,
+               ats_ok ? ReqState::Done : (ats_peer_dead ? ReqState::PeerFailed : ReqState::Error));
     }
   });
   return {data_arrival, true};
@@ -838,7 +811,8 @@ void Worker::dispatchMatch(PostedRecv r, Incoming msg) {
 
 RequestPtr Worker::tagRecv(void* buf, std::uint64_t len, Tag tag, Tag mask, CompletionFn cb) {
   RequestPtr req = ctx_.makeRequest();
-  PostedRecv r{req, buf, len, tag, mask, std::move(cb)};
+  req->completion = std::move(cb);
+  PostedRecv r{req, buf, len, tag, mask};
 
   // A hit in the unexpected store below ends the early-arrival wait: the
   // payload got here before this receive was posted (the paper's
@@ -902,7 +876,8 @@ bool Worker::cancelRecv(const RequestPtr& req) {
   // completion: invoking it synchronously would reenter worker state
   // mid-operation (the callback may repost, cancel, or send) and give
   // cancellation an ordering no other completion path has.
-  auto deliverCancel = [this, &req](CompletionFn cb) {
+  auto deliverCancel = [this, &req] {
+    CompletionFn cb = std::move(req->completion);
     req->state = ReqState::Cancelled;
     if (cb) {
       sim::Engine& engine = ctx_.system().engine;
@@ -918,10 +893,10 @@ bool Worker::cancelRecv(const RequestPtr& req) {
           req->match_queue == Request::MatchQueue::Exact ? posted_exact_ : posted_wild_;
       const std::uint32_t slot = req->match_slot;
       if (!store.liveAt(slot) || store.at(slot).req != req) return false;
-      PostedRecv r = store.take(slot);
+      store.erase(slot);
       req->match_slot = Request::kNoSlot;
       req->match_queue = Request::MatchQueue::None;
-      deliverCancel(std::move(r.cb));
+      deliverCancel();
       return true;
     }
     case Request::MatchQueue::None:
@@ -972,7 +947,8 @@ void Worker::onArrival(Incoming msg) {
     if (!tagsMatch(msg.tag, bh.tag, bh.mask)) continue;
     auto [buf, cb] = bh.fn(msg.len, msg.tag, msg.src_pe);
     if (buf == nullptr && msg.len > 0) continue;  // declined
-    PostedRecv r{ctx_.makeRequest(), buf, msg.len, msg.tag, kFullMask, std::move(cb)};
+    PostedRecv r{ctx_.makeRequest(), buf, msg.len, msg.tag, kFullMask};
+    r.req->completion = std::move(cb);
     dispatchMatch(std::move(r), std::move(msg));
     return;
   }
@@ -1013,25 +989,23 @@ void Worker::completeRecvFromEager(PostedRecv r, Incoming msg) {
   const bool dst_device = ctx.system().memory.isDevice(r.buf);
   if (dst_device) t = ctx.stageDeviceEager(t, pe_, msg.len, /*egress=*/false);
 
-  RequestPtr req = r.req;
+  RequestPtr req = std::move(r.req);
   req->matched_tag = msg.tag;
   req->bytes = msg.len;
   req->peer_pe = msg.src_pe;
   void* buf = r.buf;
-  CompletionFn cb = std::move(r.cb);
-  // Capture the payload fields individually instead of the whole Incoming:
-  // the completion then fits SmallFn's inline buffer (no allocation).
-  engine.schedule(t, [this, req, cb = std::move(cb), buf, payload = std::move(msg.payload),
-                      payload_valid = msg.payload_valid, tag = msg.tag, src_pe = msg.src_pe,
-                      len = msg.len]() mutable {
+  // Capture the payload fields individually instead of the whole Incoming;
+  // the completion itself stays in the request.
+  engine.schedule(t, [this, req = std::move(req), buf, payload = std::move(msg.payload),
+                      payload_valid = msg.payload_valid]() mutable {
     hw::System& sys = ctx_.system();
     if (payload_valid) cuda::moveBytes(sys, buf, payload.data(), payload.size());
     // The payload has been consumed: its storage goes back to the eager pool
     // so the steady-state path stops allocating per message.
     ctx_.recycleBuffer(std::move(payload));
-    req->state = ReqState::Done;
-    sys.trace.record(sys.engine.now(), sim::TraceCat::UcxRecv, pe_, src_pe, len, tag, "eager");
-    if (cb) cb(*req);
+    sys.trace.record(sys.engine.now(), sim::TraceCat::UcxRecv, pe_, req->peer_pe, req->bytes,
+                     req->matched_tag, "eager");
+    complete(*req, ReqState::Done);
   });
 }
 
@@ -1041,7 +1015,7 @@ void Worker::startRndvTransfer(PostedRecv r, Incoming msg) {
   sim::Engine& engine = ctx.system().engine;
   const Context::RndvResult res = ctx.rndvTransfer(msg, pe_, r.buf);
 
-  RequestPtr req = r.req;
+  RequestPtr req = std::move(r.req);
   req->matched_tag = msg.tag;
   req->bytes = msg.len;
   req->peer_pe = msg.src_pe;
@@ -1052,43 +1026,36 @@ void Worker::startRndvTransfer(PostedRecv r, Incoming msg) {
     // scheduled) instead of leaving the request pending forever.
     const bool peer_dead = ctx.peerKnownDead(res.data_arrival, msg.src_pe) ||
                            ctx.peerKnownDead(res.data_arrival, pe_);
-    CompletionFn fail_cb = std::move(r.cb);
-    const int pe = pe_;
-    const Tag tag = msg.tag;
-    const int src_pe = msg.src_pe;
-    const std::uint64_t len = msg.len;
-    engine.schedule(res.data_arrival, [&sys = ctx.system(), req, cb = std::move(fail_cb), pe,
-                                       tag, src_pe, len, peer_dead] {
-      req->state = peer_dead ? ReqState::PeerFailed : ReqState::Error;
-      sys.trace.record(sys.engine.now(), sim::TraceCat::UcxRecv, pe, src_pe, len, tag,
-                       "rndv-failed");
-      if (cb) cb(*req);
+    engine.schedule(res.data_arrival, [&sys = ctx.system(), req = std::move(req), pe = pe_,
+                                       peer_dead] {
+      sys.trace.record(sys.engine.now(), sim::TraceCat::UcxRecv, pe, req->peer_pe, req->bytes,
+                       req->matched_tag, "rndv-failed");
+      complete(*req, peer_dead ? ReqState::PeerFailed : ReqState::Error);
     });
     return;
   }
 
   const sim::TimePoint done = res.data_arrival + sim::usec(ctx.config().recv_overhead_us);
-  void* buf = r.buf;
-  const void* src = msg.src_ptr;
-  const std::uint64_t len = msg.len;
-  CompletionFn cb = std::move(r.cb);
-  const int pe = pe_;
-  const Tag tag = msg.tag;
-  const int src_pe = msg.src_pe;
-  // `owner` keeps an amSend-owned payload alive until this copy executes;
-  // the sender-side ATS completion may already have fired by then.
-  engine.schedule(done, [&sys = ctx.system(), req, cb = std::move(cb), buf, src, len, pe, tag,
-                         src_pe, owner = std::move(msg.payload_owner)] {
-    cuda::moveBytes(sys, buf, src, len);
-    req->state = ReqState::Done;
-    sys.trace.record(sys.engine.now(), sim::TraceCat::UcxRecv, pe, src_pe, len, tag, "rndv");
-    if (cb) cb(*req);
+  // An amSend-owned payload may carry fewer bytes than the wire length (the
+  // rest travelled as length only); copy what it holds. `owner` keeps it
+  // alive until this copy executes — the sender-side ATS completion may
+  // already have fired by then.
+  const std::uint64_t copy_len =
+      msg.payload_owner ? std::min<std::uint64_t>(msg.len, msg.payload_owner->size()) : msg.len;
+  engine.schedule(done, [&sys = ctx.system(), req = std::move(req), buf = r.buf,
+                         src = msg.src_ptr, copy_len, pe = pe_,
+                         owner = std::move(msg.payload_owner)] {
+    cuda::moveBytes(sys, buf, src, copy_len);
+    sys.trace.record(sys.engine.now(), sim::TraceCat::UcxRecv, pe, req->peer_pe, req->bytes,
+                     req->matched_tag, "rndv");
+    complete(*req, ReqState::Done);
   });
 }
 
 void Worker::deliverToHandler(HandlerFn& fn, Incoming msg) {
   Context& ctx = ctx_;
   sim::Engine& engine = ctx.system().engine;
+  HandlerFn* fp = &fn;  // handlers_ entries are stable for the worker's life
   if (!msg.is_rndv) {
     const sim::TimePoint t = engine.now() + sim::usec(ctx.config().recv_overhead_us);
     Delivery d;
@@ -1097,28 +1064,32 @@ void Worker::deliverToHandler(HandlerFn& fn, Incoming msg) {
     d.tag = msg.tag;
     d.src_pe = msg.src_pe;
     d.len = msg.len;
-    HandlerFn* fp = &fn;  // handlers_ entries are stable for the worker's life
     engine.schedule(t, [fp, d = std::move(d)]() mutable { (*fp)(std::move(d)); });
     return;
   }
-  // Rendezvous into a handler: pull into a fresh owned buffer.
-  auto storage = std::make_shared<std::vector<std::byte>>();
-  const bool src_deref = ctx.system().memory.dereferenceable(msg.src_ptr);
-  if (src_deref) storage->resize(msg.len);
-  const Tag tag = msg.tag;
-  const int src_pe = msg.src_pe;
-  const std::uint64_t len = msg.len;
-  const void* src = msg.src_ptr;
+  // Rendezvous into a handler. An amSend-owned payload moves into the
+  // Delivery when the receive completes — by then the receiver is its only
+  // holder — so no second buffer is filled. A caller-anchored source is
+  // pulled into a fresh owned buffer.
+  const bool owned = msg.payload_owner != nullptr;
+  const bool src_deref = owned || ctx.system().memory.dereferenceable(msg.src_ptr);
+  auto storage = owned ? std::move(msg.payload_owner) : std::make_shared<std::vector<std::byte>>();
+  if (!owned && src_deref) storage->resize(msg.len);
   const Context::RndvResult res =
-      ctx.rndvTransfer(msg, pe_, storage->empty() ? nullptr : storage->data());
+      ctx.rndvTransfer(msg, pe_, owned || storage->empty() ? nullptr : storage->data());
   if (!res.ok) return;  // transfer failed permanently; the sender saw Error
   const sim::TimePoint done = res.data_arrival + sim::usec(ctx.config().recv_overhead_us);
-  HandlerFn* fp = &fn;
-  engine.schedule(done, [fp, storage, src_deref, src, len, tag, src_pe,
-                         owner = std::move(msg.payload_owner)] {
-    if (src_deref && len > 0) std::memcpy(storage->data(), src, len);
+  engine.schedule(done, [fp, storage = std::move(storage), owned, src_deref, src = msg.src_ptr,
+                         len = msg.len, tag = msg.tag, src_pe = msg.src_pe] {
     Delivery d;
-    d.payload = std::move(*storage);
+    if (owned && storage.use_count() == 1) {
+      d.payload = std::move(*storage);
+    } else if (owned) {
+      d.payload = *storage;  // still shared (a retransmit copy holds it): copy
+    } else {
+      if (src_deref && len > 0) std::memcpy(storage->data(), src, len);
+      d.payload = std::move(*storage);
+    }
     d.payload_valid = src_deref;
     d.tag = tag;
     d.src_pe = src_pe;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "sim/bucket_fifo.hpp"
+#include "sim/small_fn.hpp"
 #include "ucx/request.hpp"
 
 /// \file worker.hpp
@@ -42,7 +43,9 @@ class Context;
 
 /// Persistent receive handler: owns the payload.
 /// Unbacked payloads (simulated-only transfers) arrive as empty vectors with
-/// `payload_valid == false`.
+/// `payload_valid == false`. `len` is the wire length, which may exceed
+/// `payload.size()` when the sender carried part of it as length only (see
+/// Context::amSend).
 struct Delivery {
   std::vector<std::byte> payload;
   bool payload_valid = true;
@@ -137,22 +140,23 @@ class Worker {
  private:
   friend class Context;
 
+  /// A posted receive; its completion lives in `req`.
   struct PostedRecv {
     RequestPtr req;
     void* buf = nullptr;
     std::uint64_t len = 0;
     Tag tag = 0;
     Tag mask = 0;
-    CompletionFn cb;
   };
 
   /// An arriving message the matching engine operates on. Exactly one of the
   /// two shapes is populated: eager (payload travelled with the header) or
   /// rendezvous (payload still lives at src_ptr on the sender).
   ///
-  /// Field order packs the struct to 120 bytes so an arrival capture
-  /// (worker pointer + Incoming) fits sim::SmallFn's inline buffer; audit
-  /// sizes before adding fields (see docs/architecture.md). Matching-engine
+  /// Field order packs the struct to 88 bytes so an arrival capture (worker
+  /// pointer + Incoming) fits sim::SmallFn's inline buffer with room to
+  /// spare; the static_assert below enforces the budget (see the capture
+  /// audit in docs/architecture.md). Matching-engine
   /// bookkeeping (arrival sequence numbers, bucket links) deliberately lives
   /// in the BucketFifo nodes, not here, to hold that budget.
   ///
@@ -165,18 +169,21 @@ class Worker {
     std::uint64_t len = 0;
     const void* src_ptr = nullptr;   ///< rendezvous: payload still at the sender
     std::vector<std::byte> payload;  ///< eager: payload travelled with the header
-    RequestPtr send_req;             ///< rendezvous: sender-side request
-    CompletionFn send_cb;            ///< rendezvous: sender-side completion
+    RequestPtr send_req;             ///< rendezvous: sender-side request (owns its completion)
     /// Owner of a rendezvous payload whose storage is not anchored by the
-    /// caller (amSend's owned vectors). The receiver-side copy holds this
-    /// until the memcpy from src_ptr has executed, which can be *after* the
-    /// sender-side ATS completion fires.
-    std::shared_ptr<const std::vector<std::byte>> payload_owner;
+    /// caller (amSend's owned vectors). The receiver side holds this until
+    /// the copy from src_ptr has executed — or moves the vector itself into
+    /// a handler Delivery — which can be *after* the sender-side ATS
+    /// completion fires. It may be shorter than `len` (see amSend).
+    std::shared_ptr<std::vector<std::byte>> payload_owner;
     int src_pe = -1;
     bool is_rndv = false;
     bool payload_valid = true;
     bool src_device = false;  ///< receiver pays the un-staging cost for device eager
   };
+  static_assert(sizeof(Incoming) <= 88, "Incoming grew: re-audit the arrival captures");
+  static_assert(sim::SmallFn::fitsInline<std::pair<Worker*, Incoming>>(),
+                "an arrival capture (worker pointer + Incoming) must fit an engine slot");
 
   void onArrival(Incoming msg);
   /// Accounting for a retransmit copy suppressed before delivery (the

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "charm/charm.hpp"
@@ -353,6 +355,65 @@ TEST(CharmTiming, DevicePingPongFasterThanStagedAtLargeSizes) {
   EXPECT_GT(host_us, 0.0);
   // Device path over NVLink (50 GB/s) beats host path over shm (6.5 GB/s).
   EXPECT_LT(dev_us, host_us);
+}
+
+// --------------------------------------------------------------------------
+// Phantom packed buffers and caller-input checks
+// --------------------------------------------------------------------------
+
+TEST(CharmDevice, UnbackedPackedBufferTravelsAsLengthOnly) {
+  // A small host buffer from unbacked memory packs as its length only: the
+  // wire length, and so every simulated time, matches the backed case, and
+  // the destination is left as is (as for any copy from unbacked memory).
+  GpuRegistrar reg;
+  auto run = [](bool backed_src) {
+    CharmFixture f;
+    constexpr std::size_t n = 4096;
+    std::vector<std::byte> backed(n, std::byte{1}), dst(n, std::byte{9});
+    void* unbacked = f.sys->memory.allocHostUnbacked(n);
+    const void* src = backed_src ? backed.data() : unbacked;
+    auto proxy = f.rt->create<GpuReceiver>(6);
+    proxy.local()->dst = dst.data();
+    proxy.local()->capacity = n;
+    f.rt->startOn(0, [&] { proxy.send<&GpuReceiver::recv>(ck::Buffer(src, n), std::uint64_t{n}); });
+    f.sys->engine.run();
+    EXPECT_EQ(proxy.local()->recv_calls, 1);
+    EXPECT_EQ(dst[0], backed_src ? std::byte{1} : std::byte{9});
+    f.sys->memory.freeDevice(unbacked);
+    return std::make_pair(f.ctx->bytesSent(), f.sys->engine.now());
+  };
+  EXPECT_EQ(run(true), run(false));
+}
+
+TEST(CharmChecks, UnregisteredConverseHandlerThrows) {
+  CharmFixture f;
+  EXPECT_THROW(f.rt->cmi().send(0, 1, 999, {}), std::invalid_argument);
+  EXPECT_THROW(f.rt->cmi().send(0, 1, -1, {}), std::invalid_argument);
+}
+
+TEST(CharmChecks, UnknownHandlerIdOnArrivalThrows) {
+  CharmFixture f;
+  std::vector<std::byte> raw(cmi::Message::kHeaderBytes);
+  const std::uint32_t bogus = 999, src = 0;
+  std::memcpy(raw.data(), &bogus, 4);
+  std::memcpy(raw.data() + 4, &src, 4);
+  f.ctx->amSend(0, 1, f.rt->cmi().tags().make(core::MsgType::Host, 0, 0), std::move(raw));
+  EXPECT_THROW(f.sys->engine.run(), std::logic_error);
+}
+
+TEST(CharmChecks, UnknownEntryOrChareThrows) {
+  auto dispatchRaw = [](std::uint32_t chare, std::uint32_t entry) {
+    CharmFixture f;
+    (void)f.rt->create<Receiver>(5);
+    ck::Packer p;
+    p.pack(chare);
+    p.pack(entry);
+    p.pack(std::uint32_t{0});
+    f.rt->cmi().send(0, 5, f.rt->converseHandler(), p.take());
+    f.sys->engine.run();
+  };
+  EXPECT_THROW(dispatchRaw(0, 0xFFFFFF), std::logic_error);  // no such entry method
+  EXPECT_THROW(dispatchRaw(3, 0), std::logic_error);         // no such chare on PE 5
 }
 
 }  // namespace

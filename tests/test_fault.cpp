@@ -27,11 +27,12 @@ using namespace cux;
 
 struct FaultFixture {
   explicit FaultFixture(const sim::FaultConfig& fault, int nodes = 2, int max_retries = -1,
-                        double retry_base_us = -1.0)
+                        double retry_base_us = -1.0, double failure_detect_us = -1.0)
       : m(model::summit(nodes)) {
     m.machine.fault = fault;
     if (max_retries >= 0) m.ucx.max_retries = max_retries;
     if (retry_base_us > 0) m.ucx.retry_base_us = retry_base_us;
+    if (failure_detect_us > 0) m.ucx.failure_detect_us = failure_detect_us;
     sys = std::make_unique<hw::System>(m.machine);
     sys->trace.enable();
     ctx = std::make_unique<ucx::Context>(*sys, m.ucx);
@@ -494,6 +495,106 @@ std::uint64_t faultyTimelineHash(std::uint64_t seed) {
 TEST(FaultDeterminism, SameSeedSameTimelineDifferentSeedDifferentTimeline) {
   EXPECT_EQ(faultyTimelineHash(21), faultyTimelineHash(21));
   EXPECT_NE(faultyTimelineHash(21), faultyTimelineHash(22));
+}
+
+// --------------------------------------------------------------------------
+// Exactly-once completion
+// --------------------------------------------------------------------------
+
+TEST(FaultExactlyOnce, EveryCompletionFiresOnceUnderLossAndPeDeath) {
+  // Every request owns its completion and reaches its terminal state through
+  // one helper, whatever races it: retransmits arriving after their retry
+  // deadline (jitter far above the backoff), a rendezvous RTS declared
+  // exhausted while a late copy still starts the transfer and its ATS, and
+  // a PE dying with traffic in flight.
+  sim::FaultConfig fc = sim::FaultConfig::uniformLoss(0.3, 0x0DD5);
+  fc.setAllClasses(sim::FaultPolicy{0.3, 40.0});
+  fc.killPe(7, sim::usec(10.0));
+  FaultFixture f(fc, 2, /*max_retries=*/4, /*retry_base_us=*/4.0, /*failure_detect_us=*/20.0);
+  constexpr ucx::Tag kTaggedType = ucx::Tag{0xF} << 60;
+  constexpr ucx::Tag kAmType = ucx::Tag{0xE} << 60;
+  constexpr ucx::Tag kTypeMask = ucx::Tag{0xF} << 60;
+  constexpr std::size_t kSmall = 256;        // eager
+  constexpr std::size_t kLarge = 64 * 1024;  // rendezvous
+  const int dsts[] = {1, 6, 7};
+
+  struct Op {
+    ucx::RequestPtr send, recv;
+    int send_calls = 0, recv_calls = 0;
+    ucx::ReqState send_seen = ucx::ReqState::Pending, recv_seen = ucx::ReqState::Pending;
+    bool rndv = false;
+  };
+  std::vector<std::unique_ptr<Op>> tagged, am;
+  std::vector<std::vector<std::byte>> bufs;
+  bufs.reserve(400);
+  std::vector<int> am_deliveries;
+  for (int pe : dsts) {
+    f.ctx->worker(pe).setHandler(kAmType, kTypeMask, [&am_deliveries](ucx::Delivery d) {
+      ++am_deliveries[static_cast<std::size_t>(d.tag & 0xFFFF)];
+    });
+  }
+  for (int i = 0; i < 60; ++i) {
+    const int dst = dsts[i % 3];
+    const bool rndv = (i / 3) % 2 == 1;
+    const std::size_t n = rndv ? kLarge : kSmall;
+    // Tagged send + posted receive.
+    auto op = std::make_unique<Op>();
+    op->rndv = rndv;
+    bufs.push_back(pattern(n, 500 + static_cast<std::uint64_t>(i)));
+    const void* src = bufs.back().data();
+    bufs.emplace_back(n);
+    void* dbuf = bufs.back().data();
+    const ucx::Tag tag = kTaggedType | static_cast<ucx::Tag>(i);
+    Op* o = op.get();
+    op->recv = f.ctx->worker(dst).tagRecv(dbuf, n, tag, ucx::kFullMask, [o](ucx::Request& r) {
+      ++o->recv_calls;
+      o->recv_seen = r.state;
+    });
+    op->send = f.ctx->tagSend(0, dst, src, n, tag, [o](ucx::Request& r) {
+      ++o->send_calls;
+      o->send_seen = r.state;
+    });
+    tagged.push_back(std::move(op));
+    // Active message with an owned payload.
+    auto a = std::make_unique<Op>();
+    a->rndv = rndv;
+    Op* ao = a.get();
+    am_deliveries.push_back(0);
+    a->send = f.ctx->amSend(0, dst, kAmType | static_cast<ucx::Tag>(i), pattern(n, 900 + i),
+                            [ao](ucx::Request& r) {
+                              ++ao->send_calls;
+                              ao->send_seen = r.state;
+                            });
+    am.push_back(std::move(a));
+  }
+  f.sys->engine.run();
+
+  int rts_ats_races = 0;
+  // A terminal state, once reported, never changes afterwards.
+  for (const auto& op : tagged) {
+    EXPECT_EQ(op->send_calls, 1);
+    EXPECT_NE(op->send->state, ucx::ReqState::Pending);
+    EXPECT_EQ(op->send->state, op->send_seen);
+    EXPECT_LE(op->recv_calls, 1);
+    EXPECT_EQ(op->recv_calls == 1, op->recv->state != ucx::ReqState::Pending);
+    EXPECT_EQ(op->recv->state, op->recv_seen);
+    // Delivered data always completes the matching receive.
+    if (op->send->done()) {
+      EXPECT_EQ(op->recv_calls, 1);
+    }
+    // The sender gave up on its RTS while a late copy still moved the data.
+    if (op->rndv && op->send->failed() && op->recv->done()) ++rts_ats_races;
+  }
+  for (std::size_t i = 0; i < am.size(); ++i) {
+    EXPECT_EQ(am[i]->send_calls, 1) << "AM " << i;
+    EXPECT_NE(am[i]->send->state, ucx::ReqState::Pending);
+    EXPECT_EQ(am[i]->send->state, am[i]->send_seen) << "AM " << i;
+    EXPECT_LE(am_deliveries[i], 1) << "AM " << i;
+  }
+  EXPECT_GT(rts_ats_races, 0);
+  EXPECT_GT(f.ctx->retransmits(), 0u);
+  EXPECT_GT(f.ctx->peerFailedRequests(), 0u);
+  EXPECT_GT(f.ctx->duplicatesSuppressed(), 0u);
 }
 
 // --------------------------------------------------------------------------

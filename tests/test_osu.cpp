@@ -203,6 +203,25 @@ TEST_P(OsuHostStagingMemory, FourMiBBandwidthPointAllocatesLikeDevice) {
   EXPECT_LE(host, device + (2u << 20)) << "-H allocated " << host << " B, -D " << device << " B";
 }
 
+// 64 KiB sits below the 128 KiB pack threshold, so every -H message packs
+// its payload inline (AMPI envelope, Charm++ packed buffer, Charm4py channel
+// message). From unbacked staging memory that payload travels as length
+// only; zero-filled placeholder vectors would add several bytes per byte
+// moved.
+TEST_P(OsuHostStagingMemory, SixtyFourKiBInlinePointAllocatesLikeDevice) {
+  constexpr std::size_t kBytes = 64u << 10;
+  auto bytesAllocated = [&](Mode m) {
+    const auto cfg = quick(GetParam(), m, Placement::IntraNode);
+    const std::uint64_t before = g_alloc_bytes;
+    EXPECT_GT(bandwidthPoint(cfg, kBytes), 0.0);
+    return g_alloc_bytes - before;
+  };
+  const std::uint64_t host = bytesAllocated(Mode::HostStaging);
+  const std::uint64_t device = bytesAllocated(Mode::Device);
+  EXPECT_LE(host, device + (256u << 10)) << "-H allocated " << host << " B, -D " << device
+                                         << " B";
+}
+
 INSTANTIATE_TEST_SUITE_P(AllStacks, OsuHostStagingMemory,
                          ::testing::Values(Stack::Charm, Stack::Ampi, Stack::Ompi,
                                            Stack::Charm4py),

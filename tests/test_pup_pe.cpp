@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -61,11 +63,16 @@ TEST(Pup, BulkBytesTracksPayloadCopies) {
 }
 
 TEST(Pup, ZerosAppendsPlaceholder) {
+  // A placeholder for unbacked source data lengthens the wire, not the
+  // buffer.
   ck::Packer p;
+  p.pack(std::uint32_t{7});
   p.zeros(16);
+  EXPECT_EQ(p.size(), 4u);
+  EXPECT_EQ(p.phantomBytes(), 16u);
+  EXPECT_EQ(p.wireSize(), 20u);
   const auto bytes = p.take();
-  ASSERT_EQ(bytes.size(), 16u);
-  for (auto b : bytes) EXPECT_EQ(b, std::byte{0});
+  ASSERT_EQ(bytes.size(), 4u);
 }
 
 TEST(Pup, UnpackerOffsetAndSkip) {
@@ -93,6 +100,82 @@ TEST(Pup, InterleavedTypesPreserveOrder) {
     const auto v = u.unpack<std::vector<std::uint16_t>>();
     EXPECT_EQ(v.size(), static_cast<std::size_t>(i % 5));
   }
+}
+
+TEST(Pup, PhantomFieldsRoundTrip) {
+  // Unbacked payloads travel as length only, flagged in their own header, so
+  // the fields around them unpack at the right offsets and the wire length
+  // is what carrying the bytes would have cost.
+  const std::vector<std::byte> real = {std::byte{1}, std::byte{2}, std::byte{3}};
+  ck::Packer p;
+  p.pack(std::uint32_t{11});
+  p.pack(ck::BytesRef{nullptr, 1000, false});
+  p.pack(std::uint32_t{22});
+  p.pack(ck::BytesRef{real.data(), real.size(), true});
+  p.pack(std::string("tail"));
+  EXPECT_EQ(p.phantomBytes(), 1000u);
+  EXPECT_EQ(p.wireSize(), 4 + (9 + 1000) + 4 + (9 + 3) + (8 + 4));
+  EXPECT_EQ(p.size(), p.wireSize() - 1000);
+  EXPECT_EQ(p.bulkBytes(), 1000u + 3u + 4u);  // copy cost is charged on phantom bytes too
+  const auto bytes = p.take();
+  ck::Unpacker u(bytes);
+  EXPECT_EQ(u.unpack<std::uint32_t>(), 11u);
+  const auto phantom = u.unpack<ck::Bytes>();
+  EXPECT_FALSE(phantom.valid);
+  EXPECT_EQ(phantom.len, 1000u);
+  EXPECT_TRUE(phantom.data.empty());
+  EXPECT_EQ(u.unpack<std::uint32_t>(), 22u);
+  const auto carried = u.unpack<ck::Bytes>();
+  EXPECT_TRUE(carried.valid);
+  EXPECT_EQ(carried.len, 3u);
+  EXPECT_EQ(carried.data, real);
+  EXPECT_EQ(u.unpack<std::string>(), "tail");
+  EXPECT_EQ(u.remaining(), 0u);
+}
+
+TEST(Pup, HeaderReservedPackerSizesOnce) {
+  ck::Packer p(8, 8 + 4 + 8 + 16);
+  p.pack(std::uint32_t{5});
+  p.pack(std::vector<std::uint32_t>{1, 2, 3, 4});
+  EXPECT_EQ(p.size(), 8u + 4 + 8 + 16);
+  const auto bytes = p.take();
+  EXPECT_EQ(bytes.capacity(), bytes.size());  // never grew past the reservation
+  ck::Unpacker u(std::span<const std::byte>(bytes).subspan(8));
+  EXPECT_EQ(u.unpack<std::uint32_t>(), 5u);
+  EXPECT_EQ(u.unpack<std::vector<std::uint32_t>>().size(), 4u);
+}
+
+TEST(Pup, ReadPastEndThrowsInEveryBuild) {
+  ck::Packer p;
+  p.pack(std::uint16_t{1});
+  const auto bytes = p.take();
+  {
+    ck::Unpacker u(bytes);
+    EXPECT_THROW((void)u.unpack<std::uint32_t>(), std::out_of_range);
+  }
+  {
+    ck::Unpacker u(bytes);
+    EXPECT_THROW(u.skip(3), std::out_of_range);
+    u.skip(2);
+    EXPECT_EQ(u.remaining(), 0u);
+  }
+  EXPECT_THROW(ck::Unpacker(bytes, 3), std::out_of_range);
+}
+
+TEST(Pup, MalformedLengthsThrowBeforeAllocating) {
+  // A corrupt element count must not turn into a huge allocation or an
+  // out-of-bounds copy.
+  ck::Packer p;
+  p.pack(~std::uint64_t{0});
+  p.pack(std::uint32_t{0});
+  const auto bytes = p.take();
+  EXPECT_THROW((void)ck::Unpacker(bytes).unpack<std::vector<std::uint64_t>>(), std::out_of_range);
+  EXPECT_THROW((void)ck::Unpacker(bytes).unpack<std::string>(), std::out_of_range);
+  ck::Packer q;
+  q.pack(std::uint64_t{64});
+  q.pack(std::uint8_t{1});  // claims 64 carried bytes, holds none
+  const auto short_bytes = q.take();
+  EXPECT_THROW((void)ck::Unpacker(short_bytes).unpack<ck::Bytes>(), std::out_of_range);
 }
 
 // --------------------------------------------------------------------------
@@ -133,18 +216,22 @@ TEST(Pe, IdleGapResetsHorizonToNow) {
 }
 
 TEST(Pe, RunHookWrapsContinuations) {
+  // The "current PE" slot wraps every continuation: set to this PE's id
+  // while it runs, restored afterwards.
   sim::Engine e;
   cmi::Pe pe(e, 5);
-  int hook_pe = -1;
+  int current = -1;
+  int seen = -2;
   bool ran = false;
-  pe.run_hook = [&](int id, std::function<void()>& fn) {
-    hook_pe = id;
-    fn();
-  };
-  pe.exec(0, [&] { ran = true; });
+  pe.current_pe = &current;
+  pe.exec(0, [&] {
+    seen = current;
+    ran = true;
+  });
   e.run();
   EXPECT_TRUE(ran);
-  EXPECT_EQ(hook_pe, 5);
+  EXPECT_EQ(seen, 5);
+  EXPECT_EQ(current, -1);
 }
 
 // --------------------------------------------------------------------------

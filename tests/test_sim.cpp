@@ -2,6 +2,8 @@
 
 #include <functional>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -279,26 +281,59 @@ TEST(SmallFn, MoveTransfersOwnershipAndDestroys) {
 }
 
 TEST(SmallFn, HotUcxCaptureShapesStayInline) {
-  // The completion-continuation shape (shared_ptr + std::function) and the
-  // arrival shape (pointer + 120-byte message) must not allocate; this is
-  // the engine hot path. If this fires after growing Worker::Incoming,
-  // either shrink it or bump SmallFn::kInlineCapacity.
-  struct Completion {
+  // The completion now lives in the request, so a completion event captures
+  // just the request pointer, and the arrival shape (pointer + 88-byte
+  // message: tag, len, src_ptr, payload, send request, payload owner, src_pe
+  // and flags) leaves room in the 144-byte engine slot. The completions
+  // themselves are move-only InlineFns sized for their captures: a
+  // model-layer continuation (request state + status) in 56 bytes, and the
+  // machine layer's completion around it in 104. If this fires after growing
+  // a capture, either shrink it or bump the capacity.
+  struct CompletionEvent {
     std::shared_ptr<int> req;
-    std::function<void(int&)> cb;
   };
-  static_assert(sim::SmallFn::fitsInline<Completion>());
+  static_assert(sim::SmallFn::fitsInline<CompletionEvent>());
   struct Arrival {
     void* worker;
     std::uint64_t scalars[3];  // tag, len, src_ptr
     std::vector<std::byte> payload;
     std::shared_ptr<int> req;
-    std::function<void(int&)> cb;
-    std::shared_ptr<const std::vector<std::byte>> owner;
+    std::shared_ptr<std::vector<std::byte>> owner;
     int src_pe;
     bool flags[3];
   };
   static_assert(sim::SmallFn::fitsInline<Arrival>());
+  using Done = sim::InlineFn<void(), 56>;
+  struct ModelCompletion {
+    std::shared_ptr<int> impl;
+    std::uint64_t status[2];
+  };
+  static_assert(Done::fitsInline<ModelCompletion>());
+  struct MachineCompletion {
+    void* self;
+    int src_pe, dst_pe;
+    const void* ptr;
+    std::uint64_t size, tag;
+    Done cb;
+  };
+  static_assert(sim::InlineFn<void(int&), 104>::fitsInline<MachineCompletion>());
+}
+
+TEST(SmallFn, SignaturesReturnValuesAndEmptyTargets) {
+  sim::InlineFn<int(int, const std::string&), 56> f = [base = 10](int x, const std::string& s) {
+    return base + x + static_cast<int>(s.size());
+  };
+  EXPECT_EQ(f(1, "abc"), 14);
+  // Wrapping an empty std::function or null pointer yields an empty InlineFn.
+  sim::InlineFn<void(), 56> from_empty = std::function<void()>{};
+  EXPECT_FALSE(static_cast<bool>(from_empty));
+  from_empty();  // calling an empty void InlineFn is a no-op
+  void (*null_fn)() = nullptr;
+  EXPECT_FALSE(static_cast<bool>(sim::InlineFn<void(), 56>(null_fn)));
+  // Mutable callables keep their state across calls.
+  sim::InlineFn<int(), 56> counter = [n = 0]() mutable { return ++n; };
+  counter();
+  EXPECT_EQ(counter(), 2);
 }
 
 TEST(Time, UnitConversionsRoundTrip) {
@@ -333,6 +368,43 @@ TEST(Future, CallbackAfterReadyFiresImmediately) {
   bool seen = false;
   p.future().onReady([&] { seen = true; });
   EXPECT_TRUE(seen);
+}
+
+TEST(Future, SecondSetThrowsInEveryBuild) {
+  sim::Promise<int> p;
+  p.set(1);
+  EXPECT_THROW(p.set(2), std::logic_error);
+  EXPECT_EQ(p.future().get(), 1);  // the first value stands
+  sim::Promise<void> v;
+  v.set();
+  EXPECT_THROW(v.set(), std::logic_error);
+}
+
+TEST(Future, GetBeforeReadyThrowsInEveryBuild) {
+  sim::Promise<int> p;
+  EXPECT_THROW((void)p.future().get(), std::logic_error);
+  p.set(3);
+  EXPECT_EQ(p.future().get(), 3);
+}
+
+sim::SimTask recordResume(sim::Future<void> f, std::vector<int>& order, int id) {
+  co_await f;
+  order.push_back(id);
+}
+
+TEST(Future, FulfilRunsCallbacksInOrderThenWaiters) {
+  // The first callback and the first waiter live inline, later ones spill;
+  // fulfil keeps registration order for callbacks, then suspension order for
+  // waiters, across that boundary.
+  sim::Promise<void> p;
+  std::vector<int> order;
+  (void)recordResume(p.future(), order, 100);
+  for (int i = 0; i < 4; ++i) p.future().onReady([&order, i] { order.push_back(i); });
+  (void)recordResume(p.future(), order, 101);
+  p.set();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 100, 101}));
+  p.future().onReady([&order] { order.push_back(4); });  // already ready: runs now
+  EXPECT_EQ(order.back(), 4);
 }
 
 TEST(Future, AllOfWaitsForEveryInput) {
