@@ -1,26 +1,48 @@
-# Runs one figure binary and byte-compares its stdout with a checked-in
-# golden file. A figure that moves fails here by name; a deliberate model
-# change regenerates the golden (see bench/golden/README.md).
+# Runs one binary and byte-compares its stdout with a checked-in golden
+# file. A figure that moves fails here by name; a deliberate model change
+# regenerates the golden (see bench/golden/README.md).
 #
-#   cmake -DBIN=<binary> -DGOLDEN=<expected.txt> -DOUT=<actual.txt> -P compare.cmake
+#   cmake -DBIN=<binary> -DGOLDEN=<expected.txt> -DOUT=<actual.txt>
+#         [-DARGS="<space-separated arguments>"]
+#         [-DARTIFACT=<file the binary writes> -DARTIFACT_GOLDEN=<expected file>]
+#         -P compare.cmake
+#
+# ARTIFACT names a file the binary writes (its path must also appear in
+# ARGS); it is removed before the run and compared with ARTIFACT_GOLDEN
+# after it.
 
 foreach(var BIN GOLDEN OUT)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "compare.cmake: -D${var}=... is required")
   endif()
 endforeach()
-
-execute_process(COMMAND "${BIN}" OUTPUT_FILE "${OUT}" RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "${BIN} exited with ${rc}")
+if(DEFINED ARTIFACT AND NOT DEFINED ARTIFACT_GOLDEN)
+  message(FATAL_ERROR "compare.cmake: -DARTIFACT needs -DARTIFACT_GOLDEN")
 endif()
 
-execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files "${GOLDEN}" "${OUT}"
-                RESULT_VARIABLE differs)
-if(differs)
-  find_program(DIFF_EXE diff)
-  if(DIFF_EXE)
-    execute_process(COMMAND "${DIFF_EXE}" -u "${GOLDEN}" "${OUT}")
+function(compare_or_fail expected actual what)
+  execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files "${expected}" "${actual}"
+                  RESULT_VARIABLE differs)
+  if(differs)
+    find_program(DIFF_EXE diff)
+    if(DIFF_EXE)
+      execute_process(COMMAND "${DIFF_EXE}" -u "${expected}" "${actual}")
+    endif()
+    message(FATAL_ERROR "${what} differs from ${expected} (actual output in ${actual})")
   endif()
-  message(FATAL_ERROR "stdout of ${BIN} differs from ${GOLDEN} (actual output in ${OUT})")
+endfunction()
+
+separate_arguments(args UNIX_COMMAND "${ARGS}")
+if(DEFINED ARTIFACT)
+  file(REMOVE "${ARTIFACT}")
+endif()
+
+execute_process(COMMAND "${BIN}" ${args} OUTPUT_FILE "${OUT}" RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "${BIN} ${ARGS} exited with ${rc}")
+endif()
+
+compare_or_fail("${GOLDEN}" "${OUT}" "stdout of ${BIN} ${ARGS}")
+if(DEFINED ARTIFACT)
+  compare_or_fail("${ARTIFACT_GOLDEN}" "${ARTIFACT}" "${ARTIFACT} of ${BIN} ${ARGS}")
 endif()
