@@ -36,7 +36,7 @@ struct JacobiConfig {
   /// Enable message-lifecycle span collection on the simulated machine.
   bool observe = false;
   /// Called with the freshly constructed simulated machine before any traffic
-  /// runs — the hook for streaming-mode collection or utilization recording.
+  /// runs — the hook for attaching span sinks or utilization recording.
   std::function<void(hw::System&)> setup;
   /// Called with the simulated machine after the run finishes, before
   /// teardown — the hook for reading spans/metrics out of a run.

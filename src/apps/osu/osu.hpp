@@ -51,8 +51,8 @@ struct BenchConfig {
   /// and benchmarks are also used as allocation/determinism baselines.
   bool observe = false;
   /// Called with the freshly constructed simulated machine before any
-  /// traffic runs — the hook for switching the collector to streaming mode,
-  /// attaching sinks, or enabling utilization recording.
+  /// traffic runs — the hook for attaching span sinks or enabling
+  /// utilization recording.
   std::function<void(hw::System&)> setup;
   /// Called with the simulated machine after the benchmark's engine run
   /// finishes, before teardown — the hook for reading spans/metrics out of a

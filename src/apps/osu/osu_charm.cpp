@@ -156,7 +156,7 @@ struct CharmFixture {
     model::Model m = cfg.model;
     m.machine.backed_device_memory = false;
     sys = std::make_unique<hw::System>(m.machine);
-    if (cfg.observe) sys->obs.spans.enable();
+    if (cfg.observe) sys->obs.spans.enableStreaming();
     if (cfg.setup) cfg.setup(*sys);
     ctx = std::make_unique<ucx::Context>(*sys, m.ucx);
     rt = std::make_unique<ck::Runtime>(*sys, *ctx, m);

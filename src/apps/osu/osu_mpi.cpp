@@ -213,7 +213,7 @@ struct MpiFixture {
     model::Model m = cfg.model;
     m.machine.backed_device_memory = false;  // timing-only buffers
     sys = std::make_unique<hw::System>(m.machine);
-    if (cfg.observe) sys->obs.spans.enable();
+    if (cfg.observe) sys->obs.spans.enableStreaming();
     if (cfg.setup) cfg.setup(*sys);
     ctx = std::make_unique<ucx::Context>(*sys, m.ucx);
     if (cfg.stack == Stack::Ampi) {

@@ -97,8 +97,8 @@ struct TrainConfig {
   /// Restart attempts allowed before the job is declared failed.
   int max_restarts = 3;
   /// Called with each freshly constructed simulated machine (one per
-  /// attempt) before any traffic runs — the hook for streaming-mode span
-  /// collection or utilization recording.
+  /// attempt) before any traffic runs — the hook for span collection or
+  /// utilization recording.
   std::function<void(hw::System&)> setup;
 
   [[nodiscard]] std::uint64_t totalParams() const {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/span.hpp"
-
 namespace cux::obs {
 
 const char* name(CritCat c) {
@@ -34,64 +32,38 @@ CritCat dataClass(const CritPathConfig& cfg, const SpanInfo& info) {
 
 void CritPath::addSpan(const SpanInfo& info, const SpanEvent* events,
                        std::size_t n_events) {
-  PhaseTimes pt;
   // Retry timestamps in record order: each retransmit charges the wire time
   // wasted since the previous attempt boundary to overhead.
   sim::TimePoint attempt_start = info.begin;
+  sim::TimePoint sent = Interval::kNone;
   for (std::size_t i = 0; i < n_events; ++i) {
     const SpanEvent& e = events[i];
-    pt.see(e.phase, e.time);
-    if (e.phase == Phase::PayloadSent && attempt_start == info.begin)
-      attempt_start = e.time;
-    if (e.phase == Phase::Retry) {
-      emitSeg(attempt_start, e.time, CritCat::Retry);
-      attempt_start = e.time;
+    if (e.phase == Phase::PayloadSent) {
+      if (attempt_start == info.begin) attempt_start = e.time;
+      sent = std::min(sent, e.time);
     }
-    if (e.phase == Phase::Fallback) {
+    if (e.phase == Phase::Retry || e.phase == Phase::Fallback) {
       emitSeg(attempt_start, e.time, CritCat::Retry);
       attempt_start = e.time;
     }
   }
 
-  if (pt.has(Phase::MetaArrived))
-    emitSeg(info.begin, pt.get(Phase::MetaArrived), CritCat::HostMeta);
-
-  if (pt.has(Phase::MetaArrived) && pt.has(Phase::RecvPosted) &&
-      pt.get(Phase::RecvPosted) >= pt.get(Phase::MetaArrived))
-    emitSeg(pt.get(Phase::MetaArrived), pt.get(Phase::RecvPosted), CritCat::PostDelay);
-
-  if (pt.has(Phase::EarlyArrival)) {
-    const sim::TimePoint matched = pt.has(Phase::MatchedUnexpected)
-                                       ? pt.get(Phase::MatchedUnexpected)
-                                       : pt.get(Phase::RecvPosted);
-    if (matched != PhaseTimes::kNone && matched >= pt.get(Phase::EarlyArrival))
-      emitSeg(pt.get(Phase::EarlyArrival), matched, CritCat::EarlyWait);
-  }
+  const SpanIntervals iv = intervals(info, events, n_events);
+  const auto emit = [this](const Interval& i, CritCat cat) {
+    if (i.valid()) emitSeg(i.from, i.to, cat);
+  };
+  emit(iv.meta, CritCat::HostMeta);
+  emit(iv.post_delay, CritCat::PostDelay);
+  emit(iv.early_wait, CritCat::EarlyWait);
 
   if (info.terminal == Phase::Completed) {
-    // Data leg: from the moment both sides were ready to the delivery. Falls
-    // back to the payload-send time for spans without a modelled recv post
-    // (host converse messages).
-    sim::TimePoint from = PhaseTimes::kNone;
-    if (pt.has(Phase::RecvPosted)) from = pt.get(Phase::RecvPosted);
-    if (pt.has(Phase::MatchedUnexpected) &&
-        (from == PhaseTimes::kNone || pt.get(Phase::MatchedUnexpected) > from))
-      from = pt.get(Phase::MatchedUnexpected);
-    if (from == PhaseTimes::kNone && pt.has(Phase::PayloadSent))
-      from = pt.get(Phase::PayloadSent);
-    if (from == PhaseTimes::kNone) from = info.begin;
+    // Data leg: from the moment both sides were ready to the delivery. Spans
+    // without a modelled recv post (host converse messages) start it at the
+    // payload send, or at the span begin.
+    sim::TimePoint from = iv.data.from;
+    if (from == Interval::kNone) from = sent != Interval::kNone ? sent : info.begin;
     emitSeg(from, info.end, dataClass(cfg_, info));
   }
-}
-
-void CritPath::addCollector(const SpanCollector& sc) {
-  // Group the flat event vector by span id (one pass; ids are dense).
-  const auto& spans = sc.spans();
-  std::vector<std::vector<SpanEvent>> per_span(spans.size());
-  for (const SpanEvent& e : sc.events())
-    if (e.span >= 1 && e.span <= spans.size()) per_span[e.span - 1].push_back(e);
-  for (std::size_t i = 0; i < spans.size(); ++i)
-    addSpan(spans[i], per_span[i].data(), per_span[i].size());
 }
 
 std::vector<CritPath::Iteration> CritPath::attribute(

@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "obs/phase.hpp"
+#include "obs/sink.hpp"
 #include "sim/time.hpp"
 
 /// \file critpath.hpp
@@ -12,9 +12,10 @@
 /// where the time actually went — compute, link wait per link class,
 /// recv-post delay, early-arrival wait, and retry/fallback overhead.
 ///
-/// Method: every span contributes labelled time segments derived from its
-/// phase timestamps (the same interval derivations as obs::Breakdown and the
-/// window aggregator). For one iteration window [mark[i], mark[i+1]) the
+/// Method: every retired span contributes labelled time segments: its
+/// obs::SpanIntervals (the derivation obs::Breakdown and the window
+/// aggregator use too), its retry/fallback overhead, and a link class for
+/// its data leg. For one iteration window [mark[i], mark[i+1]) the
 /// segments are clipped and the window is partitioned by a boundary sweep:
 /// each elementary sub-interval is charged to the highest-priority category
 /// among the segments covering it (overhead > waits > wire classes), and
@@ -24,8 +25,6 @@
 /// the 1% acceptance bound and fails loudly if the invariant ever breaks.
 
 namespace cux::obs {
-
-class SpanCollector;
 
 /// Attribution categories, in charge priority order (lower enum value wins
 /// an overlap). Compute is never assigned from a segment — it is the
@@ -52,17 +51,20 @@ struct CritPathConfig {
   bool host_staged = false;
 };
 
-class CritPath {
+/// A sink: attach it to the collector, then attribute() the iteration marks
+/// after the run.
+class CritPath final : public Sink {
  public:
   CritPath() = default;
   explicit CritPath(const CritPathConfig& cfg) : cfg_(cfg) {}
 
-  /// Derives and stores the labelled segments of one span. Works
-  /// incrementally, so it can run from a streaming Sink at retirement time.
+  /// Derives and stores the labelled segments of one retired span.
   void addSpan(const SpanInfo& info, const SpanEvent* events, std::size_t n_events);
 
-  /// Folds every span of a retained-mode collector.
-  void addCollector(const SpanCollector& sc);
+  void onSpanRetired(std::uint64_t, const SpanInfo& info, const SpanEvent* events,
+                     std::size_t n_events) override {
+    addSpan(info, events, n_events);
+  }
 
   struct Iteration {
     sim::TimePoint begin = 0;

@@ -51,6 +51,28 @@ const char* name(Phase p) {
   return "?";
 }
 
+SpanIntervals intervals(const SpanInfo& info, const SpanEvent* events, std::size_t n_events) {
+  sim::TimePoint at[kPhaseCount];
+  for (auto& t : at) t = Interval::kNone;
+  for (std::size_t i = 0; i < n_events; ++i) {
+    auto& slot = at[static_cast<std::size_t>(events[i].phase)];
+    if (events[i].time < slot) slot = events[i].time;
+  }
+  const auto first = [&at](Phase p) { return at[static_cast<std::size_t>(p)]; };
+  const sim::TimePoint posted = first(Phase::RecvPosted);
+  const sim::TimePoint matched = first(Phase::MatchedUnexpected);
+  sim::TimePoint ready = posted;
+  if (matched != Interval::kNone && (ready == Interval::kNone || matched > ready)) ready = matched;
+
+  SpanIntervals iv;
+  if (info.terminal == Phase::Completed) iv.total = {info.begin, info.end};
+  iv.meta = {info.begin, first(Phase::MetaArrived)};
+  iv.post_delay = {first(Phase::MetaArrived), posted};
+  iv.early_wait = {first(Phase::EarlyArrival), matched != Interval::kNone ? matched : posted};
+  iv.data = {ready, first(Phase::Completed)};
+  return iv;
+}
+
 void Registry::dumpText(std::ostream& os) const {
   for (const Scalar& c : counters_) os << "counter " << c.name << ' ' << c.value << '\n';
   for (const Scalar& g : gauges_) os << "gauge " << g.name << ' ' << g.value << '\n';

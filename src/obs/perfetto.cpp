@@ -5,14 +5,13 @@
 #include <cstdio>
 #include <map>
 #include <set>
-#include <vector>
 
 namespace cux::obs {
 
 namespace {
 
-/// Minimal JSON string escape (detail strings are short ASCII; anything
-/// exotic is replaced rather than risking invalid JSON).
+/// Minimal JSON string escape (names are short ASCII; anything exotic is
+/// replaced rather than risking invalid JSON).
 void jsonString(std::ostream& os, const char* s) {
   os << '"';
   for (const char* p = s; *p != '\0'; ++p) {
@@ -50,24 +49,30 @@ void asyncEvent(Emitter& em, const char* ph, const char* cat, const char* name,
 
 }  // namespace
 
-void writePerfetto(std::ostream& os, const SpanCollector& spans, const sim::Tracer* trace,
-                   const std::vector<CounterTrack>* counters) {
+void PerfettoSink::onSpanRetired(std::uint64_t id, const SpanInfo& info,
+                                 const SpanEvent* events, std::size_t n_events) {
+  spans_.push_back(Retired{id, info, events_.size(), n_events});
+  events_.insert(events_.end(), events, events + n_events);
+}
+
+void PerfettoSink::finish() {
+  if (written_) return;
+  written_ = true;
+  std::ostream& os = *os_;
+  std::sort(spans_.begin(), spans_.end(),
+            [](const Retired& a, const Retired& b) { return a.id < b.id; });
+
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   Emitter em{os};
 
   // Every PE that appears anywhere becomes a process track.
   std::set<int> pes;
-  for (const SpanInfo& s : spans.spans()) {
-    if (s.src_pe >= 0) pes.insert(s.src_pe);
-    if (s.dst_pe >= 0) pes.insert(s.dst_pe);
+  for (const Retired& r : spans_) {
+    if (r.info.src_pe >= 0) pes.insert(r.info.src_pe);
+    if (r.info.dst_pe >= 0) pes.insert(r.info.dst_pe);
   }
-  for (const SpanEvent& e : spans.events()) {
+  for (const SpanEvent& e : events_) {
     if (e.pe >= 0) pes.insert(e.pe);
-  }
-  if (trace != nullptr) {
-    for (const sim::TraceRecord& r : trace->records()) {
-      if (r.pe >= 0) pes.insert(r.pe);
-    }
   }
   for (int pe : pes) {
     em.open();
@@ -80,93 +85,67 @@ void writePerfetto(std::ostream& os, const SpanCollector& spans, const sim::Trac
     em.close();
   }
 
-  // Collate phase times once; emit phase instants along the way.
-  const auto& infos = spans.spans();
-  std::vector<PhaseTimes> times(infos.size());
-  for (const SpanEvent& e : spans.events()) {
-    if (e.span == 0 || e.span > infos.size()) continue;
-    auto& slot = times[e.span - 1].at[static_cast<std::size_t>(e.phase)];
-    if (e.time < slot) slot = e.time;
-  }
-
-  for (std::size_t i = 0; i < infos.size(); ++i) {
-    const SpanInfo& s = infos[i];
-    const std::uint64_t id = i + 1;
+  for (const Retired& r : spans_) {
+    const SpanInfo& s = r.info;
     const int pid = s.src_pe >= 0 ? s.src_pe : 0;
     char label[96];
     std::snprintf(label, sizeof(label), "%s %llu B", s.kind[0] ? s.kind : "span",
                   static_cast<unsigned long long>(s.bytes));
 
     em.open();
-    os << "\"cat\":\"span\",\"id\":\"0x" << std::hex << id << std::dec
+    os << "\"cat\":\"span\",\"id\":\"0x" << std::hex << r.id << std::dec
        << "\",\"ph\":\"b\",\"name\":";
     jsonString(os, label);
     os << ",\"pid\":" << pid << ",\"tid\":0,\"ts\":" << sim::toUs(s.begin)
-       << ",\"args\":{\"span\":" << id << ",\"bytes\":" << s.bytes << ",\"tag\":" << s.tag
+       << ",\"args\":{\"span\":" << r.id << ",\"bytes\":" << s.bytes << ",\"tag\":" << s.tag
        << ",\"dst_pe\":" << s.dst_pe << ",\"terminal\":";
-    jsonString(os, s.open ? "open" : name(s.terminal));
+    jsonString(os, name(s.terminal));
     os << "}";
     em.close();
-    asyncEvent(em, "e", "span", label, id, pid, sim::toUs(s.end));
+    asyncEvent(em, "e", "span", label, r.id, pid, sim::toUs(s.end));
 
     // Receiver-side intervals (each its own category: no nesting constraints).
-    const PhaseTimes& pt = times[i];
+    const SpanIntervals iv = intervals(s, events_.data() + r.first_event, r.n_events);
     const int dst = s.dst_pe >= 0 ? s.dst_pe : pid;
-    auto get = [&pt](Phase p) { return pt.at[static_cast<std::size_t>(p)]; };
-    const auto meta = get(Phase::MetaArrived);
-    const auto posted = get(Phase::RecvPosted);
-    const auto early = get(Phase::EarlyArrival);
-    const auto matched_u = get(Phase::MatchedUnexpected);
-    const auto completed = get(Phase::Completed);
-    if (meta != PhaseTimes::kNone && posted != PhaseTimes::kNone && posted >= meta) {
-      asyncEvent(em, "b", "post-delay", "post-delay", id, dst, sim::toUs(meta));
-      asyncEvent(em, "e", "post-delay", "post-delay", id, dst, sim::toUs(posted));
-    }
-    const auto matched =
-        matched_u != PhaseTimes::kNone ? matched_u : posted;
-    if (early != PhaseTimes::kNone && matched != PhaseTimes::kNone && matched >= early) {
-      asyncEvent(em, "b", "early-wait", "early-wait", id, dst, sim::toUs(early));
-      asyncEvent(em, "e", "early-wait", "early-wait", id, dst, sim::toUs(matched));
-    }
-    sim::TimePoint from = posted;
-    if (matched_u != PhaseTimes::kNone && (from == PhaseTimes::kNone || matched_u > from)) {
-      from = matched_u;
-    }
-    if (completed != PhaseTimes::kNone && from != PhaseTimes::kNone && completed >= from) {
-      asyncEvent(em, "b", "data", "data", id, dst, sim::toUs(from));
-      asyncEvent(em, "e", "data", "data", id, dst, sim::toUs(completed));
+    for (const auto& [cat, i] : {std::pair{"post-delay", iv.post_delay},
+                                 std::pair{"early-wait", iv.early_wait},
+                                 std::pair{"data", iv.data}}) {
+      if (!i.valid()) continue;
+      asyncEvent(em, "b", cat, cat, r.id, dst, sim::toUs(i.from));
+      asyncEvent(em, "e", cat, cat, r.id, dst, sim::toUs(i.to));
     }
   }
 
   // Phase transitions as nested instants inside each span's async track.
-  for (const SpanEvent& e : spans.events()) {
-    if (e.span == 0 || e.span > infos.size()) continue;
-    const SpanInfo& s = infos[e.span - 1];
-    const int pid = s.src_pe >= 0 ? s.src_pe : 0;
-    em.open();
-    os << "\"cat\":\"span\",\"id\":\"0x" << std::hex << e.span << std::dec
-       << "\",\"ph\":\"n\",\"name\":";
-    jsonString(os, name(e.phase));
-    os << ",\"pid\":" << pid << ",\"tid\":0,\"ts\":" << sim::toUs(e.time)
-       << ",\"args\":{\"pe\":" << e.pe;
-    if (routedPhase(e.phase)) {
-      // Decode the packed multipath word: which route/rail, how many bytes —
-      // a raw 64-bit integer is useless in the UI.
-      os << ",\"route\":" << unpackRoute(e.aux)
-         << ",\"route_bytes\":" << unpackRouteBytes(e.aux);
-    } else {
-      os << ",\"aux\":" << e.aux;
+  for (const Retired& r : spans_) {
+    const int pid = r.info.src_pe >= 0 ? r.info.src_pe : 0;
+    for (std::size_t k = 0; k < r.n_events; ++k) {
+      const SpanEvent& e = events_[r.first_event + k];
+      em.open();
+      os << "\"cat\":\"span\",\"id\":\"0x" << std::hex << r.id << std::dec
+         << "\",\"ph\":\"n\",\"name\":";
+      jsonString(os, name(e.phase));
+      os << ",\"pid\":" << pid << ",\"tid\":0,\"ts\":" << sim::toUs(e.time)
+         << ",\"args\":{\"pe\":" << e.pe;
+      if (routedPhase(e.phase)) {
+        // Decode the packed multipath word: which route/rail, how many bytes —
+        // a raw 64-bit integer is useless in the UI.
+        os << ",\"route\":" << unpackRoute(e.aux)
+           << ",\"route_bytes\":" << unpackRouteBytes(e.aux);
+      } else {
+        os << ",\"aux\":" << e.aux;
+      }
+      os << "}";
+      em.close();
     }
-    os << "}";
-    em.close();
   }
 
   // Per-PE in-flight span counter.
   std::map<int, std::map<sim::TimePoint, std::int64_t>> deltas;
-  for (const SpanInfo& s : infos) {
-    const int pid = s.src_pe >= 0 ? s.src_pe : 0;
-    deltas[pid][s.begin] += 1;
-    if (!s.open) deltas[pid][s.end] -= 1;
+  for (const Retired& r : spans_) {
+    const int pid = r.info.src_pe >= 0 ? r.info.src_pe : 0;
+    deltas[pid][r.info.begin] += 1;
+    deltas[pid][r.info.end] -= 1;
   }
   for (const auto& [pe, series] : deltas) {
     std::int64_t level = 0;
@@ -179,15 +158,15 @@ void writePerfetto(std::ostream& os, const SpanCollector& spans, const sim::Trac
     }
   }
 
-  // Caller-supplied counter tracks (resource-utilization timelines) on a
-  // dedicated "resources" process so they group together in the UI.
-  if (counters != nullptr && !counters->empty()) {
+  // Counter tracks (resource-utilization timelines) on a dedicated
+  // "resources" process so they group together in the UI.
+  if (!counters_.empty()) {
     constexpr int kResourcePid = 1'000'000;
     em.open();
     os << "\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << kResourcePid
        << ",\"tid\":0,\"args\":{\"name\":\"resources\"}";
     em.close();
-    for (const CounterTrack& track : *counters) {
+    for (const CounterTrack& track : counters_) {
       for (const auto& [ts, value] : track.points) {
         em.open();
         os << "\"ph\":\"C\",\"name\":";
@@ -199,22 +178,8 @@ void writePerfetto(std::ostream& os, const SpanCollector& spans, const sim::Trac
     }
   }
 
-  // Flat tracer records as instants (category names like "ucx.send").
-  if (trace != nullptr) {
-    for (const sim::TraceRecord& r : trace->records()) {
-      em.open();
-      os << "\"cat\":\"tracer\",\"ph\":\"i\",\"s\":\"p\",\"name\":";
-      jsonString(os, sim::name(r.cat));
-      os << ",\"pid\":" << (r.pe >= 0 ? r.pe : 0) << ",\"tid\":0,\"ts\":" << sim::toUs(r.time)
-         << ",\"args\":{\"peer\":" << r.peer << ",\"bytes\":" << r.bytes << ",\"tag\":" << r.tag
-         << ",\"detail\":";
-      jsonString(os, r.detail);
-      os << "}";
-      em.close();
-    }
-  }
-
   os << "\n]}\n";
+  os.flush();
 }
 
 }  // namespace cux::obs

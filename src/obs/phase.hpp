@@ -6,8 +6,8 @@
 
 /// \file phase.hpp
 /// The span vocabulary shared by the collector, the windowed aggregator and
-/// the sinks: the phase taxonomy, the per-event and per-span records, and the
-/// aux-word encoding helpers. Split out of span.hpp so window.hpp / sink.hpp
+/// the sinks: the phase taxonomy, the per-event and per-span records, the
+/// aux-word encoding helpers and the interval derivation. Split out of span.hpp so window.hpp / sink.hpp
 /// can consume the record types without pulling in the collector (which in
 /// turn owns a WindowAggregator — the include cycle this file breaks).
 
@@ -80,9 +80,8 @@ struct SpanEvent {
   std::uint64_t aux = 0;  ///< phase-specific (bytes, attempt number, ...)
 };
 
-/// Per-span summary maintained incrementally (indexed by span id - 1 in the
-/// retained collector; carried alongside the open-span event list in the
-/// streaming collector).
+/// Per-span summary, carried alongside the span's event list while it is
+/// open and handed to every sink when it retires.
 struct SpanInfo {
   sim::TimePoint begin = 0;
   sim::TimePoint end = 0;  ///< max event time seen so far
@@ -91,29 +90,41 @@ struct SpanInfo {
   std::uint64_t bytes = 0;
   std::uint64_t tag = 0;         ///< bound wire tag (0 = none bound)
   const char* kind = "";         ///< static string: "charm", "ampi", ...
-  Phase terminal = Phase::ApiSend;  ///< valid only when !open
-  bool open = false;
+  Phase terminal = Phase::ApiSend;  ///< terminal phase once retired
 };
 
-/// First-occurrence timestamp of each phase for one span; kNone = unseen.
-/// Shared by the breakdown report, the window aggregator and the
-/// critical-path attribution, which all derive intervals the same way.
-struct PhaseTimes {
+/// One interval of a span's lifecycle. An endpoint the span never recorded
+/// is kNone; the interval exists only when both endpoints were recorded, in
+/// order.
+struct Interval {
   static constexpr sim::TimePoint kNone = ~sim::TimePoint{0};
-  sim::TimePoint at[kPhaseCount];
-  PhaseTimes() {
-    for (auto& t : at) t = kNone;
+  sim::TimePoint from = kNone;
+  sim::TimePoint to = kNone;
+
+  [[nodiscard]] bool valid() const noexcept {
+    return from != kNone && to != kNone && to >= from;
   }
-  void see(Phase p, sim::TimePoint t) noexcept {
-    auto& slot = at[static_cast<std::size_t>(p)];
-    if (t < slot) slot = t;
-  }
-  [[nodiscard]] bool has(Phase p) const noexcept {
-    return at[static_cast<std::size_t>(p)] != kNone;
-  }
-  [[nodiscard]] sim::TimePoint get(Phase p) const noexcept {
-    return at[static_cast<std::size_t>(p)];
-  }
+  [[nodiscard]] sim::Duration length() const noexcept { return to - from; }
 };
+
+/// The intervals the paper's end-to-end latencies hide, as every report and
+/// exporter sees them (each phase counts at its first occurrence):
+///
+///   total      ApiSend -> terminal        Completed spans only
+///   meta       ApiSend -> MetaArrived     host metadata leg (converse)
+///   post_delay MetaArrived -> RecvPosted  the paper's posting limitation
+///   early_wait EarlyArrival -> matched    payload parked unexpected; matched
+///                                         is MatchedUnexpected, else RecvPosted
+///   data       recv ready -> Completed    payload movement + delivery; recv
+///                                         ready is the later of RecvPosted
+///                                         and MatchedUnexpected
+struct SpanIntervals {
+  Interval total, meta, post_delay, early_wait, data;
+};
+
+/// The one derivation of SpanIntervals, shared by obs::Breakdown, the window
+/// aggregator, the critical-path attribution and the Perfetto writer.
+[[nodiscard]] SpanIntervals intervals(const SpanInfo& info, const SpanEvent* events,
+                                      std::size_t n_events);
 
 }  // namespace cux::obs

@@ -5,15 +5,16 @@
 
 namespace cux::obs {
 
-void Breakdown::accumulateSpan(const SpanInfo& s, const SpanEvent* events,
-                               std::size_t n_events) {
-  PhaseTimes pt;
-  std::uint64_t span_retries = 0;
+void Breakdown::onSpanRetired(std::uint64_t, const SpanInfo& s, const SpanEvent* events,
+                              std::size_t n_events) {
+  bool posted = false;
+  bool unexpected = false;
   for (std::size_t i = 0; i < n_events; ++i) {
     const SpanEvent& e = events[i];
-    pt.see(e.phase, e.time);
-    if (e.phase == Phase::Retry) ++span_retries;
+    if (e.phase == Phase::Retry) ++retries;
     if (e.phase == Phase::Fallback) ++fallbacks;
+    posted |= e.phase == Phase::MatchedPosted;
+    unexpected |= e.phase == Phase::MatchedUnexpected;
     if (routedPhase(e.phase)) {
       ++multipath_events;
       const std::size_t route = unpackRoute(e.aux);
@@ -23,56 +24,20 @@ void Breakdown::accumulateSpan(const SpanInfo& s, const SpanEvent* events,
   }
 
   ++spans;
-  retries += span_retries;
-  if (!s.open && s.terminal == Phase::Completed) ++completed;
-  if (!s.open && s.terminal == Phase::Errored) ++errored;
-  if (pt.has(Phase::MatchedPosted)) ++matched_posted;
-  if (pt.has(Phase::MatchedUnexpected)) ++matched_unexpected;
+  if (s.terminal == Phase::Completed) ++completed;
+  if (s.terminal == Phase::Errored) ++errored;
+  if (posted) ++matched_posted;
+  if (unexpected) ++matched_unexpected;
 
-  if (!s.open && s.terminal == Phase::Completed) {
-    total.push_back(sim::toUs(s.end - s.begin));
-  }
-  if (pt.has(Phase::MetaArrived)) {
-    meta.push_back(sim::toUs(pt.get(Phase::MetaArrived) - s.begin));
-    if (pt.has(Phase::RecvPosted)) {
-      post_delay.push_back(sim::toUs(pt.get(Phase::RecvPosted) - pt.get(Phase::MetaArrived)));
-    }
-  }
-  if (pt.has(Phase::EarlyArrival)) {
-    const sim::TimePoint matched = pt.has(Phase::MatchedUnexpected)
-                                       ? pt.get(Phase::MatchedUnexpected)
-                                       : (pt.has(Phase::RecvPosted) ? pt.get(Phase::RecvPosted)
-                                                                    : PhaseTimes::kNone);
-    if (matched != PhaseTimes::kNone && matched >= pt.get(Phase::EarlyArrival)) {
-      early_wait.push_back(sim::toUs(matched - pt.get(Phase::EarlyArrival)));
-    }
-  }
-  if (pt.has(Phase::Completed)) {
-    sim::TimePoint from = PhaseTimes::kNone;
-    if (pt.has(Phase::RecvPosted)) from = pt.get(Phase::RecvPosted);
-    if (pt.has(Phase::MatchedUnexpected) && pt.get(Phase::MatchedUnexpected) > from &&
-        from != PhaseTimes::kNone) {
-      from = pt.get(Phase::MatchedUnexpected);
-    } else if (from == PhaseTimes::kNone && pt.has(Phase::MatchedUnexpected)) {
-      from = pt.get(Phase::MatchedUnexpected);
-    }
-    if (from != PhaseTimes::kNone && pt.get(Phase::Completed) >= from) {
-      data.push_back(sim::toUs(pt.get(Phase::Completed) - from));
-    }
-  }
-}
-
-void Breakdown::accumulate(const SpanCollector& sc) {
-  // Group the flat event vector by span id, then fold each span through the
-  // same per-span path the streaming sinks use.
-  const auto& all_spans = sc.spans();
-  std::vector<std::vector<SpanEvent>> per_span(all_spans.size());
-  for (const SpanEvent& e : sc.events()) {
-    if (e.span == 0 || e.span > all_spans.size()) continue;
-    per_span[e.span - 1].push_back(e);
-  }
-  for (std::size_t i = 0; i < all_spans.size(); ++i)
-    accumulateSpan(all_spans[i], per_span[i].data(), per_span[i].size());
+  const SpanIntervals iv = intervals(s, events, n_events);
+  const auto sample = [](std::vector<double>& v, const Interval& i) {
+    if (i.valid()) v.push_back(sim::toUs(i.length()));
+  };
+  sample(total, iv.total);
+  sample(meta, iv.meta);
+  sample(post_delay, iv.post_delay);
+  sample(early_wait, iv.early_wait);
+  sample(data, iv.data);
 }
 
 double percentile(std::vector<double>& v, double p) {

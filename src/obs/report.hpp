@@ -3,26 +3,21 @@
 #include <cstdint>
 #include <vector>
 
-#include "obs/span.hpp"
+#include "obs/sink.hpp"
 
 /// \file report.hpp
-/// Per-phase latency breakdown derived from collected spans: the quantities
-/// the paper's end-to-end figures cannot show. Intervals (all in
-/// microseconds of virtual time):
-///
-///   total      ApiSend -> terminal           full message lifecycle
-///   meta       ApiSend -> MetaArrived        host metadata leg (converse)
-///   post_delay MetaArrived -> RecvPosted     the paper's posting limitation
-///   early_wait EarlyArrival -> matched       payload parked unexpected
-///   data       post/match -> Completed       payload movement + delivery
-///
-/// An interval is only sampled for spans that recorded both endpoints, so
-/// e.g. early_wait has samples only for transfers that really did arrive
+/// Per-phase latency breakdown of retired spans: the quantities the paper's
+/// end-to-end figures cannot show. Samples are the obs::SpanIntervals
+/// (total, meta, post_delay, early_wait, data) in microseconds of virtual
+/// time. An interval is only sampled for spans that recorded both endpoints,
+/// so e.g. early_wait has samples only for transfers that really did arrive
 /// before the receive was posted.
 
 namespace cux::obs {
 
-struct Breakdown {
+/// A sink: attach it to a collector (or several, to aggregate across runs)
+/// and read the samples after the run.
+struct Breakdown final : Sink {
   std::vector<double> total, meta, post_delay, early_wait, data;
   std::uint64_t spans = 0;
   std::uint64_t completed = 0;
@@ -36,15 +31,8 @@ struct Breakdown {
   std::uint64_t multipath_events = 0;
   std::vector<std::uint64_t> path_bytes;
 
-  /// Folds every span of `sc` into the sample vectors (callable repeatedly
-  /// to aggregate across runs).
-  void accumulate(const SpanCollector& sc);
-
-  /// Folds one span from its summary + own event list. The per-span core of
-  /// accumulate(), exposed so a streaming Sink can feed a Breakdown at
-  /// retirement time without ever retaining the run.
-  void accumulateSpan(const SpanInfo& info, const SpanEvent* events,
-                      std::size_t n_events);
+  void onSpanRetired(std::uint64_t id, const SpanInfo& info, const SpanEvent* events,
+                     std::size_t n_events) override;
 };
 
 /// p in [0, 100]; sorts `v` in place. Returns 0 for an empty vector.

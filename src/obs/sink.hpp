@@ -6,12 +6,13 @@
 #include "obs/window.hpp"
 
 /// \file sink.hpp
-/// Pluggable consumers for the streaming observability pipeline. The
-/// collector pushes each retired span (with its full event list, which is
-/// recycled immediately after the call) and, at flush time, each windowed
-/// aggregate. Sinks must not allocate per event beyond their own output
-/// buffering and must never touch the simulation — the stream is
-/// one-directional by construction, which is what keeps streaming obs
+/// Consumers of the observability pipeline. The collector pushes each
+/// retired span (with its full event list, which is recycled immediately
+/// after the call) to every attached sink in attach order and, at flush
+/// time, each windowed aggregate. The reports (obs::Breakdown,
+/// obs::CritPath) and the exporters (JsonlSink, obs::PerfettoSink) are all
+/// sinks. Sinks must never touch the simulation — the stream is
+/// one-directional by construction, which is what keeps obs
 /// trace-invisible.
 
 namespace cux::obs {
@@ -27,8 +28,8 @@ class Sink {
 
   /// One windowed aggregate, emitted in deterministic key order by
   /// WindowAggregator::emit.
-  virtual void onWindow(const WindowKey& key, const WindowStats& stats,
-                        const WindowConfig& cfg) = 0;
+  virtual void onWindow(const WindowKey& /*key*/, const WindowStats& /*stats*/,
+                        const WindowConfig& /*cfg*/) {}
 
   /// End of stream: flush buffers, close framing. Idempotent.
   virtual void finish() {}
@@ -77,27 +78,6 @@ class JsonlSink final : public Sink {
  private:
   std::ostream* os_;
   std::uint64_t lines_ = 0;
-};
-
-/// Incremental Perfetto (Chrome trace_event JSON) writer: header on
-/// construction, async begin/end plus phase instants as each span retires,
-/// closing bracket at finish(). Unlike obs::writePerfetto it never needs
-/// the whole collector in memory.
-class PerfettoStreamSink final : public Sink {
- public:
-  explicit PerfettoStreamSink(std::ostream& os);
-
-  void onSpanRetired(std::uint64_t id, const SpanInfo& info, const SpanEvent* events,
-                     std::size_t n_events) override;
-  void onWindow(const WindowKey&, const WindowStats&, const WindowConfig&) override {}
-  void finish() override;
-
- private:
-  void comma();
-
-  std::ostream* os_;
-  bool any_ = false;
-  bool finished_ = false;
 };
 
 }  // namespace cux::obs

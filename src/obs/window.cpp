@@ -30,22 +30,24 @@ void WindowAggregator::fold(const SpanInfo& info, const SpanEvent* events,
                       info.end / cfg_.window_ns};
   WindowStats& w = map_[key];
 
-  PhaseTimes pt;
   std::uint64_t retries = 0;
   std::uint64_t multipath = 0;
+  bool fallback = false;
+  bool early = false;
   for (std::size_t i = 0; i < n_events; ++i) {
-    const SpanEvent& e = events[i];
-    pt.see(e.phase, e.time);
-    if (e.phase == Phase::Retry) ++retries;
-    if (routedPhase(e.phase)) ++multipath;
+    const Phase p = events[i].phase;
+    if (p == Phase::Retry) ++retries;
+    if (routedPhase(p)) ++multipath;
+    fallback |= p == Phase::Fallback;
+    early |= p == Phase::EarlyArrival;
   }
 
   ++w.spans;
   w.bytes += info.bytes;
   w.retries += retries;
   w.multipath_events += multipath;
-  if (pt.has(Phase::Fallback)) ++w.fallbacks;
-  if (pt.has(Phase::EarlyArrival)) ++w.early_arrivals;
+  if (fallback) ++w.fallbacks;
+  if (early) ++w.early_arrivals;
   switch (info.terminal) {
     case Phase::Completed: ++w.completed; break;
     case Phase::Errored: ++w.errored; break;
@@ -53,30 +55,15 @@ void WindowAggregator::fold(const SpanInfo& info, const SpanEvent* events,
     default: break;
   }
 
-  // The interval derivations mirror obs::Breakdown::accumulate so the
-  // windowed histograms and the retained-mode report agree on semantics.
-  if (info.terminal == Phase::Completed && info.end >= info.begin)
-    w.total.observe(info.end - info.begin);
-  if (pt.has(Phase::MetaArrived) && pt.get(Phase::MetaArrived) >= info.begin)
-    w.meta.observe(pt.get(Phase::MetaArrived) - info.begin);
-  if (pt.has(Phase::MetaArrived) && pt.has(Phase::RecvPosted) &&
-      pt.get(Phase::RecvPosted) >= pt.get(Phase::MetaArrived))
-    w.post_delay.observe(pt.get(Phase::RecvPosted) - pt.get(Phase::MetaArrived));
-  if (pt.has(Phase::EarlyArrival)) {
-    const sim::TimePoint matched = pt.has(Phase::MatchedUnexpected)
-                                       ? pt.get(Phase::MatchedUnexpected)
-                                       : pt.get(Phase::RecvPosted);
-    if (matched != PhaseTimes::kNone && matched >= pt.get(Phase::EarlyArrival))
-      w.early_wait.observe(matched - pt.get(Phase::EarlyArrival));
-  }
-  if (info.terminal == Phase::Completed) {
-    sim::TimePoint from = PhaseTimes::kNone;
-    if (pt.has(Phase::RecvPosted)) from = pt.get(Phase::RecvPosted);
-    if (pt.has(Phase::MatchedUnexpected) &&
-        (from == PhaseTimes::kNone || pt.get(Phase::MatchedUnexpected) > from))
-      from = pt.get(Phase::MatchedUnexpected);
-    if (from != PhaseTimes::kNone && info.end >= from) w.data.observe(info.end - from);
-  }
+  const SpanIntervals iv = intervals(info, events, n_events);
+  const auto observe = [](LatHist& h, const Interval& i) {
+    if (i.valid()) h.observe(i.length());
+  };
+  observe(w.total, iv.total);
+  observe(w.meta, iv.meta);
+  observe(w.post_delay, iv.post_delay);
+  observe(w.early_wait, iv.early_wait);
+  observe(w.data, {iv.data.from, info.terminal == Phase::Completed ? info.end : Interval::kNone});
 
   insertExemplar(w, info, events, n_events);
 }
@@ -142,19 +129,6 @@ void WindowAggregator::dumpWindowFields(std::ostream& os, const WindowKey& key,
     os << "{\"begin_ns\":" << ex.info.begin << ",\"end_ns\":" << ex.info.end
        << ",\"src_pe\":" << ex.info.src_pe << ",\"dst_pe\":" << ex.info.dst_pe
        << ",\"bytes\":" << ex.info.bytes << ",\"events\":" << ex.events.size() << "}";
-  }
-  os << "]";
-}
-
-void WindowAggregator::dumpJson(std::ostream& os) const {
-  os << "[";
-  bool first_win = true;
-  for (const auto& [key, w] : map_) {
-    if (!first_win) os << ",";
-    first_win = false;
-    os << "{";
-    dumpWindowFields(os, key, w, cfg_);
-    os << "}";
   }
   os << "]";
 }

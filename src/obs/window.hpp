@@ -83,7 +83,7 @@ struct WindowStats {
   LatHist meta;        ///< begin -> MetaArrived
   LatHist post_delay;  ///< MetaArrived -> RecvPosted (recv posted late)
   LatHist early_wait;  ///< EarlyArrival -> matched (paper's limitation)
-  LatHist data;        ///< recv-ready -> Completed
+  LatHist data;        ///< recv ready -> Completed
   /// The N lexicographically-smallest spans by (begin, src_pe, dst_pe,
   /// bytes, tag), so the sample does not depend on fold order.
   std::vector<SpanExemplar> exemplars;
@@ -107,16 +107,12 @@ class WindowAggregator {
   [[nodiscard]] const Map& windows() const noexcept { return map_; }
   [[nodiscard]] std::size_t size() const noexcept { return map_.size(); }
   [[nodiscard]] bool empty() const noexcept { return map_.empty(); }
-  void clear() { map_.clear(); }
 
   /// Emits every window through `sink` in deterministic key order.
   void emit(Sink& sink) const;
 
-  /// Deterministic JSON dump (no exemplar events, just identifying fields).
-  void dumpJson(std::ostream& os) const;
-
-  /// Writes the JSON fields (no surrounding braces) of one window; shared by
-  /// dumpJson and the JSONL sink so both encode identically.
+  /// Writes the JSON fields (no surrounding braces) of one window, as the
+  /// JSONL sink encodes it.
   static void dumpWindowFields(std::ostream& os, const WindowKey& key,
                                const WindowStats& stats, const WindowConfig& cfg);
 

@@ -12,6 +12,7 @@
 #include "coll/charm_section.hpp"
 #include "coll/coll.hpp"
 #include "model/model.hpp"
+#include "retain_sink.hpp"
 #include "ucx/context.hpp"
 
 /// Cross-stack collective tests: Charm++ array sections and Charm4py channel
@@ -352,9 +353,10 @@ TEST(CollFault, Charm4pyAllreduceSurvivesTenPercentLoss) {
 // ---------------------------------------------------------------------------
 
 std::uint64_t tracedAllreduceHash(bool obs_on, std::uint64_t* spans_begun = nullptr) {
+  test::RetainSink retain;  // outlives the machine that feeds it
   StackFixture f(2);
   f.sys->trace.enable();
-  if (obs_on) f.sys->obs.spans.enable();
+  if (obs_on) f.sys->obs.spans.enableStreaming({}, &retain);
 
   const int n = 8;
   const std::uint64_t count = 8192;
@@ -378,16 +380,15 @@ std::uint64_t tracedAllreduceHash(bool obs_on, std::uint64_t* spans_begun = null
     const obs::SpanCollector& sc = f.sys->obs.spans;
     if (spans_begun != nullptr) *spans_begun = sc.begun();
     // The collective minted spans with pipeline phases.
-    bool saw_coll = false;
-    for (const obs::SpanInfo& s : sc.spans()) {
-      saw_coll |= std::string_view(s.kind) == "coll.allreduce";
+    bool saw_coll = false, saw_chunk = false, saw_reduce = false;
+    for (const test::RetainSink::Span& s : retain.spans) {
+      saw_coll |= std::string_view(s.info.kind) == "coll.allreduce";
+      for (const obs::SpanEvent& e : s.events) {
+        saw_chunk |= e.phase == obs::Phase::CollChunk;
+        saw_reduce |= e.phase == obs::Phase::CollReduce;
+      }
     }
     EXPECT_TRUE(saw_coll) << "no coll.allreduce span minted";
-    bool saw_chunk = false, saw_reduce = false;
-    for (const obs::SpanEvent& e : sc.events()) {
-      saw_chunk |= e.phase == obs::Phase::CollChunk;
-      saw_reduce |= e.phase == obs::Phase::CollReduce;
-    }
     EXPECT_TRUE(saw_chunk) << "no CollChunk phase recorded";
     EXPECT_TRUE(saw_reduce) << "no CollReduce phase recorded";
   }

@@ -17,6 +17,7 @@
 #include "obs/report.hpp"
 #include "obs/sink.hpp"
 #include "obs/span.hpp"
+#include "retain_sink.hpp"
 #include "ucx/context.hpp"
 
 // --------------------------------------------------------------------------
@@ -166,12 +167,13 @@ TEST(Spans, DisabledCollectorIsInert) {
   sc.bindTag(0, 99);
   EXPECT_EQ(sc.spanForTag(99), 0u);
   EXPECT_EQ(sc.begun(), 0u);
-  EXPECT_TRUE(sc.events().empty());
+  EXPECT_EQ(sc.retired(), 0u);
 }
 
 TEST(Spans, LifecycleAccounting) {
+  test::RetainSink retain;
   obs::SpanCollector sc;
-  sc.enable();
+  sc.enableStreaming({}, &retain);
   const auto s1 = sc.begin(100, 0, 1, 4096, "ampi");
   const auto s2 = sc.begin(110, 2, 3, 64, "charm");
   EXPECT_EQ(s1, 1u);
@@ -182,7 +184,7 @@ TEST(Spans, LifecycleAccounting) {
   sc.phase(s1, 160, obs::Phase::RecvPosted, 1, 4096);
   sc.end(s1, 200, obs::Phase::Completed, 1);
   EXPECT_EQ(sc.openCount(), 1u);
-  EXPECT_EQ(sc.closed(), 1u);
+  EXPECT_EQ(sc.retired(), 1u);
   EXPECT_EQ(sc.terminalCount(obs::Phase::Completed), 1u);
 
   // Double close is counted, not fatal.
@@ -194,17 +196,20 @@ TEST(Spans, LifecycleAccounting) {
   EXPECT_EQ(sc.openCount(), 0u);
   EXPECT_EQ(sc.terminalCount(obs::Phase::Errored), 1u);
 
-  const obs::SpanInfo* info = sc.span(s1);
-  ASSERT_NE(info, nullptr);
-  EXPECT_EQ(info->begin, 100u);
-  EXPECT_EQ(info->end, 200u);  // the double close was rejected before touching end
-  EXPECT_EQ(info->bytes, 4096u);
-  EXPECT_STREQ(info->kind, "ampi");
+  ASSERT_EQ(retain.spans.size(), 2u);
+  const test::RetainSink::Span* span = retain.find(s1);
+  ASSERT_NE(span, nullptr);
+  EXPECT_EQ(span->info.begin, 100u);
+  EXPECT_EQ(span->info.end, 200u);  // the double close was rejected before touching end
+  EXPECT_EQ(span->info.bytes, 4096u);
+  EXPECT_EQ(span->info.terminal, obs::Phase::Completed);
+  EXPECT_STREQ(span->info.kind, "ampi");
+  EXPECT_EQ(span->events.size(), 4u);  // api-send, meta-arrived, recv-posted, completed
 }
 
 TEST(Spans, TagBindingAndUnbindOnClose) {
   obs::SpanCollector sc;
-  sc.enable();
+  sc.enableStreaming();
   const auto s = sc.begin(0, 0, 1, 64, "raw");
   sc.bindTag(s, 777);
   EXPECT_EQ(sc.spanForTag(777), s);
@@ -219,16 +224,21 @@ TEST(Spans, TagBindingAndUnbindOnClose) {
 }
 
 TEST(Spans, OutOfRangeSpanIdsAreIgnored) {
+  test::RetainSink retain;
   obs::SpanCollector sc;
-  sc.enable();
+  sc.enableStreaming({}, &retain);
   sc.phase(12345, 10, obs::Phase::MetaArrived, 0);
   sc.end(12345, 20, obs::Phase::Completed, 0);
-  EXPECT_TRUE(sc.events().empty());
-  EXPECT_EQ(sc.doubleCloses(), 0u);
+  // Nothing is stored or retired; both records are counted.
+  EXPECT_TRUE(retain.spans.empty());
+  EXPECT_EQ(sc.retired(), 0u);
+  EXPECT_EQ(sc.droppedEvents(), 1u);
+  EXPECT_EQ(sc.doubleCloses(), 1u);
+  EXPECT_EQ(sc.terminalCount(obs::Phase::Completed), 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Streaming mode: windowed aggregation, sinks, packed-aux decode
+// Retirement: windowed aggregation, sinks, packed-aux decode
 // ---------------------------------------------------------------------------
 
 TEST(PackedAux, RouteBytesRoundTripAndMask) {
@@ -249,7 +259,6 @@ TEST(Spans, StreamingRetiresIntoWindowsAndSink) {
   obs::SpanCollector sc;
   sc.enableStreaming({}, &sink);
   EXPECT_TRUE(sc.enabled());
-  EXPECT_TRUE(sc.streaming());
 
   const auto s1 = sc.begin(1000, 0, 1, 4096, "charm");
   sc.phase(s1, 1500, obs::Phase::MetaArrived, 1);
@@ -263,8 +272,7 @@ TEST(Spans, StreamingRetiresIntoWindowsAndSink) {
   EXPECT_EQ(sc.retired(), 2u);
   EXPECT_EQ(sc.openCount(), 0u);
   EXPECT_EQ(sink.spans(), 2u);
-  EXPECT_TRUE(sc.spans().empty()) << "streaming mode must not retain spans";
-  EXPECT_TRUE(sc.events().empty());
+  EXPECT_EQ(sc.span(s1), nullptr) << "the collector must not retain retired spans";
   // Both spans end inside the same 100 us window of the same kind/size class.
   ASSERT_EQ(sc.windows().size(), 1u);
   const auto& [key, stats] = *sc.windows().windows().begin();
@@ -366,8 +374,9 @@ TEST(Breakdown, PercentileInterpolatesBetweenRanks) {
 }
 
 TEST(Breakdown, IntervalsFromKnownTimeline) {
+  obs::Breakdown b;
   obs::SpanCollector sc;
-  sc.enable();
+  sc.enableStreaming({}, &b);
   // One span with the full paper timeline, in nanoseconds of virtual time:
   // api-send @0, payload early @1000, metadata @3000, receive posted @4000,
   // matched @4000, completed @6000.
@@ -378,8 +387,6 @@ TEST(Breakdown, IntervalsFromKnownTimeline) {
   sc.phase(s, 4000, obs::Phase::MatchedUnexpected, 1);
   sc.end(s, 6000, obs::Phase::Completed, 1);
 
-  obs::Breakdown b;
-  b.accumulate(sc);
   EXPECT_EQ(b.spans, 1u);
   EXPECT_EQ(b.completed, 1u);
   EXPECT_EQ(b.matched_unexpected, 1u);
@@ -396,14 +403,18 @@ TEST(Breakdown, IntervalsFromKnownTimeline) {
 }
 
 TEST(Breakdown, OpenSpansContributeNoTotal) {
-  obs::SpanCollector sc;
-  sc.enable();
-  (void)sc.begin(0, 0, 1, 64, "ampi");  // never closed
   obs::Breakdown b;
-  b.accumulate(sc);
+  obs::SpanCollector sc;
+  sc.enableStreaming({}, &b);
+  (void)sc.begin(0, 0, 1, 64, "ampi");  // never closed: never reaches a sink
+  const auto failed = sc.begin(10, 0, 1, 64, "ampi");
+  sc.phase(failed, 20, obs::Phase::MetaArrived, 1);
+  sc.end(failed, 30, obs::Phase::Errored, 1);
   EXPECT_EQ(b.spans, 1u);
+  EXPECT_EQ(b.errored, 1u);
   EXPECT_EQ(b.completed, 0u);
-  EXPECT_TRUE(b.total.empty());
+  EXPECT_TRUE(b.total.empty()) << "only completed spans have a total";
+  EXPECT_EQ(b.meta.size(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -411,19 +422,18 @@ TEST(Breakdown, OpenSpansContributeNoTotal) {
 // ---------------------------------------------------------------------------
 
 TEST(Perfetto, ExportContainsTracksSpansAndCounters) {
+  std::ostringstream os;
+  obs::PerfettoSink trace(os);
   obs::SpanCollector sc;
-  sc.enable();
+  sc.enableStreaming({}, &trace);
   const auto s = sc.begin(1000, 0, 1, 4096, "charm");
   sc.phase(s, 2000, obs::Phase::MetaArrived, 1, 4096);
   sc.phase(s, 2500, obs::Phase::RecvPosted, 1, 4096);
   sc.end(s, 4000, obs::Phase::Completed, 1);
+  trace.setCounters({obs::CounterTrack{"util.nvlink", {{0.0, 0.5}, {100.0, 0.25}}}});
+  EXPECT_TRUE(os.str().empty()) << "the trace is written at finish()";
+  sc.flushWindows();
 
-  sim::Tracer tracer;
-  tracer.enable();
-  tracer.record(1500, sim::TraceCat::UcxSend, 0, 1, 4096, 7, "eager-host");
-
-  std::ostringstream os;
-  obs::writePerfetto(os, sc, &tracer);
   const std::string j = os.str();
   EXPECT_NE(j.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(j.find("\"PE 0\""), std::string::npos);
@@ -431,23 +441,17 @@ TEST(Perfetto, ExportContainsTracksSpansAndCounters) {
   EXPECT_NE(j.find("\"charm 4096 B\""), std::string::npos);
   EXPECT_NE(j.find("\"ph\":\"b\""), std::string::npos);  // async span begin
   EXPECT_NE(j.find("\"ph\":\"e\""), std::string::npos);  // async span end
+  EXPECT_NE(j.find("\"post-delay\""), std::string::npos);
+  EXPECT_NE(j.find("\"data\""), std::string::npos);
   EXPECT_NE(j.find("inflight-spans"), std::string::npos);
-  EXPECT_NE(j.find("ucx.send"), std::string::npos);  // tracer instant
+  EXPECT_NE(j.find("\"util.nvlink\""), std::string::npos);  // counter track
   // Structurally balanced (cheap well-formedness check; CI runs a real JSON
   // parser over the exported file).
   EXPECT_EQ(std::count(j.begin(), j.end(), '{'), std::count(j.begin(), j.end(), '}'));
   EXPECT_EQ(std::count(j.begin(), j.end(), '['), std::count(j.begin(), j.end(), ']'));
-}
 
-TEST(Perfetto, EscapesDetailStrings) {
-  obs::SpanCollector sc;
-  sc.enable();
-  sim::Tracer tracer;
-  tracer.enable();
-  tracer.record(0, sim::TraceCat::User, 0, -1, 0, 0, "quote\"back\\slash");
-  std::ostringstream os;
-  obs::writePerfetto(os, sc, &tracer);
-  EXPECT_NE(os.str().find("quote\\\"back\\\\slash"), std::string::npos);
+  trace.finish();  // already written: a second finish adds nothing
+  EXPECT_EQ(os.str(), j);
 }
 
 // ---------------------------------------------------------------------------
@@ -541,8 +545,9 @@ TEST(TracerRing, InterningDeduplicatesEqualDetails) {
 
 TEST(ObsSystem, DeviceTransferProducesClosedSpanWithPhases) {
   auto m = model::summit(1);
+  test::RetainSink retain;  // outlives the machine that feeds it
   hw::System sys(m.machine);
-  sys.obs.spans.enable();
+  sys.obs.spans.enableStreaming({}, &retain);
   ucx::Context ctx(sys, m.ucx);
   cmi::Converse cmi(sys, ctx, m.costs);
   core::DeviceComm dev(cmi);
@@ -564,18 +569,19 @@ TEST(ObsSystem, DeviceTransferProducesClosedSpanWithPhases) {
   EXPECT_EQ(sc.openCount(), 0u);
   EXPECT_EQ(sc.doubleCloses(), 0u);
   EXPECT_EQ(sc.terminalCount(obs::Phase::Completed), 1u);
+  ASSERT_EQ(retain.spans.size(), 1u);
+  const test::RetainSink::Span& span = retain.spans[0];
   bool saw_payload = false, saw_posted = false;
-  for (const auto& e : sc.events()) {
+  for (const auto& e : span.events) {
     saw_payload |= e.phase == obs::Phase::PayloadSent;
     saw_posted |= e.phase == obs::Phase::RecvPosted;
   }
   EXPECT_TRUE(saw_payload);
   EXPECT_TRUE(saw_posted);
-  const obs::SpanInfo* info = sc.span(1);
-  ASSERT_NE(info, nullptr);
-  EXPECT_EQ(info->src_pe, 0);
-  EXPECT_EQ(info->dst_pe, 1);
-  EXPECT_STREQ(info->kind, "charm");
+  EXPECT_EQ(span.id, 1u);
+  EXPECT_EQ(span.info.src_pe, 0);
+  EXPECT_EQ(span.info.dst_pe, 1);
+  EXPECT_STREQ(span.info.kind, "charm");
 }
 
 TEST(ObsSystem, RegistrySnapshotRehomesLayerStats) {

@@ -41,7 +41,7 @@ void expectSpansTerminated(const obs::SpanCollector& sc, const char* what) {
   EXPECT_GT(sc.begun(), 0u) << what << ": no spans minted — instrumentation dead?";
   EXPECT_EQ(sc.openCount(), 0u) << what << ": orphan spans left open";
   EXPECT_EQ(sc.doubleCloses(), 0u) << what << ": span closed twice";
-  EXPECT_EQ(sc.closed(), sc.begun()) << what;
+  EXPECT_EQ(sc.retired(), sc.begun()) << what;
   const std::uint64_t terminals = sc.terminalCount(obs::Phase::Completed) +
                                   sc.terminalCount(obs::Phase::Errored) +
                                   sc.terminalCount(obs::Phase::Cancelled);

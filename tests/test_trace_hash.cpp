@@ -33,19 +33,14 @@ TEST(TraceHash, OrderSensitive) {
   EXPECT_NE(a.hash(), sim::Tracer{}.hash());
 }
 
-/// Span-collector configuration under test: off, retained vectors, or the
-/// bounded-memory streaming mode (windowed aggregation through a sink).
-enum class ObsMode { Off, Retained, Streaming };
-
-std::uint64_t mixedUcxTrafficHash(const sim::FaultConfig& fault = {},
-                                  ObsMode obs = ObsMode::Off) {
+/// `obs`: span collection on, with windowed aggregation and a sink.
+std::uint64_t mixedUcxTrafficHash(const sim::FaultConfig& fault = {}, bool obs = false) {
   model::Model m = model::summit(2);
   m.machine.fault = fault;
   obs::NullSink sink;
   hw::System sys(m.machine);
   sys.trace.enable();
-  if (obs == ObsMode::Retained) sys.obs.spans.enable();
-  if (obs == ObsMode::Streaming) sys.obs.spans.enableStreaming({}, &sink);
+  if (obs) sys.obs.spans.enableStreaming({}, &sink);
   ucx::Context ctx(sys, m.ucx);
   sim::SplitMix64 rng(42);
 
@@ -97,15 +92,14 @@ TEST(TraceHash, MixedUcxTrafficBitIdenticalAcrossRuns) {
 }
 
 std::uint64_t deviceCommHash(bool smp, const sim::FaultConfig& fault = {},
-                             ObsMode obs = ObsMode::Off) {
+                             bool obs = false) {
   model::Model m = model::summit(2);
   m.costs.smp_comm_thread = smp;
   m.machine.fault = fault;
   obs::NullSink sink;
   hw::System sys(m.machine);
   sys.trace.enable();
-  if (obs == ObsMode::Retained) sys.obs.spans.enable();
-  if (obs == ObsMode::Streaming) sys.obs.spans.enableStreaming({}, &sink);
+  if (obs) sys.obs.spans.enableStreaming({}, &sink);
   ucx::Context ctx(sys, m.ucx);
   cmi::Converse cmi(sys, ctx, m.costs);
   core::DeviceComm dev(cmi);
@@ -172,41 +166,19 @@ TEST(TraceHash, DisabledInjectorIsBitIdenticalToNoInjector) {
 }
 
 // The observability contract (mirroring the injector's): span collection
-// writes only to its own buffers — it never touches sim::Tracer, schedules
-// engine events, or consumes randomness — so enabling it leaves the trace
-// hash bit-identical. This must hold on the clean timeline AND on a faulty
-// one, where the Retry/Fallback/Errored span phases fire too.
+// writes only to its own buffers — windowed aggregation and sink fan-out
+// happen at retirement, on the observer's side of the fence; it never
+// touches sim::Tracer, schedules engine events, or consumes randomness — so
+// enabling it leaves the trace hash bit-identical. This must hold on the
+// clean timeline AND on a faulty one, where the Retry/Fallback/Errored span
+// phases fire too.
 TEST(TraceHash, ObservabilityIsTraceInvisible) {
-  EXPECT_EQ(mixedUcxTrafficHash({}, ObsMode::Off),
-            mixedUcxTrafficHash({}, ObsMode::Retained));
-  EXPECT_EQ(deviceCommHash(false, {}, ObsMode::Off),
-            deviceCommHash(false, {}, ObsMode::Retained));
-  EXPECT_EQ(deviceCommHash(true, {}, ObsMode::Off),
-            deviceCommHash(true, {}, ObsMode::Retained));
+  EXPECT_EQ(mixedUcxTrafficHash({}, false), mixedUcxTrafficHash({}, true));
+  EXPECT_EQ(deviceCommHash(false, {}, false), deviceCommHash(false, {}, true));
+  EXPECT_EQ(deviceCommHash(true, {}, false), deviceCommHash(true, {}, true));
   const auto loss = sim::FaultConfig::uniformLoss(0.1, 3);
-  EXPECT_EQ(mixedUcxTrafficHash(loss, ObsMode::Off),
-            mixedUcxTrafficHash(loss, ObsMode::Retained));
-  EXPECT_EQ(deviceCommHash(false, loss, ObsMode::Off),
-            deviceCommHash(false, loss, ObsMode::Retained));
-}
-
-// The same contract for the bounded-memory mode: windowed aggregation and
-// sink fan-out happen at retirement, on the observer's side of the fence —
-// no events scheduled, no randomness consumed, hashes bit-identical to a run
-// with observability off. Faulty timelines exercise the Retry/Fallback
-// retirement paths too.
-TEST(TraceHash, StreamingObservabilityIsTraceInvisible) {
-  EXPECT_EQ(mixedUcxTrafficHash({}, ObsMode::Off),
-            mixedUcxTrafficHash({}, ObsMode::Streaming));
-  EXPECT_EQ(deviceCommHash(false, {}, ObsMode::Off),
-            deviceCommHash(false, {}, ObsMode::Streaming));
-  EXPECT_EQ(deviceCommHash(true, {}, ObsMode::Off),
-            deviceCommHash(true, {}, ObsMode::Streaming));
-  const auto loss = sim::FaultConfig::uniformLoss(0.1, 3);
-  EXPECT_EQ(mixedUcxTrafficHash(loss, ObsMode::Off),
-            mixedUcxTrafficHash(loss, ObsMode::Streaming));
-  EXPECT_EQ(deviceCommHash(false, loss, ObsMode::Off),
-            deviceCommHash(false, loss, ObsMode::Streaming));
+  EXPECT_EQ(mixedUcxTrafficHash(loss, false), mixedUcxTrafficHash(loss, true));
+  EXPECT_EQ(deviceCommHash(false, loss, false), deviceCommHash(false, loss, true));
 }
 
 // Enabled faults are themselves deterministic: a fixed seed reproduces the

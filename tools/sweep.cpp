@@ -76,9 +76,9 @@ struct Args {
 
 /// Owns the --stream-obs output file and its JsonlSink. Every metric that
 /// constructs a simulated machine calls apply() from the fixture's setup hook
-/// (switching the span collector to streaming mode, so spans flow out as they
-/// retire instead of accumulating) and flush() after the run (windowed
-/// aggregates + utilization timeline lines).
+/// (attaching the sink to the span collector, so spans flow out as they
+/// retire) and flush() after the run (windowed aggregates + utilization
+/// timeline lines).
 struct StreamObs {
   std::ofstream file;
   std::unique_ptr<obs::JsonlSink> jsonl;
@@ -111,7 +111,6 @@ struct StreamObs {
   }
 
   void flush(hw::System& sys) {
-    if (!jsonl) return;
     sys.obs.spans.flushWindows();
     emitUtil(sys);
   }
@@ -198,10 +197,9 @@ StreamObs g_stream;  // NOLINT: single-threaded CLI driver state
       "                                      utilization counter tracks), loadable\n"
       "                                      in ui.perfetto.dev\n"
       "  --stream-obs FILE                   stream observability JSONL (any metric):\n"
-      "                                      span collection runs in bounded-memory\n"
-      "                                      streaming mode; one JSON object per\n"
-      "                                      line, typed span/window/util (schema\n"
-      "                                      checked by tools/check_obs_stream.py)\n",
+      "                                      one JSON object per line, typed\n"
+      "                                      span/window/util (schema checked by\n"
+      "                                      tools/check_obs_stream.py)\n",
       argv0);
   std::exit(2);
 }
@@ -587,26 +585,6 @@ int runMatch(const Args& a) {
   return "?";
 }
 
-/// Tee sink: folds each retired span into an obs::Breakdown (streaming-mode
-/// percentile accumulation) and forwards the stream to a downstream sink.
-struct BreakdownSink final : obs::Sink {
-  obs::Breakdown* b = nullptr;
-  obs::Sink* next = nullptr;
-
-  void onSpanRetired(std::uint64_t id, const obs::SpanInfo& info, const obs::SpanEvent* events,
-                     std::size_t n) override {
-    b->accumulateSpan(info, events, n);
-    if (next != nullptr) next->onSpanRetired(id, info, events, n);
-  }
-  void onWindow(const obs::WindowKey& k, const obs::WindowStats& s,
-                const obs::WindowConfig& c) override {
-    if (next != nullptr) next->onWindow(k, s, c);
-  }
-  void finish() override {
-    if (next != nullptr) next->finish();
-  }
-};
-
 /// Runs the OSU latency point per stack and size with span collection on and
 /// reports per-phase interval percentiles: the metadata leg, the recv-post
 /// delay (the paper's delayed-posting limitation), the early-arrival wait and
@@ -626,7 +604,16 @@ int runBreakdown(const Args& a) {
     obs::Breakdown b;
   };
   std::vector<Row> rows;
-  obs::SpanCollector last_spans;  // --perfetto: trace of the last point
+  std::ofstream trace_file;  // --perfetto: trace of the last point
+  std::unique_ptr<obs::PerfettoSink> trace;
+  if (!a.perfetto.empty()) {
+    trace_file.open(a.perfetto);
+    if (!trace_file) {
+      std::fprintf(stderr, "breakdown: cannot open %s\n", a.perfetto.c_str());
+      return 1;
+    }
+    trace = std::make_unique<obs::PerfettoSink>(trace_file);
+  }
 
   for (const osu::Stack stack : stacks) {
     for (const std::size_t bytes : sizes) {
@@ -644,18 +631,14 @@ int runBreakdown(const Args& a) {
       }
       cfg.observe = true;
       Row row{stackKey(stack), bytes, 0.0, {}};
-      BreakdownSink bsink;  // streaming path: percentiles fold at retirement
-      if (g_stream.active()) {
-        bsink.b = &row.b;
-        bsink.next = g_stream.jsonl.get();
-        cfg.setup = [&bsink](hw::System& sys) { sys.obs.spans.enableStreaming({}, &bsink); };
-        cfg.inspect = [](hw::System& sys) { g_stream.flush(sys); };
-      } else {
-        cfg.inspect = [&row, &last_spans](hw::System& sys) {
-          row.b.accumulate(sys.obs.spans);
-          last_spans = sys.obs.spans;
-        };
-      }
+      obs::Sink* last_trace =
+          stack == stacks.back() && bytes == sizes.back() ? trace.get() : nullptr;
+      cfg.setup = [&row, last_trace](hw::System& sys) {
+        sys.obs.spans.enableStreaming({}, &row.b);
+        sys.obs.spans.enableStreaming({}, last_trace);
+        g_stream.apply(sys);
+      };
+      cfg.inspect = [](hw::System& sys) { g_stream.flush(sys); };
       row.latency_us = osu::latencyPoint(cfg, bytes);
       rows.push_back(std::move(row));
     }
@@ -708,15 +691,7 @@ int runBreakdown(const Args& a) {
     }
   }
 
-  if (!a.perfetto.empty()) {
-    std::ofstream f(a.perfetto);
-    if (!f) {
-      std::fprintf(stderr, "breakdown: cannot open %s\n", a.perfetto.c_str());
-      return 1;
-    }
-    obs::writePerfetto(f, last_spans);
-    std::fprintf(stderr, "breakdown: wrote Perfetto trace to %s\n", a.perfetto.c_str());
-  }
+  if (trace) std::fprintf(stderr, "breakdown: wrote Perfetto trace to %s\n", a.perfetto.c_str());
   return 0;
 }
 
@@ -1102,27 +1077,6 @@ int runFailstop(const Args& a) {
 // --metric profile: critical-path attribution + resource utilization
 // --------------------------------------------------------------------------
 
-/// Tee sink: derives each retired span's critical-path segments at
-/// retirement time (so attribution works in bounded-memory streaming mode)
-/// and forwards the stream to a downstream sink.
-struct CritSink final : obs::Sink {
-  obs::CritPath* crit = nullptr;
-  obs::Sink* next = nullptr;
-
-  void onSpanRetired(std::uint64_t id, const obs::SpanInfo& info, const obs::SpanEvent* events,
-                     std::size_t n) override {
-    crit->addSpan(info, events, n);
-    if (next != nullptr) next->onSpanRetired(id, info, events, n);
-  }
-  void onWindow(const obs::WindowKey& k, const obs::WindowStats& s,
-                const obs::WindowConfig& c) override {
-    if (next != nullptr) next->onWindow(k, s, c);
-  }
-  void finish() override {
-    if (next != nullptr) next->finish();
-  }
-};
-
 /// One Perfetto counter track per resource class: per-window utilization
 /// (busy ns / capacity ns), sampled at each window's start time.
 [[nodiscard]] std::vector<obs::CounterTrack> utilCounters(const hw::UtilRecorder& u) {
@@ -1191,16 +1145,14 @@ int runProfile(const Args& a) {
       ccfg.gpus_per_node = cfg.model.machine.gpus_per_node;
       ccfg.host_staged = a.mode == osu::Mode::HostStaging;
       obs::CritPath crit(ccfg);
-      CritSink csink;
-      csink.crit = &crit;
-      csink.next = g_stream.jsonl.get();  // null when --stream-obs absent
 
       Point p;
       p.stack = stackKey(stack);
       p.bytes = bytes;
       std::vector<sim::TimePoint> marks;
-      cfg.setup = [&csink](hw::System& sys) {
-        sys.obs.spans.enableStreaming({}, &csink);
+      cfg.setup = [&crit](hw::System& sys) {
+        sys.obs.spans.enableStreaming({}, &crit);
+        g_stream.apply(sys);
         sys.enableUtil();
       };
       cfg.inspect = [&](hw::System& sys) {
@@ -1301,8 +1253,9 @@ int runProfile(const Args& a) {
       std::fprintf(stderr, "profile: cannot open %s\n", a.perfetto.c_str());
       return 1;
     }
-    obs::SpanCollector empty;  // spans streamed out; the counter tracks carry the timeline
-    obs::writePerfetto(f, empty, nullptr, &last_counters);
+    obs::PerfettoSink trace(f);  // no spans: the counter tracks carry the timeline
+    trace.setCounters(std::move(last_counters));
+    trace.finish();
     std::fprintf(stderr, "profile: wrote Perfetto utilization trace to %s\n",
                  a.perfetto.c_str());
   }
