@@ -62,7 +62,7 @@ void CritPath::addSpan(const SpanInfo& info, const SpanEvent* events,
     // payload send, or at the span begin.
     sim::TimePoint from = iv.data.from;
     if (from == Interval::kNone) from = sent != Interval::kNone ? sent : info.begin;
-    emitSeg(from, info.end, dataClass(cfg_, info));
+    emitSeg(from, iv.data.to, dataClass(cfg_, info));
   }
 }
 

@@ -63,7 +63,7 @@ void WindowAggregator::fold(const SpanInfo& info, const SpanEvent* events,
   observe(w.meta, iv.meta);
   observe(w.post_delay, iv.post_delay);
   observe(w.early_wait, iv.early_wait);
-  observe(w.data, {iv.data.from, info.terminal == Phase::Completed ? info.end : Interval::kNone});
+  observe(w.data, iv.data);
 
   insertExemplar(w, info, events, n_events);
 }

@@ -11,6 +11,7 @@
 #include "core/device_comm.hpp"
 #include "hw/cuda.hpp"
 #include "model/model.hpp"
+#include "obs/critpath.hpp"
 #include "obs/observability.hpp"
 #include "obs/perfetto.hpp"
 #include "obs/registry.hpp"
@@ -400,6 +401,36 @@ TEST(Breakdown, IntervalsFromKnownTimeline) {
   EXPECT_DOUBLE_EQ(b.early_wait[0], sim::toUs(3000));
   ASSERT_EQ(b.data.size(), 1u);
   EXPECT_DOUBLE_EQ(b.data[0], sim::toUs(2000));
+}
+
+// The data leg ends at delivery in every report, even when the sender's
+// rendezvous ATS, recorded ahead of its arrival time, stretches the span's
+// end past the Completed phase.
+TEST(Breakdown, DataLegEndsAtDeliveryInEveryReport) {
+  obs::Breakdown b;
+  obs::CritPath crit;
+  obs::SpanCollector sc;
+  sc.enableStreaming({}, &b);
+  sc.enableStreaming({}, &crit);
+  const auto s = sc.begin(0, 0, 1, 1 << 20, "charm");
+  sc.phase(s, 1000, obs::Phase::RecvPosted, 1);
+  sc.phase(s, 5000, obs::Phase::RndvAts, 0);
+  sc.end(s, 3000, obs::Phase::Completed, 1);
+
+  ASSERT_EQ(b.data.size(), 1u);
+  EXPECT_DOUBLE_EQ(b.data[0], sim::toUs(2000));
+  ASSERT_EQ(b.total.size(), 1u);
+  EXPECT_DOUBLE_EQ(b.total[0], sim::toUs(5000));  // the span itself ends at the ATS
+
+  ASSERT_EQ(sc.windows().size(), 1u);
+  const obs::LatHist& data = sc.windows().windows().begin()->second.data;
+  EXPECT_EQ(data.count, 1u);
+  EXPECT_EQ(data.sum, 2000u);
+
+  const auto iters = crit.attribute({0, 10'000});
+  ASSERT_EQ(iters.size(), 1u);
+  EXPECT_DOUBLE_EQ(iters[0].us[static_cast<std::size_t>(obs::CritCat::LinkNvLink)],
+                   sim::toUs(2000));
 }
 
 TEST(Breakdown, OpenSpansContributeNoTotal) {
