@@ -91,7 +91,9 @@ double mpiLatency(const BenchConfig& cfg, std::size_t bytes);     // AMPI + Open
 double mpiBandwidth(const BenchConfig& cfg, std::size_t bytes);   // AMPI + OpenMPI
 double c4pLatency(const BenchConfig& cfg, std::size_t bytes);
 double c4pBandwidth(const BenchConfig& cfg, std::size_t bytes);
-/// PEs used for the benchmark pair under a placement.
+/// PEs used for the benchmark pair under a placement. Throws
+/// std::invalid_argument when the machine cannot host the placement (e.g.
+/// inter-node on one node).
 [[nodiscard]] std::pair<int, int> pickPes(const BenchConfig& cfg);
 }  // namespace detail
 

@@ -1,6 +1,7 @@
 #include "apps/osu/osu.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace cux::osu {
 
@@ -91,9 +92,15 @@ std::vector<Point> runMultiLatency(const BenchConfig& cfg) {
 namespace detail {
 
 std::pair<int, int> pickPes(const BenchConfig& cfg) {
-  assert(cfg.model.machine.num_nodes >= 2 || cfg.place == Placement::IntraNode);
-  if (cfg.place == Placement::IntraNode) return {0, 1};  // same socket, NVLink peers
-  return {0, cfg.model.machine.gpus_per_node};           // PE 0 of node 0 and node 1
+  const hw::MachineConfig& m = cfg.model.machine;
+  if (cfg.place == Placement::IntraNode) {
+    if (m.gpus_per_node < 2)
+      throw std::invalid_argument("osu: intra-node placement needs >= 2 GPUs per node");
+    return {0, 1};  // same socket, NVLink peers
+  }
+  if (m.num_nodes < 2)
+    throw std::invalid_argument("osu: inter-node placement needs >= 2 nodes");
+  return {0, m.gpus_per_node};  // PE 0 of node 0 and node 1
 }
 
 }  // namespace detail

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <stdexcept>
 #include <string>
 
 #include "apps/osu/osu.hpp"
@@ -223,6 +224,22 @@ TEST_P(OsuHostStagingMemory, SixtyFourKiBInlinePointAllocatesLikeDevice) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStacks, OsuHostStagingMemory,
+                         ::testing::Values(Stack::Charm, Stack::Ampi, Stack::Ompi,
+                                           Stack::Charm4py),
+                         stackParamName);
+
+// A placement the machine cannot host is rejected in every build, not only
+// where assert() is compiled in (one node has no inter-node peer PE).
+class OsuPlacementCheck : public ::testing::TestWithParam<Stack> {};
+
+TEST_P(OsuPlacementCheck, InterNodeOnOneNodeThrows) {
+  auto cfg = quick(GetParam(), Mode::Device, Placement::InterNode);
+  cfg.model = model::summit(1);
+  EXPECT_THROW((void)latencyPoint(cfg, 4096), std::invalid_argument);
+  EXPECT_THROW((void)bandwidthPoint(cfg, 4096), std::invalid_argument);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllStacks, OsuPlacementCheck,
                          ::testing::Values(Stack::Charm, Stack::Ampi, Stack::Ompi,
                                            Stack::Charm4py),
                          stackParamName);
