@@ -70,7 +70,6 @@ class Observability {
   [[nodiscard]] const std::vector<sim::TimePoint>& iterationMarks() const noexcept {
     return iteration_marks_;
   }
-  void clearIterationMarks() { iteration_marks_.clear(); }
 
  private:
   std::vector<std::pair<int, StatsProvider>> providers_;

@@ -22,8 +22,7 @@ void SpanCollector::enableStreaming(const StreamConfig& cfg, Sink* sink) {
   slots_.reserve(kReserveOpenSpans);
   free_slots_.reserve(kReserveOpenSpans);
   open_index_.reserve(kReserveOpenSpans);
-  if (sink != nullptr && std::find(sinks_.begin(), sinks_.end(), sink) == sinks_.end())
-    sinks_.push_back(sink);
+  if (sink != nullptr) sinks_.push_back(sink);
 }
 
 std::uint64_t SpanCollector::open(sim::TimePoint t, int src_pe, int dst_pe,

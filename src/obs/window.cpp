@@ -23,8 +23,6 @@ bool exemplarLess(const SpanInfo& a, const SpanInfo& b) noexcept {
 
 void WindowAggregator::fold(const SpanInfo& info, const SpanEvent* events,
                             std::size_t n_events) {
-  if (cfg_.window_ns == 0) cfg_.window_ns = 1;
-
   const WindowKey key{info.kind,
                       static_cast<std::uint32_t>(std::bit_width(info.bytes)),
                       info.end / cfg_.window_ns};

@@ -97,7 +97,6 @@ class WindowAggregator {
     cfg_ = cfg;
     if (cfg_.window_ns == 0) cfg_.window_ns = 1;
   }
-  [[nodiscard]] const WindowConfig& config() const noexcept { return cfg_; }
 
   /// Folds one retired span (summary + its own event list) into the window
   /// it terminated in. Allocation happens only on a new window or a new
@@ -106,7 +105,6 @@ class WindowAggregator {
 
   [[nodiscard]] const Map& windows() const noexcept { return map_; }
   [[nodiscard]] std::size_t size() const noexcept { return map_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return map_.empty(); }
 
   /// Emits every window through `sink` in deterministic key order.
   void emit(Sink& sink) const;
