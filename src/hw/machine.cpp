@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace cux::hw {
 
@@ -17,10 +18,19 @@ namespace {
 }  // namespace
 
 Machine::Machine(const MachineConfig& cfg) : cfg_(cfg) {
-  assert(cfg_.gpus_per_node % cfg_.sockets_per_node == 0 &&
-         "GPUs must divide evenly across sockets");
-  assert(cfg_.nvlink_bricks >= 1 && "need at least one NVLink brick per GPU");
-  assert(cfg_.nic_rails >= 1 && "need at least one NIC rail per node");
+  // Caller input: checked in every build type.
+  if (cfg_.num_nodes < 1) throw std::invalid_argument("Machine: need at least one node");
+  if (cfg_.gpus_per_node < 1) throw std::invalid_argument("Machine: need at least one GPU per node");
+  if (cfg_.sockets_per_node < 1) {
+    throw std::invalid_argument("Machine: need at least one socket per node");
+  }
+  if (cfg_.gpus_per_node % cfg_.sockets_per_node != 0) {
+    throw std::invalid_argument("Machine: GPUs must divide evenly across sockets");
+  }
+  if (cfg_.nvlink_bricks < 1) {
+    throw std::invalid_argument("Machine: need at least one NVLink brick per GPU");
+  }
+  if (cfg_.nic_rails < 1) throw std::invalid_argument("Machine: need at least one NIC rail per node");
   const int bricks = cfg_.nvlink_bricks;
   const int rails = cfg_.nic_rails;
   links_.reserve(perNodeLinks() * cfg_.num_nodes);

@@ -145,6 +145,9 @@ class Resource {
 
 class Machine {
  public:
+  /// Throws std::invalid_argument, in every build type, unless the config
+  /// has at least one node, GPU per node, socket per node, NVLink brick and
+  /// NIC rail, and its GPUs divide evenly across its sockets.
   explicit Machine(const MachineConfig& cfg);
 
   Machine(const Machine&) = delete;

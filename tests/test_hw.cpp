@@ -42,6 +42,28 @@ TEST(Machine, SocketAssignment) {
   EXPECT_EQ(cfg.socketOf(5), 1);
 }
 
+TEST(Machine, RejectsBadConfigInEveryBuild) {
+  const auto bad = [](auto edit) {
+    hw::MachineConfig cfg = summitCfg(2);
+    edit(cfg);
+    return cfg;
+  };
+  EXPECT_THROW(hw::Machine(bad([](hw::MachineConfig& c) { c.num_nodes = 0; })),
+               std::invalid_argument);
+  EXPECT_THROW(hw::Machine(bad([](hw::MachineConfig& c) { c.gpus_per_node = 0; })),
+               std::invalid_argument);
+  EXPECT_THROW(hw::Machine(bad([](hw::MachineConfig& c) { c.gpus_per_node = 5; })),
+               std::invalid_argument);  // 5 GPUs over 2 sockets
+  EXPECT_THROW(hw::Machine(bad([](hw::MachineConfig& c) { c.nvlink_bricks = 0; })),
+               std::invalid_argument);
+  EXPECT_THROW(hw::Machine(bad([](hw::MachineConfig& c) { c.nic_rails = 0; })),
+               std::invalid_argument);
+  // Last: before the check, a socket count of 0 is a modulo by zero.
+  EXPECT_THROW(hw::Machine(bad([](hw::MachineConfig& c) { c.sockets_per_node = 0; })),
+               std::invalid_argument);
+  EXPECT_NO_THROW(hw::Machine(summitCfg(2)));
+}
+
 TEST(Machine, IntraSocketDevicePathSkipsXbus) {
   hw::System sys(summitCfg(1));
   auto path = sys.machine.deviceToDevicePath(0, 1);
