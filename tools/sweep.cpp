@@ -8,19 +8,33 @@
 ///   gpucomm_sweep --metric jacobi --stack charm --nodes 8 --grid 3072,3072,3072 --odf 4
 ///   gpucomm_sweep --metric loss --stack charm --place inter --fault-seed 7
 ///
-/// Any metric accepts --drop P / --fault-seed N to run under deterministic
-/// uniform message loss; --metric loss sweeps the drop rate itself and
-/// reports how retransmission inflates latency.
+/// The OSU, jacobi and coll metrics accept --drop P / --fault-seed N to run
+/// under deterministic uniform message loss; --metric loss sweeps the drop
+/// rate itself and reports how retransmission inflates latency.
 ///
-/// Output is CSV on stdout (one row per size / per node count / per rate).
+/// Every metric prints one table through `Table`, which declares its columns
+/// once: CSV (a header line, then one line per row) or, with --json,
+/// {"metric":M,"points":[{<column>:<cell>,...},...]} — one flat object per CSV
+/// row, same keys, order and number formatting. Per-point fields repeat on
+/// each row of the point. Run-level verdicts (multipath "ok", profile
+/// "sum_ok") are JSON-only keys after "points"; CSV reports them through the
+/// exit status and stderr. Malformed options print usage and exit 2.
 
+#include <algorithm>
+#include <array>
+#include <charconv>
 #include <cmath>
+#include <concepts>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "ampi/ampi.hpp"
@@ -45,11 +59,11 @@ using namespace cux;
 namespace {
 
 struct Args {
-  std::string metric = "latency";  // latency | bandwidth | jacobi
+  std::string metric = "latency";  // latency | bandwidth | jacobi | ...
   osu::Stack stack = osu::Stack::Charm;
-  bool stack_set = false;  ///< --stack given (breakdown narrows to one stack)
+  bool stack_set = false;  ///< --stack given (multi-stack metrics narrow to one)
   bool json = false;       ///< machine-readable output instead of CSV
-  std::string perfetto;    ///< --perfetto FILE (breakdown: trace of last point)
+  std::string perfetto;    ///< --perfetto FILE (breakdown, profile: last point)
   osu::Mode mode = osu::Mode::Device;
   osu::Placement place = osu::Placement::IntraNode;
   int nodes = 2;
@@ -82,8 +96,6 @@ struct Args {
 struct StreamObs {
   std::ofstream file;
   std::unique_ptr<obs::JsonlSink> jsonl;
-
-  [[nodiscard]] bool active() const noexcept { return jsonl != nullptr; }
 
   bool open(const std::string& path) {
     if (path.empty()) return true;
@@ -122,61 +134,46 @@ StreamObs g_stream;  // NOLINT: single-threaded CLI driver state
   std::fprintf(
       stderr,
       "usage: %s [options]\n"
-      "  --metric latency|bandwidth|jacobi|loss|match|breakdown|coll|train|failstop|"
-      "multipath|profile\n"
-      "                                      what to measure\n"
-      "                                      (profile: critical-path attribution —\n"
-      "                                      each measured iteration's wall time\n"
-      "                                      decomposed into compute, per-link-class\n"
-      "                                      wire wait, recv-post delay, early-arrival\n"
-      "                                      wait and retry overhead, plus per-class\n"
-      "                                      resource-utilization totals; components\n"
-      "                                      sum to the wall time, checked to 1%% —\n"
-      "                                      a violation exits nonzero; stacks charm,\n"
-      "                                      ampi, charm4py unless --stack; uses\n"
-      "                                      --sizes, --iters, --warmup, --mode,\n"
-      "                                      --place, --nodes)\n"
-      "                                      (multipath: single-path vs multi-path\n"
-      "                                      device bandwidth — intra-node direct vs\n"
-      "                                      direct + neighbor-staged NVLink route on\n"
-      "                                      a second brick, inter-node NIC rail\n"
-      "                                      striping at 1/2/4 rails; exits nonzero\n"
-      "                                      if the speedup misses the acceptance\n"
-      "                                      bars; uses --sizes, --stack, --iters,\n"
-      "                                      --warmup, --window, --nodes)\n"
-      "                                      (failstop: fail-stop recovery smoke —\n"
-      "                                      trains each stack failure-free, then with\n"
-      "                                      a PE killed mid-run; checks the detector-\n"
-      "                                      driven abort, checkpoint/restart, and\n"
-      "                                      bit-identical final model state; exits\n"
-      "                                      nonzero on hang or mismatch; uses\n"
-      "                                      --ranks, --steps, --impl)\n"
-      "                                      (coll: pipelined allreduce per stack —\n"
-      "                                      steady-state us/iteration per size and\n"
-      "                                      algorithm; uses --ranks, --impl, --sizes,\n"
-      "                                      --nodes; stacks ampi, charm, charm4py\n"
-      "                                      unless --stack)\n"
-      "                                      (train: data-parallel SGD per-step\n"
-      "                                      anatomy — compute, bucket allreduce\n"
-      "                                      union vs sum, overlap ratio; uses\n"
-      "                                      --ranks, --steps, --impl)\n"
-      "                                      (match: tag-matching engine occupancy\n"
-      "                                      per stack — posted/unexpected\n"
-      "                                      high-watermarks, bucket counts, longest\n"
-      "                                      chains, scan steps; uses --nodes,\n"
-      "                                      --window, --iters)\n"
-      "                                      (breakdown: per-phase latency\n"
-      "                                      percentiles from message-lifecycle\n"
-      "                                      spans — metadata leg, recv-post delay,\n"
-      "                                      early-arrival wait, data movement —\n"
-      "                                      per stack and size; default stacks\n"
-      "                                      charm,ampi,charm4py unless --stack)\n"
+      "  --metric M                          what to measure (default latency):\n"
+      "    latency, bandwidth                OSU series per size (Figs. 10-13)\n"
+      "    jacobi                            3D Jacobi ms/iteration (Figs. 14-16)\n"
+      "    loss                              latency per --drops rate, with the\n"
+      "                                      retransmit/fallback/re-post counters\n"
+      "    match                             tag-matching occupancy per stack —\n"
+      "                                      posted/unexpected high-watermarks,\n"
+      "                                      buckets, longest chains, scan steps\n"
+      "    breakdown                         per-phase latency percentiles from\n"
+      "                                      message-lifecycle spans — metadata leg,\n"
+      "                                      recv-post delay, early-arrival wait, data\n"
+      "    profile                           critical-path attribution: each measured\n"
+      "                                      iteration's wall time split into compute,\n"
+      "                                      per-link-class wire wait, recv-post delay,\n"
+      "                                      early-arrival wait and retry overhead,\n"
+      "                                      plus per-class resource utilization;\n"
+      "                                      exits nonzero if the parts miss the wall\n"
+      "                                      time by more than 1%%\n"
+      "    multipath                         single- vs multi-path device bandwidth:\n"
+      "                                      a second, neighbor-staged NVLink route;\n"
+      "                                      1/2/4 NIC rails; exits nonzero below\n"
+      "                                      the acceptance bars\n"
+      "    coll                              pipelined allreduce us/iteration per\n"
+      "                                      stack, size and --impl\n"
+      "    train                             data-parallel SGD per step — compute,\n"
+      "                                      bucket allreduce union vs sum, overlap\n"
+      "    failstop                          trains each stack failure-free, then with\n"
+      "                                      a PE killed mid-run; exits nonzero unless\n"
+      "                                      checkpoint/restart reproduces the model\n"
+      "                                      bit for bit, with no hung rank\n"
+      "                                      (breakdown, profile: stacks charm, ampi,\n"
+      "                                      charm4py; coll, train, failstop: ampi,\n"
+      "                                      charm, charm4py; unless --stack)\n"
       "  --stack charm|ampi|ompi|charm4py    programming model (default charm)\n"
       "  --mode device|host                  GPU-aware (-D) or host-staging (-H)\n"
       "  --place intra|inter                 PE placement for micro-benchmarks\n"
       "  --nodes N                           simulated Summit nodes (default 2)\n"
       "  --sizes a,b,c                       message sizes in bytes (default: OSU sweep)\n"
-      "  --iters N --warmup N --window N     benchmark repetition knobs\n"
+      "  --iters N --warmup N --window N     benchmark repetition knobs (N >= 1;\n"
+      "                                      warmup >= 0)\n"
       "  --grid X,Y,Z                        Jacobi global grid (default 1536^3)\n"
       "  --odf N                             Jacobi overdecomposition (charm only)\n"
       "  --no-gdrcopy                        simulate GDRCopy not being detected\n"
@@ -204,39 +201,59 @@ StreamObs g_stream;  // NOLINT: single-threaded CLI driver state
   std::exit(2);
 }
 
-std::vector<std::size_t> parseSizes(const char* s) {
+/// The --stack values, in osu::Stack order.
+constexpr std::array kStackKeys = {"charm", "ampi", "ompi", "charm4py"};
+
+[[nodiscard]] const char* stackKey(osu::Stack s) {
+  return kStackKeys[static_cast<std::size_t>(s)];
+}
+
+/// Comma-separated unsigned integers ("4096,65536"); empty when any item is
+/// missing, signed, non-numeric or out of range.
+std::vector<std::size_t> parseList(std::string_view s) {
   std::vector<std::size_t> out;
-  for (const char* p = s; *p != '\0';) {
-    char* end = nullptr;
-    out.push_back(std::strtoull(p, &end, 10));
-    p = *end == ',' ? end + 1 : end;
+  while (true) {
+    std::size_t v = 0;
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (ec != std::errc{}) return {};
+    out.push_back(v);
+    s.remove_prefix(static_cast<std::size_t>(end - s.data()));
+    if (s.empty()) return out;
+    if (s.front() != ',') return {};
+    s.remove_prefix(1);
   }
-  return out;
 }
 
 Args parse(int argc, char** argv) {
   Args a;
-  auto need = [&](int& i) -> const char* {
+  auto need = [&](int& i) -> std::string_view {
     if (i + 1 >= argc) usage(argv[0]);
     return argv[++i];
   };
+  auto count = [&](int& i, int min) {  // a whole number >= min
+    const std::string_view s = need(i);
+    int v = 0;
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (ec != std::errc{} || end != s.data() + s.size() || v < min) usage(argv[0]);
+    return v;
+  };
+  auto choice = [&](int& i, const auto& names) {  // index of the value in names
+    const std::string_view v = need(i);
+    const auto it = std::find(names.begin(), names.end(), v);
+    if (it == names.end()) usage(argv[0]);
+    return static_cast<int>(it - names.begin());
+  };
+  auto list = [&](int& i) {
+    auto v = parseList(need(i));
+    if (v.empty()) usage(argv[0]);
+    return v;
+  };
   for (int i = 1; i < argc; ++i) {
-    const std::string opt = argv[i];
+    const std::string_view opt = argv[i];
     if (opt == "--metric") {
       a.metric = need(i);
     } else if (opt == "--stack") {
-      const std::string v = need(i);
-      if (v == "charm") {
-        a.stack = osu::Stack::Charm;
-      } else if (v == "ampi") {
-        a.stack = osu::Stack::Ampi;
-      } else if (v == "ompi") {
-        a.stack = osu::Stack::Ompi;
-      } else if (v == "charm4py") {
-        a.stack = osu::Stack::Charm4py;
-      } else {
-        usage(argv[0]);
-      }
+      a.stack = static_cast<osu::Stack>(choice(i, kStackKeys));
       a.stack_set = true;
     } else if (opt == "--json") {
       a.json = true;
@@ -244,49 +261,48 @@ Args parse(int argc, char** argv) {
       a.perfetto = need(i);
     } else if (opt == "--stream-obs") {
       a.stream_obs = need(i);
-    } else if (opt == "--mode") {
-      const std::string v = need(i);
-      a.mode = v == "host" ? osu::Mode::HostStaging : osu::Mode::Device;
+    } else if (opt == "--mode") {  // names in enum order
+      a.mode = static_cast<osu::Mode>(choice(i, std::array{"host", "device"}));
     } else if (opt == "--place") {
-      const std::string v = need(i);
-      a.place = v == "inter" ? osu::Placement::InterNode : osu::Placement::IntraNode;
+      a.place = static_cast<osu::Placement>(choice(i, std::array{"intra", "inter"}));
     } else if (opt == "--nodes") {
-      a.nodes = std::atoi(need(i));
+      a.nodes = count(i, 1);
     } else if (opt == "--sizes") {
-      a.sizes = parseSizes(need(i));
+      a.sizes = list(i);
     } else if (opt == "--iters") {
-      a.iters = std::atoi(need(i));
+      a.iters = count(i, 1);
     } else if (opt == "--warmup") {
-      a.warmup = std::atoi(need(i));
+      a.warmup = count(i, 0);
     } else if (opt == "--window") {
-      a.window = std::atoi(need(i));
+      a.window = count(i, 1);
     } else if (opt == "--odf") {
-      a.odf = std::atoi(need(i));
+      a.odf = count(i, 1);
     } else if (opt == "--no-gdrcopy") {
       a.gdrcopy = false;
     } else if (opt == "--drop") {
-      a.drop = std::atof(need(i));
+      a.drop = std::atof(need(i).data());
       if (a.drop < 0.0 || a.drop >= 1.0) usage(argv[0]);
     } else if (opt == "--fault-seed") {
-      a.fault_seed = std::strtoull(need(i), nullptr, 0);
+      a.fault_seed = std::strtoull(need(i).data(), nullptr, 0);
     } else if (opt == "--drops") {
       a.drops.clear();
-      for (std::size_t pct : parseSizes(need(i))) a.drops.push_back(static_cast<double>(pct) / 100.0);
-      if (a.drops.empty()) usage(argv[0]);
+      for (const std::size_t pct : list(i)) {
+        if (pct >= 100) usage(argv[0]);
+        a.drops.push_back(static_cast<double>(pct) / 100.0);
+      }
     } else if (opt == "--impl") {
       const auto v = coll::parseImpl(need(i));
       if (!v) usage(argv[0]);
       a.impl = *v;
       a.impl_set = true;
     } else if (opt == "--ranks") {
-      a.ranks = std::atoi(need(i));
-      if (a.ranks < 1) usage(argv[0]);
+      a.ranks = count(i, 1);
     } else if (opt == "--steps") {
-      a.steps = std::atoi(need(i));
-      if (a.steps < 1) usage(argv[0]);
+      a.steps = count(i, 1);
     } else if (opt == "--grid") {
-      const auto v = parseSizes(need(i));
-      if (v.size() != 3) usage(argv[0]);
+      const auto v = list(i);
+      const auto bad = [](std::size_t n) { return n == 0 || n > INT64_MAX; };
+      if (v.size() != 3 || std::any_of(v.begin(), v.end(), bad)) usage(argv[0]);
       a.grid = {static_cast<std::int64_t>(v[0]), static_cast<std::int64_t>(v[1]),
                 static_cast<std::int64_t>(v[2])};
     } else {
@@ -296,37 +312,161 @@ Args parse(int argc, char** argv) {
   return a;
 }
 
-int runMicro(const Args& a) {
+// --------------------------------------------------------------------------
+// Table: the one stdout writer
+// --------------------------------------------------------------------------
+
+/// One table cell, rendered once: text (quoted in JSON), an integer, a
+/// fixed-precision real (fix) or a flag (flag). Reals and flags have no
+/// implicit conversion, so a real cannot lose its precision by accident.
+struct Cell {
+  std::string s;
+  bool quoted;
+  Cell(std::string text, bool quote) : s(std::move(text)), quoted(quote) {}
+  Cell(const char* text) : Cell(std::string(text), true) {}  // NOLINT(*-explicit-*)
+  Cell(std::string text) : Cell(std::move(text), true) {}    // NOLINT(*-explicit-*)
+  template <std::integral T>
+    requires(!std::same_as<T, bool>)
+  Cell(T v) : Cell(std::to_string(v), false) {}  // NOLINT(*-explicit-*)
+  Cell(double) = delete;
+  Cell(bool) = delete;
+};
+
+Cell fix(double v, int digits) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.*f", digits, v);
+  return {buf, false};
+}
+
+Cell flag(bool b) { return {b ? "true" : "false", false}; }
+
+/// A metric's output: its columns, declared once, then rows of cells. CSV or
+/// JSON is chosen here, once per run; rows print as they are added.
+class Table {
+ public:
+  Table(const Args& a, std::vector<std::string> cols) : json_(a.json), cols_(std::move(cols)) {
+    if (json_) std::printf("{\"metric\":\"%s\",\"points\":[", a.metric.c_str());
+    for (std::size_t i = 0; !json_ && i < cols_.size(); ++i) {
+      std::printf("%s%s", cols_[i].c_str(), i + 1 < cols_.size() ? "," : "\n");
+    }
+  }
+
+  void row(const std::vector<Cell>& cells) {
+    if (cells.size() != cols_.size()) throw std::logic_error("Table: row width != column count");
+    if (json_) std::printf("%s{", rows_++ == 0 ? "" : ",");
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      if (i != 0) std::printf(",");
+      if (json_) std::printf("\"%s\":", cols_[i].c_str());
+      print(cells[i]);
+    }
+    std::printf(json_ ? "}" : "\n");
+  }
+
+  /// Closes the JSON object, with run-level verdict keys after "points"
+  /// (JSON only; CSV reports them through the exit status and stderr).
+  void end(std::initializer_list<std::pair<const char*, Cell>> verdicts = {}) {
+    if (!json_) return;
+    std::printf("]");
+    for (const auto& [key, cell] : verdicts) {
+      std::printf(",\"%s\":", key);
+      print(cell);
+    }
+    std::printf("}\n");
+  }
+
+ private:
+  void print(const Cell& c) const {
+    const char* q = json_ && c.quoted ? "\"" : "";
+    std::printf("%s%s%s", q, c.s.c_str(), q);
+  }
+
+  bool json_;
+  std::vector<std::string> cols_;
+  std::size_t rows_ = 0;
+};
+
+// --------------------------------------------------------------------------
+// Per-point setup shared by the metrics
+// --------------------------------------------------------------------------
+
+/// --stack alone, or the metric's default stacks.
+std::vector<osu::Stack> stacksOr(const Args& a, std::vector<osu::Stack> dflt) {
+  return a.stack_set ? std::vector<osu::Stack>{a.stack} : dflt;
+}
+
+/// --sizes, or the metric's default sizes.
+std::vector<std::size_t> sizesOr(const Args& a, std::vector<std::size_t> dflt) {
+  return a.sizes.empty() ? dflt : a.sizes;
+}
+
+/// Stacks of the collective metrics (coll, train, failstop): ampi, charm,
+/// charm4py unless --stack. Empty after reporting --stack ompi, which has no
+/// collective driver.
+std::vector<osu::Stack> collStacks(const Args& a) {
+  if (a.stack_set && a.stack == osu::Stack::Ompi) {
+    std::fprintf(stderr, "%s: stacks are ampi, charm, charm4py\n", a.metric.c_str());
+    return {};
+  }
+  return stacksOr(a, {osu::Stack::Ampi, osu::Stack::Charm, osu::Stack::Charm4py});
+}
+
+/// The --stream-obs hooks of a fixture config (no-ops without the flag).
+/// flush() also finishes every sink attached to the span collector.
+template <class Config>
+void streamHooks(Config& cfg) {
+  cfg.setup = [](hw::System& sys) { g_stream.apply(sys); };
+  cfg.inspect = [](hw::System& sys) { g_stream.flush(sys); };
+}
+
+/// One OSU point as the command line describes it: stack, mode, placement
+/// (an inter-node pair needs two nodes), repetition knobs, GDRCopy, --drop
+/// and the --stream-obs hooks.
+osu::BenchConfig osuConfig(const Args& a, osu::Stack stack, osu::Placement place) {
   osu::BenchConfig cfg;
-  cfg.stack = a.stack;
+  cfg.stack = stack;
   cfg.mode = a.mode;
-  cfg.place = a.place;
+  cfg.place = place;
   cfg.sizes = a.sizes;
   cfg.iters = a.iters;
   cfg.warmup = a.warmup;
   cfg.window = a.window;
-  cfg.model = model::summit(a.nodes < 2 && a.place == osu::Placement::InterNode ? 2 : a.nodes);
+  cfg.model = model::summit(a.nodes < 2 && place == osu::Placement::InterNode ? 2 : a.nodes);
   cfg.model.ucx.gdrcopy_enabled = a.gdrcopy;
   if (a.drop > 0.0) cfg.model.machine.fault = sim::FaultConfig::uniformLoss(a.drop, a.fault_seed);
-  if (g_stream.active()) {
-    cfg.setup = [](hw::System& sys) { g_stream.apply(sys); };
-    cfg.inspect = [](hw::System& sys) { g_stream.flush(sys); };
-  }
+  streamHooks(cfg);
+  return cfg;
+}
+
+/// The training run of the train and failstop metrics.
+train::TrainConfig trainConfig(const Args& a) {
+  train::TrainConfig cfg;
+  cfg.ranks = a.ranks;
+  cfg.steps = a.steps;
+  cfg.nodes = std::max(a.nodes, (a.ranks + 5) / 6);
+  if (a.impl_set) cfg.coll.impl = a.impl;
+  cfg.host_staged = a.mode == osu::Mode::HostStaging;
+  // Span lines stream at retirement; attempts have no post-run hook, so the
+  // window aggregates of a training attempt are not emitted.
+  cfg.setup = [](hw::System& sys) { g_stream.apply(sys); };
+  return cfg;
+}
+
+// --------------------------------------------------------------------------
+// --metric latency | bandwidth | jacobi | loss
+// --------------------------------------------------------------------------
+
+int runMicro(const Args& a) {
   const bool lat = a.metric == "latency";
+  const osu::BenchConfig cfg = osuConfig(a, a.stack, a.place);
   const auto pts = lat ? osu::runLatency(cfg) : osu::runBandwidth(cfg);
-  const char* value_key = lat ? "one_way_latency_us" : "bandwidth_MBps";
-  if (a.json) {
-    std::printf("{\"metric\":\"%s\",\"points\":[", a.metric.c_str());
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-      std::printf("%s{\"size_bytes\":%zu,\"%s\":%.3f}", i == 0 ? "" : ",", pts[i].bytes,
-                  value_key, pts[i].value);
-    }
-    std::printf("]}\n");
-    return 0;
-  }
-  std::printf("size_bytes,%s\n", value_key);
-  for (const auto& p : pts) std::printf("%zu,%.3f\n", p.bytes, p.value);
+  Table t(a, {"size_bytes", lat ? "one_way_latency_us" : "bandwidth_MBps"});
+  for (const auto& p : pts) t.row({p.bytes, fix(p.value, 3)});
+  t.end();
   return 0;
+}
+
+std::string dims(const jacobi::Vec3& v) {
+  return std::to_string(v.x) + "x" + std::to_string(v.y) + "x" + std::to_string(v.z);
 }
 
 int runJacobi(const Args& a) {
@@ -342,27 +482,12 @@ int runJacobi(const Args& a) {
   cfg.model = model::summit(a.nodes);
   cfg.model.ucx.gdrcopy_enabled = a.gdrcopy;
   if (a.drop > 0.0) cfg.model.machine.fault = sim::FaultConfig::uniformLoss(a.drop, a.fault_seed);
-  if (g_stream.active()) {
-    cfg.setup = [](hw::System& sys) { g_stream.apply(sys); };
-    cfg.inspect = [](hw::System& sys) { g_stream.flush(sys); };
-  }
+  streamHooks(cfg);
   const auto r = jacobi::runJacobi(cfg);
-  if (a.json) {
-    std::printf("{\"metric\":\"jacobi\",\"nodes\":%d,"
-                "\"grid\":[%lld,%lld,%lld],\"procs\":[%lld,%lld,%lld],"
-                "\"overall_ms_per_iter\":%.3f,\"comm_ms_per_iter\":%.3f}\n",
-                a.nodes, static_cast<long long>(a.grid.x), static_cast<long long>(a.grid.y),
-                static_cast<long long>(a.grid.z), static_cast<long long>(r.dec.procs.x),
-                static_cast<long long>(r.dec.procs.y), static_cast<long long>(r.dec.procs.z),
-                r.overall_ms_per_iter, r.comm_ms_per_iter);
-    return 0;
-  }
-  std::printf("nodes,grid,procs,overall_ms_per_iter,comm_ms_per_iter\n");
-  std::printf("%d,%lldx%lldx%lld,%lldx%lldx%lld,%.3f,%.3f\n", a.nodes,
-              static_cast<long long>(a.grid.x), static_cast<long long>(a.grid.y),
-              static_cast<long long>(a.grid.z), static_cast<long long>(r.dec.procs.x),
-              static_cast<long long>(r.dec.procs.y), static_cast<long long>(r.dec.procs.z),
-              r.overall_ms_per_iter, r.comm_ms_per_iter);
+  Table t(a, {"nodes", "grid", "procs", "overall_ms_per_iter", "comm_ms_per_iter"});
+  t.row({a.nodes, dims(a.grid), dims(r.dec.procs), fix(r.overall_ms_per_iter, 3),
+         fix(r.comm_ms_per_iter, 3)});
+  t.end();
   return 0;
 }
 
@@ -373,88 +498,33 @@ int runJacobi(const Args& a) {
 /// retransmissions, degraded-route fallbacks, and receive re-posts the
 /// reliability layer spent to deliver that latency.
 int runLoss(const Args& a) {
-  osu::BenchConfig cfg;
-  cfg.stack = a.stack;
-  cfg.mode = a.mode;
-  cfg.place = a.place;
-  cfg.iters = a.iters;
-  cfg.warmup = a.warmup;
-  cfg.model = model::summit(a.nodes < 2 && a.place == osu::Placement::InterNode ? 2 : a.nodes);
-  cfg.model.ucx.gdrcopy_enabled = a.gdrcopy;
-  const std::vector<std::size_t> sizes =
-      a.sizes.empty() ? std::vector<std::size_t>{4096, 65536, 1048576} : a.sizes;
-  if (!a.json) {
-    std::printf(
-        "drop_percent,size_bytes,one_way_latency_us,retransmits,send_errors,fallbacks,"
-        "recv_reposts\n");
-  }
-  if (a.json) std::printf("{\"metric\":\"loss\",\"points\":[");
-  bool first = true;
-  struct Recovery {
-    std::uint64_t retransmits = 0;
-    std::uint64_t send_errors = 0;
-    std::uint64_t fallbacks = 0;
-    std::uint64_t recv_reposts = 0;
+  static constexpr const char* kGauges[] = {"ucx.retransmits", "ucx.send_errors",
+                                            "lrts.fallbacks", "lrts.recv_reposts"};
+  std::array<std::uint64_t, std::size(kGauges)> rc{};
+  osu::BenchConfig cfg = osuConfig(a, a.stack, a.place);
+  cfg.inspect = [&rc](hw::System& sys) {
+    sys.obs.refresh();
+    for (std::size_t i = 0; i < rc.size(); ++i) rc[i] = sys.obs.registry.gaugeValue(kGauges[i]);
+    g_stream.flush(sys);
   };
+  Table t(a, {"drop_percent", "size_bytes", "one_way_latency_us", "retransmits", "send_errors",
+              "fallbacks", "recv_reposts"});
   for (const double rate : a.drops) {
     cfg.model.machine.fault = rate > 0.0 ? sim::FaultConfig::uniformLoss(rate, a.fault_seed)
                                          : sim::FaultConfig{};
-    for (const std::size_t bytes : sizes) {
-      Recovery rc;
-      if (g_stream.active()) cfg.setup = [](hw::System& sys) { g_stream.apply(sys); };
-      cfg.inspect = [&rc](hw::System& sys) {
-        sys.obs.refresh();
-        const obs::Registry& r = sys.obs.registry;
-        rc.retransmits = r.gaugeValue("ucx.retransmits");
-        rc.send_errors = r.gaugeValue("ucx.send_errors");
-        rc.fallbacks = r.gaugeValue("lrts.fallbacks");
-        rc.recv_reposts = r.gaugeValue("lrts.recv_reposts");
-        g_stream.flush(sys);
-      };
+    for (const std::size_t bytes : sizesOr(a, {4096, 65536, 1048576})) {
+      rc = {};
       const double lat = osu::latencyPoint(cfg, bytes);
-      if (a.json) {
-        std::printf("%s{\"drop_percent\":%.1f,\"size_bytes\":%zu,\"one_way_latency_us\":%.3f,"
-                    "\"retransmits\":%llu,\"send_errors\":%llu,\"fallbacks\":%llu,"
-                    "\"recv_reposts\":%llu}",
-                    first ? "" : ",", rate * 100.0, bytes, lat,
-                    static_cast<unsigned long long>(rc.retransmits),
-                    static_cast<unsigned long long>(rc.send_errors),
-                    static_cast<unsigned long long>(rc.fallbacks),
-                    static_cast<unsigned long long>(rc.recv_reposts));
-        first = false;
-      } else {
-        std::printf("%.1f,%zu,%.3f,%llu,%llu,%llu,%llu\n", rate * 100.0, bytes, lat,
-                    static_cast<unsigned long long>(rc.retransmits),
-                    static_cast<unsigned long long>(rc.send_errors),
-                    static_cast<unsigned long long>(rc.fallbacks),
-                    static_cast<unsigned long long>(rc.recv_reposts));
-      }
+      t.row({fix(rate * 100.0, 1), bytes, fix(lat, 3), rc[0], rc[1], rc[2], rc[3]});
     }
   }
-  if (a.json) std::printf("]}\n");
+  t.end();
   return 0;
 }
 
 // --------------------------------------------------------------------------
 // --metric match: tag-matching engine occupancy per stack
 // --------------------------------------------------------------------------
-
-void printMatchRow(const Args& a, bool first, const char* stack,
-                   const ucx::Worker::MatchStats& s) {
-  if (a.json) {
-    std::printf("%s{\"stack\":\"%s\",\"posted_hwm\":%zu,\"unexpected_hwm\":%zu,"
-                "\"posted\":%zu,\"unexpected\":%zu,\"posted_buckets\":%zu,"
-                "\"unexpected_buckets\":%zu,\"posted_max_chain\":%zu,"
-                "\"unexpected_max_chain\":%zu,\"scan_steps\":%llu}",
-                first ? "" : ",", stack, s.posted_hwm, s.unexpected_hwm, s.posted, s.unexpected,
-                s.posted_buckets, s.unexpected_buckets, s.posted_max_chain,
-                s.unexpected_max_chain, static_cast<unsigned long long>(s.scan_steps));
-    return;
-  }
-  std::printf("%s,%zu,%zu,%zu,%zu,%zu,%zu,%zu,%zu,%llu\n", stack, s.posted_hwm, s.unexpected_hwm,
-              s.posted, s.unexpected, s.posted_buckets, s.unexpected_buckets, s.posted_max_chain,
-              s.unexpected_max_chain, static_cast<unsigned long long>(s.scan_steps));
-}
 
 /// Drives a window-deep burst workload through each stack's matching engine
 /// and reports occupancy: `--window` messages posted-first then `--window`
@@ -463,23 +533,21 @@ void printMatchRow(const Args& a, bool first, const char* stack,
 /// stack: raw UCX workers, the Charm++ machine layer's device-metadata path
 /// (DeviceComm), and the AMPI (src, tag, comm) queues.
 int runMatch(const Args& a) {
-  const int nodes = a.nodes < 2 ? 2 : a.nodes;
-  const int window = a.window < 1 ? 1 : a.window;
-  const int iters = a.iters < 1 ? 1 : a.iters;
-  if (a.json) {
-    std::printf("{\"metric\":\"match\",\"rows\":[");
-  } else {
-    std::printf(
-        "stack,posted_hwm,unexpected_hwm,posted,unexpected,posted_buckets,"
-        "unexpected_buckets,posted_max_chain,unexpected_max_chain,scan_steps\n");
-  }
+  const int nodes = std::max(a.nodes, 2);
+  const int window = a.window, iters = a.iters;
+  Table t(a, {"stack", "posted_hwm", "unexpected_hwm", "posted", "unexpected", "posted_buckets",
+              "unexpected_buckets", "posted_max_chain", "unexpected_max_chain", "scan_steps"});
+  const auto matchRow = [&t](const char* stack, const ucx::Worker::MatchStats& s) {
+    t.row({stack, s.posted_hwm, s.unexpected_hwm, s.posted, s.unexpected, s.posted_buckets,
+           s.unexpected_buckets, s.posted_max_chain, s.unexpected_max_chain, s.scan_steps});
+  };
 
   const auto tagOf = [](int it, int i) { return static_cast<ucx::Tag>(it * 100000 + i); };
 
   {  // raw UCX worker
     model::Model m = model::summit(nodes);
     hw::System sys(m.machine);
-    if (g_stream.active()) g_stream.apply(sys);
+    g_stream.apply(sys);
     ucx::Context ctx(sys, m.ucx);
     std::vector<std::byte> src(256), dst(256);
     for (int it = 0; it < iters; ++it) {
@@ -498,14 +566,14 @@ int runMatch(const Args& a) {
       sys.engine.run();
     }
     g_stream.flush(sys);
-    printMatchRow(a, true, "ucx", ctx.matchStats());
+    matchRow("ucx", ctx.matchStats());
   }
 
   {  // Charm++ machine layer: GPU transfers whose metadata receives ride
      // Worker::tagRecv under a full mask
     model::Model m = model::summit(nodes);
     hw::System sys(m.machine);
-    if (g_stream.active()) g_stream.apply(sys);
+    g_stream.apply(sys);
     ucx::Context ctx(sys, m.ucx);
     cmi::Converse cmi(sys, ctx, m.costs);
     core::DeviceComm dev(cmi);
@@ -525,13 +593,13 @@ int runMatch(const Args& a) {
       sys.engine.run();
     }
     g_stream.flush(sys);
-    printMatchRow(a, false, "charm", dev.matchStats());
+    matchRow("charm", dev.matchStats());
   }
 
   {  // AMPI: (src, tag, comm) matching over the bucketed rank queues
     model::Model m = model::summit(nodes);
     hw::System sys(m.machine);
-    if (g_stream.active()) g_stream.apply(sys);
+    g_stream.apply(sys);
     ucx::Context ctx(sys, m.ucx);
     ck::Runtime rt(sys, ctx, m);
     ampi::World world(rt);
@@ -560,9 +628,9 @@ int runMatch(const Args& a) {
       return 1;
     }
     g_stream.flush(sys);
-    printMatchRow(a, false, "ampi", world.matchStats());
+    matchRow("ampi", world.matchStats());
   }
-  if (a.json) std::printf("]}\n");
+  t.end();
   return 0;
 }
 
@@ -570,40 +638,14 @@ int runMatch(const Args& a) {
 // --metric breakdown: per-phase latency percentiles from lifecycle spans
 // --------------------------------------------------------------------------
 
-/// CLI identifier of a stack (lowercase, matches the --stack values).
-[[nodiscard]] const char* stackKey(osu::Stack s) {
-  switch (s) {
-    case osu::Stack::Charm:
-      return "charm";
-    case osu::Stack::Ampi:
-      return "ampi";
-    case osu::Stack::Ompi:
-      return "ompi";
-    case osu::Stack::Charm4py:
-      return "charm4py";
-  }
-  return "?";
-}
-
 /// Runs the OSU latency point per stack and size with span collection on and
 /// reports per-phase interval percentiles: the metadata leg, the recv-post
 /// delay (the paper's delayed-posting limitation), the early-arrival wait and
 /// the data movement, none of which the end-to-end latency figures can show.
+/// One row per interval; the point's latency and span counts repeat on each.
 int runBreakdown(const Args& a) {
-  const std::vector<osu::Stack> stacks =
-      a.stack_set ? std::vector<osu::Stack>{a.stack}
-                  : std::vector<osu::Stack>{osu::Stack::Charm, osu::Stack::Ampi,
-                                            osu::Stack::Charm4py};
-  const std::vector<std::size_t> sizes =
-      a.sizes.empty() ? std::vector<std::size_t>{4096, 65536, 1048576} : a.sizes;
-
-  struct Row {
-    const char* stack;
-    std::size_t bytes;
-    double latency_us;
-    obs::Breakdown b;
-  };
-  std::vector<Row> rows;
+  const auto stacks = stacksOr(a, {osu::Stack::Charm, osu::Stack::Ampi, osu::Stack::Charm4py});
+  const auto sizes = sizesOr(a, {4096, 65536, 1048576});
   std::ofstream trace_file;  // --perfetto: trace of the last point
   std::unique_ptr<obs::PerfettoSink> trace;
   if (!a.perfetto.empty()) {
@@ -613,35 +655,6 @@ int runBreakdown(const Args& a) {
       return 1;
     }
     trace = std::make_unique<obs::PerfettoSink>(trace_file);
-  }
-
-  for (const osu::Stack stack : stacks) {
-    for (const std::size_t bytes : sizes) {
-      osu::BenchConfig cfg;
-      cfg.stack = stack;
-      cfg.mode = a.mode;
-      cfg.place = a.place;
-      cfg.iters = a.iters;
-      cfg.warmup = a.warmup;
-      cfg.model =
-          model::summit(a.nodes < 2 && a.place == osu::Placement::InterNode ? 2 : a.nodes);
-      cfg.model.ucx.gdrcopy_enabled = a.gdrcopy;
-      if (a.drop > 0.0) {
-        cfg.model.machine.fault = sim::FaultConfig::uniformLoss(a.drop, a.fault_seed);
-      }
-      cfg.observe = true;
-      Row row{stackKey(stack), bytes, 0.0, {}};
-      obs::Sink* last_trace =
-          stack == stacks.back() && bytes == sizes.back() ? trace.get() : nullptr;
-      cfg.setup = [&row, last_trace](hw::System& sys) {
-        sys.obs.spans.enableStreaming({}, &row.b);
-        sys.obs.spans.enableStreaming({}, last_trace);
-        g_stream.apply(sys);
-      };
-      cfg.inspect = [](hw::System& sys) { g_stream.flush(sys); };
-      row.latency_us = osu::latencyPoint(cfg, bytes);
-      rows.push_back(std::move(row));
-    }
   }
 
   struct Interval {
@@ -654,42 +667,34 @@ int runBreakdown(const Args& a) {
       {"data", &obs::Breakdown::data},
   };
 
-  if (a.json) {
-    std::printf("{\"metric\":\"breakdown\",\"points\":[");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      Row& r = rows[i];
-      std::printf("%s{\"stack\":\"%s\",\"size_bytes\":%zu,\"one_way_latency_us\":%.3f,"
-                  "\"spans\":%llu,\"completed\":%llu,\"errored\":%llu,"
-                  "\"matched_posted\":%llu,\"matched_unexpected\":%llu,"
-                  "\"retries\":%llu,\"fallbacks\":%llu,\"intervals\":{",
-                  i == 0 ? "" : ",", r.stack, r.bytes, r.latency_us,
-                  static_cast<unsigned long long>(r.b.spans),
-                  static_cast<unsigned long long>(r.b.completed),
-                  static_cast<unsigned long long>(r.b.errored),
-                  static_cast<unsigned long long>(r.b.matched_posted),
-                  static_cast<unsigned long long>(r.b.matched_unexpected),
-                  static_cast<unsigned long long>(r.b.retries),
-                  static_cast<unsigned long long>(r.b.fallbacks));
-      for (std::size_t k = 0; k < std::size(intervals); ++k) {
-        std::vector<double>& v = r.b.*(intervals[k].samples);
-        std::printf("%s\"%s\":{\"samples\":%zu,\"p50_us\":%.3f,\"p90_us\":%.3f,"
-                    "\"p99_us\":%.3f}",
-                    k == 0 ? "" : ",", intervals[k].name, v.size(), obs::percentile(v, 50),
-                    obs::percentile(v, 90), obs::percentile(v, 99));
-      }
-      std::printf("}}");
-    }
-    std::printf("]}\n");
-  } else {
-    std::printf("stack,size_bytes,interval,samples,p50_us,p90_us,p99_us\n");
-    for (Row& r : rows) {
+  Table t(a, {"stack", "size_bytes", "interval", "samples", "p50_us", "p90_us", "p99_us",
+              "one_way_latency_us", "spans", "completed", "errored", "matched_posted",
+              "matched_unexpected", "retries", "fallbacks"});
+  for (const osu::Stack stack : stacks) {
+    for (const std::size_t bytes : sizes) {
+      osu::BenchConfig cfg = osuConfig(a, stack, a.place);
+      cfg.observe = true;
+      obs::Breakdown b;
+      obs::Sink* last_trace =
+          stack == stacks.back() && bytes == sizes.back() ? trace.get() : nullptr;
+      // The inspect hook's flush() is what finishes `b` and the trace, so it
+      // stays on even without --stream-obs.
+      cfg.setup = [&b, last_trace](hw::System& sys) {
+        sys.obs.spans.enableStreaming({}, &b);
+        sys.obs.spans.enableStreaming({}, last_trace);
+        g_stream.apply(sys);
+      };
+      const double lat = osu::latencyPoint(cfg, bytes);
       for (const Interval& iv : intervals) {
-        std::vector<double>& v = r.b.*(iv.samples);
-        std::printf("%s,%zu,%s,%zu,%.3f,%.3f,%.3f\n", r.stack, r.bytes, iv.name, v.size(),
-                    obs::percentile(v, 50), obs::percentile(v, 90), obs::percentile(v, 99));
+        std::vector<double>& v = b.*(iv.samples);
+        t.row({stackKey(stack), bytes, iv.name, v.size(), fix(obs::percentile(v, 50), 3),
+               fix(obs::percentile(v, 90), 3), fix(obs::percentile(v, 99), 3), fix(lat, 3),
+               b.spans, b.completed, b.errored, b.matched_posted, b.matched_unexpected, b.retries,
+               b.fallbacks});
       }
     }
   }
+  t.end();
 
   if (trace) std::fprintf(stderr, "breakdown: wrote Perfetto trace to %s\n", a.perfetto.c_str());
   return 0;
@@ -708,54 +713,34 @@ int runBreakdown(const Args& a) {
 int runMultipath(const Args& a) {
   auto point = [&](osu::Placement place, std::size_t bytes, bool multipath, int bricks,
                    int rails) {
-    osu::BenchConfig cfg;
-    cfg.stack = a.stack;
+    osu::BenchConfig cfg = osuConfig(a, a.stack, place);
     cfg.mode = osu::Mode::Device;
-    cfg.place = place;
-    cfg.iters = a.iters;
-    cfg.warmup = a.warmup;
-    cfg.window = a.window;
-    cfg.model =
-        model::summit(std::max(a.nodes, place == osu::Placement::InterNode ? 2 : 1));
+    // A fresh model: this metric runs lossless with GDRCopy, whatever
+    // --drop and --no-gdrcopy say.
+    cfg.model = model::summit(cfg.model.machine.num_nodes);
     cfg.model.machine.backed_device_memory = false;  // timing-only run
     cfg.model.machine.nvlink_bricks = bricks;
     cfg.model.machine.nic_rails = rails;
     cfg.model.ucx.multipath.enabled = multipath;
-    if (g_stream.active()) {
-      cfg.setup = [](hw::System& sys) { g_stream.apply(sys); };
-      cfg.inspect = [](hw::System& sys) { g_stream.flush(sys); };
-    }
     return osu::bandwidthPoint(cfg, bytes);
   };
 
-  std::vector<std::size_t> sizes = a.sizes;
-  if (sizes.empty()) sizes = {1u << 20, 4u << 20, 16u << 20};
+  const auto sizes = sizesOr(a, {1u << 20, 4u << 20, 16u << 20});
   const int rail_counts[] = {1, 2, 4};
 
   bool ok = true;
-  if (!a.json) std::printf("scope,config,size_bytes,bandwidth_MBps,speedup\n");
-  if (a.json) std::printf("{\"metric\":\"multipath\",\"intra\":[");
-  bool first = true;
+  Table t(a, {"scope", "config", "size_bytes", "bandwidth_MBps", "speedup"});
   for (const std::size_t s : sizes) {
     const double single = point(osu::Placement::IntraNode, s, false, 1, 1);
     const double multi = point(osu::Placement::IntraNode, s, true, 2, 1);
     const double speedup = single > 0.0 ? multi / single : 0.0;
-    // Acceptance (ISSUE 9): >= 1.5x at >= 4 MiB with two usable NVLink routes.
+    // Acceptance: >= 1.5x at >= 4 MiB with two usable NVLink routes.
     if (s >= (4u << 20) && speedup < 1.5) ok = false;
-    if (a.json) {
-      std::printf("%s{\"size_bytes\":%zu,\"single_MBps\":%.1f,\"multi_MBps\":%.1f,"
-                  "\"speedup\":%.3f}",
-                  first ? "" : ",", s, single, multi, speedup);
-    } else {
-      std::printf("intra,single,%zu,%.1f,1.000\n", s, single);
-      std::printf("intra,multi_bricks2,%zu,%.1f,%.3f\n", s, multi, speedup);
-    }
-    first = false;
+    t.row({"intra", "single", s, fix(single, 1), fix(1.0, 3)});
+    t.row({"intra", "multi_bricks2", s, fix(multi, 1), fix(speedup, 3)});
   }
-  if (a.json) std::printf("],\"inter\":[");
-  first = true;
   for (const std::size_t s : sizes) {
-    double rail_bw[3] = {0, 0, 0};
+    double rail_bw[3];
     for (int i = 0; i < 3; ++i)
       rail_bw[i] = point(osu::Placement::InterNode, s, true, 1, rail_counts[i]);
     // Rails must add bandwidth for large transfers (the single NVLink egress
@@ -765,17 +750,11 @@ int runMultipath(const Args& a) {
     }
     for (int i = 0; i < 3; ++i) {
       const double speedup = rail_bw[0] > 0.0 ? rail_bw[i] / rail_bw[0] : 0.0;
-      if (a.json) {
-        std::printf("%s{\"size_bytes\":%zu,\"rails\":%d,\"bandwidth_MBps\":%.1f,"
-                    "\"speedup\":%.3f}",
-                    first ? "" : ",", s, rail_counts[i], rail_bw[i], speedup);
-      } else {
-        std::printf("inter,rails%d,%zu,%.1f,%.3f\n", rail_counts[i], s, rail_bw[i], speedup);
-      }
-      first = false;
+      t.row({"inter", "rails" + std::to_string(rail_counts[i]), s, fix(rail_bw[i], 1),
+             fix(speedup, 3)});
     }
   }
-  if (a.json) std::printf("],\"ok\":%s}\n", ok ? "true" : "false");
+  t.end({{"ok", flag(ok)}});
   if (!ok) {
     std::fprintf(stderr,
                  "multipath: ACCEPTANCE FAILURE — intra-node speedup < 1.5x at >= 4 MiB "
@@ -811,7 +790,7 @@ double collPoint(const Args& a, osu::Stack stack, coll::CollImpl impl, std::uint
   m.machine.backed_device_memory = false;  // timing-only run
   if (a.drop > 0.0) m.machine.fault = sim::FaultConfig::uniformLoss(a.drop, a.fault_seed);
   hw::System sys(m.machine);
-  if (g_stream.active()) g_stream.apply(sys);
+  g_stream.apply(sys);
   ucx::Context ctx(sys, m.ucx);
   ck::Runtime rt(sys, ctx, m);
 
@@ -866,7 +845,7 @@ double collPoint(const Args& a, osu::Stack stack, coll::CollImpl impl, std::uint
       }
       break;
     case osu::Stack::Ompi:
-      break;  // rejected in runColl
+      break;  // rejected by collStacks
   }
   sys.engine.run();
   g_stream.flush(sys);
@@ -880,42 +859,26 @@ double collPoint(const Args& a, osu::Stack stack, coll::CollImpl impl, std::uint
 }
 
 int runColl(const Args& a) {
-  if (a.stack_set && a.stack == osu::Stack::Ompi) {
-    std::fprintf(stderr, "coll: stacks are ampi, charm, charm4py\n");
-    return 2;
-  }
-  const std::vector<osu::Stack> stacks =
-      a.stack_set ? std::vector<osu::Stack>{a.stack}
-                  : std::vector<osu::Stack>{osu::Stack::Ampi, osu::Stack::Charm,
-                                            osu::Stack::Charm4py};
+  const auto stacks = collStacks(a);
+  if (stacks.empty()) return 2;
   const std::vector<coll::CollImpl> impls =
       a.impl_set ? std::vector<coll::CollImpl>{a.impl}
                  : std::vector<coll::CollImpl>{coll::CollImpl::Ring, coll::CollImpl::Tree,
                                                coll::CollImpl::Reference};
-  const std::vector<std::size_t> sizes =
-      a.sizes.empty() ? std::vector<std::size_t>{65536, 1048576, 4194304} : a.sizes;
+  const auto sizes = sizesOr(a, {65536, 1048576, 4194304});
   const int warmup = 1;
   const int iters = std::min(a.iters, 10);
 
-  if (a.json) std::printf("{\"metric\":\"coll\",\"points\":[");
-  if (!a.json) std::printf("stack,impl,size_bytes,allreduce_us\n");
-  bool first = true;
+  Table t(a, {"stack", "impl", "size_bytes", "allreduce_us"});
   for (const osu::Stack stack : stacks) {
     for (const coll::CollImpl impl : impls) {
       for (const std::size_t bytes : sizes) {
         const double us = collPoint(a, stack, impl, bytes, warmup, iters);
-        if (a.json) {
-          std::printf("%s{\"stack\":\"%s\",\"impl\":\"%s\",\"size_bytes\":%zu,"
-                      "\"allreduce_us\":%.3f}",
-                      first ? "" : ",", stackKey(stack), coll::name(impl), bytes, us);
-          first = false;
-        } else {
-          std::printf("%s,%s,%zu,%.3f\n", stackKey(stack), coll::name(impl), bytes, us);
-        }
+        t.row({stackKey(stack), coll::name(impl), bytes, fix(us, 3)});
       }
     }
   }
-  if (a.json) std::printf("]}\n");
+  t.end();
   return 0;
 }
 
@@ -923,76 +886,28 @@ int runColl(const Args& a) {
 // --metric train: data-parallel SGD per-step anatomy
 // --------------------------------------------------------------------------
 
-/// CLI identifier of a training stack (matches the --stack values).
-[[nodiscard]] const char* trainKey(train::Stack s) {
-  switch (s) {
-    case train::Stack::Ampi:
-      return "ampi";
-    case train::Stack::Charm:
-      return "charm";
-    case train::Stack::Charm4py:
-      return "charm4py";
-  }
-  return "?";
-}
-
+/// One row per step; the run's rank and bucket counts, gradient verdict,
+/// mean step time and steady-state overlap repeat on each.
 int runTrainMetric(const Args& a) {
-  if (a.stack_set && a.stack == osu::Stack::Ompi) {
-    std::fprintf(stderr, "train: stacks are ampi, charm, charm4py\n");
-    return 2;
-  }
-  const std::vector<train::Stack> stacks =
-      a.stack_set ? std::vector<train::Stack>{a.stack == osu::Stack::Ampi ? train::Stack::Ampi
-                                              : a.stack == osu::Stack::Charm
-                                                  ? train::Stack::Charm
-                                                  : train::Stack::Charm4py}
-                  : std::vector<train::Stack>{train::Stack::Ampi, train::Stack::Charm,
-                                              train::Stack::Charm4py};
-  train::TrainConfig cfg;
-  cfg.ranks = a.ranks;
-  cfg.steps = a.steps;
-  cfg.nodes = std::max(a.nodes, (a.ranks + 5) / 6);
-  if (a.impl_set) cfg.coll.impl = a.impl;
-  cfg.host_staged = a.mode == osu::Mode::HostStaging;
-  // Span lines stream at retirement; attempts have no post-run hook, so the
-  // window aggregates of a training attempt are not emitted.
-  if (g_stream.active()) cfg.setup = [](hw::System& sys) { g_stream.apply(sys); };
-
-  if (a.json) std::printf("{\"metric\":\"train\",\"points\":[");
-  if (!a.json) {
-    std::printf(
-        "stack,step,step_us,compute_us,allreduce_wall_us,bucket_sum_us,overlap_ratio,"
-        "optimizer_us\n");
-  }
-  bool first = true;
+  const auto stacks = collStacks(a);
+  if (stacks.empty()) return 2;
+  const train::TrainConfig cfg = trainConfig(a);
+  Table t(a, {"stack", "step", "step_us", "compute_us", "allreduce_wall_us", "bucket_sum_us",
+              "overlap_ratio", "optimizer_us", "ranks", "buckets", "verified", "avg_step_us",
+              "steady_overlap_ratio"});
   bool all_verified = true;
-  for (const train::Stack stack : stacks) {
-    const train::TrainResult r = train::runTrain(cfg, stack);
+  for (const osu::Stack stack : stacks) {
+    const train::TrainResult r = train::runTrain(cfg, *train::parseStack(stackKey(stack)));
     all_verified = all_verified && (r.verified || !cfg.verify);
-    if (a.json) {
-      std::printf("%s{\"stack\":\"%s\",\"ranks\":%d,\"buckets\":%d,\"verified\":%s,"
-                  "\"avg_step_us\":%.1f,\"steady_overlap_ratio\":%.3f,\"steps\":[",
-                  first ? "" : ",", trainKey(stack), r.ranks, r.buckets,
-                  r.verified ? "true" : "false", r.avgStepUs(), r.avgOverlap());
-      for (std::size_t s = 0; s < r.steps.size(); ++s) {
-        const train::StepStat& st = r.steps[s];
-        std::printf("%s{\"step_us\":%.1f,\"compute_us\":%.1f,\"allreduce_wall_us\":%.1f,"
-                    "\"bucket_sum_us\":%.1f,\"optimizer_us\":%.1f}",
-                    s == 0 ? "" : ",", st.step_us, st.compute_us, st.allreduce_wall_us,
-                    st.bucket_sum_us, st.optimizer_us);
-      }
-      std::printf("]}");
-      first = false;
-    } else {
-      for (std::size_t s = 0; s < r.steps.size(); ++s) {
-        const train::StepStat& st = r.steps[s];
-        std::printf("%s,%zu,%.1f,%.1f,%.1f,%.1f,%.3f,%.1f\n", trainKey(stack), s, st.step_us,
-                    st.compute_us, st.allreduce_wall_us, st.bucket_sum_us, st.overlapRatio(),
-                    st.optimizer_us);
-      }
+    for (std::size_t s = 0; s < r.steps.size(); ++s) {
+      const train::StepStat& st = r.steps[s];
+      t.row({stackKey(stack), s, fix(st.step_us, 1), fix(st.compute_us, 1),
+             fix(st.allreduce_wall_us, 1), fix(st.bucket_sum_us, 1), fix(st.overlapRatio(), 3),
+             fix(st.optimizer_us, 1), r.ranks, r.buckets, flag(r.verified),
+             fix(r.avgStepUs(), 1), fix(r.avgOverlap(), 3)});
     }
   }
-  if (a.json) std::printf("]}\n");
+  t.end();
   if (!all_verified) {
     std::fprintf(stderr, "train: gradient verification FAILED\n");
     return 1;
@@ -1011,61 +926,31 @@ int runTrainMetric(const Args& a) {
 /// state that is not bit-identical to the unfailed run's. CI's failure-sweep
 /// smoke step runs exactly this.
 int runFailstop(const Args& a) {
-  if (a.stack_set && a.stack == osu::Stack::Ompi) {
-    std::fprintf(stderr, "failstop: stacks are ampi, charm, charm4py\n");
-    return 2;
-  }
-  const std::vector<train::Stack> stacks =
-      a.stack_set ? std::vector<train::Stack>{a.stack == osu::Stack::Ampi ? train::Stack::Ampi
-                                              : a.stack == osu::Stack::Charm
-                                                  ? train::Stack::Charm
-                                                  : train::Stack::Charm4py}
-                  : std::vector<train::Stack>{train::Stack::Ampi, train::Stack::Charm,
-                                              train::Stack::Charm4py};
-  train::TrainConfig cfg;
-  cfg.ranks = a.ranks;
-  cfg.steps = a.steps;
-  cfg.nodes = std::max(a.nodes, (a.ranks + 5) / 6);
-  if (a.impl_set) cfg.coll.impl = a.impl;
-  cfg.host_staged = a.mode == osu::Mode::HostStaging;
-  if (g_stream.active()) cfg.setup = [](hw::System& sys) { g_stream.apply(sys); };
-
-  if (a.json) std::printf("{\"metric\":\"failstop\",\"points\":[");
-  if (!a.json) {
-    std::printf(
-        "stack,kill_at_us,restarts,completed_steps,hung_ranks,digest_match,verified,status\n");
-  }
-  bool first = true;
+  const auto stacks = collStacks(a);
+  if (stacks.empty()) return 2;
+  const train::TrainConfig cfg = trainConfig(a);
+  Table t(a, {"stack", "kill_at_us", "restarts", "completed_steps", "hung_ranks", "digest_match",
+              "verified", "status"});
   bool ok_all = true;
-  for (const train::Stack stack : stacks) {
-    const train::TrainResult base = train::runTrain(cfg, stack);
+  for (const osu::Stack stack : stacks) {
+    const train::Stack ts = *train::parseStack(stackKey(stack));
+    const train::TrainResult base = train::runTrain(cfg, ts);
     // Kill a non-root worker at 40% of the unfailed run's virtual wall time:
     // safely mid-run, so collectives are still outstanding and the abort +
     // restart path genuinely executes.
     train::TrainConfig fcfg = cfg;
     fcfg.fault.kill_pe = 1;
     fcfg.fault.kill_at_us = base.total_us * 0.4;
-    const train::TrainResult rec = train::runTrain(fcfg, stack);
+    const train::TrainResult rec = train::runTrain(fcfg, ts);
     const bool digest_match = rec.model_digest == base.model_digest;
     const bool ok = !base.failed && base.hung_ranks == 0 && base.verified && !rec.failed &&
                     rec.hung_ranks == 0 && rec.verified && rec.recovered && rec.restarts >= 1 &&
                     rec.completed_steps == cfg.steps && digest_match;
     ok_all = ok_all && ok;
-    if (a.json) {
-      std::printf("%s{\"stack\":\"%s\",\"kill_at_us\":%.1f,\"restarts\":%d,"
-                  "\"completed_steps\":%d,\"hung_ranks\":%d,\"digest_match\":%s,"
-                  "\"verified\":%s,\"status\":\"%s\"}",
-                  first ? "" : ",", trainKey(stack), fcfg.fault.kill_at_us, rec.restarts,
-                  rec.completed_steps, rec.hung_ranks, digest_match ? "true" : "false",
-                  rec.verified ? "true" : "false", ok ? "ok" : "FAIL");
-      first = false;
-    } else {
-      std::printf("%s,%.1f,%d,%d,%d,%s,%s,%s\n", trainKey(stack), fcfg.fault.kill_at_us,
-                  rec.restarts, rec.completed_steps, rec.hung_ranks,
-                  digest_match ? "yes" : "NO", rec.verified ? "yes" : "NO", ok ? "ok" : "FAIL");
-    }
+    t.row({stackKey(stack), fix(fcfg.fault.kill_at_us, 1), rec.restarts, rec.completed_steps,
+           rec.hung_ranks, flag(digest_match), flag(rec.verified), ok ? "ok" : "FAIL"});
   }
-  if (a.json) std::printf("]}\n");
+  t.end();
   if (!ok_all) {
     std::fprintf(stderr, "failstop: fail-stop recovery FAILED\n");
     return 1;
@@ -1102,54 +987,39 @@ int runFailstop(const Args& a) {
 /// wait, recv-post delay, early-arrival wait, and retry/fallback overhead.
 /// The boundary-sweep partition makes the components sum to the wall time by
 /// construction; the 1% acceptance bound is still cross-checked and a
-/// violation exits nonzero. Utilization columns are whole-point class totals
-/// (repeated on every iteration row of the point).
+/// violation exits nonzero. One row per iteration; the point's per-class
+/// utilization totals, latency and span counters repeat on each. Column
+/// names come from obs::name(CritCat) and hw::name(ResClass).
 int runProfile(const Args& a) {
-  const std::vector<osu::Stack> stacks =
-      a.stack_set ? std::vector<osu::Stack>{a.stack}
-                  : std::vector<osu::Stack>{osu::Stack::Charm, osu::Stack::Ampi,
-                                            osu::Stack::Charm4py};
-  const std::vector<std::size_t> sizes =
-      a.sizes.empty() ? std::vector<std::size_t>{4096, 65536, 1048576} : a.sizes;
-
-  struct Point {
-    const char* stack = "";
-    std::size_t bytes = 0;
-    double latency_us = 0;
-    std::vector<obs::CritPath::Iteration> iters;
-    std::array<std::uint64_t, hw::kResClassCount> busy{};
-    std::array<std::uint32_t, hw::kResClassCount> nres{};
-    std::uint64_t spans = 0, retired = 0, open_hwm = 0, dropped = 0, windows = 0;
+  const auto stacks = stacksOr(a, {osu::Stack::Charm, osu::Stack::Ampi, osu::Stack::Charm4py});
+  const auto sizes = sizesOr(a, {4096, 65536, 1048576});
+  const auto resName = [](std::size_t c) {
+    return std::string(hw::name(static_cast<hw::ResClass>(c)));
   };
-  std::vector<Point> points;
+  std::vector<std::string> cols = {"stack", "size_bytes", "iter", "wall_us"};
+  for (std::size_t c = 0; c < obs::kCritCatCount; ++c) {
+    cols.push_back(std::string(obs::name(static_cast<obs::CritCat>(c))) + "_us");
+  }
+  cols.emplace_back("sum_err_pct");
+  for (std::size_t c = 0; c < hw::kResClassCount; ++c) cols.push_back(resName(c) + "_busy_ns");
+  for (std::size_t c = 0; c < hw::kResClassCount; ++c) cols.push_back(resName(c) + "_resources");
+  cols.insert(cols.end(), {"one_way_latency_us", "spans_begun", "spans_retired", "open_hwm",
+                           "dropped_events", "windows"});
+  Table t(a, std::move(cols));
+
   std::vector<obs::CounterTrack> last_counters;  // --perfetto: last point's timeline
   bool sum_ok = true;
-
   for (const osu::Stack stack : stacks) {
     for (const std::size_t bytes : sizes) {
-      osu::BenchConfig cfg;
-      cfg.stack = stack;
-      cfg.mode = a.mode;
-      cfg.place = a.place;
-      cfg.iters = a.iters;
-      cfg.warmup = a.warmup;
-      cfg.model =
-          model::summit(a.nodes < 2 && a.place == osu::Placement::InterNode ? 2 : a.nodes);
-      cfg.model.ucx.gdrcopy_enabled = a.gdrcopy;
-      if (a.drop > 0.0) {
-        cfg.model.machine.fault = sim::FaultConfig::uniformLoss(a.drop, a.fault_seed);
-      }
+      osu::BenchConfig cfg = osuConfig(a, stack, a.place);
       cfg.observe = true;
-
       obs::CritPathConfig ccfg;
       ccfg.gpus_per_node = cfg.model.machine.gpus_per_node;
       ccfg.host_staged = a.mode == osu::Mode::HostStaging;
       obs::CritPath crit(ccfg);
 
-      Point p;
-      p.stack = stackKey(stack);
-      p.bytes = bytes;
       std::vector<sim::TimePoint> marks;
+      std::vector<Cell> point, counters;  // per-point cells, repeated on each iteration row
       cfg.setup = [&crit](hw::System& sys) {
         sys.obs.spans.enableStreaming({}, &crit);
         g_stream.apply(sys);
@@ -1158,94 +1028,37 @@ int runProfile(const Args& a) {
       cfg.inspect = [&](hw::System& sys) {
         marks = sys.obs.iterationMarks();
         sys.obs.spans.flushWindows();
-        p.spans = sys.obs.spans.begun();
-        p.retired = sys.obs.spans.retired();
-        p.open_hwm = sys.obs.spans.openHighWatermark();
-        p.dropped = sys.obs.spans.droppedEvents();
-        p.windows = sys.obs.spans.windows().size();
         for (std::size_t c = 0; c < hw::kResClassCount; ++c) {
-          p.busy[c] = sys.util.classBusy(static_cast<hw::ResClass>(c));
-          p.nres[c] = sys.util.classResources(static_cast<hw::ResClass>(c));
+          point.emplace_back(sys.util.classBusy(static_cast<hw::ResClass>(c)));
         }
+        for (std::size_t c = 0; c < hw::kResClassCount; ++c) {
+          point.emplace_back(sys.util.classResources(static_cast<hw::ResClass>(c)));
+        }
+        const obs::SpanCollector& spans = sys.obs.spans;
+        counters = {spans.begun(), spans.retired(), spans.openHighWatermark(),
+                    spans.droppedEvents(), spans.windows().size()};
         g_stream.emitUtil(sys);
         if (!a.perfetto.empty()) last_counters = utilCounters(sys.util);
       };
-      p.latency_us = osu::latencyPoint(cfg, bytes);
-      p.iters = crit.attribute(marks);
-      for (const obs::CritPath::Iteration& it : p.iters) {
+      const double lat = osu::latencyPoint(cfg, bytes);
+      point.push_back(fix(lat, 3));
+      point.insert(point.end(), counters.begin(), counters.end());
+      const auto iters = crit.attribute(marks);
+      for (std::size_t k = 0; k < iters.size(); ++k) {
+        const obs::CritPath::Iteration& it = iters[k];
         double sum = 0;
         for (const double v : it.us) sum += v;
-        if (it.wall_us > 0 && std::abs(sum - it.wall_us) / it.wall_us > 0.01) sum_ok = false;
-      }
-      points.push_back(std::move(p));
-    }
-  }
-
-  const auto catUs = [](const obs::CritPath::Iteration& it, obs::CritCat c) {
-    return it.us[static_cast<std::size_t>(c)];
-  };
-
-  if (a.json) {
-    std::printf("{\"metric\":\"profile\",\"points\":[");
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const Point& p = points[i];
-      std::printf("%s{\"stack\":\"%s\",\"size_bytes\":%zu,\"one_way_latency_us\":%.3f,"
-                  "\"spans_begun\":%llu,\"spans_retired\":%llu,\"open_hwm\":%llu,"
-                  "\"dropped_events\":%llu,\"windows\":%llu,\"util\":{",
-                  i == 0 ? "" : ",", p.stack, p.bytes, p.latency_us,
-                  static_cast<unsigned long long>(p.spans),
-                  static_cast<unsigned long long>(p.retired),
-                  static_cast<unsigned long long>(p.open_hwm),
-                  static_cast<unsigned long long>(p.dropped),
-                  static_cast<unsigned long long>(p.windows));
-      for (std::size_t c = 0; c < hw::kResClassCount; ++c) {
-        std::printf("%s\"%s\":{\"resources\":%u,\"busy_ns\":%llu}", c == 0 ? "" : ",",
-                    hw::name(static_cast<hw::ResClass>(c)), p.nres[c],
-                    static_cast<unsigned long long>(p.busy[c]));
-      }
-      std::printf("},\"iterations\":[");
-      for (std::size_t k = 0; k < p.iters.size(); ++k) {
-        const obs::CritPath::Iteration& it = p.iters[k];
-        double sum = 0;
-        for (const double v : it.us) sum += v;
-        std::printf("%s{\"wall_us\":%.3f", k == 0 ? "" : ",", it.wall_us);
-        for (std::size_t c = 0; c < obs::kCritCatCount; ++c) {
-          std::printf(",\"%s_us\":%.3f", obs::name(static_cast<obs::CritCat>(c)),
-                      it.us[c]);
-        }
-        std::printf(",\"sum_err_pct\":%.4f}",
-                    it.wall_us > 0 ? std::abs(sum - it.wall_us) / it.wall_us * 100.0 : 0.0);
-      }
-      std::printf("]}");
-    }
-    std::printf("],\"sum_ok\":%s}\n", sum_ok ? "true" : "false");
-  } else {
-    std::printf("stack,size_bytes,iter,wall_us,retry_us,post_delay_us,early_wait_us,"
-                "link_nic_us,link_nvlink_us,link_shm_us,host_meta_us,compute_us,"
-                "sum_err_pct,nvlink_busy_ns,xbus_busy_ns,nic_busy_ns,shm_busy_ns,"
-                "gpu_busy_ns\n");
-    for (const Point& p : points) {
-      for (std::size_t k = 0; k < p.iters.size(); ++k) {
-        const obs::CritPath::Iteration& it = p.iters[k];
-        double sum = 0;
-        for (const double v : it.us) sum += v;
-        std::printf(
-            "%s,%zu,%zu,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.4f,%llu,%llu,%llu,"
-            "%llu,%llu\n",
-            p.stack, p.bytes, k, it.wall_us, catUs(it, obs::CritCat::Retry),
-            catUs(it, obs::CritCat::PostDelay), catUs(it, obs::CritCat::EarlyWait),
-            catUs(it, obs::CritCat::LinkNic), catUs(it, obs::CritCat::LinkNvLink),
-            catUs(it, obs::CritCat::LinkShm), catUs(it, obs::CritCat::HostMeta),
-            catUs(it, obs::CritCat::Compute),
-            it.wall_us > 0 ? std::abs(sum - it.wall_us) / it.wall_us * 100.0 : 0.0,
-            static_cast<unsigned long long>(p.busy[0]),
-            static_cast<unsigned long long>(p.busy[1]),
-            static_cast<unsigned long long>(p.busy[2]),
-            static_cast<unsigned long long>(p.busy[3]),
-            static_cast<unsigned long long>(p.busy[4]));
+        const double err = it.wall_us > 0 ? std::abs(sum - it.wall_us) / it.wall_us : 0.0;
+        if (err > 0.01) sum_ok = false;
+        std::vector<Cell> row = {stackKey(stack), bytes, k, fix(it.wall_us, 3)};
+        for (const double v : it.us) row.push_back(fix(v, 3));
+        row.push_back(fix(err * 100.0, 4));
+        row.insert(row.end(), point.begin(), point.end());
+        t.row(row);
       }
     }
   }
+  t.end({{"sum_ok", flag(sum_ok)}});
 
   if (!a.perfetto.empty()) {
     std::ofstream f(a.perfetto);
