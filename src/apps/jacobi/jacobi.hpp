@@ -33,8 +33,6 @@ struct JacobiConfig {
   /// (Sec. VI, ref. [23]). The paper's own evaluation uses odf = 1.
   int overdecomposition = 1;
   model::Model model = model::summit(1);  ///< machine is resized to `nodes`
-  /// Enable message-lifecycle span collection on the simulated machine.
-  bool observe = false;
   /// Called with the freshly constructed simulated machine before any traffic
   /// runs — the hook for attaching span sinks or utilization recording.
   std::function<void(hw::System&)> setup;

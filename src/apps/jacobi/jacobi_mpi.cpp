@@ -89,7 +89,6 @@ JacobiResult runMpi(const JacobiConfig& cfg, std::vector<double>* out) {
   m.machine.num_nodes = cfg.nodes;
   m.machine.backed_device_memory = cfg.backed;
   hw::System sys(m.machine);
-  if (cfg.observe) sys.obs.spans.enableStreaming();
   if (cfg.setup) cfg.setup(sys);
   ucx::Context ctx(sys, m.ucx);
 

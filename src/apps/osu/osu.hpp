@@ -47,8 +47,10 @@ struct BenchConfig {
   int window = 64;  ///< bandwidth only
   model::Model model = model::summit(2);
   /// Enable message-lifecycle span collection on the simulated machine
-  /// (`gpucomm_sweep --metric breakdown`). Off by default: spans allocate
-  /// and benchmarks are also used as allocation/determinism baselines.
+  /// before `setup` runs; the same as a `setup` hook that calls
+  /// `sys.obs.spans.enableStreaming()`. Only perfbench's observed workload
+  /// sets it. Off by default: spans allocate and benchmarks are also used as
+  /// allocation/determinism baselines.
   bool observe = false;
   /// Called with the freshly constructed simulated machine before any
   /// traffic runs — the hook for attaching span sinks or enabling
@@ -70,12 +72,14 @@ struct BenchConfig {
 [[nodiscard]] std::vector<Point> runBandwidth(const BenchConfig& cfg);
 
 /// Bidirectional bandwidth (osu_bibw): both endpoints stream a window at
-/// each other simultaneously; reports combined MB/s. MPI stacks only.
+/// each other simultaneously; reports combined MB/s. MPI stacks only: throws
+/// std::invalid_argument for Charm++ or Charm4py.
 [[nodiscard]] std::vector<Point> runBiBandwidth(const BenchConfig& cfg);
 
 /// Multi-pair latency (osu_multi_lat): every PE of the first half ping-pongs
 /// with its partner in the second half concurrently; reports the average
-/// one-way latency under full-machine load. MPI stacks only.
+/// one-way latency under full-machine load. MPI stacks only: throws
+/// std::invalid_argument for Charm++ or Charm4py.
 [[nodiscard]] std::vector<Point> runMultiLatency(const BenchConfig& cfg);
 
 // Per-stack entry points (used internally and by the ablation benches).

@@ -1,7 +1,6 @@
 #include "charm4py/charm4py.hpp"
 
 #include <cassert>
-#include <cstring>
 
 namespace cux::c4p {
 
@@ -28,32 +27,8 @@ struct Charm4py::PerPeChare : ck::Chare {
     owner->onEnvelope(myPe(), chan, static_cast<int>(dst_side), std::move(env));
   }
 
-  void runTask(std::uint64_t call_id, std::uint32_t reply_pe) {
-    auto it = owner->calls_.find(call_id);
-    assert(it != owner->calls_.end());
-    // Executing the remote method costs an interpreter dispatch on top of
-    // the entry-method cost already charged.
-    owner->chargePyCall(myPe());
-    std::vector<std::byte> result = it->second.run();
-    owner->chares_[reply_pe].sendFrom<&PerPeChare::taskResult>(myPe(), call_id,
-                                                               std::move(result));
-  }
-
-  void taskResult(std::uint64_t call_id, std::vector<std::byte> bytes) {
-    auto it = owner->calls_.find(call_id);
-    assert(it != owner->calls_.end());
-    auto deliver = std::move(it->second.deliver);
-    owner->calls_.erase(it);
-    deliver(std::move(bytes), myPe());
-  }
-
   Charm4py* owner;
 };
-
-void Charm4py::sendInvoke(int from_pe, int target_pe, std::uint64_t id) {
-  chares_[static_cast<std::size_t>(target_pe)].sendFrom<&PerPeChare::runTask>(
-      from_pe, id, static_cast<std::uint32_t>(from_pe));
-}
 
 Charm4py::Charm4py(ck::Runtime& rt) : rt_(rt) {
   chares_.reserve(static_cast<std::size_t>(rt.numPes()));

@@ -3,9 +3,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <cstring>
-#include <type_traits>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -114,35 +111,6 @@ class Charm4py {
   /// that models extra interpreter work).
   void chargePyCall(int pe);
 
-  // --- remote invocation with futures (charm4py's `ret=True`) -------------
-  /// Runs `fn` on `target_pe` as a remote entry-method invocation and
-  /// returns a future, fulfilled on the calling PE with the result — the
-  /// charm4py pattern `fut = proxy.method(args, ret=True); fut.get()`.
-  /// R must be trivially copyable (it travels in the reply message).
-  template <class R, class F>
-  [[nodiscard]] sim::Future<R> invoke(int from_pe, int target_pe, F fn) {
-    static_assert(std::is_trivially_copyable_v<R>, "results travel by bytes");
-    chargePyCall(from_pe);
-    sim::Promise<R> promise;
-    const std::uint64_t id = next_call_++;
-    PendingCall call;
-    call.run = [fn = std::move(fn)]() {
-      R r = fn();
-      std::vector<std::byte> out(sizeof(R));
-      std::memcpy(out.data(), &r, sizeof(R));
-      return out;
-    };
-    call.deliver = [this, promise](std::vector<std::byte> bytes, int pe) {
-      R r{};
-      std::memcpy(&r, bytes.data(), sizeof(R));
-      rt_.cmi().pe(pe).exec(sim::usec(rt_.costs().py_wakeup_us),
-                            [promise, r] { promise.set(r); });
-    };
-    calls_.emplace(id, std::move(call));
-    sendInvoke(from_pe, target_pe, id);
-    return promise.future();
-  }
-
  private:
   friend class ChannelEnd;
   struct PerPeChare;
@@ -174,11 +142,6 @@ class Charm4py {
     std::vector<Envelope> out_of_order;
   };
 
-  struct PendingCall {
-    std::function<std::vector<std::byte>()> run;
-    std::function<void(std::vector<std::byte>, int pe)> deliver;
-  };
-
   sim::Future<void> sendImpl(ChannelEnd& end, const void* buf, std::uint64_t bytes);
   sim::Future<void> recvImpl(ChannelEnd& end, void* buf, std::uint64_t bytes);
   void onEnvelope(int pe, std::uint64_t chan, int side, Envelope env);
@@ -188,7 +151,6 @@ class Charm4py {
   /// envelope arrived first).
   void matchOne(int pe, EndpointState& st, obs::Phase matched);
   EndpointState& endpoint(std::uint64_t chan, int side);
-  void sendInvoke(int from_pe, int target_pe, std::uint64_t id);
   /// Detector announcement: marks channels with an end on `pe` dead, fails
   /// waiting receives on both sides (survivors observe the failure, the dead
   /// side's coroutines drain to their abort exit) and orphans queued
@@ -206,9 +168,7 @@ class Charm4py {
   // use, so making a channel allocates no deques.
   std::vector<std::unique_ptr<ChannelEnd>> ends_;
   std::vector<std::unique_ptr<EndpointState>> endpoints_;
-  std::unordered_map<std::uint64_t, PendingCall> calls_;
   std::uint64_t next_chan_ = 0;
-  std::uint64_t next_call_ = 0;
   std::unordered_set<std::uint64_t> dead_chans_;
   std::vector<char> pe_dead_;
   std::uint64_t failed_recvs_ = 0;

@@ -84,15 +84,6 @@ class DeviceComm {
   void lrtsRecvDevice(int pe, const DeviceRdmaOp& op, DeviceRecvType type,
                       DoneFn on_complete);
 
-  /// CmiSendDevice: thin Converse-level wrapper over LrtsSendDevice
-  /// (paper Figs. 6/7/9 show it between the model layer and the machine
-  /// layer).
-  void cmiSendDevice(int src_pe, int dst_pe, CmiDeviceBuffer& buf,
-                     DoneFn on_complete = {},
-                     DeviceRecvType type = DeviceRecvType::Raw) {
-    lrtsSendDevice(src_pe, dst_pe, buf, std::move(on_complete), type);
-  }
-
   // --- user-provided tags (paper Sec. VI improvement) ----------------------
   // "supporting user-provided tags in the Charm++ runtime system ... would
   // eliminate the need to delay the posting of the receive for GPU data
@@ -119,9 +110,6 @@ class DeviceComm {
     return recvs_by_type_[static_cast<std::size_t>(t)];
   }
   [[nodiscard]] std::uint64_t deviceSends() const noexcept { return device_sends_; }
-  /// Device sends large enough to split across routes under the active
-  /// UcxConfig::multipath policy (0 when multipath is disabled).
-  [[nodiscard]] std::uint64_t multipathEligible() const noexcept { return multipath_eligible_; }
   /// Device sends that degraded to the host-staged route (retries exhausted
   /// or link down); 0 unless the fault injector is enabled.
   [[nodiscard]] std::uint64_t fallbacks() const noexcept { return fallbacks_; }

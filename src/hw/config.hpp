@@ -58,9 +58,10 @@ struct MachineConfig {
   double cuda_sync_us = 3.0;
   /// Fixed device-side latency of launching a kernel.
   double kernel_launch_us = 4.5;
-  /// One-time cost of launching an instantiated CUDA graph: every node in
-  /// the graph is submitted by this single call instead of paying
-  /// cuda_call_us + kernel_launch_us each (cudaGraphLaunch amortisation).
+  /// One-time cost of launching an instantiated CUDA graph: the multi-path
+  /// engine submits every chunk of a data leg with this single call instead
+  /// of paying cuda_call_us + kernel_launch_us each (cudaGraphLaunch
+  /// amortisation).
   double cuda_graph_launch_us = 2.5;
 
   /// Fault-injection schedule for the simulated network (off by default).

@@ -108,77 +108,6 @@ sim::Future<void> Stream::synchronize() {
   return done.future();
 }
 
-GraphBuilder& GraphBuilder::addKernel(sim::Duration cost, EffectFn body) {
-  hw::System& sys = sys_;
-  const int device = device_;
-  Graph::Node node;
-  node.timing = [&sys, device, cost](sim::TimePoint start) {
-    return sys.machine.gpuCompute(sys.machine.gpuOfPe(device)).reserve(start, cost);
-  };
-  node.effect = std::move(body);
-  nodes_.push_back(std::move(node));
-  return *this;
-}
-
-GraphBuilder& GraphBuilder::addMemcpy(void* dst, const void* src, std::size_t bytes,
-                                      MemcpyKind kind) {
-  hw::System& sys = sys_;
-  const int device = device_;
-  Graph::Node node;
-  node.timing = [&sys, device, kind, bytes](sim::TimePoint start) -> sim::TimePoint {
-    const hw::MachineConfig& cfg = sys.config;
-    const hw::GpuId gpu = sys.machine.gpuOfPe(device);
-    switch (kind) {
-      case MemcpyKind::HostToDevice:
-        return sys.machine.gpuDown(gpu).reserve(start + sim::usec(cfg.cuda_copy_latency_us),
-                                                bytes);
-      case MemcpyKind::DeviceToHost:
-        return sys.machine.gpuUp(gpu).reserve(start + sim::usec(cfg.cuda_copy_latency_us),
-                                              bytes);
-      case MemcpyKind::DeviceToDevice:
-        return start + sim::usec(cfg.cuda_copy_latency_us) +
-               sim::transferTime(2 * bytes, cfg.gpu_mem_bandwidth_gbps);
-      case MemcpyKind::HostToHost:
-        return start + sim::transferTime(bytes, cfg.host_memcpy_gbps);
-    }
-    return start;
-  };
-  node.effect = [&sys, dst, src, bytes] { moveBytes(sys, dst, src, bytes); };
-  nodes_.push_back(std::move(node));
-  return *this;
-}
-
-Graph GraphBuilder::instantiate() {
-  Graph g;
-  g.nodes_ = std::make_shared<const std::vector<Graph::Node>>(std::move(nodes_));
-  nodes_.clear();
-  return g;
-}
-
-void Graph::launch(Stream& s) const {
-  hw::System& sys = s.sys_;
-  auto nodes = nodes_;
-  sys.trace.record(sys.engine.now(), sim::TraceCat::Kernel, s.device_, -1, nodeCount(), 0,
-                   "graph-launch");
-  Stream::Op op;
-  op.timing = [&sys, nodes](sim::TimePoint start) {
-    sim::TimePoint t = start + sim::usec(sys.config.cuda_call_us) +
-                       sim::usec(sys.config.cuda_graph_launch_us);
-    if (nodes) {
-      for (const Node& n : *nodes) t = n.timing(t);
-    }
-    return t;
-  };
-  op.effect = [nodes] {
-    if (nodes) {
-      for (const Node& n : *nodes) {
-        if (n.effect) n.effect();
-      }
-    }
-  };
-  s.enqueue(std::move(op));
-}
-
 void Stream::enqueue(Op op) {
   ops_.push_back(std::move(op));
   if (!busy_) kick();

@@ -4,7 +4,6 @@
 #include <deque>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "hw/system.hpp"
 #include "sim/future.hpp"
@@ -145,8 +144,6 @@ class Stream {
   [[nodiscard]] bool idle() const noexcept { return !busy_; }
 
  private:
-  friend class Graph;
-
   struct Op {
     TimingFn timing;
     EffectFn effect;
@@ -161,68 +158,13 @@ class Stream {
   bool busy_ = false;
 };
 
-/// An instantiated CUDA graph: a linear chain of kernel/memcpy nodes (the
-/// shape stream capture produces) submitted as ONE stream op. Launching
-/// costs a single cuda_call_us + cuda_graph_launch_us for the whole chain
-/// instead of cuda_call_us + kernel_launch_us per node — the amortisation
-/// that makes many-chunk multi-path transfers pay one submission overhead.
-/// Cheap to copy (nodes are shared, immutable) and reusable: every launch
-/// replays the same chain.
-class Graph {
- public:
-  Graph() = default;
-
-  /// Enqueues the whole node chain on `s` as one op. Node effects (byte
-  /// movement, kernel bodies) all run at graph completion.
-  void launch(Stream& s) const;
-
-  [[nodiscard]] std::size_t nodeCount() const noexcept { return nodes_ ? nodes_->size() : 0; }
-  [[nodiscard]] bool empty() const noexcept { return nodeCount() == 0; }
-
- private:
-  friend class GraphBuilder;
-
-  struct Node {
-    TimingFn timing;  // no per-node launch overhead
-    EffectFn effect;
-  };
-
-  std::shared_ptr<const std::vector<Node>> nodes_;
-};
-
-/// Builds a Graph for one GPU, mirroring cudaGraphCreate/cudaGraphAddNode +
-/// cudaGraphInstantiate. Nodes execute in insertion order; each charges its
-/// device-side cost (compute reservation, copy-engine reservation) but NOT
-/// the per-call CPU overheads, which the graph launch pays once.
-class GraphBuilder {
- public:
-  GraphBuilder(hw::System& sys, int device) : sys_(sys), device_(device) {}
-
-  /// Adds a kernel node costing `cost` device time; `body` runs at graph
-  /// completion.
-  GraphBuilder& addKernel(sim::Duration cost, EffectFn body = {});
-
-  /// Adds a memcpy node (same link/engine costs as Stream::memcpyAsync,
-  /// minus the per-call enqueue overhead).
-  GraphBuilder& addMemcpy(void* dst, const void* src, std::size_t bytes, MemcpyKind kind);
-
-  /// Freezes the accumulated nodes into a launchable Graph; the builder is
-  /// left empty and can build another graph.
-  [[nodiscard]] Graph instantiate();
-
- private:
-  hw::System& sys_;
-  int device_;
-  std::vector<Graph::Node> nodes_;
-};
-
 /// Classifies a (dst, src) pointer pair the way cudaMemcpyDefault would.
 MemcpyKind inferKind(hw::System& sys, const void* dst, const void* src);
 
 /// Performs the byte movement for a completed copy if both ends are
 /// dereferenceable. Every copy into memory the caller did not just allocate
 /// goes through it (CUDA copies, UCX eager/rendezvous receive completion, the
-/// Charm++ entry thunk, AMPI and Charm4py inline delivery, RMA, the
+/// Charm++ entry thunk, AMPI and Charm4py inline delivery, the
 /// collectives), so unbacked memory is never touched. Copies into a freshly
 /// allocated message buffer test only `memory.dereferenceable(src)`.
 void moveBytes(hw::System& sys, void* dst, const void* src, std::size_t bytes);

@@ -128,8 +128,7 @@ Path Machine::hostToHostPath(int src_pe, int dst_pe) {
   return path;
 }
 
-std::vector<Machine::Route> Machine::deviceRoutes(int src_pe, int dst_pe, int max_staged,
-                                                  bool host_bounce) {
+std::vector<Machine::Route> Machine::deviceRoutes(int src_pe, int dst_pe) {
   std::vector<Route> routes;
   const GpuId src = gpuOfPe(src_pe);
   const GpuId dst = gpuOfPe(dst_pe);
@@ -169,25 +168,25 @@ std::vector<Machine::Route> Machine::deviceRoutes(int src_pe, int dst_pe, int ma
     routes.push_back(route);
   }
 
-  // Neighbor-staged routes: bytes leave the source on a spare brick, land
-  // in a neighbor GPU's memory, and leave again towards the destination.
-  // Neighbors on the source's socket come first (no X-Bus crossing on the
-  // first hop), ascending local index; src and dst never stage.
-  std::vector<int> neighbors;
-  neighbors.reserve(static_cast<std::size_t>(cfg_.gpus_per_node));
-  for (int pass = 0; pass < 2; ++pass)
-    for (int l = 0; l < cfg_.gpus_per_node; ++l) {
-      if (l == src.local || l == dst.local) continue;
-      const bool same_sock = cfg_.socketOf(l) == ssock;
-      if ((pass == 0) == same_sock) neighbors.push_back(l);
+  // Neighbor-staged route: bytes leave the source on a spare brick, land in
+  // a neighbor GPU's memory, and leave again towards the destination. The
+  // neighbor is the lowest local index other than src and dst, preferring
+  // the source's socket (no X-Bus crossing on the first hop).
+  int mid_local = -1;
+  for (int l = 0; l < cfg_.gpus_per_node; ++l) {
+    if (l == src.local || l == dst.local) continue;
+    if (cfg_.socketOf(l) == ssock) {
+      mid_local = l;
+      break;
     }
-  const int n_staged = std::min<int>(max_staged, static_cast<int>(neighbors.size()));
-  for (int k = 0; k < n_staged; ++k) {
-    const GpuId mid{src.node, neighbors[static_cast<std::size_t>(k)]};
-    const int msock = cfg_.socketOf(mid.local);
-    // Staged route k rides brick min(k+1, B-1) on every hop, so with
+    if (mid_local < 0) mid_local = l;
+  }
+  if (mid_local >= 0) {
+    const GpuId mid{src.node, mid_local};
+    const int msock = cfg_.socketOf(mid_local);
+    // The staged route rides brick min(1, B-1) on every hop, so with
     // bricks >= 2 it never serialises with the direct route's brick 0.
-    const int b = std::min(k + 1, bricks - 1);
+    const int b = std::min(1, bricks - 1);
     Route route;
     route.kind = "staged";
     route.path.push_back(&gpuUp(src, b));
@@ -196,17 +195,6 @@ std::vector<Machine::Route> Machine::deviceRoutes(int src_pe, int dst_pe, int ma
     route.path.push_back(&gpuUp(mid, b));
     if (msock != dsock) route.path.push_back(&xbus(src.node, msock));
     route.path.push_back(&gpuDown(dst, b));
-    routes.push_back(route);
-  }
-
-  if (host_bounce) {
-    // Device -> host shm copy engine -> device, on the highest brick so the
-    // bounce contends with the last staged route rather than the direct one.
-    Route route;
-    route.kind = "host";
-    route.path.push_back(&gpuUp(src, bricks - 1));
-    route.path.push_back(&shm(src.node));
-    route.path.push_back(&gpuDown(dst, bricks - 1));
     routes.push_back(route);
   }
   return routes;

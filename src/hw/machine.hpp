@@ -199,7 +199,7 @@ class Machine {
   struct Route {
     Path path;
     /// Static label: "direct" (NVLink peer), "staged" (through a neighbor
-    /// GPU's brick), "host" (shm bounce), or "rail" (inter-node NIC rail).
+    /// GPU's brick), or "rail" (inter-node NIC rail).
     const char* kind = "direct";
     int rail = -1;  ///< NIC rail index, inter-node routes only
   };
@@ -207,16 +207,14 @@ class Machine {
   /// Enumerates the candidate routes for a device-to-device transfer, in a
   /// deterministic order that PathScheduler's tie-break relies on.
   ///
-  /// Intra-node: the direct NVLink-peer route on brick 0 first, then up to
-  /// `max_staged` routes staged through a neighbor GPU's brick (neighbors on
-  /// the source's socket first, ascending local index; staged route k uses
-  /// brick min(k+1, bricks-1) end to end so it does not serialise with the
-  /// direct route when bricks >= 2), then — when `host_bounce` — the
-  /// device->host->device shm bounce on the highest brick. Inter-node: one
-  /// GPUDirect-style route per NIC rail, rails ascending, striped across
-  /// bricks. Same-GPU transfers have no route (empty result).
-  [[nodiscard]] std::vector<Route> deviceRoutes(int src_pe, int dst_pe, int max_staged,
-                                                bool host_bounce);
+  /// Intra-node: the direct NVLink-peer route on brick 0 first, then one
+  /// route staged through a neighbor GPU (the lowest local index other than
+  /// src and dst, the source's socket first) on brick min(1, bricks-1) end
+  /// to end, so it does not serialise with the direct route when
+  /// bricks >= 2. Inter-node: one GPUDirect-style route per NIC rail, rails
+  /// ascending, striped across bricks. Same-GPU transfers have no route
+  /// (empty result).
+  [[nodiscard]] std::vector<Route> deviceRoutes(int src_pe, int dst_pe);
 
   /// Device-to-host-staging path on the sender side (GPU egress only), and
   /// its mirror on the receiver; used for pipelined rendezvous staging.

@@ -92,10 +92,4 @@ struct Model {
 /// `nodes` scales the cluster (6 GPUs/PEs per node).
 [[nodiscard]] Model summit(int nodes = 1);
 
-/// Summit with real (backed) device memory for data-integrity tests.
-[[nodiscard]] Model summitBacked(int nodes = 1);
-
-/// Summit with unbacked device memory for paper-scale figure benches.
-[[nodiscard]] Model summitUnbacked(int nodes);
-
 }  // namespace cux::model

@@ -52,16 +52,4 @@ Model summit(int nodes) {
   return m;
 }
 
-Model summitBacked(int nodes) {
-  Model m = summit(nodes);
-  m.machine.backed_device_memory = true;
-  return m;
-}
-
-Model summitUnbacked(int nodes) {
-  Model m = summit(nodes);
-  m.machine.backed_device_memory = false;
-  return m;
-}
-
 }  // namespace cux::model

@@ -20,8 +20,8 @@
 /// tagged design (paper Sec. III) disappear. bench/ext_futurework quantifies
 /// the difference.
 ///
-/// Tag layout (type 0xE, disjoint from the machine layer's 0-2 and the
-/// stream API's 0xF): [0xE | am_id(8) | src_pe(24) | seq(28)].
+/// Tag layout (type 0xE, disjoint from the machine layer's 0-2):
+/// [0xE | am_id(8) | src_pe(24) | seq(28)].
 
 namespace cux::ucx {
 

@@ -60,9 +60,10 @@ struct UcxConfig {
 
   // --- multi-path / multi-rail transfers -----------------------------------
   /// Occupancy-aware multi-path engine for device rendezvous data legs:
-  /// intra-node transfers split across the direct NVLink route, neighbor-
-  /// GPU-staged routes, and optionally the host shm bounce; inter-node
-  /// transfers stripe across the machine's NIC rails. Requires
+  /// intra-node transfers split across the direct NVLink route and one
+  /// neighbor-GPU-staged route; inter-node transfers stripe across the
+  /// machine's NIC rails. All chunks of a leg are submitted as one CUDA-graph
+  /// launch (cuda_call_us + cuda_graph_launch_us). Requires
   /// MachineConfig::nvlink_bricks >= 2 (intra) or nic_rails >= 2 (inter) to
   /// add bandwidth; with the default single-brick/single-rail machine it
   /// degenerates to the single route. Disabled (default) is bit-identical
@@ -74,17 +75,9 @@ struct UcxConfig {
     /// Transfers below this stay single-path: still chunk-pipelined, but
     /// every chunk rides the route that projects best at start.
     std::size_t min_split_bytes = 2 * 1024 * 1024;
-    /// Neighbor-GPU staged routes enumerated per intra-node transfer.
-    int max_staged_routes = 1;
-    /// Whether the device->shm->device bounce joins the candidate set.
-    bool host_bounce = false;
-    /// Submit all chunks as one CUDA-graph launch (one cuda_call_us +
-    /// cuda_graph_launch_us for the batch); off = one cuda_call_us per
-    /// chunk, serialised on the submitting CPU.
-    bool cuda_graphs = true;
-    /// Per-chunk forwarding-management cost of a staged or host-bounce
-    /// route, charged to the route's bottleneck link (the NIC-rail analogue
-    /// is rndv_pipeline_overhead_us).
+    /// Per-chunk forwarding-management cost of a staged route, charged to
+    /// the route's bottleneck link (the NIC-rail analogue is
+    /// rndv_pipeline_overhead_us).
     double stage_chunk_overhead_us = 2.0;
   };
   MultipathConfig multipath;
@@ -129,7 +122,6 @@ struct UcxConfig {
     if (retry_base_us <= 0) fail("retry_base_us must be positive");
     if (multipath.chunk_bytes == 0) fail("multipath.chunk_bytes must be nonzero");
     if (multipath.min_split_bytes == 0) fail("multipath.min_split_bytes must be nonzero");
-    if (multipath.max_staged_routes < 0) fail("multipath.max_staged_routes must be non-negative");
     if (multipath.stage_chunk_overhead_us < 0) {
       fail("multipath.stage_chunk_overhead_us must be non-negative");
     }

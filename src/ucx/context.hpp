@@ -279,7 +279,6 @@ class Context {
   std::uint64_t mp_reroutes_ = 0;    ///< chunk retries steered to a different route
   std::uint64_t mp_bytes_direct_ = 0;
   std::uint64_t mp_bytes_staged_ = 0;
-  std::uint64_t mp_bytes_host_ = 0;
   std::uint64_t mp_bytes_rail_ = 0;
   std::uint64_t pe_failures_detected_ = 0;
   std::uint64_t peer_failed_reqs_ = 0;

@@ -44,7 +44,6 @@ Context::Context(hw::System& sys, const UcxConfig& cfg) : sys_(sys), cfg_(cfg) {
     r.setGauge("ucx.mp.reroutes", mp_reroutes_);
     r.setGauge("ucx.mp.bytes.direct", mp_bytes_direct_);
     r.setGauge("ucx.mp.bytes.staged", mp_bytes_staged_);
-    r.setGauge("ucx.mp.bytes.host", mp_bytes_host_);
     r.setGauge("ucx.mp.bytes.rail", mp_bytes_rail_);
     r.setGauge("ucx.req_pool.hits", req_pool_.hits());
     r.setGauge("ucx.req_pool.misses", req_pool_.misses());
@@ -694,8 +693,7 @@ Context::RndvResult Context::multipathRndvData(const Worker::Incoming& msg, int 
     }
   }
 
-  hw::PathScheduler sched(
-      machine.deviceRoutes(src_pe, dst_pe, mp.max_staged_routes, same_node && mp.host_bounce));
+  hw::PathScheduler sched(machine.deviceRoutes(src_pe, dst_pe));
   if (sched.numRoutes() == 0) return {start, true};  // same GPU: nothing to move
 
   const hw::PathScheduler::Params pp{mp.chunk_bytes, mp.min_split_bytes};
@@ -704,10 +702,10 @@ Context::RndvResult Context::multipathRndvData(const Worker::Incoming& msg, int 
   mp_chunks_ += nchunks;
 
   // Chunk submission overhead: one batched CUDA-graph launch covers every
-  // chunk (cuda::Graph semantics), otherwise each chunk pays its own
-  // runtime call, serialised on the submitting CPU.
-  const sim::Duration call = sim::usec(sys_.config.cuda_call_us);
-  const sim::Duration graph_cost = call + sim::usec(sys_.config.cuda_graph_launch_us);
+  // chunk, so each chunk is ready one runtime call plus one graph launch
+  // after the data leg starts.
+  const sim::TimePoint submitted =
+      start + sim::usec(sys_.config.cuda_call_us) + sim::usec(sys_.config.cuda_graph_launch_us);
 
   // Below the split threshold the transfer stays single-path: chunks still
   // pipeline, but all on the one route that projects best at submission.
@@ -720,8 +718,7 @@ Context::RndvResult Context::multipathRndvData(const Worker::Incoming& msg, int 
   for (std::uint64_t i = 0; i < nchunks; ++i) {
     const std::uint64_t c = remaining < mp.chunk_bytes ? remaining : mp.chunk_bytes;
     remaining -= c;
-    sim::TimePoint t =
-        start + (mp.cuda_graphs ? graph_cost : static_cast<sim::Duration>(i + 1) * call);
+    sim::TimePoint t = submitted;
     std::size_t exclude = npos;
     for (int attempt = 0;; ++attempt) {
       // Route this attempt rides; a lost attempt consumes no wire time, but
@@ -785,10 +782,8 @@ Context::RndvResult Context::multipathRndvData(const Worker::Incoming& msg, int 
       mp_bytes_rail_ += per_route[r];
     } else if (std::strcmp(kind, "direct") == 0) {
       mp_bytes_direct_ += per_route[r];
-    } else if (std::strcmp(kind, "staged") == 0) {
-      mp_bytes_staged_ += per_route[r];
     } else {
-      mp_bytes_host_ += per_route[r];
+      mp_bytes_staged_ += per_route[r];
     }
     sys_.obs.spans.phase(span, last, rail ? obs::Phase::RailChunk : obs::Phase::MultiPath,
                          src_pe, obs::packRouteBytes(static_cast<unsigned>(r), per_route[r]));

@@ -106,8 +106,6 @@ class Worker {
     return posted_exact_.size() + posted_wild_.size();
   }
   [[nodiscard]] std::size_t unexpectedCount() const noexcept { return unexpected_idx_.size(); }
-  /// Largest size the posted-receive store ever reached.
-  [[nodiscard]] std::size_t postedHighWatermark() const noexcept { return posted_hwm_; }
   /// Largest size the unexpected queue ever reached; retransmission storms
   /// inflate it, and the fault-injection tests assert it stays bounded.
   [[nodiscard]] std::size_t unexpectedHighWatermark() const noexcept {

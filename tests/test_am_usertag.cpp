@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "converse/converse.hpp"
@@ -132,6 +133,36 @@ TEST(ActiveMessages, AllocatorSeesLengthAndSource) {
   f.sys->engine.run();
   EXPECT_EQ(alloc_len, 1234u);
   EXPECT_EQ(alloc_src, 2);
+}
+
+TEST(ActiveMessages, IdOutsideEightTagBitsThrows) {
+  Fix f;
+  ucx::ActiveMessages am(*f.ctx);
+  std::vector<std::byte> buf(64);
+  auto alloc = [&buf](std::uint64_t, int) -> void* { return buf.data(); };
+  auto handler = [](void*, std::uint64_t, int) {};
+  EXPECT_THROW(am.registerAm(0, 256, alloc, handler), std::invalid_argument);
+  EXPECT_THROW(am.amSend(0, 1, 256, buf.data(), 64), std::invalid_argument);
+  // id 256 on PE 0 would have aliased id 0 on PE 1.
+  am.registerAm(1, 0, alloc, handler);
+  am.registerAm(0, 255, alloc, handler);
+}
+
+TEST(ActiveMessages, DuplicateRegistrationThrows) {
+  Fix f;
+  ucx::ActiveMessages am(*f.ctx);
+  std::vector<std::byte> buf(64);
+  int first = 0;
+  auto alloc = [&buf](std::uint64_t, int) -> void* { return buf.data(); };
+  am.registerAm(2, 7, alloc, [&first](void*, std::uint64_t, int) { ++first; });
+  EXPECT_THROW(am.registerAm(2, 7, alloc, [](void*, std::uint64_t, int) {}),
+               std::invalid_argument);
+  am.registerAm(3, 7, alloc, [](void*, std::uint64_t, int) {});  // other PE: fine
+  // The original registration still receives the message.
+  std::vector<std::byte> src(64);
+  am.amSend(0, 2, 7, src.data(), 64);
+  f.sys->engine.run();
+  EXPECT_EQ(first, 1);
 }
 
 // --------------------------------------------------------------------------

@@ -416,4 +416,36 @@ TEST(CharmChecks, UnknownEntryOrChareThrows) {
   EXPECT_THROW(dispatchRaw(3, 0), std::logic_error);         // no such chare on PE 5
 }
 
+// SMP mode smoke: the comm-thread build must stay functionally identical.
+struct Token : ck::Chare {
+  void token(int v) { got = v; }
+  int got = -1;
+};
+
+TEST(SmpMode, FunctionallyIdenticalJustSlower) {
+  auto run = [](bool smp) {
+    model::Model m = model::summit(2);
+    m.costs.smp_comm_thread = smp;
+    hw::System sys(m.machine);
+    ucx::Context ctx(sys, m.ucx);
+    ck::Runtime rt(sys, ctx, m);
+    // One chare per PE (12 on two nodes), all messaged from PE 0.
+    std::vector<ck::Proxy<Token>> chares;
+    for (int pe = 0; pe < rt.numPes(); ++pe) chares.push_back(rt.create<Token>(pe));
+    rt.startOn(0, [&] {
+      for (std::size_t i = 0; i < chares.size(); ++i) {
+        chares[i].send<&Token::token>(100 + static_cast<int>(i));
+      }
+    });
+    sys.engine.run();
+    for (std::size_t i = 0; i < chares.size(); ++i) {
+      EXPECT_EQ(chares[i].local()->got, 100 + static_cast<int>(i));
+    }
+    return sim::toUs(sys.engine.now());
+  };
+  const double plain = run(false);
+  const double smp = run(true);
+  EXPECT_GT(smp, plain);  // comm-thread hops cost time
+}
+
 }  // namespace

@@ -206,54 +206,4 @@ TEST(Charm4pyTiming, GpuAwareBeatsHostStaging) {
   EXPECT_GT(staged_us / direct_us, 2.0);  // large messages: multiples, not margins
 }
 
-// --------------------------------------------------------------------------
-// Remote invocation with futures (charm4py's ret=True)
-// --------------------------------------------------------------------------
-
-sim::FutureTask invokeOnce(c4p::Charm4py* py, int from, int to, double* out) {
-  *out = co_await py->invoke<double>(from, to, [] { return 6.25; });
-}
-
-TEST(Charm4pyInvoke, RemoteCallReturnsResult) {
-  C4pFixture f;
-  double out = 0;
-  f.py->startOn(0, [&] { (void)invokeOnce(f.py.get(), 0, 7, &out); });
-  f.sys->engine.run();
-  EXPECT_DOUBLE_EQ(out, 6.25);
-}
-
-sim::FutureTask invokeMany(c4p::Charm4py* py, int from, std::vector<int>* outs) {
-  std::vector<sim::Future<int>> futs;
-  for (int pe = 0; pe < 12; ++pe) {
-    futs.push_back(py->invoke<int>(from, pe, [pe] { return pe * pe; }));
-  }
-  for (int pe = 0; pe < 12; ++pe) {
-    (*outs)[static_cast<std::size_t>(pe)] = co_await futs[static_cast<std::size_t>(pe)];
-  }
-}
-
-TEST(Charm4pyInvoke, FanOutGather) {
-  C4pFixture f;
-  std::vector<int> outs(12, -1);
-  f.py->startOn(3, [&] { (void)invokeMany(f.py.get(), 3, &outs); });
-  f.sys->engine.run();
-  for (int pe = 0; pe < 12; ++pe) EXPECT_EQ(outs[static_cast<std::size_t>(pe)], pe * pe);
-}
-
-TEST(Charm4pyInvoke, RoundTripCostsPythonOverheads) {
-  C4pFixture f;
-  double out = 0;
-  sim::TimePoint done_at = 0;
-  f.py->startOn(0, [&] {
-    f.py->invoke<double>(0, 1, [] { return 1.0; }).onReady([&](const double& v) {
-      out = v;
-      done_at = f.sys->engine.now();
-    });
-  });
-  f.sys->engine.run();
-  EXPECT_DOUBLE_EQ(out, 1.0);
-  // At least two interpreter dispatches plus two messages.
-  EXPECT_GT(sim::toUs(done_at), 2 * f.m.costs.py_call_us);
-}
-
 }  // namespace

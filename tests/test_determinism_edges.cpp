@@ -8,7 +8,6 @@
 #include "apps/osu/osu.hpp"
 #include "hw/cuda.hpp"
 #include "model/model.hpp"
-#include "ucx/stream.hpp"
 
 /// End-to-end determinism guarantees and edge cases the per-module suites do
 /// not cover.
@@ -65,35 +64,6 @@ TEST(Determinism, AmpiProgramEndsAtIdenticalVirtualTime) {
 // --------------------------------------------------------------------------
 // Edge cases
 // --------------------------------------------------------------------------
-
-TEST(Edges, ZeroByteStreamSegments) {
-  model::Model m = model::summit(1);
-  hw::System sys(m.machine);
-  ucx::Context ctx(sys, m.ucx);
-  ucx::Streams streams(ctx);
-  std::vector<std::byte> data(10, std::byte{0x5});
-  std::vector<std::byte> out(10);
-  bool done = false;
-  streams.streamSend(0, 1, nullptr, 0);  // empty segment
-  streams.streamSend(0, 1, data.data(), 10);
-  streams.streamSend(0, 1, nullptr, 0);
-  streams.streamRecv(1, 0, out.data(), 10, [&](ucx::Request&) { done = true; });
-  sys.engine.run();
-  EXPECT_TRUE(done);
-  EXPECT_EQ(out, data);
-  EXPECT_EQ(streams.available(1, 0), 0u);
-}
-
-TEST(Edges, ZeroByteRecvCompletesImmediately) {
-  model::Model m = model::summit(1);
-  hw::System sys(m.machine);
-  ucx::Context ctx(sys, m.ucx);
-  ucx::Streams streams(ctx);
-  bool done = false;
-  streams.streamRecv(1, 0, nullptr, 0, [&](ucx::Request&) { done = true; });
-  sys.engine.run();
-  EXPECT_TRUE(done);
-}
 
 TEST(Edges, AmpiZeroByteMessages) {
   model::Model m = model::summit(1);

@@ -9,7 +9,6 @@
 #include "hw/cuda.hpp"
 #include "model/model.hpp"
 #include "sim/rng.hpp"
-#include "ucx/rma.hpp"
 
 namespace {
 
@@ -114,44 +113,6 @@ TEST(CharmEntryMatrix, LargeVectorArgumentsRoundTrip) {
   f.rt->startOn(0, [&] { p.send<&ArgChare::mixed>(std::string(), big, 1); });
   f.sys->engine.run();
   EXPECT_EQ(p.local()->got_v, big);
-}
-
-// --------------------------------------------------------------------------
-// RMA stress: many concurrent operations on one window
-// --------------------------------------------------------------------------
-
-TEST(RmaStress, ConcurrentPutsToDisjointOffsets) {
-  Fix f(2);
-  ucx::Rma rma(*f.ctx);
-  std::vector<std::byte> window(12 * 256);
-  auto rkey = rma.memMap(6, window.data(), window.size());
-  std::vector<std::vector<std::byte>> srcs;
-  int done = 0;
-  for (int pe = 0; pe < 12; ++pe) {
-    srcs.emplace_back(256, static_cast<std::byte>(pe + 1));
-    rma.put(pe, srcs.back().data(), 256, rkey, static_cast<std::uint64_t>(pe) * 256,
-            [&](ucx::Request&) { ++done; });
-  }
-  f.sys->engine.run();
-  EXPECT_EQ(done, 12);
-  for (int pe = 0; pe < 12; ++pe) {
-    EXPECT_EQ(window[static_cast<std::size_t>(pe) * 256], static_cast<std::byte>(pe + 1));
-  }
-  EXPECT_EQ(rma.puts(), 12u);
-}
-
-TEST(RmaStress, FetchAddBuildsASharedCounterAcrossNodes) {
-  Fix f(4);
-  ucx::Rma rma(*f.ctx);
-  std::uint64_t counter = 0;
-  auto rkey = rma.memMap(0, &counter, 8);
-  constexpr int kOps = 96;  // 4 ops from each of 24 PEs
-  for (int i = 0; i < kOps; ++i) {
-    rma.atomicFetchAdd(i % 24, rkey, 0, 1, nullptr);
-  }
-  f.sys->engine.run();
-  EXPECT_EQ(counter, static_cast<std::uint64_t>(kOps));
-  EXPECT_EQ(rma.atomics(), static_cast<std::uint64_t>(kOps));
 }
 
 // --------------------------------------------------------------------------

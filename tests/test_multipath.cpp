@@ -11,10 +11,9 @@
 #include "ucx/context.hpp"
 
 /// Multi-path NVLink / multi-rail NIC transfers: route enumeration on
-/// hw::Machine, the occupancy-aware chunk scheduler, CUDA-graph batched
-/// submission, the determinism contracts (disabled == bit-identical to the
-/// seed; enabled == run-to-run identical), and the measured
-/// speedups the feature exists for.
+/// hw::Machine, the occupancy-aware chunk scheduler, the determinism
+/// contracts (disabled == bit-identical to the seed; enabled == run-to-run
+/// identical), and the measured speedups the feature exists for.
 
 namespace {
 
@@ -42,28 +41,34 @@ TEST(MultiPath, RouteEnumerationIntraNode) {
   m.machine.nvlink_bricks = 2;
   hw::Machine machine(m.machine);
   // PEs 0 and 1 share a socket on summit (3 GPUs per socket).
-  const auto routes = machine.deviceRoutes(0, 1, /*max_staged=*/1, /*host_bounce=*/true);
-  ASSERT_EQ(routes.size(), 3u);
+  const auto routes = machine.deviceRoutes(0, 1);
+  ASSERT_EQ(routes.size(), 2u);  // direct plus one staged route
   EXPECT_STREQ(routes[0].kind, "direct");
   EXPECT_EQ(routes[0].path.size(), 2u);  // gpu0 up, gpu1 down — same socket, no X-Bus
   EXPECT_STREQ(routes[1].kind, "staged");
   EXPECT_EQ(routes[1].path.size(), 4u);  // up, neighbor down, neighbor up, down
-  EXPECT_STREQ(routes[2].kind, "host");
-  EXPECT_EQ(routes[2].path.size(), 3u);  // up, shm, down
   // The staged route rides brick 1, so it shares no link with the direct
   // route (the speedup exists because the paths are disjoint).
   for (hw::Link* a : routes[0].path)
     for (hw::Link* b : routes[1].path) EXPECT_NE(a, b);
+  // Across sockets the neighbor is still on the source's socket (GPU 1), so
+  // only the last hop crosses the X-Bus: up, neighbor down, neighbor up,
+  // X-Bus, down.
+  const auto cross = machine.deviceRoutes(0, 4);
+  ASSERT_EQ(cross.size(), 2u);
+  EXPECT_EQ(cross[0].path.size(), 3u);  // up, X-Bus, down
+  EXPECT_EQ(cross[1].path.size(), 5u);
+  EXPECT_EQ(cross[1].path[1], &machine.gpuDown(hw::GpuId{0, 1}, 1));
   // Same GPU: nothing to route.
-  EXPECT_TRUE(machine.deviceRoutes(2, 2, 1, true).empty());
+  EXPECT_TRUE(machine.deviceRoutes(2, 2).empty());
 }
 
 TEST(MultiPath, RouteEnumerationInterNodeRails) {
   model::Model m = model::summit(2);
   m.machine.nic_rails = 2;
   hw::Machine machine(m.machine);
-  const auto routes = machine.deviceRoutes(0, 6, /*max_staged=*/2, /*host_bounce=*/true);
-  ASSERT_EQ(routes.size(), 2u);  // one route per rail; staging/bounce are intra-node only
+  const auto routes = machine.deviceRoutes(0, 6);
+  ASSERT_EQ(routes.size(), 2u);  // one route per rail; staging is intra-node only
   for (std::size_t r = 0; r < routes.size(); ++r) {
     EXPECT_STREQ(routes[r].kind, "rail");
     EXPECT_EQ(routes[r].rail, static_cast<int>(r));
@@ -138,66 +143,6 @@ TEST(MultiPath, NumChunks) {
 }
 
 // --------------------------------------------------------------------------
-// CUDA-graph batched submission: one call+launch for the whole chain vs one
-// per kernel.
-// --------------------------------------------------------------------------
-
-TEST(MultiPath, GraphBatchedSubmissionAmortisesLaunchOverhead) {
-  const int n = 8;
-  const sim::Duration cost = sim::usec(10.0);
-
-  auto elapsed = [&](bool graph) {
-    model::Model m = model::summit(1);
-    hw::System sys(m.machine);
-    cuda::Stream s(sys, 0);
-    sim::TimePoint done = 0;
-    // The last node's effect runs at op completion, so it reads the finish
-    // time off the engine clock.
-    std::function<void()> mark = [&sys, &done] { done = sys.engine.now(); };
-    if (graph) {
-      cuda::GraphBuilder b(sys, 0);
-      for (int i = 0; i < n; ++i) b.addKernel(cost, i == n - 1 ? mark : std::function<void()>{});
-      const cuda::Graph g = b.instantiate();
-      EXPECT_EQ(g.nodeCount(), static_cast<std::size_t>(n));
-      g.launch(s);
-    } else {
-      for (int i = 0; i < n; ++i) s.launch(cost, i == n - 1 ? mark : std::function<void()>{});
-    }
-    sys.engine.run();
-    return done;
-  };
-
-  const model::Model m = model::summit(1);
-  const sim::TimePoint graphed = elapsed(true);
-  const sim::TimePoint separate = elapsed(false);
-  // Graph: one cuda_call + one graph launch, then the kernels back to back.
-  EXPECT_EQ(graphed, sim::usec(m.machine.cuda_call_us) +
-                         sim::usec(m.machine.cuda_graph_launch_us) + n * cost);
-  // Separate: every kernel pays cuda_call + kernel_launch.
-  EXPECT_EQ(separate,
-            n * (sim::usec(m.machine.cuda_call_us) + sim::usec(m.machine.kernel_launch_us) +
-                 cost));
-  EXPECT_LT(graphed, separate);
-}
-
-TEST(MultiPath, GraphEffectsRunAtCompletion) {
-  model::Model m = model::summit(1);
-  hw::System sys(m.machine);
-  cuda::Stream s(sys, 0);
-  int fired = 0;
-  cuda::GraphBuilder b(sys, 0);
-  b.addKernel(sim::usec(5.0), [&] { ++fired; });
-  b.addKernel(sim::usec(5.0), [&] { ++fired; });
-  const cuda::Graph g = b.instantiate();
-  g.launch(s);
-  g.launch(s);  // graphs are reusable
-  EXPECT_EQ(fired, 0);
-  sys.engine.run();
-  EXPECT_EQ(fired, 4);
-  EXPECT_TRUE(cuda::Graph{}.empty());
-}
-
-// --------------------------------------------------------------------------
 // Determinism contracts.
 // --------------------------------------------------------------------------
 
@@ -249,9 +194,7 @@ TEST(MultiPath, DisabledIsBitIdenticalToSeedConfig) {
   configured.ucx.multipath.enabled = false;
   configured.ucx.multipath.chunk_bytes = 256 * 1024;
   configured.ucx.multipath.min_split_bytes = 1u << 20;
-  configured.ucx.multipath.max_staged_routes = 3;
-  configured.ucx.multipath.host_bounce = true;
-  configured.ucx.multipath.cuda_graphs = false;
+  configured.ucx.multipath.stage_chunk_overhead_us = 5.0;
   model::Model pristine = model::summit(2);
   pristine.machine.backed_device_memory = false;
   EXPECT_EQ(deviceTrafficHash(configured), deviceTrafficHash(pristine));

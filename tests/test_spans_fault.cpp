@@ -60,7 +60,7 @@ TEST_P(SpanFaultOsu, LatencyUnderTenPercentLossTerminatesEverySpan) {
     cfg.iters = 10;
     cfg.warmup = 2;
     cfg.model.machine.fault = sim::FaultConfig::uniformLoss(0.1, 0xFA11);
-    cfg.observe = true;
+    cfg.setup = [](hw::System& sys) { sys.obs.spans.enableStreaming(); };
     bool inspected = false;
     cfg.inspect = [&inspected, bytes, stack](hw::System& sys) {
       inspected = true;
@@ -90,7 +90,7 @@ TEST_P(SpanFaultJacobi, HaloExchangeUnderTenPercentLossTerminatesEverySpan) {
   cfg.iters = 2;
   cfg.warmup = 0;
   cfg.model.machine.fault = sim::FaultConfig::uniformLoss(0.1, 0x1ACB);
-  cfg.observe = true;
+  cfg.setup = [](hw::System& sys) { sys.obs.spans.enableStreaming(); };
   bool inspected = false;
   cfg.inspect = [&inspected, stack](hw::System& sys) {
     inspected = true;
@@ -116,7 +116,7 @@ TEST(SpanClean, FaultFreeRunsCompleteEverySpan) {
     cfg.place = osu::Placement::IntraNode;
     cfg.iters = 5;
     cfg.warmup = 1;
-    cfg.observe = true;
+    cfg.setup = [](hw::System& sys) { sys.obs.spans.enableStreaming(); };
     cfg.inspect = [stack](hw::System& sys) {
       const obs::SpanCollector& sc = sys.obs.spans;
       expectSpansTerminated(sc, osu::name(stack));

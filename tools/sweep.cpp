@@ -673,7 +673,6 @@ int runBreakdown(const Args& a) {
   for (const osu::Stack stack : stacks) {
     for (const std::size_t bytes : sizes) {
       osu::BenchConfig cfg = osuConfig(a, stack, a.place);
-      cfg.observe = true;
       obs::Breakdown b;
       obs::Sink* last_trace =
           stack == stacks.back() && bytes == sizes.back() ? trace.get() : nullptr;
@@ -1012,7 +1011,6 @@ int runProfile(const Args& a) {
   for (const osu::Stack stack : stacks) {
     for (const std::size_t bytes : sizes) {
       osu::BenchConfig cfg = osuConfig(a, stack, a.place);
-      cfg.observe = true;
       obs::CritPathConfig ccfg;
       ccfg.gpus_per_node = cfg.model.machine.gpus_per_node;
       ccfg.host_staged = a.mode == osu::Mode::HostStaging;
