@@ -1,7 +1,7 @@
 #include "apps/osu/osu.hpp"
 
-#include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace cux::osu {
 
@@ -69,9 +69,21 @@ std::vector<Point> runBandwidth(const BenchConfig& cfg) {
   return out;
 }
 
+namespace {
+
+// osu_bibw and osu_multi_lat exist for the MPI stacks only. Any other stack
+// would fall through to the MPI fixture, which builds an OpenMPI world for
+// every stack but AMPI, and report OpenMPI numbers under the wrong name.
+void requireMpiStack(const BenchConfig& cfg, const char* bench) {
+  if (cfg.stack != Stack::Ampi && cfg.stack != Stack::Ompi)
+    throw std::invalid_argument(std::string("osu: ") + bench +
+                                " is implemented for the MPI stacks, not " + name(cfg.stack));
+}
+
+}  // namespace
+
 std::vector<Point> runBiBandwidth(const BenchConfig& cfg) {
-  assert((cfg.stack == Stack::Ampi || cfg.stack == Stack::Ompi) &&
-         "osu_bibw is implemented for the MPI stacks");
+  requireMpiStack(cfg, "osu_bibw");
   const auto sizes = cfg.sizes.empty() ? defaultSizes() : cfg.sizes;
   std::vector<Point> out;
   out.reserve(sizes.size());
@@ -80,8 +92,7 @@ std::vector<Point> runBiBandwidth(const BenchConfig& cfg) {
 }
 
 std::vector<Point> runMultiLatency(const BenchConfig& cfg) {
-  assert((cfg.stack == Stack::Ampi || cfg.stack == Stack::Ompi) &&
-         "osu_multi_lat is implemented for the MPI stacks");
+  requireMpiStack(cfg, "osu_multi_lat");
   const auto sizes = cfg.sizes.empty() ? defaultSizes() : cfg.sizes;
   std::vector<Point> out;
   out.reserve(sizes.size());

@@ -244,6 +244,21 @@ INSTANTIATE_TEST_SUITE_P(AllStacks, OsuPlacementCheck,
                                            Stack::Charm4py),
                          stackParamName);
 
+// osu_bibw and osu_multi_lat are MPI-only. A Charm++ or Charm4py config is
+// rejected in every build instead of silently running OpenMPI's fixture and
+// reporting its numbers under the requested stack's name.
+class OsuMpiOnly : public ::testing::TestWithParam<Stack> {};
+
+TEST_P(OsuMpiOnly, BiBandwidthAndMultiLatencyRejectNonMpiStacks) {
+  auto cfg = quick(GetParam(), Mode::Device, Placement::InterNode);
+  cfg.sizes = {8};
+  EXPECT_THROW((void)runBiBandwidth(cfg), std::invalid_argument);
+  EXPECT_THROW((void)runMultiLatency(cfg), std::invalid_argument);
+}
+
+INSTANTIATE_TEST_SUITE_P(NonMpiStacks, OsuMpiOnly, ::testing::Values(Stack::Charm, Stack::Charm4py),
+                         stackParamName);
+
 TEST(OsuDeterminism, RepeatedRunsIdentical) {
   auto cfg = quick(Stack::Ampi, Mode::Device, Placement::InterNode);
   cfg.sizes = {4096, 1u << 20};
