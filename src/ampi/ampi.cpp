@@ -20,18 +20,6 @@ constexpr int kInternalTagBase = 1 << 30;
 /// it was revoked.
 constexpr int kShrinkTagBase = kInternalTagBase + (1 << 21);
 [[nodiscard]] constexpr bool isShrinkTag(int tag) noexcept { return tag >= kShrinkTagBase; }
-
-/// Bucket key of a fully-concrete (comm, src, tag) matching triple. The
-/// fields are folded, not perfectly packed — BucketFifo hashes the key and
-/// predicates re-check the exact triple, so a fold collision only costs a
-/// chain step, never a wrong match.
-[[nodiscard]] constexpr std::uint64_t matchKey(int src, int tag, int comm) noexcept {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(comm)) << 48) ^
-         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 24) ^
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag));
-}
-
-constexpr std::uint32_t kNil = cux::sim::BucketFifo<int>::kNil;
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -50,9 +38,8 @@ struct World::RankChare : ck::Chare {
     env.comm = comm;
     env.bytes = bytes;
     env.dtag = dtag;
-    env.seq = seq;
     env.inlined = false;
-    world->enqueueEnvelope(rank, std::move(env));
+    world->enqueueEnvelope(rank, seq, std::move(env));
   }
 
   void recvInline(std::uint32_t src_rank, std::int32_t tag, std::int32_t comm,
@@ -62,12 +49,11 @@ struct World::RankChare : ck::Chare {
     env.tag = tag;
     env.comm = comm;
     env.bytes = data.len;
-    env.seq = seq;
     env.span = span;
     env.inlined = true;
     env.data = std::move(data.data);
     env.data_valid = data.valid;
-    world->enqueueEnvelope(rank, std::move(env));
+    world->enqueueEnvelope(rank, seq, std::move(env));
   }
 
   World* world;
@@ -320,8 +306,7 @@ World::World(ck::Runtime& rt, int nranks) : rt_(rt) {
     st->pe = peOf(r);
     st->chare = rt_.create<RankChare>(st->pe, this, r);
     st->seq_out.assign(static_cast<std::size_t>(n), 0);
-    st->seq_expected.assign(static_cast<std::size_t>(n), 0);
-    st->out_of_order.resize(static_cast<std::size_t>(n));
+    st->reseq = sim::Resequencer<Envelope>(static_cast<std::size_t>(n));
     ranks_.push_back(std::move(st));
   }
   rank_dead_.assign(static_cast<std::size_t>(n), false);
@@ -377,6 +362,8 @@ void World::onPeFailed(int pe) {
   const auto onRevoked = [this](int comm, int tag) {
     return revoked_comms_.count(comm) != 0 && !isShrinkTag(tag);
   };
+  const auto recvRevoked = [&](const PostedRecv& p) { return onRevoked(p.comm, p.tag); };
+  const auto envRevoked = [&](const Envelope& e) { return onRevoked(e.comm, e.tag); };
   // Phase 1: harvest. Pending receives on revoked communicators are pulled
   // out of every rank's matching stores, and already-queued envelopes are
   // orphaned. Failing a request resumes its coroutine, which may post new
@@ -385,23 +372,9 @@ void World::onPeFailed(int pe) {
   std::vector<std::shared_ptr<detail::ReqImpl>> to_fail;
   const sim::TimePoint now = rt_.system().engine.now();
   for (auto& st : ranks_) {
-    auto sweep = [&](sim::BucketFifo<PostedRecv>& store) {
-      for (;;) {
-        const std::uint32_t hit = store.findOrdered(
-            [&](const PostedRecv& p) { return onRevoked(p.comm, p.tag); });
-        if (hit == kNil) break;
-        to_fail.push_back(store.take(hit).impl);
-      }
-    };
-    sweep(st->posted_exact);
-    sweep(st->posted_wild);
-    for (;;) {
-      const std::uint32_t hit = st->unexpected.findOrdered(
-          [&](const Envelope& e) { return onRevoked(e.comm, e.tag); });
-      if (hit == kNil) break;
-      Envelope env = st->unexpected.take(hit);
-      orphanEnvelope(st->pe, env, now);
-    }
+    auto [recvs, envs] = st->matcher.harvest(recvRevoked, envRevoked);
+    for (PostedRecv& p : recvs) to_fail.push_back(p.impl);
+    for (Envelope& env : envs) orphanEnvelope(st->pe, env, now);
   }
   // Phase 2: complete. Guarded by ReqImpl's idempotence, so a rendezvous
   // whose transfer was already in flight cannot double-complete.
@@ -519,38 +492,20 @@ Request World::irecvImpl(int dst_rank, void* buf, std::uint64_t bytes, int src, 
 
   // Search the unexpected queue in arrival order (paper Sec. III-C2): a
   // fully-concrete receive probes its (comm, src, tag) hash chain, a
-  // wildcard receive walks the store's arrival-order list.
-  const bool exact = src != kAnySource && tag != kAnyTag;
-  const std::uint32_t hit =
-      exact ? st.unexpected.findChain(matchKey(src, tag, comm),
-                                      [src, tag, comm](const Envelope& e) {
-                                        return e.src_rank == src && e.tag == tag && e.comm == comm;
-                                      })
-            : st.unexpected.findOrdered([src, tag, comm](const Envelope& e) {
-                return (src == kAnySource || src == e.src_rank) &&
-                       (tag == kAnyTag || tag == e.tag) && comm == e.comm;
-              });
-  if (hit != kNil) {
-    Envelope env = st.unexpected.take(hit);
-    if (env.inlined) {
-      rt_.system().obs.spans.phase(env.span, rt_.system().engine.now(),
-                                   obs::Phase::MatchedUnexpected, st.pe, env.bytes);
+  // wildcard receive walks arrival order.
+  if (std::optional<Envelope> env = st.matcher.takeUnexpected(p)) {
+    if (env->inlined) {
+      rt_.system().obs.spans.phase(env->span, rt_.system().engine.now(),
+                                   obs::Phase::MatchedUnexpected, st.pe, env->bytes);
     }
-    deliver(dst_rank, p, env);
+    deliver(dst_rank, p, *env);
     return req;
   }
-  const std::uint64_t seq = st.match_seq++;
-  if (exact) {
-    st.posted_exact.push(matchKey(src, tag, comm), seq, std::move(p));
-  } else {
-    st.posted_wild.push(0, seq, std::move(p));
-  }
+  st.matcher.post(std::move(p));
   return req;
 }
 
-void World::enqueueEnvelope(int dst_rank, Envelope env) {
-  // Restore per-source FIFO order: envelopes may overtake each other in the
-  // network when eager and rendezvous paths mix; MPI matching order must not.
+void World::enqueueEnvelope(int dst_rank, std::uint32_t seq, Envelope env) {
   RankState& st = *ranks_[static_cast<std::size_t>(dst_rank)];
   {
     // Metadata (or the whole inline message) has reached the receiver.
@@ -558,31 +513,11 @@ void World::enqueueEnvelope(int dst_rank, Envelope env) {
     const std::uint64_t sp = env.inlined ? env.span : spans.spanForTag(env.dtag);
     spans.phase(sp, rt_.system().engine.now(), obs::Phase::MetaArrived, st.pe, env.bytes);
   }
-  auto& expected = st.seq_expected[static_cast<std::size_t>(env.src_rank)];
-  auto& stash = st.out_of_order[static_cast<std::size_t>(env.src_rank)];
-  if (env.seq != expected) {
-    stash.push_back(std::move(env));
-    return;
-  }
-  ++expected;
-  const int src = env.src_rank;
-  processEnvelope(dst_rank, std::move(env));
-  // Drain any stashed envelopes that are now in order.
-  bool found = true;
-  while (found) {
-    found = false;
-    for (auto it = stash.begin(); it != stash.end(); ++it) {
-      if (it->seq == expected) {
-        Envelope next = std::move(*it);
-        stash.erase(it);
-        ++expected;
-        processEnvelope(dst_rank, std::move(next));
-        found = true;
-        break;
-      }
-    }
-  }
-  (void)src;
+  // Restore per-source FIFO order: envelopes may overtake each other in the
+  // network when eager and rendezvous paths mix; MPI matching order must not.
+  const auto src = static_cast<std::size_t>(env.src_rank);
+  st.reseq.push(src, seq, std::move(env),
+                [this, dst_rank](Envelope&& e) { processEnvelope(dst_rank, std::move(e)); });
 }
 
 void World::processEnvelope(int dst_rank, Envelope env) {
@@ -594,27 +529,12 @@ void World::processEnvelope(int dst_rank, Envelope env) {
     orphanEnvelope(st.pe, env, rt_.system().engine.now());
     return;
   }
-  // Earliest fully-concrete candidate: FIFO chain of the envelope's triple.
-  const std::uint32_t ex = st.posted_exact.findChain(
-      matchKey(env.src_rank, env.tag, env.comm), [&env](const PostedRecv& p) {
-        return p.src == env.src_rank && p.tag == env.tag && p.comm == env.comm;
-      });
-  // Earliest wildcard candidate, in post order.
-  const std::uint32_t wi = st.posted_wild.findOrdered([&env](const PostedRecv& p) {
-    return (p.src == kAnySource || p.src == env.src_rank) &&
-           (p.tag == kAnyTag || p.tag == env.tag) && p.comm == env.comm;
-  });
-  if (ex != kNil || wi != kNil) {
-    // Post-order arbitration between the two stores, as in ucx::Worker.
-    const bool exact_wins =
-        ex != kNil && (wi == kNil || st.posted_exact.seqOf(ex) < st.posted_wild.seqOf(wi));
-    PostedRecv p =
-        exact_wins ? st.posted_exact.take(ex) : st.posted_wild.take(wi);
+  if (std::optional<PostedRecv> p = st.matcher.takePosted(env)) {
     if (env.inlined) {
       rt_.system().obs.spans.phase(env.span, rt_.system().engine.now(),
                                    obs::Phase::MatchedPosted, st.pe, env.bytes);
     }
-    deliver(dst_rank, p, env);
+    deliver(dst_rank, *p, env);
     return;
   }
   if (env.inlined) {
@@ -623,12 +543,11 @@ void World::processEnvelope(int dst_rank, Envelope env) {
     rt_.system().obs.spans.phase(env.span, rt_.system().engine.now(), obs::Phase::EarlyArrival,
                                  st.pe, env.bytes);
   }
-  const std::uint64_t key = matchKey(env.src_rank, env.tag, env.comm);
-  st.unexpected.push(key, st.match_seq++, std::move(env));
+  st.matcher.pushUnexpected(std::move(env));
 }
 
 void World::deliver(int dst_rank, PostedRecv& p, Envelope& env) {
-  assert(env.bytes <= p.capacity && "AMPI message truncation (recv buffer too small)");
+  sim::checkFits("ampi", env.bytes, p.capacity);
   RankState& st = *ranks_[static_cast<std::size_t>(dst_rank)];
   cmi::Pe& pe = rt_.cmi().pe(st.pe);
   const model::LayerCosts& costs = rt_.costs();
@@ -665,37 +584,14 @@ std::optional<Status> World::iprobeImpl(int rank, int src, int tag, int comm) {
   rt_.cmi().pe(st.pe).charge(sim::usec(rt_.costs().ampi_call_us));
   // Fully-concrete probes are O(1) expected — this is polled per scheduler
   // turn by iprobe-driven loops, which is why the bucket index matters here.
-  const bool exact = src != kAnySource && tag != kAnyTag;
-  const std::uint32_t hit =
-      exact ? st.unexpected.findChain(matchKey(src, tag, comm),
-                                      [src, tag, comm](const Envelope& e) {
-                                        return e.src_rank == src && e.tag == tag && e.comm == comm;
-                                      })
-            : st.unexpected.findOrdered([src, tag, comm](const Envelope& e) {
-                return (src == kAnySource || src == e.src_rank) &&
-                       (tag == kAnyTag || tag == e.tag) && comm == e.comm;
-              });
-  if (hit == kNil) return std::nullopt;
-  const Envelope& env = st.unexpected.at(hit);
-  return Status{env.src_rank, env.tag, env.bytes};
+  const Envelope* env = st.matcher.probe(PostedRecv{nullptr, nullptr, 0, src, tag, comm});
+  if (env == nullptr) return std::nullopt;
+  return Status{env->src_rank, env->tag, env->bytes};
 }
 
-ucx::Worker::MatchStats World::matchStats() const {
-  auto maxOf = [](std::size_t a, std::size_t b) { return a > b ? a : b; };
-  ucx::Worker::MatchStats t;
-  for (const auto& st : ranks_) {
-    t.posted += st->posted_exact.size() + st->posted_wild.size();
-    t.unexpected += st->unexpected.size();
-    t.posted_hwm =
-        maxOf(t.posted_hwm, st->posted_exact.highWatermark() + st->posted_wild.highWatermark());
-    t.unexpected_hwm = maxOf(t.unexpected_hwm, st->unexpected.highWatermark());
-    t.posted_buckets += st->posted_exact.bucketCount();
-    t.unexpected_buckets += st->unexpected.bucketCount();
-    t.posted_max_chain = maxOf(t.posted_max_chain, st->posted_exact.maxChainLength());
-    t.unexpected_max_chain = maxOf(t.unexpected_max_chain, st->unexpected.maxChainLength());
-    t.scan_steps +=
-        st->posted_exact.scanSteps() + st->posted_wild.scanSteps() + st->unexpected.scanSteps();
-  }
+sim::MatchStats World::matchStats() const {
+  sim::MatchStats t;
+  for (const auto& st : ranks_) t.merge(st->matcher.stats());
   return t;
 }
 

@@ -11,7 +11,7 @@
 
 #include "charm/charm.hpp"
 #include "coll/coll.hpp"
-#include "sim/bucket_fifo.hpp"
+#include "sim/matcher.hpp"
 #include "sim/future.hpp"
 #include "sim/task.hpp"
 #include "ucx/worker.hpp"
@@ -28,6 +28,10 @@
 /// Charm++ runtime. The receiver matches the metadata against its posted
 /// receive queue (or stores it in the unexpected queue) and only then posts
 /// LrtsRecvDevice; completion callbacks notify both ranks.
+///
+/// Matching runs on ucx::Worker's engine, sim::TagMatcher, with AMPI's
+/// (comm, src, tag) key and kAnySource/kAnyTag predicate (detail::accepts);
+/// a sim::Resequencer first restores each sender's order.
 ///
 /// Host buffers are packed into a regular message when small and use the
 /// Zero Copy rendezvous when large (the 128 KiB switch reproduces the AMPI-H
@@ -51,6 +55,26 @@ enum class Datatype : std::uint32_t { Byte = 1, Int = 4, Float = 4, Double = 8 }
 }
 
 namespace detail {
+// AMPI's (comm, src, tag) matching scheme, shared by World's matcher and its
+// property test. matchKey folds the triple rather than packing it: accepts()
+// re-checks the triple, so a fold collision costs a chain step, never a
+// wrong match.
+[[nodiscard]] constexpr bool concrete(int src, int tag) noexcept {
+  return src != kAnySource && tag != kAnyTag;
+}
+[[nodiscard]] constexpr std::uint64_t matchKey(int src, int tag, int comm) noexcept {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(comm)) << 48) ^
+         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 24) ^
+         static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag));
+}
+/// True when a receive for (src, tag, comm), src possibly kAnySource and tag
+/// possibly kAnyTag, accepts a message carrying (msg_src, msg_tag, msg_comm).
+[[nodiscard]] constexpr bool accepts(int src, int tag, int comm, int msg_src, int msg_tag,
+                                     int msg_comm) noexcept {
+  return (src == kAnySource || src == msg_src) && (tag == kAnyTag || tag == msg_tag) &&
+         comm == msg_comm;
+}
+
 struct ReqImpl {
   sim::Promise<void> done;
   Status status;
@@ -355,9 +379,9 @@ class World {
   [[nodiscard]] std::uint64_t cacheHits() const noexcept { return cache_hits_; }
   [[nodiscard]] std::uint64_t cacheMisses() const noexcept { return cache_misses_; }
 
-  /// Aggregated matching-engine occupancy across every rank's posted /
-  /// unexpected stores (`gpucomm_sweep --metric match`).
-  [[nodiscard]] ucx::Worker::MatchStats matchStats() const;
+  /// Aggregated matching-engine occupancy across every rank's matcher
+  /// (`gpucomm_sweep --metric match`).
+  [[nodiscard]] sim::MatchStats matchStats() const;
 
   /// Collective algorithm selection and pipelining parameters applied to
   /// every MPI-level collective issued through this world (the MPICH-style
@@ -402,37 +426,43 @@ class World {
     /// stays 0 for them. Carried unconditionally so message contents do not
     /// depend on observability state.
     std::uint64_t span = 0;
-    std::uint32_t seq = 0;
     bool inlined = false;
     std::vector<std::byte> data;  ///< payload for inlined envelopes
     bool data_valid = true;
+
+    [[nodiscard]] std::uint64_t matchKey() const noexcept {
+      return detail::matchKey(src_rank, tag, comm);
+    }
   };
+  /// A posted receive; also the pattern of a probe (no request, no buffer).
   struct PostedRecv {
     /// Completion state of the user's Request handle. Held directly (not as
-    /// a Request) so the bucket store's slot recycling never constructs a
-    /// fresh ReqImpl.
+    /// a Request) so the matcher's slot recycling never constructs a fresh
+    /// ReqImpl.
     std::shared_ptr<detail::ReqImpl> impl;
     void* buf = nullptr;
     std::uint64_t capacity = 0;
     int src = kAnySource;  ///< world rank (translated from comm-local)
     int tag = kAnyTag;
     int comm = 0;
+
+    // sim::TagMatcher key and predicate.
+    [[nodiscard]] bool exact() const noexcept { return detail::concrete(src, tag); }
+    [[nodiscard]] std::uint64_t matchKey() const noexcept {
+      return detail::matchKey(src, tag, comm);
+    }
+    [[nodiscard]] bool matches(const Envelope& e) const noexcept {
+      return detail::accepts(src, tag, comm, e.src_rank, e.tag, e.comm);
+    }
   };
   struct RankState {
     Rank self;
     int pe = -1;
     ck::Proxy<RankChare> chare;
-    /// Bucketed matching state, mirroring ucx::Worker: receives with both
-    /// src and tag concrete are hashed by (comm, src, tag); receives using
-    /// kAnySource/kAnyTag sit in a post-ordered wildcard store; a shared
-    /// sequence counter arbitrates between the two on envelope arrival.
-    sim::BucketFifo<PostedRecv> posted_exact;
-    sim::BucketFifo<PostedRecv> posted_wild;
-    sim::BucketFifo<Envelope> unexpected;
-    std::uint64_t match_seq = 0;
-    std::vector<std::uint32_t> seq_out;       ///< next seq per destination rank
-    std::vector<std::uint32_t> seq_expected;  ///< next in-order seq per source rank
-    std::vector<std::vector<Envelope>> out_of_order;  ///< per source rank
+    /// The same matcher ucx::Worker runs, keyed by (comm, src, tag).
+    sim::TagMatcher<PostedRecv, Envelope> matcher;
+    std::vector<std::uint32_t> seq_out;  ///< next seq per destination rank
+    sim::Resequencer<Envelope> reseq;    ///< per-source FIFO, by source rank
     std::uint64_t barrier_phase = 0;
     std::unordered_map<int, std::uint64_t> split_phase;   ///< per communicator
     std::unordered_map<int, std::uint64_t> shrink_phase;  ///< per communicator
@@ -442,7 +472,8 @@ class World {
   Request isendImpl(int src_rank, const void* buf, std::uint64_t bytes, int dst, int tag,
                     int comm, int status_src);
   Request irecvImpl(int dst_rank, void* buf, std::uint64_t bytes, int src, int tag, int comm);
-  void enqueueEnvelope(int dst_rank, Envelope env);
+  /// `seq` is the envelope's place in its sender's stream to `dst_rank`.
+  void enqueueEnvelope(int dst_rank, std::uint32_t seq, Envelope env);
   void processEnvelope(int dst_rank, Envelope env);
   void deliver(int dst_rank, PostedRecv& p, Envelope& env);
   [[nodiscard]] bool isDeviceCached(const void* p);

@@ -1,7 +1,5 @@
 #include "charm4py/charm4py.hpp"
 
-#include <cassert>
-
 namespace cux::c4p {
 
 // ---------------------------------------------------------------------------
@@ -19,12 +17,11 @@ struct Charm4py::PerPeChare : ck::Chare {
     env.bytes = bytes;
     env.dtag = dtag;
     env.span = span;
-    env.seq = seq;
     env.inlined = inlined != 0;
     env.data = std::move(data.data);
     env.src_host = src_host != 0;
     env.data_valid = data.valid;
-    owner->onEnvelope(myPe(), chan, static_cast<int>(dst_side), std::move(env));
+    owner->onEnvelope(myPe(), chan, static_cast<int>(dst_side), seq, std::move(env));
   }
 
   Charm4py* owner;
@@ -68,9 +65,8 @@ void Charm4py::onPeFailed(int pe) {
       // Queued envelopes can never match: both sides refuse future receives
       // on a dead channel. Orphan on both sides so no span is left open.
       for (Envelope& env : st.arrived) orphanEnvelope(e->pe_, env);
-      for (Envelope& env : st.out_of_order) orphanEnvelope(e->pe_, env);
+      for (Envelope& env : st.reseq.takeStashed()) orphanEnvelope(e->pe_, env);
       st.arrived.clear();
-      st.out_of_order.clear();
       // Waiting receives drain on BOTH sides: the live side observes the
       // failure instead of hanging, and the dead side's coroutine must still
       // reach its own abort exit (its subsequent calls are refused on the
@@ -250,7 +246,8 @@ sim::Future<void> Charm4py::recvImpl(ChannelEnd& end, void* buf, std::uint64_t b
   return fut;
 }
 
-void Charm4py::onEnvelope(int pe, std::uint64_t chan, int side, Envelope env) {
+void Charm4py::onEnvelope(int pe, std::uint64_t chan, int side, std::uint32_t seq,
+                          Envelope env) {
   if (channelDead(chan)) {
     // A pre-failure envelope that was still in flight when the channel died:
     // the receiving side refuses new receives, so it can never match.
@@ -264,45 +261,26 @@ void Charm4py::onEnvelope(int pe, std::uint64_t chan, int side, Envelope env) {
     const std::uint64_t sp = env.inlined ? env.span : spans.spanForTag(env.dtag);
     spans.phase(sp, rt_.system().engine.now(), obs::Phase::MetaArrived, pe, env.bytes);
   }
-  if (env.seq != st.seq_expected) {
-    st.out_of_order.push_back(std::move(env));
-    return;
-  }
   // Channel matching is strictly FIFO: an envelope entering `arrived` behind
   // more backlog than there are waiting receives has no receive posted for
   // it yet — the inline analogue of the machine layer's early-arrival wait.
-  auto noteArrived = [this, pe, &st](Envelope&& e) {
+  st.reseq.push(0, seq, std::move(env), [this, pe, &st](Envelope&& e) {
     if (e.inlined && st.waiting.size() <= st.arrived.size()) {
       rt_.system().obs.spans.phase(e.span, rt_.system().engine.now(), obs::Phase::EarlyArrival,
                                    pe, e.bytes);
     }
     st.arrived.push_back(std::move(e));
-  };
-  ++st.seq_expected;
-  noteArrived(std::move(env));
-  bool found = true;
-  while (found) {
-    found = false;
-    for (auto it = st.out_of_order.begin(); it != st.out_of_order.end(); ++it) {
-      if (it->seq == st.seq_expected) {
-        ++st.seq_expected;
-        noteArrived(std::move(*it));
-        st.out_of_order.erase(it);
-        found = true;
-        break;
-      }
-    }
-  }
+  });
   matchOne(pe, st, obs::Phase::MatchedPosted);
 }
 
 void Charm4py::matchOne(int pe, EndpointState& st, obs::Phase matched) {
   while (!st.arrived.empty() && !st.waiting.empty()) {
+    sim::checkFits("charm4py", st.arrived.front().bytes, st.waiting.front().capacity);
     Envelope env = std::move(st.arrived.front());
     st.arrived.pop_front();
     PendingRecv p = std::move(st.waiting.front());
     st.waiting.pop_front();
-    assert(env.bytes <= p.capacity && "channel message larger than recv buffer");
 
     const model::LayerCosts& costs = rt_.costs();
     cmi::Pe& cpu = rt_.cmi().pe(pe);

@@ -10,6 +10,7 @@
 #include "hw/cuda.hpp"
 #include "obs/span.hpp"
 #include "sim/future.hpp"
+#include "sim/matcher.hpp"
 #include "sim/task.hpp"
 
 /// \file charm4py.hpp
@@ -122,7 +123,6 @@ class Charm4py {
     /// device-path envelopes correlate through `dtag` instead. Carried
     /// unconditionally so message contents do not depend on observability.
     std::uint64_t span = 0;
-    std::uint32_t seq = 0;
     bool inlined = false;
     std::vector<std::byte> data;
     bool src_host = false;  ///< host payload: the receiver pays a Python copy
@@ -138,13 +138,12 @@ class Charm4py {
     std::deque<Envelope> arrived;      // in-order, ready to match
     std::deque<PendingRecv> waiting;   // recvs posted before arrival
     std::uint32_t seq_out = 0;         // next seq this side sends
-    std::uint32_t seq_expected = 0;    // next in-order seq to accept
-    std::vector<Envelope> out_of_order;
+    sim::Resequencer<Envelope> reseq;  // restores send order
   };
 
   sim::Future<void> sendImpl(ChannelEnd& end, const void* buf, std::uint64_t bytes);
   sim::Future<void> recvImpl(ChannelEnd& end, void* buf, std::uint64_t bytes);
-  void onEnvelope(int pe, std::uint64_t chan, int side, Envelope env);
+  void onEnvelope(int pe, std::uint64_t chan, int side, std::uint32_t seq, Envelope env);
   /// `matched` is the span phase recorded for inlined envelopes consumed by
   /// this pass: MatchedPosted when called from onEnvelope (a receive was
   /// already waiting), MatchedUnexpected when called from recvImpl (the

@@ -6,6 +6,7 @@
 
 #include "hw/cuda.hpp"
 #include "hw/system.hpp"
+#include "sim/matcher.hpp"
 
 namespace cux::coll {
 
@@ -35,10 +36,10 @@ void SectionMailbox::segPost(std::span<ck::Buffer> bufs, ck::Unpacker& u) {
   Arrival arr;
   if (!posted.empty()) {
     // A matching receive is already waiting: land directly in its buffer.
+    sim::checkFits("section", b.size(), posted.front().capacity);
     arr.staged = false;
     arr.pr = std::move(posted.front());
     posted.pop_front();
-    assert(arr.pr.capacity >= b.size() && "posted section recv smaller than arriving segment");
     b.setDestination(arr.pr.buf, arr.pr.capacity);
   } else {
     // Unexpected arrival: post entries must choose a destination now, so
@@ -84,8 +85,8 @@ void SectionMailbox::seg(ck::Buffer b, std::int32_t src, std::uint64_t tag) {
 }
 
 void SectionMailbox::completeStaged(Staged s, PostedRecv pr) {
+  sim::checkFits("section", s.bytes, pr.capacity);
   hw::System& sys = owner_->system();
-  assert(pr.capacity >= s.bytes);
   auto st = std::make_shared<Staged>(s);
   auto done = pr.done;
   void* dst = pr.buf;

@@ -135,7 +135,7 @@ class DeviceComm {
   /// mask, so they ride the bucketed exact-tag path directly; this surfaces
   /// the resulting posted/unexpected high-watermarks and bucket occupancy
   /// for `gpucomm_sweep --metric match`.
-  [[nodiscard]] ucx::Worker::MatchStats matchStats() { return cmi_.ucx().matchStats(); }
+  [[nodiscard]] sim::MatchStats matchStats() { return cmi_.ucx().matchStats(); }
 
  private:
   /// Issues the UCX send, routing through the host-staged fallback when the

@@ -11,7 +11,7 @@
 
 /// \file registry.hpp
 /// A unified metrics registry: named counters, gauges, and fixed-bucket
-/// log2 histograms. The scattered per-layer stats (Worker::MatchStats, the
+/// log2 histograms. The scattered per-layer stats (sim::MatchStats, the
 /// fault/retry/fallback counters, pool occupancy, queue high-watermarks)
 /// publish into one Registry through the snapshot providers registered on
 /// obs::Observability, so `hw::System` exposes a single dump API instead of

@@ -159,24 +159,9 @@ class Context {
 
   /// Aggregated matching-engine statistics across all workers
   /// (`gpucomm_sweep --metric match`).
-  [[nodiscard]] Worker::MatchStats matchStats() const {
-    Worker::MatchStats total;
-    for (const auto& w : workers_) {
-      const Worker::MatchStats s = w->matchStats();
-      total.posted += s.posted;
-      total.unexpected += s.unexpected;
-      total.posted_hwm = total.posted_hwm > s.posted_hwm ? total.posted_hwm : s.posted_hwm;
-      total.unexpected_hwm =
-          total.unexpected_hwm > s.unexpected_hwm ? total.unexpected_hwm : s.unexpected_hwm;
-      total.posted_buckets += s.posted_buckets;
-      total.unexpected_buckets += s.unexpected_buckets;
-      total.posted_max_chain =
-          total.posted_max_chain > s.posted_max_chain ? total.posted_max_chain : s.posted_max_chain;
-      total.unexpected_max_chain = total.unexpected_max_chain > s.unexpected_max_chain
-                                       ? total.unexpected_max_chain
-                                       : s.unexpected_max_chain;
-      total.scan_steps += s.scan_steps;
-    }
+  [[nodiscard]] sim::MatchStats matchStats() const {
+    sim::MatchStats total;
+    for (const auto& w : workers_) total.merge(w->matchStats());
     return total;
   }
 

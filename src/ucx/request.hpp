@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/matcher.hpp"
 #include "sim/small_fn.hpp"
 
 /// \file request.hpp
@@ -59,15 +60,10 @@ struct Request {
   }
   [[nodiscard]] bool peerFailed() const noexcept { return state == ReqState::PeerFailed; }
 
-  // --- matcher back-pointer (internal to ucx::Worker) ----------------------
-  /// While the request is a posted receive, the slot id of its entry in the
-  /// owning worker's bucketed store; lets cancelRecv unlink in O(1) instead
-  /// of scanning the posted queue. Reset when the receive matches or
-  /// cancels.
-  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
-  enum class MatchQueue : std::uint8_t { None, Exact, Wildcard };
-  std::uint32_t match_slot = kNoSlot;
-  MatchQueue match_queue = MatchQueue::None;
+  /// While the request is a posted receive, its handle in the owning
+  /// worker's matcher; lets cancelRecv unlink it in O(1). Reset when the
+  /// receive matches or cancels.
+  sim::MatchHandle match_handle;
 
   /// Fired by complete(); empty once it has run.
   CompletionFn completion;

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 #include <utility>
 
@@ -50,7 +49,7 @@ Context::Context(hw::System& sys, const UcxConfig& cfg) : sys_(sys), cfg_(cfg) {
     r.setGauge("ucx.buf_pool.hits", buf_hits_);
     r.setGauge("ucx.buf_pool.misses", buf_misses_);
     r.setGauge("ucx.buf_pool.bytes", buf_pool_bytes_);
-    const Worker::MatchStats s = matchStats();
+    const sim::MatchStats s = matchStats();
     r.setGauge("ucx.match.posted", s.posted);
     r.setGauge("ucx.match.unexpected", s.unexpected);
     r.setGauge("ucx.match.posted_hwm", s.posted_hwm);
@@ -797,6 +796,7 @@ Context::RndvResult Context::multipathRndvData(const Worker::Incoming& msg, int 
 // ---------------------------------------------------------------------------
 
 void Worker::dispatchMatch(PostedRecv r, Incoming msg) {
+  sim::checkFits("ucx", msg.len, r.len);
   if (msg.is_rndv) {
     startRndvTransfer(std::move(r), std::move(msg));
   } else {
@@ -809,40 +809,17 @@ RequestPtr Worker::tagRecv(void* buf, std::uint64_t len, Tag tag, Tag mask, Comp
   req->completion = std::move(cb);
   PostedRecv r{req, buf, len, tag, mask};
 
-  // A hit in the unexpected store below ends the early-arrival wait: the
-  // payload got here before this receive was posted (the paper's
-  // limitation); the span timeline records how long it sat queued.
-  obs::SpanCollector& spans = ctx_.system().obs.spans;
-
-  // An exact (kFullMask) receive probes the hash chain of its full tag; a
-  // wildcard receive walks the store in arrival order. The chain is FIFO and
-  // collisions are filtered by the predicate, so the first satisfying entry
-  // is the earliest-arrived match either way — exactly what an arrival-order
-  // scan of every unexpected message would have found.
-  const std::uint32_t hit =
-      mask == kFullMask
-          ? unexpected_idx_.findChain(tag, [tag](const Incoming& m) { return m.tag == tag; })
-          : unexpected_idx_.findOrdered(
-                [tag, mask](const Incoming& m) { return tagsMatch(m.tag, tag, mask); });
-  if (hit != sim::BucketFifo<Incoming>::kNil) {
-    Incoming msg = unexpected_idx_.take(hit);
-    spans.phase(spans.spanForTag(msg.tag), ctx_.system().engine.now(),
-                obs::Phase::MatchedUnexpected, pe_, msg.len);
-    dispatchMatch(std::move(r), std::move(msg));
+  // A hit in the unexpected store ends the early-arrival wait: the payload
+  // got here before this receive was posted (the paper's limitation); the
+  // span timeline records how long it sat queued.
+  if (std::optional<Incoming> msg = matcher_.takeUnexpected(r)) {
+    obs::SpanCollector& spans = ctx_.system().obs.spans;
+    spans.phase(spans.spanForTag(msg->tag), ctx_.system().engine.now(),
+                obs::Phase::MatchedUnexpected, pe_, msg->len);
+    dispatchMatch(std::move(r), std::move(*msg));
     return req;
   }
-  // No match: post. The shared sequence number records where this receive
-  // sits in post order relative to the other store (see onArrival).
-  const std::uint64_t seq = match_seq_++;
-  if (mask == kFullMask) {
-    req->match_queue = Request::MatchQueue::Exact;
-    req->match_slot = posted_exact_.push(tag, seq, std::move(r));
-  } else {
-    req->match_queue = Request::MatchQueue::Wildcard;
-    req->match_slot = posted_wild_.push(tag & mask, seq, std::move(r));
-  }
-  const std::size_t live = posted_exact_.size() + posted_wild_.size();
-  if (live > posted_hwm_) posted_hwm_ = live;
+  req->match_handle = matcher_.post(std::move(r));
   return req;
 }
 
@@ -855,49 +832,30 @@ void Worker::setBufferedHandler(Tag tag, Tag mask, BufferProvider fn) {
 }
 
 std::optional<Worker::ProbeInfo> Worker::probe(Tag tag, Tag mask) const {
-  const std::uint32_t hit =
-      mask == kFullMask
-          ? unexpected_idx_.findChain(tag, [tag](const Incoming& m) { return m.tag == tag; })
-          : unexpected_idx_.findOrdered(
-                [tag, mask](const Incoming& m) { return tagsMatch(m.tag, tag, mask); });
-  if (hit == sim::BucketFifo<Incoming>::kNil) return std::nullopt;
-  const Incoming& msg = unexpected_idx_.at(hit);
-  return ProbeInfo{msg.tag, msg.len, msg.src_pe};
+  const Incoming* msg = matcher_.probe(PostedRecv{nullptr, nullptr, 0, tag, mask});
+  if (msg == nullptr) return std::nullopt;
+  return ProbeInfo{msg->tag, msg->len, msg->src_pe};
 }
 
 bool Worker::cancelRecv(const RequestPtr& req) {
-  if (!req) return false;
+  // O(1) through the request's handle; the identity guard rejects a handle
+  // whose slot was recycled for another receive.
+  if (!req ||
+      !matcher_.cancel(req->match_handle, [&req](const PostedRecv& r) { return r.req == req; })) {
+    return false;
+  }
+  req->match_handle = {};
   // The completion is delivered through the engine like every other
   // completion: invoking it synchronously would reenter worker state
   // mid-operation (the callback may repost, cancel, or send) and give
   // cancellation an ordering no other completion path has.
-  auto deliverCancel = [this, &req] {
-    CompletionFn cb = std::move(req->completion);
-    req->state = ReqState::Cancelled;
-    if (cb) {
-      sim::Engine& engine = ctx_.system().engine;
-      engine.schedule(engine.now(), [req, cb = std::move(cb)] { cb(*req); });
-    }
-  };
-  switch (req->match_queue) {
-    case Request::MatchQueue::Exact:
-    case Request::MatchQueue::Wildcard: {
-      // O(1): the request remembers its slot; liveAt + identity guard reject
-      // a stale slot id that was recycled for another receive.
-      auto& store =
-          req->match_queue == Request::MatchQueue::Exact ? posted_exact_ : posted_wild_;
-      const std::uint32_t slot = req->match_slot;
-      if (!store.liveAt(slot) || store.at(slot).req != req) return false;
-      store.erase(slot);
-      req->match_slot = Request::kNoSlot;
-      req->match_queue = Request::MatchQueue::None;
-      deliverCancel();
-      return true;
-    }
-    case Request::MatchQueue::None:
-      break;  // never posted, or already matched/cancelled
+  CompletionFn cb = std::move(req->completion);
+  req->state = ReqState::Cancelled;
+  if (cb) {
+    sim::Engine& engine = ctx_.system().engine;
+    engine.schedule(engine.now(), [req, cb = std::move(cb)] { cb(*req); });
   }
-  return false;
+  return true;
 }
 
 void Worker::noteDuplicateSuppressed(int src_pe, std::uint64_t len, Tag tag) {
@@ -913,26 +871,11 @@ void Worker::noteDuplicateSuppressed(int src_pe, std::uint64_t len, Tag tag) {
 void Worker::onArrival(Incoming msg) {
   obs::SpanCollector& spans = ctx_.system().obs.spans;
   const std::uint64_t arrival_span = spans.spanForTag(msg.tag);
-  // Earliest exact candidate: the chain keyed by the full tag is FIFO, so
-  // its first entry carrying this tag is the earliest-posted exact receive.
-  const std::uint32_t ex = posted_exact_.findChain(
-      msg.tag, [tag = msg.tag](const PostedRecv& r) { return r.tag == tag; });
-  // Earliest wildcard candidate: post-order walk of the wildcard store.
-  const std::uint32_t wi = posted_wild_.findOrdered(
-      [tag = msg.tag](const PostedRecv& r) { return tagsMatch(tag, r.tag, r.mask); });
-  constexpr std::uint32_t kNil = sim::BucketFifo<PostedRecv>::kNil;
-  if (ex != kNil || wi != kNil) {
-    // Arbitrate by post sequence number: the smaller seq is the receive a
-    // single post-ordered scan would have reached first.
-    const bool exact_wins =
-        ex != kNil && (wi == kNil || posted_exact_.seqOf(ex) < posted_wild_.seqOf(wi));
-    auto& store = exact_wins ? posted_exact_ : posted_wild_;
-    PostedRecv r = store.take(exact_wins ? ex : wi);
-    r.req->match_slot = Request::kNoSlot;
-    r.req->match_queue = Request::MatchQueue::None;
+  if (std::optional<PostedRecv> r = matcher_.takePosted(msg)) {
+    r->req->match_handle = {};
     spans.phase(arrival_span, ctx_.system().engine.now(), obs::Phase::MatchedPosted, pe_,
                 msg.len);
-    dispatchMatch(std::move(r), std::move(msg));
+    dispatchMatch(std::move(*r), std::move(msg));
     return;
   }
   // Active-message style: a buffered handler supplies the destination at
@@ -957,27 +900,10 @@ void Worker::onArrival(Incoming msg) {
   // the early arrival the paper's totals hide — the matching tagRecv later
   // records MatchedUnexpected, closing the wait interval.
   spans.phase(arrival_span, ctx_.system().engine.now(), obs::Phase::EarlyArrival, pe_, msg.len);
-  const Tag t = msg.tag;
-  const std::uint64_t seq = match_seq_++;
-  unexpected_idx_.push(t, seq, std::move(msg));
-}
-
-Worker::MatchStats Worker::matchStats() const {
-  MatchStats s;
-  s.posted = postedCount();
-  s.unexpected = unexpectedCount();
-  s.posted_hwm = posted_hwm_;
-  s.unexpected_hwm = unexpectedHighWatermark();
-  s.posted_buckets = posted_exact_.bucketCount();
-  s.unexpected_buckets = unexpected_idx_.bucketCount();
-  s.posted_max_chain = posted_exact_.maxChainLength();
-  s.unexpected_max_chain = unexpected_idx_.maxChainLength();
-  s.scan_steps = matchScanSteps();
-  return s;
+  matcher_.pushUnexpected(std::move(msg));
 }
 
 void Worker::completeRecvFromEager(PostedRecv r, Incoming msg) {
-  assert(msg.len <= r.len && "eager message truncation (recv buffer too small)");
   Context& ctx = ctx_;
   sim::Engine& engine = ctx.system().engine;
   sim::TimePoint t = engine.now() + sim::usec(ctx.config().recv_overhead_us);
@@ -1005,7 +931,6 @@ void Worker::completeRecvFromEager(PostedRecv r, Incoming msg) {
 }
 
 void Worker::startRndvTransfer(PostedRecv r, Incoming msg) {
-  assert(msg.len <= r.len && "rendezvous message truncation (recv buffer too small)");
   Context& ctx = ctx_;
   sim::Engine& engine = ctx.system().engine;
   const Context::RndvResult res = ctx.rndvTransfer(msg, pe_, r.buf);

@@ -8,32 +8,29 @@
 #include <optional>
 #include <vector>
 
-#include "sim/bucket_fifo.hpp"
+#include "sim/matcher.hpp"
 #include "sim/small_fn.hpp"
 #include "ucx/request.hpp"
 
 /// \file worker.hpp
 /// Per-PE communication endpoint, the moral equivalent of a ucp_worker.
 ///
-/// A Worker owns the tag-matching engine: the posted-receive store, the
-/// unexpected-message store, and persistent "handler" receives used by the
-/// Converse machine layer to accept arbitrary-size host messages (standing in
-/// for the wildcard pre-posted receives of the real UCX machine layer).
+/// A Worker owns a tag matcher (sim::TagMatcher, shared with ampi::World)
+/// and persistent "handler" receives used by the Converse machine layer to
+/// accept arbitrary-size host messages (standing in for the wildcard
+/// pre-posted receives of the real UCX machine layer).
 ///
 /// Matching semantics mirror UCX/MPI:
-///  * arriving messages scan posted receives in post order;
-///  * newly posted receives scan the unexpected queue in arrival order;
+///  * arriving messages take the earliest-posted matching receive;
+///  * newly posted receives take the earliest-arrived unexpected message;
 ///  * persistent handlers are consulted after posted receives, so explicit
 ///    receives and machine-layer traffic can share the worker (in practice
 ///    the MSG_BITS of the tag keep their tag spaces disjoint).
 ///
-/// Posted full-mask receives and unexpected messages live in sim::BucketFifo
-/// stores hashed by full tag, wildcard-mask receives in a separate
-/// insertion-ordered store. Exact lookups are O(1) expected; a shared
-/// monotonic sequence number arbitrates exact-vs-wildcard candidates so post
-/// order is preserved bit-for-bit across the split. Cancellation is O(1)
-/// through the request's slot back-pointer. tests/test_matcher.cpp checks
-/// these semantics against a plain two-deque scan model.
+/// The Worker supplies only the UCX key (the full tag) and predicate
+/// (tag/mask); the matcher owns the stores, the post-order arbitration and
+/// the O(1) cancel handle kept in each posted Request. tests/test_matcher.cpp
+/// checks these semantics against a plain two-deque scan model.
 ///
 /// See the "tag-matching engine" section of docs/architecture.md.
 
@@ -87,8 +84,8 @@ class Worker {
   void setBufferedHandler(Tag tag, Tag mask, BufferProvider fn);
 
   /// Cancels a pending posted receive; returns false if it already matched.
-  /// O(1): the request's match_slot back-pointer unlinks it directly, no
-  /// scan of the other posted receives.
+  /// O(1): the request's match handle unlinks it directly, no scan of the
+  /// other posted receives.
   bool cancelRecv(const RequestPtr& req);
 
   /// Probe metadata of a pending unexpected message (ucp_tag_probe_nb with
@@ -102,50 +99,16 @@ class Worker {
   [[nodiscard]] std::optional<ProbeInfo> probe(Tag tag, Tag mask) const;
 
   // --- statistics --------------------------------------------------------
-  [[nodiscard]] std::size_t postedCount() const noexcept {
-    return posted_exact_.size() + posted_wild_.size();
-  }
-  [[nodiscard]] std::size_t unexpectedCount() const noexcept { return unexpected_idx_.size(); }
-  /// Largest size the unexpected queue ever reached; retransmission storms
-  /// inflate it, and the fault-injection tests assert it stays bounded.
-  [[nodiscard]] std::size_t unexpectedHighWatermark() const noexcept {
-    return unexpected_idx_.highWatermark();
-  }
   /// Duplicate deliveries suppressed by the reliability layer
   /// (a retransmit racing a jitter-delayed original).
   [[nodiscard]] std::uint64_t duplicatesSuppressed() const noexcept { return dups_suppressed_; }
-  /// Total matcher node visits (bucket chains and wildcard list). The O(1)
-  /// regression tests assert on deltas of this counter.
-  [[nodiscard]] std::uint64_t matchScanSteps() const noexcept {
-    return posted_exact_.scanSteps() + posted_wild_.scanSteps() + unexpected_idx_.scanSteps();
-  }
-
-  /// Snapshot of the matching engine's occupancy for sweeps/diagnostics
-  /// (`gpucomm_sweep --metric match`).
-  struct MatchStats {
-    std::size_t posted = 0;
-    std::size_t unexpected = 0;
-    std::size_t posted_hwm = 0;
-    std::size_t unexpected_hwm = 0;
-    std::size_t posted_buckets = 0;
-    std::size_t unexpected_buckets = 0;
-    std::size_t posted_max_chain = 0;
-    std::size_t unexpected_max_chain = 0;
-    std::uint64_t scan_steps = 0;
-  };
-  [[nodiscard]] MatchStats matchStats() const;
+  /// Occupancy and search work of the tag matcher
+  /// (`gpucomm_sweep --metric match`); the O(1) regression tests assert on
+  /// deltas of its scan_steps.
+  [[nodiscard]] sim::MatchStats matchStats() const { return matcher_.stats(); }
 
  private:
   friend class Context;
-
-  /// A posted receive; its completion lives in `req`.
-  struct PostedRecv {
-    RequestPtr req;
-    void* buf = nullptr;
-    std::uint64_t len = 0;
-    Tag tag = 0;
-    Tag mask = 0;
-  };
 
   /// An arriving message the matching engine operates on. Exactly one of the
   /// two shapes is populated: eager (payload travelled with the header) or
@@ -156,7 +119,7 @@ class Worker {
   /// spare; the static_assert below enforces the budget (see the capture
   /// audit in docs/architecture.md). Matching-engine
   /// bookkeeping (arrival sequence numbers, bucket links) deliberately lives
-  /// in the BucketFifo nodes, not here, to hold that budget.
+  /// in the matcher's store nodes, not here, to hold that budget.
   ///
   /// Reliable-mode duplicate suppression does not live here: retransmits of
   /// one wire message share their Context::WireState, and only the first
@@ -178,10 +141,29 @@ class Worker {
     bool is_rndv = false;
     bool payload_valid = true;
     bool src_device = false;  ///< receiver pays the un-staging cost for device eager
+
+    [[nodiscard]] std::uint64_t matchKey() const noexcept { return tag; }
   };
   static_assert(sizeof(Incoming) <= 88, "Incoming grew: re-audit the arrival captures");
   static_assert(sim::SmallFn::fitsInline<std::pair<Worker*, Incoming>>(),
                 "an arrival capture (worker pointer + Incoming) must fit an engine slot");
+
+  /// A posted receive; its completion lives in `req`. Also the pattern of a
+  /// probe (no request, no buffer).
+  struct PostedRecv {
+    RequestPtr req;
+    void* buf = nullptr;
+    std::uint64_t len = 0;
+    Tag tag = 0;
+    Tag mask = 0;
+
+    // sim::TagMatcher key and predicate.
+    [[nodiscard]] bool exact() const noexcept { return mask == kFullMask; }
+    [[nodiscard]] std::uint64_t matchKey() const noexcept { return tag; }
+    [[nodiscard]] bool matches(const Incoming& m) const noexcept {
+      return (m.tag & mask) == (tag & mask);
+    }
+  };
 
   void onArrival(Incoming msg);
   /// Accounting for a retransmit copy suppressed before delivery (the
@@ -207,24 +189,9 @@ class Worker {
   Context& ctx_;
   int pe_;
 
-  // --- tag matcher ---------------------------------------------------------
-  // Exact (kFullMask) posted receives, hashed by full tag; FIFO per tag.
-  sim::BucketFifo<PostedRecv> posted_exact_;
-  // Wildcard-mask posted receives in post order (findOrdered scans).
-  sim::BucketFifo<PostedRecv> posted_wild_;
-  // Unexpected messages, hashed by full tag AND threaded on an arrival-order
-  // list, so exact receives probe one chain and wildcard receives walk
-  // arrival order.
-  sim::BucketFifo<Incoming> unexpected_idx_;
-  /// Shared post/arrival sequence counter. A message arrival compares the
-  /// earliest exact candidate's seq against the earliest matching wildcard's
-  /// seq and takes the smaller — exactly the receive a single post-ordered
-  /// scan would have found first.
-  std::uint64_t match_seq_ = 0;
-
+  sim::TagMatcher<PostedRecv, Incoming> matcher_;
   std::deque<Handler> handlers_;  // deque: handler addresses stay stable
   std::deque<BufferedHandler> buffered_handlers_;
-  std::size_t posted_hwm_ = 0;
   std::uint64_t dups_suppressed_ = 0;
 };
 

@@ -113,7 +113,7 @@ TEST(ActiveMessages, UnregisteredIdGoesUnexpected) {
   am.amSend(0, 1, 42, src.data(), 64);  // nothing registered for id 42 on PE 1
   f.sys->engine.run();
   EXPECT_EQ(am.delivered(), 0u);
-  EXPECT_EQ(f.ctx->worker(1).unexpectedCount(), 1u);
+  EXPECT_EQ(f.ctx->worker(1).matchStats().unexpected, 1u);
 }
 
 TEST(ActiveMessages, AllocatorSeesLengthAndSource) {

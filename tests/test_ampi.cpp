@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "ampi/ampi.hpp"
@@ -194,6 +195,42 @@ TEST(Ampi, UnexpectedMessagesMatchLateReceives) {
     co_return;
   });
   EXPECT_EQ(got, 55);
+}
+
+// An inline message longer than the receive it matches is refused before
+// any byte moves, in every build type. The receive names a 16-byte window of
+// a larger zeroed buffer, so nothing outside the window may change either.
+TEST(Ampi, InlineTruncationThrowsBeforeAnyByteMoves) {
+  AmpiFixture f;
+  auto src = pattern(64, 13);
+  std::vector<std::byte> dst(256);
+  (void)f.world->rank(1).irecv(dst.data(), 16, 0, 7);
+  (void)f.world->rank(0).isend(src.data(), src.size(), 1, 7);
+  EXPECT_THROW(f.sys->engine.run(), std::length_error);
+  EXPECT_EQ(dst, std::vector<std::byte>(256));
+}
+
+// posted_hwm is the most receives ever posted at once, exact and wildcard
+// together: four drained exact receives followed by four drained kAnyTag
+// receives never have more than four posted.
+TEST(Ampi, PostedHighWaterMarkCountsLiveReceives) {
+  AmpiFixture f;
+  ampi::Rank& sender = f.world->rank(0);
+  ampi::Rank& receiver = f.world->rank(1);
+  std::vector<int> src(8, 1), dst(8);
+  std::vector<ampi::Request> reqs;
+  for (int i = 0; i < 4; ++i) reqs.push_back(receiver.irecv(&dst[i], sizeof(int), 0, i));
+  for (int i = 0; i < 4; ++i) (void)sender.isend(&src[i], sizeof(int), 1, i);
+  f.sys->engine.run();
+  for (int i = 4; i < 8; ++i) {
+    reqs.push_back(receiver.irecv(&dst[i], sizeof(int), 0, ampi::kAnyTag));
+  }
+  for (int i = 4; i < 8; ++i) (void)sender.isend(&src[i], sizeof(int), 1, i);
+  f.sys->engine.run();
+  for (const ampi::Request& r : reqs) EXPECT_TRUE(r.done());
+  const auto s = f.world->matchStats();
+  EXPECT_EQ(s.posted, 0u);
+  EXPECT_EQ(s.posted_hwm, 4u);
 }
 
 TEST(Ampi, IsendIrecvWaitAll) {

@@ -164,7 +164,7 @@ TEST(UcxProbe, ReportsPendingMessageWithoutConsuming) {
   EXPECT_EQ(info->tag, 0x77u);
   EXPECT_EQ(info->len, 100u);
   EXPECT_EQ(info->src_pe, 0);
-  EXPECT_EQ(ctx.worker(1).unexpectedCount(), 1u);  // not consumed
+  EXPECT_EQ(ctx.worker(1).matchStats().unexpected, 1u);  // not consumed
   EXPECT_FALSE(ctx.worker(1).probe(0x78, ucx::kFullMask).has_value());
 }
 

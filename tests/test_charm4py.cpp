@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "charm4py/charm4py.hpp"
@@ -52,6 +53,20 @@ TEST(Charm4py, HostChannelRoundTrip) {
   f.sys->engine.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(src, dst);
+}
+
+// A channel message longer than the receive it matches is refused before
+// any byte moves, in every build type. The receive names a 16-byte window of
+// a larger zeroed buffer, so nothing outside the window may change either.
+TEST(Charm4py, ChannelTruncationThrowsBeforeAnyByteMoves) {
+  C4pFixture f;
+  auto src = pattern(64, 14);
+  std::vector<std::byte> dst(256);
+  auto ch = f.py->makeChannel(0, 1);
+  (void)ch.b->recv(dst.data(), 16);
+  (void)ch.a->send(src.data(), src.size());
+  EXPECT_THROW(f.sys->engine.run(), std::length_error);
+  EXPECT_EQ(dst, std::vector<std::byte>(256));
 }
 
 TEST(Charm4py, DeviceChannelRoundTrip) {

@@ -229,8 +229,8 @@ TEST(FaultRetry, UnexpectedQueueStaysBoundedUnderDuplicateStorm) {
     f.ctx->tagSend(0, 6, srcs.back().data(), 64, kRawType | static_cast<ucx::Tag>(0x50 + i), {});
   }
   f.sys->engine.run();
-  EXPECT_EQ(f.ctx->worker(6).unexpectedCount(), static_cast<std::size_t>(kMsgs));
-  EXPECT_LE(f.ctx->worker(6).unexpectedHighWatermark(), static_cast<std::size_t>(kMsgs));
+  EXPECT_EQ(f.ctx->worker(6).matchStats().unexpected, static_cast<std::size_t>(kMsgs));
+  EXPECT_LE(f.ctx->worker(6).matchStats().unexpected_hwm, static_cast<std::size_t>(kMsgs));
   EXPECT_EQ(f.ctx->worker(6).duplicatesSuppressed(), 5u * kMsgs);
   // Late receives still drain the queue correctly.
   std::vector<std::byte> dst(64);
@@ -410,7 +410,7 @@ TEST(FaultFallback, MatchedRndvExhaustionRepostsReceiveAndRecovers) {
   // The recovered data is intact, and the fallback message did not rot in
   // the unexpected queue (it matched the re-posted receive).
   EXPECT_EQ(std::memcmp(dst.get(), ref.data(), ref.size()), 0);
-  EXPECT_EQ(f.ctx->worker(6).unexpectedCount(), 0u);
+  EXPECT_EQ(f.ctx->worker(6).matchStats().unexpected, 0u);
 }
 
 TEST(FaultFallback, AtsLossCompletesSendWithoutSpuriousResend) {
@@ -445,7 +445,7 @@ TEST(FaultFallback, AtsLossCompletesSendWithoutSpuriousResend) {
   EXPECT_EQ(f.dev->fallbacks(), 0u);
   EXPECT_EQ(f.dev->recvReposts(), 0u);
   EXPECT_GE(f.ctx->sendErrors(), 1u);
-  EXPECT_EQ(f.ctx->worker(1).unexpectedCount(), 0u);
+  EXPECT_EQ(f.ctx->worker(1).matchStats().unexpected, 0u);
 }
 
 TEST(FaultFallback, UserTagPrePostedPathSurvivesLoss) {

@@ -5,7 +5,9 @@
 #include <new>
 #include <vector>
 
+#include "ampi/ampi.hpp"
 #include "model/model.hpp"
+#include "sim/matcher.hpp"
 #include "sim/rng.hpp"
 #include "ucx/context.hpp"
 #include "ucx/worker.hpp"
@@ -18,7 +20,7 @@
 /// probes — including wildcard masks racing exact receives. The seeded
 /// property test here replays randomized interleavings through the real
 /// worker and through such a model (ModelMatcher below) and compares the
-/// logs. Complexity is pinned with the matchScanSteps() counter (cancel must
+/// logs. Complexity is pinned with the matchStats().scan_steps counter (cancel must
 /// not scan) and with a global allocation counter (steady-state eager
 /// traffic must not touch the heap).
 
@@ -229,8 +231,8 @@ MatchLog replayReal(const std::vector<Op>& ops) {
         break;
     }
   }
-  log.posted = w.postedCount();
-  log.unexpected = w.unexpectedCount();
+  log.posted = w.matchStats().posted;
+  log.unexpected = w.matchStats().unexpected;
   return log;
 }
 
@@ -273,6 +275,163 @@ TEST(MatcherCrossCheck, RandomInterleavingsMatchReferenceMatcher) {
 }
 
 // --------------------------------------------------------------------------
+// AMPI's key scheme through the shared matcher: (comm, src, tag) receives
+// with kAnySource/kAnyTag, cancel and probe, against a two-deque scan model
+// --------------------------------------------------------------------------
+
+/// A message as AMPI's matcher sees it; `id` is its arrival index.
+struct AmpiArrived {
+  int src, tag, comm;
+  std::size_t id;
+  [[nodiscard]] std::uint64_t matchKey() const { return ampi::detail::matchKey(src, tag, comm); }
+};
+
+/// A receive pattern with AMPI's key and predicate; `id` is its post index.
+struct AmpiPosted {
+  int src, tag, comm;
+  std::size_t id;
+  [[nodiscard]] bool exact() const { return ampi::detail::concrete(src, tag); }
+  [[nodiscard]] std::uint64_t matchKey() const { return ampi::detail::matchKey(src, tag, comm); }
+  [[nodiscard]] bool matches(const AmpiArrived& a) const {
+    return ampi::detail::accepts(src, tag, comm, a.src, a.tag, a.comm);
+  }
+};
+
+/// Reference semantics for AMPI matching: one post-ordered deque, one
+/// arrival-ordered deque, plain scans, the MPI wildcard rules written out.
+class AmpiModel {
+ public:
+  void post(const AmpiPosted& p) {
+    outcome_.push_back(kPending);
+    for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
+      if (accepts(p, *it)) {
+        outcome_[p.id] = static_cast<std::int64_t>(it->id);
+        unexpected_.erase(it);
+        return;
+      }
+    }
+    posted_.push_back(p);
+  }
+  void arrive(const AmpiArrived& a) {
+    for (auto it = posted_.begin(); it != posted_.end(); ++it) {
+      if (accepts(*it, a)) {
+        outcome_[it->id] = static_cast<std::int64_t>(a.id);
+        posted_.erase(it);
+        return;
+      }
+    }
+    unexpected_.push_back(a);
+  }
+  void cancel(std::size_t id) {
+    for (auto it = posted_.begin(); it != posted_.end(); ++it) {
+      if (it->id == id) {
+        outcome_[id] = kCancelled;
+        posted_.erase(it);
+        return;
+      }
+    }
+  }
+  [[nodiscard]] std::int64_t probe(const AmpiPosted& p) const {
+    for (const AmpiArrived& a : unexpected_) {
+      if (accepts(p, a)) return static_cast<std::int64_t>(a.id);
+    }
+    return kNoProbeHit;
+  }
+  [[nodiscard]] const std::vector<std::int64_t>& outcomes() const { return outcome_; }
+  [[nodiscard]] std::size_t postedCount() const { return posted_.size(); }
+  [[nodiscard]] std::size_t unexpectedCount() const { return unexpected_.size(); }
+
+ private:
+  static bool accepts(const AmpiPosted& p, const AmpiArrived& a) {
+    return (p.src == ampi::kAnySource || p.src == a.src) &&
+           (p.tag == ampi::kAnyTag || p.tag == a.tag) && p.comm == a.comm;
+  }
+  std::deque<AmpiPosted> posted_;
+  std::deque<AmpiArrived> unexpected_;
+  std::vector<std::int64_t> outcome_;
+};
+
+TEST(MatcherCrossCheck, AmpiKeySchemeMatchesReferenceMatcher) {
+  // Tag 1 << 24 folds onto the source field of the bucket key, so
+  // (src 0, tag 1 << 24) and (src 1, tag 0) share a key: collisions must
+  // cost chain steps only, never a wrong match.
+  constexpr int kTags[] = {0, 1, 2, 3, 1 << 24, (1 << 24) | 1};
+  constexpr int kOps = 400;
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    sim::SplitMix64 rng(seed);
+    auto pattern = [&rng, &kTags](bool wildcards) {
+      const int src = wildcards && rng.below(4) == 0 ? ampi::kAnySource
+                                                     : static_cast<int>(rng.below(4));
+      const int tag = wildcards && rng.below(4) == 0 ? ampi::kAnyTag : kTags[rng.below(6)];
+      return AmpiPosted{src, tag, static_cast<int>(rng.below(2)), 0};
+    };
+    sim::TagMatcher<AmpiPosted, AmpiArrived> real;
+    AmpiModel model;
+    std::vector<std::int64_t> outcome;
+    std::vector<sim::MatchHandle> handles;
+    std::size_t arrivals = 0;
+    for (int op = 0; op < kOps; ++op) {
+      switch (rng.below(8)) {
+        case 0:
+        case 1:
+        case 2: {  // post a receive
+          AmpiPosted p = pattern(true);
+          p.id = outcome.size();
+          outcome.push_back(kPending);
+          handles.emplace_back();
+          model.post(p);
+          if (std::optional<AmpiArrived> a = real.takeUnexpected(p)) {
+            outcome[p.id] = static_cast<std::int64_t>(a->id);
+          } else {
+            handles[p.id] = real.post(p);
+          }
+          break;
+        }
+        case 3:
+        case 4:
+        case 5: {  // a message arrives
+          const AmpiPosted m = pattern(false);
+          const AmpiArrived a{m.src, m.tag, m.comm, arrivals++};
+          model.arrive(a);
+          if (std::optional<AmpiPosted> p = real.takePosted(a)) {
+            outcome[p->id] = static_cast<std::int64_t>(a.id);
+          } else {
+            real.pushUnexpected(a);
+          }
+          break;
+        }
+        case 6:  // cancel a random receive (may already be matched)
+          if (!outcome.empty()) {
+            const std::size_t id = rng.below(outcome.size());
+            model.cancel(id);
+            if (real.cancel(handles[id], [id](const AmpiPosted& p) { return p.id == id; })) {
+              outcome[id] = kCancelled;
+            }
+          }
+          break;
+        default: {  // probe
+          const AmpiPosted p = pattern(true);
+          const AmpiArrived* hit = real.probe(p);
+          ASSERT_EQ(hit != nullptr ? static_cast<std::int64_t>(hit->id) : kNoProbeHit,
+                    model.probe(p))
+              << "seed " << seed << ", op " << op;
+          break;
+        }
+      }
+    }
+    ASSERT_EQ(outcome.size(), model.outcomes().size()) << "seed " << seed;
+    for (std::size_t i = 0; i < outcome.size(); ++i) {
+      ASSERT_EQ(outcome[i], model.outcomes()[i]) << "seed " << seed << ", receive " << i;
+    }
+    const sim::MatchStats s = real.stats();
+    EXPECT_EQ(s.posted, model.postedCount()) << "seed " << seed;
+    EXPECT_EQ(s.unexpected, model.unexpectedCount()) << "seed " << seed;
+    // Each seed should actually exercise the matcher.
+    EXPECT_GT(outcome.size(), 100u) << "seed " << seed;
+  }
+}
+
+// --------------------------------------------------------------------------
 // O(1) cancellation: cancelling one of 10k posted receives must not scan
 // the other 9999 (counter-based, not timing-based)
 // --------------------------------------------------------------------------
@@ -287,13 +446,13 @@ TEST(MatcherComplexity, CancelOfOnePostedReceiveDoesNotScanTheRest) {
   for (int i = 0; i < kPosted; ++i) {
     reqs.push_back(w.tagRecv(buf.data(), 64, static_cast<ucx::Tag>(i), ucx::kFullMask, {}));
   }
-  ASSERT_EQ(w.postedCount(), static_cast<std::size_t>(kPosted));
+  ASSERT_EQ(w.matchStats().posted, static_cast<std::size_t>(kPosted));
 
-  const std::uint64_t steps_before = w.matchScanSteps();
+  const std::uint64_t steps_before = w.matchStats().scan_steps;
   EXPECT_TRUE(w.cancelRecv(reqs[kPosted / 2]));
-  const std::uint64_t delta = w.matchScanSteps() - steps_before;
+  const std::uint64_t delta = w.matchStats().scan_steps - steps_before;
   EXPECT_LE(delta, 1u) << "cancel scanned " << delta << " matcher nodes; must be O(1)";
-  EXPECT_EQ(w.postedCount(), static_cast<std::size_t>(kPosted - 1));
+  EXPECT_EQ(w.matchStats().posted, static_cast<std::size_t>(kPosted - 1));
 
   h.sys->engine.run();
   EXPECT_TRUE(reqs[kPosted / 2]->cancelled());
@@ -316,19 +475,19 @@ TEST(MatcherComplexity, ExactProbeDoesNotScanUnexpectedQueue) {
     h.ctx->tagSend(0, 1, src.data(), 64, static_cast<ucx::Tag>(i), {});
   }
   h.sys->engine.run();
-  ASSERT_EQ(w.unexpectedCount(), static_cast<std::size_t>(kMsgs));
+  ASSERT_EQ(w.matchStats().unexpected, static_cast<std::size_t>(kMsgs));
 
-  const std::uint64_t steps_before = w.matchScanSteps();
+  const std::uint64_t steps_before = w.matchStats().scan_steps;
   const auto info = w.probe(static_cast<ucx::Tag>(kMsgs - 1), ucx::kFullMask);
   ASSERT_TRUE(info.has_value());
   EXPECT_EQ(info->tag, static_cast<ucx::Tag>(kMsgs - 1));
   // O(1) expected: the probed chain holds exactly one message.
-  EXPECT_LE(w.matchScanSteps() - steps_before, 4u);
+  EXPECT_LE(w.matchStats().scan_steps - steps_before, 4u);
 }
 
 TEST(MatcherComplexity, WildcardProbeMissScansEveryUnexpectedMessage) {
   // Validates the counter itself: a wildcard probe that matches nothing
-  // must walk the whole arrival-order list, and matchScanSteps() must see it.
+  // must walk the whole arrival-order list, and scan_steps must see it.
   Harness h;
   ucx::Worker& w = h.ctx->worker(1);
   constexpr int kMsgs = 4096;
@@ -337,12 +496,12 @@ TEST(MatcherComplexity, WildcardProbeMissScansEveryUnexpectedMessage) {
     h.ctx->tagSend(0, 1, src.data(), 64, static_cast<ucx::Tag>(i), {});
   }
   h.sys->engine.run();
-  ASSERT_EQ(w.unexpectedCount(), static_cast<std::size_t>(kMsgs));
+  ASSERT_EQ(w.matchStats().unexpected, static_cast<std::size_t>(kMsgs));
 
-  const std::uint64_t steps_before = w.matchScanSteps();
+  const std::uint64_t steps_before = w.matchStats().scan_steps;
   // Tags 0..4095 all have bits 12-15 clear, so no message matches.
   EXPECT_FALSE(w.probe(ucx::Tag{0x1000}, ucx::Tag{0xF000}).has_value());
-  EXPECT_GE(w.matchScanSteps() - steps_before, static_cast<std::uint64_t>(kMsgs));
+  EXPECT_GE(w.matchStats().scan_steps - steps_before, static_cast<std::uint64_t>(kMsgs));
 }
 
 // --------------------------------------------------------------------------

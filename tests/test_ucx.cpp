@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -64,8 +65,8 @@ TEST(UcxMatching, MismatchedTagGoesUnexpected) {
   f.ctx->tagSend(0, 1, src.data(), 64, 0x2, {});
   f.sys->engine.run();
   EXPECT_FALSE(recv_done);
-  EXPECT_EQ(f.ctx->worker(1).unexpectedCount(), 1u);
-  EXPECT_EQ(f.ctx->worker(1).postedCount(), 1u);
+  EXPECT_EQ(f.ctx->worker(1).matchStats().unexpected, 1u);
+  EXPECT_EQ(f.ctx->worker(1).matchStats().posted, 1u);
   // A matching late receive picks the unexpected message up.
   f.ctx->worker(1).tagRecv(dst.data(), 64, 0x2, ucx::kFullMask,
                            [&](ucx::Request&) { recv_done = true; });
@@ -130,7 +131,7 @@ TEST(UcxMatching, CancelRemovesPostedRecv) {
   // run in the caller's stack.
   EXPECT_TRUE(req->cancelled());
   EXPECT_FALSE(cancelled);
-  EXPECT_EQ(f.ctx->worker(1).postedCount(), 0u);
+  EXPECT_EQ(f.ctx->worker(1).matchStats().posted, 0u);
   EXPECT_FALSE(f.ctx->worker(1).cancelRecv(req));
   f.sys->engine.run();
   EXPECT_TRUE(cancelled);
@@ -180,7 +181,7 @@ TEST(UcxMatching, CancelCallbackMayRepostWithoutReentry) {
                                       });
   EXPECT_TRUE(f.ctx->worker(1).cancelRecv(req));
   f.sys->engine.run();
-  EXPECT_EQ(f.ctx->worker(1).postedCount(), 1u);
+  EXPECT_EQ(f.ctx->worker(1).matchStats().posted, 1u);
   f.ctx->tagSend(0, 1, src.data(), 16, 0xA, {});
   f.sys->engine.run();
   EXPECT_TRUE(redelivered);
@@ -245,6 +246,31 @@ TEST(UcxMatching, ZeroByteMessages) {
   f.ctx->tagSend(0, 1, nullptr, 0, 0x3, {});
   f.sys->engine.run();
   EXPECT_TRUE(done);
+}
+
+// A message longer than its receive is refused when it matches, before any
+// byte moves, in every build type. The receive names a 16-byte window of a
+// larger zeroed buffer, so nothing outside the window may change either.
+TEST(UcxMatching, EagerTruncationThrowsBeforeAnyByteMoves) {
+  UcxFixture f;
+  auto src = pattern(64, 11);  // eager: below the 8 KiB host threshold
+  std::vector<std::byte> dst(256);
+  f.ctx->worker(1).tagRecv(dst.data(), 16, 0x5, ucx::kFullMask, {});
+  f.ctx->tagSend(0, 1, src.data(), src.size(), 0x5, {});
+  EXPECT_THROW(f.sys->engine.run(), std::length_error);
+  EXPECT_EQ(dst, std::vector<std::byte>(256));
+}
+
+TEST(UcxMatching, RendezvousTruncationThrowsBeforeAnyByteMoves) {
+  UcxFixture f;
+  auto src = pattern(64 << 10, 12);  // rendezvous: above the 8 KiB host threshold
+  std::vector<std::byte> dst(128 << 10);
+  f.ctx->tagSend(0, 1, src.data(), src.size(), 0x6, {});
+  f.sys->engine.run();  // the rendezvous request waits as unexpected
+  EXPECT_THROW(f.ctx->worker(1).tagRecv(dst.data(), 16 << 10, 0x6, ucx::kFullMask, {}),
+               std::length_error);
+  f.sys->engine.run();
+  EXPECT_EQ(dst, std::vector<std::byte>(128 << 10));
 }
 
 // --------------------------------------------------------------------------

@@ -537,7 +537,7 @@ int runMatch(const Args& a) {
   const int window = a.window, iters = a.iters;
   Table t(a, {"stack", "posted_hwm", "unexpected_hwm", "posted", "unexpected", "posted_buckets",
               "unexpected_buckets", "posted_max_chain", "unexpected_max_chain", "scan_steps"});
-  const auto matchRow = [&t](const char* stack, const ucx::Worker::MatchStats& s) {
+  const auto matchRow = [&t](const char* stack, const sim::MatchStats& s) {
     t.row({stack, s.posted_hwm, s.unexpected_hwm, s.posted, s.unexpected, s.posted_buckets,
            s.unexpected_buckets, s.posted_max_chain, s.unexpected_max_chain, s.scan_steps});
   };
