@@ -5,6 +5,8 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <stdexcept>
+#include <string>
 
 #include "ampi/ampi.hpp"
 #include "charm/pup.hpp"
@@ -401,7 +403,10 @@ AttemptOutcome runAttempt(const TrainConfig& cfg, Stack stack, int start_step, b
   if (cfg.setup) cfg.setup(sys);
   ucx::Context ctx(sys, m.ucx);
   ck::Runtime rt(sys, ctx, m);
-  assert(cfg.ranks >= 1 && cfg.ranks <= rt.numPes() && "one worker per PE");
+  if (cfg.ranks < 1 || cfg.ranks > rt.numPes()) {
+    throw std::invalid_argument("runTrain: " + std::to_string(cfg.ranks) + " ranks on " +
+                                std::to_string(rt.numPes()) + " PEs (one worker per PE)");
+  }
 
   Shared sh;
   sh.cfg = cfg;

@@ -167,6 +167,8 @@ struct TrainResult {
 };
 
 /// Builds a fresh simulated machine and runs the workload on `stack`.
+/// Throws std::invalid_argument, in every build type, unless 1 <= ranks <=
+/// the machine's PE count.
 [[nodiscard]] TrainResult runTrain(const TrainConfig& cfg, Stack stack);
 
 }  // namespace cux::train

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "apps/train/train.hpp"
 
 /// Data-parallel training workload: gradient correctness, backward/allreduce
@@ -97,6 +99,18 @@ TEST(Train, NonPowerOfTwoWorkerCount) {
   for (const auto s : {train::Stack::Ampi, train::Stack::Charm, train::Stack::Charm4py}) {
     const train::TrainResult res = train::runTrain(cfg, s);
     EXPECT_TRUE(res.verified) << train::name(s);
+  }
+}
+
+// One worker per PE: a rank count outside [1, numPes] is caller error and
+// throws in every build type (one node has 6 PEs).
+TEST(Train, RankCountOutsidePesThrows) {
+  train::TrainConfig cfg = smallConfig();
+  cfg.nodes = 1;
+  for (const int ranks : {0, 7, 13}) {
+    cfg.ranks = ranks;
+    EXPECT_THROW((void)train::runTrain(cfg, train::Stack::Ampi), std::invalid_argument)
+        << ranks << " ranks";
   }
 }
 

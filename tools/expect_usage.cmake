@@ -1,8 +1,8 @@
-# Runs gpucomm_sweep with arguments it must reject, and passes only when it
-# prints its usage text and exits 2 (not a hang, a crash or a printed
-# number).
+# Runs a command-line driver (gpucomm_sweep, ext_collectives, ext_train) with
+# arguments it must reject, and passes only when it prints its usage text and
+# exits 2 (not a hang, a crash or a printed number).
 #
-#   cmake -DBIN=<gpucomm_sweep> -DARGS="<space-separated arguments>" -P expect_usage.cmake
+#   cmake -DBIN=<binary> -DARGS="<space-separated arguments>" -P expect_usage.cmake
 
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 execute_process(COMMAND "${BIN}" ${args} RESULT_VARIABLE rc OUTPUT_VARIABLE out
