@@ -18,9 +18,7 @@ using namespace cux;
 namespace {
 
 [[noreturn]] void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--steps N] [--ranks N] [--nodes N]   (N >= 1, ranks <= 6 * nodes)\n",
-               argv0);
+  std::fprintf(stderr, "usage: %s [--steps N] [--ranks N] [--nodes N]   (N >= 1)\n", argv0);
   std::exit(2);
 }
 
