@@ -1,4 +1,4 @@
-# Runs a command-line driver (gpucomm_sweep, ext_collectives, ext_train) with
+# Runs a command-line program (gpucomm_sweep, ext_collectives, ext_train) with
 # arguments it must reject, and passes only when it prints its usage text and
 # exits 2 (not a hang, a crash or a printed number).
 #
