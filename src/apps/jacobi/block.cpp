@@ -1,7 +1,7 @@
 #include "apps/jacobi/block.hpp"
 
-#include <cassert>
 #include <cstring>
+#include <stdexcept>
 
 namespace cux::jacobi {
 
@@ -238,7 +238,7 @@ void BlockState::stageRecvFaces(int parity) {
 }
 
 void BlockState::extractInterior(std::vector<double>& out) const {
-  assert(backed);
+  if (!backed) throw std::invalid_argument("extractInterior: the block's memory is not backed");
   const auto* g = static_cast<const double*>(grid[cur]);
   const std::int64_t sx = dec.block.x + 2, sy = dec.block.y + 2;
   for (std::int64_t k = 0; k < dec.block.z; ++k) {

@@ -1,7 +1,8 @@
 #include "apps/jacobi/geometry.hpp"
 
-#include <cassert>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace cux::jacobi {
 
@@ -62,7 +63,9 @@ constexpr std::int64_t ceilDiv(std::int64_t a, std::int64_t b) noexcept {
 }  // namespace
 
 Decomposition decompose(Vec3 grid, int num_blocks) {
-  assert(num_blocks > 0);
+  if (num_blocks <= 0) {
+    throw std::invalid_argument("decompose: " + std::to_string(num_blocks) + " blocks");
+  }
   Decomposition best;
   best.grid = grid;
   std::uint64_t best_surface = std::numeric_limits<std::uint64_t>::max();

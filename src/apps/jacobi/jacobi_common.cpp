@@ -1,4 +1,4 @@
-#include <cassert>
+#include <stdexcept>
 
 #include "apps/jacobi/jacobi.hpp"
 
@@ -61,7 +61,9 @@ JacobiResult runJacobi(const JacobiConfig& cfg) {
 }
 
 std::vector<double> runJacobiVerified(const JacobiConfig& cfg) {
-  assert(cfg.backed && "verification requires backed device memory");
+  if (!cfg.backed) {
+    throw std::invalid_argument("runJacobiVerified: verification needs backed device memory");
+  }
   std::vector<double> out(
       static_cast<std::size_t>(cfg.grid.x) * cfg.grid.y * cfg.grid.z, 0.0);
   switch (cfg.stack) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 
 #include "ampi/ampi.hpp"
 #include "hw/cuda.hpp"
@@ -339,7 +340,9 @@ std::vector<Particle> referenceParticles(const ParticlesConfig& cfg, int px, int
 }
 
 std::vector<Particle> runParticlesVerified(const ParticlesConfig& cfg) {
-  assert(cfg.backed);
+  if (!cfg.backed) {
+    throw std::invalid_argument("runParticlesVerified: verification needs backed device memory");
+  }
   Instance inst(cfg);
   inst.run();
   std::vector<Particle> all;

@@ -468,7 +468,6 @@ AttemptOutcome runAttempt(const TrainConfig& cfg, Stack stack, int start_step, b
   switch (stack) {
     case Stack::Ampi: {
       ampi_world = std::make_unique<ampi::World>(rt, cfg.ranks);
-      ampi_world->setCollConfig(cfg.coll);
       ampi_world->run([&sh, &rank_ctx](ampi::Rank& r) -> sim::FutureTask {
         RankCtx* me = rank_ctx[static_cast<std::size_t>(r.rank())].get();
         return trainMain(r, [r](int) { return r; }, &sh, me);

@@ -14,15 +14,6 @@ std::vector<EntryDesc>& entryTable() {
 
 }  // namespace detail
 
-Callback::Callback(Runtime& rt, int pe, std::function<void()> fn)
-    : rt_(&rt), pe_(pe), fn_(std::make_shared<std::function<void()>>(std::move(fn))) {}
-
-void Callback::send() const {
-  if (!fn_ || !*fn_) return;
-  auto fn = fn_;
-  rt_->cmi().pe(pe_).exec(sim::usec(rt_->costs().callback_us), [fn] { (*fn)(); });
-}
-
 Runtime::Runtime(hw::System& sys, ucx::Context& ucx, const model::Model& model,
                  core::TagScheme tags)
     : sys_(sys),

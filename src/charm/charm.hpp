@@ -134,24 +134,6 @@ void setPostEntry() {
   };
 }
 
-/// CkCallback: a deferred invocation on a specific PE (paper Fig. 5 stores
-/// one inside CkDeviceBuffer to notify senders of completion).
-class Callback {
- public:
-  Callback() = default;
-  Callback(Runtime& rt, int pe, std::function<void()> fn);
-
-  /// Schedules the callback on its PE (CkCallback::send()).
-  void send() const;
-
-  [[nodiscard]] explicit operator bool() const noexcept { return static_cast<bool>(fn_); }
-
- private:
-  Runtime* rt_ = nullptr;
-  int pe_ = -1;
-  std::shared_ptr<std::function<void()>> fn_;
-};
-
 template <class T>
 class Proxy;
 

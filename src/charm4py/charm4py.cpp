@@ -110,10 +110,6 @@ void Charm4py::startOn(int pe, std::function<void()> fn) {
   rt_.startOn(pe, std::move(fn));
 }
 
-void Charm4py::chargePyCall(int pe) {
-  rt_.cmi().pe(pe).charge(sim::usec(rt_.costs().py_call_us));
-}
-
 void Charm4py::cudaDtoH(int pe, void* h_dst, const void* d_src, std::uint64_t n,
                         cuda::Stream& s) {
   // charm.lib shims are thin Cython wrappers over C++ (paper Fig. 8 caption):

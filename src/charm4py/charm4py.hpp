@@ -108,10 +108,6 @@ class Charm4py {
   void cudaHtoD(int pe, void* d_dst, const void* h_src, std::uint64_t n, cuda::Stream& s);
   [[nodiscard]] sim::Future<void> streamSynchronize(int pe, cuda::Stream& s);
 
-  /// Charges one Python-call overhead on `pe` (exposed for workload code
-  /// that models extra interpreter work).
-  void chargePyCall(int pe);
-
  private:
   friend class ChannelEnd;
   struct PerPeChare;

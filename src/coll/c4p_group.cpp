@@ -1,6 +1,6 @@
 #include "coll/c4p_group.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <memory>
 
 namespace cux::coll {
@@ -9,7 +9,6 @@ int C4pRank::size() const { return grp_->size(); }
 int C4pRank::pe() const { return grp_->peOf(rank_); }
 hw::System& C4pRank::system() const { return grp_->py_.system(); }
 bool C4pRank::aborted() const { return grp_->aborted_; }
-bool C4pRank::dead() const { return grp_->memberDead(rank_); }
 
 C4pReq C4pRank::isend(const void* buf, std::uint64_t bytes, int dst, int tag) {
   (void)tag;  // channels match by FIFO order, not tags
@@ -50,7 +49,6 @@ C4pGroup::C4pGroup(c4p::Charm4py& py, std::vector<int> pes, int lanes)
       }
     }
   }
-  member_dead_.assign(n, 0);
   failure_sub_ = py_.runtime().cmi().ucx().onPeerFailure(
       [this](int pe, sim::TimePoint) { onPeFailed(pe); });
 }
@@ -59,28 +57,9 @@ C4pGroup::~C4pGroup() { py_.runtime().cmi().ucx().removePeerFailureSub(failure_s
 
 void C4pGroup::onPeFailed(int pe) {
   // Channel-level drain (failing waiting receives, orphaning envelopes)
-  // already happened in the Charm4py subscriber; here the group only tracks
-  // membership so the coll:: templates see the abort.
-  for (std::size_t r = 0; r < pes_.size(); ++r) {
-    if (pes_[r] == pe) {
-      member_dead_[r] = 1;
-      aborted_ = true;
-    }
-  }
-}
-
-std::vector<int> C4pGroup::survivors() const {
-  std::vector<int> out;
-  out.reserve(pes_.size());
-  for (std::size_t r = 0; r < pes_.size(); ++r) {
-    if (member_dead_[r] == 0) out.push_back(pes_[r]);
-  }
-  return out;
-}
-
-std::unique_ptr<C4pGroup> C4pGroup::shrink() const {
-  py_.system().obs.registry.addCounter("c4p.shrink_events", 1);
-  return std::make_unique<C4pGroup>(py_, survivors(), lanes_);
+  // already happened in the Charm4py subscriber; here the group only notes
+  // that a member died, so the coll:: templates see the abort.
+  if (std::find(pes_.begin(), pes_.end(), pe) != pes_.end()) aborted_ = true;
 }
 
 }  // namespace cux::coll

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "charm4py/charm4py.hpp"
@@ -59,10 +58,8 @@ class C4pRank {
   /// failure detector declared any group member dead. Channels touching the
   /// dead PE drain at the c4p layer (send/recv complete immediately);
   /// live-live channels keep working, so in-flight rings drain end to end.
-  /// Survivors rebuild via C4pGroup::shrink().
+  /// The caller recovers by restarting from a checkpoint.
   [[nodiscard]] bool aborted() const;
-  /// True when this member's own PE is the dead one.
-  [[nodiscard]] bool dead() const;
 
  private:
   C4pGroup* grp_ = nullptr;
@@ -90,17 +87,6 @@ class C4pGroup {
 
   /// True once the failure detector declared any member PE dead.
   [[nodiscard]] bool aborted() const noexcept { return aborted_; }
-  [[nodiscard]] bool memberDead(int rank) const {
-    return member_dead_[static_cast<std::size_t>(rank)] != 0;
-  }
-  /// Member PEs the detector has not declared dead, in group-rank order.
-  [[nodiscard]] std::vector<int> survivors() const;
-  /// ULFM MPI_Comm_shrink analogue: a fresh group (same lane count) over the
-  /// surviving PEs. The detector announcement is globally consistent, so
-  /// every survivor derives the identical member list — no agreement round
-  /// (contrast ampi::CommRank::shrink()). The dead channels of the old mesh
-  /// stay drained at the c4p layer.
-  [[nodiscard]] std::unique_ptr<C4pGroup> shrink() const;
 
  private:
   friend class C4pRank;
@@ -115,7 +101,6 @@ class C4pGroup {
   std::vector<int> pes_;
   int lanes_ = 1;
   std::vector<std::vector<c4p::ChannelEnd*>> ends_;  // [lane][me*n + peer]
-  std::vector<char> member_dead_;
   bool aborted_ = false;
   int failure_sub_ = 0;  ///< detector subscription (dtor deregisters)
 };

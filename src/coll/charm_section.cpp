@@ -1,5 +1,6 @@
 #include "coll/charm_section.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <memory>
 #include <utility>
@@ -103,7 +104,6 @@ int SectionRank::size() const { return sec_->size(); }
 int SectionRank::pe() const { return sec_->peOf(rank_); }
 hw::System& SectionRank::system() const { return sec_->rt_.system(); }
 bool SectionRank::aborted() const { return sec_->aborted_; }
-bool SectionRank::dead() const { return sec_->memberDead(rank_); }
 
 SectionReq SectionRank::isend(const void* buf, std::uint64_t bytes, int dst, int tag) {
   sim::Promise<void> sent;
@@ -172,7 +172,6 @@ CharmSection::CharmSection(ck::Runtime& rt, std::vector<int> pes)
     proxy.local()->owner_ = this;
     boxes_.push_back(proxy);
   }
-  member_dead_.assign(pes_.size(), 0);
   failure_sub_ =
       rt_.cmi().ucx().onPeerFailure([this](int pe, sim::TimePoint) { onPeFailed(pe); });
 }
@@ -180,14 +179,7 @@ CharmSection::CharmSection(ck::Runtime& rt, std::vector<int> pes)
 CharmSection::~CharmSection() { rt_.cmi().ucx().removePeerFailureSub(failure_sub_); }
 
 void CharmSection::onPeFailed(int pe) {
-  bool member = false;
-  for (std::size_t r = 0; r < pes_.size(); ++r) {
-    if (pes_[r] == pe) {
-      member_dead_[r] = 1;
-      member = true;
-    }
-  }
-  if (!member) return;
+  if (aborted_ || std::find(pes_.begin(), pes_.end(), pe) == pes_.end()) return;
   aborted_ = true;
   hw::System& sys = rt_.system();
   std::uint64_t failed_recvs = 0;
@@ -218,20 +210,6 @@ void CharmSection::onPeFailed(int pe) {
   }
   if (failed_recvs != 0) sys.obs.registry.addCounter("section.aborted_recvs", failed_recvs);
   if (orphaned != 0) sys.obs.registry.addCounter("section.orphaned_chunks", orphaned);
-}
-
-std::vector<int> CharmSection::survivors() const {
-  std::vector<int> out;
-  out.reserve(pes_.size());
-  for (std::size_t r = 0; r < pes_.size(); ++r) {
-    if (member_dead_[r] == 0) out.push_back(pes_[r]);
-  }
-  return out;
-}
-
-std::unique_ptr<CharmSection> CharmSection::shrink() const {
-  rt_.system().obs.registry.addCounter("section.shrink_events", 1);
-  return std::make_unique<CharmSection>(rt_, survivors());
 }
 
 }  // namespace cux::coll

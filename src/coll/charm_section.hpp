@@ -93,11 +93,9 @@ class SectionRank {
   /// ULFM-ish abort surface consumed by the coll:: templates: true once the
   /// failure detector declared any section member dead. Subsequent
   /// isend/irecv complete immediately without touching the wire, so
-  /// collectives over the section drain structurally instead of hanging;
-  /// survivors rebuild via CharmSection::shrink().
+  /// collectives over the section drain structurally instead of hanging,
+  /// and the caller recovers by restarting from a checkpoint.
   [[nodiscard]] bool aborted() const;
-  /// True when this member's own PE is the dead one.
-  [[nodiscard]] bool dead() const;
   [[nodiscard]] sim::Future<void> send(const void* buf, std::uint64_t bytes, int dst, int tag) {
     return isend(buf, bytes, dst, tag).f;
   }
@@ -133,30 +131,18 @@ class CharmSection {
   /// point every member's isend/irecv completes immediately (no wire
   /// traffic) and posted receives have been failed — collectives drain.
   [[nodiscard]] bool aborted() const noexcept { return aborted_; }
-  [[nodiscard]] bool memberDead(int rank) const {
-    return member_dead_[static_cast<std::size_t>(rank)] != 0;
-  }
-  /// Member PEs the detector has not declared dead, in section-rank order.
-  [[nodiscard]] std::vector<int> survivors() const;
-  /// ULFM MPI_Comm_shrink analogue: a fresh section over the surviving PEs.
-  /// The detector announcement is globally consistent in the model (one
-  /// engine event), so — unlike ampi::CommRank::shrink(), which runs a
-  /// message-based gather/scatter agreement — rebuilding needs no extra
-  /// round: every survivor derives the identical member list.
-  [[nodiscard]] std::unique_ptr<CharmSection> shrink() const;
 
  private:
   friend class SectionMailbox;
   friend class SectionRank;
 
-  /// Detector announcement: marks dead members, flips aborted_, fails every
-  /// still-unmatched posted receive and frees unexpected staged chunks.
+  /// Detector announcement: when `pe` hosts a member, flips aborted_, fails
+  /// every still-unmatched posted receive and frees unexpected staged chunks.
   void onPeFailed(int pe);
 
   ck::Runtime& rt_;
   std::vector<int> pes_;
   std::vector<ck::Proxy<SectionMailbox>> boxes_;
-  std::vector<char> member_dead_;
   bool aborted_ = false;
   int failure_sub_ = 0;  ///< detector subscription (dtor deregisters)
 };

@@ -17,19 +17,22 @@
 /// communication of GPU data, using this work as the basis to translate
 /// collective communication primitives to point-to-point calls", Sec. VI).
 ///
-/// Two families of algorithms live here, runtime-selectable per call:
+/// Two primitives live here, allreduce and bcast: the only collectives the
+/// workloads that use collectives (ext_collectives and ChainerMN-style data
+/// parallel training) call. Two families of algorithms implement them,
+/// runtime-selectable per call:
 ///
 ///  * `CollImpl::Reference` — the classical whole-message algorithms
-///    (binomial broadcast/reduce, recursive-doubling allreduce, ring
-///    allgather, pairwise alltoall). Retained verbatim as the cross-check
-///    oracle for the pipelined algorithms.
+///    (binomial broadcast, recursive-doubling allreduce). Retained verbatim
+///    as the cross-check oracle for the pipelined algorithms.
 ///  * `CollImpl::Ring` / `CollImpl::Tree` — chunked, *pipelined* algorithms:
 ///    messages are split into segments sized by `CollConfig::chunk_bytes`
 ///    and segment k+1's transfer overlaps segment k's modelled reduction
 ///    kernel (or its store-and-forward hop), the ChainerMN/Horovod shape.
-///    Ring allreduce is reduce-scatter + allgather and bandwidth-optimal at
-///    large sizes; the pipelined binomial tree wins at small sizes — the
-///    crossover is measured in bench/ext_collectives.cpp.
+///    Ring allreduce is reduce-scatter + all-gather and bandwidth-optimal at
+///    large sizes; the tree allreduce (pipelined binomial reduce, then
+///    pipelined binomial broadcast) wins at small sizes — the crossover is
+///    measured in bench/ext_collectives.cpp.
 ///
 /// `CollImpl::Auto` picks Ring at/above `CollConfig::ring_threshold` bytes
 /// and Tree below it.
@@ -42,22 +45,21 @@
 /// "coll.<op>") with a CollChunk phase per pipelined segment and a
 /// CollReduce phase per reduction-kernel launch.
 ///
-/// The templates accept any rank type exposing the shared MPI-ish surface —
-/// ampi::Rank, ampi::CommRank, ompi::Rank, coll::SectionRank (Charm++ array
-/// sections) and coll::C4pRank (Charm4py) all qualify.
+/// The templates accept any rank type exposing the shared MPI-ish
+/// point-to-point surface — ampi::Rank, ompi::Rank, coll::SectionRank
+/// (Charm++ array sections) and coll::C4pRank (Charm4py) all qualify.
 ///
 /// Tag-space discipline: collectives use tags at/above kCollTagBase; a
 /// single call consumes tags in [tag, tag + kCollTagStride). Sequential
 /// collectives may share one base tag (MPI's ordered semantics); concurrent
 /// collectives on the same peer set must space their base tags by
-/// kCollTagStride (see collTag()). AMPI's own internal tags live above
-/// 1 << 30 and never collide.
+/// kCollTagStride (see collTag()).
 
 namespace cux::coll {
 
 enum class Op : std::uint8_t { Sum, Max, Min };
 
-/// Algorithm selection, per call or per stack default.
+/// Algorithm selection, per call.
 enum class CollImpl : std::uint8_t { Auto, Ring, Tree, Reference };
 
 [[nodiscard]] const char* name(CollImpl impl);
@@ -283,36 +285,6 @@ sim::FutureTask bcast(RankT& r, void* buf, std::uint64_t bytes, int root,
   co_await r.waitAll(sends);
 }
 
-/// Binomial-tree reduce of `count` doubles into `recvbuf` on `root`.
-template <class RankT>
-sim::FutureTask reduce(RankT& r, const void* sendbuf, void* recvbuf, std::uint64_t count,
-                       Op op, int root, int tag = kCollTagBase) {
-  const int n = r.size();
-  const int me = (r.rank() - root + n) % n;
-  const std::uint64_t bytes = count * 8;
-  hw::System& sys = r.system();
-  cuda::Stream stream(sys, r.pe());
-
-  // Accumulator: root accumulates into recvbuf; others into scratch.
-  detail::Scratch acc(sys, r.pe(), bytes);
-  void* accp = me == 0 ? recvbuf : acc.get();
-  cuda::moveBytes(sys, accp, sendbuf, bytes);
-
-  detail::Scratch incoming(sys, r.pe(), bytes);
-  for (int mask = 1; mask < n; mask <<= 1) {
-    if (me & mask) {
-      const int parent = (me - mask + root) % n;
-      co_await r.send(accp, bytes, parent, tag);
-      co_return;
-    }
-    if (me + mask < n) {
-      const int child = (me + mask + root) % n;
-      co_await r.recv(incoming.get(), bytes, child, tag);
-      co_await detail::combineKernel(r, stream, accp, incoming.get(), count, op);
-    }
-  }
-}
-
 /// Recursive-doubling allreduce on the largest power-of-two subset, with
 /// remainder ranks folded in and out.
 template <class RankT>
@@ -357,73 +329,6 @@ sim::FutureTask allreduce(RankT& r, const void* sendbuf, void* recvbuf, std::uin
   }
 }
 
-/// Ring allgather: whole blocks, P-1 steps.
-template <class RankT>
-sim::FutureTask allgather(RankT& r, const void* sendbuf, void* recvbuf, std::uint64_t bytes,
-                          int tag = kCollTagBase) {
-  const int n = r.size();
-  const int me = r.rank();
-  hw::System& sys = r.system();
-  auto* out = static_cast<std::byte*>(recvbuf);
-  cuda::moveBytes(sys, out + static_cast<std::uint64_t>(me) * bytes, sendbuf, bytes);
-
-  const int right = (me + 1) % n;
-  const int left = (me - 1 + n) % n;
-  for (int step = 0; step < n - 1; ++step) {
-    const int send_block = (me - step + n) % n;
-    const int recv_block = (me - step - 1 + n) % n;
-    auto s = r.isend(out + static_cast<std::uint64_t>(send_block) * bytes, bytes, right, tag);
-    co_await r.recv(out + static_cast<std::uint64_t>(recv_block) * bytes, bytes, left, tag);
-    co_await r.wait(s);
-  }
-}
-
-/// Pairwise-exchange alltoall: whole blocks, shift schedule.
-template <class RankT>
-sim::FutureTask alltoall(RankT& r, const void* sendbuf, void* recvbuf, std::uint64_t bytes,
-                         int tag = kCollTagBase) {
-  const int n = r.size();
-  const int me = r.rank();
-  hw::System& sys = r.system();
-  const auto* in = static_cast<const std::byte*>(sendbuf);
-  auto* out = static_cast<std::byte*>(recvbuf);
-  cuda::moveBytes(sys, out + static_cast<std::uint64_t>(me) * bytes,
-                  in + static_cast<std::uint64_t>(me) * bytes, bytes);
-  // Shift exchange: at step s every rank sends to (me+s) and receives from
-  // (me-s) — uniform for any rank count.
-  for (int step = 1; step < n; ++step) {
-    const int to = (me + step) % n;
-    const int from = (me - step + n) % n;
-    auto s = r.isend(in + static_cast<std::uint64_t>(to) * bytes, bytes, to, tag + step);
-    co_await r.recv(out + static_cast<std::uint64_t>(from) * bytes, bytes, from, tag + step);
-    co_await r.wait(s);
-  }
-}
-
-/// Reduce-scatter (block variant): reduce to rank 0 then scatter — the
-/// naive oracle for the ring formulation.
-template <class RankT>
-sim::FutureTask reduceScatter(RankT& r, const void* sendbuf, void* recvbuf,
-                              std::uint64_t count_each, Op op, int tag = kCollTagBase) {
-  const int n = r.size();
-  hw::System& sys = r.system();
-  detail::Scratch full(sys, r.pe(), static_cast<std::uint64_t>(n) * count_each * 8);
-  co_await reference::reduce(r, sendbuf, full.get(), static_cast<std::uint64_t>(n) * count_each,
-                             op, 0, tag);
-  // Scatter block i of the root's reduction to rank i.
-  if (r.rank() == 0) {
-    cuda::moveBytes(sys, recvbuf, full.get(), count_each * 8);
-    std::vector<decltype(r.isend(sendbuf, std::uint64_t{0}, 0, 0))> sends;
-    for (int i = 1; i < n; ++i) {
-      sends.push_back(r.isend(full.bytes() + static_cast<std::uint64_t>(i) * count_each * 8,
-                              count_each * 8, i, tag + 1));
-    }
-    co_await r.waitAll(sends);
-  } else {
-    co_await r.recv(recvbuf, count_each * 8, 0, tag + 1);
-  }
-}
-
 }  // namespace reference
 
 // ---------------------------------------------------------------------------
@@ -432,7 +337,7 @@ sim::FutureTask reduceScatter(RankT& r, const void* sendbuf, void* recvbuf,
 
 namespace detail {
 
-/// Ring allreduce: reduce-scatter (n-1 steps) + allgather (n-1 steps) over n
+/// Ring allreduce: reduce-scatter (n-1 steps) + all-gather (n-1 steps) over n
 /// near-equal blocks, each block pipelined in fixed chunk slots so chunk
 /// k+1's transfer overlaps chunk k's reduction kernel. Bandwidth-optimal:
 /// each rank moves 2(n-1)/n of the payload.
@@ -489,7 +394,7 @@ sim::FutureTask allreduceRing(RankT& r, const void* sendbuf, void* recvbuf, std:
   }
   for (auto& f : kdone) co_await f;
 
-  // --- allgather phase: rank me now owns block (me+1) fully reduced --------
+  // --- all-gather phase: rank me now owns block (me+1) fully reduced -------
   std::vector<sim::Future<void>> got;  // per-chunk receive completions of last step
   for (int step = 0; step < n - 1; ++step) {
     const int sb = (me + 1 - step + 2 * n) % n;
@@ -642,132 +547,6 @@ sim::FutureTask bcastRing(RankT& r, void* buf, std::uint64_t bytes, int root, in
   co_await r.waitAll(sends);
 }
 
-/// Chunked ring allgather: blocks travel as chunks, and a chunk is forwarded
-/// to the next rank as soon as it lands (store-and-forward pipelining).
-template <class RankT>
-sim::FutureTask allgatherRing(RankT& r, const void* sendbuf, void* recvbuf, std::uint64_t bytes,
-                              int tag, CollConfig cfg, CollSpan* sp) {
-  const int n = r.size();
-  const int me = r.rank();
-  hw::System& sys = r.system();
-  auto* out = static_cast<std::byte*>(recvbuf);
-  cuda::moveBytes(sys, out + static_cast<std::uint64_t>(me) * bytes, sendbuf, bytes);
-  if (n == 1 || bytes == 0) co_return;
-
-  const int C = chunksFor(bytes, cfg);
-  const std::uint64_t slot = (bytes + static_cast<std::uint64_t>(C) - 1) / C;
-  const int right = (me + 1) % n;
-  const int left = (me - 1 + n) % n;
-  std::vector<decltype(r.isend(sendbuf, std::uint64_t{0}, 0, 0))> sends;
-  std::vector<sim::Future<void>> got;
-  for (int step = 0; step < n - 1; ++step) {
-    const std::uint64_t sb = static_cast<std::uint64_t>((me - step + n) % n) * bytes;
-    const std::uint64_t rb = static_cast<std::uint64_t>((me - step - 1 + n) % n) * bytes;
-    std::vector<sim::Future<void>> gnext(static_cast<std::size_t>(C), readyFuture());
-    for (int c = 0; c < C; ++c) {
-      if (step > 0) co_await got[static_cast<std::size_t>(c)];
-      const Range rng = slotRange(bytes, slot, c);
-      if (rng.cnt == 0) continue;
-      sp->chunk(rng.cnt);
-      sends.push_back(r.isend(out + sb + rng.off, rng.cnt, right, tagFor(tag, step, c)));
-      gnext[static_cast<std::size_t>(c)] =
-          r.recv(out + rb + rng.off, rng.cnt, left, tagFor(tag, step, c));
-    }
-    got = std::move(gnext);
-  }
-  for (auto& f : got) co_await f;
-  co_await r.waitAll(sends);
-}
-
-/// Chunked pairwise alltoall: the shift schedule of the reference algorithm
-/// with per-chunk tags, so large blocks interleave on the wire instead of
-/// serialising per step.
-template <class RankT>
-sim::FutureTask alltoallChunked(RankT& r, const void* sendbuf, void* recvbuf,
-                                std::uint64_t bytes, int tag, CollConfig cfg, CollSpan* sp) {
-  const int n = r.size();
-  const int me = r.rank();
-  hw::System& sys = r.system();
-  const auto* in = static_cast<const std::byte*>(sendbuf);
-  auto* out = static_cast<std::byte*>(recvbuf);
-  cuda::moveBytes(sys, out + static_cast<std::uint64_t>(me) * bytes,
-                  in + static_cast<std::uint64_t>(me) * bytes, bytes);
-  if (n == 1 || bytes == 0) co_return;
-
-  const int C = chunksFor(bytes, cfg);
-  const std::uint64_t slot = (bytes + static_cast<std::uint64_t>(C) - 1) / C;
-  std::vector<decltype(r.isend(sendbuf, std::uint64_t{0}, 0, 0))> sends;
-  for (int step = 1; step < n; ++step) {
-    const int to = (me + step) % n;
-    const int from = (me - step + n) % n;
-    const std::uint64_t so = static_cast<std::uint64_t>(to) * bytes;
-    const std::uint64_t ro = static_cast<std::uint64_t>(from) * bytes;
-    std::vector<sim::Future<void>> recvs;
-    for (int c = 0; c < C; ++c) {
-      const Range rng = slotRange(bytes, slot, c);
-      if (rng.cnt == 0) continue;
-      sp->chunk(rng.cnt);
-      sends.push_back(r.isend(in + so + rng.off, rng.cnt, to, tagFor(tag, step, c)));
-      recvs.push_back(r.recv(out + ro + rng.off, rng.cnt, from, tagFor(tag, step, c)));
-    }
-    // Bound the outstanding window to one step's chunks.
-    for (auto& f : recvs) co_await f;
-  }
-  co_await r.waitAll(sends);
-}
-
-/// Ring reduce-scatter (block variant): the reduce-scatter phase of the ring
-/// allreduce, scheduled so rank me ends up owning block me.
-template <class RankT>
-sim::FutureTask reduceScatterRing(RankT& r, const void* sendbuf, void* recvbuf,
-                                  std::uint64_t count_each, Op op, int tag, CollConfig cfg,
-                                  CollSpan* sp) {
-  const int n = r.size();
-  const int me = r.rank();
-  hw::System& sys = r.system();
-  if (n == 1 || count_each == 0) {
-    if (recvbuf != sendbuf) cuda::moveBytes(sys, recvbuf, sendbuf, count_each * 8);
-    co_return;
-  }
-  cuda::Stream stream(sys, r.pe());
-  Scratch acc(sys, r.pe(), static_cast<std::uint64_t>(n) * count_each * 8);
-  cuda::moveBytes(sys, acc.get(), sendbuf, static_cast<std::uint64_t>(n) * count_each * 8);
-
-  const int C = chunksFor(count_each * 8, cfg);
-  const std::uint64_t slot = (count_each + static_cast<std::uint64_t>(C) - 1) / C;
-  Scratch scratch(sys, r.pe(), slot * static_cast<std::uint64_t>(C) * 8);
-
-  const int right = (me + 1) % n;
-  const int left = (me - 1 + n) % n;
-  std::vector<decltype(r.isend(sendbuf, std::uint64_t{0}, 0, 0))> sends;
-  std::vector<sim::Future<void>> kdone;
-  for (int step = 0; step < n - 1; ++step) {
-    // s_0 = me-1 so the final combined block (recv block of the last step)
-    // is block me.
-    const std::uint64_t sb = static_cast<std::uint64_t>((me - 1 - step + 2 * n) % n);
-    const std::uint64_t rb = static_cast<std::uint64_t>((me - 2 - step + 2 * n) % n);
-    std::vector<sim::Future<void>> knext(static_cast<std::size_t>(C), readyFuture());
-    for (int c = 0; c < C; ++c) {
-      if (step > 0) co_await kdone[static_cast<std::size_t>(c)];
-      const Range rng = slotRange(count_each, slot, c);
-      if (rng.cnt == 0) continue;
-      sp->chunk(rng.cnt * 8);
-      sends.push_back(r.isend(acc.bytes() + (sb * count_each + rng.off) * 8, rng.cnt * 8, right,
-                              tagFor(tag, step, c)));
-      std::byte* stage = scratch.bytes() + static_cast<std::uint64_t>(c) * slot * 8;
-      co_await r.recv(stage, rng.cnt * 8, left, tagFor(tag, step, c));
-      sp->reduce(rng.cnt * 8);
-      knext[static_cast<std::size_t>(c)] = combineKernel(
-          r, stream, acc.bytes() + (rb * count_each + rng.off) * 8, stage, rng.cnt, op);
-    }
-    kdone = std::move(knext);
-  }
-  for (auto& f : kdone) co_await f;
-  cuda::moveBytes(sys, recvbuf, acc.bytes() + static_cast<std::uint64_t>(me) * count_each * 8,
-                  count_each * 8);
-  co_await r.waitAll(sends);
-}
-
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
@@ -793,21 +572,6 @@ sim::FutureTask bcast(RankT& r, void* buf, std::uint64_t bytes, int root,
   detail::noteAbortIfAny(r, sp);
 }
 
-/// Reduce `count` doubles from `sendbuf` into `recvbuf` on `root`.
-template <class RankT>
-sim::FutureTask reduce(RankT& r, const void* sendbuf, void* recvbuf, std::uint64_t count,
-                       Op op, int root, int tag = kCollTagBase, CollConfig cfg = {}) {
-  detail::CollSpan sp(r.system(), r.pe(), count * 8, "coll.reduce");
-  if (detail::resolve(cfg, count * 8) == CollImpl::Reference) {
-    co_await reference::reduce(r, sendbuf, recvbuf, count, op, root, tag);
-  } else {
-    // Ring and Tree both map to the pipelined binomial tree (a ring reduce
-    // without the scatter has no bandwidth advantage).
-    co_await detail::reduceTree(r, sendbuf, recvbuf, count, op, root, tag, cfg, &sp);
-  }
-  detail::noteAbortIfAny(r, sp);
-}
-
 /// Allreduce over doubles.
 template <class RankT>
 sim::FutureTask allreduce(RankT& r, const void* sendbuf, void* recvbuf, std::uint64_t count,
@@ -826,92 +590,6 @@ sim::FutureTask allreduce(RankT& r, const void* sendbuf, void* recvbuf, std::uin
       co_await detail::bcastTree(r, recvbuf, count * 8, 0, tag + kChunkSlots * kChunkSlots,
                                  cfg, &sp);
       break;
-  }
-  detail::noteAbortIfAny(r, sp);
-}
-
-/// Reduce-scatter (block variant): `sendbuf` holds size()*count_each
-/// doubles; rank i receives the reduction of everyone's block i
-/// (count_each doubles) in `recvbuf`.
-template <class RankT>
-sim::FutureTask reduceScatter(RankT& r, const void* sendbuf, void* recvbuf,
-                              std::uint64_t count_each, Op op, int tag = kCollTagBase,
-                              CollConfig cfg = {}) {
-  detail::CollSpan sp(r.system(), r.pe(), count_each * 8, "coll.reduce_scatter");
-  if (detail::resolve(cfg, count_each * 8) == CollImpl::Reference) {
-    co_await reference::reduceScatter(r, sendbuf, recvbuf, count_each, op, tag);
-  } else {
-    co_await detail::reduceScatterRing(r, sendbuf, recvbuf, count_each, op, tag, cfg, &sp);
-  }
-  detail::noteAbortIfAny(r, sp);
-}
-
-/// Allgather: each rank contributes `bytes` at `sendbuf`; `recvbuf` receives
-/// size()*bytes, rank i's block at offset i*bytes.
-template <class RankT>
-sim::FutureTask allgather(RankT& r, const void* sendbuf, void* recvbuf, std::uint64_t bytes,
-                          int tag = kCollTagBase, CollConfig cfg = {}) {
-  detail::CollSpan sp(r.system(), r.pe(), bytes, "coll.allgather");
-  if (detail::resolve(cfg, bytes) == CollImpl::Reference) {
-    co_await reference::allgather(r, sendbuf, recvbuf, bytes, tag);
-  } else {
-    co_await detail::allgatherRing(r, sendbuf, recvbuf, bytes, tag, cfg, &sp);
-  }
-  detail::noteAbortIfAny(r, sp);
-}
-
-/// Alltoall: rank i sends its j-th block to rank j.
-template <class RankT>
-sim::FutureTask alltoall(RankT& r, const void* sendbuf, void* recvbuf, std::uint64_t bytes,
-                         int tag = kCollTagBase, CollConfig cfg = {}) {
-  detail::CollSpan sp(r.system(), r.pe(), bytes, "coll.alltoall");
-  if (detail::resolve(cfg, bytes) == CollImpl::Reference) {
-    co_await reference::alltoall(r, sendbuf, recvbuf, bytes, tag);
-  } else {
-    co_await detail::alltoallChunked(r, sendbuf, recvbuf, bytes, tag, cfg, &sp);
-  }
-  detail::noteAbortIfAny(r, sp);
-}
-
-/// Gather to root: rank i's `bytes` land at offset i*bytes of root's recvbuf.
-/// (Linear; no pipelined variant — the root's in-degree dominates.)
-template <class RankT>
-sim::FutureTask gather(RankT& r, const void* sendbuf, void* recvbuf, std::uint64_t bytes,
-                       int root, int tag = kCollTagBase) {
-  detail::CollSpan sp(r.system(), r.pe(), bytes, "coll.gather");
-  const int n = r.size();
-  if (r.rank() == root) {
-    auto* out = static_cast<std::byte*>(recvbuf);
-    cuda::moveBytes(r.system(), out + static_cast<std::uint64_t>(root) * bytes, sendbuf, bytes);
-    std::vector<decltype(r.irecv(recvbuf, bytes, 0, 0))> reqs;
-    for (int i = 0; i < n; ++i) {
-      if (i == root) continue;
-      reqs.push_back(r.irecv(out + static_cast<std::uint64_t>(i) * bytes, bytes, i, tag));
-    }
-    co_await r.waitAll(reqs);
-  } else {
-    co_await r.send(sendbuf, bytes, root, tag);
-  }
-  detail::noteAbortIfAny(r, sp);
-}
-
-/// Scatter from root: block i of root's sendbuf lands in rank i's recvbuf.
-template <class RankT>
-sim::FutureTask scatter(RankT& r, const void* sendbuf, void* recvbuf, std::uint64_t bytes,
-                        int root, int tag = kCollTagBase) {
-  detail::CollSpan sp(r.system(), r.pe(), bytes, "coll.scatter");
-  const int n = r.size();
-  if (r.rank() == root) {
-    const auto* in = static_cast<const std::byte*>(sendbuf);
-    cuda::moveBytes(r.system(), recvbuf, in + static_cast<std::uint64_t>(root) * bytes, bytes);
-    std::vector<decltype(r.isend(sendbuf, bytes, 0, 0))> reqs;
-    for (int i = 0; i < n; ++i) {
-      if (i == root) continue;
-      reqs.push_back(r.isend(in + static_cast<std::uint64_t>(i) * bytes, bytes, i, tag));
-    }
-    co_await r.waitAll(reqs);
-  } else {
-    co_await r.recv(recvbuf, bytes, root, tag);
   }
   detail::noteAbortIfAny(r, sp);
 }

@@ -32,15 +32,6 @@ void HostBuffer::release() noexcept {
   backing_.reset();
 }
 
-MemcpyKind inferKind(hw::System& sys, const void* dst, const void* src) {
-  const bool d_dev = sys.memory.isDevice(dst);
-  const bool s_dev = sys.memory.isDevice(src);
-  if (d_dev && s_dev) return MemcpyKind::DeviceToDevice;
-  if (d_dev) return MemcpyKind::HostToDevice;
-  if (s_dev) return MemcpyKind::DeviceToHost;
-  return MemcpyKind::HostToHost;
-}
-
 void moveBytes(hw::System& sys, void* dst, const void* src, std::size_t bytes) {
   if (bytes == 0 || dst == src) return;
   if (!sys.memory.dereferenceable(dst) || !sys.memory.dereferenceable(src)) return;

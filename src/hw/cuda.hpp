@@ -158,9 +158,6 @@ class Stream {
   bool busy_ = false;
 };
 
-/// Classifies a (dst, src) pointer pair the way cudaMemcpyDefault would.
-MemcpyKind inferKind(hw::System& sys, const void* dst, const void* src);
-
 /// Performs the byte movement for a completed copy if both ends are
 /// dereferenceable. Every copy into memory the caller did not just allocate
 /// goes through it (CUDA copies, UCX eager/rendezvous receive completion, the

@@ -270,14 +270,4 @@ void Machine::attachUtil(UtilRecorder& u) {
   }
 }
 
-void Machine::detachUtil() {
-  for (Link& l : links_) l.attachUtil(nullptr, -1);
-  for (Resource& r : compute_) r.attachUtil(nullptr, -1);
-}
-
-void Machine::resetOccupancy() {
-  for (Link& l : links_) l.reset();
-  for (Resource& r : compute_) r.reset();
-}
-
 }  // namespace cux::hw

@@ -62,8 +62,6 @@ class Link {
   [[nodiscard]] const LinkParams& params() const noexcept { return params_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
-  void reset() noexcept { free_ = 0; }
-
  private:
   std::string name_;
   LinkParams params_;
@@ -135,7 +133,6 @@ class Resource {
     util_ = u;
     util_id_ = id;
   }
-  void reset() noexcept { free_ = 0; }
 
  private:
   sim::TimePoint free_ = 0;
@@ -244,10 +241,6 @@ class Machine {
   /// link layout: NVLink bricks, X-Bus, NIC rails, shm, SM arrays) and
   /// attaches the recorder so subsequent reservations are accounted.
   void attachUtil(UtilRecorder& u);
-  /// Detaches utilization accounting from every link and compute engine.
-  void detachUtil();
-
-  void resetOccupancy();
 
  private:
   /// Links per node under the brick/rail-aware layout (see machine.cpp).

@@ -1,12 +1,9 @@
 #include "ompi/ompi.hpp"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace cux::ompi {
-
-namespace {
-constexpr int kInternalTagBase = 1 << 30;
-}
 
 int Rank::size() const { return world_->size(); }
 hw::System& Rank::system() const { return world_->system(); }
@@ -41,7 +38,10 @@ void World::run(std::function<sim::FutureTask(Rank&)> main) {
 }
 
 Request Rank::isend(const void* buf, std::uint64_t bytes, int dst, int tag) {
-  assert(dst >= 0 && dst < world_->size());
+  if (dst < 0 || dst >= world_->size()) {
+    throw std::invalid_argument("ompi: send to rank " + std::to_string(dst) + " of " +
+                                std::to_string(world_->size()));
+  }
   auto& st = *world_->ranks_[static_cast<std::size_t>(rank_)];
   st.cpu->charge(sim::usec(world_->costs_.ompi_call_us));
   Request req;
@@ -59,6 +59,10 @@ Request Rank::isend(const void* buf, std::uint64_t bytes, int dst, int tag) {
 }
 
 Request Rank::irecv(void* buf, std::uint64_t bytes, int src, int tag) {
+  if (src != kAnySource && (src < 0 || src >= world_->size())) {
+    throw std::invalid_argument("ompi: receive from rank " + std::to_string(src) + " of " +
+                                std::to_string(world_->size()));
+  }
   auto& st = *world_->ranks_[static_cast<std::size_t>(rank_)];
   st.cpu->charge(sim::usec(world_->costs_.ompi_call_us));
   Request req;
@@ -88,30 +92,6 @@ sim::Future<void> Rank::waitAll(const std::vector<Request>& rs) {
   fs.reserve(rs.size());
   for (const Request& r : rs) fs.push_back(r.future());
   return sim::allOf(fs);
-}
-
-sim::Future<void> Rank::barrier() {
-  sim::Promise<void> done;
-  (void)world_->barrierTask(rank_, done);
-  return done.future();
-}
-
-sim::FutureTask World::barrierTask(int rank, sim::Promise<void> done) {
-  auto& st = *ranks_[static_cast<std::size_t>(rank)];
-  const std::uint64_t phase = st.barrier_phase++;
-  const int n = size();
-  Rank& self = st.self;
-  int round = 0;
-  for (int d = 1; d < n; d <<= 1, ++round) {
-    const int to = (rank + d) % n;
-    const int from = (rank - d + n) % n;
-    const int tag = kInternalTagBase + static_cast<int>(phase % 1024) * 64 + round;
-    Request s = self.isend(nullptr, 0, to, tag);
-    Request r = self.irecv(nullptr, 0, from, tag);
-    co_await self.wait(r);
-    co_await self.wait(s);
-  }
-  done.set();
 }
 
 }  // namespace cux::ompi

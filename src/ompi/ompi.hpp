@@ -92,6 +92,8 @@ class Rank {
   [[nodiscard]] hw::System& system() const;
   [[nodiscard]] double timeUs() const;
 
+  /// `dst` must be in [0, size()) and `src` in [0, size()) or kAnySource;
+  /// anything else throws std::invalid_argument.
   Request isend(const void* buf, std::uint64_t bytes, int dst, int tag);
   Request irecv(void* buf, std::uint64_t bytes, int src, int tag);
   [[nodiscard]] sim::Future<void> send(const void* buf, std::uint64_t bytes, int dst, int tag) {
@@ -101,7 +103,6 @@ class Rank {
                                        Status* st = nullptr);
   [[nodiscard]] sim::Future<void> wait(const Request& r) { return r.future(); }
   [[nodiscard]] sim::Future<void> waitAll(const std::vector<Request>& rs);
-  [[nodiscard]] sim::Future<void> barrier();
 
  private:
   friend class World;
@@ -128,9 +129,7 @@ class World {
   struct RankState {
     Rank self;
     std::unique_ptr<cmi::Pe> cpu;  ///< per-rank CPU-time serialiser
-    std::uint64_t barrier_phase = 0;
   };
-  sim::FutureTask barrierTask(int rank, sim::Promise<void> done);
 
   hw::System& sys_;
   ucx::Context& ucx_;

@@ -69,8 +69,8 @@ Context::Context(hw::System& sys, const UcxConfig& cfg) : sys_(sys), cfg_(cfg) {
       sys_.engine.schedule(when, [this, pe = f.pe, when] {
         ++pe_failures_detected_;
         sys_.trace.record(when, sim::TraceCat::PeFail, pe, pe, 0, 0, "detected");
-        // Copy: a subscriber's callback may register further subscribers
-        // (e.g. a shrink() building a replacement section mid-announcement).
+        // Copy: a subscriber's callback may register or remove subscribers
+        // (a section, group or world built or destroyed mid-announcement).
         auto subs = peer_failure_subs_;
         for (const auto& [id, fn] : subs) fn(pe, when);
       });

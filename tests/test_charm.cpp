@@ -271,26 +271,6 @@ TEST(CharmDevice, TwoDeviceBuffersInOneInvocation) {
 }
 
 // --------------------------------------------------------------------------
-// Callbacks
-// --------------------------------------------------------------------------
-
-TEST(CharmCallback, RunsOnItsPe) {
-  CharmFixture f;
-  int ran_on = -1;
-  ck::Callback cb(*f.rt, 4, [&] { ran_on = f.rt->cmi().currentPe(); });
-  f.rt->startOn(0, [&] { cb.send(); });
-  f.sys->engine.run();
-  EXPECT_EQ(ran_on, 4);
-}
-
-TEST(CharmCallback, EmptyCallbackIsSafe) {
-  CharmFixture f;
-  ck::Callback cb;
-  EXPECT_FALSE(static_cast<bool>(cb));
-  cb.send();  // no-op, no crash
-}
-
-// --------------------------------------------------------------------------
 // Ping-pong timing sanity: device beats host-staging (the paper's core
 // claim, end to end through the Charm++ stack).
 // --------------------------------------------------------------------------

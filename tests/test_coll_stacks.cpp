@@ -41,11 +41,10 @@ struct StackFixture {
 // Device send/recv buffers, one pair per member, placed on the member's PE.
 // Member r's send buffer holds 100*r + j.
 struct MemberBufs {
-  MemberBufs(hw::System& sys, const std::vector<int>& pes, std::uint64_t count,
-             std::uint64_t recv_mult = 1) {
+  MemberBufs(hw::System& sys, const std::vector<int>& pes, std::uint64_t count) {
     for (std::size_t r = 0; r < pes.size(); ++r) {
       send.push_back(std::make_unique<cuda::DeviceBuffer>(sys, pes[r], count * 8));
-      recv.push_back(std::make_unique<cuda::DeviceBuffer>(sys, pes[r], count * 8 * recv_mult));
+      recv.push_back(std::make_unique<cuda::DeviceBuffer>(sys, pes[r], count * 8));
       auto* p = send.back()->as<double>();
       for (std::uint64_t j = 0; j < count; ++j) {
         p[j] = 100.0 * static_cast<double>(r) + static_cast<double>(j);
@@ -181,37 +180,6 @@ TEST(C4pColl, RingAllreduceMatchesAnalyticSum) {
       const double expected =
           100.0 * (n * (n - 1) / 2) + static_cast<double>(n) * static_cast<double>(j);
       ASSERT_DOUBLE_EQ(p[j], expected) << "member " << r << " element " << j;
-    }
-  }
-}
-
-TEST(C4pColl, AllgatherCollectsEveryBlockOnPeSubset) {
-  StackFixture f(2);
-  const std::vector<int> pes = {6, 7, 8, 9, 10};  // node-1 PEs, 5 members
-  const std::uint64_t count = 2048;
-  MemberBufs bufs(*f.sys, pes, count, /*recv_mult=*/pes.size());
-  c4p::Charm4py py(*f.rt);
-  coll::C4pGroup grp(py, pes);
-
-  coll::CollConfig cfg;
-  cfg.impl = coll::CollImpl::Ring;
-  auto done = runGroup(grp, [&](coll::C4pRank& r) -> sim::FutureTask {
-    const auto me = static_cast<std::size_t>(r.rank());
-    co_await coll::allgather(r, bufs.send[me]->get(), bufs.recv[me]->get(), count * 8,
-                             coll::kCollTagBase, cfg);
-  });
-  f.sys->engine.run();
-  ASSERT_TRUE(done.ready()) << "charm4py allgather deadlocked";
-
-  for (std::size_t r = 0; r < pes.size(); ++r) {
-    const auto* p = bufs.recv[r]->as<double>();
-    for (std::size_t src = 0; src < pes.size(); ++src) {
-      const double* blk = p + src * count;
-      EXPECT_DOUBLE_EQ(blk[0], 100.0 * static_cast<double>(src))
-          << "member " << r << " block " << src;
-      EXPECT_DOUBLE_EQ(blk[count - 1],
-                       100.0 * static_cast<double>(src) + static_cast<double>(count - 1))
-          << "member " << r << " block " << src;
     }
   }
 }

@@ -160,15 +160,6 @@ TEST(Machine, ContentionSharesBandwidth) {
               1.0);
 }
 
-TEST(Machine, ResetOccupancyClearsState) {
-  hw::System sys(summitCfg(1));
-  auto p = sys.machine.hostToHostPath(0, 1);
-  sys.machine.transfer(p, 0, 1u << 20);
-  sys.machine.resetOccupancy();
-  auto a = sys.machine.transfer(p, 0, 1000);
-  EXPECT_EQ(a, sim::usec(0.25) + sim::transferTime(1000, sys.config.shm.bandwidth_gbps));
-}
-
 // --------------------------------------------------------------------------
 // Memory registry
 // --------------------------------------------------------------------------
@@ -436,17 +427,6 @@ TEST(Memory, PaperScaleJacobiFootprint) {
 // --------------------------------------------------------------------------
 // CUDA shim
 // --------------------------------------------------------------------------
-
-TEST(Cuda, MemcpyKindInference) {
-  hw::System sys(summitCfg(1));
-  cuda::DeviceBuffer d(sys, 0, 64);
-  int h = 0;
-  EXPECT_EQ(cuda::inferKind(sys, d.get(), &h), cuda::MemcpyKind::HostToDevice);
-  EXPECT_EQ(cuda::inferKind(sys, &h, d.get()), cuda::MemcpyKind::DeviceToHost);
-  EXPECT_EQ(cuda::inferKind(sys, d.get(), d.get()), cuda::MemcpyKind::DeviceToDevice);
-  int h2 = 0;
-  EXPECT_EQ(cuda::inferKind(sys, &h, &h2), cuda::MemcpyKind::HostToHost);
-}
 
 TEST(Cuda, RoundTripPreservesData) {
   hw::System sys(summitCfg(1));

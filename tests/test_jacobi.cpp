@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "apps/jacobi/block.hpp"
 #include "apps/jacobi/jacobi.hpp"
@@ -70,6 +72,35 @@ TEST(JacobiGeometry, WeakScalingDoublesInXyzOrder) {
   EXPECT_EQ(weakScaledGrid(base, 2), (Vec3{200, 200, 100}));
   EXPECT_EQ(weakScaledGrid(base, 3), (Vec3{200, 200, 200}));
   EXPECT_EQ(weakScaledGrid(base, 4), (Vec3{400, 200, 200}));
+}
+
+// --------------------------------------------------------------------------
+// Caller input is checked in every build type, not only under assert
+// --------------------------------------------------------------------------
+
+TEST(JacobiPreconditions, DecomposeNeedsPositiveBlockCount) {
+  EXPECT_THROW((void)decompose({16, 16, 16}, 0), std::invalid_argument);
+  EXPECT_THROW((void)decompose({16, 16, 16}, -4), std::invalid_argument);
+}
+
+TEST(JacobiPreconditions, VerifiedRunNeedsBackedMemory) {
+  JacobiConfig cfg;
+  cfg.grid = {12, 12, 12};
+  cfg.iters = 1;
+  cfg.warmup = 0;
+  cfg.backed = false;
+  EXPECT_THROW((void)runJacobiVerified(cfg), std::invalid_argument);
+}
+
+TEST(JacobiPreconditions, ExtractInteriorNeedsBackedBlock) {
+  JacobiConfig cfg;
+  cfg.grid = {12, 12, 12};
+  cfg.backed = false;
+  hw::System sys(cfg.model.machine);
+  BlockState b;
+  b.init(sys, cfg, decompose(cfg.grid, 1), 0, 0);
+  std::vector<double> out(12 * 12 * 12, 0.0);
+  EXPECT_THROW(b.extractInterior(out), std::invalid_argument);
 }
 
 // --------------------------------------------------------------------------

@@ -275,25 +275,25 @@ TEST(MatcherCrossCheck, RandomInterleavingsMatchReferenceMatcher) {
 }
 
 // --------------------------------------------------------------------------
-// AMPI's key scheme through the shared matcher: (comm, src, tag) receives
+// AMPI's key scheme through the shared matcher: (src, tag) receives
 // with kAnySource/kAnyTag, cancel and probe, against a two-deque scan model
 // --------------------------------------------------------------------------
 
 /// A message as AMPI's matcher sees it; `id` is its arrival index.
 struct AmpiArrived {
-  int src, tag, comm;
+  int src, tag;
   std::size_t id;
-  [[nodiscard]] std::uint64_t matchKey() const { return ampi::detail::matchKey(src, tag, comm); }
+  [[nodiscard]] std::uint64_t matchKey() const { return ampi::detail::matchKey(src, tag); }
 };
 
 /// A receive pattern with AMPI's key and predicate; `id` is its post index.
 struct AmpiPosted {
-  int src, tag, comm;
+  int src, tag;
   std::size_t id;
   [[nodiscard]] bool exact() const { return ampi::detail::concrete(src, tag); }
-  [[nodiscard]] std::uint64_t matchKey() const { return ampi::detail::matchKey(src, tag, comm); }
+  [[nodiscard]] std::uint64_t matchKey() const { return ampi::detail::matchKey(src, tag); }
   [[nodiscard]] bool matches(const AmpiArrived& a) const {
-    return ampi::detail::accepts(src, tag, comm, a.src, a.tag, a.comm);
+    return ampi::detail::accepts(src, tag, a.src, a.tag);
   }
 };
 
@@ -344,7 +344,7 @@ class AmpiModel {
  private:
   static bool accepts(const AmpiPosted& p, const AmpiArrived& a) {
     return (p.src == ampi::kAnySource || p.src == a.src) &&
-           (p.tag == ampi::kAnyTag || p.tag == a.tag) && p.comm == a.comm;
+           (p.tag == ampi::kAnyTag || p.tag == a.tag);
   }
   std::deque<AmpiPosted> posted_;
   std::deque<AmpiArrived> unexpected_;
@@ -363,7 +363,7 @@ TEST(MatcherCrossCheck, AmpiKeySchemeMatchesReferenceMatcher) {
       const int src = wildcards && rng.below(4) == 0 ? ampi::kAnySource
                                                      : static_cast<int>(rng.below(4));
       const int tag = wildcards && rng.below(4) == 0 ? ampi::kAnyTag : kTags[rng.below(6)];
-      return AmpiPosted{src, tag, static_cast<int>(rng.below(2)), 0};
+      return AmpiPosted{src, tag, 0};
     };
     sim::TagMatcher<AmpiPosted, AmpiArrived> real;
     AmpiModel model;
@@ -391,7 +391,7 @@ TEST(MatcherCrossCheck, AmpiKeySchemeMatchesReferenceMatcher) {
         case 4:
         case 5: {  // a message arrives
           const AmpiPosted m = pattern(false);
-          const AmpiArrived a{m.src, m.tag, m.comm, arrivals++};
+          const AmpiArrived a{m.src, m.tag, arrivals++};
           model.arrive(a);
           if (std::optional<AmpiPosted> p = real.takePosted(a)) {
             outcome[p->id] = static_cast<std::int64_t>(a.id);

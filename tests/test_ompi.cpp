@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "hw/cuda.hpp"
@@ -100,16 +101,26 @@ TEST(Ompi, PrepostedReceiveAvoidsMetadataDelay) {
   });
 }
 
-TEST(Ompi, BarrierSynchronises) {
+// A rank outside [0, size()) is refused in every build type: a send would
+// index past the rank table, and a receive from it could never match, so its
+// rank would never finish.
+TEST(Ompi, OutOfRangeRanksThrowInEveryBuild) {
   OmpiFixture f;
-  std::vector<double> after(12, 0.0);
-  f.runAll([&](ompi::Rank& r) -> sim::FutureTask {
-    co_await sim::delay(r.system().engine, sim::usec(20.0 * r.rank()));
-    co_await r.barrier();
-    after[static_cast<std::size_t>(r.rank())] = r.timeUs();
-    co_return;
-  });
-  for (double t : after) EXPECT_GE(t, 20.0 * 11);
+  ompi::Rank& r = f.world->rank(0);
+  const int n = f.world->size();
+  int v = 0;
+  EXPECT_THROW((void)r.isend(&v, sizeof v, n, 0), std::invalid_argument);
+  EXPECT_THROW((void)r.isend(&v, sizeof v, -1, 0), std::invalid_argument);
+  EXPECT_THROW((void)r.irecv(&v, sizeof v, n, 0), std::invalid_argument);
+  EXPECT_THROW((void)r.irecv(&v, sizeof v, -2, 0), std::invalid_argument);
+  // kAnySource is the one negative source that is allowed; nothing above
+  // left state behind, so the pair completes.
+  ompi::Request recv = r.irecv(&v, sizeof v, ompi::kAnySource, 0);
+  int one = 1;
+  (void)f.world->rank(n - 1).isend(&one, sizeof one, 0, 0);
+  f.sys->engine.run();
+  EXPECT_TRUE(recv.done());
+  EXPECT_EQ(v, 1);
 }
 
 TEST(Ompi, WaitAllManyRequests) {

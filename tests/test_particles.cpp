@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "apps/particles/particles.hpp"
 
@@ -80,6 +81,18 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(p.mode == Mode::Device ? "device" : "host") + "_n" +
              std::to_string(p.nodes) + "_s" + std::to_string(p.steps);
     });
+
+// Verification reads every particle back, so it needs backed memory; the
+// check holds in every build type, not only under assert.
+TEST(ParticlesPreconditions, VerifiedRunNeedsBackedMemory) {
+  ParticlesConfig cfg;
+  cfg.nodes = 1;
+  cfg.particles_per_rank = 10;
+  cfg.steps = 1;
+  cfg.warmup = 0;
+  cfg.backed = false;
+  EXPECT_THROW((void)runParticlesVerified(cfg), std::invalid_argument);
+}
 
 TEST(ParticlesConservation, NoParticleLostOverManySteps) {
   ParticlesConfig cfg;

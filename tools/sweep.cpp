@@ -531,7 +531,7 @@ int runLoss(const Args& a) {
 /// unexpected-first per iteration, so both the posted store and the
 /// unexpected store reach their per-iteration high-watermarks. One row per
 /// stack: raw UCX workers, the Charm++ machine layer's device-metadata path
-/// (DeviceComm), and the AMPI (src, tag, comm) queues.
+/// (DeviceComm), and the AMPI (src, tag) queues.
 int runMatch(const Args& a) {
   const int nodes = std::max(a.nodes, 2);
   const int window = a.window, iters = a.iters;
@@ -596,7 +596,7 @@ int runMatch(const Args& a) {
     matchRow("charm", dev.matchStats());
   }
 
-  {  // AMPI: (src, tag, comm) matching over the bucketed rank queues
+  {  // AMPI: (src, tag) matching over the bucketed rank queues
     model::Model m = model::summit(nodes);
     hw::System sys(m.machine);
     g_stream.apply(sys);
