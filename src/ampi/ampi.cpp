@@ -107,8 +107,6 @@ World::World(ck::Runtime& rt, int nranks) : rt_(rt) {
     st->self.rank_ = r;
     st->pe = peOf(r);
     st->chare = rt_.create<RankChare>(st->pe, this, r);
-    st->seq_out.assign(static_cast<std::size_t>(n), 0);
-    st->reseq = sim::Resequencer<Envelope>(static_cast<std::size_t>(n));
     ranks_.push_back(std::move(st));
   }
   // ULFM-style failure propagation: when the UCX failure detector declares a

@@ -252,8 +252,11 @@ class World {
     ck::Proxy<RankChare> chare;
     /// The same matcher ucx::Worker runs, keyed by (src, tag).
     sim::TagMatcher<PostedRecv, Envelope> matcher;
-    std::vector<std::uint32_t> seq_out;  ///< next seq per destination rank
-    sim::Resequencer<Envelope> reseq;    ///< per-source FIFO, by source rank
+    /// Send and expected-receive sequence state, kept only for the peers
+    /// this rank has exchanged messages with (a Jacobi rank talks to at most
+    /// six of the world's ranks).
+    sim::PeerSeq seq_out;              ///< next seq per destination rank
+    sim::Resequencer<Envelope> reseq;  ///< per-source FIFO, by source rank
   };
 
   Request isendImpl(int src_rank, const void* buf, std::uint64_t bytes, int dst, int tag);

@@ -25,7 +25,7 @@ Runtime::Runtime(hw::System& sys, ucx::Context& ucx, const model::Model& model,
 
 void Runtime::dispatch(cmi::Message msg) {
   const int pe = cmi_->currentPe();
-  assert(pe >= 0);
+  if (pe < 0) throw std::logic_error("ck::Runtime: entry-method dispatch outside PE context");
   Unpacker u(msg.payload());
   const auto chare_idx = u.unpack<std::uint32_t>();
   const auto entry_id = u.unpack<std::uint32_t>();

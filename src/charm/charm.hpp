@@ -6,6 +6,8 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <type_traits>
 #include <utility>
@@ -162,7 +164,10 @@ class Runtime {
   template <auto M, class... Args>
   void sendTo(ChareId dst, Args&&... args) {
     const int src_pe = cmi_->currentPe();
-    assert(src_pe >= 0 && "entry-method sends must run in PE context (use startOn/sendFrom)");
+    if (src_pe < 0) {
+      throw std::logic_error(
+          "ck::Runtime: entry-method sends must run in PE context (use startOn/sendFrom)");
+    }
     sendFrom<M>(src_pe, dst, std::forward<Args>(args)...);
   }
 
@@ -263,7 +268,10 @@ void Runtime::sendFrom(int src_pe, ChareId dst, Args&&... args) {
   using Traits = MethodTraits<decltype(M)>;
   using Tuple = typename Traits::Tuple;
   static_assert(sizeof...(Args) == Traits::arity, "argument count mismatch");
-  assert(src_pe >= 0 && src_pe < numPes());
+  if (src_pe < 0 || src_pe >= numPes()) {
+    throw std::invalid_argument("ck::Runtime: entry-method send from PE " +
+                                std::to_string(src_pe) + " of " + std::to_string(numPes()));
+  }
 
   // Classify every buffer once and size the message exactly: the packer
   // reserves the Converse header in front, so the payload is written once
@@ -395,8 +403,16 @@ void entryThunk(Runtime& rt, int pe, Chare* obj, cmi::Message&& msg, std::size_t
   st->args_off = u.offset();
 
   auto& post = PostOf<M>::fn;
-  assert(post && "entry with ck::Buffer parameters needs setPostEntry<>()");
+  if (!post) {
+    throw std::logic_error("ck: an entry with ck::Buffer parameters needs setPostEntry<>()");
+  }
   post(obj, std::span<Buffer>(st->bufs), Unpacker(msg.payload(), st->args_off));
+  for (const Buffer& b : st->bufs) {
+    if (b.data() == nullptr || b.capacity() < b.size()) {
+      throw std::logic_error("ck: the post entry must set a destination of at least the "
+                             "incoming size on every ck::Buffer");
+    }
+  }
 
   // Small host payloads packed into the metadata message: copy into the
   // user-provided destinations now (the receive-side runtime memcpy the
@@ -406,7 +422,6 @@ void entryThunk(Runtime& rt, int pe, Chare* obj, cmi::Message&& msg, std::size_t
   std::uint64_t packed_bytes = 0;
   for (const auto& [i, poff, carried] : packed) {
     const Buffer& b = st->bufs[i];
-    assert(b.data() != nullptr && b.capacity() >= b.size() && "post entry must set destinations");
     if (carried && msg.payload_valid) {
       cuda::moveBytes(rt.system(), b.data(), msg.payload().data() + poff, b.size());
     }
@@ -426,7 +441,6 @@ void entryThunk(Runtime& rt, int pe, Chare* obj, cmi::Message&& msg, std::size_t
   st->msg = std::move(msg);
   for (const Buffer& b : st->bufs) {
     if (b.mode() != Buffer::Mode::Rndv) continue;
-    assert(b.data() != nullptr && b.capacity() >= b.size() && "post entry must set destinations");
     rt.dev().lrtsRecvDevice(pe, core::DeviceRdmaOp{b.data(), b.size(), b.tag()},
                             core::DeviceRecvType::Charm, [&rt, obj, st] {
                               if (--st->pending != 0) return;

@@ -64,7 +64,7 @@ void Charm4py::onPeFailed(int pe) {
       EndpointState& st = endpoint(chan, side);
       // Queued envelopes can never match: both sides refuse future receives
       // on a dead channel. Orphan on both sides so no span is left open.
-      for (Envelope& env : st.arrived) orphanEnvelope(e->pe_, env);
+      for (std::size_t i = 0; i < st.arrived.size(); ++i) orphanEnvelope(e->pe_, st.arrived[i]);
       for (Envelope& env : st.reseq.takeStashed()) orphanEnvelope(e->pe_, env);
       st.arrived.clear();
       // Waiting receives drain on BOTH sides: the live side observes the
@@ -72,8 +72,8 @@ void Charm4py::onPeFailed(int pe) {
       // reach its own abort exit (its subsequent calls are refused on the
       // dead channel) — a frame parked forever would outlive the run as a
       // leak.
-      for (PendingRecv& p : st.waiting) {
-        to_fail.push_back(p.done);
+      for (std::size_t i = 0; i < st.waiting.size(); ++i) {
+        to_fail.push_back(st.waiting[i].done);
         ++failed_recvs_;
       }
       st.waiting.clear();

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <unordered_set>
 #include <vector>
@@ -11,6 +10,7 @@
 #include "obs/span.hpp"
 #include "sim/future.hpp"
 #include "sim/matcher.hpp"
+#include "sim/ring_fifo.hpp"
 #include "sim/task.hpp"
 
 /// \file charm4py.hpp
@@ -130,11 +130,12 @@ class Charm4py {
     sim::Promise<void> done;
   };
   /// Per-direction endpoint state, keyed by (channel, receiving side).
+  /// Queues allocate on their first item and then reuse their storage.
   struct EndpointState {
-    std::deque<Envelope> arrived;      // in-order, ready to match
-    std::deque<PendingRecv> waiting;   // recvs posted before arrival
-    std::uint32_t seq_out = 0;         // next seq this side sends
-    sim::Resequencer<Envelope> reseq;  // restores send order
+    sim::RingFifo<Envelope> arrived;     // in-order, ready to match
+    sim::RingFifo<PendingRecv> waiting;  // recvs posted before arrival
+    std::uint32_t seq_out = 0;           // next seq this side sends
+    sim::Resequencer<Envelope> reseq;    // restores send order
   };
 
   sim::Future<void> sendImpl(ChannelEnd& end, const void* buf, std::uint64_t bytes);
@@ -160,7 +161,7 @@ class Charm4py {
   std::vector<ck::Proxy<PerPeChare>> chares_;  // one per PE
   // makeChannel appends side 0 then side 1 of each channel to both vectors,
   // so both are indexed by chan*2+side. Endpoint state is allocated on first
-  // use, so making a channel allocates no deques.
+  // use, so making a channel allocates no queues.
   std::vector<std::unique_ptr<ChannelEnd>> ends_;
   std::vector<std::unique_ptr<EndpointState>> endpoints_;
   std::uint64_t next_chan_ = 0;

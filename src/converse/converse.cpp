@@ -10,8 +10,16 @@ namespace cux::cmi {
 Converse::Converse(hw::System& sys, ucx::Context& ucx, const model::LayerCosts& costs,
                    core::TagScheme tags)
     : sys_(sys), ucx_(ucx), costs_(costs), tags_(tags) {
-  assert(tags_.valid() && "tag scheme bit widths must sum to 64");
+  // Checked once here, so the per-send tag construction needs no check.
+  if (!tags_.valid()) {
+    throw std::invalid_argument(
+        "Converse: tag scheme MSG/PE/CNT bit widths must sum to 64 (MSG >= 2, PE and CNT >= 1)");
+  }
   const int pes = sys.config.numPes();
+  if (pes > 0 && static_cast<std::uint64_t>(pes - 1) > tags_.maxPe()) {
+    throw std::invalid_argument("Converse: " + std::to_string(pes) + " PEs do not fit in " +
+                                std::to_string(tags_.pe_bits) + " PE_BITS of the tag scheme");
+  }
   if (costs_.smp_comm_thread) {
     for (int n = 0; n < sys.config.num_nodes; ++n) {
       comm_threads_.push_back(std::make_unique<Pe>(sys.engine, -1 - n));

@@ -51,6 +51,8 @@ using HandlerFn = std::function<void(Message)>;
 
 class Converse {
  public:
+  /// Throws std::invalid_argument when `tags` is malformed (bit widths not
+  /// summing to 64) or its PE_BITS cannot name every PE of `sys`.
   Converse(hw::System& sys, ucx::Context& ucx, const model::LayerCosts& costs,
            core::TagScheme tags = {});
   Converse(const Converse&) = delete;

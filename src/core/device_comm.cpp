@@ -1,7 +1,6 @@
 #include "core/device_comm.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 namespace cux::core {
 
@@ -198,9 +197,7 @@ void DeviceComm::startFallback(int src_pe, int dst_pe, const void* ptr, std::uin
 
 void DeviceComm::lrtsSendDevice(int src_pe, int dst_pe, CmiDeviceBuffer& buf,
                                 DoneFn on_complete, DeviceRecvType recv_type) {
-  const TagScheme& tags = cmi_.tags();
-  assert(static_cast<std::uint64_t>(src_pe) <= tags.maxPe() &&
-         "source PE does not fit in PE_BITS; adjust the tag scheme split");
+  const TagScheme& tags = cmi_.tags();  // Converse checked that every PE fits PE_BITS
   auto& counter = counters_[static_cast<std::size_t>(src_pe)];
   const bool is_device = cmi_.system().memory.isDevice(buf.ptr);
   const MsgType type = is_device ? MsgType::Device : MsgType::ZcopyHost;

@@ -1,12 +1,12 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <memory>
 #include <utility>
 
 #include "hw/system.hpp"
 #include "sim/future.hpp"
+#include "sim/ring_fifo.hpp"
 #include "sim/small_fn.hpp"
 #include "sim/time.hpp"
 
@@ -154,7 +154,7 @@ class Stream {
 
   hw::System& sys_;
   int device_;
-  std::deque<Op> ops_;
+  sim::RingFifo<Op> ops_;  ///< queued behind the running op; storage is reused
   bool busy_ = false;
 };
 

@@ -392,32 +392,53 @@ class TagMatcher {
   std::size_t posted_hwm_ = 0;
 };
 
+/// A sequence counter per peer, held only for the peers named so far: a
+/// sorted (peer, counter) list, so a rank that talks to k of N peers keeps k
+/// entries instead of N. Lookup is a binary search; a new peer inserts in
+/// O(k). Nothing is allocated before the first peer is named.
+class PeerSeq {
+ public:
+  /// The counter of `peer`; 0 the first time `peer` is named. The reference
+  /// lasts until another peer is named for the first time.
+  [[nodiscard]] std::uint32_t& operator[](std::size_t peer) {
+    auto it = std::lower_bound(entries_.begin(), entries_.end(), peer,
+                               [](const Entry& e, std::size_t p) { return e.peer < p; });
+    if (it == entries_.end() || it->peer != peer) it = entries_.insert(it, Entry{peer, 0});
+    return it->next;
+  }
+
+ private:
+  struct Entry {
+    std::size_t peer;
+    std::uint32_t next;
+  };
+  std::vector<Entry> entries_;  ///< sorted by peer
+};
+
 /// Restores each source's send order (items numbered 0, 1, 2, ...) when
-/// eager and rendezvous paths overtake each other.
+/// eager and rendezvous paths overtake each other. Sources are any ids; state
+/// is kept only for the sources seen so far.
 template <typename T>
 class Resequencer {
  public:
-  explicit Resequencer(std::size_t sources = 1) : seq_expected_(sources, 0) {}
-
   /// Delivers item `seq` of `src`, then its stashed successors, through
   /// `deliver(T&&)`; stashes it while an earlier item of `src` is missing.
   template <typename Fn>
   void push(std::size_t src, std::uint32_t seq, T item, Fn&& deliver) {
-    std::uint32_t& expected = seq_expected_[src];
-    if (seq != expected) {
+    if (seq != expected_[src]) {
       out_of_order_.push_back(Stashed{src, seq, std::move(item)});
       return;
     }
-    ++expected;
-    deliver(std::move(item));
     for (;;) {
+      ++expected_[src];
+      deliver(std::move(item));
+      // Looked up again: `deliver` may have named a new source or pushed.
+      const std::uint32_t next = expected_[src];
       auto it = std::find_if(out_of_order_.begin(), out_of_order_.end(),
-                             [&](const Stashed& s) { return s.src == src && s.seq == expected; });
+                             [&](const Stashed& s) { return s.src == src && s.seq == next; });
       if (it == out_of_order_.end()) return;
-      T next = std::move(it->item);
+      item = std::move(it->item);
       out_of_order_.erase(it);
-      ++expected;
-      deliver(std::move(next));
     }
   }
 
@@ -435,8 +456,8 @@ class Resequencer {
     std::uint32_t seq;
     T item;
   };
-  std::vector<std::uint32_t> seq_expected_;  ///< per source: next in-order seq
-  std::vector<Stashed> out_of_order_;        ///< early items of every source
+  PeerSeq expected_;                   ///< per source: next in-order seq
+  std::vector<Stashed> out_of_order_;  ///< early items of every source
 };
 
 }  // namespace cux::sim

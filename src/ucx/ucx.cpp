@@ -824,11 +824,12 @@ RequestPtr Worker::tagRecv(void* buf, std::uint64_t len, Tag tag, Tag mask, Comp
 }
 
 void Worker::setHandler(Tag tag, Tag mask, HandlerFn fn) {
-  handlers_.push_back(Handler{tag, mask, std::move(fn)});
+  handlers_.push_back(std::make_unique<Handler>(Handler{tag, mask, std::move(fn)}));
 }
 
 void Worker::setBufferedHandler(Tag tag, Tag mask, BufferProvider fn) {
-  buffered_handlers_.push_back(BufferedHandler{tag, mask, std::move(fn)});
+  buffered_handlers_.push_back(
+      std::make_unique<BufferedHandler>(BufferedHandler{tag, mask, std::move(fn)}));
 }
 
 std::optional<Worker::ProbeInfo> Worker::probe(Tag tag, Tag mask) const {
@@ -881,18 +882,18 @@ void Worker::onArrival(Incoming msg) {
   // Active-message style: a buffered handler supplies the destination at
   // match time, so even rendezvous payloads start moving immediately — no
   // metadata wait, no unexpected queue (the paper's Sec. VI improvement).
-  for (BufferedHandler& bh : buffered_handlers_) {
-    if (!tagsMatch(msg.tag, bh.tag, bh.mask)) continue;
-    auto [buf, cb] = bh.fn(msg.len, msg.tag, msg.src_pe);
+  for (const auto& bh : buffered_handlers_) {
+    if (!tagsMatch(msg.tag, bh->tag, bh->mask)) continue;
+    auto [buf, cb] = bh->fn(msg.len, msg.tag, msg.src_pe);
     if (buf == nullptr && msg.len > 0) continue;  // declined
     PostedRecv r{ctx_.makeRequest(), buf, msg.len, msg.tag, kFullMask};
     r.req->completion = std::move(cb);
     dispatchMatch(std::move(r), std::move(msg));
     return;
   }
-  for (Handler& h : handlers_) {
-    if (tagsMatch(msg.tag, h.tag, h.mask)) {
-      deliverToHandler(h.fn, std::move(msg));
+  for (const auto& h : handlers_) {
+    if (tagsMatch(msg.tag, h->tag, h->mask)) {
+      deliverToHandler(h->fn, std::move(msg));
       return;
     }
   }

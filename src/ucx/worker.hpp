@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -190,8 +189,10 @@ class Worker {
   int pe_;
 
   sim::TagMatcher<PostedRecv, Incoming> matcher_;
-  std::deque<Handler> handlers_;  // deque: handler addresses stay stable
-  std::deque<BufferedHandler> buffered_handlers_;
+  // One allocation per registration, none before the first: a handler's
+  // address stays stable for deliverToHandler's deferred calls.
+  std::vector<std::unique_ptr<Handler>> handlers_;
+  std::vector<std::unique_ptr<BufferedHandler>> buffered_handlers_;
   std::uint64_t dups_suppressed_ = 0;
 };
 

@@ -396,6 +396,82 @@ TEST(CharmChecks, UnknownEntryOrChareThrows) {
   EXPECT_THROW(dispatchRaw(3, 0), std::logic_error);         // no such chare on PE 5
 }
 
+/// Runs `f` and expects an `E` whose message names `needle`: the check that
+/// fired is the one meant, not some later failure of the same type.
+template <class E, class F>
+void expectThrowNaming(F&& f, const std::string& needle) {
+  try {
+    f();
+  } catch (const E& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+    return;
+  }
+  ADD_FAILURE() << "expected an exception naming \"" << needle << "\"";
+}
+
+TEST(CharmChecks, EntrySendOutsidePeContextThrows) {
+  CharmFixture f;
+  auto proxy = f.rt->create<Receiver>(5);
+  expectThrowNaming<std::logic_error>([&] { proxy.send<&Receiver::simple>(1, 2.0); },
+                                      "PE context");
+  EXPECT_EQ(f.ctx->bytesSent(), 0u);
+}
+
+TEST(CharmChecks, SourcePeOutOfRangeThrows) {
+  CharmFixture f;
+  auto proxy = f.rt->create<Receiver>(5);
+  EXPECT_THROW(proxy.sendFrom<&Receiver::simple>(-1, 1, 2.0), std::invalid_argument);
+  EXPECT_THROW(proxy.sendFrom<&Receiver::simple>(f.rt->numPes(), 1, 2.0),
+               std::invalid_argument);
+}
+
+// A ck::Buffer entry whose post entry was never registered.
+struct UnpostedReceiver : ck::Chare {
+  void recv(ck::Buffer, std::uint64_t) { ++calls; }
+  int calls = 0;
+};
+
+TEST(CharmChecks, MissingPostEntryThrows) {
+  CharmFixture f;
+  std::vector<std::byte> src(256);
+  auto proxy = f.rt->create<UnpostedReceiver>(1);
+  f.rt->startOn(0, [&] {
+    proxy.send<&UnpostedReceiver::recv>(ck::Buffer(src.data(), src.size()), std::uint64_t{0});
+  });
+  expectThrowNaming<std::logic_error>([&] { f.sys->engine.run(); }, "setPostEntry");
+  EXPECT_EQ(proxy.local()->calls, 0);
+}
+
+// A post entry that leaves every destination unset.
+struct CarelessReceiver : ck::Chare {
+  void recvPost(std::span<ck::Buffer>) {}
+  void recv(ck::Buffer, std::uint64_t) { ++calls; }
+  int calls = 0;
+};
+
+TEST(CharmChecks, PostEntryWithoutDestinationThrows) {
+  ck::setPostEntry<&CarelessReceiver::recv, &CarelessReceiver::recvPost>();
+  // A packed host payload and a rendezvous device payload: both need one.
+  auto run = [](bool device) {
+    CharmFixture f;
+    constexpr std::size_t n = 64 * 1024;
+    std::vector<std::byte> host(256);
+    cuda::DeviceBuffer dev(*f.sys, 0, n);
+    auto proxy = f.rt->create<CarelessReceiver>(6);
+    f.rt->startOn(0, [&] {
+      if (device) {
+        proxy.send<&CarelessReceiver::recv>(ck::Buffer(dev.get(), n), std::uint64_t{0});
+      } else {
+        proxy.send<&CarelessReceiver::recv>(ck::Buffer(host.data(), 256), std::uint64_t{0});
+      }
+    });
+    expectThrowNaming<std::logic_error>([&] { f.sys->engine.run(); }, "destination");
+    EXPECT_EQ(proxy.local()->calls, 0);
+  };
+  run(false);
+  run(true);
+}
+
 // SMP mode smoke: the comm-thread build must stay functionally identical.
 struct Token : ck::Chare {
   void token(int v) { got = v; }

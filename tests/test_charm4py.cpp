@@ -113,6 +113,65 @@ TEST(Charm4py, ChannelPreservesMessageOrder) {
   for (int i = 0; i < k; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i)], in[static_cast<std::size_t>(i)]) << i;
 }
 
+TEST(Charm4py, ManyQueuedMessagesStayFifoInBothDirections) {
+  // Both ends stream eager and rendezvous messages across nodes while the
+  // receives run ahead of the messages, then behind them. Each endpoint's
+  // waiting and arrived queues fill up after earlier matches have moved
+  // their front, so both grow while wrapped.
+  C4pFixture f;
+  constexpr int k = 68;
+  auto ch = f.py->makeChannel(1, 8);
+  c4p::ChannelEnd* ends[2] = {ch.a, ch.b};
+  std::vector<std::vector<std::byte>> out[2], in[2];
+  for (int side = 0; side < 2; ++side) {
+    for (int i = 0; i < k; ++i) {
+      const std::size_t n = i % 3 == 0 ? (256u << 10) : 64u + static_cast<std::size_t>(i);
+      out[side].push_back(pattern(n, 1000 * static_cast<std::uint64_t>(side + 1) +
+                                         static_cast<std::uint64_t>(i)));
+      in[side].emplace_back(n);
+    }
+  }
+  int posted = 0, sent = 0;
+  auto post = [&](int n) {
+    for (int side = 0; side < 2; ++side) {
+      for (int i = posted; i < posted + n; ++i) {
+        auto& buf = in[side][static_cast<std::size_t>(i)];
+        (void)ends[1 - side]->recv(buf.data(), buf.size());
+      }
+    }
+    posted += n;
+  };
+  auto send = [&](int n) {
+    for (int side = 0; side < 2; ++side) {
+      for (int i = sent; i < sent + n; ++i) {
+        const auto& buf = out[side][static_cast<std::size_t>(i)];
+        (void)ends[side]->send(buf.data(), buf.size());
+      }
+    }
+    sent += n;
+  };
+  // Receives ahead: 5 wait, 8 messages come, then 30 more receives queue.
+  post(5);
+  send(8);
+  f.sys->engine.run();
+  post(33);
+  send(30);
+  f.sys->engine.run();
+  // Messages ahead: 30 queue before their receives are posted.
+  send(30);
+  f.sys->engine.run();
+  post(30);
+  f.sys->engine.run();
+  ASSERT_EQ(posted, k);
+  ASSERT_EQ(sent, k);
+  for (int side = 0; side < 2; ++side) {
+    for (int i = 0; i < k; ++i) {
+      EXPECT_EQ(in[side][static_cast<std::size_t>(i)], out[side][static_cast<std::size_t>(i)])
+          << "side " << side << " message " << i;
+    }
+  }
+}
+
 sim::FutureTask pingPong(c4p::Charm4py* py, c4p::ChannelEnd* end, void* buf, std::size_t n,
                          int iters, bool initiator, double* out_us) {
   hw::System& sys = py->system();

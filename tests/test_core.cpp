@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 
 #include "converse/converse.hpp"
 #include "core/device_comm.hpp"
@@ -58,6 +59,30 @@ TEST(TagScheme, CustomSplitsRoundTrip) {
 TEST(TagScheme, InvalidSplitsRejected) {
   EXPECT_FALSE((core::TagScheme{4, 32, 27}.valid()));
   EXPECT_FALSE((core::TagScheme{0, 36, 28}.valid()));
+}
+
+// The Converse constructor checks the split once, in every build type, so
+// the per-send tag construction needs no check of its own.
+TEST(TagScheme, ConverseRejectsMalformedSplit) {
+  model::Model m = model::summit(1);
+  hw::System sys(m.machine);
+  ucx::Context ctx(sys, m.ucx);
+  EXPECT_THROW(cmi::Converse(sys, ctx, m.costs, core::TagScheme{4, 32, 27}),
+               std::invalid_argument);
+  EXPECT_THROW(cmi::Converse(sys, ctx, m.costs, core::TagScheme{1, 35, 28}),
+               std::invalid_argument);
+}
+
+TEST(TagScheme, ConverseRejectsPesBeyondPeBits) {
+  // Two Summit nodes are 12 PEs: 3 PE bits name only 8 of them, 4 name 16.
+  auto build = [](core::TagScheme tags) {
+    model::Model m = model::summit(2);
+    hw::System sys(m.machine);
+    ucx::Context ctx(sys, m.ucx);
+    cmi::Converse cmi(sys, ctx, m.costs, tags);
+  };
+  EXPECT_THROW(build(core::TagScheme{4, 3, 57}), std::invalid_argument);
+  EXPECT_NO_THROW(build(core::TagScheme{4, 4, 56}));
 }
 
 TEST(TagScheme, CounterWrapsAtModulus) {

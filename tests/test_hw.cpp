@@ -461,14 +461,35 @@ TEST(Cuda, CopiesAreDeferredUntilCompletion) {
 }
 
 TEST(Cuda, StreamOpsExecuteInOrder) {
+  // Ops retire in enqueue order whatever their cost, also when enqueued
+  // while the stream is busy: after partial drains the op queue's ring
+  // wraps, then grows while wrapped.
   hw::System sys(summitCfg(1));
   cuda::Stream s(sys, 0);
   std::vector<int> order;
-  s.launch(sim::usec(10), [&] { order.push_back(1); });
-  s.launch(sim::usec(1), [&] { order.push_back(2); });
-  s.launch(0, [&] { order.push_back(3); });
+  int next = 0;
+  auto enqueue = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      const int id = next++;
+      s.launch(sim::usec((7 * id) % 11), [&order, id] { order.push_back(id); });
+    }
+  };
+  auto drainTo = [&](std::size_t done) {
+    while (order.size() < done && sys.engine.step()) {
+    }
+  };
+  enqueue(3);
+  drainTo(2);
+  enqueue(3);
+  drainTo(4);
+  enqueue(20);
+  drainTo(10);
+  enqueue(5);
   sys.engine.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  std::vector<int> want(static_cast<std::size_t>(next));
+  for (int i = 0; i < next; ++i) want[static_cast<std::size_t>(i)] = i;
+  EXPECT_EQ(order, want);
+  EXPECT_TRUE(s.idle());
 }
 
 TEST(Cuda, MemcpyTimingMatchesLinkBandwidth) {

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <deque>
+#include <map>
+#include <memory>
 #include <new>
+#include <set>
 #include <vector>
 
 #include "ampi/ampi.hpp"
@@ -582,6 +586,174 @@ TEST(MatcherStats, OccupancyAndWatermarksAreReported) {
   const auto cs = h.ctx->matchStats();
   EXPECT_GE(cs.posted, ws.posted);
   EXPECT_GE(cs.unexpected, ws.unexpected);
+}
+
+// --------------------------------------------------------------------------
+// Resequencer: per-source send order restored over sparse source ids
+// --------------------------------------------------------------------------
+
+/// A move-only item, so the resequencer's stash must move, never copy.
+struct SeqItem {
+  std::size_t src = 0;
+  std::uint32_t seq = 0;
+  std::unique_ptr<int> payload;
+};
+using Delivered = std::vector<std::pair<std::size_t, std::uint32_t>>;
+
+SeqItem seqItem(std::size_t src, std::uint32_t seq) {
+  return SeqItem{src, seq, std::make_unique<int>(static_cast<int>(seq))};
+}
+
+struct ReseqHarness {
+  sim::Resequencer<SeqItem> reseq;
+  Delivered out;
+  void push(std::size_t src, std::uint32_t seq) {
+    reseq.push(src, seq, seqItem(src, seq), [this](SeqItem&& it) {
+      ASSERT_NE(it.payload, nullptr);
+      EXPECT_EQ(*it.payload, static_cast<int>(it.seq));
+      out.emplace_back(it.src, it.seq);
+    });
+  }
+};
+
+TEST(Resequencer, InOrderItemsDeliverImmediately) {
+  ReseqHarness h;
+  for (std::uint32_t s = 0; s < 5; ++s) {
+    h.push(3, s);
+    EXPECT_EQ(h.out.size(), s + 1u);
+  }
+  EXPECT_EQ(h.out, (Delivered{{3, 0}, {3, 1}, {3, 2}, {3, 3}, {3, 4}}));
+  EXPECT_TRUE(h.reseq.takeStashed().empty());
+}
+
+TEST(Resequencer, InterleavedSourcesKeepIndependentOrder) {
+  // Source 9's early item waits for its own gap only; source 2 is untouched.
+  ReseqHarness h;
+  h.push(2, 0);
+  h.push(9, 1);
+  h.push(2, 1);
+  h.push(9, 0);
+  h.push(2, 2);
+  EXPECT_EQ(h.out, (Delivered{{2, 0}, {2, 1}, {9, 0}, {9, 1}, {2, 2}}));
+}
+
+TEST(Resequencer, LateGapDrainsTheStash) {
+  // Items 1..4 overtake item 0; its arrival delivers all five in order.
+  ReseqHarness h;
+  for (std::uint32_t s : {3u, 1u, 4u, 2u}) h.push(5, s);
+  EXPECT_TRUE(h.out.empty());
+  h.push(5, 0);
+  EXPECT_EQ(h.out, (Delivered{{5, 0}, {5, 1}, {5, 2}, {5, 3}, {5, 4}}));
+  EXPECT_TRUE(h.reseq.takeStashed().empty());
+}
+
+TEST(Resequencer, TakeStashedReturnsStashOrder) {
+  ReseqHarness h;
+  h.push(1, 2);
+  h.push(4, 1);
+  h.push(1, 0);  // delivers 1:0 only; 1:2 still waits for 1:1
+  h.push(1, 3);
+  const std::vector<SeqItem> left = h.reseq.takeStashed();
+  Delivered got;
+  for (const SeqItem& it : left) got.emplace_back(it.src, it.seq);
+  EXPECT_EQ(got, (Delivered{{1, 2}, {4, 1}, {1, 3}}));
+  EXPECT_EQ(h.out, (Delivered{{1, 0}}));
+  EXPECT_TRUE(h.reseq.takeStashed().empty());
+}
+
+TEST(Resequencer, SparseSourceIdsNeedNoDenseTable) {
+  // Source ids far beyond any table a dense per-source array would size.
+  ReseqHarness h;
+  constexpr std::size_t kFar = std::size_t{1} << 20;
+  constexpr std::size_t kFarther = std::size_t{1} << 40;
+  h.push(kFar, 1);
+  h.push(kFarther, 0);
+  h.push(kFar, 0);
+  h.push(7, 0);
+  EXPECT_EQ(h.out, (Delivered{{kFarther, 0}, {kFar, 0}, {kFar, 1}, {7, 0}}));
+}
+
+TEST(PeerSeq, CountersStartAtZeroAndStayPerPeer) {
+  sim::PeerSeq seq;
+  EXPECT_EQ(seq[std::size_t{1} << 20]++, 0u);
+  EXPECT_EQ(seq[4]++, 0u);
+  EXPECT_EQ(seq[std::size_t{1} << 20]++, 1u);
+  EXPECT_EQ(seq[0]++, 0u);  // inserted in front of both
+  EXPECT_EQ(seq[4], 1u);
+  EXPECT_EQ(seq[std::size_t{1} << 20], 2u);
+}
+
+/// Reference: a per-source std::map stash, drained whenever the expected
+/// item is present; the global stash order is kept as a plain list.
+class ReseqModel {
+ public:
+  void push(std::size_t src, std::uint32_t seq, Delivered& out) {
+    std::uint32_t& expected = expected_[src];
+    if (seq != expected) {
+      pending_[src].insert(seq);
+      stash_order_.emplace_back(src, seq);
+      return;
+    }
+    out.emplace_back(src, seq);
+    ++expected;
+    auto& mine = pending_[src];
+    for (auto it = mine.find(expected); it != mine.end(); it = mine.find(expected)) {
+      mine.erase(it);
+      stash_order_.erase(std::find(stash_order_.begin(), stash_order_.end(),
+                                   std::make_pair(src, expected)));
+      out.emplace_back(src, expected);
+      ++expected;
+    }
+  }
+  [[nodiscard]] const Delivered& stashOrder() const { return stash_order_; }
+
+ private:
+  std::map<std::size_t, std::uint32_t> expected_;
+  std::map<std::size_t, std::set<std::uint32_t>> pending_;
+  Delivered stash_order_;
+};
+
+TEST(ResequencerCrossCheck, SeededArrivalsMatchPerSourceMapModel) {
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    sim::SplitMix64 rng(seed);
+    // A few sources with sparse ids, each sending 1..40 items, merged at
+    // random; about one item in twenty never arrives, so some stay stashed.
+    std::set<std::size_t> ids;
+    for (std::uint64_t n = 1 + rng.below(6); ids.size() < n;) {
+      ids.insert(rng.below(2) == 0 ? rng.below(8) : (1 + rng.below(1u << 30)) << 10);
+    }
+    std::vector<std::pair<std::size_t, std::uint32_t>> left;  // (src, items left)
+    for (const std::size_t src : ids) {
+      left.emplace_back(src, static_cast<std::uint32_t>(1 + rng.below(40)));
+    }
+    std::map<std::size_t, std::uint32_t> sent;
+    std::vector<std::pair<std::size_t, std::uint32_t>> arrivals;
+    while (!left.empty()) {
+      const std::size_t k = rng.below(left.size());
+      const std::uint32_t seq = sent[left[k].first]++;
+      if (rng.below(20) != 0) arrivals.emplace_back(left[k].first, seq);
+      if (--left[k].second == 0) left.erase(left.begin() + static_cast<std::ptrdiff_t>(k));
+    }
+    // Each arrival overtakes up to 8 earlier ones.
+    for (std::size_t i = 1; i < arrivals.size(); ++i) {
+      const std::size_t back = std::min<std::size_t>(i, rng.below(9));
+      std::rotate(arrivals.begin() + static_cast<std::ptrdiff_t>(i - back),
+                  arrivals.begin() + static_cast<std::ptrdiff_t>(i),
+                  arrivals.begin() + static_cast<std::ptrdiff_t>(i + 1));
+    }
+
+    ReseqHarness real;
+    ReseqModel model;
+    Delivered expected;
+    for (const auto& [src, seq] : arrivals) {
+      real.push(src, seq);
+      model.push(src, seq, expected);
+    }
+    ASSERT_EQ(real.out, expected) << "seed " << seed;
+    Delivered stashed;
+    for (const SeqItem& it : real.reseq.takeStashed()) stashed.emplace_back(it.src, it.seq);
+    ASSERT_EQ(stashed, model.stashOrder()) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -9,6 +10,7 @@
 #include "sim/engine.hpp"
 #include "sim/small_fn.hpp"
 #include "sim/future.hpp"
+#include "sim/ring_fifo.hpp"
 #include "sim/rng.hpp"
 #include "sim/task.hpp"
 
@@ -334,6 +336,29 @@ TEST(SmallFn, SignaturesReturnValuesAndEmptyTargets) {
   sim::InlineFn<int(), 56> counter = [n = 0]() mutable { return ++n; };
   counter();
   EXPECT_EQ(counter(), 2);
+}
+
+TEST(RingFifo, MatchesDequeAcrossWrapAndGrowth) {
+  // Move-only items through a seeded push/pop run, so the ring wraps and
+  // grows while wrapped; a std::deque is the reference.
+  sim::SplitMix64 rng(7);
+  sim::RingFifo<std::unique_ptr<int>> fifo;
+  std::deque<int> model;
+  int next = 0;
+  for (int step = 0; step < 2000; ++step) {
+    if (model.empty() || rng.below(5) < 3) {
+      fifo.push_back(std::make_unique<int>(next));
+      model.push_back(next++);
+    } else {
+      ASSERT_EQ(*fifo.front(), model.front());
+      fifo.pop_front();
+      model.pop_front();
+    }
+    ASSERT_EQ(fifo.size(), model.size());
+  }
+  for (std::size_t i = 0; i < model.size(); ++i) ASSERT_EQ(*fifo[i], model[i]);
+  fifo.clear();
+  EXPECT_TRUE(fifo.empty());
 }
 
 TEST(Time, UnitConversionsRoundTrip) {

@@ -235,6 +235,37 @@ TEST(UcxActiveMessage, RndvPayloadToHandlerOutlivesSenderCompletion) {
   EXPECT_EQ(got, expect);
 }
 
+TEST(UcxActiveMessage, HandlerAddressSurvivesLaterRegistrations) {
+  // A handler delivery runs recv_overhead after the match, through a pointer
+  // to the matched handler; registrations made in between must not move it.
+  UcxFixture f;
+  f.m.ucx.recv_overhead_us = 500.0;
+  f.ctx = std::make_unique<ucx::Context>(*f.sys, f.m.ucx);
+  auto payload = pattern(64, 35);
+  const auto expect = payload;
+  std::vector<std::byte> got;
+  sim::TimePoint got_at = 0;
+  ucx::Worker& w = f.ctx->worker(1);
+  w.setHandler(0x78, ucx::kFullMask, [&](ucx::Delivery d) {
+    got.assign(d.payload.begin(), d.payload.end());
+    got_at = f.sys->engine.now();
+  });
+  f.ctx->amSend(0, 1, 0x78, std::move(payload), {});
+  int strays = 0;
+  f.sys->engine.schedule(sim::usec(250), [&] {
+    EXPECT_TRUE(got.empty());
+    for (ucx::Tag t = 0x100; t < 0x140; ++t) {
+      w.setHandler(t, ucx::kFullMask, [&strays](ucx::Delivery) { ++strays; });
+    }
+  });
+  f.sys->engine.run();
+  EXPECT_EQ(got, expect);
+  EXPECT_EQ(strays, 0);
+  // Delivered within 500 us of a match made before the registrations.
+  EXPECT_GT(got_at, sim::usec(500));
+  EXPECT_LT(got_at, sim::usec(750));
+}
+
 TEST(UcxMatching, ZeroByteMessages) {
   UcxFixture f;
   bool done = false;
