@@ -181,6 +181,111 @@ TEST(TraceHash, ObservabilityIsTraceInvisible) {
   EXPECT_EQ(deviceCommHash(false, loss, false), deviceCommHash(false, loss, true));
 }
 
+// Faulty timelines, pinned like the fault-free ones above. Seed determinism
+// (below) only compares two runs of one build, so a change to the retry,
+// duplicate-suppression or failure-detector paths could move every faulty
+// timeline unseen; these constants catch that. Each config is run through
+// the mixed UCX workload and the DeviceComm workload without and with SMP.
+struct FaultyPin {
+  const char* name;
+  sim::FaultConfig fault;
+  std::uint64_t ucx, dev, dev_smp;
+};
+
+sim::FaultConfig jitterPolicy() {
+  sim::FaultConfig fc;
+  fc.enabled = true;
+  fc.setAllClasses(sim::FaultPolicy{0.1, 30.0});
+  return fc;
+}
+
+sim::FaultConfig killed(double at_us) {
+  sim::FaultConfig fc;
+  fc.killPe(6, sim::usec(at_us));
+  return fc;
+}
+
+sim::FaultConfig outage() {
+  sim::FaultConfig fc;
+  fc.enabled = true;
+  fc.bidirectionalOutage(0, sim::usec(300.0), 0, 6);
+  return fc;
+}
+
+TEST(TraceHash, FaultyTimelinesArePinned) {
+  const FaultyPin pins[] = {
+      {"loss5%/1", sim::FaultConfig::uniformLoss(0.05, 1),
+       0xcd45a35bee01814bull, 0xd09da0c88ee2fda2ull, 0x2c109350069065aeull},
+      {"loss5%/2", sim::FaultConfig::uniformLoss(0.05, 2),
+       0x42663e7a3ed5e2ebull, 0x534c4cda9e12d0b2ull, 0xc5a77a0d6ed2bf21ull},
+      {"loss5%/3", sim::FaultConfig::uniformLoss(0.05, 3),
+       0x2a57c81cb64e96e8ull, 0x55da0f1ea6e9115full, 0x5a9a2f0316c05b35ull},
+      {"loss30%/1", sim::FaultConfig::uniformLoss(0.3, 1),
+       0x1d6fcb8e13233326ull, 0x544464d745208361ull, 0x53c2a75ccc8870b5ull},
+      {"loss30%/2", sim::FaultConfig::uniformLoss(0.3, 2),
+       0x81ec43657ae5b3b9ull, 0x557269ccf31cfc7cull, 0x94a08e1afc5739acull},
+      {"loss30%/3", sim::FaultConfig::uniformLoss(0.3, 3),
+       0x61c54d497275001full, 0xacaa767eef8ab9c3ull, 0x6277a973dfa6718eull},
+      {"jitter", jitterPolicy(),
+       0x02cb0be72ed439aaull, 0xa598d5f48b4df4aeull, 0x7f03214d20768d0full},
+      {"kill6@0", killed(0.0),
+       0xb6e76bb5b953e3a3ull, 0x9ba9c3a4353ace96ull, 0x5adad224226364c1ull},
+      {"kill6@5", killed(5.0),
+       0x8d20dce3b11fba17ull, 0xdea5b9027b776226ull, 0xfe8056fdbddbaab1ull},
+      {"kill6@20", killed(20.0),
+       0x54215fe1ef2c24a5ull, 0xe2199b4f6cec5bd2ull, 0xaed1462fb4b52c5dull},
+      {"kill6@60", killed(60.0),
+       0x1aee242e332d6655ull, 0x9eb3e59df394ca01ull, 0x2a3879fd82479137ull},
+      {"outage0-6", outage(),
+       0x5ae61b06e869c828ull, 0x0ea018eea03c16b5ull, 0xf1de8df7f2cc6921ull},
+  };
+  for (const FaultyPin& p : pins) {
+    SCOPED_TRACE(p.name);
+    const auto u = mixedUcxTrafficHash(p.fault);
+    const auto d = deviceCommHash(false, p.fault);
+    const auto s = deviceCommHash(true, p.fault);
+    EXPECT_EQ(u, p.ucx);
+    EXPECT_EQ(d, p.dev);
+    EXPECT_EQ(s, p.dev_smp);
+  }
+}
+
+/// Multi-path device rendezvous: 2 NVLink bricks and 2 NIC rails, 1 and
+/// 4 MiB device sends to a same-node and an other-node PE, so both the
+/// CUDA-IPC split and the rail split (with its CTS) run.
+std::uint64_t multipathHash(const sim::FaultConfig& fault = {}) {
+  model::Model m = model::summit(2);
+  m.machine.backed_device_memory = false;
+  m.machine.nvlink_bricks = 2;
+  m.machine.nic_rails = 2;
+  m.ucx.multipath.enabled = true;
+  m.machine.fault = fault;
+  hw::System sys(m.machine);
+  sys.trace.enable();
+  ucx::Context ctx(sys, m.ucx);
+  std::vector<cuda::DeviceBuffer> bufs;
+  bufs.reserve(8);
+  ucx::Tag tag = 0x300;
+  for (const std::uint64_t size : {1u << 20, 4u << 20}) {
+    for (const int dst_pe : {1, 6}) {
+      bufs.emplace_back(sys, 0, size);
+      bufs.emplace_back(sys, dst_pe, size);
+      ctx.worker(dst_pe).tagRecv(bufs.back().get(), size, tag, ucx::kFullMask, {});
+      ctx.tagSend(0, dst_pe, bufs[bufs.size() - 2].get(), size, tag, {});
+      ++tag;
+    }
+  }
+  sys.engine.run();
+  return sys.trace.hash();
+}
+
+TEST(TraceHash, MultipathTimelinesArePinned) {
+  const auto a = multipathHash();
+  const auto b = multipathHash(sim::FaultConfig::uniformLoss(0.2, 5));
+  EXPECT_EQ(a, 0x1ea839f4e1112a88ull);
+  EXPECT_EQ(b, 0x57c8271f25cab044ull);
+}
+
 // Enabled faults are themselves deterministic: a fixed seed reproduces the
 // exact loss/retry/duplicate timeline; a different seed produces a
 // different one (at 10% drop over this much traffic, collision of the two
