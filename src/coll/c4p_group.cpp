@@ -1,7 +1,6 @@
 #include "coll/c4p_group.hpp"
 
 #include <algorithm>
-#include <memory>
 
 namespace cux::coll {
 
@@ -21,18 +20,10 @@ C4pReq C4pRank::irecv(void* buf, std::uint64_t bytes, int src, int tag) {
 }
 
 sim::Future<void> C4pRank::waitAll(const std::vector<C4pReq>& rs) {
-  sim::Promise<void> all;
-  auto remaining = std::make_shared<int>(static_cast<int>(rs.size()));
-  if (*remaining == 0) {
-    all.set();
-    return all.future();
-  }
-  for (const C4pReq& r : rs) {
-    r.f.onReady([all, remaining] {
-      if (--*remaining == 0) all.set();
-    });
-  }
-  return all.future();
+  std::vector<sim::Future<void>> fs;
+  fs.reserve(rs.size());
+  for (const C4pReq& r : rs) fs.push_back(r.f);
+  return sim::allOf(fs);
 }
 
 C4pGroup::C4pGroup(c4p::Charm4py& py, std::vector<int> pes, int lanes)

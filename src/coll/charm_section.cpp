@@ -147,18 +147,10 @@ SectionReq SectionRank::irecv(void* buf, std::uint64_t bytes, int src, int tag) 
 }
 
 sim::Future<void> SectionRank::waitAll(const std::vector<SectionReq>& rs) {
-  sim::Promise<void> all;
-  auto remaining = std::make_shared<int>(static_cast<int>(rs.size()));
-  if (*remaining == 0) {
-    all.set();
-    return all.future();
-  }
-  for (const SectionReq& r : rs) {
-    r.f.onReady([all, remaining] {
-      if (--*remaining == 0) all.set();
-    });
-  }
-  return all.future();
+  std::vector<sim::Future<void>> fs;
+  fs.reserve(rs.size());
+  for (const SectionReq& r : rs) fs.push_back(r.f);
+  return sim::allOf(fs);
 }
 
 // --- CharmSection ----------------------------------------------------------

@@ -72,7 +72,7 @@ void Converse::sendPacked(int src_pe, int dst_pe, int handler, std::vector<std::
   const ucx::Tag tag =
       tags_.make(core::MsgType::Host, static_cast<std::uint64_t>(src_pe), 0);
   inject(src_pe, [this, src_pe, dst_pe, tag, phantom_bytes, raw = std::move(raw)]() mutable {
-    ucx_.amSendPhantom(src_pe, dst_pe, tag, std::move(raw), phantom_bytes);
+    ucx_.amSend(src_pe, dst_pe, tag, std::move(raw), phantom_bytes);
   });
 }
 

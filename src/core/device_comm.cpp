@@ -85,19 +85,27 @@ void DeviceComm::failDeadRecv(int pe_id, const DeviceRdmaOp& op, DoneFn cb) {
   sys.trace.record(sys.engine.now(), sim::TraceCat::PeFail, pe_id,
                    static_cast<int>(cmi_.tags().peOf(op.tag)), op.size, op.tag,
                    "recv-peer-failed");
-  sys.obs.spans.end(sys.obs.spans.spanForTag(op.tag), sys.engine.now(), obs::Phase::Errored,
-                    pe_id);
   // The model callback still runs: a matched-but-in-flight receive must
   // drain (the coroutine behind it would otherwise hang forever). The data
   // never arrived — survivors observe that through the model layer's
   // revocation/abort surface, not through this completion.
+  erroredDrain(pe_id, op.tag, std::move(cb));
+}
+
+void DeviceComm::erroredDrain(int pe_id, std::uint64_t tag, DoneFn cb) {
+  hw::System& sys = cmi_.system();
+  sys.obs.spans.end(sys.obs.spans.spanForTag(tag), sys.engine.now(), obs::Phase::Errored, pe_id);
+  runCallback(pe_id, std::move(cb));
+}
+
+void DeviceComm::runCallback(int pe_id, DoneFn cb) {
   if (cb) cmi_.pe(pe_id).exec(sim::usec(cmi_.costs().callback_us), std::move(cb));
 }
 
 void DeviceComm::issueSend(int src_pe, int dst_pe, const void* ptr, std::uint64_t size,
                            std::uint64_t tag, DoneFn on_complete) {
   hw::System& sys = cmi_.system();
-  if (sys.fault.enabled() && cmi_.ucx().peerKnownDead(sys.engine.now(), dst_pe)) {
+  if (cmi_.ucx().peerKnownDead(sys.engine.now(), dst_pe)) {
     // The destination is already declared dead: every route blackholes, so
     // issuing the send would only burn wire time and retry budget. The
     // buffer is trivially safe to reuse (nothing will ever read it) —
@@ -106,14 +114,10 @@ void DeviceComm::issueSend(int src_pe, int dst_pe, const void* ptr, std::uint64_
     ++peer_failed_sends_;
     sys.trace.record(sys.engine.now(), sim::TraceCat::PeFail, src_pe, dst_pe, size, tag,
                      "send-dead-dst");
-    sys.obs.spans.end(sys.obs.spans.spanForTag(tag), sys.engine.now(), obs::Phase::Errored,
-                      src_pe);
-    if (on_complete) {
-      cmi_.pe(src_pe).exec(sim::usec(cmi_.costs().callback_us), std::move(on_complete));
-    }
+    erroredDrain(src_pe, tag, std::move(on_complete));
     return;
   }
-  if (sys.fault.enabled() && sys.fault.linkDown(sys.engine.now(), src_pe, dst_pe)) {
+  if (sys.fault.linkDown(sys.engine.now(), src_pe, dst_pe)) {
     // The link is down right now: don't burn the retry budget on a path that
     // cannot deliver — degrade to the host-staged route immediately.
     startFallback(src_pe, dst_pe, ptr, size, tag, std::move(on_complete), "link-down");
@@ -128,10 +132,7 @@ void DeviceComm::issueSend(int src_pe, int dst_pe, const void* ptr, std::uint64_
       // blackhole too. Close the span and complete the sender so its model
       // layer can drain.
       ++peer_failed_sends_;
-      hw::System& sys = cmi_.system();
-      sys.obs.spans.end(sys.obs.spans.spanForTag(tag), sys.engine.now(), obs::Phase::Errored,
-                        src_pe);
-      if (cb) cmi_.pe(src_pe).exec(sim::usec(cmi_.costs().callback_us), std::move(cb));
+      erroredDrain(src_pe, tag, std::move(cb));
       return;
     }
     if (r.failed() && !r.data_delivered) {
@@ -143,7 +144,7 @@ void DeviceComm::issueSend(int src_pe, int dst_pe, const void* ptr, std::uint64_
     // consumed, so a resend under this tag could never match: suppress the
     // fallback and complete normally.
     if (r.failed()) ++acks_lost_;
-    if (cb) cmi_.pe(src_pe).exec(sim::usec(cmi_.costs().callback_us), std::move(cb));
+    runCallback(src_pe, std::move(cb));
   };
   static_assert(ucx::CompletionFn::fitsInline<decltype(done)>());
   cmi_.ucx().tagSend(src_pe, dst_pe, ptr, size, tag, std::move(done));
@@ -172,9 +173,7 @@ void DeviceComm::startFallback(int src_pe, int dst_pe, const void* ptr, std::uin
           hw::System& sys = cmi_.system();
           sys.trace.record(sys.engine.now(), sim::TraceCat::PeFail, src_pe, dst_pe, size, tag,
                            "fallback-peer-failed");
-          sys.obs.spans.end(sys.obs.spans.spanForTag(tag), sys.engine.now(),
-                            obs::Phase::Errored, src_pe);
-          if (cb) cmi_.pe(src_pe).exec(sim::usec(cmi_.costs().callback_us), std::move(cb));
+          erroredDrain(src_pe, tag, std::move(cb));
           return;
         }
         if (r.failed() && !r.data_delivered) {
@@ -191,7 +190,7 @@ void DeviceComm::startFallback(int src_pe, int dst_pe, const void* ptr, std::uin
                             obs::Phase::Errored, src_pe);
           return;
         }
-        if (cb) cmi_.pe(src_pe).exec(sim::usec(cmi_.costs().callback_us), std::move(cb));
+        runCallback(src_pe, std::move(cb));
       });
 }
 
@@ -203,6 +202,23 @@ void DeviceComm::lrtsSendDevice(int src_pe, int dst_pe, CmiDeviceBuffer& buf,
   const MsgType type = is_device ? MsgType::Device : MsgType::ZcopyHost;
   buf.tag = tags.make(type, static_cast<std::uint64_t>(src_pe), counter);
   counter = (counter + 1) % tags.cntModulus();
+  sendTagged(src_pe, dst_pe, buf, std::move(on_complete), recv_type, type, is_device);
+}
+
+void DeviceComm::lrtsSendDeviceUserTag(int src_pe, int dst_pe, CmiDeviceBuffer& buf,
+                                       std::uint64_t user_tag, DoneFn on_complete,
+                                       DeviceRecvType recv_type) {
+  const TagScheme& tags = cmi_.tags();
+  // The whole PE+CNT field carries the user tag; uniqueness is the caller's
+  // contract (as it would be with MPI tags).
+  buf.tag = tags.make(MsgType::DeviceUser, user_tag >> tags.cnt_bits, user_tag);
+  sendTagged(src_pe, dst_pe, buf, std::move(on_complete), recv_type, MsgType::DeviceUser,
+             cmi_.system().memory.isDevice(buf.ptr));
+}
+
+void DeviceComm::sendTagged(int src_pe, int dst_pe, const CmiDeviceBuffer& buf,
+                            DoneFn on_complete, DeviceRecvType recv_type, MsgType type,
+                            bool is_device) {
   ++device_sends_;
   ++sends_by_type_[static_cast<std::size_t>(recv_type)];
   // Large device sends ride the multi-path scheduler's split protocol on
@@ -216,21 +232,26 @@ void DeviceComm::lrtsSendDevice(int src_pe, int dst_pe, CmiDeviceBuffer& buf,
   // point the whole lifecycle can be correlated. The model layers attach
   // their own phases afterwards through the tag (or the envelope-carried
   // span id on inline paths).
+  const bool user_tag = type == MsgType::DeviceUser;
   obs::SpanCollector& spans = cmi_.system().obs.spans;
   if (spans.enabled()) {
     const sim::TimePoint now = cmi_.system().engine.now();
-    const std::uint64_t span = spans.begin(now, src_pe, dst_pe, buf.size, spanKind(recv_type));
+    const std::uint64_t span =
+        spans.begin(now, src_pe, dst_pe, buf.size, user_tag ? "user-tag" : spanKind(recv_type));
     spans.bindTag(span, buf.tag);
-    if (recv_type != DeviceRecvType::Raw) {
-      // The model layer ships the metadata message synchronously after this
-      // call returns (same engine timestamp).
+    // The model layer ships the metadata message synchronously after this
+    // call returns (same engine timestamp). User-tag receives are pre-posted
+    // (before any span exists), so those spans have no metadata and no
+    // RecvPosted/post-delay phase — by construction the scheme eliminates
+    // it (paper Sec. VI).
+    if (!user_tag && recv_type != DeviceRecvType::Raw) {
       spans.phase(span, now, obs::Phase::MetaSent, src_pe, buf.size);
     }
   }
 
-  cmi_.system().trace.record(cmi_.system().engine.now(), sim::TraceCat::LrtsSend, src_pe,
-                             dst_pe, buf.size, buf.tag,
-                             type == MsgType::Device ? "device" : "zcopy-host");
+  cmi_.system().trace.record(
+      cmi_.system().engine.now(), sim::TraceCat::LrtsSend, src_pe, dst_pe, buf.size, buf.tag,
+      user_tag ? "device-user-tag" : (type == MsgType::Device ? "device" : "zcopy-host"));
   // Machine-layer bookkeeping (tag generation, request allocation) is PE
   // time on the sender; the UCX send is issued once that work retires.
   // Zero-copy host sends additionally pin/register the user buffer.
@@ -240,48 +261,9 @@ void DeviceComm::lrtsSendDevice(int src_pe, int dst_pe, CmiDeviceBuffer& buf,
   const void* ptr = buf.ptr;
   const std::uint64_t size = buf.size;
   const std::uint64_t tag = buf.tag;
-  cmi_.inject(src_pe,
-              [this, src_pe, dst_pe, ptr, size, tag, cb = std::move(on_complete)]() mutable {
-                issueSend(src_pe, dst_pe, ptr, size, tag, std::move(cb));
-              });
-}
-
-void DeviceComm::lrtsSendDeviceUserTag(int src_pe, int dst_pe, CmiDeviceBuffer& buf,
-                                       std::uint64_t user_tag, DoneFn on_complete,
-                                       DeviceRecvType recv_type) {
-  const TagScheme& tags = cmi_.tags();
-  // The whole PE+CNT field carries the user tag; uniqueness is the caller's
-  // contract (as it would be with MPI tags).
-  buf.tag = tags.make(MsgType::DeviceUser, user_tag >> tags.cnt_bits, user_tag);
-  const bool is_device = cmi_.system().memory.isDevice(buf.ptr);
-  ++device_sends_;
-  ++sends_by_type_[static_cast<std::size_t>(recv_type)];
-  // Large device sends ride the multi-path scheduler's split protocol on
-  // their rendezvous data leg when it is enabled; count them so the sweep
-  // can correlate lrts traffic with ucx.mp.* scheduler activity.
-  const ucx::UcxConfig::MultipathConfig& mp = cmi_.ucx().config().multipath;
-  if (mp.enabled && is_device && buf.size >= mp.min_split_bytes) ++multipath_eligible_;
-  cmi_.system().obs.registry.observe(send_bytes_hist_, buf.size);
-  obs::SpanCollector& spans = cmi_.system().obs.spans;
-  if (spans.enabled()) {
-    // User-tag receives are pre-posted (before any span exists), so these
-    // spans have no RecvPosted/post-delay phase — by construction the
-    // scheme eliminates it (paper Sec. VI).
-    const std::uint64_t span =
-        spans.begin(cmi_.system().engine.now(), src_pe, dst_pe, buf.size, "user-tag");
-    spans.bindTag(span, buf.tag);
-  }
-  cmi_.system().trace.record(cmi_.system().engine.now(), sim::TraceCat::LrtsSend, src_pe,
-                             dst_pe, buf.size, buf.tag, "device-user-tag");
-  cmi::Pe& pe = cmi_.pe(src_pe);
-  pe.charge(sim::usec(cmi_.costs().device_meta_send_us));
-  const void* ptr = buf.ptr;
-  const std::uint64_t size = buf.size;
-  const std::uint64_t tag = buf.tag;
-  // Injected like lrtsSendDevice: bypassing inject() (an earlier revision
-  // scheduled directly at pe.busyUntil()) lets user-tag sends overtake
-  // regular device sends from the same PE in SMP mode, where injection
-  // serialises through the node's comm thread.
+  // Injected, not scheduled at pe.busyUntil(): in SMP mode injection
+  // serialises through the node's comm thread, and a bypass would let
+  // user-tag sends overtake regular device sends from the same PE.
   cmi_.inject(src_pe,
               [this, src_pe, dst_pe, ptr, size, tag, cb = std::move(on_complete)]() mutable {
                 issueSend(src_pe, dst_pe, ptr, size, tag, std::move(cb));
@@ -327,10 +309,9 @@ void DeviceComm::postDeviceRecv(int pe_id, const DeviceRdmaOp& op,
     const MsgType mt = cmi_.tags().typeOf(op.tag);
     const bool src_known = mt == MsgType::Device || mt == MsgType::ZcopyHost;
     const bool dead_src =
-        src_known && sys.fault.enabled() &&
+        src_known &&
         cmi_.ucx().peerKnownDead(sys.engine.now(), static_cast<int>(cmi_.tags().peOf(op.tag)));
-    const bool dead_self =
-        sys.fault.enabled() && cmi_.ucx().peerKnownDead(sys.engine.now(), pe_id);
+    const bool dead_self = cmi_.ucx().peerKnownDead(sys.engine.now(), pe_id);
     if (dead_src || dead_self) {
       // Posting against an already-declared-dead source — or from a PE that
       // is itself declared dead (live senders drain sends to it locally, so
@@ -373,7 +354,7 @@ void DeviceComm::postDeviceRecv(int pe_id, const DeviceRdmaOp& op,
       hw::System& sys = cmi_.system();
       sys.obs.spans.end(sys.obs.spans.spanForTag(op.tag), sys.engine.now(),
                         obs::Phase::Completed, pe_id);
-      if (cb) cmi_.pe(pe_id).exec(sim::usec(cmi_.costs().callback_us), std::move(cb));
+      runCallback(pe_id, std::move(cb));
     };
     static_assert(ucx::CompletionFn::fitsInline<decltype(done)>());
     ucx::RequestPtr req =

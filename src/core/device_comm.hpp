@@ -156,6 +156,17 @@ class DeviceComm {
   /// Terminates a receive whose source PE is dead: ends the span (Errored),
   /// traces, and runs the model callback so the operation drains.
   void failDeadRecv(int pe, const DeviceRdmaOp& op, DoneFn cb);
+  /// Body shared by lrtsSendDevice and lrtsSendDeviceUserTag once `buf.tag`
+  /// is minted: accounting, span, trace, sender PE charge, then issueSend
+  /// through inject(). `type` selects the span kind, trace label and
+  /// zero-copy registration charge.
+  void sendTagged(int src_pe, int dst_pe, const CmiDeviceBuffer& buf, DoneFn on_complete,
+                  DeviceRecvType recv_type, MsgType type, bool is_device);
+  /// Ends `tag`'s span as Errored at `pe` and still runs `cb`, so the
+  /// model layer behind a failed operation drains.
+  void erroredDrain(int pe, std::uint64_t tag, DoneFn cb);
+  /// Runs the model callback `cb` (if any) on `pe` after the callback cost.
+  void runCallback(int pe, DoneFn cb);
 
   cmi::Converse& cmi_;
   std::vector<std::uint64_t> counters_;  // per-PE tag counters

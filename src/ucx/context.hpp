@@ -49,16 +49,13 @@ class Context {
 
   /// Active-message-style send whose payload is an owned byte vector
   /// (Converse host messages). Timing matches tagSend on host memory of the
-  /// same size; the payload vector is handed to the receiving handler.
+  /// same size; the payload vector is handed to the receiving handler. The
+  /// wire length is `payload.size() + phantom_bytes`: the phantom bytes
+  /// stand for a source in unbacked (simulation-only) memory, so they are
+  /// charged on every link, counted in bytesSent() and reported as
+  /// Delivery::len, but never materialised on the host.
   RequestPtr amSend(int src_pe, int dst_pe, Tag tag, std::vector<std::byte> payload,
-                    CompletionFn cb = {});
-
-  /// amSend whose wire length is `payload.size() + phantom_bytes`: the
-  /// phantom bytes stand for a source in unbacked (simulation-only) memory,
-  /// so they are charged on every link, counted in bytesSent() and reported
-  /// as Delivery::len, but never materialised on the host.
-  RequestPtr amSendPhantom(int src_pe, int dst_pe, Tag tag, std::vector<std::byte> payload,
-                           std::uint64_t phantom_bytes, CompletionFn cb = {});
+                    std::uint64_t phantom_bytes, CompletionFn cb = {});
 
   /// Like tagSend, but a device-memory source is first staged to the host
   /// (cudaMemcpy D2H through the GPU egress link) and then sent as a host
@@ -212,11 +209,14 @@ class Context {
   /// host-staged fallback engages via the normal Error completion.
   RndvResult multipathRndvData(const Worker::Incoming& msg, int dst_pe, sim::TimePoint t_match);
 
-  // --- reliability (active only while the fault injector is enabled) -------
+  // --- reliability ----------------------------------------------------------
 
-  /// True when transfers consult the fault injector and the retry state
-  /// machine runs. When false every send takes the fault-free code path
-  /// unchanged, keeping trace hashes bit-identical to pre-fault builds.
+  /// True while the fault injector is enabled. Only ship() reads it: every
+  /// other leg runs the faulted code unconditionally, which with the
+  /// injector off decides nothing and adds no event. A wire message is the
+  /// one real model difference: under faults its sender completes at
+  /// delivery and each attempt schedules a retry deadline, and those events
+  /// would change the fault-free timeline.
   [[nodiscard]] bool reliable() const noexcept { return sys_.fault.enabled(); }
 
   /// Attempt k is declared lost (and retransmitted) this long after it was
@@ -237,17 +237,46 @@ class Context {
   /// cloned for each (re)transmission attempt, plus delivery tracking.
   struct WireState;
 
+  /// Arrival at `dst_pe` of a host-path wire message of class `cls` sent at
+  /// `t`: control latency for a rendezvous RTS/CTS/ATS, otherwise `len`
+  /// plus the header through the link reservations.
+  [[nodiscard]] sim::TimePoint wireArrival(int src_pe, int dst_pe, sim::TimePoint t,
+                                           sim::MsgClass cls, std::uint64_t len);
+
+  /// Puts wire message `msg` (eager payload, AM or rendezvous RTS, by
+  /// `cls`) on the host path from `src_pe` to `dst_pe` at `t0`. Fault-free,
+  /// the arrival is scheduled now and an eager sender completes locally at
+  /// t0 (scheduled first, so it wins the tie); under faults the message goes
+  /// through reliableTransmit and `req` completes at delivery.
+  void ship(Worker::Incoming msg, int src_pe, int dst_pe, sim::TimePoint t0, sim::MsgClass cls,
+            RequestPtr req);
+
   /// Transmits attempt `attempt` of `ws` at the current engine time: consults
   /// the injector, schedules the arrival (unless dropped) and the retry
   /// deadline. Exhausting max_retries surfaces ReqState::Error through the
   /// completion callback — an operation never hangs.
   void reliableTransmit(const std::shared_ptr<WireState>& ws, int attempt);
 
-  /// Synchronous retry loop for receiver-driven control messages (CTS/ATS)
-  /// whose delivery time is computed inline rather than via onArrival.
-  /// Returns {arrival time, ok}; `ok == false` after max_retries losses.
-  std::pair<sim::TimePoint, bool> faultedCtrl(int src_pe, int dst_pe, sim::TimePoint send_t,
-                                              sim::Duration flight, Tag tag, const char* what);
+  /// Outcome of faultedLeg: the attempt that went out (or the last one
+  /// tried), its injected jitter, and whether it got through.
+  struct Leg {
+    sim::TimePoint start = 0;
+    sim::Duration delay = 0;
+    bool ok = true;
+  };
+
+  /// Synchronous retry loop for a leg whose delivery time is computed inline
+  /// (rendezvous CTS/ATS and data): each attempt from `t` on is faulted at
+  /// its send time and a lost one is retried after the backoff. `ok ==
+  /// false` after max_retries losses or once either PE is known dead. With
+  /// the injector off it returns {t, 0, true} at once.
+  Leg faultedLeg(int src_pe, int dst_pe, sim::TimePoint t, sim::MsgClass cls, std::uint64_t len,
+                 Tag tag, const char* what);
+
+  /// A control message (CTS/ATS) sent at `t` through faultedLeg: returns
+  /// {arrival time, ok}, the arrival including the control flight.
+  std::pair<sim::TimePoint, bool> ctrlLeg(int src_pe, int dst_pe, sim::TimePoint t, Tag tag,
+                                          const char* what);
 
   hw::System& sys_;
   UcxConfig cfg_;

@@ -92,13 +92,43 @@ struct Context::WireState {
   Worker::Incoming proto;
   int src_pe = -1;
   int dst_pe = -1;
-  sim::MsgClass cls = sim::MsgClass::Eager;
-  /// Control message (rendezvous RTS): flies at control latency, and the
+  /// RndvCtrl marks a rendezvous RTS: it flies at control latency, and the
   /// sender request is completed later by the ATS (or by exhaustion here).
-  bool ctrl = false;
+  sim::MsgClass cls = sim::MsgClass::Eager;
   RequestPtr req;  ///< sender request (owns the completion)
   bool delivered = false;
+
+  [[nodiscard]] bool ctrl() const noexcept { return cls == sim::MsgClass::RndvCtrl; }
 };
+
+sim::TimePoint Context::wireArrival(int src_pe, int dst_pe, sim::TimePoint t, sim::MsgClass cls,
+                                    std::uint64_t len) {
+  const hw::Path path = sys_.machine.hostToHostPath(src_pe, dst_pe);
+  return cls == sim::MsgClass::RndvCtrl ? hw::Machine::ctrlTransfer(path, t, cfg_.header_bytes)
+                                        : sys_.machine.transfer(path, t, len + cfg_.header_bytes);
+}
+
+void Context::ship(Worker::Incoming msg, int src_pe, int dst_pe, sim::TimePoint t0,
+                   sim::MsgClass cls, RequestPtr req) {
+  sim::Engine& engine = sys_.engine;
+  if (reliable()) {
+    // Sender completion models the transport ack: Done on first delivered
+    // attempt (never locally at t0, which would hide a lost message), Error
+    // after the retry budget; an RTS sender completes via the ATS instead.
+    auto ws = std::make_shared<WireState>(
+        WireState{std::move(msg), src_pe, dst_pe, cls, std::move(req), false});
+    engine.schedule(t0, [this, ws] { reliableTransmit(ws, 0); });
+    return;
+  }
+  // Eager sends complete locally once the payload has been captured.
+  if (cls != sim::MsgClass::RndvCtrl) {
+    engine.schedule(t0, [req = std::move(req)] { complete(*req, ReqState::Done); });
+  }
+  const sim::TimePoint arrival = wireArrival(src_pe, dst_pe, t0, cls, msg.len);
+  Worker& dst = worker(dst_pe);
+  engine.schedule(arrival,
+                  [&dst, msg = std::move(msg)]() mutable { dst.onArrival(std::move(msg)); });
+}
 
 void Context::reliableTransmit(const std::shared_ptr<WireState>& ws, int attempt) {
   sim::Engine& engine = sys_.engine;
@@ -106,13 +136,10 @@ void Context::reliableTransmit(const std::shared_ptr<WireState>& ws, int attempt
   const auto dec = sys_.fault.decide(now, ws->cls, ws->src_pe, ws->dst_pe);
   if (dec.drop) {
     sys_.trace.record(now, sim::TraceCat::Drop, ws->src_pe, ws->dst_pe, ws->proto.len,
-                      ws->proto.tag, ws->ctrl ? "rts" : "wire");
+                      ws->proto.tag, ws->ctrl() ? "rts" : "wire");
   } else {
-    const hw::Path path = sys_.machine.hostToHostPath(ws->src_pe, ws->dst_pe);
     const sim::TimePoint arrival =
-        (ws->ctrl ? hw::Machine::ctrlTransfer(path, now, cfg_.header_bytes)
-                  : sys_.machine.transfer(path, now, ws->proto.len + cfg_.header_bytes)) +
-        dec.delay;
+        wireArrival(ws->src_pe, ws->dst_pe, now, ws->cls, ws->proto.len) + dec.delay;
     engine.schedule(arrival, [this, ws] {
       if (ws->delivered) {
         // A retransmit raced the delivered copy: suppress it here, at the
@@ -134,7 +161,7 @@ void Context::reliableTransmit(const std::shared_ptr<WireState>& ws, int attempt
       ws->delivered = true;
       // Sender completion models the transport-level ack: Done at first
       // delivery (rendezvous RTS senders instead complete via ATS).
-      if (!ws->ctrl && ws->req) {
+      if (!ws->ctrl() && ws->req) {
         ws->req->data_delivered = true;
         complete(*ws->req, ReqState::Done);
       }
@@ -169,7 +196,7 @@ void Context::reliableTransmit(const std::shared_ptr<WireState>& ws, int attempt
     }
     ++retransmits_;
     sys_.trace.record(sys_.engine.now(), sim::TraceCat::Retry, ws->src_pe, ws->dst_pe,
-                      ws->proto.len, ws->proto.tag, ws->ctrl ? "rts" : "wire");
+                      ws->proto.len, ws->proto.tag, ws->ctrl() ? "rts" : "wire");
     sys_.obs.spans.phase(sys_.obs.spans.spanForTag(ws->proto.tag), sys_.engine.now(),
                          obs::Phase::Retry, ws->src_pe,
                          static_cast<std::uint64_t>(attempt) + 1);
@@ -177,26 +204,31 @@ void Context::reliableTransmit(const std::shared_ptr<WireState>& ws, int attempt
   });
 }
 
-std::pair<sim::TimePoint, bool> Context::faultedCtrl(int src_pe, int dst_pe,
-                                                     sim::TimePoint send_t, sim::Duration flight,
-                                                     Tag tag, const char* what) {
+Context::Leg Context::faultedLeg(int src_pe, int dst_pe, sim::TimePoint t, sim::MsgClass cls,
+                                 std::uint64_t len, Tag tag, const char* what) {
   for (int attempt = 0;; ++attempt) {
-    // A control leg to or from a known-dead PE can never succeed: fail it at
-    // the decision point instead of burning the whole retry budget.
-    if (peerKnownDead(send_t, src_pe) || peerKnownDead(send_t, dst_pe)) {
-      sys_.trace.record(send_t, sim::TraceCat::PeFail, src_pe, dst_pe, 0, tag, what);
-      return {send_t + flight, false};
+    // A leg to or from a known-dead PE can never succeed: fail it at the
+    // decision point instead of burning the whole retry budget.
+    if (peerKnownDead(t, src_pe) || peerKnownDead(t, dst_pe)) {
+      sys_.trace.record(t, sim::TraceCat::PeFail, src_pe, dst_pe, len, tag, what);
+      return {t, 0, false};
     }
-    const auto dec = sys_.fault.decide(send_t, sim::MsgClass::RndvCtrl, src_pe, dst_pe);
-    if (!dec.drop) return {send_t + flight + dec.delay, true};
-    sys_.trace.record(send_t, sim::TraceCat::Drop, src_pe, dst_pe, 0, tag, what);
-    if (attempt >= cfg_.max_retries) return {send_t + flight, false};
+    const auto dec = sys_.fault.decide(t, cls, src_pe, dst_pe);
+    if (!dec.drop) return {t, dec.delay, true};
+    sys_.trace.record(t, sim::TraceCat::Drop, src_pe, dst_pe, len, tag, what);
+    if (attempt >= cfg_.max_retries) return {t, 0, false};
     ++retransmits_;
-    sys_.trace.record(send_t, sim::TraceCat::Retry, src_pe, dst_pe, 0, tag, what);
-    sys_.obs.spans.phase(sys_.obs.spans.spanForTag(tag), send_t, obs::Phase::Retry, src_pe,
+    sys_.trace.record(t, sim::TraceCat::Retry, src_pe, dst_pe, len, tag, what);
+    sys_.obs.spans.phase(sys_.obs.spans.spanForTag(tag), t, obs::Phase::Retry, src_pe,
                          static_cast<std::uint64_t>(attempt) + 1);
-    send_t += retryDelay(attempt);
+    t += retryDelay(attempt);
   }
+}
+
+std::pair<sim::TimePoint, bool> Context::ctrlLeg(int src_pe, int dst_pe, sim::TimePoint t,
+                                                 Tag tag, const char* what) {
+  const Leg leg = faultedLeg(src_pe, dst_pe, t, sim::MsgClass::RndvCtrl, 0, tag, what);
+  return {wireArrival(src_pe, dst_pe, leg.start, sim::MsgClass::RndvCtrl, 0) + leg.delay, leg.ok};
 }
 
 sim::TimePoint Context::stageDeviceEager(sim::TimePoint t, int pe, std::uint64_t len,
@@ -296,47 +328,19 @@ RequestPtr Context::tagSendHostStaged(int src_pe, int dst_pe, const void* buf, s
 }
 
 RequestPtr Context::amSend(int src_pe, int dst_pe, Tag tag, std::vector<std::byte> payload,
-                           CompletionFn cb) {
-  return amSendPhantom(src_pe, dst_pe, tag, std::move(payload), 0, std::move(cb));
-}
-
-RequestPtr Context::amSendPhantom(int src_pe, int dst_pe, Tag tag, std::vector<std::byte> payload,
-                                  std::uint64_t phantom_bytes, CompletionFn cb) {
+                           std::uint64_t phantom_bytes, CompletionFn cb) {
   const std::uint64_t len = payload.size() + phantom_bytes;
   auto req = makeSendRequest(dst_pe, len, tag, std::move(cb));
-  sim::Engine& engine = sys_.engine;
-  Worker& dst = worker(dst_pe);
-
+  const sim::TimePoint t0 = sys_.engine.now() + sim::usec(cfg_.send_overhead_us);
+  Worker::Incoming msg;
+  msg.tag = tag;
+  msg.src_pe = src_pe;
+  msg.len = len;
   if (len <= cfg_.host_eager_threshold) {
-    const sim::TimePoint t0 = engine.now() + sim::usec(cfg_.send_overhead_us);
-    if (reliable()) {
-      Worker::Incoming msg;
-      msg.tag = tag;
-      msg.src_pe = src_pe;
-      msg.len = len;
-      msg.payload = std::move(payload);
-      auto ws = std::make_shared<WireState>();
-      ws->proto = std::move(msg);
-      ws->src_pe = src_pe;
-      ws->dst_pe = dst_pe;
-      ws->cls = sim::MsgClass::Am;
-      ws->req = req;
-      engine.schedule(t0, [this, ws] { reliableTransmit(ws, 0); });
-      return req;
-    }
-    engine.schedule(t0, [req] { complete(*req, ReqState::Done); });
-    const hw::Path path = sys_.machine.hostToHostPath(src_pe, dst_pe);
-    const sim::TimePoint arrival = sys_.machine.transfer(path, t0, len + cfg_.header_bytes);
-    Worker::Incoming msg;
-    msg.tag = tag;
-    msg.src_pe = src_pe;
-    msg.len = len;
     msg.payload = std::move(payload);
-    engine.schedule(arrival,
-                    [&dst, msg = std::move(msg)]() mutable { dst.onArrival(std::move(msg)); });
+    ship(std::move(msg), src_pe, dst_pe, t0, sim::MsgClass::Am, req);
     return req;
   }
-
   // Large owned payload: rendezvous timing; the vector lives in the in-flight
   // message, and the "transfer" pulls from its storage. Ownership travels as
   // `payload_owner`: the receiver-side copy can execute after the
@@ -344,40 +348,17 @@ RequestPtr Context::amSendPhantom(int src_pe, int dst_pe, Tag tag, std::vector<s
   // latency, so tying the payload's lifetime to the sender callback (as an
   // earlier revision did) is a use-after-free.
   auto shared_payload = std::make_shared<std::vector<std::byte>>(std::move(payload));
-  const sim::TimePoint t0 = engine.now() + sim::usec(cfg_.send_overhead_us);
-  Worker::Incoming msg;
-  msg.tag = tag;
-  msg.src_pe = src_pe;
-  msg.len = len;
   msg.is_rndv = true;
   msg.src_ptr = shared_payload->data();
   msg.send_req = req;
   msg.payload_owner = std::move(shared_payload);
-  if (reliable()) {
-    // The RTS is a control message: retransmitted until one copy is
-    // delivered; sender completion then comes via the ATS (rndvTransfer), or
-    // via Error here if every RTS attempt is lost.
-    auto ws = std::make_shared<WireState>();
-    ws->proto = std::move(msg);
-    ws->src_pe = src_pe;
-    ws->dst_pe = dst_pe;
-    ws->cls = sim::MsgClass::RndvCtrl;
-    ws->ctrl = true;
-    ws->req = req;
-    engine.schedule(t0, [this, ws] { reliableTransmit(ws, 0); });
-    return req;
-  }
-  const hw::Path path = sys_.machine.hostToHostPath(src_pe, dst_pe);
-  const sim::TimePoint rts_arrival = hw::Machine::ctrlTransfer(path, t0, cfg_.header_bytes);
-  engine.schedule(rts_arrival,
-                  [&dst, msg = std::move(msg)]() mutable { dst.onArrival(std::move(msg)); });
+  ship(std::move(msg), src_pe, dst_pe, t0, sim::MsgClass::RndvCtrl, req);
   return req;
 }
 
 void Context::sendEager(int src_pe, int dst_pe, const void* buf, std::uint64_t len, Tag tag,
                         bool src_device, RequestPtr req) {
-  sim::Engine& engine = sys_.engine;
-  sim::TimePoint t0 = engine.now() + sim::usec(cfg_.send_overhead_us);
+  sim::TimePoint t0 = sys_.engine.now() + sim::usec(cfg_.send_overhead_us);
   if (src_device) t0 = stageDeviceEager(t0, src_pe, len, /*egress=*/true);
 
   Worker::Incoming msg;
@@ -391,36 +372,11 @@ void Context::sendEager(int src_pe, int dst_pe, const void* buf, std::uint64_t l
   } else {
     msg.payload_valid = (len == 0);
   }
-
-  if (reliable()) {
-    // Sender completion models the transport ack: Done on first delivered
-    // attempt (never locally at t0, which would hide a lost message), Error
-    // after the retry budget.
-    auto ws = std::make_shared<WireState>();
-    ws->proto = std::move(msg);
-    ws->src_pe = src_pe;
-    ws->dst_pe = dst_pe;
-    ws->cls = sim::MsgClass::Eager;
-    ws->req = std::move(req);
-    engine.schedule(t0, [this, ws] { reliableTransmit(ws, 0); });
-    return;
-  }
-
-  // Eager sends complete locally once the payload has been captured.
-  engine.schedule(t0, [req = std::move(req)] { complete(*req, ReqState::Done); });
-
-  const hw::Path path = sys_.machine.hostToHostPath(src_pe, dst_pe);
-  const sim::TimePoint arrival = sys_.machine.transfer(path, t0, len + cfg_.header_bytes);
-  Worker& dst = worker(dst_pe);
-  engine.schedule(arrival,
-                  [&dst, msg = std::move(msg)]() mutable { dst.onArrival(std::move(msg)); });
+  ship(std::move(msg), src_pe, dst_pe, t0, sim::MsgClass::Eager, std::move(req));
 }
 
 void Context::sendRndv(int src_pe, int dst_pe, const void* buf, std::uint64_t len, Tag tag,
                        bool src_device, RequestPtr req) {
-  sim::Engine& engine = sys_.engine;
-  const sim::TimePoint t0 = engine.now() + sim::usec(cfg_.send_overhead_us);
-
   Worker::Incoming msg;
   msg.tag = tag;
   msg.src_pe = src_pe;
@@ -429,25 +385,8 @@ void Context::sendRndv(int src_pe, int dst_pe, const void* buf, std::uint64_t le
   msg.src_ptr = buf;
   msg.src_device = src_device;
   msg.send_req = req;
-
-  if (reliable()) {
-    auto ws = std::make_shared<WireState>();
-    ws->proto = std::move(msg);
-    ws->src_pe = src_pe;
-    ws->dst_pe = dst_pe;
-    ws->cls = sim::MsgClass::RndvCtrl;
-    ws->ctrl = true;
-    ws->req = std::move(req);
-    engine.schedule(t0, [this, ws] { reliableTransmit(ws, 0); });
-    return;
-  }
-
-  const hw::Path ctrl_path = sys_.machine.hostToHostPath(src_pe, dst_pe);
-  const sim::TimePoint rts_arrival =
-      hw::Machine::ctrlTransfer(ctrl_path, t0, cfg_.header_bytes);
-  Worker& dst = worker(dst_pe);
-  engine.schedule(rts_arrival,
-                  [&dst, msg = std::move(msg)]() mutable { dst.onArrival(std::move(msg)); });
+  ship(std::move(msg), src_pe, dst_pe, sys_.engine.now() + sim::usec(cfg_.send_overhead_us),
+       sim::MsgClass::RndvCtrl, std::move(req));
 }
 
 Context::RndvResult Context::rndvTransfer(const Worker::Incoming& msg, int dst_pe,
@@ -479,23 +418,12 @@ Context::RndvResult Context::rndvTransfer(const Worker::Incoming& msg, int dst_p
       // Inter-node: pipelined host staging in chunks (the UCX cuda pipeline).
       // CTS travels back to the sender, which then pushes chunks through
       // D2H -> NIC -> NIC -> H2D; per-link FIFO occupancy pipelines chunks.
-      sim::TimePoint cts_arrival;
-      if (reliable()) {
-        const sim::Duration flight =
-            hw::Machine::ctrlTransfer(machine.hostToHostPath(dst_pe, src_pe), start,
-                                      cfg_.header_bytes) -
-            start;
-        const auto [t, ok] = faultedCtrl(dst_pe, src_pe, start, flight, msg.tag, "cts");
-        if (!ok) {
-          cts_ok = false;
-          return t;
-        }
-        cts_arrival = t + sim::usec(cfg_.rndv_handshake_us);
-      } else {
-        cts_arrival = hw::Machine::ctrlTransfer(machine.hostToHostPath(dst_pe, src_pe), start,
-                                                cfg_.header_bytes) +
-                      sim::usec(cfg_.rndv_handshake_us);
+      const auto [cts_t, ok] = ctrlLeg(dst_pe, src_pe, start, msg.tag, "cts");
+      if (!ok) {
+        cts_ok = false;
+        return cts_t;
       }
+      const sim::TimePoint cts_arrival = cts_t + sim::usec(cfg_.rndv_handshake_us);
       const std::uint64_t chunk = cfg_.rndv_pipeline_chunk;
       hw::Link& up = machine.gpuUp(machine.gpuOfPe(src_pe));
       hw::Link& nic_up = machine.nicUp(machine.nodeOfPe(src_pe));
@@ -554,41 +482,15 @@ Context::RndvResult Context::rndvTransfer(const Worker::Incoming& msg, int dst_p
     const RndvResult r = multipathRndvData(msg, dst_pe, t_match);
     data_arrival = r.data_arrival;
     failed = !r.ok;
-  } else if (!reliable()) {
-    bool cts_ok = true;
-    data_arrival = computeOnce(t_match, cts_ok);
   } else {
-    // Reliable data leg: each attempt is faulted at transmit time; a dropped
-    // attempt is retransmitted after the backoff, re-running the link
-    // reservations (the retransmission occupies real wire time).
-    sim::TimePoint start = t_match;
-    for (int attempt = 0;; ++attempt) {
-      if (peerKnownDead(start, src_pe) || peerKnownDead(start, dst_pe)) {
-        sys_.trace.record(start, sim::TraceCat::PeFail, src_pe, dst_pe, len, msg.tag,
-                          "rndv-data");
-        failed = true;
-        data_arrival = start;
-        break;
-      }
-      const auto dec = sys_.fault.decide(start, sim::MsgClass::RndvData, src_pe, dst_pe);
-      if (!dec.drop) {
-        bool cts_ok = true;
-        data_arrival = computeOnce(start, cts_ok) + dec.delay;
-        failed = !cts_ok;
-        break;
-      }
-      sys_.trace.record(start, sim::TraceCat::Drop, src_pe, dst_pe, len, msg.tag, "rndv-data");
-      if (attempt >= cfg_.max_retries) {
-        failed = true;
-        data_arrival = start;
-        break;
-      }
-      ++retransmits_;
-      sys_.trace.record(start, sim::TraceCat::Retry, src_pe, dst_pe, len, msg.tag, "rndv-data");
-      sys_.obs.spans.phase(sys_.obs.spans.spanForTag(msg.tag), start, obs::Phase::Retry, src_pe,
-                           static_cast<std::uint64_t>(attempt) + 1);
-      start += retryDelay(attempt);
-    }
+    // Each attempt is faulted at transmit time; a dropped attempt is
+    // retransmitted after the backoff, re-running the link reservations (the
+    // retransmission occupies real wire time).
+    const Leg leg = faultedLeg(src_pe, dst_pe, t_match, sim::MsgClass::RndvData, len, msg.tag,
+                               "rndv-data");
+    bool cts_ok = leg.ok;
+    data_arrival = leg.ok ? computeOnce(leg.start, cts_ok) + leg.delay : leg.start;
+    failed = !cts_ok;
   }
 
   RequestPtr send_req = msg.send_req;
@@ -624,32 +526,13 @@ Context::RndvResult Context::rndvTransfer(const Worker::Incoming& msg, int dst_p
   // Under faults the ATS is receiver-driven and retried; if every attempt is
   // lost, the data did arrive (receiver completes Done) but the sender can
   // never learn it — it completes with Error.
-  sim::TimePoint ats_arrival;
-  bool ats_ok = true;
-  if (reliable()) {
-    const sim::Duration flight =
-        hw::Machine::ctrlTransfer(machine.hostToHostPath(dst_pe, src_pe), data_arrival,
-                                  cfg_.header_bytes) -
-        data_arrival;
-    const auto [t, ok] = faultedCtrl(dst_pe, src_pe, data_arrival, flight, msg.tag, "ats");
-    ats_arrival = t + sim::usec(cfg_.rndv_handshake_us);
-    ats_ok = ok;
-    if (!ats_ok) {
-      if (peerKnownDead(ats_arrival, src_pe) || peerKnownDead(ats_arrival, dst_pe)) {
-        ++peer_failed_reqs_;
-      } else {
-        ++send_errors_;
-      }
-    }
-  } else {
-    ats_arrival = hw::Machine::ctrlTransfer(machine.hostToHostPath(dst_pe, src_pe), data_arrival,
-                                            cfg_.header_bytes) +
-                  sim::usec(cfg_.rndv_handshake_us);
-  }
-  sys_.obs.spans.phase(sys_.obs.spans.spanForTag(msg.tag), ats_arrival, obs::Phase::RndvAts,
-                       src_pe, ats_ok ? 1 : 0);
+  const auto [ats_t, ats_ok] = ctrlLeg(dst_pe, src_pe, data_arrival, msg.tag, "ats");
+  const sim::TimePoint ats_arrival = ats_t + sim::usec(cfg_.rndv_handshake_us);
   const bool ats_peer_dead =
       !ats_ok && (peerKnownDead(ats_arrival, src_pe) || peerKnownDead(ats_arrival, dst_pe));
+  if (!ats_ok) ++(ats_peer_dead ? peer_failed_reqs_ : send_errors_);
+  sys_.obs.spans.phase(sys_.obs.spans.spanForTag(msg.tag), ats_arrival, obs::Phase::RndvAts,
+                       src_pe, ats_ok ? 1 : 0);
   engine.schedule(ats_arrival, [send_req = std::move(send_req), ats_ok, ats_peer_dead] {
     if (send_req && send_req->state == ReqState::Pending) {
       // The data leg finished before the ATS was even attempted, so the
@@ -679,17 +562,9 @@ Context::RndvResult Context::multipathRndvData(const Worker::Incoming& msg, int 
   // Intra-node stays a receiver pull (CUDA-IPC semantics), no CTS.
   sim::TimePoint start = t_match;
   if (!same_node) {
-    const sim::Duration flight =
-        hw::Machine::ctrlTransfer(machine.hostToHostPath(dst_pe, src_pe), start,
-                                  cfg_.header_bytes) -
-        start;
-    if (reliable()) {
-      const auto [t, ok] = faultedCtrl(dst_pe, src_pe, start, flight, msg.tag, "cts");
-      if (!ok) return {t, false};
-      start = t + sim::usec(cfg_.rndv_handshake_us);
-    } else {
-      start += flight + sim::usec(cfg_.rndv_handshake_us);
-    }
+    const auto [cts_t, ok] = ctrlLeg(dst_pe, src_pe, start, msg.tag, "cts");
+    if (!ok) return {cts_t, false};
+    start = cts_t + sim::usec(cfg_.rndv_handshake_us);
   }
 
   hw::PathScheduler sched(machine.deviceRoutes(src_pe, dst_pe));
@@ -729,31 +604,27 @@ Context::RndvResult Context::multipathRndvData(const Worker::Incoming& msg, int 
       } else {
         pick = sched.best(t, c, exclude);
       }
-      sim::Duration delay = 0;
-      if (reliable()) {
-        if (peerKnownDead(t, src_pe) || peerKnownDead(t, dst_pe)) {
-          sys_.trace.record(t, sim::TraceCat::PeFail, src_pe, dst_pe, c, msg.tag, "mp-chunk");
-          return {t, false};
+      if (peerKnownDead(t, src_pe) || peerKnownDead(t, dst_pe)) {
+        sys_.trace.record(t, sim::TraceCat::PeFail, src_pe, dst_pe, c, msg.tag, "mp-chunk");
+        return {t, false};
+      }
+      const auto dec = sys_.fault.decide(t, sim::MsgClass::RndvData, src_pe, dst_pe);
+      if (dec.drop) {
+        sys_.trace.record(t, sim::TraceCat::Drop, src_pe, dst_pe, c, msg.tag, "mp-chunk");
+        if (attempt >= cfg_.max_retries) return {t, false};
+        ++retransmits_;
+        sys_.trace.record(t, sim::TraceCat::Retry, src_pe, dst_pe, c, msg.tag, "mp-chunk");
+        sys_.obs.spans.phase(span, t, obs::Phase::Retry, src_pe,
+                             static_cast<std::uint64_t>(attempt) + 1);
+        if (sched.numRoutes() > 1) {
+          // Re-route: the retry is barred from the lost attempt's route,
+          // so a chunk on a downed/lossy path moves to a surviving one
+          // before the caller's host-staged fallback ever engages.
+          exclude = pick;
+          ++mp_reroutes_;
         }
-        const auto dec = sys_.fault.decide(t, sim::MsgClass::RndvData, src_pe, dst_pe);
-        if (dec.drop) {
-          sys_.trace.record(t, sim::TraceCat::Drop, src_pe, dst_pe, c, msg.tag, "mp-chunk");
-          if (attempt >= cfg_.max_retries) return {t, false};
-          ++retransmits_;
-          sys_.trace.record(t, sim::TraceCat::Retry, src_pe, dst_pe, c, msg.tag, "mp-chunk");
-          sys_.obs.spans.phase(span, t, obs::Phase::Retry, src_pe,
-                               static_cast<std::uint64_t>(attempt) + 1);
-          if (sched.numRoutes() > 1) {
-            // Re-route: the retry is barred from the lost attempt's route,
-            // so a chunk on a downed/lossy path moves to a surviving one
-            // before the caller's host-staged fallback ever engages.
-            exclude = pick;
-            ++mp_reroutes_;
-          }
-          t += retryDelay(attempt);
-          continue;
-        }
-        delay = dec.delay;
+        t += retryDelay(attempt);
+        continue;
       }
       const char* kind = sched.route(pick).kind;
       const sim::Duration chunk_overhead =
@@ -761,7 +632,7 @@ Context::RndvResult Context::multipathRndvData(const Worker::Incoming& msg, int 
               ? sim::usec(cfg_.rndv_pipeline_overhead_us)
               : (std::strcmp(kind, "direct") == 0 ? 0
                                                   : sim::usec(mp.stage_chunk_overhead_us));
-      const sim::TimePoint arrival = sched.commit(pick, t, c, chunk_overhead) + delay;
+      const sim::TimePoint arrival = sched.commit(pick, t, c, chunk_overhead) + dec.delay;
       if (arrival > last) last = arrival;
       break;
     }

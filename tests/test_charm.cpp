@@ -377,7 +377,8 @@ TEST(CharmChecks, UnknownHandlerIdOnArrivalThrows) {
   const std::uint32_t bogus = 999, src = 0;
   std::memcpy(raw.data(), &bogus, 4);
   std::memcpy(raw.data() + 4, &src, 4);
-  f.ctx->amSend(0, 1, f.rt->cmi().tags().make(core::MsgType::Host, 0, 0), std::move(raw));
+  f.ctx->amSend(0, 1, f.rt->cmi().tags().make(core::MsgType::Host, 0, 0), std::move(raw),
+                0);
   EXPECT_THROW(f.sys->engine.run(), std::logic_error);
 }
 

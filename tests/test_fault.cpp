@@ -560,7 +560,7 @@ TEST(FaultExactlyOnce, EveryCompletionFiresOnceUnderLossAndPeDeath) {
     a->rndv = rndv;
     Op* ao = a.get();
     am_deliveries.push_back(0);
-    a->send = f.ctx->amSend(0, dst, kAmType | static_cast<ucx::Tag>(i), pattern(n, 900 + i),
+    a->send = f.ctx->amSend(0, dst, kAmType | static_cast<ucx::Tag>(i), pattern(n, 900 + i), 0,
                             [ao](ucx::Request& r) {
                               ++ao->send_calls;
                               ao->send_seen = r.state;

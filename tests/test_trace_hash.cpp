@@ -78,7 +78,7 @@ std::uint64_t mixedUcxTrafficHash(const sim::FaultConfig& fault = {}, bool obs =
   for (std::uint64_t size : {256u, 65536u}) {
     std::vector<std::byte> payload(size);
     rng.fill(payload.data(), payload.size());
-    ctx.amSend(2, 7, 0x9, std::move(payload), {});
+    ctx.amSend(2, 7, 0x9, std::move(payload), 0);
   }
   sys.engine.run();
   return sys.trace.hash();

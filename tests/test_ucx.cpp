@@ -207,7 +207,7 @@ TEST(UcxActiveMessage, RndvPayloadOutlivesSenderCompletion) {
   sim::TimePoint send_done = 0, recv_done = 0;
   f.ctx->worker(1).tagRecv(dst.data(), n, 0x77, ucx::kFullMask,
                            [&](ucx::Request&) { recv_done = f.sys->engine.now(); });
-  f.ctx->amSend(0, 1, 0x77, std::move(payload),
+  f.ctx->amSend(0, 1, 0x77, std::move(payload), 0,
                 [&](ucx::Request&) { send_done = f.sys->engine.now(); });
   f.sys->engine.run();
   ASSERT_GT(send_done, 0u);
@@ -230,7 +230,7 @@ TEST(UcxActiveMessage, RndvPayloadToHandlerOutlivesSenderCompletion) {
   f.ctx->worker(1).setHandler(0x78, ucx::kFullMask, [&](ucx::Delivery d) {
     got.assign(d.payload.begin(), d.payload.end());
   });
-  f.ctx->amSend(0, 1, 0x78, std::move(payload), {});
+  f.ctx->amSend(0, 1, 0x78, std::move(payload), 0);
   f.sys->engine.run();
   EXPECT_EQ(got, expect);
 }
@@ -250,7 +250,7 @@ TEST(UcxActiveMessage, HandlerAddressSurvivesLaterRegistrations) {
     got.assign(d.payload.begin(), d.payload.end());
     got_at = f.sys->engine.now();
   });
-  f.ctx->amSend(0, 1, 0x78, std::move(payload), {});
+  f.ctx->amSend(0, 1, 0x78, std::move(payload), 0);
   int strays = 0;
   f.sys->engine.schedule(sim::usec(250), [&] {
     EXPECT_TRUE(got.empty());
