@@ -257,6 +257,11 @@ class Context {
   /// completion callback — an operation never hangs.
   void reliableTransmit(const std::shared_ptr<WireState>& ws, int attempt);
 
+  /// Failure-detector step for `dead_pe`, run at announcement time `t`
+  /// before the subscribers: completes PeerFailed every sender whose
+  /// rendezvous RTS is parked in the dead worker's unexpected store.
+  void failParkedRts(int dead_pe, sim::TimePoint t);
+
   /// Outcome of faultedLeg: the attempt that went out (or the last one
   /// tried), its injected jitter, and whether it got through.
   struct Leg {

@@ -69,6 +69,7 @@ Context::Context(hw::System& sys, const UcxConfig& cfg) : sys_(sys), cfg_(cfg) {
       sys_.engine.schedule(when, [this, pe = f.pe, when] {
         ++pe_failures_detected_;
         sys_.trace.record(when, sim::TraceCat::PeFail, pe, pe, 0, 0, "detected");
+        failParkedRts(pe, when);
         // Copy: a subscriber's callback may register or remove subscribers
         // (a section, group or world built or destroyed mid-announcement).
         auto subs = peer_failure_subs_;
@@ -79,6 +80,22 @@ Context::Context(hw::System& sys, const UcxConfig& cfg) : sys_(sys), cfg_(cfg) {
 }
 
 Context::~Context() { sys_.obs.removeStatsProvider(stats_provider_); }
+
+void Context::failParkedRts(int dead_pe, sim::TimePoint t) {
+  // A rendezvous RTS delivered before its destination died waits in the
+  // dead worker's unexpected store for a receive that is never posted, and
+  // its retry deadline stopped at the delivery: only the announcement can
+  // still end the sender. (Eager senders already completed at delivery.)
+  auto parked = worker(dead_pe).matcher_.harvest(
+      [](const Worker::PostedRecv&) { return false; },
+      [](const Worker::Incoming& m) { return m.is_rndv && m.send_req; });
+  for (const Worker::Incoming& m : parked.second) {
+    ++peer_failed_reqs_;
+    sys_.trace.record(t, sim::TraceCat::PeFail, m.src_pe, dead_pe, m.len, m.tag, "peer-failed");
+    sys_.obs.spans.phase(sys_.obs.spans.spanForTag(m.tag), t, obs::Phase::PeFailed, m.src_pe);
+    complete(*m.send_req, ReqState::PeerFailed);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Reliability layer (active only while the fault injector is enabled)

@@ -148,6 +148,43 @@ TEST(FailstopDetect, DeadPesOwnInflightSendTerminates) {
   EXPECT_GE(f.ctx->peFailuresDetected(), 1u);
 }
 
+TEST(FailstopDetect, RtsParkedAtPeThatDiesTurnsPeerFailed) {
+  // The RTS lands at PE 6 before it dies and parks in its unexpected store:
+  // no receive is ever posted, and the delivery stopped the RTS's retry
+  // deadline, so only the detector announcement can end the sender.
+  CtxFixture f(killAt(6, 50.0));
+  std::vector<std::byte> src(64 * 1024);
+  bool send_done = false;
+  auto req = f.ctx->tagSend(0, 6, src.data(), src.size(), 0x9,
+                            [&](ucx::Request&) { send_done = true; });
+  f.sys->engine.run();
+  EXPECT_TRUE(send_done);
+  EXPECT_TRUE(req->peerFailed());
+  EXPECT_FALSE(req->data_delivered);
+  EXPECT_EQ(f.ctx->peerFailedRequests(), 1u);
+  EXPECT_EQ(f.ctx->worker(6).matchStats().unexpected, 0u);  // nothing left parked
+}
+
+TEST(FailstopDetect, AmpiDeviceSendToRankThatDiesUnreceivedCompletes) {
+  // A live rank's device isend to a rank that dies before posting the
+  // receive: the revoked world fails receives only, so the sender's request
+  // ends through the machine layer's parked-RTS sweep, never a hang.
+  StackFixture f(2, killAt(6, 50.0));
+  constexpr std::uint64_t kBytes = 64 * 1024;
+  cuda::DeviceBuffer src(*f.sys, 0, kBytes);
+  ampi::World world(*f.rt, 7);  // rank r on PE r
+  bool send_done = false;
+  world.run([&](ampi::Rank& r) -> sim::FutureTask {
+    if (r.rank() != 0) co_return;
+    co_await r.wait(r.isend(src.get(), kBytes, 6, 0));
+    send_done = true;
+    EXPECT_TRUE(r.aborted());
+  });
+  f.sys->engine.run();
+  ASSERT_TRUE(world.done().ready()) << "the device isend never completed";
+  EXPECT_TRUE(send_done);
+}
+
 // --------------------------------------------------------------------------
 // FaultConfig::bidirectionalOutage covers both directions of the pair.
 // --------------------------------------------------------------------------
