@@ -98,7 +98,7 @@ void Context::failParkedRts(int dead_pe, sim::TimePoint t) {
 }
 
 // ---------------------------------------------------------------------------
-// Reliability layer (active only while the fault injector is enabled)
+// Wire path and reliability layer (ship() is the one fork on reliable())
 // ---------------------------------------------------------------------------
 
 /// In-flight state of one reliable wire message. Every (re)transmission
@@ -421,25 +421,20 @@ Context::RndvResult Context::rndvTransfer(const Worker::Incoming& msg, int dst_p
 
   const bool same_node = machine.sameNode(src_pe, dst_pe);
 
-  // One pass of the data movement starting at `start`; returns the arrival
-  // time. Sets `cts_ok = false` when the reliable CTS leg exhausted its
-  // retry budget (inter-node device pipeline only — the other shapes are
-  // receiver pulls with no sender-bound control message).
-  auto computeOnce = [&](sim::TimePoint start, bool& cts_ok) -> sim::TimePoint {
-    cts_ok = true;
+  // One pass of the data movement starting at `start`. `ok == false` when
+  // the CTS leg failed (inter-node device pipeline only — the other shapes
+  // are receiver pulls with no sender-bound control message).
+  auto computeOnce = [&](sim::TimePoint start) -> RndvResult {
     if (src_device && dst_device && same_node) {
       // CUDA-IPC-style direct pull across NVLink (possibly via X-Bus).
-      return machine.transfer(machine.deviceToDevicePath(src_pe, dst_pe), start, len);
+      return {machine.transfer(machine.deviceToDevicePath(src_pe, dst_pe), start, len), true};
     }
     if (src_device && dst_device) {
       // Inter-node: pipelined host staging in chunks (the UCX cuda pipeline).
       // CTS travels back to the sender, which then pushes chunks through
       // D2H -> NIC -> NIC -> H2D; per-link FIFO occupancy pipelines chunks.
       const auto [cts_t, ok] = ctrlLeg(dst_pe, src_pe, start, msg.tag, "cts");
-      if (!ok) {
-        cts_ok = false;
-        return cts_t;
-      }
+      if (!ok) return {cts_t, false};
       const sim::TimePoint cts_arrival = cts_t + sim::usec(cfg_.rndv_handshake_us);
       const std::uint64_t chunk = cfg_.rndv_pipeline_chunk;
       hw::Link& up = machine.gpuUp(machine.gpuOfPe(src_pe));
@@ -459,7 +454,7 @@ Context::RndvResult Context::rndvTransfer(const Worker::Incoming& msg, int dst_p
         last = down.reserve(d, c);
         remaining -= c;
       }
-      return last;
+      return {last, true};
     }
     if (!src_device && !dst_device && !same_node) {
       // Inter-node host rendezvous from unregistered (pageable) memory: UCX
@@ -479,7 +474,7 @@ Context::RndvResult Context::rndvTransfer(const Worker::Incoming& msg, int dst_p
         last = nic_down.reserve(b, c);
         remaining -= c;
       }
-      return last;
+      return {last, true};
     }
     // Mixed or intra-node host: compose egress/host/ingress segments.
     hw::Path path;
@@ -487,32 +482,29 @@ Context::RndvResult Context::rndvTransfer(const Worker::Incoming& msg, int dst_p
     path.append(machine.hostToHostPath(src_pe, dst_pe));
     if (dst_device) path.append(machine.deviceIngressPath(dst_pe));
     const sim::TimePoint arrival = machine.transfer(path, start, len);
-    return path.empty() ? start : arrival;  // empty path: self-send
+    return {path.empty() ? start : arrival, true};  // empty path: self-send
   };
 
-  sim::TimePoint data_arrival = 0;
-  bool failed = false;
+  RndvResult data;
   if (cfg_.multipath.enabled && src_device && dst_device && src_pe != dst_pe) {
     // Multi-path engine: replaces both the single computation and the
     // whole-leg retry loop — fault decisions happen per chunk inside, so a
     // lost chunk re-routes instead of replaying the entire transfer.
-    const RndvResult r = multipathRndvData(msg, dst_pe, t_match);
-    data_arrival = r.data_arrival;
-    failed = !r.ok;
+    data = multipathRndvData(msg, dst_pe, t_match);
   } else {
     // Each attempt is faulted at transmit time; a dropped attempt is
     // retransmitted after the backoff, re-running the link reservations (the
-    // retransmission occupies real wire time).
+    // retransmission occupies real wire time). A failed leg has no jitter.
     const Leg leg = faultedLeg(src_pe, dst_pe, t_match, sim::MsgClass::RndvData, len, msg.tag,
                                "rndv-data");
-    bool cts_ok = leg.ok;
-    data_arrival = leg.ok ? computeOnce(leg.start, cts_ok) + leg.delay : leg.start;
-    failed = !cts_ok;
+    data = leg.ok ? computeOnce(leg.start) : RndvResult{leg.start, false};
+    data.data_arrival += leg.delay;
   }
+  const sim::TimePoint data_arrival = data.data_arrival;
 
   RequestPtr send_req = msg.send_req;
 
-  if (failed) {
+  if (!data.ok) {
     // The CTS or data leg exhausted its budget (or a peer is known dead):
     // the transfer fails permanently. Sender completes here — PeerFailed
     // when the detector blames a dead endpoint, Error otherwise; the caller
