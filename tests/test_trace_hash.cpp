@@ -251,8 +251,10 @@ TEST(TraceHash, FaultyTimelinesArePinned) {
 }
 
 /// Multi-path device rendezvous: 2 NVLink bricks and 2 NIC rails, 1 and
-/// 4 MiB device sends to a same-node and an other-node PE, so both the
-/// CUDA-IPC split and the rail split (with its CTS) run.
+/// 4 MiB device sends to a same-node and an other-node PE. The 4 MiB sends
+/// split across the direct and staged routes and across both rails, the
+/// 1 MiB ones stay below the split threshold, and the inter-node ones send
+/// a CTS first.
 std::uint64_t multipathHash(const sim::FaultConfig& fault = {}) {
   model::Model m = model::summit(2);
   m.machine.backed_device_memory = false;
