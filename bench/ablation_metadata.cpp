@@ -29,7 +29,7 @@ double rawUcxLatency(std::size_t bytes, int iters) {
   int remaining = 2 * iters;
   sim::TimePoint done_at = 0;
   std::function<void(int)> post = [&](int side) {
-    void* buf = side == 0 ? a.get() : b.get();
+    const hw::MemRef& buf = side == 0 ? a.ref() : b.ref();
     const int pe = side == 0 ? 0 : 6;
     ctx.worker(pe).tagRecv(buf, bytes, 7, ucx::kFullMask, [&, side](ucx::Request&) {
       if (--remaining == 0) {
@@ -38,12 +38,12 @@ double rawUcxLatency(std::size_t bytes, int iters) {
       }
       post(side);
       ctx.tagSend(side == 0 ? 0 : 6, side == 0 ? 6 : 0,
-                  side == 0 ? a.get() : b.get(), bytes, 7, {});
+                  side == 0 ? a.ref() : b.ref(), bytes, 7, {});
     });
   };
   post(0);
   post(1);
-  ctx.tagSend(0, 6, a.get(), bytes, 7, {});
+  ctx.tagSend(0, 6, a.ref(), bytes, 7, {});
   sys.engine.run();
   return sim::toUs(done_at) / (2.0 * iters);
 }

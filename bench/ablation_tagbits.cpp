@@ -28,11 +28,11 @@ bool stressScheme(const core::TagScheme& tags, int transfers) {
   cuda::DeviceBuffer a(sys, 0, 64), b(sys, 1, 64);
   int completed = 0;
   for (int i = 0; i < transfers; ++i) {
-    core::CmiDeviceBuffer buf{a.get(), 64, 0};
+    core::CmiDeviceBuffer buf{a.ref(), 64, 0};
     rt.startOn(0, [&, i] {
       rt.dev().lrtsSendDevice(0, 1, buf);
       rt.cmi().runOn(1, [&] {
-        rt.dev().lrtsRecvDevice(1, core::DeviceRdmaOp{b.get(), 64, buf.tag},
+        rt.dev().lrtsRecvDevice(1, core::DeviceRdmaOp{b.ref(), 64, buf.tag},
                                 core::DeviceRecvType::Raw, [&] { ++completed; });
       });
     });

@@ -88,7 +88,7 @@ double runOnce(What what, coll::CollImpl impl, bool gpu_aware, int nodes, std::u
         }
       } else {
         // Host-staged: D2H, the same collective on host buffers, H2D.
-        streams[i]->memcpyAsync(hbuf[i].get(), dbuf[i]->get(), bytes,
+        streams[i]->memcpyAsync(hbuf[i].ref(), dbuf[i]->ref(), bytes,
                                 cuda::MemcpyKind::DeviceToHost);
         co_await streams[i]->synchronize();
         if (what == What::Bcast) {
@@ -97,7 +97,7 @@ double runOnce(What what, coll::CollImpl impl, bool gpu_aware, int nodes, std::u
           co_await coll::allreduce(r, hbuf[i].get(), hout[i].get(), count, coll::Op::Sum,
                                    tag, cfg);
         }
-        streams[i]->memcpyAsync(dout[i]->get(), hout[i].get(), bytes,
+        streams[i]->memcpyAsync(dout[i]->ref(), hout[i].ref(), bytes,
                                 cuda::MemcpyKind::HostToDevice);
         co_await streams[i]->synchronize();
       }

@@ -53,11 +53,11 @@ double baseline(std::size_t n) {
   const int h = s.cmi->registerHandler([&](cmi::Message msg) {
     std::uint64_t tag = 0;
     std::memcpy(&tag, msg.payload().data(), 8);
-    s.dev->lrtsRecvDevice(kDst, core::DeviceRdmaOp{b.get(), n, tag},
+    s.dev->lrtsRecvDevice(kDst, core::DeviceRdmaOp{b.ref(), n, tag},
                           core::DeviceRecvType::Charm, [&] { done = s.sys->engine.now(); });
   });
   s.cmi->runOn(kSrc, [&] {
-    core::CmiDeviceBuffer buf{a.get(), n, 0};
+    core::CmiDeviceBuffer buf{a.ref(), n, 0};
     s.dev->lrtsSendDevice(kSrc, kDst, buf);
     std::vector<std::byte> meta(8);
     std::memcpy(meta.data(), &buf.tag, 8);
@@ -74,11 +74,11 @@ double userTag(std::size_t n) {
   constexpr std::uint64_t kTag = 0xC0FFEE;
   // Receive pre-posted before the sender moves: no metadata message at all.
   s.cmi->runOn(kDst, [&] {
-    s.dev->lrtsRecvDeviceUserTag(kDst, b.get(), n, kTag, core::DeviceRecvType::Charm,
+    s.dev->lrtsRecvDeviceUserTag(kDst, b.ref(), n, kTag, core::DeviceRecvType::Charm,
                                  [&] { done = s.sys->engine.now(); });
   });
   s.cmi->runOn(kSrc, [&] {
-    core::CmiDeviceBuffer buf{a.get(), n, 0};
+    core::CmiDeviceBuffer buf{a.ref(), n, 0};
     s.dev->lrtsSendDeviceUserTag(kSrc, kDst, buf, kTag);
   });
   s.sys->engine.run();

@@ -180,12 +180,12 @@ void BM_MemoryClassification(benchmark::State& state) {
   hw::System sys(m.machine);
   std::vector<void*> ptrs;
   for (int i = 0; i < 256; ++i) {
-    ptrs.push_back(cuda::deviceAlloc(sys, i % 6, 4096, false));
+    ptrs.push_back(cuda::deviceAlloc(sys, i % 6, 4096, false).ptr);
   }
   sim::SplitMix64 rng(3);
   int hits = 0;
   for (auto _ : state) {
-    hits += sys.memory.isDevice(ptrs[rng.below(ptrs.size())]) ? 1 : 0;
+    hits += sys.memory.classify(ptrs[rng.below(ptrs.size())]).isDevice() ? 1 : 0;
   }
   benchmark::DoNotOptimize(hits);
   for (void* p : ptrs) cuda::deviceFree(sys, p);
@@ -214,10 +214,10 @@ void BM_UcxTagMatching(benchmark::State& state) {
   std::vector<std::byte> src(64);
   for (auto _ : state) {
     for (int i = 0; i < n; ++i) {
-      ctx.worker(1).tagRecv(buf.data(), 64, static_cast<ucx::Tag>(i), ucx::kFullMask, {});
+      ctx.worker(1).tagRecv(hw::MemRef::host(buf.data()), 64, static_cast<ucx::Tag>(i), ucx::kFullMask, {});
     }
     for (int i = n - 1; i >= 0; --i) {
-      ctx.tagSend(0, 1, src.data(), 64, static_cast<ucx::Tag>(i), {});
+      ctx.tagSend(0, 1, hw::MemRef::host(src.data()), 64, static_cast<ucx::Tag>(i), {});
       sys.engine.run();
     }
   }
@@ -241,11 +241,11 @@ void BM_UcxTagMatchingUnexpected(benchmark::State& state) {
   std::vector<std::byte> src(64);
   for (auto _ : state) {
     for (int i = 0; i < n; ++i) {
-      ctx.tagSend(0, 1, src.data(), 64, static_cast<ucx::Tag>(i), {});
+      ctx.tagSend(0, 1, hw::MemRef::host(src.data()), 64, static_cast<ucx::Tag>(i), {});
       sys.engine.run();  // message lands in the unexpected queue
     }
     for (int i = n - 1; i >= 0; --i) {
-      ctx.worker(1).tagRecv(buf.data(), 64, static_cast<ucx::Tag>(i), ucx::kFullMask, {});
+      ctx.worker(1).tagRecv(hw::MemRef::host(buf.data()), 64, static_cast<ucx::Tag>(i), ucx::kFullMask, {});
       sys.engine.run();  // drain the matched completion
     }
   }
@@ -270,10 +270,10 @@ void BM_UcxTagMatchingWildcardMix(benchmark::State& state) {
       // Wildcard (mask 0x7) matches exactly the tags congruent to 0 mod 8,
       // so every receive consumes one message and the queues drain fully.
       const ucx::Tag mask = (i % 8 == 0) ? ucx::Tag{0x7} : ucx::kFullMask;
-      ctx.worker(1).tagRecv(buf.data(), 64, static_cast<ucx::Tag>(i), mask, {});
+      ctx.worker(1).tagRecv(hw::MemRef::host(buf.data()), 64, static_cast<ucx::Tag>(i), mask, {});
     }
     for (int i = n - 1; i >= 0; --i) {
-      ctx.tagSend(0, 1, src.data(), 64, static_cast<ucx::Tag>(i), {});
+      ctx.tagSend(0, 1, hw::MemRef::host(src.data()), 64, static_cast<ucx::Tag>(i), {});
       sys.engine.run();
     }
   }
@@ -295,7 +295,7 @@ void BM_UcxCancelRecv(benchmark::State& state) {
   for (auto _ : state) {
     for (int i = 0; i < n; ++i) {
       reqs.push_back(
-          ctx.worker(1).tagRecv(buf.data(), 64, static_cast<ucx::Tag>(i), ucx::kFullMask, {}));
+          ctx.worker(1).tagRecv(hw::MemRef::host(buf.data()), 64, static_cast<ucx::Tag>(i), ucx::kFullMask, {}));
     }
     // Cancel in reverse post order: each target sits at the tail of the
     // remaining posted list, which a scan would have to walk in full; the
@@ -320,9 +320,9 @@ void BM_SimulatedMessagesPerSecond(benchmark::State& state) {
   int done = 0;
   for (auto _ : state) {
     for (int i = 0; i < kMsgs; ++i) {
-      ctx.worker(6).tagRecv(dst.data(), 256, static_cast<ucx::Tag>(i), ucx::kFullMask,
+      ctx.worker(6).tagRecv(hw::MemRef::host(dst.data()), 256, static_cast<ucx::Tag>(i), ucx::kFullMask,
                             [&done](ucx::Request&) { ++done; });
-      ctx.tagSend(0, 6, src.data(), 256, static_cast<ucx::Tag>(i), {});
+      ctx.tagSend(0, 6, hw::MemRef::host(src.data()), 256, static_cast<ucx::Tag>(i), {});
     }
     sys.engine.run();
     benchmark::DoNotOptimize(done);

@@ -23,7 +23,7 @@ namespace {
 constexpr std::size_t kBytes = 1u << 20;
 
 sim::FutureTask exchange(c4p::Charm4py* py, c4p::ChannelEnd* channel, int pe, bool gpu_direct,
-                         bool initiator, void* d_data, void* h_data, cuda::Stream* stream,
+                         bool initiator, hw::MemRef d_data, hw::MemRef h_data, cuda::Stream* stream,
                          double* out_us) {
   hw::System& sys = py->system();
   const double t0 = sim::toUs(sys.engine.now());
@@ -32,11 +32,11 @@ sim::FutureTask exchange(c4p::Charm4py* py, c4p::ChannelEnd* channel, int pe, bo
     // GPU-aware: send and receive using GPU buffers directly (Fig. 8, else
     // branch).
     if (initiator) {
-      co_await channel->send(d_data, kBytes);
-      co_await channel->recv(d_data, kBytes);
+      co_await channel->send(d_data.ptr, kBytes);
+      co_await channel->recv(d_data.ptr, kBytes);
     } else {
-      co_await channel->recv(d_data, kBytes);
-      co_await channel->send(d_data, kBytes);
+      co_await channel->recv(d_data.ptr, kBytes);
+      co_await channel->send(d_data.ptr, kBytes);
     }
   } else {
     // Host-staging: explicit transfers between host and device around the
@@ -44,17 +44,17 @@ sim::FutureTask exchange(c4p::Charm4py* py, c4p::ChannelEnd* channel, int pe, bo
     if (initiator) {
       py->cudaDtoH(pe, h_data, d_data, kBytes, *stream);
       co_await py->streamSynchronize(pe, *stream);
-      co_await channel->send(h_data, kBytes);
-      co_await channel->recv(h_data, kBytes);
+      co_await channel->send(h_data.ptr, kBytes);
+      co_await channel->recv(h_data.ptr, kBytes);
       py->cudaHtoD(pe, d_data, h_data, kBytes, *stream);
       co_await py->streamSynchronize(pe, *stream);
     } else {
-      co_await channel->recv(h_data, kBytes);
+      co_await channel->recv(h_data.ptr, kBytes);
       py->cudaHtoD(pe, d_data, h_data, kBytes, *stream);
       co_await py->streamSynchronize(pe, *stream);
       py->cudaDtoH(pe, h_data, d_data, kBytes, *stream);
       co_await py->streamSynchronize(pe, *stream);
-      co_await channel->send(h_data, kBytes);
+      co_await channel->send(h_data.ptr, kBytes);
     }
   }
   if (out_us != nullptr) *out_us = sim::toUs(sys.engine.now()) - t0;
@@ -76,10 +76,12 @@ double runOnce(bool gpu_direct, bool check_integrity) {
   auto ch = py.makeChannel(0, 3);
   double rtt = 0;
   py.startOn(0, [&] {
-    (void)exchange(&py, ch.a, 0, gpu_direct, true, d0.get(), h0.data(), &s0, &rtt);
+    (void)exchange(&py, ch.a, 0, gpu_direct, true, d0.ref(), hw::MemRef::host(h0.data()), &s0,
+                   &rtt);
   });
   py.startOn(3, [&] {
-    (void)exchange(&py, ch.b, 3, gpu_direct, false, d1.get(), h1.data(), &s1, nullptr);
+    (void)exchange(&py, ch.b, 3, gpu_direct, false, d1.ref(), hw::MemRef::host(h1.data()), &s1,
+                   nullptr);
   });
   sys.engine.run();
 

@@ -36,14 +36,14 @@ int main() {
   // --- user-provided tags: receive posted BEFORE the send exists ----------
   sim::TimePoint tag_done = 0;
   cmi.runOn(6, [&] {
-    dev.lrtsRecvDeviceUserTag(6, dst_tag.get(), kBytes, /*user_tag=*/0xBEEF,
+    dev.lrtsRecvDeviceUserTag(6, dst_tag.ref(), kBytes, /*user_tag=*/0xBEEF,
                               core::DeviceRecvType::Charm,
                               [&] { tag_done = sys.engine.now(); });
     std::printf("[pe 6] receive pre-posted under user tag 0xBEEF at t=%.2f us\n",
                 sim::toUs(sys.engine.now()));
   });
   cmi.runOn(0, [&] {
-    core::CmiDeviceBuffer buf{src.get(), kBytes, 0};
+    core::CmiDeviceBuffer buf{src.ref(), kBytes, 0};
     dev.lrtsSendDeviceUserTag(0, 6, buf, 0xBEEF);
     std::printf("[pe 0] send issued; no metadata message needed\n");
   });

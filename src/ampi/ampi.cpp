@@ -182,23 +182,33 @@ void World::orphanEnvelope(int pe, Envelope& env, sim::TimePoint now) {
   // world never hangs. A dead sender's transfer simply blackholes;
   // the sink is then never written.
   auto sink = std::make_shared<std::vector<std::byte>>(static_cast<std::size_t>(env.bytes));
-  core::DeviceRdmaOp op{sink->data(), env.bytes, env.dtag};
+  core::DeviceRdmaOp op{hw::MemRef::host(sink->data()), env.bytes, env.dtag};
   rt_.dev().lrtsRecvDevice(pe, op, core::DeviceRecvType::Ampi, [sink] {});
 }
 
-bool World::isDeviceCached(const void* p) {
-  // The per-PE software cache of addresses known to be on the GPU
-  // (paper Sec. III-C1). Shared across PEs here since the whole simulation
-  // is one process; hit/miss statistics still reflect cache behaviour.
-  auto it = device_cache_.find(p);
-  if (it != device_cache_.end()) {
-    ++cache_hits_;
-    return it->second;
+hw::MemRef World::classifyCached(RankState& st, const void* p) {
+  const hw::MemoryRegistry& mem = rt_.system().memory;
+  PtrCache& cache = st.ptr_cache;
+  if (cache.epoch != mem.epoch()) {
+    cache.refs.clear();
+    cache.next = 0;
+    cache.epoch = mem.epoch();
+  }
+  for (const hw::MemRef& r : cache.refs) {
+    if (r.ptr == p) {
+      ++cache_hits_;
+      return r;
+    }
   }
   ++cache_misses_;
-  const bool dev = rt_.system().memory.isDevice(p);
-  device_cache_.emplace(p, dev);
-  return dev;
+  const hw::MemRef r = mem.classify(p);
+  if (cache.refs.size() < PtrCache::kSlots) {
+    cache.refs.push_back(r);
+  } else {
+    cache.refs[cache.next] = r;
+    cache.next = (cache.next + 1) % PtrCache::kSlots;
+  }
+  return r;
 }
 
 Request World::isendImpl(int src_rank, const void* buf, std::uint64_t bytes, int dst, int tag) {
@@ -221,14 +231,14 @@ Request World::isendImpl(int src_rank, const void* buf, std::uint64_t bytes, int
     return req;
   }
   const std::uint32_t seq = st.seq_out[static_cast<std::size_t>(dst)]++;
-  const bool device = isDeviceCached(buf);
+  const hw::MemRef src = classifyCached(st, buf);
   const Status sent_status{src_rank, tag, bytes};
 
-  if (device || bytes >= costs.host_pack_threshold) {
+  if (src.isDevice() || bytes >= costs.host_pack_threshold) {
     // Rendezvous path (paper Fig. 7): payload directly through the machine
     // layer, metadata through the Charm++ runtime. The CkCallback stored
     // with the CkDeviceBuffer completes the sender's request.
-    core::CmiDeviceBuffer cdb{buf, bytes, 0};
+    core::CmiDeviceBuffer cdb{src, bytes, 0};
     auto impl = req.impl_;
     rt_.dev().lrtsSendDevice(st.pe, dst_st.pe, cdb,
                              [impl, sent_status] { impl->complete(sent_status); },
@@ -239,7 +249,7 @@ Request World::isendImpl(int src_rank, const void* buf, std::uint64_t bytes, int
   } else {
     // Eager path: payload packed into the AMPI message straight from the
     // user buffer (one copy); an unbacked source travels as its length only.
-    const ck::BytesRef data{buf, bytes, rt_.system().memory.dereferenceable(buf)};
+    const ck::BytesRef data{buf, bytes, src.backed};
     // Inline messages bypass the machine layer, so the span is minted here
     // and rides in the message itself (0 when observability is off).
     std::uint64_t span = 0;
@@ -275,7 +285,7 @@ Request World::irecvImpl(int dst_rank, void* buf, std::uint64_t bytes, int src, 
     req.impl_->fail(Status{-1, tag, 0});
     return req;
   }
-  PostedRecv p{req.impl_, buf, bytes, src, tag};
+  PostedRecv p{req.impl_, classifyCached(st, buf), bytes, src, tag};
 
   // Search the unexpected queue in arrival order (paper Sec. III-C2): a
   // fully-concrete receive probes its (src, tag) hash chain, a
@@ -342,7 +352,7 @@ void World::deliver(int dst_rank, PostedRecv& p, Envelope& env) {
   auto impl = p.impl;
 
   if (env.inlined) {
-    if (env.data_valid) cuda::moveBytes(rt_.system(), p.buf, env.data.data(), env.data.size());
+    if (env.data_valid) cuda::moveBytes(p.buf, hw::MemRef::host(env.data.data()), env.data.size());
     const double copy_us =
         (static_cast<double>(env.bytes) / 1e3) / rt_.system().config.host_memcpy_gbps;
     const sim::Duration d = sim::usec(costs.ampi_overhead_recv_us + copy_us);

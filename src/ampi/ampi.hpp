@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "charm/charm.hpp"
@@ -36,8 +35,10 @@
 ///
 /// Host buffers are packed into a regular message when small and use the
 /// Zero Copy rendezvous when large (the 128 KiB switch reproduces the AMPI-H
-/// bandwidth dip in Fig. 12b). A per-PE software cache accelerates the
-/// device-pointer classification, as in the paper.
+/// bandwidth dip in Fig. 12b). A per-rank software cache accelerates the
+/// device-pointer classification, as the paper's per-PE cache does: each
+/// buffer is classified at the MPI call and the result travels down the
+/// stack as a hw::MemRef.
 
 namespace cux::ampi {
 
@@ -234,7 +235,7 @@ class World {
     /// a Request) so the matcher's slot recycling never constructs a fresh
     /// ReqImpl.
     std::shared_ptr<detail::ReqImpl> impl;
-    void* buf = nullptr;
+    hw::MemRef buf;  ///< classified at irecv
     std::uint64_t capacity = 0;
     int src = kAnySource;
     int tag = kAnyTag;
@@ -245,6 +246,18 @@ class World {
     [[nodiscard]] bool matches(const Envelope& e) const noexcept {
       return detail::accepts(src, tag, e.src_rank, e.tag);
     }
+  };
+  /// The paper's GPU-pointer cache (Sec. III-C1), one per rank: the buffers
+  /// this rank last sent from or received into, with their classification.
+  /// A short flat array scanned linearly, filled up to kSlots and then
+  /// replaced round robin. It holds only classifications made in the
+  /// registry's current epoch, so an address that was freed and handed out
+  /// again is classified afresh.
+  struct PtrCache {
+    static constexpr std::size_t kSlots = 32;
+    std::vector<hw::MemRef> refs;
+    std::size_t next = 0;      ///< slot the next miss replaces once full
+    std::uint64_t epoch = 0;   ///< registry epoch `refs` were classified in
   };
   struct RankState {
     Rank self;
@@ -257,6 +270,7 @@ class World {
     /// six of the world's ranks).
     sim::PeerSeq seq_out;              ///< next seq per destination rank
     sim::Resequencer<Envelope> reseq;  ///< per-source FIFO, by source rank
+    PtrCache ptr_cache;
   };
 
   Request isendImpl(int src_rank, const void* buf, std::uint64_t bytes, int dst, int tag);
@@ -265,7 +279,9 @@ class World {
   void enqueueEnvelope(int dst_rank, std::uint32_t seq, Envelope env);
   void processEnvelope(int dst_rank, Envelope env);
   void deliver(int dst_rank, PostedRecv& p, Envelope& env);
-  [[nodiscard]] bool isDeviceCached(const void* p);
+  /// `p` classified through `st`'s pointer cache: one registry lookup on a
+  /// miss, none on a hit.
+  [[nodiscard]] hw::MemRef classifyCached(RankState& st, const void* p);
   /// Detector callback: when a rank sits on the dead PE, revokes the world,
   /// fails every pending receive and orphans every queued envelope.
   void onPeFailed(int pe);
@@ -277,7 +293,6 @@ class World {
   std::vector<std::unique_ptr<RankState>> ranks_;
   std::function<sim::FutureTask(Rank&)> main_;  // must outlive rank coroutines
   sim::Promise<void> done_;
-  std::unordered_map<const void*, bool> device_cache_;
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_misses_ = 0;
   // --- failure state ------------------------------------------------------

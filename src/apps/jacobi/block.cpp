@@ -38,8 +38,8 @@ void BlockState::init(hw::System& system, const JacobiConfig& cfg, const Decompo
 
   const std::uint64_t halo_cells = static_cast<std::uint64_t>(d.block.x + 2) *
                                    (d.block.y + 2) * (d.block.z + 2);
-  grid[0] = cuda::deviceAlloc(system, pe_id, halo_cells * 8, backed);
-  grid[1] = cuda::deviceAlloc(system, pe_id, halo_cells * 8, backed);
+  grid[0] = cuda::deviceAlloc(system, pe_id, halo_cells * 8, backed).ptr;
+  grid[1] = cuda::deviceAlloc(system, pe_id, halo_cells * 8, backed).ptr;
 
   for (int i = 0; i < kNumDirs; ++i) {
     if (nbr[static_cast<std::size_t>(i)] < 0) continue;
@@ -80,9 +80,9 @@ BlockState::~BlockState() {
     if (p != nullptr) cuda::deviceFree(*sys, p);
   }
   for (int i = 0; i < kNumDirs; ++i) {
-    if (d_send[i] != nullptr) cuda::deviceFree(*sys, d_send[i]);
+    if (d_send[i].ptr != nullptr) cuda::deviceFree(*sys, d_send[i].ptr);
     for (int p = 0; p < 2; ++p) {
-      if (d_recv[p][i] != nullptr) cuda::deviceFree(*sys, d_recv[p][i]);
+      if (d_recv[p][i].ptr != nullptr) cuda::deviceFree(*sys, d_recv[p][i].ptr);
     }
   }
 }
@@ -144,8 +144,8 @@ std::function<void()> BlockState::packBody() {
     };
     for (int di = 0; di < kNumDirs; ++di) {
       if (nbr[static_cast<std::size_t>(di)] < 0) continue;
-      auto* out = static_cast<double*>(d_send[di]);
-      if (!sys->memory.dereferenceable(out)) continue;
+      if (!d_send[di].backed) continue;
+      auto* out = static_cast<double*>(d_send[di].ptr);
       std::size_t n = 0;
       switch (static_cast<Dir>(di)) {
         case Dir::XMinus:
@@ -188,8 +188,8 @@ std::function<void()> BlockState::unpackBody(int parity) {
     };
     for (int di = 0; di < kNumDirs; ++di) {
       if (nbr[static_cast<std::size_t>(di)] < 0) continue;
-      const auto* in = static_cast<const double*>(d_recv[parity][di]);
-      if (!sys->memory.dereferenceable(in)) continue;
+      if (!d_recv[parity][di].backed) continue;
+      const auto* in = static_cast<const double*>(d_recv[parity][di].ptr);
       std::size_t n = 0;
       switch (static_cast<Dir>(di)) {
         case Dir::XMinus:
@@ -224,7 +224,7 @@ std::function<void()> BlockState::unpackBody(int parity) {
 void BlockState::stageSendFaces() {
   for (int i = 0; i < kNumDirs; ++i) {
     if (nbr[static_cast<std::size_t>(i)] < 0) continue;
-    stream->memcpyAsync(h_send[i].get(), d_send[i], dec.faceBytes(static_cast<Dir>(i)),
+    stream->memcpyAsync(h_send[i].ref(), d_send[i], dec.faceBytes(static_cast<Dir>(i)),
                         cuda::MemcpyKind::DeviceToHost);
   }
 }
@@ -232,7 +232,7 @@ void BlockState::stageSendFaces() {
 void BlockState::stageRecvFaces(int parity) {
   for (int i = 0; i < kNumDirs; ++i) {
     if (nbr[static_cast<std::size_t>(i)] < 0) continue;
-    stream->memcpyAsync(d_recv[parity][i], h_recv[parity][i].get(),
+    stream->memcpyAsync(d_recv[parity][i], h_recv[parity][i].ref(),
                         dec.faceBytes(static_cast<Dir>(i)), cuda::MemcpyKind::HostToDevice);
   }
 }

@@ -40,22 +40,23 @@ struct BlockState {
   std::unique_ptr<cuda::Stream> stream;
   void* grid[2] = {nullptr, nullptr};  ///< device grids with 1-cell halo
   int cur = 0;                         ///< which grid holds the current state
-  void* d_send[kNumDirs] = {};
+  /// Halo faces, with the classification their allocation gave them.
+  hw::MemRef d_send[kNumDirs] = {};
   /// Receive faces are double-buffered by iteration parity: message-driven
   /// senders may run one iteration ahead, and their halo for iteration i+1
   /// must not overwrite the not-yet-unpacked face of iteration i.
-  void* d_recv[2][kNumDirs] = {};
+  hw::MemRef d_recv[2][kNumDirs] = {};
   /// -H staging faces: address-space reservations at paper scale (1536 PEs
   /// x 12 faces of ~19 MB would not fit in memory), real in backed mode.
   cuda::HostBuffer h_send[kNumDirs], h_recv[2][kNumDirs];
 
   /// Comm buffer handed to the transport for direction d.
   [[nodiscard]] void* sendBuf(Dir d) const {
-    return mode == Mode::Device ? d_send[static_cast<int>(d)]
+    return mode == Mode::Device ? d_send[static_cast<int>(d)].ptr
                                 : h_send[static_cast<int>(d)].get();
   }
   [[nodiscard]] void* recvBuf(Dir d, int parity = 0) const {
-    return mode == Mode::Device ? d_recv[parity][static_cast<int>(d)]
+    return mode == Mode::Device ? d_recv[parity][static_cast<int>(d)].ptr
                                 : h_recv[parity][static_cast<int>(d)].get();
   }
 

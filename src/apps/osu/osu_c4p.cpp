@@ -21,7 +21,7 @@ struct C4pEnv {
   c4p::Charm4py* py = nullptr;
   c4p::ChannelEnd* ends[2] = {nullptr, nullptr};
   int pes[2] = {0, 1};
-  void* d_buf[2] = {nullptr, nullptr};
+  hw::MemRef d_buf[2];
   cuda::HostBuffer h_buf[2];
   std::unique_ptr<cuda::Stream> stream[2];
   double result = 0;
@@ -44,26 +44,26 @@ sim::FutureTask c4pLatencyMain(C4pEnv* env, int side) {
     if (env->mode == Mode::Device) {
       // gpu_direct branch of paper Fig. 8.
       if (client) {
-        co_await ch->send(env->d_buf[side], n);
-        co_await ch->recv(env->d_buf[side], n);
+        co_await ch->send(env->d_buf[side].ptr, n);
+        co_await ch->recv(env->d_buf[side].ptr, n);
       } else {
-        co_await ch->recv(env->d_buf[side], n);
-        co_await ch->send(env->d_buf[side], n);
+        co_await ch->recv(env->d_buf[side].ptr, n);
+        co_await ch->send(env->d_buf[side].ptr, n);
       }
     } else {
       // Host-staging branch of paper Fig. 8.
       if (client) {
-        py.cudaDtoH(pe, env->h_buf[side].get(), env->d_buf[side], n, *env->stream[side]);
+        py.cudaDtoH(pe, env->h_buf[side].ref(), env->d_buf[side], n, *env->stream[side]);
         co_await py.streamSynchronize(pe, *env->stream[side]);
         co_await ch->send(env->h_buf[side].get(), n);
         co_await ch->recv(env->h_buf[side].get(), n);
-        py.cudaHtoD(pe, env->d_buf[side], env->h_buf[side].get(), n, *env->stream[side]);
+        py.cudaHtoD(pe, env->d_buf[side], env->h_buf[side].ref(), n, *env->stream[side]);
         co_await py.streamSynchronize(pe, *env->stream[side]);
       } else {
         co_await ch->recv(env->h_buf[side].get(), n);
-        py.cudaHtoD(pe, env->d_buf[side], env->h_buf[side].get(), n, *env->stream[side]);
+        py.cudaHtoD(pe, env->d_buf[side], env->h_buf[side].ref(), n, *env->stream[side]);
         co_await py.streamSynchronize(pe, *env->stream[side]);
-        py.cudaDtoH(pe, env->h_buf[side].get(), env->d_buf[side], n, *env->stream[side]);
+        py.cudaDtoH(pe, env->h_buf[side].ref(), env->d_buf[side], n, *env->stream[side]);
         co_await py.streamSynchronize(pe, *env->stream[side]);
         co_await ch->send(env->h_buf[side].get(), n);
       }
@@ -92,11 +92,11 @@ sim::FutureTask c4pBandwidthMain(C4pEnv* env, int side) {
       sends.reserve(static_cast<std::size_t>(env->window));
       for (int w = 0; w < env->window; ++w) {
         if (env->mode == Mode::HostStaging) {
-          py.cudaDtoH(pe, env->h_buf[side].get(), env->d_buf[side], n, *env->stream[side]);
+          py.cudaDtoH(pe, env->h_buf[side].ref(), env->d_buf[side], n, *env->stream[side]);
           co_await py.streamSynchronize(pe, *env->stream[side]);
           sends.push_back(ch->send(env->h_buf[side].get(), n));
         } else {
-          sends.push_back(ch->send(env->d_buf[side], n));
+          sends.push_back(ch->send(env->d_buf[side].ptr, n));
         }
       }
       co_await sim::allOf(sends);
@@ -105,10 +105,10 @@ sim::FutureTask c4pBandwidthMain(C4pEnv* env, int side) {
       // channel.recv suspends the coroutine (charm4py semantics), so window
       // receives complete strictly one after another — this serialisation is
       // what caps Charm4py's bandwidth below the other models (Sec. IV-B2).
-      void* dst = env->mode == Mode::Device ? env->d_buf[side] : env->h_buf[side].get();
+      void* dst = env->mode == Mode::Device ? env->d_buf[side].ptr : env->h_buf[side].get();
       for (int w = 0; w < env->window; ++w) co_await ch->recv(dst, n);
       if (env->mode == Mode::HostStaging) {
-        py.cudaHtoD(pe, env->d_buf[side], env->h_buf[side].get(), n, *env->stream[side]);
+        py.cudaHtoD(pe, env->d_buf[side], env->h_buf[side].ref(), n, *env->stream[side]);
         co_await py.streamSynchronize(pe, *env->stream[side]);
       }
       co_await ch->send(&ack, sizeof ack);

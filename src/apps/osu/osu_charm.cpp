@@ -26,7 +26,7 @@ struct OsuChare : ck::Chare {
   CharmEnv* env = nullptr;
   ck::Proxy<OsuChare> peer;
   bool client = false;
-  void* d_buf = nullptr;
+  hw::MemRef d_buf;
   cuda::HostBuffer h_buf;
   std::unique_ptr<cuda::Stream> stream;
   int it = 0;
@@ -34,7 +34,7 @@ struct OsuChare : ck::Chare {
   sim::TimePoint t0 = 0;
 
   [[nodiscard]] void* recvDst() {
-    return env->mode == Mode::Device ? d_buf : h_buf.get();
+    return env->mode == Mode::Device ? d_buf.ptr : h_buf.get();
   }
   [[nodiscard]] hw::System& sys() { return ckRuntime().system(); }
 
@@ -54,9 +54,9 @@ struct OsuChare : ck::Chare {
       sys().obs.markIteration(t0);  // iteration-window start for critical-path attribution
     }
     if (env->mode == Mode::Device) {
-      peer.sendFrom<&OsuChare::latPing>(myPe(), ck::Buffer(d_buf, env->bytes));
+      peer.sendFrom<&OsuChare::latPing>(myPe(), ck::Buffer(d_buf.ptr, env->bytes));
     } else {
-      stream->memcpyAsync(h_buf.get(), d_buf, env->bytes, cuda::MemcpyKind::DeviceToHost);
+      stream->memcpyAsync(h_buf.ref(), d_buf, env->bytes, cuda::MemcpyKind::DeviceToHost);
       stream->synchronize().onReady([this] {
         peer.sendFrom<&OsuChare::latPing>(myPe(), ck::Buffer(h_buf.get(), env->bytes));
       });
@@ -66,11 +66,11 @@ struct OsuChare : ck::Chare {
   void latPing(ck::Buffer) {
     // Server side: un-stage if needed, then echo.
     if (env->mode == Mode::Device) {
-      peer.sendFrom<&OsuChare::latPong>(myPe(), ck::Buffer(d_buf, env->bytes));
+      peer.sendFrom<&OsuChare::latPong>(myPe(), ck::Buffer(d_buf.ptr, env->bytes));
       return;
     }
-    stream->memcpyAsync(d_buf, h_buf.get(), env->bytes, cuda::MemcpyKind::HostToDevice);
-    stream->memcpyAsync(h_buf.get(), d_buf, env->bytes, cuda::MemcpyKind::DeviceToHost);
+    stream->memcpyAsync(d_buf, h_buf.ref(), env->bytes, cuda::MemcpyKind::HostToDevice);
+    stream->memcpyAsync(h_buf.ref(), d_buf, env->bytes, cuda::MemcpyKind::DeviceToHost);
     stream->synchronize().onReady([this] {
       peer.sendFrom<&OsuChare::latPong>(myPe(), ck::Buffer(h_buf.get(), env->bytes));
     });
@@ -82,7 +82,7 @@ struct OsuChare : ck::Chare {
       latIterDone();
       return;
     }
-    stream->memcpyAsync(d_buf, h_buf.get(), env->bytes, cuda::MemcpyKind::HostToDevice);
+    stream->memcpyAsync(d_buf, h_buf.ref(), env->bytes, cuda::MemcpyKind::HostToDevice);
     stream->synchronize().onReady([this] { latIterDone(); });
   }
 
@@ -106,13 +106,13 @@ struct OsuChare : ck::Chare {
     if (it == env->warmup) t0 = sys().engine.now();
     if (env->mode == Mode::Device) {
       for (int w = 0; w < env->window; ++w) {
-        peer.sendFrom<&OsuChare::bwData>(myPe(), ck::Buffer(d_buf, env->bytes));
+        peer.sendFrom<&OsuChare::bwData>(myPe(), ck::Buffer(d_buf.ptr, env->bytes));
       }
     } else {
       // Per-message staging through the (serialising) stream, as the OSU -H
       // adaptations do.
       for (int w = 0; w < env->window; ++w) {
-        stream->memcpyAsync(h_buf.get(), d_buf, env->bytes, cuda::MemcpyKind::DeviceToHost);
+        stream->memcpyAsync(h_buf.ref(), d_buf, env->bytes, cuda::MemcpyKind::DeviceToHost);
         stream->synchronize().onReady([this] {
           peer.sendFrom<&OsuChare::bwData>(myPe(), ck::Buffer(h_buf.get(), env->bytes));
         });
@@ -127,7 +127,7 @@ struct OsuChare : ck::Chare {
       peer.sendFrom<&OsuChare::bwAck>(myPe(), 1);
       return;
     }
-    stream->memcpyAsync(d_buf, h_buf.get(), env->bytes, cuda::MemcpyKind::HostToDevice);
+    stream->memcpyAsync(d_buf, h_buf.ref(), env->bytes, cuda::MemcpyKind::HostToDevice);
     stream->synchronize().onReady([this] { peer.sendFrom<&OsuChare::bwAck>(myPe(), 1); });
   }
 

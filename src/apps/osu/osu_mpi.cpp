@@ -21,8 +21,7 @@ struct PairEnv {
   Mode mode = Mode::Device;
   int client_rank = 0, server_rank = 1;
   // Per-side device buffers and staging state.
-  void* d_send[2] = {nullptr, nullptr};
-  void* d_recv[2] = {nullptr, nullptr};
+  hw::MemRef d_send[2], d_recv[2];
   cuda::HostBuffer h_send[2], h_recv[2];
   std::unique_ptr<cuda::Stream> stream[2];
   double result_us = 0;
@@ -48,28 +47,28 @@ sim::FutureTask latencyMain(RankT* r, PairEnv* env) {
     }
     if (client) {
       if (env->mode == Mode::Device) {
-        co_await r->send(env->d_send[side], n, peer, 1);
-        co_await r->recv(env->d_recv[side], n, peer, 2);
+        co_await r->send(env->d_send[side].ptr, n, peer, 1);
+        co_await r->recv(env->d_recv[side].ptr, n, peer, 2);
       } else {
-        env->stream[side]->memcpyAsync(env->h_send[side].get(), env->d_send[side], n,
+        env->stream[side]->memcpyAsync(env->h_send[side].ref(), env->d_send[side], n,
                                        cuda::MemcpyKind::DeviceToHost);
         co_await env->stream[side]->synchronize();
         co_await r->send(env->h_send[side].get(), n, peer, 1);
         co_await r->recv(env->h_recv[side].get(), n, peer, 2);
-        env->stream[side]->memcpyAsync(env->d_recv[side], env->h_recv[side].get(), n,
+        env->stream[side]->memcpyAsync(env->d_recv[side], env->h_recv[side].ref(), n,
                                        cuda::MemcpyKind::HostToDevice);
         co_await env->stream[side]->synchronize();
       }
     } else {
       if (env->mode == Mode::Device) {
-        co_await r->recv(env->d_recv[side], n, peer, 1);
-        co_await r->send(env->d_send[side], n, peer, 2);
+        co_await r->recv(env->d_recv[side].ptr, n, peer, 1);
+        co_await r->send(env->d_send[side].ptr, n, peer, 2);
       } else {
         co_await r->recv(env->h_recv[side].get(), n, peer, 1);
-        env->stream[side]->memcpyAsync(env->d_recv[side], env->h_recv[side].get(), n,
+        env->stream[side]->memcpyAsync(env->d_recv[side], env->h_recv[side].ref(), n,
                                        cuda::MemcpyKind::HostToDevice);
         co_await env->stream[side]->synchronize();
-        env->stream[side]->memcpyAsync(env->h_send[side].get(), env->d_send[side], n,
+        env->stream[side]->memcpyAsync(env->h_send[side].ref(), env->d_send[side], n,
                                        cuda::MemcpyKind::DeviceToHost);
         co_await env->stream[side]->synchronize();
         co_await r->send(env->h_send[side].get(), n, peer, 2);
@@ -97,14 +96,14 @@ sim::FutureTask bandwidthMain(RankT* r, PairEnv* env) {
     if (client && it == env->warmup) t0 = r->timeUs();
     if (client) {
       const void* buf =
-          env->mode == Mode::Device ? env->d_send[side] : env->h_send[side].get();
+          env->mode == Mode::Device ? env->d_send[side].ptr : env->h_send[side].get();
       std::vector<RequestT> reqs;
       reqs.reserve(static_cast<std::size_t>(env->window));
       for (int w = 0; w < env->window; ++w) {
         if (env->mode == Mode::HostStaging) {
           // Per-message synchronous staging, as in the OSU-GPU -H adaptation
           // (cudaMemcpy before every MPI_Isend).
-          env->stream[side]->memcpyAsync(env->h_send[side].get(), env->d_send[side], n,
+          env->stream[side]->memcpyAsync(env->h_send[side].ref(), env->d_send[side], n,
                                          cuda::MemcpyKind::DeviceToHost);
           co_await env->stream[side]->synchronize();
         }
@@ -113,13 +112,13 @@ sim::FutureTask bandwidthMain(RankT* r, PairEnv* env) {
       co_await r->waitAll(reqs);
       co_await r->recv(&ack, sizeof ack, peer, 999);
     } else {
-      void* buf = env->mode == Mode::Device ? env->d_recv[side] : env->h_recv[side].get();
+      void* buf = env->mode == Mode::Device ? env->d_recv[side].ptr : env->h_recv[side].get();
       std::vector<RequestT> reqs;
       reqs.reserve(static_cast<std::size_t>(env->window));
       for (int w = 0; w < env->window; ++w) reqs.push_back(r->irecv(buf, n, peer, w));
       co_await r->waitAll(reqs);
       if (env->mode == Mode::HostStaging) {
-        env->stream[side]->memcpyAsync(env->d_recv[side], env->h_recv[side].get(), n,
+        env->stream[side]->memcpyAsync(env->d_recv[side], env->h_recv[side].ref(), n,
                                        cuda::MemcpyKind::HostToDevice);
         co_await env->stream[side]->synchronize();
       }
@@ -149,19 +148,19 @@ sim::FutureTask biBandwidthMain(RankT* r, PairEnv* env) {
   for (int it = 0; it < env->warmup + env->iters; ++it) {
     if (client && it == env->warmup) t0 = r->timeUs();
     if (env->mode == Mode::HostStaging) {
-      env->stream[side]->memcpyAsync(env->h_send[side].get(), env->d_send[side], n,
+      env->stream[side]->memcpyAsync(env->h_send[side].ref(), env->d_send[side], n,
                                      cuda::MemcpyKind::DeviceToHost);
       co_await env->stream[side]->synchronize();
     }
-    const void* sbuf = env->mode == Mode::Device ? env->d_send[side] : env->h_send[side].get();
-    void* rbuf = env->mode == Mode::Device ? env->d_recv[side] : env->h_recv[side].get();
+    const void* sbuf = env->mode == Mode::Device ? env->d_send[side].ptr : env->h_send[side].get();
+    void* rbuf = env->mode == Mode::Device ? env->d_recv[side].ptr : env->h_recv[side].get();
     std::vector<RequestT> reqs;
     reqs.reserve(static_cast<std::size_t>(2 * env->window));
     for (int w = 0; w < env->window; ++w) reqs.push_back(r->irecv(rbuf, n, peer, 2000 + w));
     for (int w = 0; w < env->window; ++w) reqs.push_back(r->isend(sbuf, n, peer, 2000 + w));
     co_await r->waitAll(reqs);
     if (env->mode == Mode::HostStaging) {
-      env->stream[side]->memcpyAsync(env->d_recv[side], env->h_recv[side].get(), n,
+      env->stream[side]->memcpyAsync(env->d_recv[side], env->h_recv[side].ref(), n,
                                      cuda::MemcpyKind::HostToDevice);
       co_await env->stream[side]->synchronize();
     }
@@ -299,7 +298,7 @@ double mpiMultiLatency(const BenchConfig& cfg, std::size_t bytes) {
   const int n_ranks = f.sys->config.numPes();
   env.one_way_us.assign(static_cast<std::size_t>(n_ranks), 0.0);
   for (int p = 0; p < n_ranks; ++p) {
-    env.bufs.push_back(cuda::deviceAlloc(*f.sys, p, bytes));
+    env.bufs.push_back(cuda::deviceAlloc(*f.sys, p, bytes).ptr);
   }
   if (f.ampi_world) {
     f.ampi_world->run(

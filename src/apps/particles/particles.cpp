@@ -55,8 +55,8 @@ struct Env {
     void* storage = nullptr;       ///< Particle[capacity]
     std::uint64_t count = 0;       ///< live particles
     std::uint64_t capacity = 0;
-    void* pack[2] = {};            ///< per phase-direction pack buffer
-    void* recv[2] = {};
+    hw::MemRef pack[2] = {};       ///< per phase-direction pack buffer
+    hw::MemRef recv[2] = {};
     cuda::HostBuffer h_pack[2];    ///< -H staging
     cuda::HostBuffer h_recv[2];
     std::unique_ptr<cuda::Stream> stream;
@@ -90,8 +90,8 @@ std::pair<std::uint64_t, std::uint64_t> partitionBody(Env& env, int r, int phase
                                                       const RankPatch& patch) {
   auto& rd = env.ranks[static_cast<std::size_t>(r)];
   Particle* p = env.parts(r);
-  auto* low = static_cast<Particle*>(rd.pack[0]);
-  auto* high = static_cast<Particle*>(rd.pack[1]);
+  auto* low = static_cast<Particle*>(rd.pack[0].ptr);
+  auto* high = static_cast<Particle*>(rd.pack[1].ptr);
   std::uint64_t keep = 0, nlow = 0, nhigh = 0;
   for (std::uint64_t i = 0; i < rd.count; ++i) {
     const int home = phase == 0 ? patch.cellX(p[i].x) : patch.cellY(p[i].y);
@@ -168,28 +168,29 @@ sim::FutureTask rankMain(ampi::Rank* r, Env* env) {
       co_await r->sendrecv(&nhigh, 8, hi, 200 + phase, &in_from_lo, 8, lo, 200 + phase);
 
       // 2b. Variable-size particle payloads (device-aware or staged).
-      auto exchange = [&](int peer_send, int peer_recv, void* pack, void* recv,
-                          void* h_pack, void* h_recv, std::uint64_t out_n, std::uint64_t in_n,
-                          int tag) -> sim::FutureTask {
+      auto exchange = [&](int peer_send, int peer_recv, hw::MemRef pack, hw::MemRef recv,
+                          hw::MemRef h_pack, hw::MemRef h_recv, std::uint64_t out_n,
+                          std::uint64_t in_n, int tag) -> sim::FutureTask {
         const std::uint64_t out_b = out_n * psz, in_b = in_n * psz;
         if (cfg.mode == Mode::HostStaging) {
           if (out_b > 0) {
             rd.stream->memcpyAsync(h_pack, pack, out_b, cuda::MemcpyKind::DeviceToHost);
             co_await rd.stream->synchronize();
           }
-          co_await r->sendrecv(h_pack, out_b, peer_send, tag, h_recv, in_b, peer_recv, tag);
+          co_await r->sendrecv(h_pack.ptr, out_b, peer_send, tag, h_recv.ptr, in_b, peer_recv,
+                               tag);
           if (in_b > 0) {
             rd.stream->memcpyAsync(recv, h_recv, in_b, cuda::MemcpyKind::HostToDevice);
             co_await rd.stream->synchronize();
           }
         } else {
-          co_await r->sendrecv(pack, out_b, peer_send, tag, recv, in_b, peer_recv, tag);
+          co_await r->sendrecv(pack.ptr, out_b, peer_send, tag, recv.ptr, in_b, peer_recv, tag);
         }
       };
       // Low-direction sends pair with high-direction receives and vice versa.
-      co_await exchange(lo, hi, rd.pack[0], rd.recv[1], rd.h_pack[0].get(), rd.h_recv[1].get(),
+      co_await exchange(lo, hi, rd.pack[0], rd.recv[1], rd.h_pack[0].ref(), rd.h_recv[1].ref(),
                         nlow, in_from_hi, 300 + phase);
-      co_await exchange(hi, lo, rd.pack[1], rd.recv[0], rd.h_pack[1].get(), rd.h_recv[0].get(),
+      co_await exchange(hi, lo, rd.pack[1], rd.recv[0], rd.h_pack[1].ref(), rd.h_recv[0].ref(),
                         nhigh, in_from_lo, 400 + phase);
       rd.comm_ns += r->system().engine.now() - comm_start;
 
@@ -201,8 +202,8 @@ sim::FutureTask rankMain(ampi::Rank* r, Env* env) {
           backed ? std::function<void()>([env, rr = r->rank(), in_from_hi, in_from_lo] {
             auto& d = env->ranks[static_cast<std::size_t>(rr)];
             Particle* p = env->parts(rr);
-            const auto* rhi = static_cast<const Particle*>(d.recv[1]);
-            const auto* rlo = static_cast<const Particle*>(d.recv[0]);
+            const auto* rhi = static_cast<const Particle*>(d.recv[1].ptr);
+            const auto* rlo = static_cast<const Particle*>(d.recv[0].ptr);
             assert(d.count + in_from_hi + in_from_lo <= d.capacity);
             for (std::uint64_t i = 0; i < in_from_hi; ++i) p[d.count++] = rhi[i];
             for (std::uint64_t i = 0; i < in_from_lo; ++i) p[d.count++] = rlo[i];
@@ -233,7 +234,7 @@ struct Instance {
       auto& rd = env.ranks[static_cast<std::size_t>(rank)];
       rd.capacity = cap;
       rd.count = cfg.particles_per_rank;
-      rd.storage = cuda::deviceAlloc(*sys, rank, cap * sizeof(Particle));
+      rd.storage = cuda::deviceAlloc(*sys, rank, cap * sizeof(Particle)).ptr;
       for (int i = 0; i < 2; ++i) {
         rd.pack[i] = cuda::deviceAlloc(*sys, rank, cap * sizeof(Particle));
         rd.recv[i] = cuda::deviceAlloc(*sys, rank, cap * sizeof(Particle));
@@ -260,8 +261,8 @@ struct Instance {
     for (auto& rd : env.ranks) {
       cuda::deviceFree(*sys, rd.storage);
       for (int i = 0; i < 2; ++i) {
-        cuda::deviceFree(*sys, rd.pack[i]);
-        cuda::deviceFree(*sys, rd.recv[i]);
+        cuda::deviceFree(*sys, rd.pack[i].ptr);
+        cuda::deviceFree(*sys, rd.recv[i].ptr);
       }
     }
   }

@@ -177,7 +177,7 @@ struct RankCtx {
   int rank = -1;
   int pe = -1;
   ModelState state;                         ///< persistent across steps; checkpointed
-  std::vector<void*> grads;                 ///< per-bucket pool allocation (per step)
+  std::vector<hw::MemRef> grads;            ///< per-bucket pool allocation (per step)
   std::vector<std::vector<double>> host;    ///< per-bucket host staging
   std::unique_ptr<cuda::Stream> compute;
   std::unique_ptr<cuda::Stream> comm;       ///< staging copies (host_staged mode)
@@ -197,7 +197,7 @@ sim::FutureTask bucketTask(RankT r, Shared* sh, RankCtx* me, int step, int b,
   co_await grads_ready;
   hw::System& sys = *sh->sys;
   const BucketDef& bd = sh->buckets[static_cast<std::size_t>(b)];
-  void* g = me->grads[static_cast<std::size_t>(b)];
+  const hw::MemRef g = me->grads[static_cast<std::size_t>(b)];
   const double t0 = sim::toUs(sys.engine.now());
   if (me->rank == 0 && b == static_cast<int>(sh->buckets.size()) - 1) {
     sh->backward_done_us = t0;  // last bucket ready == backward finished
@@ -208,13 +208,14 @@ sim::FutureTask bucketTask(RankT r, Shared* sh, RankCtx* me, int step, int b,
 
   if (sh->cfg.host_staged) {
     auto& h = me->host[static_cast<std::size_t>(b)];
-    me->comm->memcpyAsync(h.data(), g, bd.count * 8, cuda::MemcpyKind::DeviceToHost);
+    const hw::MemRef h_ref = hw::MemRef::host(h.data());
+    me->comm->memcpyAsync(h_ref, g, bd.count * 8, cuda::MemcpyKind::DeviceToHost);
     co_await me->comm->synchronize();
     co_await coll::allreduce(r, h.data(), h.data(), bd.count, coll::Op::Sum, tag, sh->cfg.coll);
-    me->comm->memcpyAsync(g, h.data(), bd.count * 8, cuda::MemcpyKind::HostToDevice);
+    me->comm->memcpyAsync(g, h_ref, bd.count * 8, cuda::MemcpyKind::HostToDevice);
     co_await me->comm->synchronize();
   } else {
-    co_await coll::allreduce(r, g, g, bd.count, coll::Op::Sum, tag, sh->cfg.coll);
+    co_await coll::allreduce(r, g.ptr, g.ptr, bd.count, coll::Op::Sum, tag, sh->cfg.coll);
   }
 
   if (me->rank == 0) {
@@ -259,8 +260,9 @@ sim::FutureTask trainMain(RankT r, LaneFn laneRank, Shared* sh, RankCtx* me) {
       for (std::size_t i = 0; i < bd.layers.size(); ++i) {
         const int l = bd.layers[i];
         const std::uint64_t params = cfg.layer_params[static_cast<std::size_t>(l)];
-        double* gbase = static_cast<double*>(me->grads[static_cast<std::size_t>(b)]) + bd.offsets[i];
-        const bool real = cfg.verify && sys.memory.dereferenceable(gbase);
+        const hw::MemRef& grad = me->grads[static_cast<std::size_t>(b)];
+        double* gbase = static_cast<double*>(grad.ptr) + bd.offsets[i];
+        const bool real = cfg.verify && grad.backed;
         const int rank = me->rank;
         me->compute->launch(kernelCost(sys, params, cfg.bwd_bytes_per_param),
                             [real, gbase, params, rank, l] {
@@ -287,8 +289,8 @@ sim::FutureTask trainMain(RankT r, LaneFn laneRank, Shared* sh, RankCtx* me) {
       // rank's drained coroutine exit here; the driver restarts from the
       // newest stable checkpoint.
       for (int b = 0; b < nb; ++b) {
-        sys.pool.free(me->grads[static_cast<std::size_t>(b)]);
-        me->grads[static_cast<std::size_t>(b)] = nullptr;
+        sys.pool.free(me->grads[static_cast<std::size_t>(b)].ptr);
+        me->grads[static_cast<std::size_t>(b)] = {};
       }
       sh->aborted = true;
       ++sh->aborted_ranks;
@@ -313,7 +315,7 @@ sim::FutureTask trainMain(RankT r, LaneFn laneRank, Shared* sh, RankCtx* me) {
     if (cfg.verify && backed && step == cfg.steps - 1) {
       for (int b = 0; b < nb; ++b) {
         const BucketDef& bd = sh->buckets[static_cast<std::size_t>(b)];
-        const auto* gb = static_cast<const double*>(me->grads[static_cast<std::size_t>(b)]);
+        const auto* gb = static_cast<const double*>(me->grads[static_cast<std::size_t>(b)].ptr);
         for (std::size_t i = 0; i < bd.layers.size(); ++i) {
           const std::uint64_t params = cfg.layer_params[static_cast<std::size_t>(bd.layers[i])];
           for (std::uint64_t j = 0; j < params; j = j + 97) {
@@ -342,8 +344,9 @@ sim::FutureTask trainMain(RankT r, LaneFn laneRank, Shared* sh, RankCtx* me) {
       const std::uint64_t params = cfg.layer_params[static_cast<std::size_t>(l)];
       const int b = sh->layer_bucket[static_cast<std::size_t>(l)];
       const std::uint64_t off = sh->layer_off[static_cast<std::size_t>(l)];
-      const auto* gb = static_cast<const double*>(me->grads[static_cast<std::size_t>(b)]);
-      const bool real = cfg.verify && sys.memory.dereferenceable(gb + off);
+      const hw::MemRef& grad = me->grads[static_cast<std::size_t>(b)];
+      const auto* gb = static_cast<const double*>(grad.ptr);
+      const bool real = cfg.verify && grad.backed;
       for (int k = 0; k < kWeightSamples; ++k) {
         const std::uint64_t j = (static_cast<std::uint64_t>(k) * 1009) % params;
         const double g = real ? gb[off + j] : gradSum(cfg.ranks, l, j);
@@ -355,8 +358,8 @@ sim::FutureTask trainMain(RankT r, LaneFn laneRank, Shared* sh, RankCtx* me) {
     }
     me->state.step = step + 1;
     for (int b = 0; b < nb; ++b) {
-      sys.pool.free(me->grads[static_cast<std::size_t>(b)]);
-      me->grads[static_cast<std::size_t>(b)] = nullptr;
+      sys.pool.free(me->grads[static_cast<std::size_t>(b)].ptr);
+      me->grads[static_cast<std::size_t>(b)] = {};
     }
     if (me->rank == 0) {
       StepStat& st = sh->stats[static_cast<std::size_t>(step)];
@@ -435,7 +438,7 @@ AttemptOutcome runAttempt(const TrainConfig& cfg, Stack stack, int start_step, b
     auto c = std::make_unique<RankCtx>();
     c->rank = r;
     c->pe = r;  // one worker per PE, PEs [0, ranks)
-    c->grads.assign(static_cast<std::size_t>(nb), nullptr);
+    c->grads.assign(static_cast<std::size_t>(nb), hw::MemRef{});
     c->compute = std::make_unique<cuda::Stream>(sys, c->pe);
     c->comm = std::make_unique<cuda::Stream>(sys, c->pe);
     if (start_step > 0) {

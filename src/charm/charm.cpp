@@ -44,20 +44,21 @@ void Runtime::dispatch(cmi::Message msg) {
   detail::entryTable()[entry_id].invoke(*this, pe, obj, std::move(msg), off);
 }
 
-Buffer::Mode Runtime::classify(const Buffer& b) const {
-  if (sys_.memory.isDevice(b.source()) || b.size() >= costs().host_pack_threshold) {
-    return Buffer::Mode::Rndv;
+Runtime::Outgoing Runtime::classify(const Buffer& b) const {
+  const hw::MemRef src = sys_.memory.classify(b.source());
+  if (src.isDevice() || b.size() >= costs().host_pack_threshold) {
+    return {src, Buffer::Mode::Rndv};
   }
-  return sys_.memory.dereferenceable(b.source()) && b.size() > 0 ? Buffer::Mode::Packed
-                                                                 : Buffer::Mode::Phantom;
+  return {src, src.backed && b.size() > 0 ? Buffer::Mode::Packed : Buffer::Mode::Phantom};
 }
 
-void Runtime::packBuffer(Packer& p, const Buffer& b, Buffer::Mode m, int src_pe, int dst_pe,
+void Runtime::packBuffer(Packer& p, const Buffer& b, const Outgoing& out, int src_pe, int dst_pe,
                          std::uint64_t& inline_bulk) {
+  const Buffer::Mode m = out.mode;
   p.pack(static_cast<std::uint8_t>(m));
   p.pack(b.size());
   if (m == Buffer::Mode::Rndv) {
-    core::CmiDeviceBuffer cdb{b.source(), b.size(), 0};
+    core::CmiDeviceBuffer cdb{out.src, b.size(), 0};
     dev_->lrtsSendDevice(src_pe, dst_pe, cdb, b.sentCallback(), core::DeviceRecvType::Charm);
     p.pack(cdb.tag);
     return;

@@ -191,19 +191,24 @@ class Runtime {
   /// Runs the entry method a message names. Throws std::logic_error for an
   /// unknown entry id or chare.
   void dispatch(cmi::Message msg);
-  /// How a Buffer argument travels: rendezvous for device or large host
-  /// buffers, packed inline for small host ones — phantom when the source is
-  /// unbacked.
-  [[nodiscard]] Buffer::Mode classify(const Buffer& b) const;
+  /// A Buffer argument's source, classified once, and how it travels.
+  struct Outgoing {
+    hw::MemRef src;
+    Buffer::Mode mode = Buffer::Mode::Rndv;
+  };
+  /// Classifies a Buffer argument's source with one registry lookup and
+  /// picks its mode: rendezvous for device or large host buffers, packed
+  /// inline for small host ones — phantom when the source is unbacked.
+  [[nodiscard]] Outgoing classify(const Buffer& b) const;
   /// Bytes a Buffer argument of mode `m` adds to the packed message.
   [[nodiscard]] static std::size_t packedSize(const Buffer& b, Buffer::Mode m) noexcept {
     return 1 + sizeof(std::uint64_t) +
            (m == Buffer::Mode::Rndv ? sizeof(std::uint64_t)
                                     : (m == Buffer::Mode::Packed ? b.size() : 0));
   }
-  /// Packs one Buffer argument of mode `m`: rendezvous buffers go through
+  /// Packs one Buffer argument: rendezvous buffers go through
   /// LrtsSendDevice; small host buffers are packed inline.
-  void packBuffer(Packer& p, const Buffer& b, Buffer::Mode m, int src_pe, int dst_pe,
+  void packBuffer(Packer& p, const Buffer& b, const Outgoing& out, int src_pe, int dst_pe,
                   std::uint64_t& inline_bulk);
 
   hw::System& sys_;
@@ -277,15 +282,15 @@ void Runtime::sendFrom(int src_pe, ChareId dst, Args&&... args) {
   // reserves the Converse header in front, so the payload is written once
   // and never reallocated or copied again on its way into UCX.
   constexpr std::uint32_t nbuf = detail::bufferCount<Tuple>();
-  [[maybe_unused]] std::array<Buffer::Mode, nbuf> modes{};
+  [[maybe_unused]] std::array<Outgoing, nbuf> outs{};
   std::size_t bytes = cmi::Message::kHeaderBytes + 3 * sizeof(std::uint32_t);
   {
     [[maybe_unused]] std::size_t bi = 0;
     (
         [&] {
           if constexpr (detail::is_buffer_v<Args>) {
-            modes[bi] = classify(args);
-            bytes += packedSize(args, modes[bi]);
+            outs[bi] = classify(args);
+            bytes += packedSize(args, outs[bi].mode);
             ++bi;
           } else {
             bytes += ck::packedSize(args);
@@ -305,7 +310,7 @@ void Runtime::sendFrom(int src_pe, ChareId dst, Args&&... args) {
     (
         [&] {
           if constexpr (detail::is_buffer_v<Args>) {
-            packBuffer(p, args, modes[bi++], src_pe, dst.pe, inline_bulk);
+            packBuffer(p, args, outs[bi++], src_pe, dst.pe, inline_bulk);
           }
         }(),
         ...);
@@ -418,12 +423,14 @@ void entryThunk(Runtime& rt, int pe, Chare* obj, cmi::Message&& msg, std::size_t
   // user-provided destinations now (the receive-side runtime memcpy the
   // paper attributes host-staging slowdowns to). A phantom payload's
   // destination is left as is, as for any copy from unbacked memory, but
-  // its copy time is charged all the same.
+  // its copy time is charged all the same. The destinations the post entry
+  // set enter the stack here and are classified once each.
   std::uint64_t packed_bytes = 0;
   for (const auto& [i, poff, carried] : packed) {
     const Buffer& b = st->bufs[i];
     if (carried && msg.payload_valid) {
-      cuda::moveBytes(rt.system(), b.data(), msg.payload().data() + poff, b.size());
+      cuda::moveBytes(rt.system().memory.classify(b.data()),
+                      hw::MemRef::host(msg.payload().data() + poff), b.size());
     }
     packed_bytes += b.size();
   }
@@ -441,7 +448,9 @@ void entryThunk(Runtime& rt, int pe, Chare* obj, cmi::Message&& msg, std::size_t
   st->msg = std::move(msg);
   for (const Buffer& b : st->bufs) {
     if (b.mode() != Buffer::Mode::Rndv) continue;
-    rt.dev().lrtsRecvDevice(pe, core::DeviceRdmaOp{b.data(), b.size(), b.tag()},
+    rt.dev().lrtsRecvDevice(pe,
+                            core::DeviceRdmaOp{rt.system().memory.classify(b.data()), b.size(),
+                                               b.tag()},
                             core::DeviceRecvType::Charm, [&rt, obj, st] {
                               if (--st->pending != 0) return;
                               Unpacker args(st->msg.payload(), st->args_off);

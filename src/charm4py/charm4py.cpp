@@ -110,7 +110,7 @@ void Charm4py::startOn(int pe, std::function<void()> fn) {
   rt_.startOn(pe, std::move(fn));
 }
 
-void Charm4py::cudaDtoH(int pe, void* h_dst, const void* d_src, std::uint64_t n,
+void Charm4py::cudaDtoH(int pe, hw::MemRef h_dst, hw::MemRef d_src, std::uint64_t n,
                         cuda::Stream& s) {
   // charm.lib shims are thin Cython wrappers over C++ (paper Fig. 8 caption):
   // cheaper than a full interpreter dispatch.
@@ -118,7 +118,7 @@ void Charm4py::cudaDtoH(int pe, void* h_dst, const void* d_src, std::uint64_t n,
   s.memcpyAsync(h_dst, d_src, n, cuda::MemcpyKind::DeviceToHost);
 }
 
-void Charm4py::cudaHtoD(int pe, void* d_dst, const void* h_src, std::uint64_t n,
+void Charm4py::cudaHtoD(int pe, hw::MemRef d_dst, hw::MemRef h_src, std::uint64_t n,
                         cuda::Stream& s) {
   rt_.cmi().pe(pe).charge(sim::usec(rt_.costs().py_cuda_call_us));
   s.memcpyAsync(d_dst, h_src, n, cuda::MemcpyKind::HostToDevice);
@@ -174,7 +174,8 @@ sim::Future<void> Charm4py::sendImpl(ChannelEnd& end, const void* buf, std::uint
   const std::uint32_t seq = out.seq_out++;
 
   sim::Promise<void> done;
-  const bool device = rt_.system().memory.isDevice(buf);
+  const hw::MemRef src = rt_.system().memory.classify(buf);
+  const bool device = src.isDevice();
   // Host payloads always pay the Python-side buffer copy whatever the
   // transport underneath: the host-staging variant of Fig. 8 passes a host
   // array through channel.send, which Charm4py serialises on the way in.
@@ -185,7 +186,7 @@ sim::Future<void> Charm4py::sendImpl(ChannelEnd& end, const void* buf, std::uint
   if (device || bytes >= costs.host_pack_threshold) {
     // GPU-aware path (paper Fig. 9): buffer address propagated through the
     // Cython layer into a CkDeviceBuffer; payload through the machine layer.
-    core::CmiDeviceBuffer cdb{buf, bytes, 0};
+    core::CmiDeviceBuffer cdb{src, bytes, 0};
     cmi::Pe* pe_ptr = &pe;
     const double wake = costs.py_wakeup_us;
     rt_.dev().lrtsSendDevice(
@@ -199,7 +200,7 @@ sim::Future<void> Charm4py::sendImpl(ChannelEnd& end, const void* buf, std::uint
   } else {
     // Packed straight from the user buffer (one copy); an unbacked source
     // travels as its length only.
-    const ck::BytesRef data{buf, bytes, rt_.system().memory.dereferenceable(buf)};
+    const ck::BytesRef data{buf, bytes, src.backed};
     // Inline messages bypass the machine layer: mint the span here and ship
     // it inside the message (0 when observability is off).
     std::uint64_t span = 0;
@@ -234,7 +235,7 @@ sim::Future<void> Charm4py::recvImpl(ChannelEnd& end, void* buf, std::uint64_t b
 
   EndpointState& st = endpoint(end.chan_, end.side_);
   PendingRecv pending;
-  pending.buf = buf;
+  pending.buf = rt_.system().memory.classify(buf);
   pending.capacity = bytes;
   auto fut = pending.done.future();
   st.waiting.push_back(std::move(pending));
@@ -283,7 +284,7 @@ void Charm4py::matchOne(int pe, EndpointState& st, obs::Phase matched) {
     auto done = p.done;
     if (env.inlined) {
       if (env.data_valid) {
-        cuda::moveBytes(rt_.system(), p.buf, env.data.data(), env.data.size());
+        cuda::moveBytes(p.buf, hw::MemRef::host(env.data.data()), env.data.size());
       }
       const double py_copy_us =
           (static_cast<double>(env.bytes) / 1e3) / costs.py_host_copy_gbps;

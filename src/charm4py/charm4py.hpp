@@ -103,9 +103,10 @@ class Charm4py {
 
   // --- charm.lib CUDA helpers (paper Fig. 8) -----------------------------
   /// The host-staging path calls these through Charm4py's Cython layer, so
-  /// each pays the Python call overhead on top of the CUDA cost.
-  void cudaDtoH(int pe, void* h_dst, const void* d_src, std::uint64_t n, cuda::Stream& s);
-  void cudaHtoD(int pe, void* d_dst, const void* h_src, std::uint64_t n, cuda::Stream& s);
+  /// each pays the Python call overhead on top of the CUDA cost. The buffers
+  /// come with the classification their allocation gave them.
+  void cudaDtoH(int pe, hw::MemRef h_dst, hw::MemRef d_src, std::uint64_t n, cuda::Stream& s);
+  void cudaHtoD(int pe, hw::MemRef d_dst, hw::MemRef h_src, std::uint64_t n, cuda::Stream& s);
   [[nodiscard]] sim::Future<void> streamSynchronize(int pe, cuda::Stream& s);
 
  private:
@@ -125,7 +126,7 @@ class Charm4py {
     bool data_valid = true;
   };
   struct PendingRecv {
-    void* buf = nullptr;
+    hw::MemRef buf;  ///< classified at recv
     std::uint64_t capacity = 0;
     sim::Promise<void> done;
   };

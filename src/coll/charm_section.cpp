@@ -48,7 +48,7 @@ void SectionMailbox::segPost(std::span<ck::Buffer> bufs, ck::Unpacker& u) {
     hw::System& sys = owner_->system();
     arr.staged = true;
     arr.stage = sys.pool.alloc(myPe(), b.size(), sys.config.backed_device_memory);
-    b.setDestination(arr.stage, b.size());
+    b.setDestination(arr.stage.ptr, b.size());
   }
   inflight_[k].push_back(std::move(arr));
 }
@@ -70,7 +70,7 @@ void SectionMailbox::seg(ck::Buffer b, std::int32_t src, std::uint64_t tag) {
     // will ever claim it (irecv refuses post-abort), so return the stage to
     // the pool instead of parking it in unexpected_ forever.
     hw::System& sys = owner_->system();
-    sys.pool.free(arr.stage);
+    sys.pool.free(arr.stage.ptr);
     sys.obs.registry.addCounter("section.orphaned_chunks", 1);
     return;
   }
@@ -90,10 +90,11 @@ void SectionMailbox::completeStaged(Staged s, PostedRecv pr) {
   hw::System& sys = owner_->system();
   auto st = std::make_shared<Staged>(s);
   auto done = pr.done;
-  void* dst = pr.buf;
+  // The late-posted receive's buffer is first needed here: classify it once.
+  const hw::MemRef dst = sys.memory.classify(pr.buf);
   owner_->rt_.cmi().pe(myPe()).exec(stagedCopyCost(sys, s.bytes), [&sys, st, dst, done] {
-    cuda::moveBytes(sys, dst, st->stage, st->bytes);
-    sys.pool.free(st->stage);
+    cuda::moveBytes(dst, st->stage, st->bytes);
+    sys.pool.free(st->stage.ptr);
     done.set();
   });
 }
@@ -194,7 +195,7 @@ void CharmSection::onPeFailed(int pe) {
     // post-abort): return their pool memory.
     for (auto& [key, staged] : box->unexpected_) {
       for (SectionMailbox::Staged& s : staged) {
-        sys.pool.free(s.stage);
+        sys.pool.free(s.stage.ptr);
         ++orphaned;
       }
       staged.clear();

@@ -58,14 +58,14 @@ class SectionMailbox : public ck::Chare {
     sim::Promise<void> done;
   };
   struct Staged {
-    void* stage = nullptr;
+    hw::MemRef stage;  ///< pool allocation, classified by the pool
     std::uint64_t bytes = 0;
   };
   /// Landing decision taken by the post entry, consumed by the regular
   /// entry for the same (src, tag) in FIFO order.
   struct Arrival {
     bool staged = false;
-    void* stage = nullptr;
+    hw::MemRef stage;
     PostedRecv pr;  ///< valid when !staged
   };
 

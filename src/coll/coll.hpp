@@ -114,13 +114,13 @@ inline void combine(double* dst, const double* src, std::uint64_t count, Op op) 
 /// the buffers are backed. Returns the stream-order completion future
 /// without awaiting it, so callers can overlap the next chunk's transfer.
 template <class RankT>
-sim::Future<void> combineKernel(RankT& r, cuda::Stream& stream, void* dst, const void* src,
+sim::Future<void> combineKernel(RankT& r, cuda::Stream& stream, hw::MemRef dst, hw::MemRef src,
                                 std::uint64_t count, Op op) {
   hw::System& sys = r.system();
   const sim::Duration cost =
       sim::transferTime(count * 8 * 3, sys.config.gpu_mem_bandwidth_gbps * 0.8);
-  const bool real = sys.memory.dereferenceable(dst) && sys.memory.dereferenceable(src);
-  stream.launch(cost, [real, dst, src, count, op] {
+  const bool real = dst.backed && src.backed;
+  stream.launch(cost, [real, dst = dst.ptr, src = src.ptr, count, op] {
     if (real) combine(static_cast<double*>(dst), static_cast<const double*>(src), count, op);
   });
   return stream.synchronize();
@@ -132,16 +132,17 @@ class Scratch {
  public:
   Scratch(hw::System& sys, int device, std::uint64_t bytes)
       : sys_(sys),
-        ptr_(sys.pool.alloc(device, bytes == 0 ? 1 : bytes, sys.config.backed_device_memory)) {}
-  ~Scratch() { sys_.pool.free(ptr_); }
+        ref_(sys.pool.alloc(device, bytes == 0 ? 1 : bytes, sys.config.backed_device_memory)) {}
+  ~Scratch() { sys_.pool.free(ref_.ptr); }
   Scratch(const Scratch&) = delete;
   Scratch& operator=(const Scratch&) = delete;
-  [[nodiscard]] void* get() const noexcept { return ptr_; }
-  [[nodiscard]] std::byte* bytes() const noexcept { return static_cast<std::byte*>(ptr_); }
+  [[nodiscard]] void* get() const noexcept { return ref_.ptr; }
+  [[nodiscard]] std::byte* bytes() const noexcept { return static_cast<std::byte*>(ref_.ptr); }
+  [[nodiscard]] const hw::MemRef& ref() const noexcept { return ref_; }
 
  private:
   hw::System& sys_;
-  void* ptr_;
+  hw::MemRef ref_;
 };
 
 /// An already-fulfilled Future<void> (pipeline-state seed value).
@@ -300,7 +301,9 @@ sim::FutureTask allreduce(RankT& r, const void* sendbuf, void* recvbuf, std::uin
   while (pof2 * 2 <= n) pof2 *= 2;
   const int rem = n - pof2;
 
-  cuda::moveBytes(sys, recvbuf, sendbuf, bytes);
+  // The caller's buffers enter here: classify each once.
+  const hw::MemRef recv_ref = sys.memory.classify(recvbuf);
+  cuda::moveBytes(recv_ref, sys.memory.classify(sendbuf), bytes);
   detail::Scratch incoming(sys, r.pe(), bytes);
 
   // Fold the remainder ranks into their partners.
@@ -311,7 +314,7 @@ sim::FutureTask allreduce(RankT& r, const void* sendbuf, void* recvbuf, std::uin
       co_return;
     }
     co_await r.recv(incoming.get(), bytes, me + 1, tag);
-    co_await detail::combineKernel(r, stream, recvbuf, incoming.get(), count, op);
+    co_await detail::combineKernel(r, stream, recv_ref, incoming.ref(), count, op);
   }
   // Ranks participating in recursive doubling, renumbered densely.
   const int my_pof2 = me < 2 * rem ? me / 2 : me - rem;
@@ -321,7 +324,7 @@ sim::FutureTask allreduce(RankT& r, const void* sendbuf, void* recvbuf, std::uin
     auto s = r.isend(recvbuf, bytes, peer, tag + 2);
     co_await r.recv(incoming.get(), bytes, peer, tag + 2);
     co_await r.wait(s);
-    co_await detail::combineKernel(r, stream, recvbuf, incoming.get(), count, op);
+    co_await detail::combineKernel(r, stream, recv_ref, incoming.ref(), count, op);
   }
   // Hand the result back to the folded ranks.
   if (me < 2 * rem && me % 2 == 0) {
@@ -348,7 +351,9 @@ sim::FutureTask allreduceRing(RankT& r, const void* sendbuf, void* recvbuf, std:
   const int me = r.rank();
   hw::System& sys = r.system();
   const std::uint64_t bytes = count * 8;
-  if (recvbuf != sendbuf) cuda::moveBytes(sys, recvbuf, sendbuf, bytes);
+  // The caller's buffers enter here: classify each once.
+  const hw::MemRef out_ref = sys.memory.classify(recvbuf);
+  if (recvbuf != sendbuf) cuda::moveBytes(out_ref, sys.memory.classify(sendbuf), bytes);
   if (n == 1 || count == 0) co_return;
 
   cuda::Stream stream(sys, r.pe());
@@ -383,11 +388,11 @@ sim::FutureTask allreduceRing(RankT& r, const void* sendbuf, void* recvbuf, std:
       const Range r_rng = slotRange(rcount, slot, c);
       if (r_rng.cnt > 0) {
         // Scratch slot c was drained by last step's kernel c (awaited above).
-        std::byte* stage = scratch.bytes() + static_cast<std::uint64_t>(c) * slot * 8;
-        co_await r.recv(stage, r_rng.cnt * 8, left, tagFor(tag, step, c));
+        const hw::MemRef stage = scratch.ref().at(static_cast<std::uint64_t>(c) * slot * 8);
+        co_await r.recv(stage.ptr, r_rng.cnt * 8, left, tagFor(tag, step, c));
         sp->reduce(r_rng.cnt * 8);
         knext[static_cast<std::size_t>(c)] =
-            combineKernel(r, stream, out + (r0 + r_rng.off) * 8, stage, r_rng.cnt, op);
+            combineKernel(r, stream, out_ref.at((r0 + r_rng.off) * 8), stage, r_rng.cnt, op);
       }
     }
     kdone = std::move(knext);
@@ -436,8 +441,10 @@ sim::FutureTask reduceTree(RankT& r, const void* sendbuf, void* recvbuf, std::ui
   cuda::Stream stream(sys, r.pe());
 
   Scratch acc(sys, r.pe(), me == 0 ? std::uint64_t{1} : bytes);
-  std::byte* accp = me == 0 ? static_cast<std::byte*>(recvbuf) : acc.bytes();
-  cuda::moveBytes(sys, accp, sendbuf, bytes);
+  // The caller's buffers enter here: classify each once.
+  const hw::MemRef acc_ref = me == 0 ? sys.memory.classify(recvbuf) : acc.ref();
+  std::byte* accp = static_cast<std::byte*>(acc_ref.ptr);
+  cuda::moveBytes(acc_ref, sys.memory.classify(sendbuf), bytes);
   if (n == 1 || count == 0) co_return;
 
   const int C = chunksFor(bytes, cfg);
@@ -472,7 +479,7 @@ sim::FutureTask reduceTree(RankT& r, const void* sendbuf, void* recvbuf, std::ui
                         tagFor(tag, level, c));
         sp->reduce(rng.cnt * 8);
         kdone[static_cast<std::size_t>(c)] = combineKernel(
-            r, stream, accp + rng.off * 8, incoming.bytes() + rng.off * 8, rng.cnt, op);
+            r, stream, acc_ref.at(rng.off * 8), incoming.ref().at(rng.off * 8), rng.cnt, op);
       }
     }
   }

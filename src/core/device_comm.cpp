@@ -102,7 +102,7 @@ void DeviceComm::runCallback(int pe_id, DoneFn cb) {
   if (cb) cmi_.pe(pe_id).exec(sim::usec(cmi_.costs().callback_us), std::move(cb));
 }
 
-void DeviceComm::issueSend(int src_pe, int dst_pe, const void* ptr, std::uint64_t size,
+void DeviceComm::issueSend(int src_pe, int dst_pe, hw::MemRef src, std::uint64_t size,
                            std::uint64_t tag, DoneFn on_complete) {
   hw::System& sys = cmi_.system();
   if (cmi_.ucx().peerKnownDead(sys.engine.now(), dst_pe)) {
@@ -120,13 +120,17 @@ void DeviceComm::issueSend(int src_pe, int dst_pe, const void* ptr, std::uint64_
   if (sys.fault.linkDown(sys.engine.now(), src_pe, dst_pe)) {
     // The link is down right now: don't burn the retry budget on a path that
     // cannot deliver — degrade to the host-staged route immediately.
-    startFallback(src_pe, dst_pe, ptr, size, tag, std::move(on_complete), "link-down");
+    startFallback(src_pe, dst_pe, src, size, tag, std::move(on_complete), "link-down");
     return;
   }
   sys.obs.spans.phase(sys.obs.spans.spanForTag(tag), sys.engine.now(), obs::Phase::PayloadSent,
                       src_pe, size);
-  auto done = [this, src_pe, dst_pe, ptr, size, tag,
-               cb = std::move(on_complete)](ucx::Request& r) mutable {
+  // The send request carries the destination, length and tag, so the
+  // completion captures only what it lacks: the source and its class.
+  auto done = [this, src_pe, src, cb = std::move(on_complete)](ucx::Request& r) mutable {
+    const int dst_pe = r.peer_pe;
+    const std::uint64_t size = r.bytes;
+    const std::uint64_t tag = r.matched_tag;
     if (r.peerFailed() && !r.data_delivered) {
       // The detector blamed a dead endpoint: the host-staged fallback would
       // blackhole too. Close the span and complete the sender so its model
@@ -136,7 +140,7 @@ void DeviceComm::issueSend(int src_pe, int dst_pe, const void* ptr, std::uint64_
       return;
     }
     if (r.failed() && !r.data_delivered) {
-      startFallback(src_pe, dst_pe, ptr, size, tag, std::move(cb), "retries-exhausted");
+      startFallback(src_pe, dst_pe, src, size, tag, std::move(cb), "retries-exhausted");
       return;
     }
     // r.failed() with data_delivered: the rendezvous data landed and the
@@ -147,10 +151,10 @@ void DeviceComm::issueSend(int src_pe, int dst_pe, const void* ptr, std::uint64_
     runCallback(src_pe, std::move(cb));
   };
   static_assert(ucx::CompletionFn::fitsInline<decltype(done)>());
-  cmi_.ucx().tagSend(src_pe, dst_pe, ptr, size, tag, std::move(done));
+  cmi_.ucx().tagSend(src_pe, dst_pe, src, size, tag, std::move(done));
 }
 
-void DeviceComm::startFallback(int src_pe, int dst_pe, const void* ptr, std::uint64_t size,
+void DeviceComm::startFallback(int src_pe, int dst_pe, hw::MemRef src, std::uint64_t size,
                                std::uint64_t tag, DoneFn on_complete, const char* why) {
   ++fallbacks_;
   hw::System& sys = cmi_.system();
@@ -161,7 +165,7 @@ void DeviceComm::startFallback(int src_pe, int dst_pe, const void* ptr, std::uin
   // a plain host message under the SAME tag, so the posted (or re-posted)
   // receive still matches — the transfer recovers, only the timing suffers.
   cmi_.ucx().tagSendHostStaged(
-      src_pe, dst_pe, ptr, size, tag,
+      src_pe, dst_pe, src, size, tag,
       [this, src_pe, dst_pe, size, tag, cb = std::move(on_complete)](ucx::Request& r) mutable {
         if (r.peerFailed() && !r.data_delivered) {
           // The peer died while the fallback was in flight. Unlike the
@@ -198,11 +202,10 @@ void DeviceComm::lrtsSendDevice(int src_pe, int dst_pe, CmiDeviceBuffer& buf,
                                 DoneFn on_complete, DeviceRecvType recv_type) {
   const TagScheme& tags = cmi_.tags();  // Converse checked that every PE fits PE_BITS
   auto& counter = counters_[static_cast<std::size_t>(src_pe)];
-  const bool is_device = cmi_.system().memory.isDevice(buf.ptr);
-  const MsgType type = is_device ? MsgType::Device : MsgType::ZcopyHost;
+  const MsgType type = buf.src.isDevice() ? MsgType::Device : MsgType::ZcopyHost;
   buf.tag = tags.make(type, static_cast<std::uint64_t>(src_pe), counter);
   counter = (counter + 1) % tags.cntModulus();
-  sendTagged(src_pe, dst_pe, buf, std::move(on_complete), recv_type, type, is_device);
+  sendTagged(src_pe, dst_pe, buf, std::move(on_complete), recv_type, type);
 }
 
 void DeviceComm::lrtsSendDeviceUserTag(int src_pe, int dst_pe, CmiDeviceBuffer& buf,
@@ -212,20 +215,18 @@ void DeviceComm::lrtsSendDeviceUserTag(int src_pe, int dst_pe, CmiDeviceBuffer& 
   // The whole PE+CNT field carries the user tag; uniqueness is the caller's
   // contract (as it would be with MPI tags).
   buf.tag = tags.make(MsgType::DeviceUser, user_tag >> tags.cnt_bits, user_tag);
-  sendTagged(src_pe, dst_pe, buf, std::move(on_complete), recv_type, MsgType::DeviceUser,
-             cmi_.system().memory.isDevice(buf.ptr));
+  sendTagged(src_pe, dst_pe, buf, std::move(on_complete), recv_type, MsgType::DeviceUser);
 }
 
 void DeviceComm::sendTagged(int src_pe, int dst_pe, const CmiDeviceBuffer& buf,
-                            DoneFn on_complete, DeviceRecvType recv_type, MsgType type,
-                            bool is_device) {
+                            DoneFn on_complete, DeviceRecvType recv_type, MsgType type) {
   ++device_sends_;
   ++sends_by_type_[static_cast<std::size_t>(recv_type)];
   // Large device sends ride the multi-path scheduler's split protocol on
   // their rendezvous data leg when it is enabled; count them so the sweep
   // can correlate lrts traffic with ucx.mp.* scheduler activity.
   const ucx::UcxConfig::MultipathConfig& mp = cmi_.ucx().config().multipath;
-  if (mp.enabled && is_device && buf.size >= mp.min_split_bytes) ++multipath_eligible_;
+  if (mp.enabled && buf.src.isDevice() && buf.size >= mp.min_split_bytes) ++multipath_eligible_;
   cmi_.system().obs.registry.observe(send_bytes_hist_, buf.size);
 
   // Span begins here: the machine layer mints the tag, so this is the first
@@ -258,19 +259,19 @@ void DeviceComm::sendTagged(int src_pe, int dst_pe, const CmiDeviceBuffer& buf,
   cmi::Pe& pe = cmi_.pe(src_pe);
   pe.charge(sim::usec(cmi_.costs().device_meta_send_us +
                       (type == MsgType::ZcopyHost ? cmi_.costs().zcopy_reg_us : 0.0)));
-  const void* ptr = buf.ptr;
+  const hw::MemRef src = buf.src;
   const std::uint64_t size = buf.size;
   const std::uint64_t tag = buf.tag;
   // Injected, not scheduled at pe.busyUntil(): in SMP mode injection
   // serialises through the node's comm thread, and a bypass would let
   // user-tag sends overtake regular device sends from the same PE.
   cmi_.inject(src_pe,
-              [this, src_pe, dst_pe, ptr, size, tag, cb = std::move(on_complete)]() mutable {
-                issueSend(src_pe, dst_pe, ptr, size, tag, std::move(cb));
+              [this, src_pe, dst_pe, src, size, tag, cb = std::move(on_complete)]() mutable {
+                issueSend(src_pe, dst_pe, src, size, tag, std::move(cb));
               });
 }
 
-void DeviceComm::lrtsRecvDeviceUserTag(int pe_id, void* dst, std::uint64_t size,
+void DeviceComm::lrtsRecvDeviceUserTag(int pe_id, hw::MemRef dst, std::uint64_t size,
                                        std::uint64_t user_tag, DeviceRecvType type,
                                        DoneFn on_complete) {
   const TagScheme& tags = cmi_.tags();
@@ -320,7 +321,9 @@ void DeviceComm::postDeviceRecv(int pe_id, const DeviceRdmaOp& op,
       failDeadRecv(pe_id, op, std::move(cb));
       return;
     }
-    auto done = [this, pe_id, op, cb = std::move(cb)](ucx::Request& r) mutable {
+    auto done = [this, posted = PostedOp(pe_id, op), cb = std::move(cb)](ucx::Request& r) mutable {
+      const int pe_id = posted.pe;
+      const DeviceRdmaOp op = posted.op();
       outstanding_recvs_.erase(op.tag);
       if (r.cancelled() || r.peerFailed()) {
         // The source PE is dead. Cancelled: the detector's sweep pulled

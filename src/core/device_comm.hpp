@@ -26,16 +26,18 @@ namespace cux::core {
 
 /// Converse-layer metadata describing one in-flight GPU buffer transfer
 /// (paper Fig. 5). The Charm++ core wraps this with a callback as
-/// CkDeviceBuffer.
+/// CkDeviceBuffer. The source carries the classification its model layer
+/// made at the user call; the machine layer never looks it up again.
 struct CmiDeviceBuffer {
-  const void* ptr = nullptr;  ///< source buffer address (sender side)
+  hw::MemRef src;  ///< source buffer (sender side)
   std::uint64_t size = 0;
   std::uint64_t tag = 0;  ///< set by the UCX machine layer on send
 };
 
-/// Receive descriptor passed to LrtsRecvDevice (paper Section III-A).
+/// Receive descriptor passed to LrtsRecvDevice (paper Section III-A), with
+/// the destination's carried classification.
 struct DeviceRdmaOp {
-  void* dst = nullptr;
+  hw::MemRef dst;
   std::uint64_t size = 0;
   std::uint64_t tag = 0;
 };
@@ -99,7 +101,7 @@ class DeviceComm {
 
   /// Pre-posts the receive for a user-tagged transfer; callable before the
   /// sender has even initiated it.
-  void lrtsRecvDeviceUserTag(int pe, void* dst, std::uint64_t size, std::uint64_t user_tag,
+  void lrtsRecvDeviceUserTag(int pe, hw::MemRef dst, std::uint64_t size, std::uint64_t user_tag,
                              DeviceRecvType type, DoneFn on_complete);
 
   // --- accounting ---------------------------------------------------------
@@ -141,9 +143,9 @@ class DeviceComm {
   /// Issues the UCX send, routing through the host-staged fallback when the
   /// link is down at issue time or when the GPU-aware send fails terminally
   /// with the data undelivered.
-  void issueSend(int src_pe, int dst_pe, const void* ptr, std::uint64_t size, std::uint64_t tag,
+  void issueSend(int src_pe, int dst_pe, hw::MemRef src, std::uint64_t size, std::uint64_t tag,
                  DoneFn on_complete);
-  void startFallback(int src_pe, int dst_pe, const void* ptr, std::uint64_t size,
+  void startFallback(int src_pe, int dst_pe, hw::MemRef src, std::uint64_t size,
                      std::uint64_t tag, DoneFn on_complete, const char* why);
   /// Posts the machine-layer receive; on terminal rendezvous failure the
   /// receive is re-posted (same tag) instead of completing, so the sender's
@@ -161,12 +163,34 @@ class DeviceComm {
   /// through inject(). `type` selects the span kind, trace label and
   /// zero-copy registration charge.
   void sendTagged(int src_pe, int dst_pe, const CmiDeviceBuffer& buf, DoneFn on_complete,
-                  DeviceRecvType recv_type, MsgType type, bool is_device);
+                  DeviceRecvType recv_type, MsgType type);
   /// Ends `tag`'s span as Errored at `pe` and still runs `cb`, so the
   /// model layer behind a failed operation drains.
   void erroredDrain(int pe, std::uint64_t tag, DoneFn cb);
   /// Runs the model callback `cb` (if any) on `pe` after the callback cost.
   void runCallback(int pe, DoneFn cb);
+
+  /// A posted receive as its UCX completion carries it: the op with the
+  /// posting PE packed beside the destination's classification, in what
+  /// would be padding after a whole hw::MemRef, so the completion's capture
+  /// stays inside ucx::CompletionFn's inline buffer.
+  struct PostedOp {
+    void* dst;
+    std::uint64_t size;
+    std::uint64_t tag;
+    int pe;
+    std::int16_t device;
+    hw::MemSpace space;
+    bool backed;
+
+    PostedOp(int pe_id, const DeviceRdmaOp& op) noexcept
+        : dst(op.dst.ptr), size(op.size), tag(op.tag), pe(pe_id), device(op.dst.device),
+          space(op.dst.space), backed(op.dst.backed) {}
+    [[nodiscard]] DeviceRdmaOp op() const noexcept {
+      return DeviceRdmaOp{hw::MemRef{dst, device, space, backed}, size, tag};
+    }
+  };
+  static_assert(sizeof(PostedOp) == 32, "PostedOp grew: re-audit the receive completion");
 
   cmi::Converse& cmi_;
   std::vector<std::uint64_t> counters_;  // per-PE tag counters

@@ -6,12 +6,12 @@
 
 namespace cux::cuda {
 
-void* deviceAlloc(hw::System& sys, int device, std::size_t size) {
+hw::MemRef deviceAlloc(hw::System& sys, int device, std::size_t size) {
   return deviceAlloc(sys, device, size, sys.config.backed_device_memory);
 }
 
-void* deviceAlloc(hw::System& sys, int device, std::size_t size, bool backed) {
-  return sys.memory.allocDevice(device, size, backed);
+hw::MemRef deviceAlloc(hw::System& sys, int device, std::size_t size, bool backed) {
+  return hw::MemRef::onGpu(sys.memory.allocDevice(device, size, backed), device, backed);
 }
 
 void deviceFree(hw::System& sys, void* p) { sys.memory.freeDevice(p); }
@@ -20,25 +20,24 @@ HostBuffer::HostBuffer(hw::System& sys, std::size_t size) : sys_(&sys), size_(si
   if (size == 0) return;
   if (sys.config.backed_device_memory) {
     backing_ = std::make_unique<std::byte[]>(size);
-    ptr_ = backing_.get();
+    ref_ = hw::MemRef::host(backing_.get());
   } else {
-    ptr_ = sys.memory.allocHostUnbacked(size);
+    ref_ = hw::MemRef{sys.memory.allocHostUnbacked(size), -1, hw::MemSpace::Host, false};
   }
 }
 
 void HostBuffer::release() noexcept {
-  if (ptr_ != nullptr && backing_ == nullptr) sys_->memory.freeDevice(ptr_);
-  ptr_ = nullptr;
+  if (ref_.ptr != nullptr && backing_ == nullptr) sys_->memory.freeDevice(ref_.ptr);
+  ref_ = hw::MemRef{};
   backing_.reset();
 }
 
-void moveBytes(hw::System& sys, void* dst, const void* src, std::size_t bytes) {
-  if (bytes == 0 || dst == src) return;
-  if (!sys.memory.dereferenceable(dst) || !sys.memory.dereferenceable(src)) return;
-  std::memcpy(dst, src, bytes);
+void moveBytes(hw::MemRef dst, hw::MemRef src, std::size_t bytes) {
+  if (bytes == 0 || dst.ptr == src.ptr || !dst.backed || !src.backed) return;
+  std::memcpy(dst.ptr, src.ptr, bytes);
 }
 
-void Stream::memcpyAsync(void* dst, const void* src, std::size_t bytes, MemcpyKind kind) {
+void Stream::memcpyAsync(hw::MemRef dst, hw::MemRef src, std::size_t bytes, MemcpyKind kind) {
   hw::System& sys = sys_;
   const int device = device_;
   Op op;
@@ -64,7 +63,7 @@ void Stream::memcpyAsync(void* dst, const void* src, std::size_t bytes, MemcpyKi
     }
     return start;
   };
-  op.effect = [&sys, dst, src, bytes] { moveBytes(sys, dst, src, bytes); };
+  op.effect = [dst, src, bytes] { moveBytes(dst, src, bytes); };
   enqueue(std::move(op));
 }
 

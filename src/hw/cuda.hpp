@@ -29,46 +29,47 @@ enum class MemcpyKind { HostToHost, HostToDevice, DeviceToHost, DeviceToDevice }
 /// Allocates simulated device memory on GPU `device` (global index == PE in
 /// the paper's one-process-per-GPU configuration). `backed` overrides the
 /// machine default: true = real bytes (tests), false = address space only.
-void* deviceAlloc(hw::System& sys, int device, std::size_t size);
-void* deviceAlloc(hw::System& sys, int device, std::size_t size, bool backed);
+/// The allocation classifies itself: the returned ref needs no lookup.
+hw::MemRef deviceAlloc(hw::System& sys, int device, std::size_t size);
+hw::MemRef deviceAlloc(hw::System& sys, int device, std::size_t size, bool backed);
 void deviceFree(hw::System& sys, void* p);
 
 /// RAII device buffer.
 class DeviceBuffer {
  public:
   DeviceBuffer(hw::System& sys, int device, std::size_t size)
-      : sys_(&sys), ptr_(deviceAlloc(sys, device, size)), size_(size) {}
+      : sys_(&sys), ref_(deviceAlloc(sys, device, size)), size_(size) {}
   DeviceBuffer(hw::System& sys, int device, std::size_t size, bool backed)
-      : sys_(&sys), ptr_(deviceAlloc(sys, device, size, backed)), size_(size) {}
+      : sys_(&sys), ref_(deviceAlloc(sys, device, size, backed)), size_(size) {}
   ~DeviceBuffer() {
-    if (ptr_ != nullptr) deviceFree(*sys_, ptr_);
+    if (ref_.ptr != nullptr) deviceFree(*sys_, ref_.ptr);
   }
-  DeviceBuffer(DeviceBuffer&& o) noexcept : sys_(o.sys_), ptr_(o.ptr_), size_(o.size_) {
-    o.ptr_ = nullptr;
-  }
+  DeviceBuffer(DeviceBuffer&& o) noexcept
+      : sys_(o.sys_), ref_(std::exchange(o.ref_, hw::MemRef{})), size_(o.size_) {}
   DeviceBuffer& operator=(DeviceBuffer&& o) noexcept {
     if (this != &o) {
-      if (ptr_ != nullptr) deviceFree(*sys_, ptr_);
+      if (ref_.ptr != nullptr) deviceFree(*sys_, ref_.ptr);
       sys_ = o.sys_;
-      ptr_ = o.ptr_;
+      ref_ = std::exchange(o.ref_, hw::MemRef{});
       size_ = o.size_;
-      o.ptr_ = nullptr;
     }
     return *this;
   }
   DeviceBuffer(const DeviceBuffer&) = delete;
   DeviceBuffer& operator=(const DeviceBuffer&) = delete;
 
-  [[nodiscard]] void* get() const noexcept { return ptr_; }
+  [[nodiscard]] void* get() const noexcept { return ref_.ptr; }
+  /// The buffer with its classification, as the allocation made it.
+  [[nodiscard]] const hw::MemRef& ref() const noexcept { return ref_; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   template <class T>
   [[nodiscard]] T* as() const noexcept {
-    return static_cast<T*>(ptr_);
+    return static_cast<T*>(ref_.ptr);
   }
 
  private:
   hw::System* sys_;
-  void* ptr_;
+  hw::MemRef ref_;
   std::size_t size_;
 };
 
@@ -86,13 +87,13 @@ class HostBuffer {
   HostBuffer(hw::System& sys, std::size_t size);
   ~HostBuffer() { release(); }
   HostBuffer(HostBuffer&& o) noexcept
-      : sys_(o.sys_), ptr_(std::exchange(o.ptr_, nullptr)), size_(o.size_),
+      : sys_(o.sys_), ref_(std::exchange(o.ref_, hw::MemRef{})), size_(o.size_),
         backing_(std::move(o.backing_)) {}
   HostBuffer& operator=(HostBuffer&& o) noexcept {
     if (this != &o) {
       release();
       sys_ = o.sys_;
-      ptr_ = std::exchange(o.ptr_, nullptr);
+      ref_ = std::exchange(o.ref_, hw::MemRef{});
       size_ = o.size_;
       backing_ = std::move(o.backing_);
     }
@@ -101,14 +102,16 @@ class HostBuffer {
   HostBuffer(const HostBuffer&) = delete;
   HostBuffer& operator=(const HostBuffer&) = delete;
 
-  [[nodiscard]] void* get() const noexcept { return ptr_; }
+  [[nodiscard]] void* get() const noexcept { return ref_.ptr; }
+  /// The buffer with its classification: host memory, backed iff real.
+  [[nodiscard]] const hw::MemRef& ref() const noexcept { return ref_; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
  private:
   void release() noexcept;
 
   hw::System* sys_ = nullptr;
-  void* ptr_ = nullptr;
+  hw::MemRef ref_;
   std::size_t size_ = 0;
   std::unique_ptr<std::byte[]> backing_;  ///< set iff backed and non-empty
 };
@@ -128,9 +131,10 @@ class Stream {
   [[nodiscard]] int device() const noexcept { return device_; }
 
   /// Enqueues an asynchronous copy. Bytes actually move (when both sides are
-  /// dereferenceable) at op completion time, so overlapping compute observes
-  /// CUDA's deferred-visibility semantics.
-  void memcpyAsync(void* dst, const void* src, std::size_t bytes, MemcpyKind kind);
+  /// backed) at op completion time, so overlapping compute observes CUDA's
+  /// deferred-visibility semantics. `kind` picks the links the copy
+  /// occupies; the refs only decide whether bytes move.
+  void memcpyAsync(hw::MemRef dst, hw::MemRef src, std::size_t bytes, MemcpyKind kind);
 
   /// Enqueues a kernel costing `cost` of device time; `body` (may be empty)
   /// runs at completion and performs the kernel's effect on backed memory.
@@ -158,12 +162,13 @@ class Stream {
   bool busy_ = false;
 };
 
-/// Performs the byte movement for a completed copy if both ends are
-/// dereferenceable. Every copy into memory the caller did not just allocate
-/// goes through it (CUDA copies, UCX eager/rendezvous receive completion, the
-/// Charm++ entry thunk, AMPI and Charm4py inline delivery, the
-/// collectives), so unbacked memory is never touched. Copies into a freshly
-/// allocated message buffer test only `memory.dereferenceable(src)`.
-void moveBytes(hw::System& sys, void* dst, const void* src, std::size_t bytes);
+/// Performs the byte movement for a completed copy if both ends are backed.
+/// Every copy into memory the caller did not just allocate goes through it
+/// (CUDA copies, UCX eager/rendezvous receive completion, the Charm++ entry
+/// thunk, AMPI and Charm4py inline delivery, the collectives), so unbacked
+/// memory is never touched. It reads the carried classification and never
+/// the registry. Copies into a freshly allocated message buffer test only
+/// the source's `backed`.
+void moveBytes(hw::MemRef dst, hw::MemRef src, std::size_t bytes);
 
 }  // namespace cux::cuda

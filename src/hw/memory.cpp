@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <new>
 #include <stdexcept>
+#include <string>
 
 namespace cux::hw {
 
@@ -68,7 +69,12 @@ MemoryRegistry::~MemoryRegistry() {
 
 void* MemoryRegistry::allocDevice(int device, std::size_t size, bool backed) {
   requireNonZero(size);
+  if (device < 0 || device > kMaxDevice) {
+    throw std::invalid_argument("MemoryRegistry::allocDevice: GPU index " +
+                                std::to_string(device) + " out of range");
+  }
   if (!backed) return carve(size, MemSpace::Device, device);
+  ++epoch_;
   void* p = ::operator new(size, std::align_val_t{64});
   const auto base = reinterpret_cast<std::uintptr_t>(p);
   const auto pos = static_cast<std::ptrdiff_t>(backed_.floor(base) + 1);  // npos + 1 == 0
@@ -107,6 +113,7 @@ void* MemoryRegistry::carve(std::size_t size, MemSpace space, int device) {
     }
     reservations_.push_back(Reservation{reinterpret_cast<std::uintptr_t>(p), capacity, 0, 0, {}});
   }
+  ++epoch_;
   Reservation& res = reservations_.back();
   const std::uintptr_t base = res.base + res.used;
   res.used += span;
@@ -118,6 +125,7 @@ void* MemoryRegistry::carve(std::size_t size, MemSpace space, int device) {
 }
 
 void MemoryRegistry::freeDevice(void* p) {
+  ++epoch_;
   const auto addr = reinterpret_cast<std::uintptr_t>(p);
   for (std::size_t i = 0; i < reservations_.size(); ++i) {
     if (addr - reservations_[i].base >= reservations_[i].used) continue;
@@ -161,7 +169,15 @@ void MemoryRegistry::release(std::size_t i, std::size_t pos) {
   }
 }
 
+MemRef MemoryRegistry::classify(const void* p) const {
+  const Region* r = find(p);
+  if (r == nullptr) return MemRef::host(p);
+  if (r->space == MemSpace::Device) return MemRef::onGpu(const_cast<void*>(p), r->device, r->backed);
+  return MemRef{const_cast<void*>(p), -1, MemSpace::Host, r->backed};
+}
+
 const Region* MemoryRegistry::find(const void* p) const {
+  ++lookups_;
   const auto addr = reinterpret_cast<std::uintptr_t>(p);
   for (const Reservation& res : reservations_) {
     if (addr - res.base < res.used) return res.index.containing(addr);

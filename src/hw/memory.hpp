@@ -17,10 +17,50 @@
 ///   large PROT_NONE reservations the registry owns; used by the large-scale
 ///   figure benches where the paper's domains (e.g. 3072^3 doubles) would
 ///   need terabytes. Timing is identical; only the byte movement is skipped.
+///
+/// A buffer is classified once, where a user call enters the stack, and the
+/// result travels down as a MemRef (see docs/architecture.md, "Where a
+/// buffer is classified").
 
 namespace cux::hw {
 
-enum class MemSpace { Host, Device };
+enum class MemSpace : std::uint8_t { Host, Device };
+
+/// A pointer together with its classification: memory space, owning GPU and
+/// whether it may be dereferenced. It comes from one registry lookup
+/// (MemoryRegistry::classify) or from an allocation that already knows the
+/// answer (cuda::deviceAlloc, cuda::DeviceBuffer/HostBuffer, DevicePool),
+/// and every layer below the user call takes it instead of asking the
+/// registry again, as real UCX takes ucp_request_param_t::memory_type. The
+/// three classification fields fit in 4 bytes, so a carrier can pack them
+/// into the padding beside an int.
+struct MemRef {
+  void* ptr = nullptr;
+  /// Owning GPU; -1 for host memory, and for a rendezvous source on the
+  /// receiving side, where only its space and backing travel with the RTS.
+  std::int16_t device = -1;
+  MemSpace space = MemSpace::Host;
+  bool backed = true;  ///< dereferenceable: host memory or a backed device region
+
+  /// Ordinary host memory the registry never hands out (a std::vector, a
+  /// message payload): classified without a lookup.
+  [[nodiscard]] static MemRef host(const void* p) noexcept {
+    return MemRef{const_cast<void*>(p), -1, MemSpace::Host, true};
+  }
+  /// A region of GPU `device`'s memory (`device` within
+  /// [0, MemoryRegistry::kMaxDevice]).
+  [[nodiscard]] static MemRef onGpu(void* p, int device, bool backed) noexcept {
+    return MemRef{p, static_cast<std::int16_t>(device), MemSpace::Device, backed};
+  }
+  [[nodiscard]] bool isDevice() const noexcept { return space == MemSpace::Device; }
+  /// The same buffer `offset` bytes further on.
+  [[nodiscard]] MemRef at(std::uint64_t offset) const noexcept {
+    MemRef r = *this;
+    r.ptr = static_cast<std::byte*>(ptr) + offset;
+    return r;
+  }
+};
+static_assert(sizeof(MemRef) == 16, "MemRef grew: re-audit the completion captures");
 
 struct Region {
   std::uintptr_t base = 0;
@@ -38,7 +78,8 @@ class MemoryRegistry {
   MemoryRegistry& operator=(const MemoryRegistry&) = delete;
 
   /// Allocates `size` bytes of simulated device memory on GPU `device`.
-  /// Throws std::invalid_argument when `size` is zero.
+  /// Throws std::invalid_argument when `size` is zero or `device` is not in
+  /// [0, kMaxDevice].
   void* allocDevice(int device, std::size_t size, bool backed);
 
   /// Allocates an *unbacked* host-space region: address space that classifies
@@ -53,30 +94,28 @@ class MemoryRegistry {
   /// std::invalid_argument for any other pointer (in every build type).
   void freeDevice(void* p);
 
-  /// Region containing `p`, or nullptr for ordinary host memory. The pointer
-  /// is valid until the next allocation or free.
+  /// Largest GPU index a MemRef can carry.
+  static constexpr int kMaxDevice = INT16_MAX;
+
+  /// Classifies `p` with one lookup (what cudaPointerGetAttributes answers
+  /// on a real system): a device region gives its GPU and backing, an
+  /// unbacked host region host space and no backing, anything else plain
+  /// host memory.
+  [[nodiscard]] MemRef classify(const void* p) const;
+
+  /// Region containing `p`, or nullptr for ordinary host memory: the one
+  /// lookup, which classify() wraps. The pointer is valid until the next
+  /// allocation or free.
   [[nodiscard]] const Region* find(const void* p) const;
 
-  [[nodiscard]] bool isDevice(const void* p) const {
-    const Region* r = find(p);
-    return r != nullptr && r->space == MemSpace::Device;
-  }
-  [[nodiscard]] MemSpace spaceOf(const void* p) const {
-    return isDevice(p) ? MemSpace::Device : MemSpace::Host;
-  }
+  /// Lookups made so far: every classify() and find() costs one. Published as the
+  /// `hw.memory.lookups` gauge.
+  [[nodiscard]] std::uint64_t lookups() const noexcept { return lookups_; }
 
-  /// GPU index owning `p`, or -1 for host memory.
-  [[nodiscard]] int deviceOf(const void* p) const {
-    const Region* r = find(p);
-    return (r != nullptr && r->space == MemSpace::Device) ? r->device : -1;
-  }
-
-  /// True when `p` may actually be read/written: host memory or a backed
-  /// device region. The data-movement layer consults this before memcpy.
-  [[nodiscard]] bool dereferenceable(const void* p) const {
-    const Region* r = find(p);
-    return r == nullptr || r->backed;
-  }
+  /// Bumped by every allocation and free. A classification cached across
+  /// calls is valid only while the epoch it was made in is current: a freed
+  /// address the allocator hands out again may classify differently.
+  [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
 
   [[nodiscard]] std::size_t liveAllocations() const noexcept { return live_; }
   [[nodiscard]] std::uint64_t bytesAllocated() const noexcept { return bytes_allocated_; }
@@ -114,6 +153,8 @@ class MemoryRegistry {
   std::size_t next_reservation_ = std::size_t{1} << 30;  ///< at least doubles each time
   std::size_t live_ = 0;
   std::uint64_t bytes_allocated_ = 0;
+  std::uint64_t epoch_ = 0;
+  mutable std::uint64_t lookups_ = 0;
 };
 
 }  // namespace cux::hw

@@ -4,7 +4,7 @@
 
 namespace cux::hw {
 
-void* DevicePool::alloc(int device, std::size_t size, bool backed) {
+MemRef DevicePool::alloc(int device, std::size_t size, bool backed) {
   std::size_t rounded = (size + kBin - 1) / kBin * kBin;
   if (rounded == 0) rounded = kBin;
 
@@ -18,7 +18,7 @@ void* DevicePool::alloc(int device, std::size_t size, bool backed) {
     bytes_cached_ -= rounded;
     bytes_live_ += rounded;
     if (bytes_live_ > bytes_hwm_) bytes_hwm_ = bytes_live_;
-    return p;
+    return MemRef::onGpu(p, device, backed);
   }
 
   void* p = mem_.allocDevice(device, rounded, backed);
@@ -26,7 +26,7 @@ void* DevicePool::alloc(int device, std::size_t size, bool backed) {
   ++misses_;
   bytes_live_ += rounded;
   if (bytes_live_ > bytes_hwm_) bytes_hwm_ = bytes_live_;
-  return p;
+  return MemRef::onGpu(p, device, backed);
 }
 
 void DevicePool::free(void* p) {

@@ -33,10 +33,11 @@ class DevicePool {
   /// Allocation granularity: requests round up to the next multiple.
   static constexpr std::size_t kBin = 512;
 
-  /// Returns a device region of at least `size` bytes on `device`. Served
-  /// from the freelist when a block of the same rounded size exists there
-  /// (a *hit*); otherwise falls through to MemoryRegistry::allocDevice.
-  void* alloc(int device, std::size_t size, bool backed);
+  /// Returns a device region of at least `size` bytes on `device`, with its
+  /// classification. Served from the freelist when a block of the same
+  /// rounded size exists there (a *hit*); otherwise falls through to
+  /// MemoryRegistry::allocDevice.
+  MemRef alloc(int device, std::size_t size, bool backed);
 
   /// Returns `p` (a pointer obtained from alloc) to the pool. The region
   /// stays registered — and, when backed, keeps its contents — until trim().

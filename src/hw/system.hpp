@@ -56,6 +56,7 @@ struct System {
       r.setGauge("pool.misses", pool.misses());
       r.setGauge("pool.bytes_cached", pool.bytesCached());
       r.setGauge("pool.bytes_hwm", pool.bytesHighWatermark());
+      r.setGauge("hw.memory.lookups", memory.lookups());
     });
   }
 

@@ -23,18 +23,19 @@ ActiveMessages::ActiveMessages(Context& ctx) : ctx_(ctx) {
     ctx.worker(pe).setBufferedHandler(
         kAmType, kTypeMask,
         [this, pe](std::uint64_t len, Tag tag, int src_pe)
-            -> std::pair<void*, CompletionFn> {
+            -> std::pair<hw::MemRef, CompletionFn> {
           const std::uint64_t key =
               (static_cast<std::uint64_t>(pe) << 8) | idOf(tag);
           auto it = regs_.find(key);
-          if (it == regs_.end()) return {nullptr, CompletionFn{}};  // unregistered id: decline
+          if (it == regs_.end()) return {hw::MemRef{}, CompletionFn{}};  // unregistered id: decline
+          // The allocator's buffer enters the stack here: classify it once.
           void* buf = it->second.alloc(len, src_pe);
           Handler& handler = it->second.handler;
           CompletionFn done = [this, &handler, buf, len, src_pe](Request&) {
             ++delivered_;
             handler(buf, len, src_pe);
           };
-          return {buf, std::move(done)};
+          return {ctx_.system().memory.classify(buf), std::move(done)};
         });
   }
 }
@@ -53,7 +54,7 @@ RequestPtr ActiveMessages::amSend(int src_pe, int dst_pe, std::uint32_t id, cons
   checkId("amSend", id);
   auto& seq = seq_[(static_cast<std::uint64_t>(src_pe) << 8) | id];
   const Tag tag = makeTag(id, src_pe, seq++);
-  return ctx_.tagSend(src_pe, dst_pe, buf, len, tag, std::move(cb));
+  return ctx_.tagSend(src_pe, dst_pe, ctx_.system().memory.classify(buf), len, tag, std::move(cb));
 }
 
 }  // namespace cux::ucx

@@ -42,9 +42,10 @@ class Context {
   [[nodiscard]] Worker& worker(int pe) { return *workers_.at(static_cast<std::size_t>(pe)); }
 
   /// Non-blocking tagged send of `len` bytes at `buf` (host or device
-  /// memory; classification decides the protocol) from `src_pe` to `dst_pe`.
-  /// `buf` must remain valid until `cb` fires.
-  RequestPtr tagSend(int src_pe, int dst_pe, const void* buf, std::uint64_t len, Tag tag,
+  /// memory; its carried classification decides the protocol, as the
+  /// memory type does in real UCX) from `src_pe` to `dst_pe`. `buf` must
+  /// remain valid until `cb` fires.
+  RequestPtr tagSend(int src_pe, int dst_pe, hw::MemRef buf, std::uint64_t len, Tag tag,
                      CompletionFn cb);
 
   /// Active-message-style send whose payload is an owned byte vector
@@ -62,7 +63,7 @@ class Context {
   /// message under the same tag. This is the degraded route DeviceComm falls
   /// back to when the GPU-aware path exhausts its retries or the link is
   /// down; a pre-posted receive for the tag still matches.
-  RequestPtr tagSendHostStaged(int src_pe, int dst_pe, const void* buf, std::uint64_t len,
+  RequestPtr tagSendHostStaged(int src_pe, int dst_pe, hw::MemRef buf, std::uint64_t len,
                                Tag tag, CompletionFn cb);
 
   // --- statistics ---------------------------------------------------------
@@ -175,14 +176,14 @@ class Context {
                                            CompletionFn cb);
 
   /// Protocol selection body shared by tagSend and the host-staged fallback
-  /// (which re-enters it with src_device forced off after the D2H copy).
-  void startSend(int src_pe, int dst_pe, const void* buf, std::uint64_t len, Tag tag,
-                 bool src_device, RequestPtr req);
+  /// (which re-enters it with a host-space ref after the D2H copy).
+  void startSend(int src_pe, int dst_pe, hw::MemRef buf, std::uint64_t len, Tag tag,
+                 RequestPtr req);
 
-  void sendEager(int src_pe, int dst_pe, const void* buf, std::uint64_t len, Tag tag,
-                 bool src_device, RequestPtr req);
-  void sendRndv(int src_pe, int dst_pe, const void* buf, std::uint64_t len, Tag tag,
-                bool src_device, RequestPtr req);
+  void sendEager(int src_pe, int dst_pe, hw::MemRef buf, std::uint64_t len, Tag tag,
+                 RequestPtr req);
+  void sendRndv(int src_pe, int dst_pe, hw::MemRef buf, std::uint64_t len, Tag tag,
+                RequestPtr req);
 
   /// Result of the rendezvous data movement. `ok == false` means a leg
   /// (CTS or data) exhausted its retransmission budget: the sender has been
@@ -194,10 +195,10 @@ class Context {
   };
 
   /// Executes the rendezvous data movement once the receiver has matched.
-  /// Called by Worker::startRndvTransfer and deliverToHandler (a null
-  /// `dst_buf` counts as host memory); returns the data arrival time and
-  /// schedules sender-side completion (Done via ATS, or Error).
-  RndvResult rndvTransfer(const Worker::Incoming& msg, int dst_pe, void* dst_buf);
+  /// Called by Worker::startRndvTransfer and deliverToHandler; `dst` is the
+  /// posted buffer's carried classification. Returns the data arrival time
+  /// and schedules sender-side completion (Done via ATS, or Error).
+  RndvResult rndvTransfer(const Worker::Incoming& msg, int dst_pe, const hw::MemRef& dst);
 
   /// Multi-path data leg of a device->device rendezvous (replaces the
   /// single-route leg when UcxConfig::multipath is enabled): enumerates the

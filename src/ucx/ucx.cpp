@@ -302,31 +302,32 @@ RequestPtr Context::makeSendRequest(int dst_pe, std::uint64_t len, Tag tag, Comp
   return req;
 }
 
-RequestPtr Context::tagSend(int src_pe, int dst_pe, const void* buf, std::uint64_t len, Tag tag,
+RequestPtr Context::tagSend(int src_pe, int dst_pe, hw::MemRef buf, std::uint64_t len, Tag tag,
                             CompletionFn cb) {
   auto req = makeSendRequest(dst_pe, len, tag, std::move(cb));
-  startSend(src_pe, dst_pe, buf, len, tag, sys_.memory.isDevice(buf), req);
+  startSend(src_pe, dst_pe, buf, len, tag, req);
   return req;
 }
 
-void Context::startSend(int src_pe, int dst_pe, const void* buf, std::uint64_t len, Tag tag,
-                        bool src_device, RequestPtr req) {
+void Context::startSend(int src_pe, int dst_pe, hw::MemRef buf, std::uint64_t len, Tag tag,
+                        RequestPtr req) {
+  const bool src_device = buf.isDevice();
   const std::uint64_t eager_limit = src_device ? cfg_.device_eager_threshold
                                                : cfg_.host_eager_threshold;
   if (len <= eager_limit) {
     sys_.trace.record(sys_.engine.now(), sim::TraceCat::UcxSend, src_pe, dst_pe, len, tag,
                       src_device ? "eager-device" : "eager-host");
-    sendEager(src_pe, dst_pe, buf, len, tag, src_device, std::move(req));
+    sendEager(src_pe, dst_pe, buf, len, tag, std::move(req));
   } else {
     sys_.trace.record(sys_.engine.now(), sim::TraceCat::UcxSend, src_pe, dst_pe, len, tag,
                       src_device ? "rndv-device" : "rndv-host");
-    sendRndv(src_pe, dst_pe, buf, len, tag, src_device, std::move(req));
+    sendRndv(src_pe, dst_pe, buf, len, tag, std::move(req));
   }
 }
 
-RequestPtr Context::tagSendHostStaged(int src_pe, int dst_pe, const void* buf, std::uint64_t len,
+RequestPtr Context::tagSendHostStaged(int src_pe, int dst_pe, hw::MemRef buf, std::uint64_t len,
                                       Tag tag, CompletionFn cb) {
-  if (!sys_.memory.isDevice(buf)) return tagSend(src_pe, dst_pe, buf, len, tag, std::move(cb));
+  if (!buf.isDevice()) return tagSend(src_pe, dst_pe, buf, len, tag, std::move(cb));
 
   auto req = makeSendRequest(dst_pe, len, tag, std::move(cb));
 
@@ -338,8 +339,11 @@ RequestPtr Context::tagSendHostStaged(int src_pe, int dst_pe, const void* buf, s
   const hw::GpuId gpu = sys_.machine.gpuOfPe(src_pe);
   const sim::TimePoint staged =
       sys_.machine.gpuUp(gpu).reserve(engine.now() + sim::usec(cfg_.cuda_stage_latency_us), len);
-  engine.schedule(staged, [this, src_pe, dst_pe, buf, len, tag, req]() mutable {
-    startSend(src_pe, dst_pe, buf, len, tag, /*src_device=*/false, std::move(req));
+  // The staged copy is host memory holding the source's bytes: the send
+  // goes out as host memory, and reads the source itself when it is backed.
+  const hw::MemRef staged_ref{buf.ptr, -1, hw::MemSpace::Host, buf.backed};
+  engine.schedule(staged, [this, src_pe, dst_pe, staged_ref, len, tag, req]() mutable {
+    startSend(src_pe, dst_pe, staged_ref, len, tag, std::move(req));
   });
   return req;
 }
@@ -373,46 +377,47 @@ RequestPtr Context::amSend(int src_pe, int dst_pe, Tag tag, std::vector<std::byt
   return req;
 }
 
-void Context::sendEager(int src_pe, int dst_pe, const void* buf, std::uint64_t len, Tag tag,
-                        bool src_device, RequestPtr req) {
+void Context::sendEager(int src_pe, int dst_pe, hw::MemRef buf, std::uint64_t len, Tag tag,
+                        RequestPtr req) {
   sim::TimePoint t0 = sys_.engine.now() + sim::usec(cfg_.send_overhead_us);
-  if (src_device) t0 = stageDeviceEager(t0, src_pe, len, /*egress=*/true);
+  if (buf.isDevice()) t0 = stageDeviceEager(t0, src_pe, len, /*egress=*/true);
 
   Worker::Incoming msg;
   msg.tag = tag;
   msg.src_pe = src_pe;
   msg.len = len;
-  msg.src_device = src_device;
-  if (sys_.memory.dereferenceable(buf) && len > 0) {
+  msg.src_device = buf.isDevice();
+  if (buf.backed && len > 0) {
     msg.payload = takeBuffer(len);
-    std::memcpy(msg.payload.data(), buf, len);
+    std::memcpy(msg.payload.data(), buf.ptr, len);
   } else {
     msg.payload_valid = (len == 0);
   }
   ship(std::move(msg), src_pe, dst_pe, t0, sim::MsgClass::Eager, std::move(req));
 }
 
-void Context::sendRndv(int src_pe, int dst_pe, const void* buf, std::uint64_t len, Tag tag,
-                       bool src_device, RequestPtr req) {
+void Context::sendRndv(int src_pe, int dst_pe, hw::MemRef buf, std::uint64_t len, Tag tag,
+                       RequestPtr req) {
   Worker::Incoming msg;
   msg.tag = tag;
   msg.src_pe = src_pe;
   msg.len = len;
   msg.is_rndv = true;
-  msg.src_ptr = buf;
-  msg.src_device = src_device;
+  msg.src_ptr = buf.ptr;
+  msg.src_device = buf.isDevice();
+  msg.src_backed = buf.backed;
   msg.send_req = req;
   ship(std::move(msg), src_pe, dst_pe, sys_.engine.now() + sim::usec(cfg_.send_overhead_us),
        sim::MsgClass::RndvCtrl, std::move(req));
 }
 
 Context::RndvResult Context::rndvTransfer(const Worker::Incoming& msg, int dst_pe,
-                                          void* dst_buf) {
+                                          const hw::MemRef& dst) {
   sim::Engine& engine = sys_.engine;
   hw::Machine& machine = sys_.machine;
   const int src_pe = msg.src_pe;
   const bool src_device = msg.src_device;
-  const bool dst_device = sys_.memory.isDevice(dst_buf);
+  const bool dst_device = dst.isDevice();
   const std::uint64_t len = msg.len;
 
   const sim::TimePoint t_match = engine.now() + sim::usec(cfg_.rndv_handshake_us);
@@ -684,7 +689,7 @@ void Worker::dispatchMatch(PostedRecv r, Incoming msg) {
   }
 }
 
-RequestPtr Worker::tagRecv(void* buf, std::uint64_t len, Tag tag, Tag mask, CompletionFn cb) {
+RequestPtr Worker::tagRecv(hw::MemRef buf, std::uint64_t len, Tag tag, Tag mask, CompletionFn cb) {
   RequestPtr req = ctx_.makeRequest();
   req->completion = std::move(cb);
   PostedRecv r{req, buf, len, tag, mask};
@@ -713,7 +718,7 @@ void Worker::setBufferedHandler(Tag tag, Tag mask, BufferProvider fn) {
 }
 
 std::optional<Worker::ProbeInfo> Worker::probe(Tag tag, Tag mask) const {
-  const Incoming* msg = matcher_.probe(PostedRecv{nullptr, nullptr, 0, tag, mask});
+  const Incoming* msg = matcher_.probe(PostedRecv{nullptr, {}, 0, tag, mask});
   if (msg == nullptr) return std::nullopt;
   return ProbeInfo{msg->tag, msg->len, msg->src_pe};
 }
@@ -765,7 +770,7 @@ void Worker::onArrival(Incoming msg) {
   for (const auto& bh : buffered_handlers_) {
     if (!tagsMatch(msg.tag, bh->tag, bh->mask)) continue;
     auto [buf, cb] = bh->fn(msg.len, msg.tag, msg.src_pe);
-    if (buf == nullptr && msg.len > 0) continue;  // declined
+    if (buf.ptr == nullptr && msg.len > 0) continue;  // declined
     PostedRecv r{ctx_.makeRequest(), buf, msg.len, msg.tag, kFullMask};
     r.req->completion = std::move(cb);
     dispatchMatch(std::move(r), std::move(msg));
@@ -788,20 +793,18 @@ void Worker::completeRecvFromEager(PostedRecv r, Incoming msg) {
   Context& ctx = ctx_;
   sim::Engine& engine = ctx.system().engine;
   sim::TimePoint t = engine.now() + sim::usec(ctx.config().recv_overhead_us);
-  const bool dst_device = ctx.system().memory.isDevice(r.buf);
-  if (dst_device) t = ctx.stageDeviceEager(t, pe_, msg.len, /*egress=*/false);
+  if (r.buf.isDevice()) t = ctx.stageDeviceEager(t, pe_, msg.len, /*egress=*/false);
 
   RequestPtr req = std::move(r.req);
   req->matched_tag = msg.tag;
   req->bytes = msg.len;
   req->peer_pe = msg.src_pe;
-  void* buf = r.buf;
   // Capture the payload fields individually instead of the whole Incoming;
   // the completion itself stays in the request.
-  engine.schedule(t, [this, req = std::move(req), buf, payload = std::move(msg.payload),
+  engine.schedule(t, [this, req = std::move(req), buf = r.buf, payload = std::move(msg.payload),
                       payload_valid = msg.payload_valid]() mutable {
     hw::System& sys = ctx_.system();
-    if (payload_valid) cuda::moveBytes(sys, buf, payload.data(), payload.size());
+    if (payload_valid) cuda::moveBytes(buf, hw::MemRef::host(payload.data()), payload.size());
     // The payload has been consumed: its storage goes back to the eager pool
     // so the steady-state path stops allocating per message.
     ctx_.recycleBuffer(std::move(payload));
@@ -843,10 +846,9 @@ void Worker::startRndvTransfer(PostedRecv r, Incoming msg) {
   // already have fired by then.
   const std::uint64_t copy_len =
       msg.payload_owner ? std::min<std::uint64_t>(msg.len, msg.payload_owner->size()) : msg.len;
-  engine.schedule(done, [&sys = ctx.system(), req = std::move(req), buf = r.buf,
-                         src = msg.src_ptr, copy_len, pe = pe_,
-                         owner = std::move(msg.payload_owner)] {
-    cuda::moveBytes(sys, buf, src, copy_len);
+  engine.schedule(done, [&sys = ctx.system(), req = std::move(req), buf = r.buf, src = msg.src(),
+                         copy_len, pe = pe_, owner = std::move(msg.payload_owner)] {
+    cuda::moveBytes(buf, src, copy_len);
     sys.trace.record(sys.engine.now(), sim::TraceCat::UcxRecv, pe, req->peer_pe, req->bytes,
                      req->matched_tag, "rndv");
     complete(*req, ReqState::Done);
@@ -873,11 +875,11 @@ void Worker::deliverToHandler(HandlerFn& fn, Incoming msg) {
   // holder — so no second buffer is filled. A caller-anchored source is
   // pulled into a fresh owned buffer.
   const bool owned = msg.payload_owner != nullptr;
-  const bool src_deref = owned || ctx.system().memory.dereferenceable(msg.src_ptr);
+  const bool src_deref = owned || msg.src_backed;
   auto storage = owned ? std::move(msg.payload_owner) : std::make_shared<std::vector<std::byte>>();
   if (!owned && src_deref) storage->resize(msg.len);
-  const Context::RndvResult res =
-      ctx.rndvTransfer(msg, pe_, owned || storage->empty() ? nullptr : storage->data());
+  const Context::RndvResult res = ctx.rndvTransfer(
+      msg, pe_, hw::MemRef::host(owned || storage->empty() ? nullptr : storage->data()));
   if (!res.ok) return;  // transfer failed permanently; the sender saw Error
   const sim::TimePoint done = res.data_arrival + sim::usec(ctx.config().recv_overhead_us);
   engine.schedule(done, [fp, storage = std::move(storage), owned, src_deref, src = msg.src_ptr,

@@ -7,6 +7,7 @@
 #include <optional>
 #include <vector>
 
+#include "hw/memory.hpp"
 #include "sim/matcher.hpp"
 #include "sim/small_fn.hpp"
 #include "ucx/request.hpp"
@@ -61,8 +62,9 @@ class Worker {
   [[nodiscard]] Context& context() noexcept { return ctx_; }
 
   /// Posts a receive for a message matching `tag` under `mask`
-  /// (ucp_tag_recv_nb). `buf` must stay valid until completion.
-  RequestPtr tagRecv(void* buf, std::uint64_t len, Tag tag, Tag mask, CompletionFn cb);
+  /// (ucp_tag_recv_nb) into `buf`, whose carried classification decides the
+  /// receive-side path. `buf` must stay valid until completion.
+  RequestPtr tagRecv(hw::MemRef buf, std::uint64_t len, Tag tag, Tag mask, CompletionFn cb);
 
   /// Registers a persistent handler for messages matching `tag` under `mask`.
   /// The handler owns delivered payloads; it keeps firing until the worker is
@@ -73,10 +75,10 @@ class Worker {
   /// completion callback) for a matching message — the receiver-side half of
   /// an active-message receive: data lands directly in the provided buffer
   /// (host or device) with no pre-posted request and no unexpected-queue
-  /// detour. Returning {nullptr, ...} declines the message (it then falls
+  /// detour. A null buffer pointer declines the message (it then falls
   /// through to plain handlers / the unexpected queue).
   using BufferProvider =
-      std::function<std::pair<void*, CompletionFn>(std::uint64_t len, Tag tag, int src_pe)>;
+      std::function<std::pair<hw::MemRef, CompletionFn>(std::uint64_t len, Tag tag, int src_pe)>;
 
   /// Registers a persistent buffer-providing handler; consulted after posted
   /// receives but before plain handlers.
@@ -116,7 +118,9 @@ class Worker {
   /// Field order packs the struct to 88 bytes so an arrival capture (worker
   /// pointer + Incoming) fits sim::SmallFn's inline buffer with room to
   /// spare; the static_assert below enforces the budget (see the capture
-  /// audit in docs/architecture.md). Matching-engine
+  /// audit in docs/architecture.md). The source's classification travels as
+  /// the two flags after src_pe, in what was padding, rather than as a whole
+  /// hw::MemRef: the RTS carries the memory type, not the GPU. Matching-engine
   /// bookkeeping (arrival sequence numbers, bucket links) deliberately lives
   /// in the matcher's store nodes, not here, to hold that budget.
   ///
@@ -140,8 +144,14 @@ class Worker {
     bool is_rndv = false;
     bool payload_valid = true;
     bool src_device = false;  ///< receiver pays the un-staging cost for device eager
+    bool src_backed = true;   ///< rendezvous: src_ptr may be read
 
     [[nodiscard]] std::uint64_t matchKey() const noexcept { return tag; }
+    /// The rendezvous source as the receiver knows it.
+    [[nodiscard]] hw::MemRef src() const noexcept {
+      return hw::MemRef{const_cast<void*>(src_ptr), -1,
+                        src_device ? hw::MemSpace::Device : hw::MemSpace::Host, src_backed};
+    }
   };
   static_assert(sizeof(Incoming) <= 88, "Incoming grew: re-audit the arrival captures");
   static_assert(sim::SmallFn::fitsInline<std::pair<Worker*, Incoming>>(),
@@ -151,7 +161,7 @@ class Worker {
   /// probe (no request, no buffer).
   struct PostedRecv {
     RequestPtr req;
-    void* buf = nullptr;
+    hw::MemRef buf;
     std::uint64_t len = 0;
     Tag tag = 0;
     Tag mask = 0;

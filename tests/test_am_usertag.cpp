@@ -178,12 +178,12 @@ TEST(UserTag, PrePostedReceiveCompletesWithoutMetadata) {
   bool received = false;
   // Receive posted first — before the sender does anything.
   f.cmi->runOn(6, [&] {
-    f.dev->lrtsRecvDeviceUserTag(6, b.get(), n, 777, core::DeviceRecvType::Charm,
+    f.dev->lrtsRecvDeviceUserTag(6, b.ref(), n, 777, core::DeviceRecvType::Charm,
                                  [&] { received = true; });
   });
   f.sys->engine.schedule(sim::usec(100), [&] {
     f.cmi->runOn(0, [&] {
-      core::CmiDeviceBuffer buf{a.get(), n, 0};
+      core::CmiDeviceBuffer buf{a.ref(), n, 0};
       f.dev->lrtsSendDeviceUserTag(0, 6, buf, 777);
     });
   });
@@ -195,7 +195,7 @@ TEST(UserTag, PrePostedReceiveCompletesWithoutMetadata) {
 TEST(UserTag, TagsEncodeDeviceUserType) {
   Fix f(1);
   cuda::DeviceBuffer a(*f.sys, 0, 64);
-  core::CmiDeviceBuffer buf{a.get(), 64, 0};
+  core::CmiDeviceBuffer buf{a.ref(), 64, 0};
   f.cmi->runOn(0, [&] { f.dev->lrtsSendDeviceUserTag(0, 1, buf, 0xABCDE); });
   f.sys->engine.run();
   EXPECT_EQ(f.cmi->tags().typeOf(buf.tag), core::MsgType::DeviceUser);
@@ -212,13 +212,13 @@ TEST(UserTag, DistinctUserTagsMatchIndependently) {
   int done = 0;
   f.cmi->runOn(1, [&] {
     // Post in reverse order of the sends: matching is by tag, not order.
-    f.dev->lrtsRecvDeviceUserTag(1, b2.get(), n, 2, core::DeviceRecvType::Charm,
+    f.dev->lrtsRecvDeviceUserTag(1, b2.ref(), n, 2, core::DeviceRecvType::Charm,
                                  [&] { ++done; });
-    f.dev->lrtsRecvDeviceUserTag(1, b1.get(), n, 1, core::DeviceRecvType::Charm,
+    f.dev->lrtsRecvDeviceUserTag(1, b1.ref(), n, 1, core::DeviceRecvType::Charm,
                                  [&] { ++done; });
   });
   f.cmi->runOn(0, [&] {
-    core::CmiDeviceBuffer x{a1.get(), n, 0}, y{a2.get(), n, 0};
+    core::CmiDeviceBuffer x{a1.ref(), n, 0}, y{a2.ref(), n, 0};
     f.dev->lrtsSendDeviceUserTag(0, 1, x, 1);
     f.dev->lrtsSendDeviceUserTag(0, 1, y, 2);
   });
@@ -237,25 +237,25 @@ TEST(UserTag, PrePostingBeatsMetadataLatency) {
     sim::TimePoint done = 0;
     if (prepost) {
       f.cmi->runOn(6, [&] {
-        f.dev->lrtsRecvDeviceUserTag(6, b.get(), n, 9, core::DeviceRecvType::Charm,
+        f.dev->lrtsRecvDeviceUserTag(6, b.ref(), n, 9, core::DeviceRecvType::Charm,
                                      [&] { done = f.sys->engine.now(); });
       });
       f.cmi->runOn(0, [&] {
-        core::CmiDeviceBuffer buf{a.get(), n, 0};
+        core::CmiDeviceBuffer buf{a.ref(), n, 0};
         f.dev->lrtsSendDeviceUserTag(0, 6, buf, 9);
       });
     } else {
       const int h = f.cmi->registerHandler([&](cmi::Message msg) {
         std::uint64_t tag = 0;
         std::memcpy(&tag, msg.payload().data(), 8);
-        f.dev->lrtsRecvDevice(6, core::DeviceRdmaOp{b.get(), n, tag},
+        f.dev->lrtsRecvDevice(6, core::DeviceRdmaOp{b.ref(), n, tag},
                               core::DeviceRecvType::Charm,
                               [&] { done = f.sys->engine.now(); });
       });
       // h by value: this lambda runs from engine.run() below, after the
       // enclosing else-block (and h) has gone out of scope.
       f.cmi->runOn(0, [&, h] {
-        core::CmiDeviceBuffer buf{a.get(), n, 0};
+        core::CmiDeviceBuffer buf{a.ref(), n, 0};
         f.dev->lrtsSendDevice(0, 6, buf);
         std::vector<std::byte> meta(8);
         std::memcpy(meta.data(), &buf.tag, 8);

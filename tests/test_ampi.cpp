@@ -355,6 +355,46 @@ TEST(Ampi, DevicePointerCacheHitsOnRepeatedSends) {
   EXPECT_GE(f.world->cacheMisses(), 1u);
 }
 
+TEST(Ampi, PointerCacheIsPerRankAndForgetsAfterAnAllocOrFree) {
+  // Each MPI call classifies its buffer through the calling rank's cache:
+  // one registry lookup on a miss, none on a hit. An entry is valid only in
+  // the registry epoch it was made in, so any allocation or free (here an
+  // unrelated scratch buffer) sends the next call back to the registry.
+  // This does not rely on the allocator handing a freed address out again.
+  AmpiFixture f(1);
+  const std::size_t n = 4096;
+  const hw::MemoryRegistry& mem = f.sys->memory;
+  cuda::DeviceBuffer a(*f.sys, 0, n, /*backed=*/true), b(*f.sys, 1, n, /*backed=*/true);
+  std::vector<std::uint64_t> rank0, rank2;  // lookups made by each isend
+  auto send = [&mem](ampi::Rank& r, const void* buf, std::size_t bytes, int dst, int tag,
+                     std::vector<std::uint64_t>& cost) {
+    const std::uint64_t before = mem.lookups();
+    ampi::Request q = r.isend(buf, bytes, dst, tag);
+    cost.push_back(mem.lookups() - before);
+    return q;
+  };
+  f.runAll([&](ampi::Rank& r) -> sim::FutureTask {
+    if (r.rank() == 0) {
+      co_await r.wait(send(r, a.get(), n, 1, 0, rank0));
+      co_await r.wait(send(r, a.get(), n, 1, 1, rank0));
+      { cuda::DeviceBuffer scratch(*f.sys, 0, 64); }
+      co_await r.wait(send(r, a.get(), n, 1, 2, rank0));
+      co_await r.wait(send(r, a.get(), n, 1, 3, rank0));
+      co_await r.send(nullptr, 0, 2, 9);  // rank 2 may go
+    } else if (r.rank() == 1) {
+      for (int i = 0; i < 4; ++i) co_await r.recv(b.get(), n, 0, i);
+      co_await r.recv(b.get(), n, 2, 5);
+    } else if (r.rank() == 2) {
+      co_await r.recv(nullptr, 0, 0, 9);
+      // Rank 0 has `a` cached; rank 2's own cache has not seen it.
+      co_await r.wait(send(r, a.get(), n, 1, 5, rank2));
+    }
+    co_return;
+  });
+  EXPECT_EQ(rank0, (std::vector<std::uint64_t>{1, 0, 1, 0}));
+  EXPECT_EQ(rank2, (std::vector<std::uint64_t>{1}));
+}
+
 // --------------------------------------------------------------------------
 // Datatype overloads
 // --------------------------------------------------------------------------

@@ -72,7 +72,7 @@ TEST(UcxProbe, ReportsPendingMessageWithoutConsuming) {
   hw::System sys(m.machine);
   ucx::Context ctx(sys, m.ucx);
   std::vector<std::byte> src(100);
-  ctx.tagSend(0, 1, src.data(), 100, 0x77, {});
+  ctx.tagSend(0, 1, hw::MemRef::host(src.data()), 100, 0x77, {});
   sys.engine.run();
   auto info = ctx.worker(1).probe(0x77, ucx::kFullMask);
   ASSERT_TRUE(info.has_value());

@@ -219,14 +219,16 @@ TEST(Charm4pyTiming, PythonOverheadExceedsCharmPath) {
 sim::FutureTask stagedSend(c4p::Charm4py* py, int pe, c4p::ChannelEnd* end, const void* dbuf,
                            void* hbuf, std::size_t n, cuda::Stream* s) {
   // The host-staging path of the paper's Fig. 8.
-  py->cudaDtoH(pe, hbuf, dbuf, n, *s);
+  py->cudaDtoH(pe, py->system().memory.classify(hbuf), py->system().memory.classify(dbuf), n,
+               *s);
   co_await py->streamSynchronize(pe, *s);
   co_await end->send(hbuf, n);
 }
 sim::FutureTask stagedRecv(c4p::Charm4py* py, int pe, c4p::ChannelEnd* end, void* dbuf,
                            void* hbuf, std::size_t n, cuda::Stream* s, bool* done) {
   co_await end->recv(hbuf, n);
-  py->cudaHtoD(pe, dbuf, hbuf, n, *s);
+  py->cudaHtoD(pe, py->system().memory.classify(dbuf), py->system().memory.classify(hbuf), n,
+               *s);
   co_await py->streamSynchronize(pe, *s);
   *done = true;
 }

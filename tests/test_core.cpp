@@ -210,7 +210,7 @@ TEST(Converse, LargePayloadsTravelByRendezvous) {
 TEST(DeviceComm, TagCarriesTypePeAndCounter) {
   CoreFixture f;
   cuda::DeviceBuffer a(*f.sys, 2, 64);
-  core::CmiDeviceBuffer buf{a.get(), 64, 0};
+  core::CmiDeviceBuffer buf{a.ref(), 64, 0};
   f.cmi->runOn(2, [&] { f.dev->lrtsSendDevice(2, 3, buf); });
   f.sys->engine.run();
   const auto& t = f.cmi->tags();
@@ -222,7 +222,7 @@ TEST(DeviceComm, TagCarriesTypePeAndCounter) {
 TEST(DeviceComm, CounterIncrementsPerPe) {
   CoreFixture f;
   cuda::DeviceBuffer a(*f.sys, 0, 64);
-  core::CmiDeviceBuffer b1{a.get(), 64, 0}, b2{a.get(), 64, 0}, b3{a.get(), 64, 0};
+  core::CmiDeviceBuffer b1{a.ref(), 64, 0}, b2{a.ref(), 64, 0}, b3{a.ref(), 64, 0};
   f.cmi->runOn(0, [&] {
     f.dev->lrtsSendDevice(0, 1, b1);
     f.dev->lrtsSendDevice(0, 2, b2);
@@ -237,7 +237,7 @@ TEST(DeviceComm, CounterIncrementsPerPe) {
 TEST(DeviceComm, HostBufferGetsZcopyType) {
   CoreFixture f;
   std::vector<std::byte> host(1u << 20);
-  core::CmiDeviceBuffer buf{host.data(), host.size(), 0};
+  core::CmiDeviceBuffer buf{hw::MemRef::host(host.data()), host.size(), 0};
   f.cmi->runOn(0, [&] { f.dev->lrtsSendDevice(0, 1, buf); });
   f.sys->engine.run();
   EXPECT_EQ(f.cmi->tags().typeOf(buf.tag), core::MsgType::ZcopyHost);
@@ -250,14 +250,14 @@ TEST(DeviceComm, SendRecvMovesDeviceData) {
   sim::SplitMix64 rng(8);
   rng.fill(src.get(), n);
 
-  core::CmiDeviceBuffer buf{src.get(), n, 0};
+  core::CmiDeviceBuffer buf{src.ref(), n, 0};
   bool sent = false, received = false;
   f.cmi->runOn(0, [&] {
     f.dev->lrtsSendDevice(0, 6, buf, [&] { sent = true; });
     // Metadata exchange would normally deliver the tag; here the test passes
     // it directly to the receive side.
     f.cmi->runOn(6, [&] {
-      f.dev->lrtsRecvDevice(6, core::DeviceRdmaOp{dst.get(), n, buf.tag},
+      f.dev->lrtsRecvDevice(6, core::DeviceRdmaOp{dst.ref(), n, buf.tag},
                             core::DeviceRecvType::Raw, [&] { received = true; });
     });
   });
@@ -278,10 +278,10 @@ TEST(DeviceComm, RecvBeforeRtsAlsoCompletes) {
   const auto tag = f.cmi->tags().make(core::MsgType::Device, 0, 0);
   bool received = false;
   f.cmi->runOn(1, [&] {
-    f.dev->lrtsRecvDevice(1, core::DeviceRdmaOp{dst.get(), n, tag},
+    f.dev->lrtsRecvDevice(1, core::DeviceRdmaOp{dst.ref(), n, tag},
                           core::DeviceRecvType::Raw, [&] { received = true; });
   });
-  core::CmiDeviceBuffer buf{src.get(), n, 0};
+  core::CmiDeviceBuffer buf{src.ref(), n, 0};
   f.sys->engine.schedule(sim::usec(50), [&] {
     f.cmi->runOn(0, [&] { f.dev->lrtsSendDevice(0, 1, buf); });
   });
@@ -304,7 +304,7 @@ TEST(DeviceComm, CounterWrapsAroundCntBits) {
   std::vector<std::uint64_t> cnts;
   cmi.runOn(0, [&] {
     for (int i = 0; i < 18; ++i) {
-      core::CmiDeviceBuffer buf{a.get(), 64, 0};
+      core::CmiDeviceBuffer buf{a.ref(), 64, 0};
       dev.lrtsSendDevice(0, 1, buf);
       cnts.push_back(cmi.tags().cntOf(buf.tag));
       EXPECT_EQ(cmi.tags().typeOf(buf.tag), core::MsgType::Device);
@@ -329,7 +329,7 @@ TEST(DeviceComm, UserTagSendsStayOrderedInSmpMode) {
   cmi::Converse cmi(sys, ctx, m.costs);
   core::DeviceComm dev(cmi);
   cuda::DeviceBuffer a(sys, 0, 64), b(sys, 0, 64);
-  core::CmiDeviceBuffer regular{a.get(), 64, 0}, user{b.get(), 64, 0};
+  core::CmiDeviceBuffer regular{a.ref(), 64, 0}, user{b.ref(), 64, 0};
   cmi.runOn(0, [&] {
     dev.lrtsSendDevice(0, 1, regular);
     dev.lrtsSendDeviceUserTag(0, 1, user, 7);
@@ -350,11 +350,11 @@ TEST(DeviceComm, UserTagSendsStayOrderedInSmpMode) {
 TEST(DeviceComm, AccountsSendAndRecvTypesIndependently) {
   CoreFixture f;
   cuda::DeviceBuffer src(*f.sys, 0, 64), dst(*f.sys, 1, 64);
-  core::CmiDeviceBuffer buf{src.get(), 64, 0};
+  core::CmiDeviceBuffer buf{src.ref(), 64, 0};
   f.cmi->runOn(0, [&] {
     f.dev->lrtsSendDevice(0, 1, buf, {}, core::DeviceRecvType::Charm4py);
     f.cmi->runOn(1, [&] {
-      f.dev->lrtsRecvDevice(1, core::DeviceRdmaOp{dst.get(), 64, buf.tag},
+      f.dev->lrtsRecvDevice(1, core::DeviceRdmaOp{dst.ref(), 64, buf.tag},
                             core::DeviceRecvType::Ampi, {});
     });
   });

@@ -95,8 +95,8 @@ TEST(Edges, SelfSendEverywhere) {
   ucx::Context ctx(sys, m.ucx);
   int done = 0;
   std::vector<std::byte> a(64), b(64);
-  ctx.worker(3).tagRecv(b.data(), 64, 1, ucx::kFullMask, [&](ucx::Request&) { ++done; });
-  ctx.tagSend(3, 3, a.data(), 64, 1, [&](ucx::Request&) { ++done; });
+  ctx.worker(3).tagRecv(hw::MemRef::host(b.data()), 64, 1, ucx::kFullMask, [&](ucx::Request&) { ++done; });
+  ctx.tagSend(3, 3, hw::MemRef::host(a.data()), 64, 1, [&](ucx::Request&) { ++done; });
   sys.engine.run();
   EXPECT_EQ(done, 2);
 }
@@ -108,9 +108,9 @@ TEST(Edges, LargeSelfSendRndv) {
   cuda::DeviceBuffer a(sys, 2, 1u << 20), b(sys, 2, 1u << 20);
   std::memset(a.get(), 0x7C, 1u << 20);
   bool done = false;
-  ctx.worker(2).tagRecv(b.get(), 1u << 20, 9, ucx::kFullMask,
+  ctx.worker(2).tagRecv(b.ref(), 1u << 20, 9, ucx::kFullMask,
                         [&](ucx::Request&) { done = true; });
-  ctx.tagSend(2, 2, a.get(), 1u << 20, 9, {});
+  ctx.tagSend(2, 2, a.ref(), 1u << 20, 9, {});
   sys.engine.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(static_cast<unsigned char*>(b.get())[12345], 0x7C);

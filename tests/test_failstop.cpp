@@ -121,7 +121,7 @@ TEST(FailstopDetect, RendezvousSendToDeadPeTurnsPeerFailedNotHang) {
   CtxFixture f(killAt(6, 0.0));
   std::vector<std::byte> src(64 * 1024);
   bool send_done = false;
-  auto req = f.ctx->tagSend(0, 6, src.data(), src.size(), 0x9, [&](ucx::Request& r) {
+  auto req = f.ctx->tagSend(0, 6, hw::MemRef::host(src.data()), src.size(), 0x9, [&](ucx::Request& r) {
     send_done = true;
     EXPECT_TRUE(r.failed());
   });
@@ -141,7 +141,7 @@ TEST(FailstopDetect, DeadPesOwnInflightSendTerminates) {
   fc.down_windows.push_back(sim::LinkDownWindow{0, sim::usec(5000.0), 1, 0});
   CtxFixture f(fc);
   std::vector<std::byte> src(64 * 1024);
-  auto sreq = f.ctx->tagSend(1, 0, src.data(), src.size(), 0xB, {});
+  auto sreq = f.ctx->tagSend(1, 0, hw::MemRef::host(src.data()), src.size(), 0xB, {});
   f.sys->engine.run();
   EXPECT_TRUE(sreq->failed()) << "dead PE's own in-flight send must terminate";
   EXPECT_TRUE(sreq->peerFailed());
@@ -155,7 +155,7 @@ TEST(FailstopDetect, RtsParkedAtPeThatDiesTurnsPeerFailed) {
   CtxFixture f(killAt(6, 50.0));
   std::vector<std::byte> src(64 * 1024);
   bool send_done = false;
-  auto req = f.ctx->tagSend(0, 6, src.data(), src.size(), 0x9,
+  auto req = f.ctx->tagSend(0, 6, hw::MemRef::host(src.data()), src.size(), 0x9,
                             [&](ucx::Request&) { send_done = true; });
   f.sys->engine.run();
   EXPECT_TRUE(send_done);

@@ -137,10 +137,10 @@ TEST(FaultRetry, ExhaustionSurfacesErrorWithExactCounters) {
   auto src = pattern(64, 1);
   std::vector<std::byte> dst(64);
   bool recv_done = false;
-  f.ctx->worker(1).tagRecv(dst.data(), 64, 0x1, ucx::kFullMask,
+  f.ctx->worker(1).tagRecv(hw::MemRef::host(dst.data()), 64, 0x1, ucx::kFullMask,
                            [&](ucx::Request&) { recv_done = true; });
   int send_completions = 0;
-  auto req = f.ctx->tagSend(0, 1, src.data(), 64, 0x1, [&](ucx::Request& r) {
+  auto req = f.ctx->tagSend(0, 1, hw::MemRef::host(src.data()), 64, 0x1, [&](ucx::Request& r) {
     ++send_completions;
     EXPECT_TRUE(r.failed());
   });
@@ -170,12 +170,12 @@ TEST(FaultRetry, PartialLossRecoversWithRetransmissions) {
   for (int i = 0; i < kMsgs; ++i) {
     const auto tag = static_cast<ucx::Tag>(i);
     const int dst_pe = (i % 2 == 0) ? 1 : 6;  // intra- and inter-node
-    f.ctx->worker(dst_pe).tagRecv(dsts[static_cast<std::size_t>(i)].data(), 256, tag,
+    f.ctx->worker(dst_pe).tagRecv(hw::MemRef::host(dsts[static_cast<std::size_t>(i)].data()), 256, tag,
                                   ucx::kFullMask, [&](ucx::Request& r) {
                                     EXPECT_TRUE(r.done());
                                     ++done;
                                   });
-    f.ctx->tagSend(0, dst_pe, srcs[static_cast<std::size_t>(i)].data(), 256, tag, {});
+    f.ctx->tagSend(0, dst_pe, hw::MemRef::host(srcs[static_cast<std::size_t>(i)].data()), 256, tag, {});
   }
   f.sys->engine.run();
   EXPECT_EQ(done, kMsgs);
@@ -197,9 +197,9 @@ TEST(FaultRetry, DuplicatesFromOverEagerRetransmitAreSuppressed) {
   auto src = pattern(128, 3);
   std::vector<std::byte> dst(128);
   int recv_completions = 0;
-  f.ctx->worker(6).tagRecv(dst.data(), 128, 0x2, ucx::kFullMask,
+  f.ctx->worker(6).tagRecv(hw::MemRef::host(dst.data()), 128, 0x2, ucx::kFullMask,
                            [&](ucx::Request&) { ++recv_completions; });
-  auto req = f.ctx->tagSend(0, 6, src.data(), 128, 0x2, {});
+  auto req = f.ctx->tagSend(0, 6, hw::MemRef::host(src.data()), 128, 0x2, {});
   f.sys->engine.run();
   EXPECT_EQ(recv_completions, 1);
   EXPECT_EQ(dst, src);
@@ -226,7 +226,7 @@ TEST(FaultRetry, UnexpectedQueueStaysBoundedUnderDuplicateStorm) {
   std::vector<std::vector<std::byte>> srcs;
   for (int i = 0; i < kMsgs; ++i) {
     srcs.push_back(pattern(64, 40 + static_cast<std::uint64_t>(i)));
-    f.ctx->tagSend(0, 6, srcs.back().data(), 64, kRawType | static_cast<ucx::Tag>(0x50 + i), {});
+    f.ctx->tagSend(0, 6, hw::MemRef::host(srcs.back().data()), 64, kRawType | static_cast<ucx::Tag>(0x50 + i), {});
   }
   f.sys->engine.run();
   EXPECT_EQ(f.ctx->worker(6).matchStats().unexpected, static_cast<std::size_t>(kMsgs));
@@ -235,7 +235,7 @@ TEST(FaultRetry, UnexpectedQueueStaysBoundedUnderDuplicateStorm) {
   // Late receives still drain the queue correctly.
   std::vector<std::byte> dst(64);
   bool got = false;
-  f.ctx->worker(6).tagRecv(dst.data(), 64, kRawType | 0x50, ucx::kFullMask,
+  f.ctx->worker(6).tagRecv(hw::MemRef::host(dst.data()), 64, kRawType | 0x50, ucx::kFullMask,
                            [&](ucx::Request&) { got = true; });
   f.sys->engine.run();
   EXPECT_TRUE(got);
@@ -250,9 +250,9 @@ TEST(FaultRetry, JitterDelaysDeliveryWithoutLoss) {
   auto src = pattern(64, 5);
   std::vector<std::byte> dst(64);
   bool done = false;
-  f.ctx->worker(1).tagRecv(dst.data(), 64, 0x3, ucx::kFullMask,
+  f.ctx->worker(1).tagRecv(hw::MemRef::host(dst.data()), 64, 0x3, ucx::kFullMask,
                            [&](ucx::Request&) { done = true; });
-  f.ctx->tagSend(0, 1, src.data(), 64, 0x3, {});
+  f.ctx->tagSend(0, 1, hw::MemRef::host(src.data()), 64, 0x3, {});
   f.sys->engine.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(dst, src);
@@ -271,9 +271,9 @@ TEST(FaultRetry, LinkFlapRecoversByRetransmittingPastTheWindow) {
   auto src = pattern(64, 6);
   std::vector<std::byte> dst(64);
   bool done = false;
-  f.ctx->worker(6).tagRecv(dst.data(), 64, 0x4, ucx::kFullMask,
+  f.ctx->worker(6).tagRecv(hw::MemRef::host(dst.data()), 64, 0x4, ucx::kFullMask,
                            [&](ucx::Request&) { done = true; });
-  auto req = f.ctx->tagSend(0, 6, src.data(), 64, 0x4, {});
+  auto req = f.ctx->tagSend(0, 6, hw::MemRef::host(src.data()), 64, 0x4, {});
   f.sys->engine.run();
   EXPECT_TRUE(done);
   EXPECT_TRUE(req->done());
@@ -294,13 +294,13 @@ TEST(FaultRetry, RendezvousDataLossFailsBothSidesTerminally) {
   std::vector<std::byte> dst(64 * 1024);
   bool recv_completed = false;
   ucx::RequestPtr recv_req;
-  recv_req = f.ctx->worker(6).tagRecv(dst.data(), dst.size(), 0x5, ucx::kFullMask,
+  recv_req = f.ctx->worker(6).tagRecv(hw::MemRef::host(dst.data()), dst.size(), 0x5, ucx::kFullMask,
                                       [&](ucx::Request& r) {
                                         recv_completed = true;
                                         EXPECT_TRUE(r.failed());
                                       });
   bool send_completed = false;
-  auto req = f.ctx->tagSend(0, 6, src.data(), src.size(), 0x5, [&](ucx::Request& r) {
+  auto req = f.ctx->tagSend(0, 6, hw::MemRef::host(src.data()), src.size(), 0x5, [&](ucx::Request& r) {
     send_completed = true;
     EXPECT_TRUE(r.failed());
   });
@@ -330,12 +330,12 @@ TEST(FaultFallback, DeviceRndvExhaustionFallsBackToHostStagedEager) {
   const auto ref = pattern(8192, 9);
   std::memcpy(src.get(), ref.data(), ref.size());
 
-  core::CmiDeviceBuffer buf{src.get(), 8192, 0};
+  core::CmiDeviceBuffer buf{src.ref(), 8192, 0};
   bool sent = false, recvd = false;
   f.cmi->runOn(0, [&] {
     f.dev->lrtsSendDevice(0, 6, buf, [&] { sent = true; }, core::DeviceRecvType::Charm);
     f.cmi->runOn(6, [&] {
-      f.dev->lrtsRecvDevice(6, core::DeviceRdmaOp{dst.get(), 8192, buf.tag},
+      f.dev->lrtsRecvDevice(6, core::DeviceRdmaOp{dst.ref(), 8192, buf.tag},
                             core::DeviceRecvType::Charm, [&] { recvd = true; });
     });
   });
@@ -359,12 +359,12 @@ TEST(FaultFallback, LinkDownAtIssueTimeSkipsStraightToFallback) {
   const auto ref = pattern(2048, 10);
   std::memcpy(src.get(), ref.data(), ref.size());
 
-  core::CmiDeviceBuffer buf{src.get(), 2048, 0};
+  core::CmiDeviceBuffer buf{src.ref(), 2048, 0};
   bool sent = false, recvd = false;
   f.cmi->runOn(0, [&] {
     f.dev->lrtsSendDevice(0, 6, buf, [&] { sent = true; }, core::DeviceRecvType::Ampi);
     f.cmi->runOn(6, [&] {
-      f.dev->lrtsRecvDevice(6, core::DeviceRdmaOp{dst.get(), 2048, buf.tag},
+      f.dev->lrtsRecvDevice(6, core::DeviceRdmaOp{dst.ref(), 2048, buf.tag},
                             core::DeviceRecvType::Ampi, [&] { recvd = true; });
     });
   });
@@ -392,12 +392,12 @@ TEST(FaultFallback, MatchedRndvExhaustionRepostsReceiveAndRecovers) {
   const auto ref = pattern(8192, 12);
   std::memcpy(src.get(), ref.data(), ref.size());
 
-  core::CmiDeviceBuffer buf{src.get(), 8192, 0};
+  core::CmiDeviceBuffer buf{src.ref(), 8192, 0};
   int sent = 0, recvd = 0;
   f.cmi->runOn(0, [&] {
     f.dev->lrtsSendDevice(0, 6, buf, [&] { ++sent; }, core::DeviceRecvType::Charm);
     f.cmi->runOn(6, [&] {
-      f.dev->lrtsRecvDevice(6, core::DeviceRdmaOp{dst.get(), 8192, buf.tag},
+      f.dev->lrtsRecvDevice(6, core::DeviceRdmaOp{dst.ref(), 8192, buf.tag},
                             core::DeviceRecvType::Charm, [&] { ++recvd; });
     });
   });
@@ -428,12 +428,12 @@ TEST(FaultFallback, AtsLossCompletesSendWithoutSpuriousResend) {
   const auto ref = pattern(8192, 13);
   std::memcpy(src.get(), ref.data(), ref.size());
 
-  core::CmiDeviceBuffer buf{src.get(), 8192, 0};
+  core::CmiDeviceBuffer buf{src.ref(), 8192, 0};
   int sent = 0, recvd = 0;
   f.cmi->runOn(0, [&] {
     f.dev->lrtsSendDevice(0, 1, buf, [&] { ++sent; }, core::DeviceRecvType::Charm);
     f.cmi->runOn(1, [&] {
-      f.dev->lrtsRecvDevice(1, core::DeviceRdmaOp{dst.get(), 8192, buf.tag},
+      f.dev->lrtsRecvDevice(1, core::DeviceRdmaOp{dst.ref(), 8192, buf.tag},
                             core::DeviceRecvType::Charm, [&] { ++recvd; });
     });
   });
@@ -459,10 +459,10 @@ TEST(FaultFallback, UserTagPrePostedPathSurvivesLoss) {
 
   bool sent = false, recvd = false;
   f.cmi->runOn(6, [&] {
-    f.dev->lrtsRecvDeviceUserTag(6, dst.get(), 32768, 0x77, core::DeviceRecvType::Charm4py,
+    f.dev->lrtsRecvDeviceUserTag(6, dst.ref(), 32768, 0x77, core::DeviceRecvType::Charm4py,
                                  [&] { recvd = true; });
     f.cmi->runOn(0, [&] {
-      core::CmiDeviceBuffer buf{src.get(), 32768, 0};
+      core::CmiDeviceBuffer buf{src.ref(), 32768, 0};
       f.dev->lrtsSendDeviceUserTag(0, 6, buf, 0x77, [&] { sent = true; },
                                    core::DeviceRecvType::Charm4py);
     });
@@ -485,8 +485,8 @@ std::uint64_t faultyTimelineHash(std::uint64_t seed) {
     dsts.emplace_back(1024);
     const auto tag = static_cast<ucx::Tag>(0x30 + i);
     const int dst_pe = (i % 3 == 0) ? 6 : 1;
-    f.ctx->worker(dst_pe).tagRecv(dsts.back().data(), 1024, tag, ucx::kFullMask, {});
-    f.ctx->tagSend(0, dst_pe, srcs.back().data(), 1024, tag, {});
+    f.ctx->worker(dst_pe).tagRecv(hw::MemRef::host(dsts.back().data()), 1024, tag, ucx::kFullMask, {});
+    f.ctx->tagSend(0, dst_pe, hw::MemRef::host(srcs.back().data()), 1024, tag, {});
   }
   f.sys->engine.run();
   return f.sys->trace.hash();
@@ -546,11 +546,11 @@ TEST(FaultExactlyOnce, EveryCompletionFiresOnceUnderLossAndPeDeath) {
     void* dbuf = bufs.back().data();
     const ucx::Tag tag = kTaggedType | static_cast<ucx::Tag>(i);
     Op* o = op.get();
-    op->recv = f.ctx->worker(dst).tagRecv(dbuf, n, tag, ucx::kFullMask, [o](ucx::Request& r) {
+    op->recv = f.ctx->worker(dst).tagRecv(hw::MemRef::host(dbuf), n, tag, ucx::kFullMask, [o](ucx::Request& r) {
       ++o->recv_calls;
       o->recv_seen = r.state;
     });
-    op->send = f.ctx->tagSend(0, dst, src, n, tag, [o](ucx::Request& r) {
+    op->send = f.ctx->tagSend(0, dst, hw::MemRef::host(src), n, tag, [o](ucx::Request& r) {
       ++o->send_calls;
       o->send_seen = r.state;
     });

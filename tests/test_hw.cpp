@@ -167,47 +167,100 @@ TEST(Machine, ContentionSharesBandwidth) {
 TEST(Memory, HostPointersClassifyAsHost) {
   hw::System sys(summitCfg(1));
   int x = 0;
-  EXPECT_FALSE(sys.memory.isDevice(&x));
-  EXPECT_EQ(sys.memory.deviceOf(&x), -1);
-  EXPECT_TRUE(sys.memory.dereferenceable(&x));
+  EXPECT_FALSE(sys.memory.classify(&x).isDevice());
+  EXPECT_EQ(sys.memory.classify(&x).device, -1);
+  EXPECT_TRUE(sys.memory.classify(&x).backed);
 }
 
 TEST(Memory, DeviceAllocClassifies) {
   hw::System sys(summitCfg(1));
-  void* p = cuda::deviceAlloc(sys, 3, 4096, /*backed=*/true);
-  EXPECT_TRUE(sys.memory.isDevice(p));
-  EXPECT_EQ(sys.memory.deviceOf(p), 3);
-  EXPECT_TRUE(sys.memory.dereferenceable(p));
+  void* p = cuda::deviceAlloc(sys, 3, 4096, /*backed=*/true).ptr;
+  EXPECT_TRUE(sys.memory.classify(p).isDevice());
+  EXPECT_EQ(sys.memory.classify(p).device, 3);
+  EXPECT_TRUE(sys.memory.classify(p).backed);
   // Interior pointers classify too.
-  EXPECT_EQ(sys.memory.deviceOf(static_cast<char*>(p) + 4095), 3);
+  EXPECT_EQ(sys.memory.classify(static_cast<char*>(p) + 4095).device, 3);
   // One-past-end is not inside.
-  EXPECT_EQ(sys.memory.deviceOf(static_cast<char*>(p) + 4096), -1);
+  EXPECT_EQ(sys.memory.classify(static_cast<char*>(p) + 4096).device, -1);
   cuda::deviceFree(sys, p);
-  EXPECT_FALSE(sys.memory.isDevice(p));
+  EXPECT_FALSE(sys.memory.classify(p).isDevice());
 }
 
 TEST(Memory, UnbackedAllocationsAreNotDereferenceable) {
   hw::System sys(summitCfg(1));
-  void* p = cuda::deviceAlloc(sys, 0, 1u << 30, /*backed=*/false);  // 1 GB, address space only
-  EXPECT_TRUE(sys.memory.isDevice(p));
-  EXPECT_FALSE(sys.memory.dereferenceable(p));
+  void* p = cuda::deviceAlloc(sys, 0, 1u << 30, /*backed=*/false).ptr;  // 1 GB, address space only
+  EXPECT_TRUE(sys.memory.classify(p).isDevice());
+  EXPECT_FALSE(sys.memory.classify(p).backed);
   cuda::deviceFree(sys, p);
+}
+
+TEST(Memory, EveryAllocAndFreeBumpsTheEpochAndEveryLookupCounts) {
+  hw::System sys(summitCfg(1));
+  hw::MemoryRegistry& mem = sys.memory;
+  std::uint64_t epoch = mem.epoch();
+  void* d = mem.allocDevice(1, 256, /*backed=*/false);
+  EXPECT_GT(mem.epoch(), epoch);
+  epoch = mem.epoch();
+  void* b = mem.allocDevice(2, 256, /*backed=*/true);
+  EXPECT_GT(mem.epoch(), epoch);
+  epoch = mem.epoch();
+  void* h = mem.allocHostUnbacked(256);
+  EXPECT_GT(mem.epoch(), epoch);
+
+  epoch = mem.epoch();
+  const std::uint64_t lookups = mem.lookups();
+  int x = 0;
+  const hw::MemRef rd = mem.classify(d);
+  const hw::MemRef rb = mem.classify(b);
+  const hw::MemRef rh = mem.classify(h);
+  const hw::MemRef rx = mem.classify(&x);
+  EXPECT_EQ(mem.lookups(), lookups + 4);
+  EXPECT_EQ(mem.epoch(), epoch);  // lookups never move the epoch
+  EXPECT_TRUE(rd.isDevice() && !rd.backed && rd.device == 1);
+  EXPECT_TRUE(rb.isDevice() && rb.backed && rb.device == 2);
+  EXPECT_TRUE(!rh.isDevice() && !rh.backed && rh.device == -1);
+  EXPECT_TRUE(!rx.isDevice() && rx.backed && rx.device == -1 && rx.ptr == &x);
+
+  for (void* p : {d, b, h}) {
+    epoch = mem.epoch();
+    mem.freeDevice(p);
+    EXPECT_GT(mem.epoch(), epoch);
+  }
+}
+
+TEST(Memory, AllocationsClassifyThemselvesWithoutALookup) {
+  hw::System sys(summitCfg(1));
+  const std::uint64_t lookups = sys.memory.lookups();
+  const hw::MemRef d = cuda::deviceAlloc(sys, 4, 512, /*backed=*/false);
+  const hw::MemRef p = sys.pool.alloc(3, 512, /*backed=*/true);
+  cuda::HostBuffer h(sys, 512);
+  EXPECT_EQ(sys.memory.lookups(), lookups);
+  for (const hw::MemRef& r : {d, p, h.ref()}) {
+    const hw::MemRef c = sys.memory.classify(r.ptr);
+    EXPECT_EQ(c.space, r.space);
+    EXPECT_EQ(c.device, r.device);
+    EXPECT_EQ(c.backed, r.backed);
+  }
+  EXPECT_EQ(d.at(100).ptr, static_cast<char*>(d.ptr) + 100);
+  EXPECT_EQ(d.at(100).device, 4);
+  cuda::deviceFree(sys, d.ptr);
+  sys.pool.free(p.ptr);
 }
 
 TEST(Memory, UnbackedHostRegions) {
   hw::System sys(summitCfg(1));
   void* p = sys.memory.allocHostUnbacked(1u << 20);
-  EXPECT_FALSE(sys.memory.isDevice(p));
-  EXPECT_FALSE(sys.memory.dereferenceable(p));
+  EXPECT_FALSE(sys.memory.classify(p).isDevice());
+  EXPECT_FALSE(sys.memory.classify(p).backed);
   sys.memory.freeDevice(p);
 }
 
 TEST(Memory, ManyAllocationsTracked) {
   hw::System sys(summitCfg(1));
   std::vector<void*> ptrs;
-  for (int i = 0; i < 100; ++i) ptrs.push_back(cuda::deviceAlloc(sys, i % 6, 128, true));
+  for (int i = 0; i < 100; ++i) ptrs.push_back(cuda::deviceAlloc(sys, i % 6, 128, true).ptr);
   EXPECT_EQ(sys.memory.liveAllocations(), 100u);
-  for (void* p : ptrs) EXPECT_TRUE(sys.memory.isDevice(p));
+  for (void* p : ptrs) EXPECT_TRUE(sys.memory.classify(p).isDevice());
   for (void* p : ptrs) cuda::deviceFree(sys, p);
   EXPECT_EQ(sys.memory.liveAllocations(), 0u);
   EXPECT_EQ(sys.memory.bytesAllocated(), 0u);
@@ -218,7 +271,7 @@ TEST(Memory, ManyAllocationsTracked) {
 // leave the registry untouched.
 TEST(Memory, FreeOfForeignPointerThrows) {
   hw::System sys(summitCfg(1));
-  void* p = cuda::deviceAlloc(sys, 0, 256, /*backed=*/false);
+  void* p = cuda::deviceAlloc(sys, 0, 256, /*backed=*/false).ptr;
   int x = 0;
   EXPECT_THROW(sys.memory.freeDevice(&x), std::invalid_argument);
   EXPECT_THROW(sys.memory.freeDevice(static_cast<char*>(p) + 8), std::invalid_argument);
@@ -283,17 +336,17 @@ TEST(Memory, RegistryMatchesReferenceModel) {
     const hw::Region* got = mem.find(p);
     ASSERT_EQ(got != nullptr, want != nullptr) << std::hex << addr;
     if (want == nullptr) {
-      EXPECT_FALSE(mem.isDevice(p));
-      EXPECT_EQ(mem.deviceOf(p), -1);
-      EXPECT_TRUE(mem.dereferenceable(p));
+      EXPECT_FALSE(mem.classify(p).isDevice());
+      EXPECT_EQ(mem.classify(p).device, -1);
+      EXPECT_TRUE(mem.classify(p).backed);
       return;
     }
     EXPECT_EQ(got->base, want_base);
     EXPECT_EQ(got->size, want->size);
     EXPECT_EQ(got->space, want->space);
     EXPECT_EQ(got->backed, want->backed);
-    EXPECT_EQ(mem.deviceOf(p), want->space == hw::MemSpace::Device ? want->device : -1);
-    EXPECT_EQ(mem.dereferenceable(p), want->backed);
+    EXPECT_EQ(mem.classify(p).device, want->space == hw::MemSpace::Device ? want->device : -1);
+    EXPECT_EQ(mem.classify(p).backed, want->backed);
   };
   auto freeOne = [&](std::map<std::uintptr_t, Ref>::iterator it) {
     mem.freeDevice(reinterpret_cast<void*>(it->first));
@@ -369,7 +422,7 @@ TEST(Memory, RegistryMatchesReferenceModel) {
   // A region larger than what is left of the carved (now fully dead)
   // reservation moves carving to a new one and releases the old.
   void* big = mem.allocDevice(2, std::uint64_t{1} << 40, false);
-  EXPECT_EQ(mem.deviceOf(static_cast<char*>(big) + (std::uint64_t{1} << 39)), 2);
+  EXPECT_EQ(mem.classify(static_cast<char*>(big) + (std::uint64_t{1} << 39)).device, 2);
   for (const std::uintptr_t f : freed) check(f);
   mem.freeDevice(big);
   EXPECT_EQ(mem.liveAllocations(), 0u);
@@ -413,8 +466,8 @@ TEST(Memory, PaperScaleJacobiFootprint) {
     const hw::Region* r = mem.find(ptrs[i]);
     ASSERT_NE(r, nullptr);
     EXPECT_EQ(mem.find(static_cast<char*>(ptrs[i]) + r->size - 1), r);
-    EXPECT_FALSE(mem.dereferenceable(ptrs[i]));
-    if (mem.isDevice(ptrs[i])) ++devices;
+    EXPECT_FALSE(mem.classify(ptrs[i]).backed);
+    if (mem.classify(ptrs[i]).isDevice()) ++devices;
   }
   EXPECT_EQ(devices, ptrs.size() - (ptrs.size() - 2 * blocks) / 2);
 
@@ -437,8 +490,8 @@ TEST(Cuda, RoundTripPreservesData) {
 
   cuda::DeviceBuffer dev(sys, 0, n);
   cuda::Stream s(sys, 0);
-  s.memcpyAsync(dev.get(), src.data(), n, cuda::MemcpyKind::HostToDevice);
-  s.memcpyAsync(back.data(), dev.get(), n, cuda::MemcpyKind::DeviceToHost);
+  s.memcpyAsync(dev.ref(), hw::MemRef::host(src.data()), n, cuda::MemcpyKind::HostToDevice);
+  s.memcpyAsync(hw::MemRef::host(back.data()), dev.ref(), n, cuda::MemcpyKind::DeviceToHost);
   bool done = false;
   s.synchronize().onReady([&] { done = true; });
   sys.engine.run();
@@ -452,7 +505,7 @@ TEST(Cuda, CopiesAreDeferredUntilCompletion) {
   cuda::DeviceBuffer dev(sys, 0, 1024);
   std::memset(dev.get(), 0, 1024);
   cuda::Stream s(sys, 0);
-  s.memcpyAsync(dev.get(), src.data(), 1024, cuda::MemcpyKind::HostToDevice);
+  s.memcpyAsync(dev.ref(), hw::MemRef::host(src.data()), 1024, cuda::MemcpyKind::HostToDevice);
   // Before the engine runs, device memory must be untouched (CUDA async
   // semantics: visibility at completion).
   EXPECT_EQ(static_cast<unsigned char*>(dev.get())[0], 0);
@@ -498,7 +551,7 @@ TEST(Cuda, MemcpyTimingMatchesLinkBandwidth) {
   cuda::DeviceBuffer dev(sys, 0, n, /*backed=*/false);
   void* host = sys.memory.allocHostUnbacked(n);
   cuda::Stream s(sys, 0);
-  s.memcpyAsync(dev.get(), host, n, cuda::MemcpyKind::HostToDevice);
+  s.memcpyAsync(dev.ref(), sys.memory.classify(host), n, cuda::MemcpyKind::HostToDevice);
   sim::TimePoint done_at = 0;
   s.synchronize().onReady([&] { done_at = sys.engine.now(); });
   sys.engine.run();
@@ -523,8 +576,8 @@ TEST(Cuda, UnbackedCopiesSkipByteMovement) {
   std::vector<unsigned char> host(1024, 7);
   cuda::Stream s(sys, 0);
   // Must not crash despite the PROT_NONE destination.
-  s.memcpyAsync(dev.get(), host.data(), 1024, cuda::MemcpyKind::HostToDevice);
-  s.memcpyAsync(host.data(), dev.get(), 1024, cuda::MemcpyKind::DeviceToHost);
+  s.memcpyAsync(dev.ref(), hw::MemRef::host(host.data()), 1024, cuda::MemcpyKind::HostToDevice);
+  s.memcpyAsync(hw::MemRef::host(host.data()), dev.ref(), 1024, cuda::MemcpyKind::DeviceToHost);
   sys.engine.run();
   EXPECT_EQ(host[0], 7);  // unchanged: source was unbacked
 }
@@ -544,9 +597,9 @@ TEST(HostBuffer, UnbackedOnTimingOnlyMachine) {
     cuda::HostBuffer h(sys, 1u << 20);
     ASSERT_NE(h.get(), nullptr);
     EXPECT_EQ(h.size(), 1u << 20);
-    EXPECT_FALSE(sys.memory.isDevice(h.get()));
-    EXPECT_EQ(sys.memory.spaceOf(h.get()), hw::MemSpace::Host);
-    EXPECT_FALSE(sys.memory.dereferenceable(h.get()));
+    EXPECT_FALSE(sys.memory.classify(h.get()).isDevice());
+    EXPECT_EQ(sys.memory.classify(h.get()).space, hw::MemSpace::Host);
+    EXPECT_FALSE(sys.memory.classify(h.get()).backed);
     EXPECT_EQ(sys.memory.liveAllocations(), baseline + 1);
   }
   EXPECT_EQ(sys.memory.liveAllocations(), baseline);
@@ -561,16 +614,16 @@ TEST(HostBuffer, BackedIsWritableHostMemory) {
     auto* b = static_cast<unsigned char*>(h.get());
     EXPECT_EQ(b[0], 0);  // zero-initialised, like the vectors it replaces
     EXPECT_EQ(b[4095], 0);
-    EXPECT_EQ(sys.memory.spaceOf(h.get()), hw::MemSpace::Host);
-    EXPECT_TRUE(sys.memory.dereferenceable(h.get()));
+    EXPECT_EQ(sys.memory.classify(h.get()).space, hw::MemSpace::Host);
+    EXPECT_TRUE(sys.memory.classify(h.get()).backed);
     for (std::size_t i = 0; i < 4096; ++i) b[i] = static_cast<unsigned char>(i * 7);
 
     // Staged round trip through a device buffer reads back bit-exact.
     cuda::DeviceBuffer d(sys, 0, 4096);
     cuda::HostBuffer back(sys, 4096);
     cuda::Stream s(sys, 0);
-    s.memcpyAsync(d.get(), h.get(), 4096, cuda::MemcpyKind::HostToDevice);
-    s.memcpyAsync(back.get(), d.get(), 4096, cuda::MemcpyKind::DeviceToHost);
+    s.memcpyAsync(d.ref(), h.ref(), 4096, cuda::MemcpyKind::HostToDevice);
+    s.memcpyAsync(back.ref(), d.ref(), 4096, cuda::MemcpyKind::DeviceToHost);
     sys.engine.run();
     EXPECT_EQ(std::memcmp(back.get(), h.get(), 4096), 0);
   }
@@ -621,7 +674,7 @@ TEST(Cuda, KernelTimingIncludesLaunchOverhead) {
 TEST(DevicePool, RoundsUpToBinAndReusesFreedBlocks) {
   hw::System sys(summitCfg(1));
   const bool backed = sys.config.backed_device_memory;
-  void* a = sys.pool.alloc(0, 100, backed);  // rounds to 512
+  void* a = sys.pool.alloc(0, 100, backed).ptr;  // rounds to 512
   EXPECT_EQ(sys.pool.misses(), 1u);
   EXPECT_EQ(sys.pool.hits(), 0u);
   EXPECT_EQ(sys.pool.bytesLive(), 512u);
@@ -629,7 +682,7 @@ TEST(DevicePool, RoundsUpToBinAndReusesFreedBlocks) {
   EXPECT_EQ(sys.pool.bytesLive(), 0u);
   EXPECT_EQ(sys.pool.bytesCached(), 512u);
   // A request in the same 512-byte class is a hit and returns the block.
-  void* b = sys.pool.alloc(0, 300, backed);
+  void* b = sys.pool.alloc(0, 300, backed).ptr;
   EXPECT_EQ(b, a);
   EXPECT_EQ(sys.pool.hits(), 1u);
   EXPECT_EQ(sys.pool.misses(), 1u);
@@ -639,11 +692,11 @@ TEST(DevicePool, RoundsUpToBinAndReusesFreedBlocks) {
 TEST(DevicePool, DistinctClassesDoNotShareBlocks) {
   hw::System sys(summitCfg(1));
   const bool backed = sys.config.backed_device_memory;
-  void* a = sys.pool.alloc(0, 512, backed);
+  void* a = sys.pool.alloc(0, 512, backed).ptr;
   sys.pool.free(a);
   // Different device, different size class, different backing: all misses.
-  void* other_dev = sys.pool.alloc(1, 512, backed);
-  void* other_size = sys.pool.alloc(0, 1024, backed);
+  void* other_dev = sys.pool.alloc(1, 512, backed).ptr;
+  void* other_size = sys.pool.alloc(0, 1024, backed).ptr;
   EXPECT_NE(other_dev, a);
   EXPECT_NE(other_size, a);
   EXPECT_EQ(sys.pool.hits(), 0u);
@@ -655,15 +708,15 @@ TEST(DevicePool, DistinctClassesDoNotShareBlocks) {
 TEST(DevicePool, TrimReleasesCachedBlocks) {
   hw::System sys(summitCfg(1));
   const bool backed = sys.config.backed_device_memory;
-  void* a = sys.pool.alloc(0, 4096, backed);
-  void* b = sys.pool.alloc(0, 8192, backed);
+  void* a = sys.pool.alloc(0, 4096, backed).ptr;
+  void* b = sys.pool.alloc(0, 8192, backed).ptr;
   sys.pool.free(a);
   sys.pool.free(b);
   EXPECT_EQ(sys.pool.bytesCached(), 4096u + 8192u);
   sys.pool.trim();
   EXPECT_EQ(sys.pool.bytesCached(), 0u);
   // After a trim the next allocation goes back through the registry.
-  void* c = sys.pool.alloc(0, 4096, backed);
+  void* c = sys.pool.alloc(0, 4096, backed).ptr;
   EXPECT_EQ(sys.pool.hits(), 0u);
   EXPECT_EQ(sys.pool.misses(), 3u);
   sys.pool.free(c);
@@ -672,13 +725,13 @@ TEST(DevicePool, TrimReleasesCachedBlocks) {
 TEST(DevicePool, HighWatermarkTracksPeakLiveBytes) {
   hw::System sys(summitCfg(1));
   const bool backed = sys.config.backed_device_memory;
-  void* a = sys.pool.alloc(0, 1024, backed);
-  void* b = sys.pool.alloc(0, 2048, backed);
+  void* a = sys.pool.alloc(0, 1024, backed).ptr;
+  void* b = sys.pool.alloc(0, 2048, backed).ptr;
   EXPECT_EQ(sys.pool.bytesHighWatermark(), 3072u);
   sys.pool.free(a);
   sys.pool.free(b);
   // Reuse from cache does not raise the watermark.
-  void* c = sys.pool.alloc(0, 2048, backed);
+  void* c = sys.pool.alloc(0, 2048, backed).ptr;
   EXPECT_EQ(sys.pool.bytesHighWatermark(), 3072u);
   sys.pool.free(c);
 }
@@ -688,13 +741,13 @@ TEST(DevicePool, HighWatermarkTracksPeakLiveBytes) {
 TEST(DevicePool, DoubleFreeThrows) {
   hw::System sys(summitCfg(1));
   const bool backed = sys.config.backed_device_memory;
-  void* a = sys.pool.alloc(0, 512, backed);
+  void* a = sys.pool.alloc(0, 512, backed).ptr;
   sys.pool.free(a);
   EXPECT_THROW(sys.pool.free(a), std::invalid_argument);
   EXPECT_EQ(sys.pool.bytesLive(), 0u);
   EXPECT_EQ(sys.pool.bytesCached(), 512u);
-  void* b = sys.pool.alloc(0, 512, backed);
-  void* c = sys.pool.alloc(0, 512, backed);
+  void* b = sys.pool.alloc(0, 512, backed).ptr;
+  void* c = sys.pool.alloc(0, 512, backed).ptr;
   EXPECT_NE(b, c);
   EXPECT_EQ(sys.pool.bytesLive(), 1024u);
   sys.pool.free(b);
@@ -706,7 +759,7 @@ TEST(DevicePool, DoubleFreeThrows) {
 TEST(DevicePool, FreeOfForeignPointerThrows) {
   hw::System sys(summitCfg(1));
   const bool backed = sys.config.backed_device_memory;
-  void* a = sys.pool.alloc(0, 512, backed);
+  void* a = sys.pool.alloc(0, 512, backed).ptr;
   void* direct = sys.memory.allocDevice(0, 512, backed);  // registry, not pool
   int x = 0;
   EXPECT_THROW(sys.pool.free(&x), std::invalid_argument);
@@ -722,10 +775,10 @@ TEST(DevicePool, FreeOfForeignPointerThrows) {
 TEST(DevicePool, BackedBlocksKeepContentsAcrossReuse) {
   hw::System sys(summitCfg(1));
   if (!sys.config.backed_device_memory) GTEST_SKIP() << "needs backed device memory";
-  auto* p = static_cast<double*>(sys.pool.alloc(0, 8 * 64, true));
+  auto* p = static_cast<double*>(sys.pool.alloc(0, 8 * 64, true).ptr);
   for (int j = 0; j < 64; ++j) p[j] = 3.0 * j;
   sys.pool.free(p);
-  auto* q = static_cast<double*>(sys.pool.alloc(0, 8 * 64, true));
+  auto* q = static_cast<double*>(sys.pool.alloc(0, 8 * 64, true).ptr);
   ASSERT_EQ(q, p);  // same cached region
   EXPECT_DOUBLE_EQ(q[63], 3.0 * 63);
   sys.pool.free(q);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "apps/jacobi/block.hpp"
@@ -275,5 +276,66 @@ TEST(JacobiOverdecomposition, OverlapNeverSlowsDownMuch) {
   EXPECT_LT(odf4, 1.3 * base);
   EXPECT_GT(odf4, 0.5 * base);
 }
+
+// --------------------------------------------------------------------------
+// Buffer classification: each halo message costs at most two registry
+// lookups, one where its send enters the stack and one where its receive
+// does; every layer below carries the resulting hw::MemRef.
+// --------------------------------------------------------------------------
+
+struct LookupCase {
+  Stack stack;
+  Mode mode;
+};
+
+std::string lookupCaseName(const LookupCase& c) {
+  std::string stack = osu::name(c.stack);
+  if (c.stack == Stack::Charm) stack = "Charm";
+  return stack + "_" + osu::suffix(c.mode);
+}
+
+class JacobiLookups : public ::testing::TestWithParam<LookupCase> {};
+
+TEST_P(JacobiLookups, AtMostTwoRegistryLookupsPerHaloMessage) {
+  JacobiConfig cfg;
+  cfg.stack = GetParam().stack;
+  cfg.mode = GetParam().mode;
+  cfg.nodes = 2;
+  cfg.grid = {384, 384, 384};
+  cfg.iters = 2;
+  cfg.warmup = 1;
+  cfg.backed = false;
+  std::uint64_t lookups = 0;
+  cfg.inspect = [&](hw::System& sys) {
+    sys.obs.refresh();
+    lookups = sys.obs.registry.gaugeValue("hw.memory.lookups");
+    EXPECT_EQ(lookups, sys.memory.lookups());
+  };
+  const JacobiResult res = runJacobi(cfg);
+
+  // One message per neighbour link per iteration.
+  std::uint64_t links = 0;
+  for (int id = 0; id < res.dec.numBlocks(); ++id) {
+    for (int d = 0; d < kNumDirs; ++d) {
+      if (res.dec.neighbor(id, static_cast<Dir>(d)) >= 0) ++links;
+    }
+  }
+  const std::uint64_t messages = links * static_cast<std::uint64_t>(cfg.iters + cfg.warmup);
+  ASSERT_GT(messages, 0u);
+  EXPECT_GT(lookups, 0u);
+  EXPECT_LE(lookups, 2 * messages) << lookups << " lookups for " << messages << " halo messages";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllStacks, JacobiLookups,
+    ::testing::Values(LookupCase{Stack::Charm, Mode::Device},
+                      LookupCase{Stack::Charm, Mode::HostStaging},
+                      LookupCase{Stack::Ampi, Mode::Device},
+                      LookupCase{Stack::Ampi, Mode::HostStaging},
+                      LookupCase{Stack::Ompi, Mode::Device},
+                      LookupCase{Stack::Ompi, Mode::HostStaging},
+                      LookupCase{Stack::Charm4py, Mode::Device},
+                      LookupCase{Stack::Charm4py, Mode::HostStaging}),
+    [](const ::testing::TestParamInfo<LookupCase>& info) { return lookupCaseName(info.param); });
 
 }  // namespace

@@ -210,7 +210,7 @@ MatchLog replayReal(const std::vector<Op>& ops) {
         bufs.emplace_back(kLen);
         const std::size_t id = log.recv.size();
         log.recv.push_back(kPending);
-        reqs.push_back(w.tagRecv(bufs.back().data(), kLen, op.tag, op.mask,
+        reqs.push_back(w.tagRecv(hw::MemRef::host(bufs.back().data()), kLen, op.tag, op.mask,
                                  [&log, id](ucx::Request& r) {
                                    log.recv[id] = r.cancelled()
                                                       ? kCancelled
@@ -220,7 +220,7 @@ MatchLog replayReal(const std::vector<Op>& ops) {
       }
       case Op::Send:
         bufs.emplace_back(kLen);
-        h.ctx->tagSend(0, 1, bufs.back().data(), kLen, op.tag, {});
+        h.ctx->tagSend(0, 1, hw::MemRef::host(bufs.back().data()), kLen, op.tag, {});
         break;
       case Op::Cancel:
         w.cancelRecv(reqs[op.recv]);
@@ -448,7 +448,7 @@ TEST(MatcherComplexity, CancelOfOnePostedReceiveDoesNotScanTheRest) {
   std::vector<ucx::RequestPtr> reqs;
   reqs.reserve(kPosted);
   for (int i = 0; i < kPosted; ++i) {
-    reqs.push_back(w.tagRecv(buf.data(), 64, static_cast<ucx::Tag>(i), ucx::kFullMask, {}));
+    reqs.push_back(w.tagRecv(hw::MemRef::host(buf.data()), 64, static_cast<ucx::Tag>(i), ucx::kFullMask, {}));
   }
   ASSERT_EQ(w.matchStats().posted, static_cast<std::size_t>(kPosted));
 
@@ -464,7 +464,7 @@ TEST(MatcherComplexity, CancelOfOnePostedReceiveDoesNotScanTheRest) {
   // The remaining receives are untouched and still match.
   bool done = false;
   std::vector<std::byte> src(64);
-  h.ctx->tagSend(0, 1, src.data(), 64, static_cast<ucx::Tag>(kPosted - 1), {});
+  h.ctx->tagSend(0, 1, hw::MemRef::host(src.data()), 64, static_cast<ucx::Tag>(kPosted - 1), {});
   h.sys->engine.run();
   EXPECT_TRUE(reqs[kPosted - 1]->done());
   (void)done;
@@ -476,7 +476,7 @@ TEST(MatcherComplexity, ExactProbeDoesNotScanUnexpectedQueue) {
   constexpr int kMsgs = 4096;
   std::vector<std::byte> src(64);
   for (int i = 0; i < kMsgs; ++i) {
-    h.ctx->tagSend(0, 1, src.data(), 64, static_cast<ucx::Tag>(i), {});
+    h.ctx->tagSend(0, 1, hw::MemRef::host(src.data()), 64, static_cast<ucx::Tag>(i), {});
   }
   h.sys->engine.run();
   ASSERT_EQ(w.matchStats().unexpected, static_cast<std::size_t>(kMsgs));
@@ -497,7 +497,7 @@ TEST(MatcherComplexity, WildcardProbeMissScansEveryUnexpectedMessage) {
   constexpr int kMsgs = 4096;
   std::vector<std::byte> src(64);
   for (int i = 0; i < kMsgs; ++i) {
-    h.ctx->tagSend(0, 1, src.data(), 64, static_cast<ucx::Tag>(i), {});
+    h.ctx->tagSend(0, 1, hw::MemRef::host(src.data()), 64, static_cast<ucx::Tag>(i), {});
   }
   h.sys->engine.run();
   ASSERT_EQ(w.matchStats().unexpected, static_cast<std::size_t>(kMsgs));
@@ -526,15 +526,15 @@ TEST(MatcherAllocations, SteadyStateEagerPathIsAllocationFree) {
   auto round = [&] {
     reqs.clear();
     for (int i = 0; i < kTags; i += 2) {
-      reqs.push_back(w.tagRecv(dst.data(), kLen, static_cast<ucx::Tag>(i), ucx::kFullMask, {}));
-      h.ctx->tagSend(0, 1, src.data(), kLen, static_cast<ucx::Tag>(i), {});
+      reqs.push_back(w.tagRecv(hw::MemRef::host(dst.data()), kLen, static_cast<ucx::Tag>(i), ucx::kFullMask, {}));
+      h.ctx->tagSend(0, 1, hw::MemRef::host(src.data()), kLen, static_cast<ucx::Tag>(i), {});
     }
     for (int i = 1; i < kTags; i += 2) {
-      h.ctx->tagSend(0, 1, src.data(), kLen, static_cast<ucx::Tag>(i), {});
+      h.ctx->tagSend(0, 1, hw::MemRef::host(src.data()), kLen, static_cast<ucx::Tag>(i), {});
     }
     h.sys->engine.run();
     for (int i = 1; i < kTags; i += 2) {
-      reqs.push_back(w.tagRecv(dst.data(), kLen, static_cast<ucx::Tag>(i), ucx::kFullMask, {}));
+      reqs.push_back(w.tagRecv(hw::MemRef::host(dst.data()), kLen, static_cast<ucx::Tag>(i), ucx::kFullMask, {}));
     }
     h.sys->engine.run();
   };
@@ -567,10 +567,10 @@ TEST(MatcherStats, OccupancyAndWatermarksAreReported) {
   ucx::Worker& w = h.ctx->worker(1);
   std::vector<std::byte> buf(64), src(64);
   for (int i = 0; i < 100; ++i) {
-    w.tagRecv(buf.data(), 64, static_cast<ucx::Tag>(i), ucx::kFullMask, {});
+    w.tagRecv(hw::MemRef::host(buf.data()), 64, static_cast<ucx::Tag>(i), ucx::kFullMask, {});
   }
   for (int i = 0; i < 40; ++i) {
-    h.ctx->tagSend(0, 1, src.data(), 64, static_cast<ucx::Tag>(1000 + i), {});
+    h.ctx->tagSend(0, 1, hw::MemRef::host(src.data()), 64, static_cast<ucx::Tag>(1000 + i), {});
   }
   h.sys->engine.run();
 

@@ -163,9 +163,9 @@ std::uint64_t deviceTrafficHash(const model::Model& m) {
       bufs.emplace_back(sys, dst_pe, size);
       auto* src = bufs[bufs.size() - 2].get();
       auto* dst = bufs.back().get();
-      ctx.worker(dst_pe).tagRecv(dst, size, tag, ucx::kFullMask,
+      ctx.worker(dst_pe).tagRecv(sys.memory.classify(dst), size, tag, ucx::kFullMask,
                                  [&](ucx::Request&) { ++done; });
-      ctx.tagSend(0, dst_pe, src, size, tag, [&](ucx::Request&) { ++done; });
+      ctx.tagSend(0, dst_pe, sys.memory.classify(src), size, tag, [&](ucx::Request&) { ++done; });
       expected += 2;
     }
   }
@@ -213,9 +213,9 @@ TEST(MultiPath, SchedulerStatsAccumulate) {
   ucx::Context ctx(sys, m.ucx);
   cuda::DeviceBuffer src(sys, 0, 8u << 20), dst(sys, 1, 8u << 20);
   bool done = false;
-  ctx.worker(1).tagRecv(dst.get(), 8u << 20, 5, ucx::kFullMask,
+  ctx.worker(1).tagRecv(dst.ref(), 8u << 20, 5, ucx::kFullMask,
                         [&](ucx::Request&) { done = true; });
-  ctx.tagSend(0, 1, src.get(), 8u << 20, 5, {});
+  ctx.tagSend(0, 1, src.ref(), 8u << 20, 5, {});
   sys.engine.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(ctx.multipathTransfers(), 1u);
@@ -284,8 +284,8 @@ TEST(MultiPath, UnderLossCompletesAndReroutes) {
     auto* src = bufs[bufs.size() - 2].get();
     auto* dst = bufs.back().get();
     const auto tag = static_cast<ucx::Tag>(0x40 + i);
-    ctx.worker(1).tagRecv(dst, size, tag, ucx::kFullMask, [&](ucx::Request&) { ++done; });
-    ctx.tagSend(0, 1, src, size, tag, [&](ucx::Request&) { ++done; });
+    ctx.worker(1).tagRecv(sys.memory.classify(dst), size, tag, ucx::kFullMask, [&](ucx::Request&) { ++done; });
+    ctx.tagSend(0, 1, sys.memory.classify(src), size, tag, [&](ucx::Request&) { ++done; });
   }
   sys.engine.run();
   EXPECT_EQ(done, 8);  // every transfer completed despite the loss

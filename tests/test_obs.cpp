@@ -585,11 +585,11 @@ TEST(ObsSystem, DeviceTransferProducesClosedSpanWithPhases) {
   cuda::DeviceBuffer src(sys, 0, 1 << 20), dst(sys, 1, 1 << 20);
 
   cmi.runOn(0, [&] {
-    core::CmiDeviceBuffer buf{src.get(), 1 << 20, 0};
+    core::CmiDeviceBuffer buf{src.ref(), 1 << 20, 0};
     dev.lrtsSendDevice(0, 1, buf, {}, core::DeviceRecvType::Charm);
     const auto tag = buf.tag;
     cmi.runOn(1, [&dev, &dst, tag] {
-      dev.lrtsRecvDevice(1, core::DeviceRdmaOp{dst.get(), 1 << 20, tag},
+      dev.lrtsRecvDevice(1, core::DeviceRdmaOp{dst.ref(), 1 << 20, tag},
                          core::DeviceRecvType::Charm, {});
     });
   });
@@ -623,11 +623,11 @@ TEST(ObsSystem, RegistrySnapshotRehomesLayerStats) {
   core::DeviceComm dev(cmi);
   cuda::DeviceBuffer src(sys, 0, 4096), dst(sys, 1, 4096);
   cmi.runOn(0, [&] {
-    core::CmiDeviceBuffer buf{src.get(), 4096, 0};
+    core::CmiDeviceBuffer buf{src.ref(), 4096, 0};
     dev.lrtsSendDevice(0, 1, buf, {}, core::DeviceRecvType::Ampi);
     const auto tag = buf.tag;
     cmi.runOn(1, [&dev, &dst, tag] {
-      dev.lrtsRecvDevice(1, core::DeviceRdmaOp{dst.get(), 4096, tag},
+      dev.lrtsRecvDevice(1, core::DeviceRdmaOp{dst.ref(), 4096, tag},
                          core::DeviceRecvType::Ampi, {});
     });
   });

@@ -16,8 +16,8 @@ TEST(Trace, DisabledByDefaultRecordsNothing) {
   hw::System sys(model::summit(1).machine);
   ucx::Context ctx(sys, model::summit(1).ucx);
   std::vector<std::byte> a(64), b(64);
-  ctx.worker(1).tagRecv(b.data(), 64, 1, ucx::kFullMask, {});
-  ctx.tagSend(0, 1, a.data(), 64, 1, {});
+  ctx.worker(1).tagRecv(hw::MemRef::host(b.data()), 64, 1, ucx::kFullMask, {});
+  ctx.tagSend(0, 1, hw::MemRef::host(a.data()), 64, 1, {});
   sys.engine.run();
   EXPECT_TRUE(sys.trace.records().empty());
 }
@@ -28,8 +28,8 @@ TEST(Trace, RecordsEagerSendAndRecv) {
   sys.trace.enable();
   ucx::Context ctx(sys, m.ucx);
   std::vector<std::byte> a(64), b(64);
-  ctx.worker(1).tagRecv(b.data(), 64, 7, ucx::kFullMask, {});
-  ctx.tagSend(0, 1, a.data(), 64, 7, {});
+  ctx.worker(1).tagRecv(hw::MemRef::host(b.data()), 64, 7, ucx::kFullMask, {});
+  ctx.tagSend(0, 1, hw::MemRef::host(a.data()), 64, 7, {});
   sys.engine.run();
   EXPECT_EQ(sys.trace.count(sim::TraceCat::UcxSend), 1u);
   EXPECT_EQ(sys.trace.count(sim::TraceCat::UcxRecv), 1u);
@@ -47,10 +47,10 @@ TEST(Trace, RecordsProtocolSelection) {
   ucx::Context ctx(sys, m.ucx);
   cuda::DeviceBuffer small(sys, 0, 64), big(sys, 0, 1u << 20);
   cuda::DeviceBuffer dst_s(sys, 1, 64), dst_b(sys, 1, 1u << 20);
-  ctx.worker(1).tagRecv(dst_s.get(), 64, 1, ucx::kFullMask, {});
-  ctx.worker(1).tagRecv(dst_b.get(), 1u << 20, 2, ucx::kFullMask, {});
-  ctx.tagSend(0, 1, small.get(), 64, 1, {});
-  ctx.tagSend(0, 1, big.get(), 1u << 20, 2, {});
+  ctx.worker(1).tagRecv(dst_s.ref(), 64, 1, ucx::kFullMask, {});
+  ctx.worker(1).tagRecv(dst_b.ref(), 1u << 20, 2, ucx::kFullMask, {});
+  ctx.tagSend(0, 1, small.ref(), 64, 1, {});
+  ctx.tagSend(0, 1, big.ref(), 1u << 20, 2, {});
   sys.engine.run();
   bool saw_eager_dev = false, saw_rndv_dev = false;
   for (const auto& r : sys.trace.records()) {
@@ -99,8 +99,8 @@ TEST(Trace, CsvDumpIsWellFormed) {
   sys.trace.enable();
   ucx::Context ctx(sys, m.ucx);
   std::vector<std::byte> a(64), b(64);
-  ctx.worker(1).tagRecv(b.data(), 64, 1, ucx::kFullMask, {});
-  ctx.tagSend(0, 1, a.data(), 64, 1, {});
+  ctx.worker(1).tagRecv(hw::MemRef::host(b.data()), 64, 1, ucx::kFullMask, {});
+  ctx.tagSend(0, 1, hw::MemRef::host(a.data()), 64, 1, {});
   sys.engine.run();
   std::ostringstream os;
   sys.trace.dumpCsv(os);
@@ -118,8 +118,8 @@ TEST(Trace, CapacityBoundsMemory) {
   ucx::Context ctx(sys, m.ucx);
   std::vector<std::byte> a(64), b(64);
   for (int i = 0; i < 20; ++i) {
-    ctx.worker(1).tagRecv(b.data(), 64, static_cast<ucx::Tag>(i), ucx::kFullMask, {});
-    ctx.tagSend(0, 1, a.data(), 64, static_cast<ucx::Tag>(i), {});
+    ctx.worker(1).tagRecv(hw::MemRef::host(b.data()), 64, static_cast<ucx::Tag>(i), ucx::kFullMask, {});
+    ctx.tagSend(0, 1, hw::MemRef::host(a.data()), 64, static_cast<ucx::Tag>(i), {});
   }
   sys.engine.run();
   EXPECT_EQ(sys.trace.records().size(), 5u);

@@ -59,19 +59,19 @@ std::uint64_t mixedUcxTrafficHash(const sim::FaultConfig& fault = {}, bool obs =
       auto& dst = host_bufs.back();
       rng.fill(src.data(), src.size());
       if (rng.below(2) == 0) {  // half posted-first, half unexpected
-        ctx.worker(dst_pe).tagRecv(dst.data(), size, tag, ucx::kFullMask, {});
-        ctx.tagSend(0, dst_pe, src.data(), size, tag, {});
+        ctx.worker(dst_pe).tagRecv(hw::MemRef::host(dst.data()), size, tag, ucx::kFullMask, {});
+        ctx.tagSend(0, dst_pe, hw::MemRef::host(src.data()), size, tag, {});
       } else {
-        ctx.tagSend(0, dst_pe, src.data(), size, tag, {});
-        ctx.worker(dst_pe).tagRecv(dst.data(), size, tag, ucx::kFullMask, {});
+        ctx.tagSend(0, dst_pe, hw::MemRef::host(src.data()), size, tag, {});
+        ctx.worker(dst_pe).tagRecv(hw::MemRef::host(dst.data()), size, tag, ucx::kFullMask, {});
       }
       dev_bufs.emplace_back(sys, 0, size);
       dev_bufs.emplace_back(sys, dst_pe, size);
       auto& dsrc = dev_bufs[dev_bufs.size() - 2];
       auto& ddst = dev_bufs.back();
       const auto dtag = static_cast<ucx::Tag>(0x200 + pair);
-      ctx.worker(dst_pe).tagRecv(ddst.get(), size, dtag, ucx::kFullMask, {});
-      ctx.tagSend(0, dst_pe, dsrc.get(), size, dtag, {});
+      ctx.worker(dst_pe).tagRecv(ddst.ref(), size, dtag, ucx::kFullMask, {});
+      ctx.tagSend(0, dst_pe, dsrc.ref(), size, dtag, {});
     }
   }
   ctx.worker(7).setHandler(0x9, ucx::kFullMask, [](ucx::Delivery) {});
@@ -110,17 +110,17 @@ std::uint64_t deviceCommHash(bool smp, const sim::FaultConfig& fault = {},
     auto* src = bufs[bufs.size() - 2].get();
     auto* dst = bufs.back().get();
     cmi.runOn(0, [&dev, &cmi, src, dst, i] {
-      core::CmiDeviceBuffer buf{src->get(), 8192, 0};
+      core::CmiDeviceBuffer buf{src->ref(), 8192, 0};
       dev.lrtsSendDevice(0, 6, buf);
       const auto device_tag = buf.tag;
       if (i % 2 == 0) {
-        core::CmiDeviceBuffer ubuf{src->get(), 8192, 0};
+        core::CmiDeviceBuffer ubuf{src->ref(), 8192, 0};
         dev.lrtsSendDeviceUserTag(0, 6, ubuf, static_cast<std::uint64_t>(i));
-        dev.lrtsRecvDeviceUserTag(6, dst->get(), 8192, static_cast<std::uint64_t>(i),
+        dev.lrtsRecvDeviceUserTag(6, dst->ref(), 8192, static_cast<std::uint64_t>(i),
                                   core::DeviceRecvType::Raw, {});
       }
       cmi.runOn(6, [&dev, dst, device_tag] {
-        dev.lrtsRecvDevice(6, core::DeviceRdmaOp{dst->get(), 8192, device_tag},
+        dev.lrtsRecvDevice(6, core::DeviceRdmaOp{dst->ref(), 8192, device_tag},
                            core::DeviceRecvType::Raw, {});
       });
     });
@@ -272,8 +272,8 @@ std::uint64_t multipathHash(const sim::FaultConfig& fault = {}) {
     for (const int dst_pe : {1, 6}) {
       bufs.emplace_back(sys, 0, size);
       bufs.emplace_back(sys, dst_pe, size);
-      ctx.worker(dst_pe).tagRecv(bufs.back().get(), size, tag, ucx::kFullMask, {});
-      ctx.tagSend(0, dst_pe, bufs[bufs.size() - 2].get(), size, tag, {});
+      ctx.worker(dst_pe).tagRecv(bufs.back().ref(), size, tag, ucx::kFullMask, {});
+      ctx.tagSend(0, dst_pe, bufs[bufs.size() - 2].ref(), size, tag, {});
       ++tag;
     }
   }

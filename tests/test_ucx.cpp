@@ -41,14 +41,14 @@ TEST(UcxMatching, ExactTagMatch) {
   auto src = pattern(64, 1);
   std::vector<std::byte> dst(64);
   bool recv_done = false, send_done = false;
-  f.ctx->worker(1).tagRecv(dst.data(), 64, 0x42, ucx::kFullMask,
+  f.ctx->worker(1).tagRecv(hw::MemRef::host(dst.data()), 64, 0x42, ucx::kFullMask,
                            [&](ucx::Request& r) {
                              recv_done = true;
                              EXPECT_EQ(r.matched_tag, 0x42u);
                              EXPECT_EQ(r.bytes, 64u);
                              EXPECT_EQ(r.peer_pe, 0);
                            });
-  f.ctx->tagSend(0, 1, src.data(), 64, 0x42, [&](ucx::Request&) { send_done = true; });
+  f.ctx->tagSend(0, 1, hw::MemRef::host(src.data()), 64, 0x42, [&](ucx::Request&) { send_done = true; });
   f.sys->engine.run();
   EXPECT_TRUE(recv_done);
   EXPECT_TRUE(send_done);
@@ -60,15 +60,15 @@ TEST(UcxMatching, MismatchedTagGoesUnexpected) {
   auto src = pattern(64, 2);
   std::vector<std::byte> dst(64);
   bool recv_done = false;
-  f.ctx->worker(1).tagRecv(dst.data(), 64, 0x1, ucx::kFullMask,
+  f.ctx->worker(1).tagRecv(hw::MemRef::host(dst.data()), 64, 0x1, ucx::kFullMask,
                            [&](ucx::Request&) { recv_done = true; });
-  f.ctx->tagSend(0, 1, src.data(), 64, 0x2, {});
+  f.ctx->tagSend(0, 1, hw::MemRef::host(src.data()), 64, 0x2, {});
   f.sys->engine.run();
   EXPECT_FALSE(recv_done);
   EXPECT_EQ(f.ctx->worker(1).matchStats().unexpected, 1u);
   EXPECT_EQ(f.ctx->worker(1).matchStats().posted, 1u);
   // A matching late receive picks the unexpected message up.
-  f.ctx->worker(1).tagRecv(dst.data(), 64, 0x2, ucx::kFullMask,
+  f.ctx->worker(1).tagRecv(hw::MemRef::host(dst.data()), 64, 0x2, ucx::kFullMask,
                            [&](ucx::Request&) { recv_done = true; });
   f.sys->engine.run();
   EXPECT_TRUE(recv_done);
@@ -82,9 +82,9 @@ TEST(UcxMatching, MaskedWildcardReceive) {
   ucx::Tag seen = 0;
   // Match anything whose top 32 bits equal 0xABCD0000'00000000.
   const ucx::Tag base = 0xABCD0000ull << 32;
-  f.ctx->worker(1).tagRecv(dst.data(), 32, base, 0xFFFFFFFFull << 32,
+  f.ctx->worker(1).tagRecv(hw::MemRef::host(dst.data()), 32, base, 0xFFFFFFFFull << 32,
                            [&](ucx::Request& r) { seen = r.matched_tag; });
-  f.ctx->tagSend(0, 1, src.data(), 32, base | 777, {});
+  f.ctx->tagSend(0, 1, hw::MemRef::host(src.data()), 32, base | 777, {});
   f.sys->engine.run();
   EXPECT_EQ(seen, base | 777);
   EXPECT_EQ(src, dst);
@@ -95,11 +95,11 @@ TEST(UcxMatching, PostedReceivesMatchInPostOrder) {
   auto src = pattern(16, 4);
   std::vector<std::byte> d1(16), d2(16);
   int first_done = 0;
-  f.ctx->worker(1).tagRecv(d1.data(), 16, 0x9, ucx::kFullMask,
+  f.ctx->worker(1).tagRecv(hw::MemRef::host(d1.data()), 16, 0x9, ucx::kFullMask,
                            [&](ucx::Request&) { first_done = first_done == 0 ? 1 : first_done; });
-  f.ctx->worker(1).tagRecv(d2.data(), 16, 0x9, ucx::kFullMask,
+  f.ctx->worker(1).tagRecv(hw::MemRef::host(d2.data()), 16, 0x9, ucx::kFullMask,
                            [&](ucx::Request&) { first_done = first_done == 0 ? 2 : first_done; });
-  f.ctx->tagSend(0, 1, src.data(), 16, 0x9, {});
+  f.ctx->tagSend(0, 1, hw::MemRef::host(src.data()), 16, 0x9, {});
   f.sys->engine.run();
   EXPECT_EQ(first_done, 1);  // first posted wins
   EXPECT_EQ(src, d1);
@@ -110,11 +110,11 @@ TEST(UcxMatching, UnexpectedQueueDrainsInArrivalOrder) {
   auto a = pattern(16, 5);
   auto b = pattern(16, 6);
   std::vector<std::byte> dst(16);
-  f.ctx->tagSend(0, 1, a.data(), 16, 0x7, {});
+  f.ctx->tagSend(0, 1, hw::MemRef::host(a.data()), 16, 0x7, {});
   f.sys->engine.run();
-  f.ctx->tagSend(0, 1, b.data(), 16, 0x7, {});
+  f.ctx->tagSend(0, 1, hw::MemRef::host(b.data()), 16, 0x7, {});
   f.sys->engine.run();
-  f.ctx->worker(1).tagRecv(dst.data(), 16, 0x7, ucx::kFullMask, {});
+  f.ctx->worker(1).tagRecv(hw::MemRef::host(dst.data()), 16, 0x7, ucx::kFullMask, {});
   f.sys->engine.run();
   EXPECT_EQ(dst, a);  // first arrival matched first
 }
@@ -123,7 +123,7 @@ TEST(UcxMatching, CancelRemovesPostedRecv) {
   UcxFixture f;
   std::vector<std::byte> dst(16);
   bool cancelled = false;
-  auto req = f.ctx->worker(1).tagRecv(dst.data(), 16, 0x5, ucx::kFullMask,
+  auto req = f.ctx->worker(1).tagRecv(hw::MemRef::host(dst.data()), 16, 0x5, ucx::kFullMask,
                                       [&](ucx::Request& r) { cancelled = r.cancelled(); });
   EXPECT_TRUE(f.ctx->worker(1).cancelRecv(req));
   // The request state flips synchronously, but the completion callback is
@@ -144,10 +144,10 @@ TEST(UcxMatching, CancelOnMatchedRequestFailsAndCompletionFiresOnce) {
   UcxFixture f;
   auto src = pattern(16, 9);
   std::vector<std::byte> dst(16);
-  f.ctx->tagSend(0, 1, src.data(), 16, 0xB, {});
+  f.ctx->tagSend(0, 1, hw::MemRef::host(src.data()), 16, 0xB, {});
   f.sys->engine.run();  // the message now sits in the unexpected queue
   int completions = 0;
-  auto req = f.ctx->worker(1).tagRecv(dst.data(), 16, 0xB, ucx::kFullMask,
+  auto req = f.ctx->worker(1).tagRecv(hw::MemRef::host(dst.data()), 16, 0xB, ucx::kFullMask,
                                       [&](ucx::Request&) { ++completions; });
   // Matched at post time: no longer cancellable, like ucp_request_cancel on
   // a request whose data is already being delivered.
@@ -172,17 +172,17 @@ TEST(UcxMatching, CancelCallbackMayRepostWithoutReentry) {
   auto src = pattern(16, 21);
   std::vector<std::byte> dst(16);
   bool redelivered = false;
-  auto req = f.ctx->worker(1).tagRecv(dst.data(), 16, 0xA, ucx::kFullMask,
+  auto req = f.ctx->worker(1).tagRecv(hw::MemRef::host(dst.data()), 16, 0xA, ucx::kFullMask,
                                       [&](ucx::Request& r) {
                                         ASSERT_TRUE(r.cancelled());
                                         f.ctx->worker(1).tagRecv(
-                                            dst.data(), 16, 0xA, ucx::kFullMask,
+                                            hw::MemRef::host(dst.data()), 16, 0xA, ucx::kFullMask,
                                             [&](ucx::Request&) { redelivered = true; });
                                       });
   EXPECT_TRUE(f.ctx->worker(1).cancelRecv(req));
   f.sys->engine.run();
   EXPECT_EQ(f.ctx->worker(1).matchStats().posted, 1u);
-  f.ctx->tagSend(0, 1, src.data(), 16, 0xA, {});
+  f.ctx->tagSend(0, 1, hw::MemRef::host(src.data()), 16, 0xA, {});
   f.sys->engine.run();
   EXPECT_TRUE(redelivered);
   EXPECT_EQ(dst, src);
@@ -205,7 +205,7 @@ TEST(UcxActiveMessage, RndvPayloadOutlivesSenderCompletion) {
   const auto expect = payload;
   std::vector<std::byte> dst(n);
   sim::TimePoint send_done = 0, recv_done = 0;
-  f.ctx->worker(1).tagRecv(dst.data(), n, 0x77, ucx::kFullMask,
+  f.ctx->worker(1).tagRecv(hw::MemRef::host(dst.data()), n, 0x77, ucx::kFullMask,
                            [&](ucx::Request&) { recv_done = f.sys->engine.now(); });
   f.ctx->amSend(0, 1, 0x77, std::move(payload), 0,
                 [&](ucx::Request&) { send_done = f.sys->engine.now(); });
@@ -269,12 +269,12 @@ TEST(UcxActiveMessage, HandlerAddressSurvivesLaterRegistrations) {
 TEST(UcxMatching, ZeroByteMessages) {
   UcxFixture f;
   bool done = false;
-  f.ctx->worker(1).tagRecv(nullptr, 0, 0x3, ucx::kFullMask,
+  f.ctx->worker(1).tagRecv(hw::MemRef{}, 0, 0x3, ucx::kFullMask,
                            [&](ucx::Request& r) {
                              done = true;
                              EXPECT_EQ(r.bytes, 0u);
                            });
-  f.ctx->tagSend(0, 1, nullptr, 0, 0x3, {});
+  f.ctx->tagSend(0, 1, hw::MemRef{}, 0, 0x3, {});
   f.sys->engine.run();
   EXPECT_TRUE(done);
 }
@@ -286,8 +286,8 @@ TEST(UcxMatching, EagerTruncationThrowsBeforeAnyByteMoves) {
   UcxFixture f;
   auto src = pattern(64, 11);  // eager: below the 8 KiB host threshold
   std::vector<std::byte> dst(256);
-  f.ctx->worker(1).tagRecv(dst.data(), 16, 0x5, ucx::kFullMask, {});
-  f.ctx->tagSend(0, 1, src.data(), src.size(), 0x5, {});
+  f.ctx->worker(1).tagRecv(hw::MemRef::host(dst.data()), 16, 0x5, ucx::kFullMask, {});
+  f.ctx->tagSend(0, 1, hw::MemRef::host(src.data()), src.size(), 0x5, {});
   EXPECT_THROW(f.sys->engine.run(), std::length_error);
   EXPECT_EQ(dst, std::vector<std::byte>(256));
 }
@@ -296,9 +296,9 @@ TEST(UcxMatching, RendezvousTruncationThrowsBeforeAnyByteMoves) {
   UcxFixture f;
   auto src = pattern(64 << 10, 12);  // rendezvous: above the 8 KiB host threshold
   std::vector<std::byte> dst(128 << 10);
-  f.ctx->tagSend(0, 1, src.data(), src.size(), 0x6, {});
+  f.ctx->tagSend(0, 1, hw::MemRef::host(src.data()), src.size(), 0x6, {});
   f.sys->engine.run();  // the rendezvous request waits as unexpected
-  EXPECT_THROW(f.ctx->worker(1).tagRecv(dst.data(), 16 << 10, 0x6, ucx::kFullMask, {}),
+  EXPECT_THROW(f.ctx->worker(1).tagRecv(hw::MemRef::host(dst.data()), 16 << 10, 0x6, ucx::kFullMask, {}),
                std::length_error);
   f.sys->engine.run();
   EXPECT_EQ(dst, std::vector<std::byte>(128 << 10));
@@ -332,26 +332,26 @@ TEST_P(UcxDataMatrix, RoundTripsBytes) {
   void* src = nullptr;
   void* dst = nullptr;
   if (p.src_space == Space::Device) {
-    src = cuda::deviceAlloc(*f.sys, src_pe, p.bytes, true);
+    src = cuda::deviceAlloc(*f.sys, src_pe, p.bytes, true).ptr;
     std::memcpy(src, ref.data(), p.bytes);
   } else {
     host_src = ref;
     src = host_src.data();
   }
   if (p.dst_space == Space::Device) {
-    dst = cuda::deviceAlloc(*f.sys, dst_pe, p.bytes, true);
+    dst = cuda::deviceAlloc(*f.sys, dst_pe, p.bytes, true).ptr;
   } else {
     host_dst.resize(p.bytes);
     dst = host_dst.data();
   }
 
   bool send_done = false, recv_done = false;
-  f.ctx->worker(dst_pe).tagRecv(dst, p.bytes, 0x77, ucx::kFullMask,
+  f.ctx->worker(dst_pe).tagRecv(f.sys->memory.classify(dst), p.bytes, 0x77, ucx::kFullMask,
                                 [&](ucx::Request& r) {
                                   recv_done = true;
                                   EXPECT_EQ(r.bytes, p.bytes);
                                 });
-  f.ctx->tagSend(src_pe, dst_pe, src, p.bytes, 0x77,
+  f.ctx->tagSend(src_pe, dst_pe, f.sys->memory.classify(src), p.bytes, 0x77,
                  [&](ucx::Request&) { send_done = true; });
   f.sys->engine.run();
   ASSERT_TRUE(send_done);
@@ -396,9 +396,9 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, UcxDataMatrix, ::testing::ValuesIn(matrix
 
 double oneWayUs(UcxFixture& f, int src_pe, int dst_pe, void* src, void* dst, std::size_t n) {
   sim::TimePoint done_at = 0;
-  f.ctx->worker(dst_pe).tagRecv(dst, n, 0x1, ucx::kFullMask,
+  f.ctx->worker(dst_pe).tagRecv(f.sys->memory.classify(dst), n, 0x1, ucx::kFullMask,
                                 [&](ucx::Request&) { done_at = f.sys->engine.now(); });
-  f.ctx->tagSend(src_pe, dst_pe, src, n, 0x1, {});
+  f.ctx->tagSend(src_pe, dst_pe, f.sys->memory.classify(src), n, 0x1, {});
   f.sys->engine.run();
   return sim::toUs(done_at);
 }
@@ -460,9 +460,9 @@ TEST(UcxTiming, EagerSendCompletesLocallyBeforeDelivery) {
   auto src = pattern(128, 9);
   std::vector<std::byte> dst(128);
   sim::TimePoint send_done = 0, recv_done = 0;
-  f.ctx->worker(6).tagRecv(dst.data(), 128, 0x1, ucx::kFullMask,
+  f.ctx->worker(6).tagRecv(hw::MemRef::host(dst.data()), 128, 0x1, ucx::kFullMask,
                            [&](ucx::Request&) { recv_done = f.sys->engine.now(); });
-  f.ctx->tagSend(0, 6, src.data(), 128, 0x1,
+  f.ctx->tagSend(0, 6, hw::MemRef::host(src.data()), 128, 0x1,
                  [&](ucx::Request&) { send_done = f.sys->engine.now(); });
   f.sys->engine.run();
   EXPECT_LT(send_done, recv_done);
@@ -473,9 +473,9 @@ TEST(UcxTiming, RndvSendCompletesAfterDataPulled) {
   const std::size_t n = 1u << 20;
   std::vector<std::byte> src(n), dst(n);
   sim::TimePoint send_done = 0, recv_done = 0;
-  f.ctx->worker(6).tagRecv(dst.data(), n, 0x1, ucx::kFullMask,
+  f.ctx->worker(6).tagRecv(hw::MemRef::host(dst.data()), n, 0x1, ucx::kFullMask,
                            [&](ucx::Request&) { recv_done = f.sys->engine.now(); });
-  f.ctx->tagSend(0, 6, src.data(), n, 0x1,
+  f.ctx->tagSend(0, 6, hw::MemRef::host(src.data()), n, 0x1,
                  [&](ucx::Request&) { send_done = f.sys->engine.now(); });
   f.sys->engine.run();
   EXPECT_GT(send_done, 0u);
@@ -501,9 +501,9 @@ TEST(UcxProperty, ConcurrentRandomTraffic) {
     m.dst.resize(n);
     const int dst_pe = 1 + static_cast<int>(rng.below(11));
     const ucx::Tag tag = 1000 + static_cast<ucx::Tag>(i);
-    f.ctx->worker(dst_pe).tagRecv(m.dst.data(), n, tag, ucx::kFullMask,
+    f.ctx->worker(dst_pe).tagRecv(hw::MemRef::host(m.dst.data()), n, tag, ucx::kFullMask,
                                   [&m](ucx::Request&) { m.done = true; });
-    f.ctx->tagSend(0, dst_pe, m.src.data(), n, tag, {});
+    f.ctx->tagSend(0, dst_pe, hw::MemRef::host(m.src.data()), n, tag, {});
   }
   f.sys->engine.run();
   for (auto& m : msgs) {

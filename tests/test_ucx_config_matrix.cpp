@@ -55,22 +55,22 @@ TEST_P(UcxKnobMatrix, IntegrityAcrossAllProtocolBoundaries) {
           void* dst;
           std::vector<std::byte> hsrc, hdst;
           if (dev_src) {
-            src = cuda::deviceAlloc(sys, 0, n, true);
+            src = cuda::deviceAlloc(sys, 0, n, true).ptr;
           } else {
             hsrc.resize(n);
             src = hsrc.data();
           }
           std::memcpy(src, ref.data(), n);
           if (dev_dst) {
-            dst = cuda::deviceAlloc(sys, dst_pe, n, true);
+            dst = cuda::deviceAlloc(sys, dst_pe, n, true).ptr;
           } else {
             hdst.resize(n);
             dst = hdst.data();
           }
           bool done = false;
-          ctx.worker(dst_pe).tagRecv(dst, n, static_cast<ucx::Tag>(tag), ucx::kFullMask,
+          ctx.worker(dst_pe).tagRecv(sys.memory.classify(dst), n, static_cast<ucx::Tag>(tag), ucx::kFullMask,
                                      [&](ucx::Request&) { done = true; });
-          ctx.tagSend(0, dst_pe, src, n, static_cast<ucx::Tag>(tag), {});
+          ctx.tagSend(0, dst_pe, sys.memory.classify(src), n, static_cast<ucx::Tag>(tag), {});
           sys.engine.run();
           ASSERT_TRUE(done) << "n=" << n << " dev_src=" << dev_src << " dev_dst=" << dev_dst;
           ASSERT_EQ(std::memcmp(dst, ref.data(), n), 0)

@@ -552,16 +552,16 @@ int runMatch(const Args& a) {
     std::vector<std::byte> src(256), dst(256);
     for (int it = 0; it < iters; ++it) {
       for (int i = 0; i < window; ++i) {
-        ctx.worker(6).tagRecv(dst.data(), 256, tagOf(it, i), ucx::kFullMask, {});
+        ctx.worker(6).tagRecv(hw::MemRef::host(dst.data()), 256, tagOf(it, i), ucx::kFullMask, {});
       }
-      for (int i = 0; i < window; ++i) ctx.tagSend(0, 6, src.data(), 256, tagOf(it, i), {});
+      for (int i = 0; i < window; ++i) ctx.tagSend(0, 6, hw::MemRef::host(src.data()), 256, tagOf(it, i), {});
       sys.engine.run();
       for (int i = 0; i < window; ++i) {
-        ctx.tagSend(0, 6, src.data(), 256, tagOf(it, window + i), {});
+        ctx.tagSend(0, 6, hw::MemRef::host(src.data()), 256, tagOf(it, window + i), {});
       }
       sys.engine.run();
       for (int i = 0; i < window; ++i) {
-        ctx.worker(6).tagRecv(dst.data(), 256, tagOf(it, window + i), ucx::kFullMask, {});
+        ctx.worker(6).tagRecv(hw::MemRef::host(dst.data()), 256, tagOf(it, window + i), ucx::kFullMask, {});
       }
       sys.engine.run();
     }
@@ -581,11 +581,11 @@ int runMatch(const Args& a) {
     for (int it = 0; it < iters; ++it) {
       for (int i = 0; i < window; ++i) {
         cmi.runOn(0, [&dev, &cmi, &sbuf, &dbuf] {
-          core::CmiDeviceBuffer buf{sbuf.get(), 8192, 0};
+          core::CmiDeviceBuffer buf{sbuf.ref(), 8192, 0};
           dev.lrtsSendDevice(0, 6, buf);
           const auto device_tag = buf.tag;
           cmi.runOn(6, [&dev, &dbuf, device_tag] {
-            dev.lrtsRecvDevice(6, core::DeviceRdmaOp{dbuf.get(), 8192, device_tag},
+            dev.lrtsRecvDevice(6, core::DeviceRdmaOp{dbuf.ref(), 8192, device_tag},
                                core::DeviceRecvType::Charm, {});
           });
         });
