@@ -201,7 +201,10 @@ class BucketFifo {
   }
 
  private:
-  static constexpr std::size_t kInitialBuckets = 64;
+  /// First table: small, because most stores hold a handful of entries (an
+  /// AMPI rank's matcher sees at most its six halo peers); the doubling rule
+  /// grows the busy ones.
+  static constexpr std::size_t kInitialBuckets = 8;
 
   struct Node {
     T value{};
