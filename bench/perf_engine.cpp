@@ -214,7 +214,8 @@ void BM_UcxTagMatching(benchmark::State& state) {
   std::vector<std::byte> src(64);
   for (auto _ : state) {
     for (int i = 0; i < n; ++i) {
-      ctx.worker(1).tagRecv(hw::MemRef::host(buf.data()), 64, static_cast<ucx::Tag>(i), ucx::kFullMask, {});
+      ctx.worker(1).tagRecv(hw::MemRef::host(buf.data()), 64, static_cast<ucx::Tag>(i),
+                            ucx::kFullMask, {});
     }
     for (int i = n - 1; i >= 0; --i) {
       ctx.tagSend(0, 1, hw::MemRef::host(src.data()), 64, static_cast<ucx::Tag>(i), {});
@@ -245,7 +246,8 @@ void BM_UcxTagMatchingUnexpected(benchmark::State& state) {
       sys.engine.run();  // message lands in the unexpected queue
     }
     for (int i = n - 1; i >= 0; --i) {
-      ctx.worker(1).tagRecv(hw::MemRef::host(buf.data()), 64, static_cast<ucx::Tag>(i), ucx::kFullMask, {});
+      ctx.worker(1).tagRecv(hw::MemRef::host(buf.data()), 64, static_cast<ucx::Tag>(i),
+                            ucx::kFullMask, {});
       sys.engine.run();  // drain the matched completion
     }
   }
@@ -295,7 +297,8 @@ void BM_UcxCancelRecv(benchmark::State& state) {
   for (auto _ : state) {
     for (int i = 0; i < n; ++i) {
       reqs.push_back(
-          ctx.worker(1).tagRecv(hw::MemRef::host(buf.data()), 64, static_cast<ucx::Tag>(i), ucx::kFullMask, {}));
+          ctx.worker(1).tagRecv(hw::MemRef::host(buf.data()), 64, static_cast<ucx::Tag>(i),
+                                ucx::kFullMask, {}));
     }
     // Cancel in reverse post order: each target sits at the tail of the
     // remaining posted list, which a scan would have to walk in full; the
@@ -320,7 +323,8 @@ void BM_SimulatedMessagesPerSecond(benchmark::State& state) {
   int done = 0;
   for (auto _ : state) {
     for (int i = 0; i < kMsgs; ++i) {
-      ctx.worker(6).tagRecv(hw::MemRef::host(dst.data()), 256, static_cast<ucx::Tag>(i), ucx::kFullMask,
+      ctx.worker(6).tagRecv(hw::MemRef::host(dst.data()), 256, static_cast<ucx::Tag>(i),
+                            ucx::kFullMask,
                             [&done](ucx::Request&) { ++done; });
       ctx.tagSend(0, 6, hw::MemRef::host(src.data()), 256, static_cast<ucx::Tag>(i), {});
     }

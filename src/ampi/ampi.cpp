@@ -186,29 +186,16 @@ void World::orphanEnvelope(int pe, Envelope& env, sim::TimePoint now) {
   rt_.dev().lrtsRecvDevice(pe, op, core::DeviceRecvType::Ampi, [sink] {});
 }
 
-hw::MemRef World::classifyCached(RankState& st, const void* p) {
-  const hw::MemoryRegistry& mem = rt_.system().memory;
-  PtrCache& cache = st.ptr_cache;
-  if (cache.epoch != mem.epoch()) {
-    cache.refs.clear();
-    cache.next = 0;
-    cache.epoch = mem.epoch();
-  }
-  for (const hw::MemRef& r : cache.refs) {
-    if (r.ptr == p) {
-      ++cache_hits_;
-      return r;
-    }
-  }
-  ++cache_misses_;
-  const hw::MemRef r = mem.classify(p);
-  if (cache.refs.size() < PtrCache::kSlots) {
-    cache.refs.push_back(r);
-  } else {
-    cache.refs[cache.next] = r;
-    cache.next = (cache.next + 1) % PtrCache::kSlots;
-  }
-  return r;
+std::uint64_t World::cacheHits() const {
+  std::uint64_t n = 0;
+  for (const auto& st : ranks_) n += st->ptr_cache.hits();
+  return n;
+}
+
+std::uint64_t World::cacheMisses() const {
+  std::uint64_t n = 0;
+  for (const auto& st : ranks_) n += st->ptr_cache.misses();
+  return n;
 }
 
 Request World::isendImpl(int src_rank, const void* buf, std::uint64_t bytes, int dst, int tag) {
@@ -231,7 +218,7 @@ Request World::isendImpl(int src_rank, const void* buf, std::uint64_t bytes, int
     return req;
   }
   const std::uint32_t seq = st.seq_out[static_cast<std::size_t>(dst)]++;
-  const hw::MemRef src = classifyCached(st, buf);
+  const hw::MemRef src = st.ptr_cache.classify(rt_.system().memory, buf);
   const Status sent_status{src_rank, tag, bytes};
 
   if (src.isDevice() || bytes >= costs.host_pack_threshold) {
@@ -285,7 +272,7 @@ Request World::irecvImpl(int dst_rank, void* buf, std::uint64_t bytes, int src, 
     req.impl_->fail(Status{-1, tag, 0});
     return req;
   }
-  PostedRecv p{req.impl_, classifyCached(st, buf), bytes, src, tag};
+  PostedRecv p{req.impl_, st.ptr_cache.classify(rt_.system().memory, buf), bytes, src, tag};
 
   // Search the unexpected queue in arrival order (paper Sec. III-C2): a
   // fully-concrete receive probes its (src, tag) hash chain, a

@@ -193,8 +193,8 @@ class World {
   [[nodiscard]] sim::Future<void> done() const { return done_.future(); }
 
   // --- device-pointer cache statistics (paper Sec. III-C1) ---------------
-  [[nodiscard]] std::uint64_t cacheHits() const noexcept { return cache_hits_; }
-  [[nodiscard]] std::uint64_t cacheMisses() const noexcept { return cache_misses_; }
+  [[nodiscard]] std::uint64_t cacheHits() const;
+  [[nodiscard]] std::uint64_t cacheMisses() const;
 
   /// Aggregated matching-engine occupancy across every rank's matcher
   /// (`gpucomm_sweep --metric match`).
@@ -247,18 +247,6 @@ class World {
       return detail::accepts(src, tag, e.src_rank, e.tag);
     }
   };
-  /// The paper's GPU-pointer cache (Sec. III-C1), one per rank: the buffers
-  /// this rank last sent from or received into, with their classification.
-  /// A short flat array scanned linearly, filled up to kSlots and then
-  /// replaced round robin. It holds only classifications made in the
-  /// registry's current epoch, so an address that was freed and handed out
-  /// again is classified afresh.
-  struct PtrCache {
-    static constexpr std::size_t kSlots = 32;
-    std::vector<hw::MemRef> refs;
-    std::size_t next = 0;      ///< slot the next miss replaces once full
-    std::uint64_t epoch = 0;   ///< registry epoch `refs` were classified in
-  };
   struct RankState {
     Rank self;
     int pe = -1;
@@ -270,7 +258,7 @@ class World {
     /// six of the world's ranks).
     sim::PeerSeq seq_out;              ///< next seq per destination rank
     sim::Resequencer<Envelope> reseq;  ///< per-source FIFO, by source rank
-    PtrCache ptr_cache;
+    hw::PointerCache ptr_cache;  ///< the paper's GPU-pointer cache, per rank
   };
 
   Request isendImpl(int src_rank, const void* buf, std::uint64_t bytes, int dst, int tag);
@@ -279,9 +267,6 @@ class World {
   void enqueueEnvelope(int dst_rank, std::uint32_t seq, Envelope env);
   void processEnvelope(int dst_rank, Envelope env);
   void deliver(int dst_rank, PostedRecv& p, Envelope& env);
-  /// `p` classified through `st`'s pointer cache: one registry lookup on a
-  /// miss, none on a hit.
-  [[nodiscard]] hw::MemRef classifyCached(RankState& st, const void* p);
   /// Detector callback: when a rank sits on the dead PE, revokes the world,
   /// fails every pending receive and orphans every queued envelope.
   void onPeFailed(int pe);
@@ -293,8 +278,6 @@ class World {
   std::vector<std::unique_ptr<RankState>> ranks_;
   std::function<sim::FutureTask(Rank&)> main_;  // must outlive rank coroutines
   sim::Promise<void> done_;
-  std::uint64_t cache_hits_ = 0;
-  std::uint64_t cache_misses_ = 0;
   // --- failure state ------------------------------------------------------
   bool revoked_ = false;
   std::uint64_t aborted_ops_ = 0;

@@ -44,9 +44,9 @@ void BlockState::init(hw::System& system, const JacobiConfig& cfg, const Decompo
   for (int i = 0; i < kNumDirs; ++i) {
     if (nbr[static_cast<std::size_t>(i)] < 0) continue;
     const std::uint64_t bytes = d.faceBytes(static_cast<Dir>(i));
-    d_send[i] = cuda::deviceAlloc(system, pe_id, bytes, backed);
-    d_recv[0][i] = cuda::deviceAlloc(system, pe_id, bytes, backed);
-    d_recv[1][i] = cuda::deviceAlloc(system, pe_id, bytes, backed);
+    d_send[i] = cuda::deviceAlloc(system, pe_id, bytes, backed).ptr;
+    d_recv[0][i] = cuda::deviceAlloc(system, pe_id, bytes, backed).ptr;
+    d_recv[1][i] = cuda::deviceAlloc(system, pe_id, bytes, backed).ptr;
     if (mode == Mode::HostStaging) {
       h_send[i] = cuda::HostBuffer(system, bytes);
       h_recv[0][i] = cuda::HostBuffer(system, bytes);
@@ -80,9 +80,9 @@ BlockState::~BlockState() {
     if (p != nullptr) cuda::deviceFree(*sys, p);
   }
   for (int i = 0; i < kNumDirs; ++i) {
-    if (d_send[i].ptr != nullptr) cuda::deviceFree(*sys, d_send[i].ptr);
+    if (d_send[i] != nullptr) cuda::deviceFree(*sys, d_send[i]);
     for (int p = 0; p < 2; ++p) {
-      if (d_recv[p][i].ptr != nullptr) cuda::deviceFree(*sys, d_recv[p][i].ptr);
+      if (d_recv[p][i] != nullptr) cuda::deviceFree(*sys, d_recv[p][i]);
     }
   }
 }
@@ -144,8 +144,7 @@ std::function<void()> BlockState::packBody() {
     };
     for (int di = 0; di < kNumDirs; ++di) {
       if (nbr[static_cast<std::size_t>(di)] < 0) continue;
-      if (!d_send[di].backed) continue;
-      auto* out = static_cast<double*>(d_send[di].ptr);
+      auto* out = static_cast<double*>(d_send[di]);
       std::size_t n = 0;
       switch (static_cast<Dir>(di)) {
         case Dir::XMinus:
@@ -188,8 +187,7 @@ std::function<void()> BlockState::unpackBody(int parity) {
     };
     for (int di = 0; di < kNumDirs; ++di) {
       if (nbr[static_cast<std::size_t>(di)] < 0) continue;
-      if (!d_recv[parity][di].backed) continue;
-      const auto* in = static_cast<const double*>(d_recv[parity][di].ptr);
+      const auto* in = static_cast<const double*>(d_recv[parity][di]);
       std::size_t n = 0;
       switch (static_cast<Dir>(di)) {
         case Dir::XMinus:
@@ -224,15 +222,15 @@ std::function<void()> BlockState::unpackBody(int parity) {
 void BlockState::stageSendFaces() {
   for (int i = 0; i < kNumDirs; ++i) {
     if (nbr[static_cast<std::size_t>(i)] < 0) continue;
-    stream->memcpyAsync(h_send[i].ref(), d_send[i], dec.faceBytes(static_cast<Dir>(i)),
-                        cuda::MemcpyKind::DeviceToHost);
+    stream->memcpyAsync(h_send[i].ref(), deviceRef(d_send[i]),
+                        dec.faceBytes(static_cast<Dir>(i)), cuda::MemcpyKind::DeviceToHost);
   }
 }
 
 void BlockState::stageRecvFaces(int parity) {
   for (int i = 0; i < kNumDirs; ++i) {
     if (nbr[static_cast<std::size_t>(i)] < 0) continue;
-    stream->memcpyAsync(d_recv[parity][i], h_recv[parity][i].ref(),
+    stream->memcpyAsync(deviceRef(d_recv[parity][i]), h_recv[parity][i].ref(),
                         dec.faceBytes(static_cast<Dir>(i)), cuda::MemcpyKind::HostToDevice);
   }
 }

@@ -40,25 +40,27 @@ struct BlockState {
   std::unique_ptr<cuda::Stream> stream;
   void* grid[2] = {nullptr, nullptr};  ///< device grids with 1-cell halo
   int cur = 0;                         ///< which grid holds the current state
-  /// Halo faces, with the classification their allocation gave them.
-  hw::MemRef d_send[kNumDirs] = {};
+  void* d_send[kNumDirs] = {};
   /// Receive faces are double-buffered by iteration parity: message-driven
   /// senders may run one iteration ahead, and their halo for iteration i+1
   /// must not overwrite the not-yet-unpacked face of iteration i.
-  hw::MemRef d_recv[2][kNumDirs] = {};
+  void* d_recv[2][kNumDirs] = {};
   /// -H staging faces: address-space reservations at paper scale (1536 PEs
   /// x 12 faces of ~19 MB would not fit in memory), real in backed mode.
   cuda::HostBuffer h_send[kNumDirs], h_recv[2][kNumDirs];
 
   /// Comm buffer handed to the transport for direction d.
   [[nodiscard]] void* sendBuf(Dir d) const {
-    return mode == Mode::Device ? d_send[static_cast<int>(d)].ptr
+    return mode == Mode::Device ? d_send[static_cast<int>(d)]
                                 : h_send[static_cast<int>(d)].get();
   }
   [[nodiscard]] void* recvBuf(Dir d, int parity = 0) const {
-    return mode == Mode::Device ? d_recv[parity][static_cast<int>(d)].ptr
+    return mode == Mode::Device ? d_recv[parity][static_cast<int>(d)]
                                 : h_recv[parity][static_cast<int>(d)].get();
   }
+  /// One of this block's device buffers with its classification, known
+  /// from the allocation (GPU `pe`, backed iff `backed`): no lookup.
+  [[nodiscard]] hw::MemRef deviceRef(void* p) const { return hw::MemRef::onGpu(p, pe, backed); }
 
   // --- kernel cost model ---------------------------------------------------
   [[nodiscard]] sim::Duration stencilCost() const;

@@ -44,7 +44,7 @@ sim::FutureTask blockMain(C4pEnv* env, int id) {
     if (cfg.mode == Mode::HostStaging) {
       for (int d = 0; d < kNumDirs; ++d) {
         if (b.nbr[static_cast<std::size_t>(d)] < 0) continue;
-        py.cudaDtoH(b.pe, b.h_send[d].ref(), b.d_send[d],
+        py.cudaDtoH(b.pe, b.h_send[d].ref(), b.deviceRef(b.d_send[d]),
                     env->dec.faceBytes(static_cast<Dir>(d)), *b.stream);
       }
       co_await py.streamSynchronize(b.pe, *b.stream);
@@ -66,7 +66,7 @@ sim::FutureTask blockMain(C4pEnv* env, int id) {
     if (cfg.mode == Mode::HostStaging) {
       for (int d = 0; d < kNumDirs; ++d) {
         if (b.nbr[static_cast<std::size_t>(d)] < 0) continue;
-        py.cudaHtoD(b.pe, b.d_recv[0][d], b.h_recv[0][d].ref(),
+        py.cudaHtoD(b.pe, b.deviceRef(b.d_recv[0][d]), b.h_recv[0][d].ref(),
                     env->dec.faceBytes(static_cast<Dir>(d)), *b.stream);
       }
       co_await py.streamSynchronize(b.pe, *b.stream);

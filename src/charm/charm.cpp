@@ -19,7 +19,8 @@ Runtime::Runtime(hw::System& sys, ucx::Context& ucx, const model::Model& model,
     : sys_(sys),
       cmi_(std::make_unique<cmi::Converse>(sys, ucx, model.costs, tags)),
       dev_(std::make_unique<core::DeviceComm>(*cmi_)),
-      chares_(static_cast<std::size_t>(cmi_->numPes())) {
+      chares_(static_cast<std::size_t>(cmi_->numPes())),
+      ptr_caches_(static_cast<std::size_t>(cmi_->numPes())) {
   handler_ = cmi_->registerHandler([this](cmi::Message msg) { dispatch(std::move(msg)); });
 }
 
@@ -44,8 +45,8 @@ void Runtime::dispatch(cmi::Message msg) {
   detail::entryTable()[entry_id].invoke(*this, pe, obj, std::move(msg), off);
 }
 
-Runtime::Outgoing Runtime::classify(const Buffer& b) const {
-  const hw::MemRef src = sys_.memory.classify(b.source());
+Runtime::Outgoing Runtime::classify(int src_pe, const Buffer& b) {
+  const hw::MemRef src = classify(src_pe, b.source());
   if (src.isDevice() || b.size() >= costs().host_pack_threshold) {
     return {src, Buffer::Mode::Rndv};
   }

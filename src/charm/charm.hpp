@@ -184,6 +184,12 @@ class Runtime {
     return chares_[static_cast<std::size_t>(pe)][idx].get();
   }
 
+  /// `p` classified through PE `pe`'s pointer cache (a registry lookup only
+  /// on a miss): where Charm++ and Charm4py buffers enter the stack.
+  [[nodiscard]] hw::MemRef classify(int pe, const void* p) {
+    return ptr_caches_[static_cast<std::size_t>(pe)].classify(sys_.memory, p);
+  }
+
  private:
   template <auto>
   friend void detail::entryThunk(Runtime&, int, Chare*, cmi::Message&&, std::size_t);
@@ -196,10 +202,10 @@ class Runtime {
     hw::MemRef src;
     Buffer::Mode mode = Buffer::Mode::Rndv;
   };
-  /// Classifies a Buffer argument's source with one registry lookup and
-  /// picks its mode: rendezvous for device or large host buffers, packed
-  /// inline for small host ones — phantom when the source is unbacked.
-  [[nodiscard]] Outgoing classify(const Buffer& b) const;
+  /// Classifies a Buffer argument's source on the sending PE and picks its
+  /// mode: rendezvous for device or large host buffers, packed inline for
+  /// small host ones — phantom when the source is unbacked.
+  [[nodiscard]] Outgoing classify(int src_pe, const Buffer& b);
   /// Bytes a Buffer argument of mode `m` adds to the packed message.
   [[nodiscard]] static std::size_t packedSize(const Buffer& b, Buffer::Mode m) noexcept {
     return 1 + sizeof(std::uint64_t) +
@@ -216,6 +222,7 @@ class Runtime {
   std::unique_ptr<core::DeviceComm> dev_;
   int handler_ = -1;
   std::vector<std::vector<std::unique_ptr<Chare>>> chares_;
+  std::vector<hw::PointerCache> ptr_caches_;  ///< one per PE
 };
 
 template <class T>
@@ -289,7 +296,7 @@ void Runtime::sendFrom(int src_pe, ChareId dst, Args&&... args) {
     (
         [&] {
           if constexpr (detail::is_buffer_v<Args>) {
-            outs[bi] = classify(args);
+            outs[bi] = classify(src_pe, args);
             bytes += packedSize(args, outs[bi].mode);
             ++bi;
           } else {
@@ -429,8 +436,8 @@ void entryThunk(Runtime& rt, int pe, Chare* obj, cmi::Message&& msg, std::size_t
   for (const auto& [i, poff, carried] : packed) {
     const Buffer& b = st->bufs[i];
     if (carried && msg.payload_valid) {
-      cuda::moveBytes(rt.system().memory.classify(b.data()),
-                      hw::MemRef::host(msg.payload().data() + poff), b.size());
+      cuda::moveBytes(rt.classify(pe, b.data()), hw::MemRef::host(msg.payload().data() + poff),
+                      b.size());
     }
     packed_bytes += b.size();
   }
@@ -449,8 +456,7 @@ void entryThunk(Runtime& rt, int pe, Chare* obj, cmi::Message&& msg, std::size_t
   for (const Buffer& b : st->bufs) {
     if (b.mode() != Buffer::Mode::Rndv) continue;
     rt.dev().lrtsRecvDevice(pe,
-                            core::DeviceRdmaOp{rt.system().memory.classify(b.data()), b.size(),
-                                               b.tag()},
+                            core::DeviceRdmaOp{rt.classify(pe, b.data()), b.size(), b.tag()},
                             core::DeviceRecvType::Charm, [&rt, obj, st] {
                               if (--st->pending != 0) return;
                               Unpacker args(st->msg.payload(), st->args_off);

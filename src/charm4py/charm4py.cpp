@@ -174,7 +174,7 @@ sim::Future<void> Charm4py::sendImpl(ChannelEnd& end, const void* buf, std::uint
   const std::uint32_t seq = out.seq_out++;
 
   sim::Promise<void> done;
-  const hw::MemRef src = rt_.system().memory.classify(buf);
+  const hw::MemRef src = rt_.classify(src_pe, buf);
   const bool device = src.isDevice();
   // Host payloads always pay the Python-side buffer copy whatever the
   // transport underneath: the host-staging variant of Fig. 8 passes a host
@@ -235,7 +235,7 @@ sim::Future<void> Charm4py::recvImpl(ChannelEnd& end, void* buf, std::uint64_t b
 
   EndpointState& st = endpoint(end.chan_, end.side_);
   PendingRecv pending;
-  pending.buf = rt_.system().memory.classify(buf);
+  pending.buf = buf;
   pending.capacity = bytes;
   auto fut = pending.done.future();
   st.waiting.push_back(std::move(pending));
@@ -282,9 +282,12 @@ void Charm4py::matchOne(int pe, EndpointState& st, obs::Phase matched) {
     const model::LayerCosts& costs = rt_.costs();
     cmi::Pe& cpu = rt_.cmi().pe(pe);
     auto done = p.done;
+    // The receive buffer enters the stack here, on its PE's pointer cache:
+    // keeping the ref out of PendingRecv keeps every endpoint's queue small.
+    const hw::MemRef dst = rt_.classify(pe, p.buf);
     if (env.inlined) {
       if (env.data_valid) {
-        cuda::moveBytes(p.buf, hw::MemRef::host(env.data.data()), env.data.size());
+        cuda::moveBytes(dst, hw::MemRef::host(env.data.data()), env.data.size());
       }
       const double py_copy_us =
           (static_cast<double>(env.bytes) / 1e3) / costs.py_host_copy_gbps;
@@ -304,7 +307,7 @@ void Charm4py::matchOne(int pe, EndpointState& st, obs::Phase matched) {
           costs.py_wakeup_us +
           (env.src_host ? (static_cast<double>(env.bytes) / 1e3) / costs.py_host_copy_gbps
                         : 0.0);
-      rt_.dev().lrtsRecvDevice(pe, core::DeviceRdmaOp{p.buf, env.bytes, env.dtag},
+      rt_.dev().lrtsRecvDevice(pe, core::DeviceRdmaOp{dst, env.bytes, env.dtag},
                                core::DeviceRecvType::Charm4py, [done, cpu_ptr, extra_us] {
                                  cpu_ptr->exec(sim::usec(extra_us), [done] { done.set(); });
                                });

@@ -126,7 +126,7 @@ class Charm4py {
     bool data_valid = true;
   };
   struct PendingRecv {
-    hw::MemRef buf;  ///< classified at recv
+    void* buf = nullptr;  ///< classified when its message matches
     std::uint64_t capacity = 0;
     sim::Promise<void> done;
   };

@@ -20,15 +20,15 @@ HostBuffer::HostBuffer(hw::System& sys, std::size_t size) : sys_(&sys), size_(si
   if (size == 0) return;
   if (sys.config.backed_device_memory) {
     backing_ = std::make_unique<std::byte[]>(size);
-    ref_ = hw::MemRef::host(backing_.get());
+    ptr_ = backing_.get();
   } else {
-    ref_ = hw::MemRef{sys.memory.allocHostUnbacked(size), -1, hw::MemSpace::Host, false};
+    ptr_ = sys.memory.allocHostUnbacked(size);
   }
 }
 
 void HostBuffer::release() noexcept {
-  if (ref_.ptr != nullptr && backing_ == nullptr) sys_->memory.freeDevice(ref_.ptr);
-  ref_ = hw::MemRef{};
+  if (ptr_ != nullptr && backing_ == nullptr) sys_->memory.freeDevice(ptr_);
+  ptr_ = nullptr;
   backing_.reset();
 }
 

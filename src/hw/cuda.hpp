@@ -87,13 +87,13 @@ class HostBuffer {
   HostBuffer(hw::System& sys, std::size_t size);
   ~HostBuffer() { release(); }
   HostBuffer(HostBuffer&& o) noexcept
-      : sys_(o.sys_), ref_(std::exchange(o.ref_, hw::MemRef{})), size_(o.size_),
+      : sys_(o.sys_), ptr_(std::exchange(o.ptr_, nullptr)), size_(o.size_),
         backing_(std::move(o.backing_)) {}
   HostBuffer& operator=(HostBuffer&& o) noexcept {
     if (this != &o) {
       release();
       sys_ = o.sys_;
-      ref_ = std::exchange(o.ref_, hw::MemRef{});
+      ptr_ = std::exchange(o.ptr_, nullptr);
       size_ = o.size_;
       backing_ = std::move(o.backing_);
     }
@@ -102,16 +102,19 @@ class HostBuffer {
   HostBuffer(const HostBuffer&) = delete;
   HostBuffer& operator=(const HostBuffer&) = delete;
 
-  [[nodiscard]] void* get() const noexcept { return ref_.ptr; }
-  /// The buffer with its classification: host memory, backed iff real.
-  [[nodiscard]] const hw::MemRef& ref() const noexcept { return ref_; }
+  [[nodiscard]] void* get() const noexcept { return ptr_; }
+  /// The buffer with its classification: host memory, backed unless it is
+  /// an unbacked registry region.
+  [[nodiscard]] hw::MemRef ref() const noexcept {
+    return hw::MemRef{ptr_, -1, hw::MemSpace::Host, backing_ != nullptr || ptr_ == nullptr};
+  }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
  private:
   void release() noexcept;
 
   hw::System* sys_ = nullptr;
-  hw::MemRef ref_;
+  void* ptr_ = nullptr;
   std::size_t size_ = 0;
   std::unique_ptr<std::byte[]> backing_;  ///< set iff backed and non-empty
 };

@@ -172,8 +172,35 @@ void MemoryRegistry::release(std::size_t i, std::size_t pos) {
 MemRef MemoryRegistry::classify(const void* p) const {
   const Region* r = find(p);
   if (r == nullptr) return MemRef::host(p);
-  if (r->space == MemSpace::Device) return MemRef::onGpu(const_cast<void*>(p), r->device, r->backed);
+  if (r->space == MemSpace::Device) {
+    return MemRef::onGpu(const_cast<void*>(p), r->device, r->backed);
+  }
   return MemRef{const_cast<void*>(p), -1, MemSpace::Host, r->backed};
+}
+
+MemRef PointerCache::classify(const MemoryRegistry& mem, const void* p) {
+  if (epoch_ != mem.epoch()) {
+    refs_.clear();
+    next_ = 0;
+    epoch_ = mem.epoch();
+  }
+  for (const MemRef& r : refs_) {
+    if (r.ptr == p) {
+      ++hits_;
+      return r;
+    }
+  }
+  ++misses_;
+  const MemRef r = mem.classify(p);
+  if (refs_.size() < kSlots) {
+    // Grow 8, 16, 24: a rank or PE with few buffers keeps a small table.
+    if (refs_.size() == refs_.capacity()) refs_.reserve(std::min(kSlots, refs_.size() + 8));
+    refs_.push_back(r);
+  } else {
+    refs_[next_] = r;
+    next_ = (next_ + 1) % kSlots;
+  }
+  return r;
 }
 
 const Region* MemoryRegistry::find(const void* p) const {

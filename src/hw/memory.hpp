@@ -157,4 +157,30 @@ class MemoryRegistry {
   mutable std::uint64_t lookups_ = 0;
 };
 
+/// The paper's GPU-pointer cache (Sec. III-C1), which is also what UCX's
+/// memory-type cache does for a send: the buffers one rank or PE last
+/// classified, with their classification. A short flat array scanned
+/// linearly, filled up to kSlots and then replaced round robin. It keeps
+/// only classifications made in the registry's current epoch, so an address
+/// that was freed and handed out again is classified afresh.
+class PointerCache {
+ public:
+  /// Enough for a Jacobi rank's 18 halo buffers.
+  static constexpr std::size_t kSlots = 24;
+
+  /// `p` classified: from the cache on a hit, with one registry lookup on a
+  /// miss.
+  [[nodiscard]] MemRef classify(const MemoryRegistry& mem, const void* p);
+
+  [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
+  [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
+
+ private:
+  std::vector<MemRef> refs_;  ///< allocated on the first miss, grown 8 at a time
+  std::size_t next_ = 0;      ///< slot the next miss replaces once full
+  std::uint64_t epoch_ = 0;   ///< registry epoch `refs_` were classified in
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+};
+
 }  // namespace cux::hw

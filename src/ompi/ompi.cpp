@@ -49,9 +49,9 @@ Request Rank::isend(const void* buf, std::uint64_t bytes, int dst, int tag) {
   const Status sent{rank_, tag, bytes};
   const ucx::Tag utag = detail::encodeTag(rank_, tag);
   const int src_rank = rank_;
-  // The buffer enters the stack here: classify it once, as UCX's memory-type
-  // detection would at ucp_tag_send_nbx.
-  const hw::MemRef src = world_->sys_.memory.classify(buf);
+  // The buffer enters the stack here: classify it once, through the rank's
+  // cache, as UCX's memory-type cache would at ucp_tag_send_nbx.
+  const hw::MemRef src = st.ptr_cache.classify(world_->sys_.memory, buf);
   // Inject once the call's CPU time has retired.
   world_->sys_.engine.schedule(
       st.cpu->busyUntil(), [this, src_rank, dst, src, bytes, utag, impl, sent] {
@@ -73,7 +73,7 @@ Request Rank::irecv(void* buf, std::uint64_t bytes, int src, int tag) {
   const ucx::Tag utag = detail::encodeTag(src == kAnySource ? 0 : src, tag == kAnyTag ? 0 : tag);
   const ucx::Tag mask = detail::matchMask(src, tag);
   const int me = rank_;
-  const hw::MemRef dst = world_->sys_.memory.classify(buf);
+  const hw::MemRef dst = st.ptr_cache.classify(world_->sys_.memory, buf);
   world_->sys_.engine.schedule(st.cpu->busyUntil(), [this, me, dst, bytes, utag, mask, impl] {
     world_->ucx_.worker(me).tagRecv(dst, bytes, utag, mask, [impl](ucx::Request& r) {
       impl->complete(Status{detail::srcOfTag(r.matched_tag), detail::userTagOf(r.matched_tag),

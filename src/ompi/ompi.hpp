@@ -129,6 +129,7 @@ class World {
   struct RankState {
     Rank self;
     std::unique_ptr<cmi::Pe> cpu;  ///< per-rank CPU-time serialiser
+    hw::PointerCache ptr_cache;    ///< classifies the buffers this rank passes
   };
 
   hw::System& sys_;

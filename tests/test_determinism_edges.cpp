@@ -95,7 +95,8 @@ TEST(Edges, SelfSendEverywhere) {
   ucx::Context ctx(sys, m.ucx);
   int done = 0;
   std::vector<std::byte> a(64), b(64);
-  ctx.worker(3).tagRecv(hw::MemRef::host(b.data()), 64, 1, ucx::kFullMask, [&](ucx::Request&) { ++done; });
+  ctx.worker(3).tagRecv(hw::MemRef::host(b.data()), 64, 1, ucx::kFullMask,
+                        [&](ucx::Request&) { ++done; });
   ctx.tagSend(3, 3, hw::MemRef::host(a.data()), 64, 1, [&](ucx::Request&) { ++done; });
   sys.engine.run();
   EXPECT_EQ(done, 2);

@@ -121,10 +121,11 @@ TEST(FailstopDetect, RendezvousSendToDeadPeTurnsPeerFailedNotHang) {
   CtxFixture f(killAt(6, 0.0));
   std::vector<std::byte> src(64 * 1024);
   bool send_done = false;
-  auto req = f.ctx->tagSend(0, 6, hw::MemRef::host(src.data()), src.size(), 0x9, [&](ucx::Request& r) {
-    send_done = true;
-    EXPECT_TRUE(r.failed());
-  });
+  auto req = f.ctx->tagSend(0, 6, hw::MemRef::host(src.data()), src.size(), 0x9,
+                            [&](ucx::Request& r) {
+                              send_done = true;
+                              EXPECT_TRUE(r.failed());
+                            });
   f.sys->engine.run();  // returning at all proves nothing hung
   EXPECT_TRUE(send_done);
   EXPECT_TRUE(req->peerFailed());

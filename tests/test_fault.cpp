@@ -170,12 +170,13 @@ TEST(FaultRetry, PartialLossRecoversWithRetransmissions) {
   for (int i = 0; i < kMsgs; ++i) {
     const auto tag = static_cast<ucx::Tag>(i);
     const int dst_pe = (i % 2 == 0) ? 1 : 6;  // intra- and inter-node
-    f.ctx->worker(dst_pe).tagRecv(hw::MemRef::host(dsts[static_cast<std::size_t>(i)].data()), 256, tag,
-                                  ucx::kFullMask, [&](ucx::Request& r) {
+    f.ctx->worker(dst_pe).tagRecv(hw::MemRef::host(dsts[static_cast<std::size_t>(i)].data()), 256,
+                                  tag, ucx::kFullMask, [&](ucx::Request& r) {
                                     EXPECT_TRUE(r.done());
                                     ++done;
                                   });
-    f.ctx->tagSend(0, dst_pe, hw::MemRef::host(srcs[static_cast<std::size_t>(i)].data()), 256, tag, {});
+    f.ctx->tagSend(0, dst_pe, hw::MemRef::host(srcs[static_cast<std::size_t>(i)].data()), 256, tag,
+                   {});
   }
   f.sys->engine.run();
   EXPECT_EQ(done, kMsgs);
@@ -226,7 +227,8 @@ TEST(FaultRetry, UnexpectedQueueStaysBoundedUnderDuplicateStorm) {
   std::vector<std::vector<std::byte>> srcs;
   for (int i = 0; i < kMsgs; ++i) {
     srcs.push_back(pattern(64, 40 + static_cast<std::uint64_t>(i)));
-    f.ctx->tagSend(0, 6, hw::MemRef::host(srcs.back().data()), 64, kRawType | static_cast<ucx::Tag>(0x50 + i), {});
+    f.ctx->tagSend(0, 6, hw::MemRef::host(srcs.back().data()), 64,
+                   kRawType | static_cast<ucx::Tag>(0x50 + i), {});
   }
   f.sys->engine.run();
   EXPECT_EQ(f.ctx->worker(6).matchStats().unexpected, static_cast<std::size_t>(kMsgs));
@@ -300,10 +302,11 @@ TEST(FaultRetry, RendezvousDataLossFailsBothSidesTerminally) {
                                         EXPECT_TRUE(r.failed());
                                       });
   bool send_completed = false;
-  auto req = f.ctx->tagSend(0, 6, hw::MemRef::host(src.data()), src.size(), 0x5, [&](ucx::Request& r) {
-    send_completed = true;
-    EXPECT_TRUE(r.failed());
-  });
+  auto req = f.ctx->tagSend(0, 6, hw::MemRef::host(src.data()), src.size(), 0x5,
+                            [&](ucx::Request& r) {
+                              send_completed = true;
+                              EXPECT_TRUE(r.failed());
+                            });
   f.sys->engine.run();
   EXPECT_TRUE(send_completed);
   EXPECT_TRUE(recv_completed);
@@ -485,7 +488,8 @@ std::uint64_t faultyTimelineHash(std::uint64_t seed) {
     dsts.emplace_back(1024);
     const auto tag = static_cast<ucx::Tag>(0x30 + i);
     const int dst_pe = (i % 3 == 0) ? 6 : 1;
-    f.ctx->worker(dst_pe).tagRecv(hw::MemRef::host(dsts.back().data()), 1024, tag, ucx::kFullMask, {});
+    f.ctx->worker(dst_pe).tagRecv(hw::MemRef::host(dsts.back().data()), 1024, tag, ucx::kFullMask,
+                                  {});
     f.ctx->tagSend(0, dst_pe, hw::MemRef::host(srcs.back().data()), 1024, tag, {});
   }
   f.sys->engine.run();
@@ -546,10 +550,11 @@ TEST(FaultExactlyOnce, EveryCompletionFiresOnceUnderLossAndPeDeath) {
     void* dbuf = bufs.back().data();
     const ucx::Tag tag = kTaggedType | static_cast<ucx::Tag>(i);
     Op* o = op.get();
-    op->recv = f.ctx->worker(dst).tagRecv(hw::MemRef::host(dbuf), n, tag, ucx::kFullMask, [o](ucx::Request& r) {
-      ++o->recv_calls;
-      o->recv_seen = r.state;
-    });
+    op->recv = f.ctx->worker(dst).tagRecv(hw::MemRef::host(dbuf), n, tag, ucx::kFullMask,
+                                          [o](ucx::Request& r) {
+                                            ++o->recv_calls;
+                                            o->recv_seen = r.state;
+                                          });
     op->send = f.ctx->tagSend(0, dst, hw::MemRef::host(src), n, tag, [o](ucx::Request& r) {
       ++o->send_calls;
       o->send_seen = r.state;

@@ -291,6 +291,14 @@ TEST(Memory, ZeroSizeRegionsThrow) {
   EXPECT_EQ(sys.memory.bytesAllocated(), 0u);
 }
 
+TEST(Memory, GpuIndexAMemRefCannotCarryThrows) {
+  hw::System sys(summitCfg(1));
+  constexpr int kTooBig = hw::MemoryRegistry::kMaxDevice + 1;
+  EXPECT_THROW((void)sys.memory.allocDevice(-1, 64, /*backed=*/true), std::invalid_argument);
+  EXPECT_THROW((void)sys.memory.allocDevice(kTooBig, 64, /*backed=*/false), std::invalid_argument);
+  EXPECT_EQ(sys.memory.liveAllocations(), 0u);
+}
+
 TEST(MemoryDeathTest, UnbackedRegionsFaultOnDereference) {
   hw::MemoryRegistry mem;
   auto* d = static_cast<volatile char*>(mem.allocDevice(0, 4096, /*backed=*/false));

@@ -448,7 +448,8 @@ TEST(MatcherComplexity, CancelOfOnePostedReceiveDoesNotScanTheRest) {
   std::vector<ucx::RequestPtr> reqs;
   reqs.reserve(kPosted);
   for (int i = 0; i < kPosted; ++i) {
-    reqs.push_back(w.tagRecv(hw::MemRef::host(buf.data()), 64, static_cast<ucx::Tag>(i), ucx::kFullMask, {}));
+    reqs.push_back(w.tagRecv(hw::MemRef::host(buf.data()), 64, static_cast<ucx::Tag>(i),
+                             ucx::kFullMask, {}));
   }
   ASSERT_EQ(w.matchStats().posted, static_cast<std::size_t>(kPosted));
 
@@ -526,7 +527,8 @@ TEST(MatcherAllocations, SteadyStateEagerPathIsAllocationFree) {
   auto round = [&] {
     reqs.clear();
     for (int i = 0; i < kTags; i += 2) {
-      reqs.push_back(w.tagRecv(hw::MemRef::host(dst.data()), kLen, static_cast<ucx::Tag>(i), ucx::kFullMask, {}));
+      reqs.push_back(w.tagRecv(hw::MemRef::host(dst.data()), kLen, static_cast<ucx::Tag>(i),
+                               ucx::kFullMask, {}));
       h.ctx->tagSend(0, 1, hw::MemRef::host(src.data()), kLen, static_cast<ucx::Tag>(i), {});
     }
     for (int i = 1; i < kTags; i += 2) {
@@ -534,7 +536,8 @@ TEST(MatcherAllocations, SteadyStateEagerPathIsAllocationFree) {
     }
     h.sys->engine.run();
     for (int i = 1; i < kTags; i += 2) {
-      reqs.push_back(w.tagRecv(hw::MemRef::host(dst.data()), kLen, static_cast<ucx::Tag>(i), ucx::kFullMask, {}));
+      reqs.push_back(w.tagRecv(hw::MemRef::host(dst.data()), kLen, static_cast<ucx::Tag>(i),
+                               ucx::kFullMask, {}));
     }
     h.sys->engine.run();
   };

@@ -284,7 +284,8 @@ TEST(MultiPath, UnderLossCompletesAndReroutes) {
     auto* src = bufs[bufs.size() - 2].get();
     auto* dst = bufs.back().get();
     const auto tag = static_cast<ucx::Tag>(0x40 + i);
-    ctx.worker(1).tagRecv(sys.memory.classify(dst), size, tag, ucx::kFullMask, [&](ucx::Request&) { ++done; });
+    ctx.worker(1).tagRecv(sys.memory.classify(dst), size, tag, ucx::kFullMask,
+                          [&](ucx::Request&) { ++done; });
     ctx.tagSend(0, 1, sys.memory.classify(src), size, tag, [&](ucx::Request&) { ++done; });
   }
   sys.engine.run();

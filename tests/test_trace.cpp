@@ -118,7 +118,8 @@ TEST(Trace, CapacityBoundsMemory) {
   ucx::Context ctx(sys, m.ucx);
   std::vector<std::byte> a(64), b(64);
   for (int i = 0; i < 20; ++i) {
-    ctx.worker(1).tagRecv(hw::MemRef::host(b.data()), 64, static_cast<ucx::Tag>(i), ucx::kFullMask, {});
+    ctx.worker(1).tagRecv(hw::MemRef::host(b.data()), 64, static_cast<ucx::Tag>(i), ucx::kFullMask,
+                          {});
     ctx.tagSend(0, 1, hw::MemRef::host(a.data()), 64, static_cast<ucx::Tag>(i), {});
   }
   sys.engine.run();

@@ -48,7 +48,8 @@ TEST(UcxMatching, ExactTagMatch) {
                              EXPECT_EQ(r.bytes, 64u);
                              EXPECT_EQ(r.peer_pe, 0);
                            });
-  f.ctx->tagSend(0, 1, hw::MemRef::host(src.data()), 64, 0x42, [&](ucx::Request&) { send_done = true; });
+  f.ctx->tagSend(0, 1, hw::MemRef::host(src.data()), 64, 0x42,
+                 [&](ucx::Request&) { send_done = true; });
   f.sys->engine.run();
   EXPECT_TRUE(recv_done);
   EXPECT_TRUE(send_done);
@@ -298,7 +299,8 @@ TEST(UcxMatching, RendezvousTruncationThrowsBeforeAnyByteMoves) {
   std::vector<std::byte> dst(128 << 10);
   f.ctx->tagSend(0, 1, hw::MemRef::host(src.data()), src.size(), 0x6, {});
   f.sys->engine.run();  // the rendezvous request waits as unexpected
-  EXPECT_THROW(f.ctx->worker(1).tagRecv(hw::MemRef::host(dst.data()), 16 << 10, 0x6, ucx::kFullMask, {}),
+  EXPECT_THROW(f.ctx->worker(1).tagRecv(hw::MemRef::host(dst.data()), 16 << 10, 0x6,
+                                        ucx::kFullMask, {}),
                std::length_error);
   f.sys->engine.run();
   EXPECT_EQ(dst, std::vector<std::byte>(128 << 10));

@@ -68,7 +68,8 @@ TEST_P(UcxKnobMatrix, IntegrityAcrossAllProtocolBoundaries) {
             dst = hdst.data();
           }
           bool done = false;
-          ctx.worker(dst_pe).tagRecv(sys.memory.classify(dst), n, static_cast<ucx::Tag>(tag), ucx::kFullMask,
+          ctx.worker(dst_pe).tagRecv(sys.memory.classify(dst), n, static_cast<ucx::Tag>(tag),
+                                     ucx::kFullMask,
                                      [&](ucx::Request&) { done = true; });
           ctx.tagSend(0, dst_pe, sys.memory.classify(src), n, static_cast<ucx::Tag>(tag), {});
           sys.engine.run();

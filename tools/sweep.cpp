@@ -554,14 +554,16 @@ int runMatch(const Args& a) {
       for (int i = 0; i < window; ++i) {
         ctx.worker(6).tagRecv(hw::MemRef::host(dst.data()), 256, tagOf(it, i), ucx::kFullMask, {});
       }
-      for (int i = 0; i < window; ++i) ctx.tagSend(0, 6, hw::MemRef::host(src.data()), 256, tagOf(it, i), {});
+      for (int i = 0; i < window; ++i) ctx.tagSend(0, 6, hw::MemRef::host(src.data()), 256,
+                                                   tagOf(it, i), {});
       sys.engine.run();
       for (int i = 0; i < window; ++i) {
         ctx.tagSend(0, 6, hw::MemRef::host(src.data()), 256, tagOf(it, window + i), {});
       }
       sys.engine.run();
       for (int i = 0; i < window; ++i) {
-        ctx.worker(6).tagRecv(hw::MemRef::host(dst.data()), 256, tagOf(it, window + i), ucx::kFullMask, {});
+        ctx.worker(6).tagRecv(hw::MemRef::host(dst.data()), 256, tagOf(it, window + i),
+                              ucx::kFullMask, {});
       }
       sys.engine.run();
     }
