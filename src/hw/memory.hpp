@@ -108,8 +108,8 @@ class MemoryRegistry {
   /// allocation or free.
   [[nodiscard]] const Region* find(const void* p) const;
 
-  /// Lookups made so far: every classify() and find() costs one. Published as the
-  /// `hw.memory.lookups` gauge.
+  /// Lookups made so far: every classify() and find() costs one. Published
+  /// as the `hw.memory.lookups` gauge.
   [[nodiscard]] std::uint64_t lookups() const noexcept { return lookups_; }
 
   /// Bumped by every allocation and free. A classification cached across

@@ -28,13 +28,13 @@ ActiveMessages::ActiveMessages(Context& ctx) : ctx_(ctx) {
               (static_cast<std::uint64_t>(pe) << 8) | idOf(tag);
           auto it = regs_.find(key);
           if (it == regs_.end()) return {hw::MemRef{}, CompletionFn{}};  // unregistered id: decline
-          // The allocator's buffer enters the stack here: classify it once.
           void* buf = it->second.alloc(len, src_pe);
           Handler& handler = it->second.handler;
           CompletionFn done = [this, &handler, buf, len, src_pe](Request&) {
             ++delivered_;
             handler(buf, len, src_pe);
           };
+          // The allocator's buffer enters the stack here: classify it once.
           return {ctx_.system().memory.classify(buf), std::move(done)};
         });
   }
