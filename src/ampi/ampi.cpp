@@ -179,8 +179,8 @@ void World::orphanEnvelope(int pe, Envelope& env, sim::TimePoint now) {
   // waiting for this receive to be posted, and its completion callback fires
   // only when the transfer retires. Drain it into a throwaway sink (the
   // "orphaned chunk" of the recovery metrics) so a live sender in a revoked
-  // world never hangs. A dead sender's transfer simply blackholes;
-  // the sink is then never written.
+  // world never hangs. A dead sender was already ended by UCX; the sink then
+  // takes its parked RTS and ends PeerFailed, never written.
   auto sink = std::make_shared<std::vector<std::byte>>(static_cast<std::size_t>(env.bytes));
   core::DeviceRdmaOp op{hw::MemRef::host(sink->data()), env.bytes, env.dtag};
   rt_.dev().lrtsRecvDevice(pe, op, core::DeviceRecvType::Ampi, [sink] {});

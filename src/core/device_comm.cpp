@@ -1,7 +1,5 @@
 #include "core/device_comm.hpp"
 
-#include <algorithm>
-
 namespace cux::core {
 
 namespace {
@@ -45,39 +43,9 @@ DeviceComm::DeviceComm(cmi::Converse& cmi)
     r.setGauge("lrts.recvs.charm4py", recvsByType(DeviceRecvType::Charm4py));
     r.setGauge("lrts.recvs.raw", recvsByType(DeviceRecvType::Raw));
   });
-  failure_sub_ = cmi_.ucx().onPeerFailure([this](int pe, sim::TimePoint) { onPeerFailed(pe); });
 }
 
-DeviceComm::~DeviceComm() {
-  cmi_.ucx().removePeerFailureSub(failure_sub_);
-  cmi_.system().obs.removeStatsProvider(stats_provider_);
-}
-
-void DeviceComm::onPeerFailed(int dead_pe) {
-  // Unmatched posted receives whose tag names the dead PE as source can
-  // never match again — the payload (if any was in flight) blackholed at the
-  // wire, and a dead sender runs no fallback. Cancel them; the Cancelled
-  // completion routes to failDeadRecv below. Matched receives refuse the
-  // cancel and complete PeerFailed through the rendezvous failure path
-  // instead. Receives posted BY the dead PE are swept too (regardless of tag
-  // type): no live sender will ever target a declared-dead destination again
-  // (issueSend drains such sends locally), so the dead rank's coroutine must
-  // be unblocked here to run to its own abort exit — a parked frame would
-  // outlive the run as a leak.
-  const TagScheme& tags = cmi_.tags();
-  std::vector<std::uint64_t> victims;
-  for (const auto& [tag, rec] : outstanding_recvs_) {
-    const MsgType mt = tags.typeOf(tag);
-    const bool src_known = mt == MsgType::Device || mt == MsgType::ZcopyHost;
-    const bool dead_src = src_known && static_cast<int>(tags.peOf(tag)) == dead_pe;
-    if (dead_src || rec.pe == dead_pe) victims.push_back(tag);
-  }
-  std::sort(victims.begin(), victims.end());  // deterministic cancel order
-  for (const std::uint64_t tag : victims) {
-    const auto it = outstanding_recvs_.find(tag);
-    if (it != outstanding_recvs_.end()) cmi_.ucx().worker(it->second.pe).cancelRecv(it->second.req);
-  }
-}
+DeviceComm::~DeviceComm() { cmi_.system().obs.removeStatsProvider(stats_provider_); }
 
 void DeviceComm::failDeadRecv(int pe_id, const DeviceRdmaOp& op, DoneFn cb) {
   ++peer_failed_recvs_;
@@ -303,33 +271,13 @@ void DeviceComm::postDeviceRecv(int pe_id, const DeviceRdmaOp& op,
   // UCX worker, so posting from the worker PE would race (in ordering terms)
   // with the sends the comm thread serialises.
   cmi_.inject(pe_id, [this, pe_id, op, cb = std::move(on_complete)]() mutable {
-    hw::System& sys = cmi_.system();
-    // Device/ZcopyHost tags name their source PE; DeviceUser tags repurpose
-    // that field for the user value, so only the former can be screened
-    // against the failure detector (and swept on a later announcement).
-    const MsgType mt = cmi_.tags().typeOf(op.tag);
-    const bool src_known = mt == MsgType::Device || mt == MsgType::ZcopyHost;
-    const bool dead_src =
-        src_known &&
-        cmi_.ucx().peerKnownDead(sys.engine.now(), static_cast<int>(cmi_.tags().peOf(op.tag)));
-    const bool dead_self = cmi_.ucx().peerKnownDead(sys.engine.now(), pe_id);
-    if (dead_src || dead_self) {
-      // Posting against an already-declared-dead source — or from a PE that
-      // is itself declared dead (live senders drain sends to it locally, so
-      // no payload will ever arrive) — would park the receive forever. Drain
-      // now so the coroutine behind it can reach its abort exit.
-      failDeadRecv(pe_id, op, std::move(cb));
-      return;
-    }
     auto done = [this, posted = PostedOp(pe_id, op), cb = std::move(cb)](ucx::Request& r) mutable {
       const int pe_id = posted.pe;
       const DeviceRdmaOp op = posted.op();
-      outstanding_recvs_.erase(op.tag);
-      if (r.cancelled() || r.peerFailed()) {
-        // The source PE is dead. Cancelled: the detector's sweep pulled
-        // this still-unmatched receive (onPeerFailed — the only cancel
-        // source on this path). PeerFailed: a matched rendezvous whose
-        // remaining legs can never finish. Either way no fallback is
+      if (r.peerFailed()) {
+        // UCX ended the receive because its source or its own PE is known
+        // dead (unmatched at the announcement, posted after it, or a matched
+        // rendezvous whose remaining legs can never finish). No fallback is
         // coming from a dead sender, so re-posting would hang; drain
         // instead.
         failDeadRecv(pe_id, op, std::move(cb));
@@ -360,17 +308,15 @@ void DeviceComm::postDeviceRecv(int pe_id, const DeviceRdmaOp& op,
       runCallback(pe_id, std::move(cb));
     };
     static_assert(ucx::CompletionFn::fitsInline<decltype(done)>());
-    ucx::RequestPtr req =
-        cmi_.ucx().worker(pe_id).tagRecv(op.dst, op.size, op.tag, ucx::kFullMask, std::move(done));
-    // Track the posted receive so a later failure announcement can sweep it
-    // (see onPeerFailed): by decoded source PE for Device/ZcopyHost tags, by
-    // owning PE for every tag type. Only bother when PE failures are
-    // actually scheduled — the map stays empty otherwise and the hot path is
-    // untouched.
-    if (sys.fault.enabled() && sys.fault.anyPeFailures() && req &&
-        req->state == ucx::ReqState::Pending) {
-      outstanding_recvs_[op.tag] = OutstandingRecv{std::move(req), pe_id};
-    }
+    // Device/ZcopyHost tags name their source PE, which UCX ends the receive
+    // for if it dies; DeviceUser tags repurpose that field for the user
+    // value, so their source is unknown here.
+    const MsgType mt = cmi_.tags().typeOf(op.tag);
+    const int src_pe = mt == MsgType::Device || mt == MsgType::ZcopyHost
+                           ? static_cast<int>(cmi_.tags().peOf(op.tag))
+                           : -1;
+    cmi_.ucx().worker(pe_id).tagRecv(op.dst, op.size, op.tag, ucx::kFullMask, std::move(done),
+                                     src_pe);
   });
 }
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "converse/converse.hpp"
@@ -123,13 +122,13 @@ class DeviceComm {
   /// same tag could never match the already-consumed receive.
   [[nodiscard]] std::uint64_t acksLost() const noexcept { return acks_lost_; }
   /// Sends completed (buffer-reusable) because the failure detector declared
-  /// the destination PE dead — no data was delivered and no fallback was
-  /// attempted (it would blackhole too).
+  /// an endpoint dead — no data was delivered and no fallback was attempted
+  /// (it would blackhole too).
   [[nodiscard]] std::uint64_t peerFailedSends() const noexcept { return peer_failed_sends_; }
-  /// Receives drained because their source PE was declared dead: unmatched
-  /// posted receives swept by the detector announcement, plus matched
-  /// rendezvous receives whose remaining legs could never finish. The model
-  /// callback runs (so the operation terminates) but the data never arrived.
+  /// Receives drained because UCX ended them PeerFailed: their source or
+  /// their own PE was declared dead before they matched, or they matched a
+  /// rendezvous whose remaining legs could never finish. The model callback
+  /// runs (so the operation terminates) but the data never arrived.
   [[nodiscard]] std::uint64_t peerFailedRecvs() const noexcept { return peer_failed_recvs_; }
 
   /// Matching-engine occupancy of the UCX workers this machine layer posts
@@ -147,14 +146,12 @@ class DeviceComm {
                  DoneFn on_complete);
   void startFallback(int src_pe, int dst_pe, hw::MemRef src, std::uint64_t size,
                      std::uint64_t tag, DoneFn on_complete, const char* why);
-  /// Posts the machine-layer receive; on terminal rendezvous failure the
-  /// receive is re-posted (same tag) instead of completing, so the sender's
-  /// host-staged fallback still finds a match — unless the source PE is
-  /// dead, in which case the receive drains through failDeadRecv.
+  /// Posts the machine-layer receive, naming the source PE the tag carries;
+  /// on terminal rendezvous failure the receive is re-posted (same tag)
+  /// instead of completing, so the sender's host-staged fallback still finds
+  /// a match — unless UCX ended it PeerFailed, in which case it drains
+  /// through failDeadRecv.
   void postDeviceRecv(int pe, const DeviceRdmaOp& op, DoneFn on_complete);
-  /// Failure-detector announcement hook: cancels still-unmatched posted
-  /// receives whose tag names the dead PE as source.
-  void onPeerFailed(int dead_pe);
   /// Terminates a receive whose source PE is dead: ends the span (Errored),
   /// traces, and runs the model callback so the operation drains.
   void failDeadRecv(int pe, const DeviceRdmaOp& op, DoneFn cb);
@@ -195,7 +192,6 @@ class DeviceComm {
   cmi::Converse& cmi_;
   std::vector<std::uint64_t> counters_;  // per-PE tag counters
   int stats_provider_ = 0;               ///< obs registry handle (dtor deregisters)
-  int failure_sub_ = 0;                  ///< detector subscription (dtor deregisters)
   obs::Registry::Id send_bytes_hist_ = 0;
   std::uint64_t device_sends_ = 0;
   std::uint64_t multipath_eligible_ = 0;
@@ -204,13 +200,6 @@ class DeviceComm {
   std::uint64_t acks_lost_ = 0;
   std::uint64_t peer_failed_sends_ = 0;
   std::uint64_t peer_failed_recvs_ = 0;
-  /// Posted (still-cancellable) device receives by tag, kept only while PE
-  /// failures are scheduled; onPeerFailed sweeps it by decoded source PE.
-  struct OutstandingRecv {
-    ucx::RequestPtr req;
-    int pe = -1;
-  };
-  std::unordered_map<std::uint64_t, OutstandingRecv> outstanding_recvs_;
   std::uint64_t sends_by_type_[4] = {0, 0, 0, 0};
   std::uint64_t recvs_by_type_[4] = {0, 0, 0, 0};
 };

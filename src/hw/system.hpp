@@ -74,7 +74,6 @@ struct System {
   }
 
   /// Snapshot/dump of every registered layer's stats (see obs::Observability).
-  void dumpStats(std::ostream& os) { obs.dump(os); }
   void dumpStatsJson(std::ostream& os) { obs.dumpJson(os); }
 };
 

@@ -73,19 +73,6 @@ SpanIntervals intervals(const SpanInfo& info, const SpanEvent* events, std::size
   return iv;
 }
 
-void Registry::dumpText(std::ostream& os) const {
-  for (const Scalar& c : counters_) os << "counter " << c.name << ' ' << c.value << '\n';
-  for (const Scalar& g : gauges_) os << "gauge " << g.name << ' ' << g.value << '\n';
-  for (const Hist& h : hists_) {
-    os << "histogram " << h.name << " count " << h.count << " sum " << h.sum << '\n';
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-      if (h.buckets[b] != 0) {
-        os << "histogram " << h.name << " bucket " << b << ' ' << h.buckets[b] << '\n';
-      }
-    }
-  }
-}
-
 void Registry::dumpJson(std::ostream& os) const {
   os << "{\"counters\":{";
   for (std::size_t i = 0; i < counters_.size(); ++i) {

@@ -46,12 +46,6 @@ class Observability {
     for (auto& [handle, fn] : providers_) fn(registry);
   }
 
-  /// refresh() + plain-text registry dump.
-  void dump(std::ostream& os) {
-    refresh();
-    registry.dumpText(os);
-  }
-
   /// refresh() + JSON registry dump.
   void dumpJson(std::ostream& os) {
     refresh();

@@ -82,9 +82,6 @@ class Registry {
   [[nodiscard]] const std::vector<Scalar>& gauges() const noexcept { return gauges_; }
   [[nodiscard]] const std::vector<Hist>& histograms() const noexcept { return hists_; }
 
-  /// Plain-text table (one `kind name value` line per metric; histograms get
-  /// one line per non-empty bucket).
-  void dumpText(std::ostream& os) const;
   /// Machine-readable snapshot: {"counters":{...},"gauges":{...},
   /// "histograms":{name:{"count":..,"sum":..,"buckets":{bit_width:count}}}}.
   void dumpJson(std::ostream& os) const;

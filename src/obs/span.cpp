@@ -50,7 +50,7 @@ void SpanCollector::record(std::uint64_t span, sim::TimePoint t, Phase p, int pe
   const auto it = open_index_.find(span);
   if (it == open_index_.end()) {
     // Span already retired (or never existed): the record has nowhere to
-    // attach. Counted, not stored, and surfaced in dumpStats.
+    // attach. Counted, not stored, and surfaced in dumpStatsJson.
     ++dropped_events_;
     return;
   }

@@ -301,12 +301,6 @@ class BucketFifo {
 template <typename Posted, typename Arrived>
 class TagMatcher {
  public:
-  /// The earliest-arrived unexpected match of `want`, not removed; or null.
-  [[nodiscard]] const Arrived* probe(const Posted& want) const {
-    const std::uint32_t hit = findUnexpected(want);
-    return hit == kNil ? nullptr : &unexpected_.at(hit);
-  }
-
   /// Removes and returns the earliest-arrived unexpected match of `want`.
   [[nodiscard]] std::optional<Arrived> takeUnexpected(const Posted& want) {
     const std::uint32_t hit = findUnexpected(want);
@@ -361,6 +355,16 @@ class TagMatcher {
     wild_.takeIf(recv_pred, out.first);
     unexpected_.takeIf(msg_pred, out.second);
     return out;
+  }
+
+  /// Calls `fn(const Arrived&)` on every unexpected message in arrival
+  /// order, removing none. `fn` must not modify this matcher.
+  template <typename Fn>
+  void forEachUnexpected(Fn&& fn) const {
+    (void)unexpected_.findOrdered([&fn](const Arrived& m) {
+      fn(m);
+      return false;
+    });
   }
 
   [[nodiscard]] MatchStats stats() const {

@@ -91,9 +91,13 @@ class Context {
 
   /// Subscribes to failure-detector announcements: `fn(pe, when)` runs once
   /// per scheduled sim::PeFailure, at failure time + failure_detect_us, from
-  /// an engine event. Subscribe before engine.run(); announcements fired
-  /// before subscription are not replayed. With no scheduled failures the
-  /// detector schedules nothing, keeping trace hashes bit-identical.
+  /// an engine event, after sweepDeadPe has ended every UCX request touching
+  /// `pe`. Subscribers are the programming models that give a failure their
+  /// own meaning (a revoked AMPI world, dead Charm4py channels, an aborted
+  /// collective); they translate terminal states and never end UCX requests.
+  /// Subscribe before engine.run(); announcements fired before subscription
+  /// are not replayed. With no scheduled failures the detector schedules
+  /// nothing, keeping trace hashes bit-identical.
   /// Returns a handle for removePeerFailureSub — subscribers that can die
   /// before the Context (sections, channel groups) MUST deregister in their
   /// destructor or a later announcement runs into freed memory.
@@ -129,7 +133,8 @@ class Context {
   [[nodiscard]] std::uint64_t peFailuresDetected() const noexcept {
     return pe_failures_detected_;
   }
-  /// Requests completed with ReqState::PeerFailed.
+  /// Requests completed with ReqState::PeerFailed, senders and receivers
+  /// alike; each counts once.
   [[nodiscard]] std::uint64_t peerFailedRequests() const noexcept { return peer_failed_reqs_; }
 
   // --- allocation-light message path --------------------------------------
@@ -185,13 +190,15 @@ class Context {
   void sendRndv(int src_pe, int dst_pe, hw::MemRef buf, std::uint64_t len, Tag tag,
                 RequestPtr req);
 
-  /// Result of the rendezvous data movement. `ok == false` means a leg
-  /// (CTS or data) exhausted its retransmission budget: the sender has been
-  /// scheduled to complete with ReqState::Error and the receiver must fail
-  /// its request too instead of waiting forever.
+  /// Result of the rendezvous data movement. `end` is Done when the data
+  /// moved; otherwise it is the terminal state of the leg (CTS or data) that
+  /// failed, as faultedLeg decided it. The sender has then been scheduled to
+  /// end with it, and the receiver must end with it too instead of waiting
+  /// forever.
   struct RndvResult {
     sim::TimePoint data_arrival = 0;
-    bool ok = true;
+    ReqState end = ReqState::Done;
+    [[nodiscard]] bool ok() const noexcept { return end == ReqState::Done; }
   };
 
   /// Executes the rendezvous data movement once the receiver has matched.
@@ -258,31 +265,51 @@ class Context {
   /// completion callback — an operation never hangs.
   void reliableTransmit(const std::shared_ptr<WireState>& ws, int attempt);
 
-  /// Failure-detector step for `dead_pe`, run at announcement time `t`
-  /// before the subscribers: completes PeerFailed every sender whose
-  /// rendezvous RTS is parked in the dead worker's unexpected store.
-  void failParkedRts(int dead_pe, sim::TimePoint t);
+  /// The failure detector's one sweep, run when `dead_pe` is announced at
+  /// `t` and before the subscribers. It ends with PeerFailed every pending
+  /// request the dead PE owns and every unmatched request addressed to it:
+  ///  * the receives posted at the dead worker, and the senders whose RTS is
+  ///    parked there (the RTSs are dropped: no receive will ever be posted);
+  ///  * the dead PE's own rendezvous senders whose RTS is parked at a live
+  ///    worker. The RTS stays parked: a receive posted later still matches
+  ///    it and fails through faultedLeg;
+  ///  * the receives posted at live workers that name the dead PE as their
+  ///    source (Worker::tagRecv's `src_pe`).
+  /// Requests posted after `t` end at Worker::tagRecv by the same rule, and
+  /// requests in flight end at their next retry deadline or leg.
+  void sweepDeadPe(int dead_pe, sim::TimePoint t);
+
+  /// Ends `req`, posted at `owner_pe` for message `tag` of `len` bytes to or
+  /// from `peer_pe` (-1: any), with PeerFailed at `t` unless it has ended
+  /// already: counts it once, traces it and marks its span.
+  void endPeerFailed(Request& req, sim::TimePoint t, int owner_pe, int peer_pe, std::uint64_t len,
+                     Tag tag);
 
   /// Outcome of faultedLeg: the attempt that went out (or the last one
-  /// tried), its injected jitter, and whether it got through.
+  /// tried), its injected jitter, and how the leg ends: Done when it got
+  /// through, PeerFailed once either PE is known dead, Error after
+  /// max_retries losses.
   struct Leg {
     sim::TimePoint start = 0;
     sim::Duration delay = 0;
-    bool ok = true;
+    ReqState end = ReqState::Done;
+    [[nodiscard]] bool ok() const noexcept { return end == ReqState::Done; }
   };
 
   /// Synchronous retry loop for a leg whose delivery time is computed inline
   /// (rendezvous CTS/ATS and data): each attempt from `t` on is faulted at
-  /// its send time and a lost one is retried after the backoff. `ok ==
-  /// false` after max_retries losses or once either PE is known dead. With
-  /// the injector off it returns {t, 0, true} at once.
+  /// its send time and a lost one is retried after the backoff. The terminal
+  /// state is decided here, where the failure is found, and carried to both
+  /// ends of the transfer. With the injector off it returns {t, 0, Done} at
+  /// once.
   Leg faultedLeg(int src_pe, int dst_pe, sim::TimePoint t, sim::MsgClass cls, std::uint64_t len,
                  Tag tag, const char* what);
 
   /// A control message (CTS/ATS) sent at `t` through faultedLeg: returns
-  /// {arrival time, ok}, the arrival including the control flight.
-  std::pair<sim::TimePoint, bool> ctrlLeg(int src_pe, int dst_pe, sim::TimePoint t, Tag tag,
-                                          const char* what);
+  /// {arrival time, how the leg ends}, the arrival including the control
+  /// flight.
+  std::pair<sim::TimePoint, ReqState> ctrlLeg(int src_pe, int dst_pe, sim::TimePoint t, Tag tag,
+                                              const char* what);
 
   hw::System& sys_;
   UcxConfig cfg_;

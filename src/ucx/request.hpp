@@ -44,7 +44,9 @@ struct Request {
   ReqState state = ReqState::Pending;
   Tag matched_tag = 0;        ///< actual tag of the matched message (recv side)
   std::uint64_t bytes = 0;    ///< payload size transferred
-  int peer_pe = -1;           ///< source PE (recv side) / destination PE (send side)
+  /// Send side: the destination PE. Receive side: the source the poster
+  /// named (-1: any) until the match, then the actual source.
+  int peer_pe = -1;
   /// Send side: the receiver observed the data, even if `state` is Error.
   /// Distinguishes "data never delivered" (retries exhausted in flight —
   /// resending can recover) from "delivered but the ack was lost" (a

@@ -69,7 +69,7 @@ Context::Context(hw::System& sys, const UcxConfig& cfg) : sys_(sys), cfg_(cfg) {
       sys_.engine.schedule(when, [this, pe = f.pe, when] {
         ++pe_failures_detected_;
         sys_.trace.record(when, sim::TraceCat::PeFail, pe, pe, 0, 0, "detected");
-        failParkedRts(pe, when);
+        sweepDeadPe(pe, when);
         // Copy: a subscriber's callback may register or remove subscribers
         // (a section, group or world built or destroyed mid-announcement).
         auto subs = peer_failure_subs_;
@@ -81,20 +81,49 @@ Context::Context(hw::System& sys, const UcxConfig& cfg) : sys_(sys), cfg_(cfg) {
 
 Context::~Context() { sys_.obs.removeStatsProvider(stats_provider_); }
 
-void Context::failParkedRts(int dead_pe, sim::TimePoint t) {
-  // A rendezvous RTS delivered before its destination died waits in the
-  // dead worker's unexpected store for a receive that is never posted, and
-  // its retry deadline stopped at the delivery: only the announcement can
-  // still end the sender. (Eager senders already completed at delivery.)
-  auto parked = worker(dead_pe).matcher_.harvest(
-      [](const Worker::PostedRecv&) { return false; },
-      [](const Worker::Incoming& m) { return m.is_rndv && m.send_req; });
-  for (const Worker::Incoming& m : parked.second) {
-    ++peer_failed_reqs_;
-    sys_.trace.record(t, sim::TraceCat::PeFail, m.src_pe, dead_pe, m.len, m.tag, "peer-failed");
-    sys_.obs.spans.phase(sys_.obs.spans.spanForTag(m.tag), t, obs::Phase::PeFailed, m.src_pe);
-    complete(*m.send_req, ReqState::PeerFailed);
+void Context::sweepDeadPe(int dead_pe, sim::TimePoint t) {
+  // Everything that ends is collected first and ended after: a completion
+  // may post or send again, and must find every store consistent. A parked
+  // RTS's retry deadline stopped at its delivery, so only this sweep can
+  // still end its sender. (Eager senders already completed at delivery.)
+  struct Ended {
+    RequestPtr req;
+    int owner_pe, peer_pe;
+    std::uint64_t len;
+    Tag tag;
+  };
+  std::vector<Ended> ended;
+  for (const auto& w : workers_) {
+    const int pe = w->pe();
+    const bool dead = pe == dead_pe;
+    auto [recvs, rts] = w->matcher_.harvest(
+        [&](const Worker::PostedRecv& r) { return dead || r.req->peer_pe == dead_pe; },
+        [&](const Worker::Incoming& m) { return dead && m.is_rndv && m.send_req; });
+    for (Worker::PostedRecv& r : recvs) {
+      r.req->match_handle = {};
+      const int src_pe = r.req->peer_pe;
+      ended.push_back({std::move(r.req), pe, src_pe, r.len, r.tag});
+    }
+    for (Worker::Incoming& m : rts) {
+      ended.push_back({std::move(m.send_req), m.src_pe, pe, m.len, m.tag});
+    }
+    if (dead) continue;
+    w->matcher_.forEachUnexpected([&](const Worker::Incoming& m) {
+      if (m.src_pe == dead_pe && m.is_rndv && m.send_req) {
+        ended.push_back({m.send_req, m.src_pe, pe, m.len, m.tag});
+      }
+    });
   }
+  for (Ended& e : ended) endPeerFailed(*e.req, t, e.owner_pe, e.peer_pe, e.len, e.tag);
+}
+
+void Context::endPeerFailed(Request& req, sim::TimePoint t, int owner_pe, int peer_pe,
+                            std::uint64_t len, Tag tag) {
+  if (req.state != ReqState::Pending) return;
+  ++peer_failed_reqs_;
+  sys_.trace.record(t, sim::TraceCat::PeFail, owner_pe, peer_pe, len, tag, "peer-failed");
+  sys_.obs.spans.phase(sys_.obs.spans.spanForTag(tag), t, obs::Phase::PeFailed, owner_pe);
+  complete(req, ReqState::PeerFailed);
 }
 
 // ---------------------------------------------------------------------------
@@ -196,12 +225,7 @@ void Context::reliableTransmit(const std::shared_ptr<WireState>& ws, int attempt
     // knobs (500 us detect vs ~3.1 ms cumulative backoff).
     const sim::TimePoint t = sys_.engine.now();
     if (peerKnownDead(t, ws->dst_pe) || peerKnownDead(t, ws->src_pe)) {
-      ++peer_failed_reqs_;
-      sys_.trace.record(t, sim::TraceCat::PeFail, ws->src_pe, ws->dst_pe, ws->proto.len,
-                        ws->proto.tag, "peer-failed");
-      sys_.obs.spans.phase(sys_.obs.spans.spanForTag(ws->proto.tag), t, obs::Phase::PeFailed,
-                           ws->src_pe);
-      if (ws->req) complete(*ws->req, ReqState::PeerFailed);
+      if (ws->req) endPeerFailed(*ws->req, t, ws->src_pe, ws->dst_pe, ws->proto.len, ws->proto.tag);
       return;
     }
     if (attempt >= cfg_.max_retries) {
@@ -228,12 +252,12 @@ Context::Leg Context::faultedLeg(int src_pe, int dst_pe, sim::TimePoint t, sim::
     // decision point instead of burning the whole retry budget.
     if (peerKnownDead(t, src_pe) || peerKnownDead(t, dst_pe)) {
       sys_.trace.record(t, sim::TraceCat::PeFail, src_pe, dst_pe, len, tag, what);
-      return {t, 0, false};
+      return {t, 0, ReqState::PeerFailed};
     }
     const auto dec = sys_.fault.decide(t, cls, src_pe, dst_pe);
-    if (!dec.drop) return {t, dec.delay, true};
+    if (!dec.drop) return {t, dec.delay, ReqState::Done};
     sys_.trace.record(t, sim::TraceCat::Drop, src_pe, dst_pe, len, tag, what);
-    if (attempt >= cfg_.max_retries) return {t, 0, false};
+    if (attempt >= cfg_.max_retries) return {t, 0, ReqState::Error};
     ++retransmits_;
     sys_.trace.record(t, sim::TraceCat::Retry, src_pe, dst_pe, len, tag, what);
     sys_.obs.spans.phase(sys_.obs.spans.spanForTag(tag), t, obs::Phase::Retry, src_pe,
@@ -242,10 +266,10 @@ Context::Leg Context::faultedLeg(int src_pe, int dst_pe, sim::TimePoint t, sim::
   }
 }
 
-std::pair<sim::TimePoint, bool> Context::ctrlLeg(int src_pe, int dst_pe, sim::TimePoint t,
-                                                 Tag tag, const char* what) {
+std::pair<sim::TimePoint, ReqState> Context::ctrlLeg(int src_pe, int dst_pe, sim::TimePoint t,
+                                                     Tag tag, const char* what) {
   const Leg leg = faultedLeg(src_pe, dst_pe, t, sim::MsgClass::RndvCtrl, 0, tag, what);
-  return {wireArrival(src_pe, dst_pe, leg.start, sim::MsgClass::RndvCtrl, 0) + leg.delay, leg.ok};
+  return {wireArrival(src_pe, dst_pe, leg.start, sim::MsgClass::RndvCtrl, 0) + leg.delay, leg.end};
 }
 
 sim::TimePoint Context::stageDeviceEager(sim::TimePoint t, int pe, std::uint64_t len,
@@ -426,20 +450,20 @@ Context::RndvResult Context::rndvTransfer(const Worker::Incoming& msg, int dst_p
 
   const bool same_node = machine.sameNode(src_pe, dst_pe);
 
-  // One pass of the data movement starting at `start`. `ok == false` when
-  // the CTS leg failed (inter-node device pipeline only — the other shapes
+  // One pass of the data movement starting at `start`. It fails only when
+  // the CTS leg fails (inter-node device pipeline only — the other shapes
   // are receiver pulls with no sender-bound control message).
   auto computeOnce = [&](sim::TimePoint start) -> RndvResult {
     if (src_device && dst_device && same_node) {
       // CUDA-IPC-style direct pull across NVLink (possibly via X-Bus).
-      return {machine.transfer(machine.deviceToDevicePath(src_pe, dst_pe), start, len), true};
+      return {machine.transfer(machine.deviceToDevicePath(src_pe, dst_pe), start, len)};
     }
     if (src_device && dst_device) {
       // Inter-node: pipelined host staging in chunks (the UCX cuda pipeline).
       // CTS travels back to the sender, which then pushes chunks through
       // D2H -> NIC -> NIC -> H2D; per-link FIFO occupancy pipelines chunks.
-      const auto [cts_t, ok] = ctrlLeg(dst_pe, src_pe, start, msg.tag, "cts");
-      if (!ok) return {cts_t, false};
+      const auto [cts_t, cts_end] = ctrlLeg(dst_pe, src_pe, start, msg.tag, "cts");
+      if (cts_end != ReqState::Done) return {cts_t, cts_end};
       const sim::TimePoint cts_arrival = cts_t + sim::usec(cfg_.rndv_handshake_us);
       const std::uint64_t chunk = cfg_.rndv_pipeline_chunk;
       hw::Link& up = machine.gpuUp(machine.gpuOfPe(src_pe));
@@ -459,7 +483,7 @@ Context::RndvResult Context::rndvTransfer(const Worker::Incoming& msg, int dst_p
         last = down.reserve(d, c);
         remaining -= c;
       }
-      return {last, true};
+      return {last};
     }
     if (!src_device && !dst_device && !same_node) {
       // Inter-node host rendezvous from unregistered (pageable) memory: UCX
@@ -479,7 +503,7 @@ Context::RndvResult Context::rndvTransfer(const Worker::Incoming& msg, int dst_p
         last = nic_down.reserve(b, c);
         remaining -= c;
       }
-      return {last, true};
+      return {last};
     }
     // Mixed or intra-node host: compose egress/host/ingress segments.
     hw::Path path;
@@ -487,7 +511,7 @@ Context::RndvResult Context::rndvTransfer(const Worker::Incoming& msg, int dst_p
     path.append(machine.hostToHostPath(src_pe, dst_pe));
     if (dst_device) path.append(machine.deviceIngressPath(dst_pe));
     const sim::TimePoint arrival = machine.transfer(path, start, len);
-    return {path.empty() ? start : arrival, true};  // empty path: self-send
+    return {path.empty() ? start : arrival};  // empty path: self-send
   };
 
   RndvResult data;
@@ -502,33 +526,34 @@ Context::RndvResult Context::rndvTransfer(const Worker::Incoming& msg, int dst_p
     // retransmission occupies real wire time). A failed leg has no jitter.
     const Leg leg = faultedLeg(src_pe, dst_pe, t_match, sim::MsgClass::RndvData, len, msg.tag,
                                "rndv-data");
-    data = leg.ok ? computeOnce(leg.start) : RndvResult{leg.start, false};
+    data = leg.ok() ? computeOnce(leg.start) : RndvResult{leg.start, leg.end};
     data.data_arrival += leg.delay;
   }
   const sim::TimePoint data_arrival = data.data_arrival;
 
   RequestPtr send_req = msg.send_req;
 
-  if (!data.ok) {
-    // The CTS or data leg exhausted its budget (or a peer is known dead):
-    // the transfer fails permanently. Sender completes here — PeerFailed
-    // when the detector blames a dead endpoint, Error otherwise; the caller
-    // fails the receive side (RndvResult::ok == false).
-    const bool peer_dead =
-        peerKnownDead(data_arrival, src_pe) || peerKnownDead(data_arrival, dst_pe);
-    if (peer_dead) {
-      ++peer_failed_reqs_;
-      sys_.obs.spans.phase(sys_.obs.spans.spanForTag(msg.tag), data_arrival,
-                           obs::Phase::PeFailed, src_pe);
-    } else {
-      ++send_errors_;
+  if (!data.ok()) {
+    // The CTS or data leg exhausted its budget (Error) or found a peer known
+    // dead (PeerFailed): the transfer fails permanently with the state the
+    // leg decided. The sender ends with it here, unless the detector's sweep
+    // ended it already (a dead sender whose RTS was parked); the caller ends
+    // the receive side with it.
+    if (send_req && send_req->state == ReqState::Pending) {
+      if (data.end == ReqState::PeerFailed) {
+        ++peer_failed_reqs_;
+        sys_.obs.spans.phase(sys_.obs.spans.spanForTag(msg.tag), data_arrival,
+                             obs::Phase::PeFailed, src_pe);
+      } else {
+        ++send_errors_;
+      }
     }
     sys_.trace.record(data_arrival, sim::TraceCat::Drop, src_pe, dst_pe, len, msg.tag,
                       "rndv-failed");
-    engine.schedule(data_arrival, [send_req = std::move(send_req), peer_dead] {
-      if (send_req) complete(*send_req, peer_dead ? ReqState::PeerFailed : ReqState::Error);
+    engine.schedule(data_arrival, [send_req = std::move(send_req), end = data.end] {
+      if (send_req) complete(*send_req, end);
     });
-    return {data_arrival, false};
+    return {data_arrival, data.end};
   }
 
   // Rendezvous data leg succeeded: record the (scheduled) arrival; the ATS
@@ -540,26 +565,25 @@ Context::RndvResult Context::rndvTransfer(const Worker::Incoming& msg, int dst_p
   // Under faults the ATS is receiver-driven and retried; if every attempt is
   // lost, the data did arrive (receiver completes Done) but the sender can
   // never learn it — it completes with Error.
-  const auto [ats_t, ats_ok] = ctrlLeg(dst_pe, src_pe, data_arrival, msg.tag, "ats");
+  const auto [ats_t, ats_end] = ctrlLeg(dst_pe, src_pe, data_arrival, msg.tag, "ats");
   const sim::TimePoint ats_arrival = ats_t + sim::usec(cfg_.rndv_handshake_us);
-  const bool ats_peer_dead =
-      !ats_ok && (peerKnownDead(ats_arrival, src_pe) || peerKnownDead(ats_arrival, dst_pe));
-  if (!ats_ok) ++(ats_peer_dead ? peer_failed_reqs_ : send_errors_);
+  if (ats_end != ReqState::Done) {
+    ++(ats_end == ReqState::PeerFailed ? peer_failed_reqs_ : send_errors_);
+  }
   sys_.obs.spans.phase(sys_.obs.spans.spanForTag(msg.tag), ats_arrival, obs::Phase::RndvAts,
-                       src_pe, ats_ok ? 1 : 0);
-  engine.schedule(ats_arrival, [send_req = std::move(send_req), ats_ok, ats_peer_dead] {
+                       src_pe, ats_end == ReqState::Done ? 1 : 0);
+  engine.schedule(ats_arrival, [send_req = std::move(send_req), ats_end] {
     if (send_req && send_req->state == ReqState::Pending) {
       // The data leg finished before the ATS was even attempted, so the
       // receiver has the payload either way; an Error (or PeerFailed, when
-      // the detector blames a dead endpoint) here means only the ack was
-      // lost. Callers must not resend: the matched receive is consumed, and
-      // a resend under the same tag could never match.
+      // the ATS found a dead endpoint) here means only the ack was lost.
+      // Callers must not resend: the matched receive is consumed, and a
+      // resend under the same tag could never match.
       send_req->data_delivered = true;
-      complete(*send_req,
-               ats_ok ? ReqState::Done : (ats_peer_dead ? ReqState::PeerFailed : ReqState::Error));
+      complete(*send_req, ats_end);
     }
   });
-  return {data_arrival, true};
+  return {data_arrival};
 }
 
 Context::RndvResult Context::multipathRndvData(const Worker::Incoming& msg, int dst_pe,
@@ -576,13 +600,13 @@ Context::RndvResult Context::multipathRndvData(const Worker::Incoming& msg, int 
   // Intra-node stays a receiver pull (CUDA-IPC semantics), no CTS.
   sim::TimePoint start = t_match;
   if (!same_node) {
-    const auto [cts_t, ok] = ctrlLeg(dst_pe, src_pe, start, msg.tag, "cts");
-    if (!ok) return {cts_t, false};
+    const auto [cts_t, cts_end] = ctrlLeg(dst_pe, src_pe, start, msg.tag, "cts");
+    if (cts_end != ReqState::Done) return {cts_t, cts_end};
     start = cts_t + sim::usec(cfg_.rndv_handshake_us);
   }
 
   hw::PathScheduler sched(machine.deviceRoutes(src_pe, dst_pe));
-  if (sched.numRoutes() == 0) return {start, true};  // same GPU: nothing to move
+  if (sched.numRoutes() == 0) return {start};  // same GPU: nothing to move
 
   const hw::PathScheduler::Params pp{mp.chunk_bytes, mp.min_split_bytes};
   const std::uint64_t nchunks = hw::PathScheduler::numChunks(len, pp);
@@ -620,12 +644,12 @@ Context::RndvResult Context::multipathRndvData(const Worker::Incoming& msg, int 
       }
       if (peerKnownDead(t, src_pe) || peerKnownDead(t, dst_pe)) {
         sys_.trace.record(t, sim::TraceCat::PeFail, src_pe, dst_pe, c, msg.tag, "mp-chunk");
-        return {t, false};
+        return {t, ReqState::PeerFailed};
       }
       const auto dec = sys_.fault.decide(t, sim::MsgClass::RndvData, src_pe, dst_pe);
       if (dec.drop) {
         sys_.trace.record(t, sim::TraceCat::Drop, src_pe, dst_pe, c, msg.tag, "mp-chunk");
-        if (attempt >= cfg_.max_retries) return {t, false};
+        if (attempt >= cfg_.max_retries) return {t, ReqState::Error};
         ++retransmits_;
         sys_.trace.record(t, sim::TraceCat::Retry, src_pe, dst_pe, c, msg.tag, "mp-chunk");
         sys_.obs.spans.phase(span, t, obs::Phase::Retry, src_pe,
@@ -673,7 +697,7 @@ Context::RndvResult Context::multipathRndvData(const Worker::Incoming& msg, int 
                          src_pe, obs::packRouteBytes(static_cast<unsigned>(r), per_route[r]));
   }
   if (routes_used > 1) ++mp_splits_;
-  return {last, true};
+  return {last};
 }
 
 // ---------------------------------------------------------------------------
@@ -689,9 +713,20 @@ void Worker::dispatchMatch(PostedRecv r, Incoming msg) {
   }
 }
 
-RequestPtr Worker::tagRecv(hw::MemRef buf, std::uint64_t len, Tag tag, Tag mask, CompletionFn cb) {
+RequestPtr Worker::tagRecv(hw::MemRef buf, std::uint64_t len, Tag tag, Tag mask, CompletionFn cb,
+                           int src_pe) {
   RequestPtr req = ctx_.makeRequest();
   req->completion = std::move(cb);
+  req->peer_pe = src_pe;
+  // The detector's rule (Context::sweepDeadPe) for a receive posted after
+  // the announcement: one posted by a PE known dead ends at once, and so
+  // does one whose named source is known dead, unless that source's message
+  // is already here to match (its rendezvous then fails in faultedLeg).
+  const sim::TimePoint now = ctx_.system().engine.now();
+  if (ctx_.peerKnownDead(now, pe_)) {
+    ctx_.endPeerFailed(*req, now, pe_, src_pe, len, tag);
+    return req;
+  }
   PostedRecv r{req, buf, len, tag, mask};
 
   // A hit in the unexpected store ends the early-arrival wait: the payload
@@ -699,9 +734,12 @@ RequestPtr Worker::tagRecv(hw::MemRef buf, std::uint64_t len, Tag tag, Tag mask,
   // span timeline records how long it sat queued.
   if (std::optional<Incoming> msg = matcher_.takeUnexpected(r)) {
     obs::SpanCollector& spans = ctx_.system().obs.spans;
-    spans.phase(spans.spanForTag(msg->tag), ctx_.system().engine.now(),
-                obs::Phase::MatchedUnexpected, pe_, msg->len);
+    spans.phase(spans.spanForTag(msg->tag), now, obs::Phase::MatchedUnexpected, pe_, msg->len);
     dispatchMatch(std::move(r), std::move(*msg));
+    return req;
+  }
+  if (src_pe >= 0 && ctx_.peerKnownDead(now, src_pe)) {
+    ctx_.endPeerFailed(*req, now, pe_, src_pe, len, tag);
     return req;
   }
   req->match_handle = matcher_.post(std::move(r));
@@ -715,12 +753,6 @@ void Worker::setHandler(Tag tag, Tag mask, HandlerFn fn) {
 void Worker::setBufferedHandler(Tag tag, Tag mask, BufferProvider fn) {
   buffered_handlers_.push_back(
       std::make_unique<BufferedHandler>(BufferedHandler{tag, mask, std::move(fn)}));
-}
-
-std::optional<Worker::ProbeInfo> Worker::probe(Tag tag, Tag mask) const {
-  const Incoming* msg = matcher_.probe(PostedRecv{nullptr, {}, 0, tag, mask});
-  if (msg == nullptr) return std::nullopt;
-  return ProbeInfo{msg->tag, msg->len, msg->src_pe};
 }
 
 bool Worker::cancelRecv(const RequestPtr& req) {
@@ -824,17 +856,16 @@ void Worker::startRndvTransfer(PostedRecv r, Incoming msg) {
   req->bytes = msg.len;
   req->peer_pe = msg.src_pe;
 
-  if (!res.ok) {
-    // A rendezvous leg exhausted its retransmission budget (or a peer died):
-    // fail the receive terminally (the sender's failure is already
-    // scheduled) instead of leaving the request pending forever.
-    const bool peer_dead = ctx.peerKnownDead(res.data_arrival, msg.src_pe) ||
-                           ctx.peerKnownDead(res.data_arrival, pe_);
+  if (!res.ok()) {
+    // A rendezvous leg exhausted its retransmission budget or found a peer
+    // known dead: end the receive with the state the leg decided (the
+    // sender's end is already scheduled) instead of leaving it pending.
+    if (res.end == ReqState::PeerFailed) ++ctx.peer_failed_reqs_;
     engine.schedule(res.data_arrival, [&sys = ctx.system(), req = std::move(req), pe = pe_,
-                                       peer_dead] {
+                                       end = res.end] {
       sys.trace.record(sys.engine.now(), sim::TraceCat::UcxRecv, pe, req->peer_pe, req->bytes,
                        req->matched_tag, "rndv-failed");
-      complete(*req, peer_dead ? ReqState::PeerFailed : ReqState::Error);
+      complete(*req, end);
     });
     return;
   }
@@ -880,7 +911,7 @@ void Worker::deliverToHandler(HandlerFn& fn, Incoming msg) {
   if (!owned && src_deref) storage->resize(msg.len);
   const Context::RndvResult res = ctx.rndvTransfer(
       msg, pe_, hw::MemRef::host(owned || storage->empty() ? nullptr : storage->data()));
-  if (!res.ok) return;  // transfer failed permanently; the sender saw Error
+  if (!res.ok()) return;  // transfer failed permanently; the sender ends with res.end
   const sim::TimePoint done = res.data_arrival + sim::usec(ctx.config().recv_overhead_us);
   engine.schedule(done, [fp, storage = std::move(storage), owned, src_deref, src = msg.src_ptr,
                          len = msg.len, tag = msg.tag, src_pe = msg.src_pe] {

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "hw/memory.hpp"
@@ -63,8 +62,13 @@ class Worker {
 
   /// Posts a receive for a message matching `tag` under `mask`
   /// (ucp_tag_recv_nb) into `buf`, whose carried classification decides the
-  /// receive-side path. `buf` must stay valid until completion.
-  RequestPtr tagRecv(hw::MemRef buf, std::uint64_t len, Tag tag, Tag mask, CompletionFn cb);
+  /// receive-side path. `buf` must stay valid until completion. `src_pe` is
+  /// the PE the poster expects the message from (-1: any); it does not
+  /// restrict matching, but once the failure detector declares that PE dead
+  /// the unmatched receive ends PeerFailed (see Context::sweepDeadPe). Until
+  /// the match the request's peer_pe holds it.
+  RequestPtr tagRecv(hw::MemRef buf, std::uint64_t len, Tag tag, Tag mask, CompletionFn cb,
+                     int src_pe = -1);
 
   /// Registers a persistent handler for messages matching `tag` under `mask`.
   /// The handler owns delivered payloads; it keeps firing until the worker is
@@ -88,16 +92,6 @@ class Worker {
   /// O(1): the request's match handle unlinks it directly, no scan of the
   /// other posted receives.
   bool cancelRecv(const RequestPtr& req);
-
-  /// Probe metadata of a pending unexpected message (ucp_tag_probe_nb with
-  /// remove=0): tag, length and source of the first match, if any. Exact
-  /// (kFullMask) probes are O(1) expected.
-  struct ProbeInfo {
-    Tag tag = 0;
-    std::uint64_t len = 0;
-    int src_pe = -1;
-  };
-  [[nodiscard]] std::optional<ProbeInfo> probe(Tag tag, Tag mask) const;
 
   // --- statistics --------------------------------------------------------
   /// Duplicate deliveries suppressed by the reliability layer
@@ -157,8 +151,7 @@ class Worker {
   static_assert(sim::SmallFn::fitsInline<std::pair<Worker*, Incoming>>(),
                 "an arrival capture (worker pointer + Incoming) must fit an engine slot");
 
-  /// A posted receive; its completion lives in `req`. Also the pattern of a
-  /// probe (no request, no buffer).
+  /// A posted receive; its completion lives in `req`.
   struct PostedRecv {
     RequestPtr req;
     hw::MemRef buf;

@@ -67,20 +67,4 @@ TEST(AmpiSendrecv, RingShiftWithDeviceBuffers) {
   }
 }
 
-TEST(UcxProbe, ReportsPendingMessageWithoutConsuming) {
-  auto m = model::summit(1);
-  hw::System sys(m.machine);
-  ucx::Context ctx(sys, m.ucx);
-  std::vector<std::byte> src(100);
-  ctx.tagSend(0, 1, hw::MemRef::host(src.data()), 100, 0x77, {});
-  sys.engine.run();
-  auto info = ctx.worker(1).probe(0x77, ucx::kFullMask);
-  ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->tag, 0x77u);
-  EXPECT_EQ(info->len, 100u);
-  EXPECT_EQ(info->src_pe, 0);
-  EXPECT_EQ(ctx.worker(1).matchStats().unexpected, 1u);  // not consumed
-  EXPECT_FALSE(ctx.worker(1).probe(0x78, ucx::kFullMask).has_value());
-}
-
 }  // namespace

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ampi/ampi.hpp"
@@ -185,6 +186,192 @@ TEST(FailstopDetect, AmpiDeviceSendToRankThatDiesUnreceivedCompletes) {
   ASSERT_TRUE(world.done().ready()) << "the device isend never completed";
   EXPECT_TRUE(send_done);
 }
+
+TEST(FailstopDetect, AmpiDeviceSendFromRankThatDiesUnreceivedCompletes) {
+  // The mirror case: the sender dies after its RTS parked at a live rank
+  // that never posted the receive. The announcement's sweep ends the dead
+  // rank's send; the revoked world then orphans the envelope into a sink
+  // receive, which matches the parked RTS and fails, so nothing stays
+  // parked and the dead rank's coroutine reaches its end.
+  StackFixture f(2, killAt(0, 50.0));
+  constexpr std::uint64_t kBytes = 64 * 1024;
+  cuda::DeviceBuffer src(*f.sys, 0, kBytes);
+  ampi::World world(*f.rt, 7);  // rank r on PE r
+  bool send_done = false;
+  world.run([&](ampi::Rank& r) -> sim::FutureTask {
+    if (r.rank() != 0) co_return;
+    co_await r.wait(r.isend(src.get(), kBytes, 6, 0));
+    send_done = true;
+  });
+  f.sys->engine.run();
+  ASSERT_TRUE(world.done().ready()) << "the dead rank's device isend never completed";
+  EXPECT_TRUE(send_done);
+  EXPECT_EQ(f.ctx->worker(6).matchStats().unexpected, 0u);  // nothing left parked
+}
+
+sim::FutureTask channelSend(c4p::ChannelEnd* end, const void* buf, std::uint64_t n, bool* done) {
+  co_await end->send(buf, n);
+  *done = true;
+}
+
+TEST(FailstopDetect, Charm4pyDeviceSendFromPeThatDiesCompletes) {
+  // The same mirror case on a Charm4py channel: the dead channel orphans
+  // the envelope without posting a receive, so only UCX's sweep can end the
+  // dead sender's device send.
+  StackFixture f(2, killAt(0, 50.0));
+  constexpr std::uint64_t kBytes = 64 * 1024;
+  cuda::DeviceBuffer src(*f.sys, 0, kBytes);
+  c4p::Charm4py py(*f.rt);
+  const c4p::Channel ch = py.makeChannel(0, 6);
+  bool send_done = false;
+  py.startOn(0, [&] { (void)channelSend(ch.a, src.get(), kBytes, &send_done); });
+  f.sys->engine.run();
+  EXPECT_TRUE(send_done) << "the dead PE's channel send never completed";
+  EXPECT_EQ(f.ctx->peerFailedRequests(), 1u);
+}
+
+TEST(FailstopDetect, RtsFromPeThatDiesTurnsPeerFailed) {
+  // The RTS lands at live PE 6 and parks; its sender, PE 0, then dies. The
+  // delivery stopped the RTS's retry deadline, so only the announcement can
+  // end the sender. The RTS itself stays parked for a later receive.
+  CtxFixture f(killAt(0, 50.0));
+  std::vector<std::byte> src(64 * 1024);
+  int send_calls = 0;
+  auto req = f.ctx->tagSend(0, 6, hw::MemRef::host(src.data()), src.size(), 0x9,
+                            [&](ucx::Request&) { ++send_calls; });
+  f.sys->engine.run();
+  EXPECT_EQ(send_calls, 1);
+  EXPECT_TRUE(req->peerFailed());
+  EXPECT_FALSE(req->data_delivered);
+  EXPECT_EQ(f.ctx->peerFailedRequests(), 1u);
+}
+
+TEST(FailstopDetect, RecvPostedAfterDetectionMatchesDeadSendersRtsAndFails) {
+  // A raw receive posted after the announcement still matches the dead
+  // sender's parked RTS; the rendezvous then fails where it finds the dead
+  // PE. The receive ends PeerFailed: never Done (no data can come), never
+  // pending.
+  CtxFixture f(killAt(0, 50.0));
+  std::vector<std::byte> src(64 * 1024);
+  std::vector<std::byte> dst(64 * 1024);
+  auto sreq = f.ctx->tagSend(0, 6, hw::MemRef::host(src.data()), src.size(), 0x9, {});
+  f.sys->engine.run();
+  ASSERT_TRUE(f.ctx->peerKnownDead(f.sys->engine.now(), 0));
+  ASSERT_TRUE(sreq->peerFailed());
+  int recv_calls = 0;
+  auto rreq = f.ctx->worker(6).tagRecv(hw::MemRef::host(dst.data()), dst.size(), 0x9,
+                                       ucx::kFullMask, [&](ucx::Request&) { ++recv_calls; });
+  f.sys->engine.run();
+  EXPECT_EQ(recv_calls, 1);
+  EXPECT_EQ(rreq->state, ucx::ReqState::PeerFailed);
+  EXPECT_EQ(f.ctx->worker(6).matchStats().unexpected, 0u);
+  EXPECT_TRUE(sreq->peerFailed());  // the sender's end did not change
+}
+
+// --------------------------------------------------------------------------
+// Kill-offset invariant: a PE 0 -> PE 6 device transfer, with PE 0 or PE 6
+// dying at offsets from before the first byte to after the last. The
+// receive is posted at 40 us, before any detection, or at 1200 us, after
+// every one (detection lands failure_detect_us = 500 us after the death).
+// Whatever the offset, every request ends exactly once, Done or PeerFailed,
+// and the engine drains.
+// --------------------------------------------------------------------------
+
+enum class KillStack { Raw, Ampi };
+
+struct KillCase {
+  KillStack stack;
+  bool dead_sender;
+  std::uint64_t bytes;  ///< 4 KiB: device eager; 64 KiB: rendezvous
+  double kill_us;
+  double post_us;  ///< when PE 6 posts its receive
+};
+
+std::string killCaseName(const ::testing::TestParamInfo<KillCase>& i) {
+  const KillCase& c = i.param;
+  return std::string(c.stack == KillStack::Raw ? "raw" : "ampi") +
+         (c.dead_sender ? "_deadSender_" : "_deadReceiver_") +
+         (c.bytes <= 4096 ? "eager" : "rndv") + "_kill" +
+         std::to_string(static_cast<int>(c.kill_us)) + "us_post" +
+         std::to_string(static_cast<int>(c.post_us)) + "us";
+}
+
+std::vector<KillCase> killCases() {
+  std::vector<KillCase> out;
+  for (const KillStack stack : {KillStack::Raw, KillStack::Ampi}) {
+    for (const bool dead_sender : {true, false}) {
+      for (const std::uint64_t bytes : {std::uint64_t{4096}, std::uint64_t{64 * 1024}}) {
+        for (const double at : {0.0, 5.0, 20.0, 50.0, 60.0, 200.0, 600.0}) {
+          for (const double post : {40.0, 1200.0}) {
+            out.push_back({stack, dead_sender, bytes, at, post});
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+class FailstopKillOffset : public ::testing::TestWithParam<KillCase> {};
+
+TEST_P(FailstopKillOffset, EveryRequestEndsExactlyOnce) {
+  const KillCase& c = GetParam();
+  const sim::FaultConfig fault = killAt(c.dead_sender ? 0 : 6, c.kill_us);
+  if (c.stack == KillStack::Raw) {
+    CtxFixture f(fault);
+    cuda::DeviceBuffer src(*f.sys, 0, c.bytes);
+    cuda::DeviceBuffer dst(*f.sys, 6, c.bytes);
+    int send_calls = 0;
+    int recv_calls = 0;
+    auto sreq = f.ctx->tagSend(0, 6, src.ref(), c.bytes, 0x9,
+                               [&](ucx::Request&) { ++send_calls; });
+    ucx::RequestPtr rreq;
+    f.sys->engine.schedule(sim::usec(c.post_us), [&] {
+      rreq = f.ctx->worker(6).tagRecv(dst.ref(), c.bytes, 0x9, ucx::kFullMask,
+                                      [&](ucx::Request&) { ++recv_calls; }, /*src_pe=*/0);
+    });
+    f.sys->engine.run();
+    EXPECT_TRUE(f.sys->engine.empty());
+    EXPECT_EQ(f.sys->engine.pastClamped(), 0u);
+    EXPECT_EQ(send_calls, 1);
+    EXPECT_EQ(recv_calls, 1);
+    ASSERT_TRUE(rreq);
+    for (const ucx::Request* r : {sreq.get(), rreq.get()}) {
+      EXPECT_TRUE(r->state == ucx::ReqState::Done || r->state == ucx::ReqState::PeerFailed)
+          << "state " << static_cast<int>(r->state);
+    }
+    EXPECT_EQ(f.ctx->matchStats().posted, 0u);
+    return;
+  }
+  StackFixture f(2, fault);
+  cuda::DeviceBuffer src(*f.sys, 0, c.bytes);
+  cuda::DeviceBuffer dst(*f.sys, 6, c.bytes);
+  ampi::World world(*f.rt, 7);  // rank r on PE r
+  sim::Promise<void> post_gate;
+  f.sys->engine.schedule(sim::usec(c.post_us), [post_gate] { post_gate.set(); });
+  int send_ends = 0;
+  int recv_ends = 0;
+  world.run([&](ampi::Rank& r) -> sim::FutureTask {
+    if (r.rank() == 0) {
+      co_await r.wait(r.isend(src.get(), c.bytes, 6, 0));
+      ++send_ends;
+    } else if (r.rank() == 6) {
+      co_await post_gate.future();
+      co_await r.wait(r.irecv(dst.get(), c.bytes, 0, 0));
+      ++recv_ends;
+    }
+  });
+  f.sys->engine.run();
+  ASSERT_TRUE(world.done().ready()) << "a rank never finished";
+  EXPECT_TRUE(f.sys->engine.empty());
+  EXPECT_EQ(f.sys->engine.pastClamped(), 0u);
+  EXPECT_EQ(send_ends, 1);
+  EXPECT_EQ(recv_ends, 1);
+  EXPECT_EQ(f.ctx->matchStats().posted, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Offsets, FailstopKillOffset, ::testing::ValuesIn(killCases()),
+                         killCaseName);
 
 // --------------------------------------------------------------------------
 // FaultConfig::bidirectionalOutage covers both directions of the pair.

@@ -19,9 +19,9 @@
 /// Tag-matching engine semantics and complexity guarantees.
 ///
 /// The bucketed matcher must be observationally identical to a plain scan
-/// of a posted deque and an unexpected deque: same receive outcomes, same
-/// probe results, for any interleaving of posts, arrivals, cancels and
-/// probes — including wildcard masks racing exact receives. The seeded
+/// of a posted deque and an unexpected deque: same receive outcomes for any
+/// interleaving of posts, arrivals and cancels — including wildcard masks
+/// racing exact receives. The seeded
 /// property test here replays randomized interleavings through the real
 /// worker and through such a model (ModelMatcher below) and compares the
 /// logs. Complexity is pinned with the matchStats().scan_steps counter (cancel must
@@ -71,7 +71,6 @@ struct Harness {
 
 constexpr std::int64_t kPending = -1;
 constexpr std::int64_t kCancelled = -2;
-constexpr std::int64_t kNoProbeHit = -3;
 
 /// Reference semantics: receives scan the unexpected deque in arrival order,
 /// arrivals scan the posted deque in post order. Every send issued before a
@@ -99,12 +98,6 @@ class ModelMatcher {
         return;
       }
     }
-  }
-  [[nodiscard]] std::int64_t probe(ucx::Tag tag, ucx::Tag mask) const {
-    for (const ucx::Tag t : unexpected_) {
-      if (matches(t, tag, mask)) return static_cast<std::int64_t>(t);
-    }
-    return kNoProbeHit;
   }
   void drain() {
     for (const ucx::Tag t : in_flight_) arrive(t);
@@ -142,20 +135,19 @@ class ModelMatcher {
 
 /// Observable state of one replay; the real and model logs must agree.
 struct MatchLog {
-  std::vector<std::int64_t> recv;    ///< per receive in post order
-  std::vector<std::int64_t> probes;  ///< every probe result in op order
+  std::vector<std::int64_t> recv;  ///< per receive in post order
   std::size_t posted = 0;
   std::size_t unexpected = 0;
 };
 
 struct Op {
-  enum Kind { Post, Send, Cancel, Probe, Drain } kind;
+  enum Kind { Post, Send, Cancel, Drain } kind;
   ucx::Tag tag = 0;
   ucx::Tag mask = 0;
   std::size_t recv = 0;  ///< Cancel: index of the receive, in post order
 };
 
-/// One seeded interleaving of post/send/cancel/probe/drain ops.
+/// One seeded interleaving of post/send/cancel/drain ops.
 std::vector<Op> generateOps(std::uint64_t seed) {
   constexpr int kOps = 400;
   sim::SplitMix64 rng(seed);
@@ -163,7 +155,7 @@ std::vector<Op> generateOps(std::uint64_t seed) {
   std::vector<Op> ops;
   std::size_t posts = 0;
   for (int op = 0; op < kOps; ++op) {
-    switch (rng.below(10)) {
+    switch (rng.below(8)) {
       case 0:
       case 1:
       case 2: {  // post a receive: exact, class-wildcard, or match-any
@@ -182,12 +174,6 @@ std::vector<Op> generateOps(std::uint64_t seed) {
       case 6:  // cancel a random receive (may already be done)
         if (posts > 0) ops.push_back({Op::Cancel, 0, 0, rng.below(posts)});
         break;
-      case 7:
-      case 8: {  // probe: exact or masked
-        const ucx::Tag tag = randomTag();
-        ops.push_back({Op::Probe, tag, rng.below(2) == 0 ? ucx::kFullMask : ucx::Tag{0x3}});
-        break;
-      }
       default:  // let in-flight traffic land (arrivals + completions)
         ops.push_back({Op::Drain});
         break;
@@ -225,11 +211,6 @@ MatchLog replayReal(const std::vector<Op>& ops) {
       case Op::Cancel:
         w.cancelRecv(reqs[op.recv]);
         break;
-      case Op::Probe: {
-        const auto info = w.probe(op.tag, op.mask);
-        log.probes.push_back(info ? static_cast<std::int64_t>(info->tag) : kNoProbeHit);
-        break;
-      }
       case Op::Drain:
         h.sys->engine.run();
         break;
@@ -248,7 +229,6 @@ MatchLog replayModel(const std::vector<Op>& ops) {
       case Op::Post: model.post(op.tag, op.mask); break;
       case Op::Send: model.send(op.tag); break;
       case Op::Cancel: model.cancel(op.recv); break;
-      case Op::Probe: log.probes.push_back(model.probe(op.tag, op.mask)); break;
       case Op::Drain: model.drain(); break;
     }
   }
@@ -267,10 +247,6 @@ TEST(MatcherCrossCheck, RandomInterleavingsMatchReferenceMatcher) {
     for (std::size_t i = 0; i < real.recv.size(); ++i) {
       ASSERT_EQ(real.recv[i], model.recv[i]) << "seed " << seed << ", receive " << i;
     }
-    ASSERT_EQ(real.probes.size(), model.probes.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < real.probes.size(); ++i) {
-      ASSERT_EQ(real.probes[i], model.probes[i]) << "seed " << seed << ", probe " << i;
-    }
     EXPECT_EQ(real.posted, model.posted) << "seed " << seed;
     EXPECT_EQ(real.unexpected, model.unexpected) << "seed " << seed;
     // Each seed should actually exercise the matcher.
@@ -280,7 +256,7 @@ TEST(MatcherCrossCheck, RandomInterleavingsMatchReferenceMatcher) {
 
 // --------------------------------------------------------------------------
 // AMPI's key scheme through the shared matcher: (src, tag) receives
-// with kAnySource/kAnyTag, cancel and probe, against a two-deque scan model
+// with kAnySource/kAnyTag and cancel, against a two-deque scan model
 // --------------------------------------------------------------------------
 
 /// A message as AMPI's matcher sees it; `id` is its arrival index.
@@ -335,12 +311,6 @@ class AmpiModel {
       }
     }
   }
-  [[nodiscard]] std::int64_t probe(const AmpiPosted& p) const {
-    for (const AmpiArrived& a : unexpected_) {
-      if (accepts(p, a)) return static_cast<std::int64_t>(a.id);
-    }
-    return kNoProbeHit;
-  }
   [[nodiscard]] const std::vector<std::int64_t>& outcomes() const { return outcome_; }
   [[nodiscard]] std::size_t postedCount() const { return posted_.size(); }
   [[nodiscard]] std::size_t unexpectedCount() const { return unexpected_.size(); }
@@ -375,7 +345,7 @@ TEST(MatcherCrossCheck, AmpiKeySchemeMatchesReferenceMatcher) {
     std::vector<sim::MatchHandle> handles;
     std::size_t arrivals = 0;
     for (int op = 0; op < kOps; ++op) {
-      switch (rng.below(8)) {
+      switch (rng.below(7)) {
         case 0:
         case 1:
         case 2: {  // post a receive
@@ -404,7 +374,7 @@ TEST(MatcherCrossCheck, AmpiKeySchemeMatchesReferenceMatcher) {
           }
           break;
         }
-        case 6:  // cancel a random receive (may already be matched)
+        default:  // cancel a random receive (may already be matched)
           if (!outcome.empty()) {
             const std::size_t id = rng.below(outcome.size());
             model.cancel(id);
@@ -413,14 +383,6 @@ TEST(MatcherCrossCheck, AmpiKeySchemeMatchesReferenceMatcher) {
             }
           }
           break;
-        default: {  // probe
-          const AmpiPosted p = pattern(true);
-          const AmpiArrived* hit = real.probe(p);
-          ASSERT_EQ(hit != nullptr ? static_cast<std::int64_t>(hit->id) : kNoProbeHit,
-                    model.probe(p))
-              << "seed " << seed << ", op " << op;
-          break;
-        }
       }
     }
     ASSERT_EQ(outcome.size(), model.outcomes().size()) << "seed " << seed;
@@ -471,7 +433,7 @@ TEST(MatcherComplexity, CancelOfOnePostedReceiveDoesNotScanTheRest) {
   (void)done;
 }
 
-TEST(MatcherComplexity, ExactProbeDoesNotScanUnexpectedQueue) {
+TEST(MatcherComplexity, ExactReceiveDoesNotScanUnexpectedQueue) {
   Harness h;
   ucx::Worker& w = h.ctx->worker(1);
   constexpr int kMsgs = 4096;
@@ -483,15 +445,19 @@ TEST(MatcherComplexity, ExactProbeDoesNotScanUnexpectedQueue) {
   ASSERT_EQ(w.matchStats().unexpected, static_cast<std::size_t>(kMsgs));
 
   const std::uint64_t steps_before = w.matchStats().scan_steps;
-  const auto info = w.probe(static_cast<ucx::Tag>(kMsgs - 1), ucx::kFullMask);
-  ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->tag, static_cast<ucx::Tag>(kMsgs - 1));
-  // O(1) expected: the probed chain holds exactly one message.
+  std::vector<std::byte> dst(64);
+  auto req = w.tagRecv(hw::MemRef::host(dst.data()), 64, static_cast<ucx::Tag>(kMsgs - 1),
+                       ucx::kFullMask, {});
+  // O(1) expected: the searched chain holds exactly one message.
   EXPECT_LE(w.matchStats().scan_steps - steps_before, 4u);
+  EXPECT_EQ(w.matchStats().unexpected, static_cast<std::size_t>(kMsgs - 1));
+  h.sys->engine.run();
+  EXPECT_TRUE(req->done());
+  EXPECT_EQ(req->matched_tag, static_cast<ucx::Tag>(kMsgs - 1));
 }
 
-TEST(MatcherComplexity, WildcardProbeMissScansEveryUnexpectedMessage) {
-  // Validates the counter itself: a wildcard probe that matches nothing
+TEST(MatcherComplexity, WildcardReceiveMissScansEveryUnexpectedMessage) {
+  // Validates the counter itself: a wildcard receive that matches nothing
   // must walk the whole arrival-order list, and scan_steps must see it.
   Harness h;
   ucx::Worker& w = h.ctx->worker(1);
@@ -505,8 +471,11 @@ TEST(MatcherComplexity, WildcardProbeMissScansEveryUnexpectedMessage) {
 
   const std::uint64_t steps_before = w.matchStats().scan_steps;
   // Tags 0..4095 all have bits 12-15 clear, so no message matches.
-  EXPECT_FALSE(w.probe(ucx::Tag{0x1000}, ucx::Tag{0xF000}).has_value());
+  std::vector<std::byte> dst(64);
+  auto req = w.tagRecv(hw::MemRef::host(dst.data()), 64, ucx::Tag{0x1000}, ucx::Tag{0xF000}, {});
   EXPECT_GE(w.matchStats().scan_steps - steps_before, static_cast<std::uint64_t>(kMsgs));
+  EXPECT_EQ(w.matchStats().posted, 1u);
+  EXPECT_EQ(req->state, ucx::ReqState::Pending);
 }
 
 // --------------------------------------------------------------------------

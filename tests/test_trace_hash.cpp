@@ -229,9 +229,9 @@ TEST(TraceHash, FaultyTimelinesArePinned) {
       {"jitter", jitterPolicy(),
        0x02cb0be72ed439aaull, 0xa598d5f48b4df4aeull, 0x7f03214d20768d0full},
       {"kill6@0", killed(0.0),
-       0xb6e76bb5b953e3a3ull, 0x9ba9c3a4353ace96ull, 0x5adad224226364c1ull},
+       0x71c2d06df2cbbd7bull, 0xfc9c89cefc5d25f2ull, 0x3d1976636854a42dull},
       {"kill6@5", killed(5.0),
-       0x8d20dce3b11fba17ull, 0xdea5b9027b776226ull, 0xfe8056fdbddbaab1ull},
+       0x8d20dce3b11fba17ull, 0xda7de8fe086dda95ull, 0x116f2e6df11c78d1ull},
       {"kill6@20", killed(20.0),
        0x54215fe1ef2c24a5ull, 0xe2199b4f6cec5bd2ull, 0xaed1462fb4b52c5dull},
       {"kill6@60", killed(60.0),
