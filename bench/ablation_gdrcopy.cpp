@@ -1,6 +1,7 @@
 #include <cstdio>
 
 #include "apps/osu/osu.hpp"
+#include "trace_pin.hpp"
 
 /// Ablation: GDRCopy detection (paper Sec. IV-B1 — "the detection of the
 /// GDRCopy library by UCX is essential in order to achieve low latencies
@@ -29,7 +30,7 @@ int main() {
         cfg.iters = 20;
         cfg.warmup = 5;
         cfg.model.ucx.gdrcopy_enabled = gdr;
-        std::printf(" %14.2f", osu::latencyPoint(cfg, size));
+        std::printf(" %14.2f", osu::latencyPoint(bench::pinned(cfg), size));
       }
     }
     std::printf("\n");

@@ -2,6 +2,7 @@
 
 #include "apps/osu/osu.hpp"
 #include "hw/cuda.hpp"
+#include "trace_pin.hpp"
 #include "ucx/context.hpp"
 
 /// Ablation: the metadata-exchange overhead (paper Sec. IV-B1). The authors
@@ -21,6 +22,7 @@ double rawUcxLatency(std::size_t bytes, int iters) {
   model::Model m = model::summit(2);
   m.machine.backed_device_memory = false;
   hw::System sys(m.machine);
+  bench::traceOn(sys);
   ucx::Context ctx(sys, m.ucx);
   cuda::DeviceBuffer a(sys, 0, bytes), b(sys, 6, bytes);
 
@@ -45,6 +47,7 @@ double rawUcxLatency(std::size_t bytes, int iters) {
   post(1);
   ctx.tagSend(0, 6, a.ref(), bytes, 7, {});
   sys.engine.run();
+  bench::tracePin(sys);
   return sim::toUs(done_at) / (2.0 * iters);
 }
 
@@ -55,7 +58,7 @@ double stackLatency(osu::Stack s, std::size_t bytes) {
   cfg.place = osu::Placement::InterNode;
   cfg.iters = 20;
   cfg.warmup = 5;
-  return osu::latencyPoint(cfg, bytes);
+  return osu::latencyPoint(bench::pinned(cfg), bytes);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <cstdio>
 
 #include "apps/osu/osu.hpp"
+#include "trace_pin.hpp"
 
 /// Ablation: rendezvous pipeline chunk size. UCX stages inter-node GPU data
 /// through host memory "in chunks" (paper Sec. IV-B1); the chunk size trades
@@ -28,7 +29,7 @@ int main() {
       cfg.iters = 10;
       cfg.warmup = 2;
       cfg.model.ucx.rndv_pipeline_chunk = chunk;
-      std::printf(" %12.1f", osu::bandwidthPoint(cfg, m));
+      std::printf(" %12.1f", osu::bandwidthPoint(bench::pinned(cfg), m));
     }
     std::printf("\n");
   }

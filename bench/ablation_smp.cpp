@@ -1,6 +1,7 @@
 #include <cstdio>
 
 #include "apps/osu/osu.hpp"
+#include "trace_pin.hpp"
 
 /// Ablation: SMP vs non-SMP build. The paper pins its whole evaluation to
 /// the non-SMP configuration (one PE per process, Sec. IV-A). In the SMP
@@ -22,6 +23,7 @@ int main() {
     cfg.warmup = 3;
     cfg.window = 32;
     cfg.model.costs.smp_comm_thread = smp;
+    cfg = bench::pinned(cfg);
     return bw ? osu::bandwidthPoint(cfg, size) : osu::latencyPoint(cfg, size);
   };
   std::printf("%-10s %14s %14s | %14s %14s\n", "size", "lat non-SMP", "lat SMP",
@@ -47,7 +49,7 @@ int main() {
       cfg.warmup = 3;
       cfg.model.costs.smp_comm_thread = smp;
       cfg.sizes = {s};
-      return osu::runMultiLatency(cfg)[0].value;
+      return osu::runMultiLatency(bench::pinned(cfg))[0].value;
     };
     std::printf("%-10zu %14.2f %14.2f\n", s, multi(false), multi(true));
   }

@@ -5,6 +5,7 @@
 #include "model/model.hpp"
 #include "ucx/context.hpp"
 #include "charm/charm.hpp"
+#include "trace_pin.hpp"
 
 /// Ablation: the MSG/PE/CNT tag bit split (paper Fig. 3). The default
 /// 4/32/28 split supports 2^32 PEs with a 2^28 outstanding-message horizon
@@ -23,6 +24,7 @@ namespace {
 bool stressScheme(const core::TagScheme& tags, int transfers) {
   model::Model m = model::summit(1);
   hw::System sys(m.machine);
+  bench::traceOn(sys);
   ucx::Context ctx(sys, m.ucx);
   ck::Runtime rt(sys, ctx, m, tags);
   cuda::DeviceBuffer a(sys, 0, 64), b(sys, 1, 64);
@@ -38,6 +40,7 @@ bool stressScheme(const core::TagScheme& tags, int transfers) {
     });
     sys.engine.run();
   }
+  bench::tracePin(sys);
   return completed == transfers;
 }
 

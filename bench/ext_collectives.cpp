@@ -11,6 +11,7 @@
 #include "model/model.hpp"
 #include "ompi/ompi.hpp"
 #include "ucx/context.hpp"
+#include "trace_pin.hpp"
 
 /// Extension bench (paper Sec. VI future work): the pipelined GPU-aware
 /// collectives from src/coll vs the host-staging alternative an application
@@ -39,6 +40,7 @@ struct Setup {
   explicit Setup(int nodes) : m(model::summit(nodes)) {
     m.machine.backed_device_memory = false;  // timing-only run
     sys = std::make_unique<hw::System>(m.machine);
+    bench::traceOn(*sys);
     ctx = std::make_unique<ucx::Context>(*sys, m.ucx);
     world = std::make_unique<ompi::World>(*sys, *ctx, m.costs);
   }
@@ -106,6 +108,7 @@ double runOnce(What what, coll::CollImpl impl, bool gpu_aware, int nodes, std::u
     }
   });
   s.sys->engine.run();
+  bench::tracePin(*s.sys);
   const auto first = static_cast<std::size_t>(warmup - 1);
   const auto last = static_cast<std::size_t>(total - 1);
   return sim::toUs(done[last] - done[first]) / iters;

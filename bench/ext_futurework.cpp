@@ -8,6 +8,7 @@
 #include "model/model.hpp"
 #include "ucx/am.hpp"
 #include "ucx/context.hpp"
+#include "trace_pin.hpp"
 
 /// Extension bench: the two improvements the paper's conclusion proposes
 /// (Sec. VI), implemented and measured against the baseline design:
@@ -31,6 +32,7 @@ struct Setup {
   Setup() : m(model::summit(2)) {
     m.machine.backed_device_memory = false;
     sys = std::make_unique<hw::System>(m.machine);
+    bench::traceOn(*sys);
     ctx = std::make_unique<ucx::Context>(*sys, m.ucx);
     cmi = std::make_unique<cmi::Converse>(*sys, *ctx, m.costs);
     dev = std::make_unique<core::DeviceComm>(*cmi);
@@ -64,6 +66,7 @@ double baseline(std::size_t n) {
     s.cmi->send(kSrc, kDst, h, std::move(meta));
   });
   s.sys->engine.run();
+  bench::tracePin(*s.sys);
   return sim::toUs(done);
 }
 
@@ -82,6 +85,7 @@ double userTag(std::size_t n) {
     s.dev->lrtsSendDeviceUserTag(kSrc, kDst, buf, kTag);
   });
   s.sys->engine.run();
+  bench::tracePin(*s.sys);
   return sim::toUs(done);
 }
 
@@ -94,6 +98,7 @@ double activeMessage(std::size_t n) {
                 [&](void*, std::uint64_t, int) { done = s.sys->engine.now(); });
   s.cmi->runOn(kSrc, [&] { am.amSend(kSrc, kDst, 1, a.get(), n); });
   s.sys->engine.run();
+  bench::tracePin(*s.sys);
   return sim::toUs(done);
 }
 

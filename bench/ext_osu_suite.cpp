@@ -1,6 +1,7 @@
 #include <cstdio>
 
 #include "apps/osu/osu.hpp"
+#include "trace_pin.hpp"
 
 /// Extension bench: the rest of the OSU suite beyond the figures the paper
 /// plots — bidirectional bandwidth (osu_bibw) and multi-pair latency
@@ -17,7 +18,7 @@ int main() {
     c.warmup = 3;
     c.window = 32;
     c.sizes = {4096, 65536, 1u << 20, 4u << 20};
-    return c;
+    return bench::pinned(c);
   };
 
   std::printf("# osu_bibw: bidirectional bandwidth (MB/s), inter-node\n");

@@ -1,6 +1,7 @@
 #include <cstdio>
 
 #include "apps/jacobi/jacobi.hpp"
+#include "trace_pin.hpp"
 
 /// Extension bench (paper Sec. VI future work, ref. [23]): computation-
 /// communication overlap through overdecomposition. With more chares than
@@ -32,7 +33,7 @@ int main() {
       cfg.warmup = 1;
       cfg.backed = false;
       cfg.overdecomposition = odf;
-      const auto r = runJacobi(cfg);
+      const auto r = runJacobi(cux::bench::pinned(cfg));
       if (odf == 1) base = r.overall_ms_per_iter;
       best = std::min(best, r.overall_ms_per_iter);
       std::printf(" %10.2f ", r.overall_ms_per_iter);

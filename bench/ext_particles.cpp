@@ -1,6 +1,7 @@
 #include <cstdio>
 
 #include "apps/particles/particles.hpp"
+#include "trace_pin.hpp"
 
 /// Extension bench: the particle-migration proxy — variable-size,
 /// data-dependent messages, a pattern the paper's Jacobi3D (fixed-size
@@ -19,7 +20,7 @@ int main() {
     cfg.warmup = 1;
     cfg.mode = m;
     cfg.backed = false;
-    return runParticles(cfg);
+    return runParticles(cux::bench::pinned(cfg));
   };
 
   std::printf("%-6s %12s %12s | %10s %10s %8s\n", "nodes", "overall-H", "overall-D", "comm-H",

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "apps/train/train.hpp"
+#include "trace_pin.hpp"
 
 /// Extension bench: the ChainerMN-style data-parallel training workload on
 /// all three stacks. Reports the per-step anatomy — compute wall, the union
@@ -51,7 +52,7 @@ void report(const char* label, const train::TrainResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  train::TrainConfig cfg;
+  train::TrainConfig cfg = bench::pinned(train::TrainConfig{});
   for (int a = 1; a < argc; ++a) {
     if (std::strcmp(argv[a], "--steps") == 0) {
       cfg.steps = countArg(argc, argv, a);

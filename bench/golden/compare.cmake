@@ -1,15 +1,17 @@
-# Runs one binary and byte-compares its stdout with a checked-in golden
-# file. A figure that moves fails here by name; a deliberate model change
+# Runs one binary and byte-compares its stdout (and optionally its stderr)
+# with checked-in golden files. A figure that moves fails here by name; a deliberate model change
 # regenerates the golden (see bench/golden/README.md).
 #
 #   cmake -DBIN=<binary> -DGOLDEN=<expected.txt> -DOUT=<actual.txt>
 #         [-DARGS="<space-separated arguments>"]
 #         [-DARTIFACT=<file the binary writes> -DARTIFACT_GOLDEN=<expected file>]
+#         [-DERR_OUT=<actual stderr> -DERR_GOLDEN=<expected stderr>]
 #         -P compare.cmake
 #
 # ARTIFACT names a file the binary writes (its path must also appear in
 # ARGS); it is removed before the run and compared with ARTIFACT_GOLDEN
-# after it.
+# after it. ERR_OUT captures stderr, which is compared with ERR_GOLDEN; the
+# bench binaries write their per-machine trace pins there.
 
 foreach(var BIN GOLDEN OUT)
   if(NOT DEFINED ${var})
@@ -18,6 +20,9 @@ foreach(var BIN GOLDEN OUT)
 endforeach()
 if(DEFINED ARTIFACT AND NOT DEFINED ARTIFACT_GOLDEN)
   message(FATAL_ERROR "compare.cmake: -DARTIFACT needs -DARTIFACT_GOLDEN")
+endif()
+if(DEFINED ERR_OUT AND NOT DEFINED ERR_GOLDEN)
+  message(FATAL_ERROR "compare.cmake: -DERR_OUT needs -DERR_GOLDEN")
 endif()
 
 function(compare_or_fail expected actual what)
@@ -37,12 +42,18 @@ if(DEFINED ARTIFACT)
   file(REMOVE "${ARTIFACT}")
 endif()
 
-execute_process(COMMAND "${BIN}" ${args} OUTPUT_FILE "${OUT}" RESULT_VARIABLE rc)
+if(DEFINED ERR_OUT)
+  set(err_file ERROR_FILE "${ERR_OUT}")
+endif()
+execute_process(COMMAND "${BIN}" ${args} OUTPUT_FILE "${OUT}" ${err_file} RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${BIN} ${ARGS} exited with ${rc}")
 endif()
 
 compare_or_fail("${GOLDEN}" "${OUT}" "stdout of ${BIN} ${ARGS}")
+if(DEFINED ERR_OUT)
+  compare_or_fail("${ERR_GOLDEN}" "${ERR_OUT}" "stderr of ${BIN} ${ARGS}")
+endif()
 if(DEFINED ARTIFACT)
   compare_or_fail("${ARTIFACT_GOLDEN}" "${ARTIFACT}" "${ARTIFACT} of ${BIN} ${ARGS}")
 endif()

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "apps/jacobi/jacobi.hpp"
+#include "trace_pin.hpp"
 
 /// Shared driver for the Jacobi3D figure benches (paper Figs. 14-16): weak
 /// scaling over 1-256 nodes (base 1536^3, dimensions doubled in x,y,z
@@ -26,7 +27,7 @@ inline void printJacobiFigure(const char* fig_id, jacobi::Stack stack, int iters
     cfg.iters = iters;
     cfg.warmup = warmup;
     cfg.backed = false;
-    return runJacobi(cfg);
+    return runJacobi(pinned(cfg));
   };
 
   auto header = [&](const char* phase) {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "apps/osu/osu.hpp"
+#include "trace_pin.hpp"
 
 /// Shared driver for the OSU figure benches (paper Figs. 10-13): each figure
 /// has three subplots — (a) Charm++, (b) AMPI + OpenMPI, (c) Charm4py — with
@@ -40,7 +41,8 @@ inline Series runSeries(Metric metric, osu::Stack stack, osu::Mode mode,
   cfg.warmup = warmup;
   Series s;
   s.label = std::string(osu::name(stack)) + "-" + osu::suffix(mode);
-  s.points = metric == Metric::Latency ? osu::runLatency(cfg) : osu::runBandwidth(cfg);
+  s.points = metric == Metric::Latency ? osu::runLatency(pinned(cfg))
+                                       : osu::runBandwidth(pinned(cfg));
   return s;
 }
 

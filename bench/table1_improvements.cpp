@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "apps/osu/osu.hpp"
+#include "trace_pin.hpp"
 
 /// Reproduces Table I of the paper: improvement in latency and bandwidth
 /// with GPU-aware communication — the min-max range over the 1 B .. 4 MB
@@ -19,7 +20,7 @@ struct Improvement {
 };
 
 Improvement measure(osu::Stack stack, osu::Placement place) {
-  osu::BenchConfig cfg;
+  osu::BenchConfig cfg = bench::pinned(osu::BenchConfig{});
   cfg.stack = stack;
   cfg.place = place;
   cfg.iters = 20;

@@ -221,6 +221,7 @@ struct Instance {
     m.machine.num_nodes = cfg.nodes;
     m.machine.backed_device_memory = cfg.backed;
     sys = std::make_unique<hw::System>(m.machine);
+    if (cfg.setup) cfg.setup(*sys);
     ctx = std::make_unique<ucx::Context>(*sys, m.ucx);
     rt = std::make_unique<ck::Runtime>(*sys, *ctx, m);
     world = std::make_unique<ampi::World>(*rt);
@@ -270,6 +271,7 @@ struct Instance {
   ParticlesResult run() {
     world->run([this](ampi::Rank& r) -> sim::FutureTask { return rankMain(&r, &env); });
     sys->engine.run();
+    if (env.cfg->inspect) env.cfg->inspect(*sys);
     ParticlesResult res;
     const auto& r0 = env.ranks[0];
     res.overall_ms_per_step = sim::toMs(r0.t_end - r0.t0) / env.cfg->steps;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "apps/osu/osu.hpp"
@@ -42,7 +43,13 @@ struct ParticlesConfig {
   Mode mode = Mode::Device;
   bool backed = false;
   double dt = 0.2;  ///< of a cell width; bounds migration to adjacent cells
-  model::Model model = model::summit(1);
+  model::Model model = model::summit(1);  ///< machine is resized to `nodes`
+  /// Called with the freshly constructed simulated machine before any traffic
+  /// runs — the hook for attaching span sinks or utilization recording.
+  std::function<void(hw::System&)> setup;
+  /// Called with the simulated machine after the run finishes, before
+  /// teardown — the hook for reading spans/metrics out of a run.
+  std::function<void(hw::System&)> inspect;
 };
 
 struct ParticlesResult {

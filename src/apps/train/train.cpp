@@ -503,6 +503,7 @@ AttemptOutcome runAttempt(const TrainConfig& cfg, Stack stack, int start_step, b
   }
 
   sys.engine.run();
+  if (cfg.inspect) cfg.inspect(sys);
   // The drain layers' no-hang guarantee: after the engine runs dry, every
   // rank — the dead one included — must have either finished all steps or
   // taken the abort exit. A shortfall means a coroutine is parked forever.

@@ -100,6 +100,10 @@ struct TrainConfig {
   /// attempt) before any traffic runs — the hook for span collection or
   /// utilization recording.
   std::function<void(hw::System&)> setup;
+  /// Called with each attempt's simulated machine after its engine run
+  /// finishes, before teardown — the hook for reading spans/metrics out of
+  /// an attempt.
+  std::function<void(hw::System&)> inspect;
 
   [[nodiscard]] std::uint64_t totalParams() const {
     std::uint64_t t = 0;
