@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdio>
-#include <limits>
 
 #include "hw/system.hpp"
 
@@ -18,13 +17,13 @@
 namespace cux::bench {
 
 /// Turns the trace hash on for a freshly built machine, before any traffic.
-inline void traceOn(hw::System& sys) { sys.trace.enable(std::numeric_limits<std::size_t>::max()); }
+inline void traceOn(hw::System& sys) { sys.trace.enable(); }
 
 /// Writes the machine's pin line to stderr once its run has finished.
 inline void tracePin(hw::System& sys) {
   std::fprintf(stderr, "%016llx %llu %llu %llu\n",
                static_cast<unsigned long long>(sys.trace.hash()),
-               static_cast<unsigned long long>(sys.trace.records().size()),
+               static_cast<unsigned long long>(sys.trace.recorded()),
                static_cast<unsigned long long>(sys.engine.eventsProcessed()),
                static_cast<unsigned long long>(sys.engine.now()));
 }

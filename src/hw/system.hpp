@@ -23,7 +23,7 @@ struct System {
   Machine machine;
   MemoryRegistry memory;
   DevicePool pool{memory};    ///< caching device allocator (collectives scratch, training buckets)
-  sim::Tracer trace;          ///< off by default; enable() to record timelines
+  sim::Tracer trace;          ///< off by default; enable() to hash the timeline
   sim::FaultInjector fault;   ///< off by default; configured from config.fault
   obs::Observability obs;     ///< spans + metrics registry; spans off by default
   UtilRecorder util;          ///< per-resource busy accounting; enableUtil() to start
@@ -40,8 +40,7 @@ struct System {
       r.setGauge("fault.drops_injected", fault.dropsInjected());
       r.setGauge("fault.delays_injected", fault.delaysInjected());
       r.setGauge("fault.blackholed", fault.blackholed());
-      r.setGauge("trace.records", trace.records().size());
-      r.setGauge("trace.dropped", trace.dropped());
+      r.setGauge("trace.records", trace.recorded());
       r.setGauge("obs.spans_begun", obs.spans.begun());
       r.setGauge("obs.spans_open", obs.spans.openCount());
       r.setGauge("obs.spans_open_hwm", obs.spans.openHighWatermark());

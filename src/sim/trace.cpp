@@ -34,48 +34,28 @@ const char* name(TraceCat c) {
   return "?";
 }
 
-void Tracer::dumpCsv(std::ostream& os) const {
-  os << "time_us,category,pe,peer,bytes,tag,detail\n";
-  forEachOrdered([&os](const TraceRecord& r) {
-    os << toUs(r.time) << ',' << name(r.cat) << ',' << r.pe << ',' << r.peer << ',' << r.bytes
-       << ',' << r.tag << ',' << r.detail << '\n';
-  });
-  if (dropped_ != 0) {
-    os << "# dropped " << dropped_ << " oldest records (ring capacity " << capacity_ << ")\n";
-  }
-}
-
-std::uint64_t Tracer::hash() const noexcept {
-  constexpr std::uint64_t kOffset = 14695981039346656037ull;
+void Tracer::fold(const TraceRecord& r) {
   constexpr std::uint64_t kPrime = 1099511628211ull;
-  std::uint64_t h = kOffset;
+  std::uint64_t h = hash_;
   auto mix = [&h](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
       h ^= (v >> (i * 8)) & 0xffu;
       h *= kPrime;
     }
   };
-  forEachOrdered([&](const TraceRecord& r) {
-    mix(r.time);
-    mix(static_cast<std::uint64_t>(r.cat));
-    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.pe)));
-    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.peer)));
-    mix(r.bytes);
-    mix(r.tag);
-    for (const char* p = r.detail; *p != '\0'; ++p) {
-      h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(*p));
-      h *= kPrime;
-    }
-  });
-  return h;
-}
-
-std::size_t Tracer::count(TraceCat c) const {
-  std::size_t n = 0;
-  for (const TraceRecord& r : records_) {
-    if (r.cat == c) ++n;
+  mix(r.time);
+  mix(static_cast<std::uint64_t>(r.cat));
+  mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.pe)));
+  mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.peer)));
+  mix(r.bytes);
+  mix(r.tag);
+  for (const char* p = r.detail; *p != '\0'; ++p) {
+    h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(*p));
+    h *= kPrime;
   }
-  return n;
+  hash_ = h;
+  ++recorded_;
+  if (sink_ != nullptr) sink_->onRecord(r);
 }
 
 }  // namespace cux::sim

@@ -1,20 +1,15 @@
 #pragma once
 
 #include <cstdint>
-#include <ostream>
-#include <string>
-#include <string_view>
-#include <unordered_set>
-#include <vector>
 
 #include "sim/time.hpp"
 
 /// \file trace.hpp
-/// Message-timeline tracing. When enabled on the System, the communication
-/// layers append one record per interesting event (send started, protocol
-/// chosen, data arrived, handler dispatched, ...), producing a timeline that
-/// can be dumped as CSV for debugging protocol behaviour or plotting
-/// message flows. Disabled by default: a single branch per event.
+/// Message-timeline hashing. When enabled on the System, the communication
+/// layers report one record per interesting event (send started, protocol
+/// chosen, data arrived, handler dispatched, ...) and the Tracer folds each
+/// into a running order-sensitive hash, so two runs can be compared by one
+/// number. Disabled by default: a single branch per event.
 
 namespace cux::sim {
 
@@ -38,6 +33,8 @@ enum class TraceCat : std::uint8_t {
 
 [[nodiscard]] const char* name(TraceCat c);
 
+/// One record as the Tracer folds it. `detail` is the caller's string and is
+/// valid only for the duration of the call that reports the record.
 struct TraceRecord {
   TimePoint time = 0;
   TraceCat cat = TraceCat::User;
@@ -45,102 +42,47 @@ struct TraceRecord {
   int peer = -1;
   std::uint64_t bytes = 0;
   std::uint64_t tag = 0;
-  /// Interned by Tracer::record() — callers may pass a string of any
-  /// lifetime (the old "static string only" contract dangled on a stack
-  /// string; see the intern pool below).
   const char* detail = "";
+};
+
+/// Receives every record the Tracer folds, in order (tests keep them).
+class TraceSink {
+ public:
+  virtual ~TraceSink() = default;
+  virtual void onRecord(const TraceRecord& r) = 0;
 };
 
 class Tracer {
  public:
-  /// Enables recording; `capacity` bounds memory. The store is a true ring:
-  /// once full, each new record overwrites the OLDEST one (the newest
-  /// records are kept) and dropped() counts the overwritten history, so
-  /// truncation is never silent.
-  void enable(std::size_t capacity = 1 << 20) {
+  /// Starts folding records into the hash. `sink`, if given, also receives
+  /// each record as it is folded and must outlive the Tracer's use.
+  void enable(TraceSink* sink = nullptr) noexcept {
     enabled_ = true;
-    capacity_ = capacity == 0 ? 1 : capacity;
-    records_.reserve(capacity_ < 4096 ? capacity_ : 4096);
+    sink_ = sink;
   }
-  void disable() noexcept { enabled_ = false; }
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
   void record(TimePoint t, TraceCat cat, int pe, int peer, std::uint64_t bytes,
               std::uint64_t tag, const char* detail = "") {
     if (!enabled_) return;
-    // Interning makes the record own-nothing safe: a caller handing us a
-    // stack buffer (the classic footgun with the previous raw-pointer
-    // contract) gets a stable pooled copy instead of a dangling pointer.
-    if (*detail != '\0') detail = intern(detail);
-    if (records_.size() < capacity_) {
-      records_.push_back(TraceRecord{t, cat, pe, peer, bytes, tag, detail});
-      return;
-    }
-    records_[head_] = TraceRecord{t, cat, pe, peer, bytes, tag, detail};
-    head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
-    ++dropped_;
+    fold(TraceRecord{t, cat, pe, peer, bytes, tag, detail});
   }
 
-  /// Raw ring storage. Once dropped() > 0 this is NOT chronological — the
-  /// oldest surviving record sits at the wrap point; use forEachOrdered()
-  /// (or dumpCsv/hash, which do) for time order.
-  [[nodiscard]] const std::vector<TraceRecord>& records() const noexcept { return records_; }
+  /// Order-sensitive FNV-1a over every record folded so far (its fields as
+  /// little-endian 64-bit words, then the detail's bytes). Two runs of a
+  /// deterministic workload produce identical hashes; the goldens' trace
+  /// pins and the determinism tests compare these across runs and builds.
+  [[nodiscard]] std::uint64_t hash() const noexcept { return hash_; }
 
-  /// Visits every surviving record oldest-first.
-  template <typename Fn>
-  void forEachOrdered(Fn&& fn) const {
-    for (std::size_t i = head_; i < records_.size(); ++i) fn(records_[i]);
-    for (std::size_t i = 0; i < head_; ++i) fn(records_[i]);
-  }
-
-  /// Records overwritten because the ring was full.
-  [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
-
-  void clear() noexcept {
-    records_.clear();
-    head_ = 0;
-    dropped_ = 0;
-  }
-
-  /// One line per record (oldest first): time_us,category,pe,peer,bytes,tag,
-  /// detail. A non-zero dropped() is surfaced as a trailing comment line.
-  void dumpCsv(std::ostream& os) const;
-
-  /// Order-sensitive FNV-1a hash over every record (including detail
-  /// strings). Two runs of a deterministic workload must produce identical
-  /// hashes; the determinism suite compares these across runs, and engine
-  /// changes can be validated by comparing hashes across builds.
-  [[nodiscard]] std::uint64_t hash() const noexcept;
-
-  /// Number of records in a category (test/diagnostic helper).
-  [[nodiscard]] std::size_t count(TraceCat c) const;
+  /// Number of records folded so far.
+  [[nodiscard]] std::uint64_t recorded() const noexcept { return recorded_; }
 
  private:
-  [[nodiscard]] const char* intern(const char* s) {
-    const auto it = pool_.find(std::string_view(s));
-    if (it != pool_.end()) return it->c_str();
-    return pool_.emplace(s).first->c_str();
-  }
-
-  /// Heterogeneous lookup so the per-record intern probe never constructs a
-  /// std::string (details longer than the SSO cap would otherwise allocate
-  /// on every record).
-  struct StringHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-    std::size_t operator()(const std::string& s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
+  void fold(const TraceRecord& r);
 
   bool enabled_ = false;
-  std::size_t capacity_ = 0;
-  std::size_t head_ = 0;  ///< ring wrap point: oldest surviving record
-  std::uint64_t dropped_ = 0;
-  std::vector<TraceRecord> records_;
-  std::unordered_set<std::string, StringHash, std::equal_to<>> pool_;
+  TraceSink* sink_ = nullptr;
+  std::uint64_t hash_ = 14695981039346656037ull;  ///< FNV-1a offset basis
+  std::uint64_t recorded_ = 0;
 };
 
 }  // namespace cux::sim

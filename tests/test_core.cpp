@@ -8,6 +8,7 @@
 #include "hw/cuda.hpp"
 #include "model/model.hpp"
 #include "sim/rng.hpp"
+#include "trace_sink.hpp"
 #include "ucx/context.hpp"
 
 namespace {
@@ -323,8 +324,9 @@ TEST(DeviceComm, UserTagSendsStayOrderedInSmpMode) {
   // device send issued earlier by the same PE.
   model::Model m = model::summit(2);
   m.costs.smp_comm_thread = true;
+  test::TraceSink trace;
   hw::System sys(m.machine);
-  sys.trace.enable();
+  sys.trace.enable(&trace);
   ucx::Context ctx(sys, m.ucx);
   cmi::Converse cmi(sys, ctx, m.costs);
   core::DeviceComm dev(cmi);
@@ -336,7 +338,7 @@ TEST(DeviceComm, UserTagSendsStayOrderedInSmpMode) {
   });
   sys.engine.run();
   std::vector<core::MsgType> order;
-  for (const auto& rec : sys.trace.records()) {
+  for (const auto& rec : trace.records) {
     if (rec.cat == sim::TraceCat::UcxSend) order.push_back(cmi.tags().typeOf(rec.tag));
   }
   ASSERT_EQ(order.size(), 2u);

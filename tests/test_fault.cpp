@@ -12,6 +12,7 @@
 #include "model/model.hpp"
 #include "sim/fault.hpp"
 #include "sim/rng.hpp"
+#include "trace_sink.hpp"
 #include "ucx/context.hpp"
 
 /// Fault injection and the retry/fallback reliability layer.
@@ -34,12 +35,13 @@ struct FaultFixture {
     if (retry_base_us > 0) m.ucx.retry_base_us = retry_base_us;
     if (failure_detect_us > 0) m.ucx.failure_detect_us = failure_detect_us;
     sys = std::make_unique<hw::System>(m.machine);
-    sys->trace.enable();
+    sys->trace.enable(&trace);
     ctx = std::make_unique<ucx::Context>(*sys, m.ucx);
     cmi = std::make_unique<cmi::Converse>(*sys, *ctx, m.costs);
     dev = std::make_unique<core::DeviceComm>(*cmi);
   }
   model::Model m;
+  test::TraceSink trace;  ///< outlives the machine that feeds it
   std::unique_ptr<hw::System> sys;
   std::unique_ptr<ucx::Context> ctx;
   std::unique_ptr<cmi::Converse> cmi;
@@ -152,7 +154,7 @@ TEST(FaultRetry, ExhaustionSurfacesErrorWithExactCounters) {
   EXPECT_EQ(f.sys->fault.dropsInjected(), 3u);
   EXPECT_EQ(f.ctx->retransmits(), 2u);
   EXPECT_EQ(f.ctx->sendErrors(), 1u);
-  EXPECT_EQ(f.sys->trace.count(sim::TraceCat::Retry), 2u);
+  EXPECT_EQ(f.trace.count(sim::TraceCat::Retry), 2u);
 }
 
 TEST(FaultRetry, PartialLossRecoversWithRetransmissions) {
@@ -346,7 +348,7 @@ TEST(FaultFallback, DeviceRndvExhaustionFallsBackToHostStagedEager) {
   EXPECT_TRUE(sent);
   EXPECT_TRUE(recvd);
   EXPECT_EQ(f.dev->fallbacks(), 1u);
-  EXPECT_EQ(f.sys->trace.count(sim::TraceCat::Fallback), 1u);
+  EXPECT_EQ(f.trace.count(sim::TraceCat::Fallback), 1u);
   EXPECT_EQ(std::memcmp(dst.get(), ref.data(), ref.size()), 0);
 }
 

@@ -10,6 +10,7 @@
 #include "model/model.hpp"
 #include "charm4py/charm4py.hpp"
 #include "ompi/ompi.hpp"
+#include "trace_sink.hpp"
 #include "ucx/context.hpp"
 
 /// Cross-cutting integration tests: the tracer observing a full application,
@@ -24,8 +25,9 @@ TEST(Integration, TracerCapturesAFullJacobiTimeline) {
   // record stream (uses the internal pieces directly to own the System).
   model::Model m = model::summit(1);
   m.machine.backed_device_memory = false;
+  test::TraceSink trace;
   hw::System sys(m.machine);
-  sys.trace.enable();
+  sys.trace.enable(&trace);
   ucx::Context ctx(sys, m.ucx);
   ck::Runtime rt(sys, ctx, m);
   ampi::World world(rt);
@@ -42,18 +44,19 @@ TEST(Integration, TracerCapturesAFullJacobiTimeline) {
   });
   sys.engine.run();
 
-  EXPECT_GE(sys.trace.count(sim::TraceCat::Kernel), 1u);
-  EXPECT_GE(sys.trace.count(sim::TraceCat::LrtsSend), 1u);
-  EXPECT_GE(sys.trace.count(sim::TraceCat::CmiSend), 1u);
-  EXPECT_GE(sys.trace.count(sim::TraceCat::UcxRndv), 1u);
-  EXPECT_GE(sys.trace.count(sim::TraceCat::UcxRecv), 1u);
+  EXPECT_GE(trace.count(sim::TraceCat::Kernel), 1u);
+  EXPECT_GE(trace.count(sim::TraceCat::LrtsSend), 1u);
+  EXPECT_GE(trace.count(sim::TraceCat::CmiSend), 1u);
+  EXPECT_GE(trace.count(sim::TraceCat::UcxRndv), 1u);
+  EXPECT_GE(trace.count(sim::TraceCat::UcxRecv), 1u);
   // Records are time-ordered as recorded.
-  const auto& recs = sys.trace.records();
+  const auto& recs = trace.records;
   for (std::size_t i = 1; i < recs.size(); ++i) {
     EXPECT_GE(recs[i].time, recs[i - 1].time);
   }
+  EXPECT_EQ(recs.size(), sys.trace.recorded());
   std::ostringstream os;
-  sys.trace.dumpCsv(os);
+  trace.dumpCsv(os);
   EXPECT_GT(os.str().size(), 100u);
 }
 

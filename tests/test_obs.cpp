@@ -480,91 +480,6 @@ TEST(Perfetto, ExportContainsTracksSpansAndCounters) {
 }
 
 // ---------------------------------------------------------------------------
-// Tracer ring buffer + interning (satellites 1 and 2)
-// ---------------------------------------------------------------------------
-
-TEST(TracerRing, OverflowKeepsNewestAndCountsDropped) {
-  sim::Tracer t;
-  t.enable(/*capacity=*/4);
-  for (int i = 0; i < 10; ++i) {
-    t.record(static_cast<sim::TimePoint>(i), sim::TraceCat::User, i, -1, 0, 0, "");
-  }
-  EXPECT_EQ(t.records().size(), 4u);
-  EXPECT_EQ(t.dropped(), 6u);
-  // forEachOrdered yields the surviving records oldest-to-newest: 6,7,8,9.
-  std::vector<int> pes;
-  t.forEachOrdered([&pes](const sim::TraceRecord& r) { pes.push_back(r.pe); });
-  EXPECT_EQ(pes, (std::vector<int>{6, 7, 8, 9}));
-}
-
-TEST(TracerRing, DumpCsvReportsDropCount) {
-  sim::Tracer t;
-  t.enable(/*capacity=*/2);
-  for (int i = 0; i < 5; ++i) {
-    t.record(static_cast<sim::TimePoint>(i), sim::TraceCat::User, i, -1, 0, 0, "x");
-  }
-  std::ostringstream os;
-  t.dumpCsv(os);
-  EXPECT_NE(os.str().find("# dropped 3 oldest records"), std::string::npos);
-}
-
-TEST(TracerRing, NoOverflowMeansNoDropLine) {
-  sim::Tracer t;
-  t.enable(/*capacity=*/8);
-  t.record(0, sim::TraceCat::User, 0, -1, 0, 0, "x");
-  std::ostringstream os;
-  t.dumpCsv(os);
-  EXPECT_EQ(t.dropped(), 0u);
-  EXPECT_EQ(os.str().find("# dropped"), std::string::npos);
-}
-
-TEST(TracerRing, ClearResetsRingStateAndDropCount) {
-  sim::Tracer t;
-  t.enable(/*capacity=*/2);
-  for (int i = 0; i < 5; ++i) {
-    t.record(static_cast<sim::TimePoint>(i), sim::TraceCat::User, i, -1, 0, 0, "");
-  }
-  t.clear();
-  EXPECT_EQ(t.dropped(), 0u);
-  t.record(100, sim::TraceCat::User, 42, -1, 0, 0, "");
-  std::vector<int> pes;
-  t.forEachOrdered([&pes](const sim::TraceRecord& r) { pes.push_back(r.pe); });
-  EXPECT_EQ(pes, (std::vector<int>{42}));
-}
-
-// The TraceRecord::detail footgun (satellite 2): before interning, passing a
-// temporary string left a dangling pointer that dumpCsv/hash would read long
-// after the buffer died. ASan in CI turns a regression here into a hard
-// failure; without ASan the EXPECT still catches a changed value.
-TEST(TracerRing, DetailStringsOutliveTheirCaller) {
-  sim::Tracer t;
-  t.enable();
-  {
-    std::string scoped = "short-lived-detail-";
-    scoped += std::to_string(12345);  // defeat SSO-in-static storage
-    t.record(0, sim::TraceCat::User, 0, -1, 0, 0, scoped.c_str());
-    scoped.assign(scoped.size(), 'X');  // scribble before destruction too
-  }
-  std::ostringstream os;
-  t.dumpCsv(os);
-  EXPECT_NE(os.str().find("short-lived-detail-12345"), std::string::npos);
-  ASSERT_EQ(t.records().size(), 1u);
-  EXPECT_STREQ(t.records()[0].detail, "short-lived-detail-12345");
-}
-
-TEST(TracerRing, InterningDeduplicatesEqualDetails) {
-  sim::Tracer t;
-  t.enable();
-  std::string a = "same-detail-string";
-  std::string b = "same-detail-string";
-  t.record(0, sim::TraceCat::User, 0, -1, 0, 0, a.c_str());
-  t.record(1, sim::TraceCat::User, 1, -1, 0, 0, b.c_str());
-  ASSERT_EQ(t.records().size(), 2u);
-  // Equal contents intern to the very same storage.
-  EXPECT_EQ(t.records()[0].detail, t.records()[1].detail);
-}
-
-// ---------------------------------------------------------------------------
 // End-to-end: spans + registry on a live system
 // ---------------------------------------------------------------------------
 

@@ -2,10 +2,12 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
 
 #include "ampi/ampi.hpp"
 #include "hw/cuda.hpp"
 #include "model/model.hpp"
+#include "trace_sink.hpp"
 #include "ucx/context.hpp"
 
 namespace {
@@ -14,36 +16,40 @@ using namespace cux;
 
 TEST(Trace, DisabledByDefaultRecordsNothing) {
   hw::System sys(model::summit(1).machine);
+  const std::uint64_t empty = sys.trace.hash();
   ucx::Context ctx(sys, model::summit(1).ucx);
   std::vector<std::byte> a(64), b(64);
   ctx.worker(1).tagRecv(hw::MemRef::host(b.data()), 64, 1, ucx::kFullMask, {});
   ctx.tagSend(0, 1, hw::MemRef::host(a.data()), 64, 1, {});
   sys.engine.run();
-  EXPECT_TRUE(sys.trace.records().empty());
+  EXPECT_EQ(sys.trace.recorded(), 0u);
+  EXPECT_EQ(sys.trace.hash(), empty);
 }
 
 TEST(Trace, RecordsEagerSendAndRecv) {
   auto m = model::summit(1);
+  test::TraceSink trace;
   hw::System sys(m.machine);
-  sys.trace.enable();
+  sys.trace.enable(&trace);
   ucx::Context ctx(sys, m.ucx);
   std::vector<std::byte> a(64), b(64);
   ctx.worker(1).tagRecv(hw::MemRef::host(b.data()), 64, 7, ucx::kFullMask, {});
   ctx.tagSend(0, 1, hw::MemRef::host(a.data()), 64, 7, {});
   sys.engine.run();
-  EXPECT_EQ(sys.trace.count(sim::TraceCat::UcxSend), 1u);
-  EXPECT_EQ(sys.trace.count(sim::TraceCat::UcxRecv), 1u);
-  const auto& send = sys.trace.records().front();
+  EXPECT_EQ(trace.count(sim::TraceCat::UcxSend), 1u);
+  EXPECT_EQ(trace.count(sim::TraceCat::UcxRecv), 1u);
+  const auto& send = trace.records.front();
   EXPECT_EQ(send.pe, 0);
   EXPECT_EQ(send.peer, 1);
   EXPECT_EQ(send.bytes, 64u);
-  EXPECT_STREQ(send.detail, "eager-host");
+  EXPECT_EQ(send.detail, "eager-host");
 }
 
 TEST(Trace, RecordsProtocolSelection) {
   auto m = model::summit(1);
+  test::TraceSink trace;
   hw::System sys(m.machine);
-  sys.trace.enable();
+  sys.trace.enable(&trace);
   ucx::Context ctx(sys, m.ucx);
   cuda::DeviceBuffer small(sys, 0, 64), big(sys, 0, 1u << 20);
   cuda::DeviceBuffer dst_s(sys, 1, 64), dst_b(sys, 1, 1u << 20);
@@ -53,20 +59,21 @@ TEST(Trace, RecordsProtocolSelection) {
   ctx.tagSend(0, 1, big.ref(), 1u << 20, 2, {});
   sys.engine.run();
   bool saw_eager_dev = false, saw_rndv_dev = false;
-  for (const auto& r : sys.trace.records()) {
+  for (const auto& r : trace.records) {
     if (r.cat != sim::TraceCat::UcxSend) continue;
-    if (std::string_view(r.detail) == "eager-device") saw_eager_dev = true;
-    if (std::string_view(r.detail) == "rndv-device") saw_rndv_dev = true;
+    if (r.detail == "eager-device") saw_eager_dev = true;
+    if (r.detail == "rndv-device") saw_rndv_dev = true;
   }
   EXPECT_TRUE(saw_eager_dev);
   EXPECT_TRUE(saw_rndv_dev);
-  EXPECT_EQ(sys.trace.count(sim::TraceCat::UcxRndv), 1u);
+  EXPECT_EQ(trace.count(sim::TraceCat::UcxRndv), 1u);
 }
 
 TEST(Trace, FullAmpiTransferProducesLayeredTimeline) {
   auto m = model::summit(1);
+  test::TraceSink trace;
   hw::System sys(m.machine);
-  sys.trace.enable();
+  sys.trace.enable(&trace);
   ucx::Context ctx(sys, m.ucx);
   ck::Runtime rt(sys, ctx, m);
   ampi::World world(rt);
@@ -79,14 +86,14 @@ TEST(Trace, FullAmpiTransferProducesLayeredTimeline) {
   // The paper's Fig. 7 pipeline shows up as a layered trace: the AMPI send
   // produces an Lrts device send, a Converse metadata message, its scheduler
   // dispatch, the machine-layer receive post, and the UCX completion.
-  EXPECT_GE(sys.trace.count(sim::TraceCat::LrtsSend), 1u);
-  EXPECT_GE(sys.trace.count(sim::TraceCat::CmiSend), 1u);
-  EXPECT_GE(sys.trace.count(sim::TraceCat::CmiSched), 1u);
-  EXPECT_GE(sys.trace.count(sim::TraceCat::LrtsRecv), 1u);
-  EXPECT_GE(sys.trace.count(sim::TraceCat::UcxRecv), 1u);
+  EXPECT_GE(trace.count(sim::TraceCat::LrtsSend), 1u);
+  EXPECT_GE(trace.count(sim::TraceCat::CmiSend), 1u);
+  EXPECT_GE(trace.count(sim::TraceCat::CmiSched), 1u);
+  EXPECT_GE(trace.count(sim::TraceCat::LrtsRecv), 1u);
+  EXPECT_GE(trace.count(sim::TraceCat::UcxRecv), 1u);
   // Times are monotone within the causal chain lrts.send -> lrts.recv.
   sim::TimePoint send_t = 0, recv_t = 0;
-  for (const auto& r : sys.trace.records()) {
+  for (const auto& r : trace.records) {
     if (r.cat == sim::TraceCat::LrtsSend && send_t == 0) send_t = r.time;
     if (r.cat == sim::TraceCat::LrtsRecv) recv_t = r.time;
   }
@@ -95,15 +102,16 @@ TEST(Trace, FullAmpiTransferProducesLayeredTimeline) {
 
 TEST(Trace, CsvDumpIsWellFormed) {
   auto m = model::summit(1);
+  test::TraceSink trace;
   hw::System sys(m.machine);
-  sys.trace.enable();
+  sys.trace.enable(&trace);
   ucx::Context ctx(sys, m.ucx);
   std::vector<std::byte> a(64), b(64);
   ctx.worker(1).tagRecv(hw::MemRef::host(b.data()), 64, 1, ucx::kFullMask, {});
   ctx.tagSend(0, 1, hw::MemRef::host(a.data()), 64, 1, {});
   sys.engine.run();
   std::ostringstream os;
-  sys.trace.dumpCsv(os);
+  trace.dumpCsv(os);
   const std::string csv = os.str();
   EXPECT_NE(csv.find("time_us,category,pe,peer,bytes,tag,detail"), std::string::npos);
   EXPECT_NE(csv.find("ucx.send"), std::string::npos);
@@ -111,29 +119,24 @@ TEST(Trace, CsvDumpIsWellFormed) {
   EXPECT_GE(std::count(csv.begin(), csv.end(), '\n'), 3);
 }
 
-TEST(Trace, CapacityBoundsMemory) {
-  auto m = model::summit(1);
-  hw::System sys(m.machine);
-  sys.trace.enable(/*capacity=*/5);
-  ucx::Context ctx(sys, m.ucx);
-  std::vector<std::byte> a(64), b(64);
-  for (int i = 0; i < 20; ++i) {
-    ctx.worker(1).tagRecv(hw::MemRef::host(b.data()), 64, static_cast<ucx::Tag>(i), ucx::kFullMask,
-                          {});
-    ctx.tagSend(0, 1, hw::MemRef::host(a.data()), 64, static_cast<ucx::Tag>(i), {});
+// The sink copies each detail, so a record whose detail lived in a caller's
+// stack buffer survives that buffer (ASan in CI turns a regression into a
+// hard failure; without ASan the EXPECT still catches a changed value).
+TEST(Trace, DetailStringsOutliveTheirCaller) {
+  test::TraceSink trace;
+  sim::Tracer t;
+  t.enable(&trace);
+  {
+    std::string scoped = "short-lived-detail-";
+    scoped += std::to_string(12345);  // defeat SSO-in-static storage
+    t.record(0, sim::TraceCat::User, 0, -1, 0, 0, scoped.c_str());
+    scoped.assign(scoped.size(), 'X');  // scribble before destruction too
   }
-  sys.engine.run();
-  EXPECT_EQ(sys.trace.records().size(), 5u);
-}
-
-TEST(Trace, ClearResets) {
-  auto m = model::summit(1);
-  hw::System sys(m.machine);
-  sys.trace.enable();
-  sys.trace.record(0, sim::TraceCat::User, 0, -1, 0, 0, "marker");
-  EXPECT_EQ(sys.trace.records().size(), 1u);
-  sys.trace.clear();
-  EXPECT_TRUE(sys.trace.records().empty());
+  std::ostringstream os;
+  trace.dumpCsv(os);
+  EXPECT_NE(os.str().find("short-lived-detail-12345"), std::string::npos);
+  ASSERT_EQ(trace.records.size(), 1u);
+  EXPECT_EQ(trace.records[0].detail, "short-lived-detail-12345");
 }
 
 }  // namespace

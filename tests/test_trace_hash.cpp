@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "converse/converse.hpp"
@@ -9,6 +12,7 @@
 #include "model/model.hpp"
 #include "obs/sink.hpp"
 #include "sim/rng.hpp"
+#include "trace_sink.hpp"
 #include "ucx/context.hpp"
 
 /// Trace-hash determinism: the engine's contract is that identical
@@ -255,17 +259,18 @@ TEST(TraceHash, FaultyTimelinesArePinned) {
 /// split across the direct and staged routes and across both rails, the
 /// 1 MiB ones stay below the split threshold, and the inter-node ones send
 /// a CTS first.
-std::uint64_t multipathHash(const sim::FaultConfig& fault = {}) {
+model::Model multipathModel(const sim::FaultConfig& fault) {
   model::Model m = model::summit(2);
   m.machine.backed_device_memory = false;
   m.machine.nvlink_bricks = 2;
   m.machine.nic_rails = 2;
   m.ucx.multipath.enabled = true;
   m.machine.fault = fault;
-  hw::System sys(m.machine);
-  sys.trace.enable();
-  ucx::Context ctx(sys, m.ucx);
-  std::vector<cuda::DeviceBuffer> bufs;
+  return m;
+}
+
+/// Posts the multipath traffic; `bufs` must outlive the engine run.
+void multipathTraffic(hw::System& sys, ucx::Context& ctx, std::vector<cuda::DeviceBuffer>& bufs) {
   bufs.reserve(8);
   ucx::Tag tag = 0x300;
   for (const std::uint64_t size : {1u << 20, 4u << 20}) {
@@ -277,6 +282,15 @@ std::uint64_t multipathHash(const sim::FaultConfig& fault = {}) {
       ++tag;
     }
   }
+}
+
+std::uint64_t multipathHash(const sim::FaultConfig& fault = {}) {
+  const model::Model m = multipathModel(fault);
+  hw::System sys(m.machine);
+  sys.trace.enable();
+  ucx::Context ctx(sys, m.ucx);
+  std::vector<cuda::DeviceBuffer> bufs;
+  multipathTraffic(sys, ctx, bufs);
   sys.engine.run();
   return sys.trace.hash();
 }
@@ -286,6 +300,68 @@ TEST(TraceHash, MultipathTimelinesArePinned) {
   const auto b = multipathHash(sim::FaultConfig::uniformLoss(0.2, 5));
   EXPECT_EQ(a, 0x1ea839f4e1112a88ull);
   EXPECT_EQ(b, 0x57c8271f25cab044ull);
+}
+
+/// FNV-1a over a kept record stream, written out independently of the
+/// Tracer: each field as 8 little-endian bytes, then the detail's bytes.
+std::uint64_t replayHash(const std::vector<test::TraceSink::Record>& records) {
+  std::uint64_t h = 14695981039346656037ull;
+  auto byte = [&h](unsigned char b) {
+    h ^= b;
+    h *= 1099511628211ull;
+  };
+  auto word = [&byte](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(v >> (8 * i)));
+  };
+  for (const test::TraceSink::Record& r : records) {
+    word(r.time);
+    word(static_cast<std::uint64_t>(r.cat));
+    word(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.pe)));
+    word(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.peer)));
+    word(r.bytes);
+    word(r.tag);
+    for (const char c : r.detail) byte(static_cast<unsigned char>(c));
+  }
+  return h;
+}
+
+// The Tracer folds each record at record() time and keeps nothing. A sink
+// on a faulty multipath run keeps every record; replaying them must give
+// the Tracer's hash, and their count must be the trace.records gauge. The
+// run also records markers whose details live in stack buffers that are
+// scribbled over as soon as record() returns.
+TEST(TraceHash, StreamingHashEqualsRecordReplay) {
+  const model::Model m = multipathModel(sim::FaultConfig::uniformLoss(0.2, 5));
+  test::TraceSink sink;
+  hw::System sys(m.machine);
+  sys.trace.enable(&sink);
+  ucx::Context ctx(sys, m.ucx);
+  std::vector<cuda::DeviceBuffer> bufs;
+  multipathTraffic(sys, ctx, bufs);
+  constexpr int kMarkers = 8;
+  for (int i = 0; i < kMarkers; ++i) {
+    sys.engine.schedule(sim::usec(25.0 * i), [&sys, i] {
+      char detail[32];
+      std::snprintf(detail, sizeof detail, "marker-%d", i);
+      sys.trace.record(sys.engine.now(), sim::TraceCat::User, i, -1, 0, 0, detail);
+      std::memset(detail, 'X', sizeof detail - 1);
+    });
+  }
+  sys.engine.run();
+
+  ASSERT_GT(sink.count(sim::TraceCat::Drop), 0u);
+  ASSERT_GT(sink.count(sim::TraceCat::Retry), 0u);
+  ASSERT_EQ(sink.count(sim::TraceCat::User), static_cast<std::size_t>(kMarkers));
+  int marker = 0;
+  for (const test::TraceSink::Record& r : sink.records) {
+    if (r.cat == sim::TraceCat::User) {
+      EXPECT_EQ(r.detail, "marker-" + std::to_string(marker++));
+    }
+  }
+  EXPECT_EQ(replayHash(sink.records), sys.trace.hash());
+  sys.obs.refresh();
+  EXPECT_EQ(sys.obs.registry.gaugeValue("trace.records"), sink.records.size());
+  EXPECT_EQ(sys.trace.recorded(), sink.records.size());
 }
 
 // Enabled faults are themselves deterministic: a fixed seed reproduces the
