@@ -8,8 +8,8 @@
 #include "ucx/context.hpp"
 
 /// Real-time (wall-clock) performance of the simulator's hot paths with
-/// google-benchmark: event-queue throughput under the schedule/cancel mixes
-/// the communication layers actually generate, tag matching, memory
+/// google-benchmark: event-queue throughput under the schedule mixes the
+/// communication layers actually generate, tag matching, memory
 /// classification, and end-to-end simulated messages per second. These are
 /// the costs a user of this library actually pays to run the figure benches.
 ///
@@ -25,8 +25,7 @@ namespace {
 // Event-engine throughput
 // --------------------------------------------------------------------------
 
-/// Schedule-heavy mix: N events at random times, zero cancellations. This is
-/// the common case — the figure benches cancel nothing.
+/// Schedule-heavy mix: N events at random times.
 void BM_EngineScheduleRun(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -69,49 +68,6 @@ void BM_EngineScheduleRunCapture(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_EngineScheduleRunCapture)->Arg(16384);
-
-/// Timeout-style mix: a fraction of events is cancelled before it fires
-/// (retransmit timers, cancelled receives). Arg0 = events, Arg1 = percent
-/// cancelled.
-void BM_EngineScheduleCancelMix(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int pct = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    sim::Engine e;
-    sim::SplitMix64 rng(13);
-    std::vector<sim::EventId> ids;
-    ids.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      ids.push_back(e.schedule(rng.below(1'000'000), [] {}));
-    }
-    for (int i = 0; i < n; ++i) {
-      if (static_cast<int>(rng.below(100)) < pct) e.cancel(ids[static_cast<std::size_t>(i)]);
-    }
-    e.run();
-    benchmark::DoNotOptimize(e.eventsProcessed());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_EngineScheduleCancelMix)->Args({16384, 10})->Args({16384, 50})->Args({16384, 90});
-
-/// Cancel-and-reschedule churn: every event is immediately replaced, the
-/// worst case for cancellation bookkeeping (progress-timer resets).
-void BM_EngineRescheduleChurn(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    sim::Engine e;
-    sim::SplitMix64 rng(17);
-    sim::EventId id = e.schedule(1, [] {});
-    for (int i = 0; i < n; ++i) {
-      e.cancel(id);
-      id = e.schedule(rng.below(1'000'000), [] {});
-    }
-    e.run();
-    benchmark::DoNotOptimize(e.eventsProcessed());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_EngineRescheduleChurn)->Arg(16384);
 
 /// Fan-out cascade: each fired event schedules `fan` children for two
 /// generations — the shape of a Jacobi halo exchange (one entry method
@@ -283,33 +239,6 @@ void BM_UcxTagMatchingWildcardMix(benchmark::State& state) {
 }
 BENCHMARK(BM_UcxTagMatchingWildcardMix)
     ->Arg(4096);
-
-/// Cancellation at depth: posts N receives and cancels them all. The
-/// matcher unlinks each in O(1) through the request back-pointer.
-void BM_UcxCancelRecv(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  model::Model m = model::summit(1);
-  hw::System sys(m.machine);
-  ucx::Context ctx(sys, m.ucx);
-  std::vector<std::byte> buf(64);
-  std::vector<ucx::RequestPtr> reqs;
-  reqs.reserve(static_cast<std::size_t>(n));
-  for (auto _ : state) {
-    for (int i = 0; i < n; ++i) {
-      reqs.push_back(
-          ctx.worker(1).tagRecv(hw::MemRef::host(buf.data()), 64, static_cast<ucx::Tag>(i),
-                                ucx::kFullMask, {}));
-    }
-    // Cancel in reverse post order: each target sits at the tail of the
-    // remaining posted list, which a scan would have to walk in full; the
-    // slot back-pointer unlinks it without scanning.
-    for (auto it = reqs.rbegin(); it != reqs.rend(); ++it) ctx.worker(1).cancelRecv(*it);
-    reqs.clear();
-    sys.engine.run();
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_UcxCancelRecv)->Arg(4096);
 
 void BM_SimulatedMessagesPerSecond(benchmark::State& state) {
   // End-to-end: how many simulated eager messages the whole stack retires

@@ -16,20 +16,13 @@
 /// timestamps fire in scheduling order (a monotonically increasing sequence
 /// number breaks ties), so repeated runs produce identical traces.
 ///
-/// Hot-path design: the common (never-cancelled) event performs zero hash
-/// lookups and zero per-event heap allocations. Callbacks live in a
-/// generation-tagged slot pool (`SmallFn` inline storage, recycled through a
-/// free list); the priority queue holds 24-byte POD entries only. An
-/// `EventId` encodes {slot, generation}: cancellation bumps the slot's
-/// generation, turning the queued entry into a tombstone that pop skips with
-/// a single array compare — no cancelled-set, no pending-set.
+/// Hot-path design: an event performs zero hash lookups and zero per-event
+/// heap allocations. Callbacks live in a slot pool (`SmallFn` inline
+/// storage, recycled through a free list); the priority queue holds 24-byte
+/// POD entries only. A scheduled event always runs: there is no
+/// cancellation, so every queued entry is live.
 
 namespace cux::sim {
-
-/// Identifier of a scheduled event; usable with Engine::cancel(). Encodes a
-/// slot index (low 32 bits) and that slot's generation at scheduling time
-/// (high 32 bits); stale ids fail the generation check in cancel().
-using EventId = std::uint64_t;
 
 class Engine {
  public:
@@ -39,7 +32,7 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Sentinel returned by nextEventTime() when no live event is pending.
+  /// Sentinel returned by nextEventTime() when no event is pending.
   static constexpr TimePoint kNoEvent = ~TimePoint{0};
 
   /// Current virtual time.
@@ -47,17 +40,10 @@ class Engine {
 
   /// Schedules `cb` at absolute virtual time `t` (clamped to now()). A
   /// past-time schedule increments pastClamped().
-  EventId schedule(TimePoint t, Callback cb);
+  void schedule(TimePoint t, Callback cb);
 
   /// Schedules `cb` after `delay` nanoseconds of virtual time.
-  EventId after(Duration delay, Callback cb) { return schedule(now_ + delay, std::move(cb)); }
-
-  /// Cancels a pending event. Cancelling an already-fired or unknown id is a
-  /// no-op and returns false. (Caveat: an id whose slot has since cycled
-  /// through exactly 2^32 generations could be confused with a live event;
-  /// that requires 4 billion events reusing one slot while the stale id is
-  /// retained, which no workload in this repository approaches.)
-  bool cancel(EventId id);
+  void after(Duration delay, Callback cb) { schedule(now_ + delay, std::move(cb)); }
 
   /// Runs until the event queue drains or stop() is called.
   void run();
@@ -75,13 +61,14 @@ class Engine {
   /// Whether a stop() request is pending (not yet consumed by a run call).
   [[nodiscard]] bool stopRequested() const noexcept { return stopped_; }
 
-  [[nodiscard]] bool empty() const noexcept { return live_events_ == 0; }
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
   [[nodiscard]] std::uint64_t eventsProcessed() const noexcept { return processed_; }
   [[nodiscard]] std::uint64_t eventsScheduled() const noexcept { return scheduled_; }
 
-  /// Timestamp of the earliest pending live event, or kNoEvent when empty().
-  /// Prunes cancelled tombstones from the heap head as a side effect.
-  [[nodiscard]] TimePoint nextEventTime() noexcept;
+  /// Timestamp of the earliest pending event, or kNoEvent when empty().
+  [[nodiscard]] TimePoint nextEventTime() const noexcept {
+    return heap_.empty() ? kNoEvent : heap_.front().time;
+  }
 
   /// Number of schedule() calls whose target time lay in the past and was
   /// clamped to now().
@@ -95,7 +82,6 @@ class Engine {
     TimePoint time;
     std::uint64_t seq;
     std::uint32_t slot;
-    std::uint32_t gen;
   };
   struct Later {
     bool operator()(const HeapEntry& a, const HeapEntry& b) const noexcept {
@@ -114,22 +100,17 @@ class Engine {
   void pushHeap(HeapEntry e);
   void popHeap() noexcept;
   [[nodiscard]] std::uint32_t acquireSlot();
-  void releaseSlot(std::uint32_t slot) noexcept;
   [[nodiscard]] Callback& slotCb(std::uint32_t slot) noexcept {
     return cb_blocks_[slot >> kSlotBlockShift][slot & (kSlotBlockSize - 1)];
-  }
-  [[nodiscard]] bool stale(const HeapEntry& e) const noexcept {
-    return slot_gen_[e.slot] != e.gen;
   }
 
   std::vector<HeapEntry> heap_;  ///< binary min-heap via std::push_heap/pop_heap
   std::vector<std::unique_ptr<Callback[]>> cb_blocks_;
-  std::vector<std::uint32_t> slot_gen_;  ///< current generation of each slot
+  std::uint32_t slot_count_ = 0;  ///< slots ever handed out
   std::vector<std::uint32_t> free_slots_;
   TimePoint now_ = 0;
   std::uint64_t scheduled_ = 0;  ///< total events ever scheduled (also the seq source)
   std::uint64_t processed_ = 0;
-  std::uint64_t live_events_ = 0;
   std::uint64_t past_clamped_ = 0;
   bool stopped_ = false;
 };

@@ -61,12 +61,6 @@ inline void checkFits(const char* who, std::uint64_t bytes, std::uint64_t capaci
   }
 }
 
-/// Names one posted receive for O(1) cancellation; default: nothing.
-struct MatchHandle {
-  std::uint32_t slot = 0xFFFFFFFFu;
-  bool wildcard = false;
-};
-
 namespace detail {
 
 /// BucketFifo<T>: a hash-bucketed FIFO store for tag-matching engines.
@@ -81,11 +75,11 @@ namespace detail {
 ///                               and satisfies `pred` — O(1) expected
 ///  * findOrdered(pred)          earliest entry overall satisfying `pred` —
 ///                               the wildcard path, O(live entries)
-///  * erase / take(slot)         O(1) unlink by slot id (cancel, match)
+///  * take(slot)                 O(1) unlink by slot id (match)
 ///
 /// Entries live in a slab (std::vector) recycled through a free list, so the
-/// steady state performs no heap allocation: push reuses a free slot, erase
-/// returns it. Slot ids stay valid until erased (slab growth moves nodes but
+/// steady state performs no heap allocation: push reuses a free slot, take
+/// returns it. Slot ids stay valid until taken (slab growth moves nodes but
 /// ids are indices, not pointers). Hash collisions of distinct keys share a
 /// chain; callers filter with `pred` (exact field compare), so a colliding
 /// or even degenerate hash affects only speed, never matching semantics.
@@ -117,7 +111,7 @@ class BucketFifo {
 
   /// Appends `value` under `key`. `seq` is the caller's arbitration sequence
   /// number (exposed through seqOf); FIFO order is structural, not seq-based.
-  std::uint32_t push(std::uint64_t key, std::uint64_t seq, T value) {
+  void push(std::uint64_t key, std::uint64_t seq, T value) {
     if (heads_.empty()) growTable(kInitialBuckets);
     if (size_ + 1 > heads_.size() * 2) growTable(heads_.size() * 2);
     std::uint32_t slot;
@@ -137,7 +131,6 @@ class BucketFifo {
     linkOrderTail(slot);
     ++size_;
     if (size_ > hwm_) hwm_ = size_;
-    return slot;
   }
 
   /// Earliest (FIFO) entry whose key hashed into `key`'s bucket and whose
@@ -174,30 +167,19 @@ class BucketFifo {
     }
   }
 
-  [[nodiscard]] T& at(std::uint32_t slot) { return nodes_[slot].value; }
-  [[nodiscard]] const T& at(std::uint32_t slot) const { return nodes_[slot].value; }
   [[nodiscard]] std::uint64_t seqOf(std::uint32_t slot) const { return nodes_[slot].seq; }
-  /// True when `slot` currently names a live entry (guards stale handles).
-  [[nodiscard]] bool liveAt(std::uint32_t slot) const noexcept {
-    return slot < nodes_.size() && nodes_[slot].bucket != kNil;
-  }
 
   /// Moves the value out and erases the slot in O(1).
   [[nodiscard]] T take(std::uint32_t slot) {
     T v = std::move(nodes_[slot].value);
-    erase(slot);
-    return v;
-  }
-
-  void erase(std::uint32_t slot) {
     Node& n = nodes_[slot];
     unlinkChain(slot);
     unlinkOrder(slot);
-    n.bucket = kNil;
     n.value = T{};  // release payload-owned resources immediately
     n.chain_next = free_head_;
     free_head_ = slot;
     --size_;
+    return v;
   }
 
  private:
@@ -210,7 +192,7 @@ class BucketFifo {
     T value{};
     std::uint64_t key = 0;
     std::uint64_t seq = 0;
-    std::uint32_t bucket = kNil;  ///< kNil == slot is free
+    std::uint32_t bucket = kNil;
     std::uint32_t chain_prev = kNil, chain_next = kNil;
     std::uint32_t ord_prev = kNil, ord_next = kNil;
   };
@@ -308,14 +290,12 @@ class TagMatcher {
     return unexpected_.take(hit);
   }
 
-  /// Posts `want` behind every earlier receive. The handle cancels it.
-  MatchHandle post(Posted want) {
+  /// Posts `want` behind every earlier receive.
+  void post(Posted want) {
     const bool exact = want.exact();
     const std::uint64_t key = exact ? want.matchKey() : 0;
-    const std::uint64_t seq = seq_++;
-    const MatchHandle h{(exact ? exact_ : wild_).push(key, seq, std::move(want)), !exact};
+    (exact ? exact_ : wild_).push(key, seq_++, std::move(want));
     posted_hwm_ = std::max(posted_hwm_, exact_.size() + wild_.size());
-    return h;
   }
 
   /// Removes and returns the earliest-posted receive `msg` matches, if any.
@@ -332,16 +312,6 @@ class TagMatcher {
   void pushUnexpected(Arrived msg) {
     const std::uint64_t key = msg.matchKey();
     unexpected_.push(key, 0, std::move(msg));
-  }
-
-  /// Removes the receive `h` names if it is still posted and `owns` accepts
-  /// it (a guard against a handle whose slot was recycled). O(1).
-  template <typename Pred>
-  bool cancel(MatchHandle h, Pred&& owns) {
-    Store<Posted>& store = h.wildcard ? wild_ : exact_;
-    if (!store.liveAt(h.slot) || !owns(store.at(h.slot))) return false;
-    store.erase(h.slot);
-    return true;
   }
 
   /// Failure sweep: removes every posted receive satisfying `recv_pred` (the

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/matcher.hpp"
 #include "sim/small_fn.hpp"
 
 /// \file request.hpp
@@ -26,7 +25,7 @@ inline constexpr Tag kFullMask = ~Tag{0};
 /// its retransmission budget (or a rendezvous leg failed permanently), or
 /// the failure detector declared the peer PE dead. Either is surfaced
 /// through the completion callback exactly once — an operation never hangs.
-enum class ReqState : std::uint8_t { Pending, Done, Cancelled, Error, PeerFailed };
+enum class ReqState : std::uint8_t { Pending, Done, Error, PeerFailed };
 
 struct Request;
 
@@ -56,16 +55,10 @@ struct Request {
   bool data_delivered = false;
 
   [[nodiscard]] bool done() const noexcept { return state == ReqState::Done; }
-  [[nodiscard]] bool cancelled() const noexcept { return state == ReqState::Cancelled; }
   [[nodiscard]] bool failed() const noexcept {
     return state == ReqState::Error || state == ReqState::PeerFailed;
   }
   [[nodiscard]] bool peerFailed() const noexcept { return state == ReqState::PeerFailed; }
-
-  /// While the request is a posted receive, its handle in the owning
-  /// worker's matcher; lets cancelRecv unlink it in O(1). Reset when the
-  /// receive matches or cancels.
-  sim::MatchHandle match_handle;
 
   /// Fired by complete(); empty once it has run.
   CompletionFn completion;

@@ -100,7 +100,6 @@ void Context::sweepDeadPe(int dead_pe, sim::TimePoint t) {
         [&](const Worker::PostedRecv& r) { return dead || r.req->peer_pe == dead_pe; },
         [&](const Worker::Incoming& m) { return dead && m.is_rndv && m.send_req; });
     for (Worker::PostedRecv& r : recvs) {
-      r.req->match_handle = {};
       const int src_pe = r.req->peer_pe;
       ended.push_back({std::move(r.req), pe, src_pe, r.len, r.tag});
     }
@@ -742,7 +741,7 @@ RequestPtr Worker::tagRecv(hw::MemRef buf, std::uint64_t len, Tag tag, Tag mask,
     ctx_.endPeerFailed(*req, now, pe_, src_pe, len, tag);
     return req;
   }
-  req->match_handle = matcher_.post(std::move(r));
+  matcher_.post(std::move(r));
   return req;
 }
 
@@ -753,27 +752,6 @@ void Worker::setHandler(Tag tag, Tag mask, HandlerFn fn) {
 void Worker::setBufferedHandler(Tag tag, Tag mask, BufferProvider fn) {
   buffered_handlers_.push_back(
       std::make_unique<BufferedHandler>(BufferedHandler{tag, mask, std::move(fn)}));
-}
-
-bool Worker::cancelRecv(const RequestPtr& req) {
-  // O(1) through the request's handle; the identity guard rejects a handle
-  // whose slot was recycled for another receive.
-  if (!req ||
-      !matcher_.cancel(req->match_handle, [&req](const PostedRecv& r) { return r.req == req; })) {
-    return false;
-  }
-  req->match_handle = {};
-  // The completion is delivered through the engine like every other
-  // completion: invoking it synchronously would reenter worker state
-  // mid-operation (the callback may repost, cancel, or send) and give
-  // cancellation an ordering no other completion path has.
-  CompletionFn cb = std::move(req->completion);
-  req->state = ReqState::Cancelled;
-  if (cb) {
-    sim::Engine& engine = ctx_.system().engine;
-    engine.schedule(engine.now(), [req, cb = std::move(cb)] { cb(*req); });
-  }
-  return true;
 }
 
 void Worker::noteDuplicateSuppressed(int src_pe, std::uint64_t len, Tag tag) {
@@ -790,7 +768,6 @@ void Worker::onArrival(Incoming msg) {
   obs::SpanCollector& spans = ctx_.system().obs.spans;
   const std::uint64_t arrival_span = spans.spanForTag(msg.tag);
   if (std::optional<PostedRecv> r = matcher_.takePosted(msg)) {
-    r->req->match_handle = {};
     spans.phase(arrival_span, ctx_.system().engine.now(), obs::Phase::MatchedPosted, pe_,
                 msg.len);
     dispatchMatch(std::move(*r), std::move(msg));

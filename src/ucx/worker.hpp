@@ -27,8 +27,8 @@
 ///    the MSG_BITS of the tag keep their tag spaces disjoint).
 ///
 /// The Worker supplies only the UCX key (the full tag) and predicate
-/// (tag/mask); the matcher owns the stores, the post-order arbitration and
-/// the O(1) cancel handle kept in each posted Request. tests/test_matcher.cpp
+/// (tag/mask); the matcher owns the stores and the post-order arbitration.
+/// tests/test_matcher.cpp
 /// checks these semantics against a plain two-deque scan model.
 ///
 /// See the "tag-matching engine" section of docs/architecture.md.
@@ -87,11 +87,6 @@ class Worker {
   /// Registers a persistent buffer-providing handler; consulted after posted
   /// receives but before plain handlers.
   void setBufferedHandler(Tag tag, Tag mask, BufferProvider fn);
-
-  /// Cancels a pending posted receive; returns false if it already matched.
-  /// O(1): the request's match handle unlinks it directly, no scan of the
-  /// other posted receives.
-  bool cancelRecv(const RequestPtr& req);
 
   // --- statistics --------------------------------------------------------
   /// Duplicate deliveries suppressed by the reliability layer

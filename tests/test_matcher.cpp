@@ -20,13 +20,13 @@
 ///
 /// The bucketed matcher must be observationally identical to a plain scan
 /// of a posted deque and an unexpected deque: same receive outcomes for any
-/// interleaving of posts, arrivals and cancels — including wildcard masks
-/// racing exact receives. The seeded
+/// interleaving of posts and arrivals — including wildcard masks racing
+/// exact receives. The seeded
 /// property test here replays randomized interleavings through the real
 /// worker and through such a model (ModelMatcher below) and compares the
-/// logs. Complexity is pinned with the matchStats().scan_steps counter (cancel must
-/// not scan) and with a global allocation counter (steady-state eager
-/// traffic must not touch the heap).
+/// logs. Complexity is pinned with the matchStats().scan_steps counter (an
+/// exact receive must not scan unrelated entries) and with a global
+/// allocation counter (steady-state eager traffic must not touch the heap).
 
 // --------------------------------------------------------------------------
 // Global allocation counter: every operator new in this binary ticks it. The
@@ -70,7 +70,6 @@ struct Harness {
 // --------------------------------------------------------------------------
 
 constexpr std::int64_t kPending = -1;
-constexpr std::int64_t kCancelled = -2;
 
 /// Reference semantics: receives scan the unexpected deque in arrival order,
 /// arrivals scan the posted deque in post order. Every send issued before a
@@ -90,15 +89,6 @@ class ModelMatcher {
     posted_.push_back({id, tag, mask});
   }
   void send(ucx::Tag tag) { in_flight_.push_back(tag); }
-  void cancel(std::size_t id) {
-    for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-      if (it->id == id) {
-        outcome_[id] = kCancelled;
-        posted_.erase(it);
-        return;
-      }
-    }
-  }
   void drain() {
     for (const ucx::Tag t : in_flight_) arrive(t);
     in_flight_.clear();
@@ -130,7 +120,7 @@ class ModelMatcher {
   std::deque<Posted> posted_;
   std::deque<ucx::Tag> unexpected_;
   std::vector<ucx::Tag> in_flight_;
-  std::vector<std::int64_t> outcome_;  ///< per receive: matched tag, kPending or kCancelled
+  std::vector<std::int64_t> outcome_;  ///< per receive: matched tag or kPending
 };
 
 /// Observable state of one replay; the real and model logs must agree.
@@ -141,21 +131,19 @@ struct MatchLog {
 };
 
 struct Op {
-  enum Kind { Post, Send, Cancel, Drain } kind;
+  enum Kind { Post, Send, Drain } kind;
   ucx::Tag tag = 0;
   ucx::Tag mask = 0;
-  std::size_t recv = 0;  ///< Cancel: index of the receive, in post order
 };
 
-/// One seeded interleaving of post/send/cancel/drain ops.
+/// One seeded interleaving of post/send/drain ops.
 std::vector<Op> generateOps(std::uint64_t seed) {
   constexpr int kOps = 400;
   sim::SplitMix64 rng(seed);
   auto randomTag = [&rng] { return static_cast<ucx::Tag>(rng.below(12)); };
   std::vector<Op> ops;
-  std::size_t posts = 0;
   for (int op = 0; op < kOps; ++op) {
-    switch (rng.below(8)) {
+    switch (rng.below(7)) {
       case 0:
       case 1:
       case 2: {  // post a receive: exact, class-wildcard, or match-any
@@ -163,16 +151,12 @@ std::vector<Op> generateOps(std::uint64_t seed) {
         const std::uint32_t kind = rng.below(8);
         const ucx::Tag mask = kind < 5 ? ucx::kFullMask : (kind < 7 ? ucx::Tag{0x3} : ucx::Tag{0});
         ops.push_back({Op::Post, tag, mask});
-        ++posts;
         break;
       }
       case 3:
       case 4:
       case 5:  // send a message into the worker
         ops.push_back({Op::Send, randomTag()});
-        break;
-      case 6:  // cancel a random receive (may already be done)
-        if (posts > 0) ops.push_back({Op::Cancel, 0, 0, rng.below(posts)});
         break;
       default:  // let in-flight traffic land (arrivals + completions)
         ops.push_back({Op::Drain});
@@ -189,27 +173,21 @@ MatchLog replayReal(const std::vector<Op>& ops) {
   constexpr std::uint64_t kLen = 64;
   MatchLog log;
   std::deque<std::vector<std::byte>> bufs;  // stable buffers
-  std::vector<ucx::RequestPtr> reqs;
   for (const Op& op : ops) {
     switch (op.kind) {
       case Op::Post: {
         bufs.emplace_back(kLen);
         const std::size_t id = log.recv.size();
         log.recv.push_back(kPending);
-        reqs.push_back(w.tagRecv(hw::MemRef::host(bufs.back().data()), kLen, op.tag, op.mask,
-                                 [&log, id](ucx::Request& r) {
-                                   log.recv[id] = r.cancelled()
-                                                      ? kCancelled
-                                                      : static_cast<std::int64_t>(r.matched_tag);
-                                 }));
+        w.tagRecv(hw::MemRef::host(bufs.back().data()), kLen, op.tag, op.mask,
+                  [&log, id](ucx::Request& r) {
+                    log.recv[id] = static_cast<std::int64_t>(r.matched_tag);
+                  });
         break;
       }
       case Op::Send:
         bufs.emplace_back(kLen);
         h.ctx->tagSend(0, 1, hw::MemRef::host(bufs.back().data()), kLen, op.tag, {});
-        break;
-      case Op::Cancel:
-        w.cancelRecv(reqs[op.recv]);
         break;
       case Op::Drain:
         h.sys->engine.run();
@@ -228,7 +206,6 @@ MatchLog replayModel(const std::vector<Op>& ops) {
     switch (op.kind) {
       case Op::Post: model.post(op.tag, op.mask); break;
       case Op::Send: model.send(op.tag); break;
-      case Op::Cancel: model.cancel(op.recv); break;
       case Op::Drain: model.drain(); break;
     }
   }
@@ -256,7 +233,7 @@ TEST(MatcherCrossCheck, RandomInterleavingsMatchReferenceMatcher) {
 
 // --------------------------------------------------------------------------
 // AMPI's key scheme through the shared matcher: (src, tag) receives
-// with kAnySource/kAnyTag and cancel, against a two-deque scan model
+// with kAnySource/kAnyTag, against a two-deque scan model
 // --------------------------------------------------------------------------
 
 /// A message as AMPI's matcher sees it; `id` is its arrival index.
@@ -302,15 +279,6 @@ class AmpiModel {
     }
     unexpected_.push_back(a);
   }
-  void cancel(std::size_t id) {
-    for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-      if (it->id == id) {
-        outcome_[id] = kCancelled;
-        posted_.erase(it);
-        return;
-      }
-    }
-  }
   [[nodiscard]] const std::vector<std::int64_t>& outcomes() const { return outcome_; }
   [[nodiscard]] std::size_t postedCount() const { return posted_.size(); }
   [[nodiscard]] std::size_t unexpectedCount() const { return unexpected_.size(); }
@@ -342,28 +310,24 @@ TEST(MatcherCrossCheck, AmpiKeySchemeMatchesReferenceMatcher) {
     sim::TagMatcher<AmpiPosted, AmpiArrived> real;
     AmpiModel model;
     std::vector<std::int64_t> outcome;
-    std::vector<sim::MatchHandle> handles;
     std::size_t arrivals = 0;
     for (int op = 0; op < kOps; ++op) {
-      switch (rng.below(7)) {
+      switch (rng.below(6)) {
         case 0:
         case 1:
         case 2: {  // post a receive
           AmpiPosted p = pattern(true);
           p.id = outcome.size();
           outcome.push_back(kPending);
-          handles.emplace_back();
           model.post(p);
           if (std::optional<AmpiArrived> a = real.takeUnexpected(p)) {
             outcome[p.id] = static_cast<std::int64_t>(a->id);
           } else {
-            handles[p.id] = real.post(p);
+            real.post(p);
           }
           break;
         }
-        case 3:
-        case 4:
-        case 5: {  // a message arrives
+        default: {  // a message arrives
           const AmpiPosted m = pattern(false);
           const AmpiArrived a{m.src, m.tag, arrivals++};
           model.arrive(a);
@@ -374,15 +338,6 @@ TEST(MatcherCrossCheck, AmpiKeySchemeMatchesReferenceMatcher) {
           }
           break;
         }
-        default:  // cancel a random receive (may already be matched)
-          if (!outcome.empty()) {
-            const std::size_t id = rng.below(outcome.size());
-            model.cancel(id);
-            if (real.cancel(handles[id], [id](const AmpiPosted& p) { return p.id == id; })) {
-              outcome[id] = kCancelled;
-            }
-          }
-          break;
       }
     }
     ASSERT_EQ(outcome.size(), model.outcomes().size()) << "seed " << seed;
@@ -395,42 +350,6 @@ TEST(MatcherCrossCheck, AmpiKeySchemeMatchesReferenceMatcher) {
     // Each seed should actually exercise the matcher.
     EXPECT_GT(outcome.size(), 100u) << "seed " << seed;
   }
-}
-
-// --------------------------------------------------------------------------
-// O(1) cancellation: cancelling one of 10k posted receives must not scan
-// the other 9999 (counter-based, not timing-based)
-// --------------------------------------------------------------------------
-
-TEST(MatcherComplexity, CancelOfOnePostedReceiveDoesNotScanTheRest) {
-  Harness h;
-  ucx::Worker& w = h.ctx->worker(1);
-  constexpr int kPosted = 10000;
-  std::vector<std::byte> buf(64);
-  std::vector<ucx::RequestPtr> reqs;
-  reqs.reserve(kPosted);
-  for (int i = 0; i < kPosted; ++i) {
-    reqs.push_back(w.tagRecv(hw::MemRef::host(buf.data()), 64, static_cast<ucx::Tag>(i),
-                             ucx::kFullMask, {}));
-  }
-  ASSERT_EQ(w.matchStats().posted, static_cast<std::size_t>(kPosted));
-
-  const std::uint64_t steps_before = w.matchStats().scan_steps;
-  EXPECT_TRUE(w.cancelRecv(reqs[kPosted / 2]));
-  const std::uint64_t delta = w.matchStats().scan_steps - steps_before;
-  EXPECT_LE(delta, 1u) << "cancel scanned " << delta << " matcher nodes; must be O(1)";
-  EXPECT_EQ(w.matchStats().posted, static_cast<std::size_t>(kPosted - 1));
-
-  h.sys->engine.run();
-  EXPECT_TRUE(reqs[kPosted / 2]->cancelled());
-
-  // The remaining receives are untouched and still match.
-  bool done = false;
-  std::vector<std::byte> src(64);
-  h.ctx->tagSend(0, 1, hw::MemRef::host(src.data()), 64, static_cast<ucx::Tag>(kPosted - 1), {});
-  h.sys->engine.run();
-  EXPECT_TRUE(reqs[kPosted - 1]->done());
-  (void)done;
 }
 
 TEST(MatcherComplexity, ExactReceiveDoesNotScanUnexpectedQueue) {
