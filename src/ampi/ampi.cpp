@@ -176,14 +176,9 @@ void World::orphanEnvelope(int pe, Envelope& env, sim::TimePoint now) {
     return;
   }
   // Rendezvous orphan: the sender's payload is parked in the machine layer
-  // waiting for this receive to be posted, and its completion callback fires
-  // only when the transfer retires. Drain it into a throwaway sink (the
-  // "orphaned chunk" of the recovery metrics) so a live sender in a revoked
-  // world never hangs. A dead sender was already ended by UCX; the sink then
-  // takes its parked RTS and ends PeerFailed, never written.
-  auto sink = std::make_shared<std::vector<std::byte>>(static_cast<std::size_t>(env.bytes));
-  core::DeviceRdmaOp op{hw::MemRef::host(sink->data()), env.bytes, env.dtag};
-  rt_.dev().lrtsRecvDevice(pe, op, core::DeviceRecvType::Ampi, [sink] {});
+  // waiting for this receive to be posted (the "orphaned chunk" of the
+  // recovery metrics); the machine layer drains it.
+  rt_.dev().drainOrphan(pe, env.bytes, env.dtag, core::DeviceRecvType::Ampi);
 }
 
 std::uint64_t World::cacheHits() const {

@@ -84,9 +84,13 @@ void Charm4py::onPeFailed(int pe) {
 
 void Charm4py::orphanEnvelope(int pe, Envelope& env) {
   ++orphaned_envelopes_;
-  obs::SpanCollector& spans = rt_.system().obs.spans;
-  const std::uint64_t sp = env.inlined ? env.span : spans.spanForTag(env.dtag);
-  spans.end(sp, rt_.system().engine.now(), obs::Phase::Errored, pe);
+  if (env.inlined) {
+    rt_.system().obs.spans.end(env.span, rt_.system().engine.now(), obs::Phase::Errored, pe);
+    return;
+  }
+  // Device-path orphan: its payload may be parked in UCX at `pe`; the
+  // machine layer drains it, and the drained receive ends the span.
+  rt_.dev().drainOrphan(pe, env.bytes, env.dtag, core::DeviceRecvType::Charm4py);
 }
 
 Channel Charm4py::makeChannel(int pe_a, int pe_b) {

@@ -1,5 +1,7 @@
 #include "core/device_comm.hpp"
 
+#include "hw/cuda.hpp"
+
 namespace cux::core {
 
 namespace {
@@ -263,6 +265,13 @@ void DeviceComm::lrtsRecvDevice(int pe_id, const DeviceRdmaOp& op, DeviceRecvTyp
   cmi::Pe& pe = cmi_.pe(pe_id);
   pe.charge(sim::usec(cmi_.costs().device_meta_recv_us));
   postDeviceRecv(pe_id, op, std::move(on_complete));
+}
+
+void DeviceComm::drainOrphan(int pe_id, std::uint64_t bytes, std::uint64_t tag,
+                             DeviceRecvType type) {
+  cuda::HostBuffer sink(cmi_.system(), bytes);
+  const DeviceRdmaOp op{sink.ref(), bytes, tag};
+  lrtsRecvDevice(pe_id, op, type, [sink = std::move(sink)] {});
 }
 
 void DeviceComm::postDeviceRecv(int pe_id, const DeviceRdmaOp& op,

@@ -85,6 +85,14 @@ class DeviceComm {
   void lrtsRecvDevice(int pe, const DeviceRdmaOp& op, DeviceRecvType type,
                       DoneFn on_complete);
 
+  /// Drains an orphaned transfer: a model layer's metadata for `tag` can no
+  /// longer meet a real receive (its world or channel died), but the payload
+  /// may be parked in UCX. Posts a receive on `pe` into a throwaway
+  /// cuda::HostBuffer (unbacked in an unbacked run), so a live sender
+  /// completes instead of hanging, and a dead sender's parked RTS is taken
+  /// out of the unexpected store and ends PeerFailed, never written.
+  void drainOrphan(int pe, std::uint64_t bytes, std::uint64_t tag, DeviceRecvType type);
+
   // --- user-provided tags (paper Sec. VI improvement) ----------------------
   // "supporting user-provided tags in the Charm++ runtime system ... would
   // eliminate the need to delay the posting of the receive for GPU data

@@ -215,9 +215,8 @@ sim::FutureTask channelSend(c4p::ChannelEnd* end, const void* buf, std::uint64_t
 }
 
 TEST(FailstopDetect, Charm4pyDeviceSendFromPeThatDiesCompletes) {
-  // The same mirror case on a Charm4py channel: the dead channel orphans
-  // the envelope without posting a receive, so only UCX's sweep can end the
-  // dead sender's device send.
+  // The same mirror case on a Charm4py channel: UCX's sweep ends the dead
+  // sender's device send; no receive on the channel ever posts for it.
   StackFixture f(2, killAt(0, 50.0));
   constexpr std::uint64_t kBytes = 64 * 1024;
   cuda::DeviceBuffer src(*f.sys, 0, kBytes);
@@ -227,7 +226,25 @@ TEST(FailstopDetect, Charm4pyDeviceSendFromPeThatDiesCompletes) {
   py.startOn(0, [&] { (void)channelSend(ch.a, src.get(), kBytes, &send_done); });
   f.sys->engine.run();
   EXPECT_TRUE(send_done) << "the dead PE's channel send never completed";
-  EXPECT_EQ(f.ctx->peerFailedRequests(), 1u);
+  // The sender, and the receive that drained its orphaned envelope.
+  EXPECT_EQ(f.ctx->peerFailedRequests(), 2u);
+}
+
+TEST(FailstopDetect, Charm4pyDeadChannelLeavesNoParkedRts) {
+  // The dead channel orphans the envelope of PE 0's device send, whose RTS
+  // is parked at live PE 6. The orphan drains through a sink receive that
+  // takes the RTS out of PE 6's unexpected store, as AMPI's revoked world
+  // does, instead of leaving it there until teardown.
+  StackFixture f(2, killAt(0, 50.0));
+  constexpr std::uint64_t kBytes = 64 * 1024;
+  cuda::DeviceBuffer src(*f.sys, 0, kBytes);
+  c4p::Charm4py py(*f.rt);
+  const c4p::Channel ch = py.makeChannel(0, 6);
+  bool send_done = false;
+  py.startOn(0, [&] { (void)channelSend(ch.a, src.get(), kBytes, &send_done); });
+  f.sys->engine.run();
+  EXPECT_TRUE(send_done);
+  EXPECT_EQ(f.ctx->worker(6).matchStats().unexpected, 0u);
 }
 
 TEST(FailstopDetect, RtsFromPeThatDiesTurnsPeerFailed) {
