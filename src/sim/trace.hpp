@@ -48,7 +48,6 @@ struct TraceRecord {
 /// Receives every record the Tracer folds, in order (tests keep them).
 class TraceSink {
  public:
-  virtual ~TraceSink() = default;
   virtual void onRecord(const TraceRecord& r) = 0;
 };
 
