@@ -43,7 +43,7 @@ struct ParticlesConfig {
   Mode mode = Mode::Device;
   bool backed = false;
   double dt = 0.2;  ///< of a cell width; bounds migration to adjacent cells
-  model::Model model = model::summit(1);  ///< machine is resized to `nodes`
+  model::Model model = model::summit(1);
   /// Called with the freshly constructed simulated machine before any traffic
   /// runs — the hook for attaching span sinks or utilization recording.
   std::function<void(hw::System&)> setup;
