@@ -44,7 +44,7 @@ sim::FutureTask solver(ampi::Rank* r, Env* env) {
     // Pack + exchange halos (GPU-aware: device pointers straight into MPI).
     b.stream->launch(b.packCost(), b.packBody());
     co_await b.stream->synchronize();
-    std::vector<ampi::Request> reqs;
+    std::vector<sim::Future<void>> reqs;
     for (int d = 0; d < kNumDirs; ++d) {
       const int peer = b.nbr[static_cast<std::size_t>(d)];
       if (peer < 0) continue;
@@ -53,7 +53,7 @@ sim::FutureTask solver(ampi::Rank* r, Env* env) {
       reqs.push_back(r->isend(b.sendBuf(dir), env->dec.faceBytes(dir), peer,
                               static_cast<int>(opposite(dir))));
     }
-    co_await r->waitAll(reqs);
+    co_await sim::allOf(reqs);
 
     // Unpack + stencil; the residual kernel accumulates sum((new-old)^2).
     b.stream->launch(b.unpackCost(), b.unpackBody(0));

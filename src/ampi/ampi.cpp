@@ -57,41 +57,20 @@ int Rank::pe() const { return world_->peOf(rank_); }
 hw::System& Rank::system() const { return world_->runtime().system(); }
 double Rank::timeUs() const { return sim::toUs(system().engine.now()); }
 
-Request Rank::isend(const void* buf, std::uint64_t bytes, int dst, int tag) {
+sim::Future<void> Rank::isend(const void* buf, std::uint64_t bytes, int dst, int tag) {
   return world_->isendImpl(rank_, buf, bytes, dst, tag);
 }
-Request Rank::irecv(void* buf, std::uint64_t bytes, int src, int tag) {
-  return world_->irecvImpl(rank_, buf, bytes, src, tag);
+sim::Future<void> Rank::recv(void* buf, std::uint64_t bytes, int src, int tag, Status* st) {
+  return world_->irecvImpl(rank_, buf, bytes, src, tag, st);
 }
 
 sim::Future<void> Rank::sendrecv(const void* sbuf, std::uint64_t sbytes, int dst, int stag,
-                                 void* rbuf, std::uint64_t rbytes, int src, int rtag,
-                                 Status* st) {
-  Request s = isend(sbuf, sbytes, dst, stag);
-  Request r = irecv(rbuf, rbytes, src, rtag);
-  if (st != nullptr) {
-    r.future().onReady([r, st] { *st = r.status(); });
-  }
-  std::vector<sim::Future<void>> both{s.future(), r.future()};
+                                 void* rbuf, std::uint64_t rbytes, int src, int rtag) {
+  std::vector<sim::Future<void>> both{isend(sbuf, sbytes, dst, stag),
+                                      irecv(rbuf, rbytes, src, rtag)};
   return sim::allOf(both);
 }
 
-sim::Future<void> Rank::send(const void* buf, std::uint64_t bytes, int dst, int tag) {
-  return isend(buf, bytes, dst, tag).future();
-}
-sim::Future<void> Rank::recv(void* buf, std::uint64_t bytes, int src, int tag, Status* st) {
-  Request r = irecv(buf, bytes, src, tag);
-  if (st != nullptr) {
-    r.future().onReady([r, st] { *st = r.status(); });
-  }
-  return r.future();
-}
-sim::Future<void> Rank::waitAll(const std::vector<Request>& rs) {
-  std::vector<sim::Future<void>> fs;
-  fs.reserve(rs.size());
-  for (const Request& r : rs) fs.push_back(r.future());
-  return sim::allOf(fs);
-}
 bool Rank::aborted() const { return world_->revoked_; }
 
 // ---------------------------------------------------------------------------
@@ -154,18 +133,19 @@ void World::onPeFailed(int pe) {
   // a request resumes its coroutine, which may post new operations — so
   // mutation of the stores is kept strictly separate from the completions
   // below.
-  std::vector<std::shared_ptr<detail::ReqImpl>> to_fail;
+  std::vector<PostedRecv> to_fail;
   const sim::TimePoint now = rt_.system().engine.now();
   for (auto& st : ranks_) {
     auto [recvs, envs] = st->matcher.harvest(all, all);
-    for (PostedRecv& p : recvs) to_fail.push_back(p.impl);
+    for (PostedRecv& p : recvs) to_fail.push_back(std::move(p));
     for (Envelope& env : envs) orphanEnvelope(st->pe, env, now);
   }
-  // Phase 2: complete. Guarded by ReqImpl's idempotence, so a rendezvous
-  // whose transfer was already in flight cannot double-complete.
-  for (const auto& impl : to_fail) {
+  // Phase 2: complete. A harvested receive is out of the matcher, so no
+  // delivery can complete it a second time.
+  for (PostedRecv& p : to_fail) {
     ++aborted_ops_;
-    impl->fail(Status{-1, kAnyTag, 0});
+    if (p.status != nullptr) *p.status = Status{-1, kAnyTag, 0};
+    p.done->set();
   }
 }
 
@@ -193,7 +173,8 @@ std::uint64_t World::cacheMisses() const {
   return n;
 }
 
-Request World::isendImpl(int src_rank, const void* buf, std::uint64_t bytes, int dst, int tag) {
+sim::Future<void> World::isendImpl(int src_rank, const void* buf, std::uint64_t bytes, int dst,
+                                   int tag) {
   if (dst < 0 || dst >= size()) {
     throw std::invalid_argument("ampi: send to rank " + std::to_string(dst) + " of " +
                                 std::to_string(size()));
@@ -204,26 +185,23 @@ Request World::isendImpl(int src_rank, const void* buf, std::uint64_t bytes, int
   const model::LayerCosts& costs = rt_.costs();
   pe.charge(sim::usec(costs.ampi_call_us + costs.ampi_overhead_send_us));
 
-  Request req;
+  sim::Promise<void> sent;
   if (revoked_) {
     // ULFM fail-fast: a revoked world carries no traffic, so the send is
-    // refused and the caller sees peerFailed().
+    // refused and completes at once; the caller sees aborted().
     ++aborted_ops_;
-    req.impl_->fail(Status{src_rank, tag, 0});
-    return req;
+    sent.set();
+    return sent.future();
   }
   const std::uint32_t seq = st.seq_out[static_cast<std::size_t>(dst)]++;
   const hw::MemRef src = st.ptr_cache.classify(rt_.system().memory, buf);
-  const Status sent_status{src_rank, tag, bytes};
 
   if (src.isDevice() || bytes >= costs.host_pack_threshold) {
     // Rendezvous path (paper Fig. 7): payload directly through the machine
     // layer, metadata through the Charm++ runtime. The CkCallback stored
     // with the CkDeviceBuffer completes the sender's request.
     core::CmiDeviceBuffer cdb{src, bytes, 0};
-    auto impl = req.impl_;
-    rt_.dev().lrtsSendDevice(st.pe, dst_st.pe, cdb,
-                             [impl, sent_status] { impl->complete(sent_status); },
+    rt_.dev().lrtsSendDevice(st.pe, dst_st.pe, cdb, [sent] { sent.set(); },
                              core::DeviceRecvType::Ampi);
     dst_st.chare.sendFrom<&RankChare::recvMeta>(st.pe, static_cast<std::uint32_t>(src_rank),
                                                 static_cast<std::int32_t>(tag),
@@ -245,13 +223,13 @@ Request World::isendImpl(int src_rank, const void* buf, std::uint64_t bytes, int
                                                   static_cast<std::int32_t>(tag),
                                                   std::int32_t{0}, seq, data, span);
     // Buffered semantics: the send completes once the local copy retires.
-    auto impl = req.impl_;
-    pe.exec(0, [impl, sent_status] { impl->complete(sent_status); });
+    pe.exec(0, [sent] { sent.set(); });
   }
-  return req;
+  return sent.future();
 }
 
-Request World::irecvImpl(int dst_rank, void* buf, std::uint64_t bytes, int src, int tag) {
+sim::Future<void> World::irecvImpl(int dst_rank, void* buf, std::uint64_t bytes, int src,
+                                   int tag, Status* status) {
   if (src != kAnySource && (src < 0 || src >= size())) {
     throw std::invalid_argument("ampi: receive from rank " + std::to_string(src) + " of " +
                                 std::to_string(size()));
@@ -261,13 +239,16 @@ Request World::irecvImpl(int dst_rank, void* buf, std::uint64_t bytes, int src, 
   const model::LayerCosts& costs = rt_.costs();
   pe.charge(sim::usec(costs.ampi_call_us + costs.ampi_match_us));
 
-  Request req;
+  sim::Promise<void> done;
+  const sim::Future<void> f = done.future();
   if (revoked_) {
     ++aborted_ops_;
-    req.impl_->fail(Status{-1, tag, 0});
-    return req;
+    if (status != nullptr) *status = Status{-1, tag, 0};
+    done.set();
+    return f;
   }
-  PostedRecv p{req.impl_, st.ptr_cache.classify(rt_.system().memory, buf), bytes, src, tag};
+  PostedRecv p{std::move(done), status, st.ptr_cache.classify(rt_.system().memory, buf), bytes,
+               src, tag};
 
   // Search the unexpected queue in arrival order (paper Sec. III-C2): a
   // fully-concrete receive probes its (src, tag) hash chain, a
@@ -278,10 +259,10 @@ Request World::irecvImpl(int dst_rank, void* buf, std::uint64_t bytes, int src, 
                                    obs::Phase::MatchedUnexpected, st.pe, env->bytes);
     }
     deliver(dst_rank, p, *env);
-    return req;
+    return f;
   }
   st.matcher.post(std::move(p));
-  return req;
+  return f;
 }
 
 void World::enqueueEnvelope(int dst_rank, std::uint32_t seq, Envelope env) {
@@ -330,8 +311,12 @@ void World::deliver(int dst_rank, PostedRecv& p, Envelope& env) {
   RankState& st = *ranks_[static_cast<std::size_t>(dst_rank)];
   cmi::Pe& pe = rt_.cmi().pe(st.pe);
   const model::LayerCosts& costs = rt_.costs();
-  const Status status{env.src_rank, env.tag, env.bytes};
-  auto impl = p.impl;
+  // Writes recv()'s status, then completes the receive.
+  auto complete = [done = std::move(*p.done), st = p.status,
+                   status = Status{env.src_rank, env.tag, env.bytes}] {
+    if (st != nullptr) *st = status;
+    done.set();
+  };
 
   if (env.inlined) {
     if (env.data_valid) cuda::moveBytes(p.buf, hw::MemRef::host(env.data.data()), env.data.size());
@@ -342,7 +327,7 @@ void World::deliver(int dst_rank, PostedRecv& p, Envelope& env) {
     // span's extent matches what the request observes.
     rt_.system().obs.spans.end(env.span, rt_.system().engine.now() + d, obs::Phase::Completed,
                                st.pe);
-    pe.exec(d, [impl, status] { impl->complete(status); });
+    pe.exec(d, std::move(complete));
     return;
   }
 
@@ -351,8 +336,8 @@ void World::deliver(int dst_rank, PostedRecv& p, Envelope& env) {
   const double extra = costs.ampi_overhead_recv_us;
   core::DeviceRdmaOp op{p.buf, env.bytes, env.dtag};
   rt_.dev().lrtsRecvDevice(st.pe, op, core::DeviceRecvType::Ampi,
-                           [impl, status, &pe, extra] {
-                             pe.exec(sim::usec(extra), [impl, status] { impl->complete(status); });
+                           [complete = std::move(complete), &pe, extra]() mutable {
+                             pe.exec(sim::usec(extra), std::move(complete));
                            });
 }
 

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "charm/charm.hpp"
@@ -51,11 +52,6 @@ struct Status {
   std::uint64_t bytes = 0;
 };
 
-enum class Datatype : std::uint32_t { Byte = 1, Int = 4, Float = 4, Double = 8 };
-[[nodiscard]] constexpr std::uint64_t sizeOf(Datatype dt) noexcept {
-  return static_cast<std::uint64_t>(dt);
-}
-
 namespace detail {
 // AMPI's (src, tag) matching scheme, shared by World's matcher and its
 // property test. matchKey folds the pair rather than packing it: accepts()
@@ -73,51 +69,7 @@ namespace detail {
 [[nodiscard]] constexpr bool accepts(int src, int tag, int msg_src, int msg_tag) noexcept {
   return (src == kAnySource || src == msg_src) && (tag == kAnyTag || tag == msg_tag);
 }
-
-struct ReqImpl {
-  sim::Promise<void> done;
-  Status status;
-  bool completed = false;
-  /// Terminal failure: the peer's PE died (or the world was revoked) before
-  /// the operation could complete.
-  bool peer_failed = false;
-
-  /// Both entry points are idempotent: a request force-failed by world
-  /// revocation may still see its original completion callback fire later
-  /// (e.g. a rendezvous transfer that was already in flight), and the
-  /// underlying Promise asserts on double-set.
-  void complete(const Status& st) {
-    if (completed) return;
-    status = st;
-    completed = true;
-    done.set();
-  }
-  void fail(const Status& st) {
-    if (completed) return;
-    status = st;
-    peer_failed = true;
-    completed = true;
-    done.set();
-  }
-};
 }  // namespace detail
-
-/// Non-blocking operation handle (MPI_Request).
-class Request {
- public:
-  Request() : impl_(std::make_shared<detail::ReqImpl>()) {}
-
-  [[nodiscard]] bool done() const noexcept { return impl_->completed; }
-  [[nodiscard]] const Status& status() const noexcept { return impl_->status; }
-  [[nodiscard]] sim::Future<void> future() const { return impl_->done.future(); }
-  /// True when the operation terminated because the peer's PE failed or the
-  /// world was revoked (MPI_ERR_PROC_FAILED / MPI_ERR_REVOKED).
-  [[nodiscard]] bool peerFailed() const noexcept { return impl_->peer_failed; }
-
- private:
-  friend class World;
-  std::shared_ptr<detail::ReqImpl> impl_;
-};
 
 class World;
 
@@ -134,35 +86,33 @@ class Rank {
   /// `dst` must be in [0, size()) and `src` in [0, size()) or kAnySource;
   /// anything else throws std::invalid_argument (a receive from a rank that
   /// does not exist could never match).
-  Request isend(const void* buf, std::uint64_t bytes, int dst, int tag);
-  Request irecv(void* buf, std::uint64_t bytes, int src, int tag);
-  Request isend(const void* buf, std::uint64_t count, Datatype dt, int dst, int tag) {
-    return isend(buf, count * sizeOf(dt), dst, tag);
-  }
-  Request irecv(void* buf, std::uint64_t count, Datatype dt, int src, int tag) {
-    return irecv(buf, count * sizeOf(dt), src, tag);
+  ///
+  /// Every operation returns its completion future (the MPI_Request): await
+  /// one with `co_await f`, several with `co_await sim::allOf(fs)`.
+  sim::Future<void> isend(const void* buf, std::uint64_t bytes, int dst, int tag);
+  sim::Future<void> irecv(void* buf, std::uint64_t bytes, int src, int tag) {
+    return recv(buf, bytes, src, tag);
   }
 
   /// Blocking calls: awaitable futures (the coroutine suspends, the chare's
   /// PE keeps scheduling other work — AMPI's virtualisation semantics).
-  [[nodiscard]] sim::Future<void> send(const void* buf, std::uint64_t bytes, int dst, int tag);
+  [[nodiscard]] sim::Future<void> send(const void* buf, std::uint64_t bytes, int dst, int tag) {
+    return isend(buf, bytes, dst, tag);
+  }
+  /// `st`, when given, is written at completion, before the future is set.
   [[nodiscard]] sim::Future<void> recv(void* buf, std::uint64_t bytes, int src, int tag,
                                        Status* st = nullptr);
-  [[nodiscard]] sim::Future<void> wait(const Request& r) { return r.future(); }
-  [[nodiscard]] sim::Future<void> waitAll(const std::vector<Request>& rs);
-  /// MPI_Test (nonblocking completion check).
-  [[nodiscard]] static bool test(const Request& r) { return r.done(); }
 
   /// MPI_Sendrecv: simultaneous send and receive (deadlock-free pairwise
   /// exchange).
   [[nodiscard]] sim::Future<void> sendrecv(const void* sbuf, std::uint64_t sbytes, int dst,
                                            int stag, void* rbuf, std::uint64_t rbytes, int src,
-                                           int rtag, Status* st = nullptr);
+                                           int rtag);
 
   /// True once the failure detector has revoked MPI_COMM_WORLD because a
-  /// rank's PE died. Pending and later operations then fail fast
-  /// (peerFailed()) instead of hanging; a collective drains and the caller
-  /// recovers by restarting from a checkpoint.
+  /// rank's PE died. Pending and later operations then complete at once
+  /// instead of hanging; a collective drains and the caller recovers by
+  /// restarting from a checkpoint.
   [[nodiscard]] bool aborted() const;
 
  private:
@@ -231,10 +181,11 @@ class World {
   };
   /// A posted receive.
   struct PostedRecv {
-    /// Completion state of the user's Request handle. Held directly (not as
-    /// a Request) so the matcher's slot recycling never constructs a fresh
-    /// ReqImpl.
-    std::shared_ptr<detail::ReqImpl> impl;
+    /// Completes the receive's future. Empty in the matcher's recycled
+    /// slots: a Promise always owns a state, so `PostedRecv{}` must not
+    /// build one.
+    std::optional<sim::Promise<void>> done;
+    Status* status = nullptr;  ///< recv()'s out-parameter, or null
     hw::MemRef buf;  ///< classified at irecv
     std::uint64_t capacity = 0;
     int src = kAnySource;
@@ -261,8 +212,10 @@ class World {
     hw::PointerCache ptr_cache;  ///< the paper's GPU-pointer cache, per rank
   };
 
-  Request isendImpl(int src_rank, const void* buf, std::uint64_t bytes, int dst, int tag);
-  Request irecvImpl(int dst_rank, void* buf, std::uint64_t bytes, int src, int tag);
+  sim::Future<void> isendImpl(int src_rank, const void* buf, std::uint64_t bytes, int dst,
+                              int tag);
+  sim::Future<void> irecvImpl(int dst_rank, void* buf, std::uint64_t bytes, int src, int tag,
+                              Status* st);
   /// `seq` is the envelope's place in its sender's stream to `dst_rank`.
   void enqueueEnvelope(int dst_rank, std::uint32_t seq, Envelope env);
   void processEnvelope(int dst_rank, Envelope env);

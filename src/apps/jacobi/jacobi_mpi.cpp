@@ -20,11 +20,14 @@ struct MpiEnv {
   sim::TimePoint t0 = 0, t_end = 0;
 };
 
-template <class RankT, class RequestT>
+template <class RankT>
 sim::FutureTask jacobiMain(RankT* r, MpiEnv* env) {
   BlockState& b = *env->blocks[static_cast<std::size_t>(r->rank())];
   const JacobiConfig& cfg = *env->cfg;
   const int total = cfg.warmup + cfg.iters;
+  // One request list for the whole run: its storage is reused every iteration.
+  std::vector<sim::Future<void>> reqs;
+  reqs.reserve(static_cast<std::size_t>(2 * b.nnbr));
 
   for (int it = 0; it < total; ++it) {
     if (it == cfg.warmup) {
@@ -41,8 +44,7 @@ sim::FutureTask jacobiMain(RankT* r, MpiEnv* env) {
       b.stageSendFaces();
       co_await b.stream->synchronize();
     }
-    std::vector<RequestT> reqs;
-    reqs.reserve(static_cast<std::size_t>(2 * b.nnbr));
+    reqs.clear();
     for (int d = 0; d < kNumDirs; ++d) {
       const int peer = b.nbr[static_cast<std::size_t>(d)];
       if (peer < 0) continue;
@@ -54,7 +56,7 @@ sim::FutureTask jacobiMain(RankT* r, MpiEnv* env) {
       reqs.push_back(r->isend(b.sendBuf(dir), env->dec.faceBytes(dir), peer,
                               static_cast<int>(opposite(dir))));
     }
-    co_await r->waitAll(reqs);
+    co_await sim::allOf(reqs);
     if (cfg.mode == Mode::HostStaging) {
       b.stageRecvFaces(0);
       co_await b.stream->synchronize();
@@ -105,7 +107,7 @@ JacobiResult runMpi(const JacobiConfig& cfg, std::vector<double>* out) {
     ck::Runtime rt(sys, ctx, m);
     ampi::World world(rt);
     world.run([&env](ampi::Rank& r) -> sim::FutureTask {
-      return jacobiMain<ampi::Rank, ampi::Request>(&r, &env);
+      return jacobiMain<ampi::Rank>(&r, &env);
     });
     sys.engine.run();
     if (cfg.inspect) cfg.inspect(sys);
@@ -113,7 +115,7 @@ JacobiResult runMpi(const JacobiConfig& cfg, std::vector<double>* out) {
   }
   ompi::World world(sys, ctx, m.costs);
   world.run([&env](ompi::Rank& r) -> sim::FutureTask {
-    return jacobiMain<ompi::Rank, ompi::Request>(&r, &env);
+    return jacobiMain<ompi::Rank>(&r, &env);
   });
   sys.engine.run();
   if (cfg.inspect) cfg.inspect(sys);

@@ -81,7 +81,7 @@ sim::FutureTask latencyMain(RankT* r, PairEnv* env) {
   if (client) env->result_us = (r->timeUs() - t0) / (2.0 * env->iters);
 }
 
-template <class RankT, class RequestT>
+template <class RankT>
 sim::FutureTask bandwidthMain(RankT* r, PairEnv* env) {
   const int me = r->rank();
   if (me != env->client_rank && me != env->server_rank) co_return;
@@ -97,7 +97,7 @@ sim::FutureTask bandwidthMain(RankT* r, PairEnv* env) {
     if (client) {
       const void* buf =
           env->mode == Mode::Device ? env->d_send[side].ptr : env->h_send[side].get();
-      std::vector<RequestT> reqs;
+      std::vector<sim::Future<void>> reqs;
       reqs.reserve(static_cast<std::size_t>(env->window));
       for (int w = 0; w < env->window; ++w) {
         if (env->mode == Mode::HostStaging) {
@@ -109,14 +109,14 @@ sim::FutureTask bandwidthMain(RankT* r, PairEnv* env) {
         }
         reqs.push_back(r->isend(buf, n, peer, w));
       }
-      co_await r->waitAll(reqs);
+      co_await sim::allOf(reqs);
       co_await r->recv(&ack, sizeof ack, peer, 999);
     } else {
       void* buf = env->mode == Mode::Device ? env->d_recv[side].ptr : env->h_recv[side].get();
-      std::vector<RequestT> reqs;
+      std::vector<sim::Future<void>> reqs;
       reqs.reserve(static_cast<std::size_t>(env->window));
       for (int w = 0; w < env->window; ++w) reqs.push_back(r->irecv(buf, n, peer, w));
-      co_await r->waitAll(reqs);
+      co_await sim::allOf(reqs);
       if (env->mode == Mode::HostStaging) {
         env->stream[side]->memcpyAsync(env->d_recv[side], env->h_recv[side].ref(), n,
                                        cuda::MemcpyKind::HostToDevice);
@@ -135,7 +135,7 @@ sim::FutureTask bandwidthMain(RankT* r, PairEnv* env) {
 
 /// osu_bibw: both sides post a window of irecvs, fire a window of isends,
 /// then wait for everything — bandwidth counted in both directions.
-template <class RankT, class RequestT>
+template <class RankT>
 sim::FutureTask biBandwidthMain(RankT* r, PairEnv* env) {
   const int me = r->rank();
   if (me != env->client_rank && me != env->server_rank) co_return;
@@ -154,11 +154,11 @@ sim::FutureTask biBandwidthMain(RankT* r, PairEnv* env) {
     }
     const void* sbuf = env->mode == Mode::Device ? env->d_send[side].ptr : env->h_send[side].get();
     void* rbuf = env->mode == Mode::Device ? env->d_recv[side].ptr : env->h_recv[side].get();
-    std::vector<RequestT> reqs;
+    std::vector<sim::Future<void>> reqs;
     reqs.reserve(static_cast<std::size_t>(2 * env->window));
     for (int w = 0; w < env->window; ++w) reqs.push_back(r->irecv(rbuf, n, peer, 2000 + w));
     for (int w = 0; w < env->window; ++w) reqs.push_back(r->isend(sbuf, n, peer, 2000 + w));
-    co_await r->waitAll(reqs);
+    co_await sim::allOf(reqs);
     if (env->mode == Mode::HostStaging) {
       env->stream[side]->memcpyAsync(env->d_recv[side], env->h_recv[side].ref(), n,
                                      cuda::MemcpyKind::HostToDevice);
@@ -276,11 +276,11 @@ double mpiBiBandwidth(const BenchConfig& cfg, std::size_t bytes) {
   f.setupEnv(cfg, bytes, env);
   if (f.ampi_world) {
     f.ampi_world->run([&env](ampi::Rank& r) -> sim::FutureTask {
-      return biBandwidthMain<ampi::Rank, ampi::Request>(&r, &env);
+      return biBandwidthMain<ampi::Rank>(&r, &env);
     });
   } else {
     f.ompi_world->run([&env](ompi::Rank& r) -> sim::FutureTask {
-      return biBandwidthMain<ompi::Rank, ompi::Request>(&r, &env);
+      return biBandwidthMain<ompi::Rank>(&r, &env);
     });
   }
   f.sys->engine.run();
@@ -320,11 +320,11 @@ double mpiBandwidth(const BenchConfig& cfg, std::size_t bytes) {
   f.setupEnv(cfg, bytes, env);
   if (f.ampi_world) {
     f.ampi_world->run([&env](ampi::Rank& r) -> sim::FutureTask {
-      return bandwidthMain<ampi::Rank, ampi::Request>(&r, &env);
+      return bandwidthMain<ampi::Rank>(&r, &env);
     });
   } else {
     f.ompi_world->run([&env](ompi::Rank& r) -> sim::FutureTask {
-      return bandwidthMain<ompi::Rank, ompi::Request>(&r, &env);
+      return bandwidthMain<ompi::Rank>(&r, &env);
     });
   }
   f.sys->engine.run();

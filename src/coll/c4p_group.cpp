@@ -9,21 +9,14 @@ int C4pRank::pe() const { return grp_->peOf(rank_); }
 hw::System& C4pRank::system() const { return grp_->py_.system(); }
 bool C4pRank::aborted() const { return grp_->aborted_; }
 
-C4pReq C4pRank::isend(const void* buf, std::uint64_t bytes, int dst, int tag) {
+sim::Future<void> C4pRank::isend(const void* buf, std::uint64_t bytes, int dst, int tag) {
   (void)tag;  // channels match by FIFO order, not tags
-  return C4pReq{grp_->end(lane_, rank_, dst)->send(buf, bytes)};
+  return grp_->end(lane_, rank_, dst)->send(buf, bytes);
 }
 
-C4pReq C4pRank::irecv(void* buf, std::uint64_t bytes, int src, int tag) {
+sim::Future<void> C4pRank::irecv(void* buf, std::uint64_t bytes, int src, int tag) {
   (void)tag;
-  return C4pReq{grp_->end(lane_, rank_, src)->recv(buf, bytes)};
-}
-
-sim::Future<void> C4pRank::waitAll(const std::vector<C4pReq>& rs) {
-  std::vector<sim::Future<void>> fs;
-  fs.reserve(rs.size());
-  for (const C4pReq& r : rs) fs.push_back(r.f);
-  return sim::allOf(fs);
+  return grp_->end(lane_, rank_, src)->recv(buf, bytes);
 }
 
 C4pGroup::C4pGroup(c4p::Charm4py& py, std::vector<int> pes, int lanes)

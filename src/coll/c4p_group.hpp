@@ -25,12 +25,6 @@ namespace cux::coll {
 
 class C4pGroup;
 
-/// Request handle returned by C4pRank::isend/irecv.
-struct C4pReq {
-  sim::Future<void> f;
-  [[nodiscard]] sim::Future<void> future() const noexcept { return f; }
-};
-
 /// One member's view of the group; satisfies the coll:: rank surface.
 /// Tags are accepted (the templates pass them) and ignored.
 class C4pRank {
@@ -43,16 +37,14 @@ class C4pRank {
   [[nodiscard]] int pe() const;
   [[nodiscard]] hw::System& system() const;
 
-  C4pReq isend(const void* buf, std::uint64_t bytes, int dst, int tag);
-  C4pReq irecv(void* buf, std::uint64_t bytes, int src, int tag);
+  sim::Future<void> isend(const void* buf, std::uint64_t bytes, int dst, int tag);
+  sim::Future<void> irecv(void* buf, std::uint64_t bytes, int src, int tag);
   [[nodiscard]] sim::Future<void> send(const void* buf, std::uint64_t bytes, int dst, int tag) {
-    return isend(buf, bytes, dst, tag).f;
+    return isend(buf, bytes, dst, tag);
   }
   [[nodiscard]] sim::Future<void> recv(void* buf, std::uint64_t bytes, int src, int tag) {
-    return irecv(buf, bytes, src, tag).f;
+    return irecv(buf, bytes, src, tag);
   }
-  [[nodiscard]] sim::Future<void> wait(const C4pReq& r) { return r.f; }
-  [[nodiscard]] sim::Future<void> waitAll(const std::vector<C4pReq>& rs);
 
   /// ULFM-ish abort surface consumed by the coll:: templates: true once the
   /// failure detector declared any group member dead. Channels touching the

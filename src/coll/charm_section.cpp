@@ -106,24 +106,24 @@ int SectionRank::pe() const { return sec_->peOf(rank_); }
 hw::System& SectionRank::system() const { return sec_->rt_.system(); }
 bool SectionRank::aborted() const { return sec_->aborted_; }
 
-SectionReq SectionRank::isend(const void* buf, std::uint64_t bytes, int dst, int tag) {
+sim::Future<void> SectionRank::isend(const void* buf, std::uint64_t bytes, int dst, int tag) {
   sim::Promise<void> sent;
   if (sec_->aborted_) {
     // Drain semantics: the section is aborted, so refuse the send (a dead
     // destination's onSent would never fire) and complete immediately — the
     // caller observes the failure through aborted(), not through a hang.
     sent.set();
-    return SectionReq{sent.future()};
+    return sent.future();
   }
   ck::Buffer b(buf, bytes);
   b.onSent([sent] { sent.set(); });
   sec_->boxes_[static_cast<std::size_t>(dst)].sendFrom<&SectionMailbox::seg>(
       pe(), std::move(b), static_cast<std::int32_t>(rank_),
       static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag)));
-  return SectionReq{sent.future()};
+  return sent.future();
 }
 
-SectionReq SectionRank::irecv(void* buf, std::uint64_t bytes, int src, int tag) {
+sim::Future<void> SectionRank::irecv(void* buf, std::uint64_t bytes, int src, int tag) {
   auto* box = sec_->boxes_[static_cast<std::size_t>(rank_)].local();
   const std::uint64_t k =
       matchKey(src, static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag)));
@@ -133,7 +133,7 @@ SectionReq SectionRank::irecv(void* buf, std::uint64_t bytes, int src, int tag) 
     // unexpected chunks were orphaned by the sweep) — complete immediately,
     // buffer contents undefined, failure observable through aborted().
     done.set();
-    return SectionReq{done.future()};
+    return done.future();
   }
 
   auto& unexpected = box->unexpected_[k];
@@ -144,14 +144,7 @@ SectionReq SectionRank::irecv(void* buf, std::uint64_t bytes, int src, int tag) 
   } else {
     box->posted_[k].push_back(SectionMailbox::PostedRecv{buf, bytes, done});
   }
-  return SectionReq{done.future()};
-}
-
-sim::Future<void> SectionRank::waitAll(const std::vector<SectionReq>& rs) {
-  std::vector<sim::Future<void>> fs;
-  fs.reserve(rs.size());
-  for (const SectionReq& r : rs) fs.push_back(r.f);
-  return sim::allOf(fs);
+  return done.future();
 }
 
 // --- CharmSection ----------------------------------------------------------

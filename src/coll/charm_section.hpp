@@ -34,12 +34,6 @@ namespace cux::coll {
 
 class CharmSection;
 
-/// Request handle returned by SectionRank::isend/irecv.
-struct SectionReq {
-  sim::Future<void> f;
-  [[nodiscard]] sim::Future<void> future() const noexcept { return f; }
-};
-
 /// Per-member-PE endpoint chare of a CharmSection.
 class SectionMailbox : public ck::Chare {
  public:
@@ -88,8 +82,8 @@ class SectionRank {
   [[nodiscard]] int pe() const;
   [[nodiscard]] hw::System& system() const;
 
-  SectionReq isend(const void* buf, std::uint64_t bytes, int dst, int tag);
-  SectionReq irecv(void* buf, std::uint64_t bytes, int src, int tag);
+  sim::Future<void> isend(const void* buf, std::uint64_t bytes, int dst, int tag);
+  sim::Future<void> irecv(void* buf, std::uint64_t bytes, int src, int tag);
   /// ULFM-ish abort surface consumed by the coll:: templates: true once the
   /// failure detector declared any section member dead. Subsequent
   /// isend/irecv complete immediately without touching the wire, so
@@ -97,13 +91,11 @@ class SectionRank {
   /// and the caller recovers by restarting from a checkpoint.
   [[nodiscard]] bool aborted() const;
   [[nodiscard]] sim::Future<void> send(const void* buf, std::uint64_t bytes, int dst, int tag) {
-    return isend(buf, bytes, dst, tag).f;
+    return isend(buf, bytes, dst, tag);
   }
   [[nodiscard]] sim::Future<void> recv(void* buf, std::uint64_t bytes, int src, int tag) {
-    return irecv(buf, bytes, src, tag).f;
+    return irecv(buf, bytes, src, tag);
   }
-  [[nodiscard]] sim::Future<void> wait(const SectionReq& r) { return r.f; }
-  [[nodiscard]] sim::Future<void> waitAll(const std::vector<SectionReq>& rs);
 
  private:
   CharmSection* sec_ = nullptr;

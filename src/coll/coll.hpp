@@ -46,8 +46,11 @@
 /// CollReduce phase per reduction-kernel launch.
 ///
 /// The templates accept any rank type exposing the shared MPI-ish
-/// point-to-point surface — ampi::Rank, ompi::Rank, coll::SectionRank
-/// (Charm++ array sections) and coll::C4pRank (Charm4py) all qualify.
+/// point-to-point surface — rank/size/pe/system, optionally aborted(), and
+/// isend/send/recv, each returning the operation's sim::Future<void> (awaited
+/// directly, or several through sim::allOf). ampi::Rank, ompi::Rank,
+/// coll::SectionRank (Charm++ array sections) and coll::C4pRank (Charm4py)
+/// all qualify.
 ///
 /// Tag-space discipline: collectives use tags at/above kCollTagBase; a
 /// single call consumes tags in [tag, tag + kCollTagStride). Sequential
@@ -275,7 +278,7 @@ sim::FutureTask bcast(RankT& r, void* buf, std::uint64_t bytes, int root,
     mask <<= 1;
   }
   mask >>= 1;
-  std::vector<decltype(r.isend(buf, bytes, 0, 0))> sends;
+  std::vector<sim::Future<void>> sends;
   while (mask > 0) {
     if (me + mask < n) {
       const int child = (me + mask + root) % n;
@@ -283,7 +286,7 @@ sim::FutureTask bcast(RankT& r, void* buf, std::uint64_t bytes, int root,
     }
     mask >>= 1;
   }
-  co_await r.waitAll(sends);
+  co_await sim::allOf(sends);
 }
 
 /// Recursive-doubling allreduce on the largest power-of-two subset, with
@@ -323,7 +326,7 @@ sim::FutureTask allreduce(RankT& r, const void* sendbuf, void* recvbuf, std::uin
     const int peer = peer_pof2 < rem ? peer_pof2 * 2 : peer_pof2 + rem;
     auto s = r.isend(recvbuf, bytes, peer, tag + 2);
     co_await r.recv(incoming.get(), bytes, peer, tag + 2);
-    co_await r.wait(s);
+    co_await s;
     co_await detail::combineKernel(r, stream, recv_ref, incoming.ref(), count, op);
   }
   // Hand the result back to the folded ranks.
@@ -366,7 +369,7 @@ sim::FutureTask allreduceRing(RankT& r, const void* sendbuf, void* recvbuf, std:
 
   const int right = (me + 1) % n;
   const int left = (me - 1 + n) % n;
-  std::vector<decltype(r.isend(sendbuf, std::uint64_t{0}, 0, 0))> sends;
+  std::vector<sim::Future<void>> sends;
   std::vector<sim::Future<void>> kdone;  // per-chunk kernels of the block combined last step
 
   // --- reduce-scatter phase ------------------------------------------------
@@ -425,7 +428,7 @@ sim::FutureTask allreduceRing(RankT& r, const void* sendbuf, void* recvbuf, std:
     got = std::move(gnext);
   }
   for (auto& f : got) co_await f;
-  co_await r.waitAll(sends);
+  co_await sim::allOf(sends);
 }
 
 /// Pipelined binomial reduce into `recvbuf` on `root` (root-relative tree):
@@ -456,7 +459,7 @@ sim::FutureTask reduceTree(RankT& r, const void* sendbuf, void* recvbuf, std::ui
   for (int mask = 1; mask < n; mask <<= 1, ++level) {
     if (me & mask) {
       const int parent = (me - mask + root) % n;
-      std::vector<decltype(r.isend(sendbuf, std::uint64_t{0}, 0, 0))> sends;
+      std::vector<sim::Future<void>> sends;
       for (int c = 0; c < C; ++c) {
         const Range rng = slotRange(count, slot, c);
         if (rng.cnt == 0) continue;
@@ -465,7 +468,7 @@ sim::FutureTask reduceTree(RankT& r, const void* sendbuf, void* recvbuf, std::ui
         sends.push_back(r.isend(accp + rng.off * 8, rng.cnt * 8, parent,
                                 tagFor(tag, level, c)));
       }
-      co_await r.waitAll(sends);
+      co_await sim::allOf(sends);
       co_return;
     }
     if (me + mask < n) {
@@ -513,7 +516,7 @@ sim::FutureTask bcastTree(RankT& r, void* buf, std::uint64_t bytes, int root, in
   const int C = chunksFor(bytes, cfg);
   const std::uint64_t slot = (bytes + static_cast<std::uint64_t>(C) - 1) / C;
   auto* p = static_cast<std::byte*>(buf);
-  std::vector<decltype(r.isend(buf, std::uint64_t{0}, 0, 0))> sends;
+  std::vector<sim::Future<void>> sends;
   for (int c = 0; c < C; ++c) {
     const Range rng = slotRange(bytes, slot, c);
     if (rng.cnt == 0) continue;
@@ -523,7 +526,7 @@ sim::FutureTask bcastTree(RankT& r, void* buf, std::uint64_t bytes, int root, in
       sends.push_back(r.isend(p + rng.off, rng.cnt, child, tagFor(tag, 0, c)));
     }
   }
-  co_await r.waitAll(sends);
+  co_await sim::allOf(sends);
 }
 
 /// Pipelined chain broadcast: the message streams root -> root+1 -> ... as
@@ -541,7 +544,7 @@ sim::FutureTask bcastRing(RankT& r, void* buf, std::uint64_t bytes, int root, in
   const int C = chunksFor(bytes, cfg);
   const std::uint64_t slot = (bytes + static_cast<std::uint64_t>(C) - 1) / C;
   auto* p = static_cast<std::byte*>(buf);
-  std::vector<decltype(r.isend(buf, std::uint64_t{0}, 0, 0))> sends;
+  std::vector<sim::Future<void>> sends;
   for (int c = 0; c < C; ++c) {
     const Range rng = slotRange(bytes, slot, c);
     if (rng.cnt == 0) continue;
@@ -551,7 +554,7 @@ sim::FutureTask bcastRing(RankT& r, void* buf, std::uint64_t bytes, int root, in
       sends.push_back(r.isend(p + rng.off, rng.cnt, next, tagFor(tag, 0, c)));
     }
   }
-  co_await r.waitAll(sends);
+  co_await sim::allOf(sends);
 }
 
 }  // namespace detail

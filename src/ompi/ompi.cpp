@@ -37,16 +37,14 @@ void World::run(std::function<sim::FutureTask(Rank&)> main) {
   }
 }
 
-Request Rank::isend(const void* buf, std::uint64_t bytes, int dst, int tag) {
+sim::Future<void> Rank::isend(const void* buf, std::uint64_t bytes, int dst, int tag) {
   if (dst < 0 || dst >= world_->size()) {
     throw std::invalid_argument("ompi: send to rank " + std::to_string(dst) + " of " +
                                 std::to_string(world_->size()));
   }
   auto& st = *world_->ranks_[static_cast<std::size_t>(rank_)];
   st.cpu->charge(sim::usec(world_->costs_.ompi_call_us));
-  Request req;
-  auto impl = req.impl_;
-  const Status sent{rank_, tag, bytes};
+  sim::Promise<void> sent;
   const ucx::Tag utag = detail::encodeTag(rank_, tag);
   const int src_rank = rank_;
   // The buffer enters the stack here: classify it once, through the rank's
@@ -54,48 +52,36 @@ Request Rank::isend(const void* buf, std::uint64_t bytes, int dst, int tag) {
   const hw::MemRef src = st.ptr_cache.classify(world_->sys_.memory, buf);
   // Inject once the call's CPU time has retired.
   world_->sys_.engine.schedule(
-      st.cpu->busyUntil(), [this, src_rank, dst, src, bytes, utag, impl, sent] {
+      st.cpu->busyUntil(), [this, src_rank, dst, src, bytes, utag, sent] {
         world_->ucx_.tagSend(src_rank, dst, src, bytes, utag,
-                             [impl, sent](ucx::Request&) { impl->complete(sent); });
+                             [sent](ucx::Request&) { sent.set(); });
       });
-  return req;
+  return sent.future();
 }
 
-Request Rank::irecv(void* buf, std::uint64_t bytes, int src, int tag) {
+sim::Future<void> Rank::recv(void* buf, std::uint64_t bytes, int src, int tag, Status* status) {
   if (src != kAnySource && (src < 0 || src >= world_->size())) {
     throw std::invalid_argument("ompi: receive from rank " + std::to_string(src) + " of " +
                                 std::to_string(world_->size()));
   }
   auto& st = *world_->ranks_[static_cast<std::size_t>(rank_)];
   st.cpu->charge(sim::usec(world_->costs_.ompi_call_us));
-  Request req;
-  auto impl = req.impl_;
+  sim::Promise<void> done;
   const ucx::Tag utag = detail::encodeTag(src == kAnySource ? 0 : src, tag == kAnyTag ? 0 : tag);
   const ucx::Tag mask = detail::matchMask(src, tag);
   const int me = rank_;
   const hw::MemRef dst = st.ptr_cache.classify(world_->sys_.memory, buf);
-  world_->sys_.engine.schedule(st.cpu->busyUntil(), [this, me, dst, bytes, utag, mask, impl] {
-    world_->ucx_.worker(me).tagRecv(dst, bytes, utag, mask, [impl](ucx::Request& r) {
-      impl->complete(Status{detail::srcOfTag(r.matched_tag), detail::userTagOf(r.matched_tag),
-                            r.bytes});
+  world_->sys_.engine.schedule(st.cpu->busyUntil(), [this, me, dst, bytes, utag, mask, done,
+                                                     status] {
+    world_->ucx_.worker(me).tagRecv(dst, bytes, utag, mask, [done, status](ucx::Request& r) {
+      if (status != nullptr) {
+        *status = Status{detail::srcOfTag(r.matched_tag), detail::userTagOf(r.matched_tag),
+                         r.bytes};
+      }
+      done.set();
     });
   });
-  return req;
-}
-
-sim::Future<void> Rank::recv(void* buf, std::uint64_t bytes, int src, int tag, Status* st) {
-  Request r = irecv(buf, bytes, src, tag);
-  if (st != nullptr) {
-    r.future().onReady([r, st] { *st = r.status(); });
-  }
-  return r.future();
-}
-
-sim::Future<void> Rank::waitAll(const std::vector<Request>& rs) {
-  std::vector<sim::Future<void>> fs;
-  fs.reserve(rs.size());
-  for (const Request& r : rs) fs.push_back(r.future());
-  return sim::allOf(fs);
+  return done.future();
 }
 
 }  // namespace cux::ompi

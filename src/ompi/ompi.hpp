@@ -39,17 +39,6 @@ struct Status {
 };
 
 namespace detail {
-struct ReqImpl {
-  sim::Promise<void> done;
-  Status status;
-  bool completed = false;
-  void complete(const Status& st) {
-    status = st;
-    completed = true;
-    done.set();
-  }
-};
-
 /// 64-bit UCX tag layout: [16 zero | 16 source rank | 32 user tag].
 [[nodiscard]] constexpr ucx::Tag encodeTag(int src, int tag) noexcept {
   return (static_cast<ucx::Tag>(static_cast<std::uint16_t>(src)) << 32) |
@@ -69,19 +58,6 @@ struct ReqImpl {
 }
 }  // namespace detail
 
-class Request {
- public:
-  Request() : impl_(std::make_shared<detail::ReqImpl>()) {}
-  [[nodiscard]] bool done() const noexcept { return impl_->completed; }
-  [[nodiscard]] const Status& status() const noexcept { return impl_->status; }
-  [[nodiscard]] sim::Future<void> future() const { return impl_->done.future(); }
-
- private:
-  friend class World;
-  friend class Rank;
-  std::shared_ptr<detail::ReqImpl> impl_;
-};
-
 class World;
 
 class Rank {
@@ -94,15 +70,19 @@ class Rank {
 
   /// `dst` must be in [0, size()) and `src` in [0, size()) or kAnySource;
   /// anything else throws std::invalid_argument.
-  Request isend(const void* buf, std::uint64_t bytes, int dst, int tag);
-  Request irecv(void* buf, std::uint64_t bytes, int src, int tag);
-  [[nodiscard]] sim::Future<void> send(const void* buf, std::uint64_t bytes, int dst, int tag) {
-    return isend(buf, bytes, dst, tag).future();
+  ///
+  /// Every operation returns its completion future (the MPI_Request): await
+  /// one with `co_await f`, several with `co_await sim::allOf(fs)`.
+  sim::Future<void> isend(const void* buf, std::uint64_t bytes, int dst, int tag);
+  sim::Future<void> irecv(void* buf, std::uint64_t bytes, int src, int tag) {
+    return recv(buf, bytes, src, tag);
   }
+  [[nodiscard]] sim::Future<void> send(const void* buf, std::uint64_t bytes, int dst, int tag) {
+    return isend(buf, bytes, dst, tag);
+  }
+  /// `st`, when given, is written at completion, before the future is set.
   [[nodiscard]] sim::Future<void> recv(void* buf, std::uint64_t bytes, int src, int tag,
                                        Status* st = nullptr);
-  [[nodiscard]] sim::Future<void> wait(const Request& r) { return r.future(); }
-  [[nodiscard]] sim::Future<void> waitAll(const std::vector<Request>& rs);
 
  private:
   friend class World;

@@ -169,8 +169,8 @@ TEST(Ampi, NonOvertakingSameTag) {
     if (r.rank() == 0) {
       auto s1 = r.isend(big.data(), big_n, 1, 5);
       auto s2 = r.isend(small.data(), 1, 1, 5);
-      std::vector<ampi::Request> reqs{s1, s2};
-      co_await r.waitAll(reqs);
+      std::vector<sim::Future<void>> reqs{s1, s2};
+      co_await sim::allOf(reqs);
     } else if (r.rank() == 1) {
       co_await r.recv(first.data(), big_n, 0, 5);   // must be the big one
       co_await r.recv(second.data(), 1, 0, 5);      // then the small one
@@ -179,6 +179,50 @@ TEST(Ampi, NonOvertakingSameTag) {
   });
   EXPECT_EQ(first, big);
   EXPECT_EQ(second[0], std::byte{0xAA});
+}
+
+// MPI matching order: of two posted receives that both accept a message, the
+// one posted first takes it, whether it names the source and tag or is a
+// wildcard; the next message goes to the other one. Each status is written
+// by recv() at completion.
+TEST(Ampi, FirstPostedOfExactAndWildcardReceiveWins) {
+  const std::vector<std::byte> first(4, std::byte{0x11}), second(8, std::byte{0x22});
+  for (const bool exact_first : {true, false}) {
+    SCOPED_TRACE(exact_first ? "exact posted first" : "wildcard posted first");
+    AmpiFixture f;
+    std::vector<std::byte> exact_buf(8), wild_buf(8);
+    ampi::Status exact_st, wild_st;
+    f.runAll([&](ampi::Rank& r) -> sim::FutureTask {
+      if (r.rank() == 0) {
+        // Both receives are posted before either message arrives.
+        co_await sim::delay(r.system().engine, sim::usec(10));
+        co_await r.send(first.data(), first.size(), 1, 5);
+        co_await r.send(second.data(), second.size(), 1, 5);
+      } else if (r.rank() == 1) {
+        const auto exact = [&] { return r.recv(exact_buf.data(), 8, 0, 5, &exact_st); };
+        const auto wild = [&] {
+          return r.recv(wild_buf.data(), 8, ampi::kAnySource, ampi::kAnyTag, &wild_st);
+        };
+        std::vector<sim::Future<void>> fs;
+        fs.push_back(exact_first ? exact() : wild());
+        fs.push_back(exact_first ? wild() : exact());
+        co_await sim::allOf(fs);
+      }
+      co_return;
+    });
+    const ampi::Status& won = exact_first ? exact_st : wild_st;
+    const ampi::Status& lost = exact_first ? wild_st : exact_st;
+    EXPECT_EQ(won.source, 0);
+    EXPECT_EQ(won.tag, 5);
+    EXPECT_EQ(won.bytes, first.size());
+    EXPECT_EQ(lost.source, 0);
+    EXPECT_EQ(lost.tag, 5);
+    EXPECT_EQ(lost.bytes, second.size());
+    std::vector<std::byte> won_expected = first;
+    won_expected.resize(8);
+    EXPECT_EQ(exact_first ? exact_buf : wild_buf, won_expected);
+    EXPECT_EQ(exact_first ? wild_buf : exact_buf, second);
+  }
 }
 
 TEST(Ampi, UnexpectedMessagesMatchLateReceives) {
@@ -224,11 +268,11 @@ TEST(Ampi, OutOfRangeRanksThrowInEveryBuild) {
   EXPECT_THROW((void)r.irecv(&v, sizeof v, -2, 0), std::invalid_argument);
   // kAnySource is the one negative source that is allowed; nothing above
   // left state behind, so the pair completes.
-  ampi::Request recv = r.irecv(&v, sizeof v, ampi::kAnySource, 0);
+  sim::Future<void> recv = r.irecv(&v, sizeof v, ampi::kAnySource, 0);
   int one = 1;
   (void)f.world->rank(n - 1).isend(&one, sizeof one, 0, 0);
   f.sys->engine.run();
-  EXPECT_TRUE(recv.done());
+  EXPECT_TRUE(recv.ready());
   EXPECT_EQ(v, 1);
 }
 
@@ -240,7 +284,7 @@ TEST(Ampi, PostedHighWaterMarkCountsLiveReceives) {
   ampi::Rank& sender = f.world->rank(0);
   ampi::Rank& receiver = f.world->rank(1);
   std::vector<int> src(8, 1), dst(8);
-  std::vector<ampi::Request> reqs;
+  std::vector<sim::Future<void>> reqs;
   for (int i = 0; i < 4; ++i) reqs.push_back(receiver.irecv(&dst[i], sizeof(int), 0, i));
   for (int i = 0; i < 4; ++i) (void)sender.isend(&src[i], sizeof(int), 1, i);
   f.sys->engine.run();
@@ -249,7 +293,7 @@ TEST(Ampi, PostedHighWaterMarkCountsLiveReceives) {
   }
   for (int i = 4; i < 8; ++i) (void)sender.isend(&src[i], sizeof(int), 1, i);
   f.sys->engine.run();
-  for (const ampi::Request& r : reqs) EXPECT_TRUE(r.done());
+  for (const sim::Future<void>& r : reqs) EXPECT_TRUE(r.ready());
   const auto s = f.world->matchStats();
   EXPECT_EQ(s.posted, 0u);
   EXPECT_EQ(s.posted_hwm, 4u);
@@ -265,17 +309,17 @@ TEST(Ampi, IsendIrecvWaitAll) {
   }
   f.runAll([&](ampi::Rank& r) -> sim::FutureTask {
     if (r.rank() == 0) {
-      std::vector<ampi::Request> reqs;
+      std::vector<sim::Future<void>> reqs;
       for (int i = 0; i < kMsgs; ++i)
         reqs.push_back(r.isend(srcs[static_cast<std::size_t>(i)].data(),
                                srcs[static_cast<std::size_t>(i)].size(), 1, i));
-      co_await r.waitAll(reqs);
+      co_await sim::allOf(reqs);
     } else if (r.rank() == 1) {
-      std::vector<ampi::Request> reqs;
+      std::vector<sim::Future<void>> reqs;
       for (int i = 0; i < kMsgs; ++i)
         reqs.push_back(r.irecv(dsts[static_cast<std::size_t>(i)].data(),
                                dsts[static_cast<std::size_t>(i)].size(), 0, i));
-      co_await r.waitAll(reqs);
+      co_await sim::allOf(reqs);
     }
     co_return;
   });
@@ -289,7 +333,7 @@ TEST(Ampi, SelfSend) {
     if (r.rank() == 2) {
       auto s = r.isend(&v, sizeof v, 2, 0);
       co_await r.recv(&got, sizeof got, 2, 0);
-      co_await r.wait(s);
+      co_await s;
     }
     co_return;
   });
@@ -311,7 +355,7 @@ TEST(Ampi, VirtualisationMultipleRanksPerPe) {
     auto s = r.isend(&token, sizeof token, next, 0);
     int in = -1;
     co_await r.recv(&in, sizeof in, prev, 0);
-    co_await r.wait(s);
+    co_await s;
     got[static_cast<std::size_t>(r.rank())] = in;
     co_return;
   });
@@ -327,7 +371,7 @@ TEST(Ampi, RingExchangeAllRanks) {
     double in = 0;
     auto s = r.isend(&v, sizeof v, (r.rank() + 1) % r.size(), 1);
     co_await r.recv(&in, sizeof in, (r.rank() - 1 + r.size()) % r.size(), 1);
-    co_await r.wait(s);
+    co_await s;
     vals[static_cast<std::size_t>(r.rank())] = in;
     co_return;
   });
@@ -369,17 +413,17 @@ TEST(Ampi, PointerCacheIsPerRankAndForgetsAfterAnAllocOrFree) {
   auto send = [&mem](ampi::Rank& r, const void* buf, std::size_t bytes, int dst, int tag,
                      std::vector<std::uint64_t>& cost) {
     const std::uint64_t before = mem.lookups();
-    ampi::Request q = r.isend(buf, bytes, dst, tag);
+    sim::Future<void> q = r.isend(buf, bytes, dst, tag);
     cost.push_back(mem.lookups() - before);
     return q;
   };
   f.runAll([&](ampi::Rank& r) -> sim::FutureTask {
     if (r.rank() == 0) {
-      co_await r.wait(send(r, a.get(), n, 1, 0, rank0));
-      co_await r.wait(send(r, a.get(), n, 1, 1, rank0));
+      co_await send(r, a.get(), n, 1, 0, rank0);
+      co_await send(r, a.get(), n, 1, 1, rank0);
       { cuda::DeviceBuffer scratch(*f.sys, 0, 64); }
-      co_await r.wait(send(r, a.get(), n, 1, 2, rank0));
-      co_await r.wait(send(r, a.get(), n, 1, 3, rank0));
+      co_await send(r, a.get(), n, 1, 2, rank0);
+      co_await send(r, a.get(), n, 1, 3, rank0);
       co_await r.send(nullptr, 0, 2, 9);  // rank 2 may go
     } else if (r.rank() == 1) {
       for (int i = 0; i < 4; ++i) co_await r.recv(b.get(), n, 0, i);
@@ -387,30 +431,12 @@ TEST(Ampi, PointerCacheIsPerRankAndForgetsAfterAnAllocOrFree) {
     } else if (r.rank() == 2) {
       co_await r.recv(nullptr, 0, 0, 9);
       // Rank 0 has `a` cached; rank 2's own cache has not seen it.
-      co_await r.wait(send(r, a.get(), n, 1, 5, rank2));
+      co_await send(r, a.get(), n, 1, 5, rank2);
     }
     co_return;
   });
   EXPECT_EQ(rank0, (std::vector<std::uint64_t>{1, 0, 1, 0}));
   EXPECT_EQ(rank2, (std::vector<std::uint64_t>{1}));
-}
-
-// --------------------------------------------------------------------------
-// Datatype overloads
-// --------------------------------------------------------------------------
-
-TEST(Ampi, DatatypeCountOverloads) {
-  AmpiFixture f(1);
-  std::vector<double> src{1.5, 2.5, 3.5};
-  std::vector<double> dst(3, 0.0);
-  f.runAll([&](ampi::Rank& r) -> sim::FutureTask {
-    if (r.rank() == 0)
-      co_await r.wait(r.isend(src.data(), 3, ampi::Datatype::Double, 1, 0));
-    if (r.rank() == 1)
-      co_await r.wait(r.irecv(dst.data(), 3, ampi::Datatype::Double, 0, 0));
-    co_return;
-  });
-  EXPECT_EQ(src, dst);
 }
 
 // --------------------------------------------------------------------------
@@ -463,12 +489,12 @@ TEST_P(AmpiRandomTraffic, AllMessagesIntact) {
     xs.push_back(std::move(x));
   }
   f.runAll([&](ampi::Rank& r) -> sim::FutureTask {
-    std::vector<ampi::Request> reqs;
+    std::vector<sim::Future<void>> reqs;
     for (auto& x : xs) {
       if (x.from == r.rank()) reqs.push_back(r.isend(x.src, x.n, x.to, x.tag));
       if (x.to == r.rank()) reqs.push_back(r.irecv(x.dst, x.n, x.from, x.tag));
     }
-    co_await r.waitAll(reqs);
+    co_await sim::allOf(reqs);
     co_return;
   });
   for (auto& x : xs) EXPECT_EQ(std::memcmp(x.dst, x.ref.data(), x.n), 0);

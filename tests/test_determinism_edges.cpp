@@ -54,9 +54,9 @@ TEST(Determinism, AmpiProgramEndsAtIdenticalVirtualTime) {
                             bufs[static_cast<std::size_t>(r.rank())].data(), 4096, prev, it);
         // Zero-byte ring token: nobody starts the next round before its
         // predecessor finished this one.
-        ampi::Request token = r.isend(nullptr, 0, next, 100 + it);
+        sim::Future<void> token = r.isend(nullptr, 0, next, 100 + it);
         co_await r.recv(nullptr, 0, prev, 100 + it);
-        co_await r.wait(token);
+        co_await token;
       }
     });
     sys.engine.run();

@@ -178,7 +178,7 @@ TEST(FailstopDetect, AmpiDeviceSendToRankThatDiesUnreceivedCompletes) {
   bool send_done = false;
   world.run([&](ampi::Rank& r) -> sim::FutureTask {
     if (r.rank() != 0) co_return;
-    co_await r.wait(r.isend(src.get(), kBytes, 6, 0));
+    co_await r.isend(src.get(), kBytes, 6, 0);
     send_done = true;
     EXPECT_TRUE(r.aborted());
   });
@@ -200,7 +200,7 @@ TEST(FailstopDetect, AmpiDeviceSendFromRankThatDiesUnreceivedCompletes) {
   bool send_done = false;
   world.run([&](ampi::Rank& r) -> sim::FutureTask {
     if (r.rank() != 0) co_return;
-    co_await r.wait(r.isend(src.get(), kBytes, 6, 0));
+    co_await r.isend(src.get(), kBytes, 6, 0);
     send_done = true;
   });
   f.sys->engine.run();
@@ -370,11 +370,11 @@ TEST_P(FailstopKillOffset, EveryRequestEndsExactlyOnce) {
   int recv_ends = 0;
   world.run([&](ampi::Rank& r) -> sim::FutureTask {
     if (r.rank() == 0) {
-      co_await r.wait(r.isend(src.get(), c.bytes, 6, 0));
+      co_await r.isend(src.get(), c.bytes, 6, 0);
       ++send_ends;
     } else if (r.rank() == 6) {
       co_await post_gate.future();
-      co_await r.wait(r.irecv(dst.get(), c.bytes, 0, 0));
+      co_await r.irecv(dst.get(), c.bytes, 0, 0);
       ++recv_ends;
     }
   });

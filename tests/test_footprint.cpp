@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "ampi/ampi.hpp"
-#include "apps/jacobi/geometry.hpp"
+#include "apps/jacobi/jacobi.hpp"
 #include "charm4py/charm4py.hpp"
 #include "model/model.hpp"
 #include "ucx/context.hpp"
@@ -15,17 +15,21 @@
 /// Construction footprint at the paper's largest Jacobi point (256 Summit
 /// nodes, 1536 ranks): the state a layer builds for its ranks and endpoints
 /// must grow with the peers each one talks to, not with the world squared.
-/// A counting operator new measures the bytes each build step allocates.
+/// A counting operator new measures the bytes each build step allocates,
+/// and the calls each steady-state Jacobi halo message makes.
 
 static std::uint64_t g_alloc_bytes = 0;
+static std::uint64_t g_alloc_calls = 0;
 
 void* operator new(std::size_t n) {
   g_alloc_bytes += n;
+  ++g_alloc_calls;
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) {
   g_alloc_bytes += n;
+  ++g_alloc_calls;
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
@@ -89,6 +93,56 @@ TEST(Footprint, Charm4pyJacobiMeshIsLinearInEndpoints) {
   // About 0.5 KB per endpoint, most of it the receive's future state. Two
   // std::deque queues would add over 1 KB each endpoint before any traffic.
   EXPECT_LT(per_end, 768u) << "bytes allocated per opened Charm4py endpoint";
+}
+
+/// Heap allocations per steady-state halo message of a 2-node Device-mode,
+/// unbacked Jacobi point: two runs that differ only in `iters`, each counted
+/// from cfg.setup to cfg.inspect, differ by their extra halo messages alone.
+std::uint64_t allocationsPerHaloMessage(jacobi::Stack stack) {
+  jacobi::JacobiConfig cfg;
+  cfg.stack = stack;
+  cfg.mode = jacobi::Mode::Device;
+  cfg.nodes = 2;
+  cfg.grid = {384, 384, 384};
+  cfg.warmup = 1;
+  cfg.backed = false;
+  std::uint64_t start = 0;
+  std::uint64_t end = 0;
+  cfg.setup = [&start](hw::System&) { start = g_alloc_calls; };
+  cfg.inspect = [&end](hw::System&) { end = g_alloc_calls; };
+  jacobi::Decomposition dec;
+  const auto run = [&](int iters) {
+    cfg.iters = iters;
+    dec = jacobi::runJacobi(cfg).dec;
+    return end - start;
+  };
+  // The first run fills the per-thread future pools; later runs reuse them.
+  (void)run(2);
+  const std::uint64_t short_allocs = run(2);
+  const std::uint64_t long_allocs = run(6);
+  // One message per neighbour link per iteration, as JacobiLookups counts.
+  std::uint64_t links = 0;
+  for (int id = 0; id < dec.numBlocks(); ++id) {
+    for (int d = 0; d < jacobi::kNumDirs; ++d) {
+      if (dec.neighbor(id, static_cast<jacobi::Dir>(d)) >= 0) ++links;
+    }
+  }
+  const std::uint64_t extra_messages = links * 4;
+  EXPECT_GT(extra_messages, 0u);
+  EXPECT_GE(long_allocs, short_allocs);
+  return (long_allocs - short_allocs) / extra_messages;
+}
+
+// An OpenMPI halo message is a UCX send and receive whose requests come from
+// the context's pool and whose completions are pooled futures.
+TEST(Footprint, OmpiHaloMessageAllocatesNothing) {
+  EXPECT_EQ(allocationsPerHaloMessage(jacobi::Stack::Ompi), 0u);
+}
+
+// AMPI's requests are pooled futures too; what is left is the Charm++
+// metadata message each send ships.
+TEST(Footprint, AmpiHaloMessageAllocatesOnce) {
+  EXPECT_EQ(allocationsPerHaloMessage(jacobi::Stack::Ampi), 1u);
 }
 
 }  // namespace

@@ -141,9 +141,9 @@ TEST(Integration, HugeVirtualClusterIsCheap) {
   int done = 0;
   world.run([&](ompi::Rank& r) -> sim::FutureTask {
     // One zero-byte ring exchange across every rank.
-    ompi::Request s = r.isend(nullptr, 0, (r.rank() + 1) % r.size(), 0);
+    sim::Future<void> s = r.isend(nullptr, 0, (r.rank() + 1) % r.size(), 0);
     co_await r.recv(nullptr, 0, (r.rank() - 1 + r.size()) % r.size(), 0);
-    co_await r.wait(s);
+    co_await s;
     ++done;
   });
   sys.engine.run();

@@ -92,13 +92,58 @@ TEST(Ompi, PrepostedReceiveAvoidsMetadataDelay) {
   f.runAll([&](ompi::Rank& r) -> sim::FutureTask {
     if (r.rank() == 1) {
       auto req = r.irecv(b.get(), n, 0, 0);  // posted before the send exists
-      co_await r.wait(req);
+      co_await req;
     } else if (r.rank() == 0) {
       co_await sim::delay(r.system().engine, sim::usec(100));
       co_await r.send(a.get(), n, 1, 0);
     }
     co_return;
   });
+}
+
+// MPI matching order: of two posted receives that both accept a message, the
+// one posted first takes it, whether it names the source and tag or is a
+// wildcard; the next message goes to the other one. Each status is written
+// by recv() at completion. An OpenMPI mask never covers the tag's top 16
+// bits, so UCX files both receives as wildcards and matches in post order.
+TEST(Ompi, FirstPostedOfExactAndWildcardReceiveWins) {
+  const std::vector<std::byte> first(4, std::byte{0x11}), second(8, std::byte{0x22});
+  for (const bool exact_first : {true, false}) {
+    SCOPED_TRACE(exact_first ? "exact posted first" : "wildcard posted first");
+    OmpiFixture f;
+    std::vector<std::byte> exact_buf(8), wild_buf(8);
+    ompi::Status exact_st, wild_st;
+    f.runAll([&](ompi::Rank& r) -> sim::FutureTask {
+      if (r.rank() == 0) {
+        // Both receives are posted before either message arrives.
+        co_await sim::delay(r.system().engine, sim::usec(10));
+        co_await r.send(first.data(), first.size(), 1, 5);
+        co_await r.send(second.data(), second.size(), 1, 5);
+      } else if (r.rank() == 1) {
+        const auto exact = [&] { return r.recv(exact_buf.data(), 8, 0, 5, &exact_st); };
+        const auto wild = [&] {
+          return r.recv(wild_buf.data(), 8, ompi::kAnySource, ompi::kAnyTag, &wild_st);
+        };
+        std::vector<sim::Future<void>> fs;
+        fs.push_back(exact_first ? exact() : wild());
+        fs.push_back(exact_first ? wild() : exact());
+        co_await sim::allOf(fs);
+      }
+      co_return;
+    });
+    const ompi::Status& won = exact_first ? exact_st : wild_st;
+    const ompi::Status& lost = exact_first ? wild_st : exact_st;
+    EXPECT_EQ(won.source, 0);
+    EXPECT_EQ(won.tag, 5);
+    EXPECT_EQ(won.bytes, first.size());
+    EXPECT_EQ(lost.source, 0);
+    EXPECT_EQ(lost.tag, 5);
+    EXPECT_EQ(lost.bytes, second.size());
+    std::vector<std::byte> won_expected = first;
+    won_expected.resize(8);
+    EXPECT_EQ(exact_first ? exact_buf : wild_buf, won_expected);
+    EXPECT_EQ(exact_first ? wild_buf : exact_buf, second);
+  }
 }
 
 // A rank outside [0, size()) is refused in every build type: a send would
@@ -115,11 +160,11 @@ TEST(Ompi, OutOfRangeRanksThrowInEveryBuild) {
   EXPECT_THROW((void)r.irecv(&v, sizeof v, -2, 0), std::invalid_argument);
   // kAnySource is the one negative source that is allowed; nothing above
   // left state behind, so the pair completes.
-  ompi::Request recv = r.irecv(&v, sizeof v, ompi::kAnySource, 0);
+  sim::Future<void> recv = r.irecv(&v, sizeof v, ompi::kAnySource, 0);
   int one = 1;
   (void)f.world->rank(n - 1).isend(&one, sizeof one, 0, 0);
   f.sys->engine.run();
-  EXPECT_TRUE(recv.done());
+  EXPECT_TRUE(recv.ready());
   EXPECT_EQ(v, 1);
 }
 
@@ -132,7 +177,7 @@ TEST(Ompi, WaitAllManyRequests) {
     dsts[static_cast<std::size_t>(i)].resize(4096);
   }
   f.runAll([&](ompi::Rank& r) -> sim::FutureTask {
-    std::vector<ompi::Request> reqs;
+    std::vector<sim::Future<void>> reqs;
     if (r.rank() == 0) {
       for (int i = 0; i < k; ++i)
         reqs.push_back(r.isend(srcs[static_cast<std::size_t>(i)].data(), 4096, 1, i));
@@ -140,7 +185,7 @@ TEST(Ompi, WaitAllManyRequests) {
       for (int i = 0; i < k; ++i)
         reqs.push_back(r.irecv(dsts[static_cast<std::size_t>(i)].data(), 4096, 0, i));
     }
-    co_await r.waitAll(reqs);
+    co_await sim::allOf(reqs);
     co_return;
   });
   for (int i = 0; i < k; ++i) EXPECT_EQ(srcs[static_cast<std::size_t>(i)], dsts[static_cast<std::size_t>(i)]);

@@ -609,17 +609,17 @@ int runMatch(const Args& a) {
     world.run([&](ampi::Rank& r) -> sim::FutureTask {
       if (r.rank() == 0) {
         for (int it = 0; it < iters; ++it) {
-          std::vector<ampi::Request> reqs;
+          std::vector<sim::Future<void>> reqs;
           reqs.reserve(static_cast<std::size_t>(window));
           for (int i = 0; i < window; ++i) reqs.push_back(r.isend(src.data(), 256, 1, i));
-          for (auto& q : reqs) co_await r.wait(q);
+          for (auto& q : reqs) co_await q;
         }
       } else if (r.rank() == 1) {
         for (int it = 0; it < iters; ++it) {
-          std::vector<ampi::Request> reqs;
+          std::vector<sim::Future<void>> reqs;
           reqs.reserve(static_cast<std::size_t>(window));
           for (int i = 0; i < window; ++i) reqs.push_back(r.irecv(dst.data(), 256, 0, i));
-          for (auto& q : reqs) co_await r.wait(q);
+          for (auto& q : reqs) co_await q;
         }
       }
       co_return;
