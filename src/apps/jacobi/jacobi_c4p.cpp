@@ -30,6 +30,8 @@ sim::FutureTask blockMain(C4pEnv* env, int id) {
   auto& ends = env->ends[static_cast<std::size_t>(id)];
   c4p::Charm4py& py = *env->py;
   const int total = cfg.warmup + cfg.iters;
+  std::vector<sim::Future<void>> sends;
+  sends.reserve(kNumDirs);
 
   for (int it = 0; it < total; ++it) {
     if (it == cfg.warmup) {
@@ -49,7 +51,7 @@ sim::FutureTask blockMain(C4pEnv* env, int id) {
       }
       co_await py.streamSynchronize(b.pe, *b.stream);
     }
-    std::vector<sim::Future<void>> sends;
+    sends.clear();
     for (int d = 0; d < kNumDirs; ++d) {
       if (ends[static_cast<std::size_t>(d)] == nullptr) continue;
       const auto dir = static_cast<Dir>(d);

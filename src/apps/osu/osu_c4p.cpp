@@ -84,12 +84,13 @@ sim::FutureTask c4pBandwidthMain(C4pEnv* env, int side) {
   hw::System& sys = py.system();
   int ack = 0;
   double t0 = 0;
+  std::vector<sim::Future<void>> sends;
+  sends.reserve(static_cast<std::size_t>(env->window));
 
   for (int it = 0; it < env->warmup + env->iters; ++it) {
     if (client && it == env->warmup) t0 = sim::toUs(sys.engine.now());
     if (client) {
-      std::vector<sim::Future<void>> sends;
-      sends.reserve(static_cast<std::size_t>(env->window));
+      sends.clear();
       for (int w = 0; w < env->window; ++w) {
         if (env->mode == Mode::HostStaging) {
           py.cudaDtoH(pe, env->h_buf[side].ref(), env->d_buf[side], n, *env->stream[side]);

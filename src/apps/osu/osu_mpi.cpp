@@ -91,14 +91,15 @@ sim::FutureTask bandwidthMain(RankT* r, PairEnv* env) {
   const std::size_t n = env->bytes;
   int ack = 0;
   double t0 = 0;
+  std::vector<sim::Future<void>> reqs;
+  reqs.reserve(static_cast<std::size_t>(env->window));
 
   for (int it = 0; it < env->warmup + env->iters; ++it) {
     if (client && it == env->warmup) t0 = r->timeUs();
+    reqs.clear();
     if (client) {
       const void* buf =
           env->mode == Mode::Device ? env->d_send[side].ptr : env->h_send[side].get();
-      std::vector<sim::Future<void>> reqs;
-      reqs.reserve(static_cast<std::size_t>(env->window));
       for (int w = 0; w < env->window; ++w) {
         if (env->mode == Mode::HostStaging) {
           // Per-message synchronous staging, as in the OSU-GPU -H adaptation
@@ -113,8 +114,6 @@ sim::FutureTask bandwidthMain(RankT* r, PairEnv* env) {
       co_await r->recv(&ack, sizeof ack, peer, 999);
     } else {
       void* buf = env->mode == Mode::Device ? env->d_recv[side].ptr : env->h_recv[side].get();
-      std::vector<sim::Future<void>> reqs;
-      reqs.reserve(static_cast<std::size_t>(env->window));
       for (int w = 0; w < env->window; ++w) reqs.push_back(r->irecv(buf, n, peer, w));
       co_await sim::allOf(reqs);
       if (env->mode == Mode::HostStaging) {
@@ -144,6 +143,8 @@ sim::FutureTask biBandwidthMain(RankT* r, PairEnv* env) {
   const bool client = side == 0;
   const std::size_t n = env->bytes;
   double t0 = 0;
+  std::vector<sim::Future<void>> reqs;
+  reqs.reserve(static_cast<std::size_t>(2 * env->window));
 
   for (int it = 0; it < env->warmup + env->iters; ++it) {
     if (client && it == env->warmup) t0 = r->timeUs();
@@ -154,8 +155,7 @@ sim::FutureTask biBandwidthMain(RankT* r, PairEnv* env) {
     }
     const void* sbuf = env->mode == Mode::Device ? env->d_send[side].ptr : env->h_send[side].get();
     void* rbuf = env->mode == Mode::Device ? env->d_recv[side].ptr : env->h_recv[side].get();
-    std::vector<sim::Future<void>> reqs;
-    reqs.reserve(static_cast<std::size_t>(2 * env->window));
+    reqs.clear();
     for (int w = 0; w < env->window; ++w) reqs.push_back(r->irecv(rbuf, n, peer, 2000 + w));
     for (int w = 0; w < env->window; ++w) reqs.push_back(r->isend(sbuf, n, peer, 2000 + w));
     co_await sim::allOf(reqs);

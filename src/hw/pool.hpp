@@ -18,8 +18,9 @@
 /// regions every iteration — the steady state allocates nothing.
 ///
 /// The pool is time-free: it models no virtual-time cost, it removes *real*
-/// allocation churn (same contract as the PR-4 request arena) and exposes
-/// hit/miss/byte counters so workloads can assert the reuse they expect.
+/// allocation churn (the same contract as the request and future slab pool
+/// in sim/future.hpp) and exposes hit/miss/byte counters so workloads can
+/// assert the reuse they expect.
 
 namespace cux::hw {
 

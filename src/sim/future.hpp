@@ -2,6 +2,7 @@
 
 #include <coroutine>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <new>
 #include <optional>
@@ -40,13 +41,21 @@ inline Future<void> allOf(const std::vector<Future<void>>& futures);
 
 namespace detail {
 
-/// Per-thread pool of fixed-size blocks, one pool per block type. Blocks are
-/// carved from slabs of kSlabBlocks and threaded on an intrusive free list,
-/// so recycled storage stays compact instead of pinning scattered heap
-/// chunks between machine builds. The simulation is single-threaded, so a
-/// thread_local pool needs no locking; a future is created and dropped on
-/// the thread that runs its simulation. Slabs are held until the thread
-/// exits — the pool's footprint is the peak number of live futures.
+/// Blocks carved from fresh slab space on this thread, over every FreeList.
+/// It rises only when a pool grows past its peak live count, so a caller
+/// that reads it around one allocation can tell a pool miss from reuse.
+inline thread_local std::uint64_t tCarvedBlocks = 0;
+
+/// Per-thread pool of fixed-size blocks, one pool per block type: the
+/// storage of every future state and every UCX request. Blocks are carved
+/// in order from slabs of kSlabBlocks; freed ones go on an intrusive free
+/// list that is reused first, so recycled storage stays compact instead of
+/// pinning scattered heap chunks between machine builds. The simulation is
+/// single-threaded, so a thread_local pool needs no locking; a future or a
+/// request is created and dropped on the thread that runs its simulation.
+/// Slabs are held until the thread exits — the pool's footprint is the
+/// peak number of live blocks, and a block may outlive the machine that
+/// made it.
 template <class U>
 class FreeList {
  public:
@@ -58,11 +67,15 @@ class FreeList {
   ~FreeList();
 
   [[nodiscard]] void* pop() {
-    if (head_ == nullptr) refill();
-    Node* n = head_;
-    head_ = n->next;
+    if (Node* n = head_) {
+      head_ = n->next;
+      ++live_;
+      return n;
+    }
+    if (next_ == end_) refill();
+    ++tCarvedBlocks;
     ++live_;
-    return n;
+    return std::exchange(next_, next_ + kBlock);
   }
   void push(void* p) noexcept {
     auto* n = static_cast<Node*>(p);
@@ -78,16 +91,14 @@ class FreeList {
   static constexpr std::size_t kBlock = sizeof(U) < sizeof(Node) ? sizeof(Node) : sizeof(U);
 
   void refill() {
-    auto* slab = static_cast<std::byte*>(::operator new(kBlock * kSlabBlocks));
-    slabs_.push_back(slab);
-    for (std::size_t i = kSlabBlocks; i-- > 0;) {
-      auto* n = reinterpret_cast<Node*>(slab + i * kBlock);
-      n->next = head_;
-      head_ = n;
-    }
+    next_ = static_cast<std::byte*>(::operator new(kBlock * kSlabBlocks));
+    end_ = next_ + kBlock * kSlabBlocks;
+    slabs_.push_back(next_);
   }
 
   Node* head_ = nullptr;
+  std::byte* next_ = nullptr;  ///< first never-used block of the newest slab
+  std::byte* end_ = nullptr;
   std::size_t live_ = 0;  ///< blocks handed out and not yet returned
   std::vector<void*> slabs_;
 };

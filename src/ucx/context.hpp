@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "hw/system.hpp"
+#include "sim/future.hpp"
 #include "ucx/config.hpp"
 #include "ucx/request.hpp"
 #include "ucx/worker.hpp"
@@ -139,16 +140,24 @@ class Context {
 
   // --- allocation-light message path --------------------------------------
 
-  /// Pooled Request allocation: every send/recv/AM request comes from the
-  /// freelist-backed RequestPool (request.hpp), so the steady state performs
-  /// no heap allocation per request. Pool lifetime is safe even when a
-  /// RequestPtr outlives this Context (the arena is shared into the
-  /// control blocks).
+  /// Pooled Request allocation: every send/recv/AM request is one block
+  /// (control block and Request fused) from the per-thread slab pool that
+  /// futures use (sim/future.hpp), so the steady state performs no heap
+  /// allocation per request, and a later machine on the same thread reuses
+  /// the blocks of an earlier one. A RequestPtr may outlive this Context.
+  /// A miss is a request whose block was carved from fresh slab space.
   [[nodiscard]] RequestPtr makeRequest() {
-    return req_pool_.make();
+    const std::uint64_t carved = sim::detail::tCarvedBlocks;
+    RequestPtr r = std::allocate_shared<Request>(sim::detail::PoolAlloc<Request>{});
+    if (sim::detail::tCarvedBlocks == carved) {
+      ++req_hits_;
+    } else {
+      ++req_misses_;
+    }
+    return r;
   }
-  [[nodiscard]] std::uint64_t requestPoolHits() const noexcept { return req_pool_.hits(); }
-  [[nodiscard]] std::uint64_t requestPoolMisses() const noexcept { return req_pool_.misses(); }
+  [[nodiscard]] std::uint64_t requestPoolHits() const noexcept { return req_hits_; }
+  [[nodiscard]] std::uint64_t requestPoolMisses() const noexcept { return req_misses_; }
 
   /// Takes a recycled eager-payload buffer (resized to `len`) or allocates a
   /// fresh one on a pool miss. Buffers return through recycleBuffer() once
@@ -340,11 +349,12 @@ class Context {
   /// kMaxPooledBufferBytes is never retained.
   static constexpr std::size_t kMaxPooledBytes = 8 * 1024 * 1024;
   static constexpr std::size_t kMaxPooledBufferBytes = 512 * 1024;
-  RequestPool req_pool_;
   std::vector<std::vector<std::byte>> buf_pool_;
   std::size_t buf_pool_bytes_ = 0;  ///< sum of pooled capacities
   std::uint64_t buf_hits_ = 0;
   std::uint64_t buf_misses_ = 0;
+  std::uint64_t req_hits_ = 0;  ///< makeRequest() blocks reused from the pool
+  std::uint64_t req_misses_ = 0;
 };
 
 }  // namespace cux::ucx

@@ -1,20 +1,18 @@
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <new>
 #include <utility>
-#include <vector>
 
 #include "sim/small_fn.hpp"
 
 /// \file request.hpp
 /// Non-blocking operation handles, the moral equivalent of ucs_status_ptr_t
-/// requests returned by ucp_tag_send_nb / ucp_tag_recv_nb, plus the freelist
-/// pool that recycles their storage (real UCX requests come from a
-/// preallocated mpool for the same reason: one per message is the steady
-/// state of the tagged hot path).
+/// requests returned by ucp_tag_send_nb / ucp_tag_recv_nb. Their storage
+/// comes from the per-thread slab pool behind sim::Future (see
+/// Context::makeRequest): real UCX requests come from a preallocated mpool
+/// for the same reason, one per message is the steady state of the tagged
+/// hot path.
 
 namespace cux::ucx {
 
@@ -78,107 +76,5 @@ inline void complete(Request& r, ReqState s) {
 }
 
 using RequestPtr = std::shared_ptr<Request>;
-
-namespace detail {
-
-/// Fixed-size freelist behind RequestPool. allocate_shared performs exactly
-/// one allocation per request (control block + Request fused); its size is
-/// constant, so recycled blocks always fit. The arena is shared between the
-/// pool and every allocator copy stored in live control blocks, so requests
-/// that outlive their Context still deallocate safely into a live arena.
-/// Lifetime uses an intrusive NON-atomic refcount — the simulation is
-/// single-threaded, and allocator copies happen on the per-message hot path
-/// where shared_ptr's atomic increments were a measurable cost.
-struct RequestArena {
-  static constexpr std::size_t kMaxFree = 4096;  ///< bounded retained storage
-  std::vector<void*> free_blocks;
-  std::size_t block_bytes = 0;
-  std::uint64_t hits = 0, misses = 0;
-  std::size_t refs = 1;  ///< intrusive refcount (single-threaded)
-  RequestArena() = default;
-  RequestArena(const RequestArena&) = delete;
-  RequestArena& operator=(const RequestArena&) = delete;
-  ~RequestArena() {
-    for (void* p : free_blocks) ::operator delete(p);
-  }
-};
-
-inline void arenaRef(RequestArena* a) noexcept { ++a->refs; }
-inline void arenaUnref(RequestArena* a) noexcept {
-  if (--a->refs == 0) delete a;
-}
-
-template <class T>
-struct RequestPoolAlloc {
-  using value_type = T;
-  RequestArena* arena;  ///< refcounted via arenaRef/arenaUnref
-
-  explicit RequestPoolAlloc(RequestArena* a) noexcept : arena(a) { arenaRef(arena); }
-  RequestPoolAlloc(const RequestPoolAlloc& o) noexcept : arena(o.arena) { arenaRef(arena); }
-  template <class U>
-  RequestPoolAlloc(const RequestPoolAlloc<U>& o) noexcept : arena(o.arena) {  // NOLINT(google-explicit-constructor)
-    arenaRef(arena);
-  }
-  RequestPoolAlloc& operator=(const RequestPoolAlloc& o) noexcept {
-    arenaRef(o.arena);
-    arenaUnref(arena);
-    arena = o.arena;
-    return *this;
-  }
-  ~RequestPoolAlloc() { arenaUnref(arena); }
-
-  T* allocate(std::size_t n) {
-    const std::size_t bytes = n * sizeof(T);
-    if (n == 1 && alignof(T) <= alignof(std::max_align_t)) {
-      if (arena->block_bytes == 0) arena->block_bytes = bytes;
-      if (arena->block_bytes == bytes) {
-        if (!arena->free_blocks.empty()) {
-          ++arena->hits;
-          T* p = static_cast<T*>(arena->free_blocks.back());
-          arena->free_blocks.pop_back();
-          return p;
-        }
-        ++arena->misses;
-      }
-    }
-    return static_cast<T*>(::operator new(bytes));
-  }
-  void deallocate(T* p, std::size_t n) noexcept {
-    if (n == 1 && n * sizeof(T) == arena->block_bytes &&
-        arena->free_blocks.size() < RequestArena::kMaxFree) {
-      arena->free_blocks.push_back(p);
-      return;
-    }
-    ::operator delete(p);
-  }
-  template <class U>
-  bool operator==(const RequestPoolAlloc<U>& o) const noexcept {
-    return arena == o.arena;
-  }
-};
-
-}  // namespace detail
-
-/// Recycles Request allocations: make() is a pool hit (no heap allocation)
-/// whenever a previously released request's block is free. Ownership stays
-/// plain shared_ptr — a block returns to the pool when its last reference
-/// drops, so completions holding a RequestPtr can never see recycled state.
-class RequestPool {
- public:
-  RequestPool() : arena_(new detail::RequestArena) {}
-  RequestPool(const RequestPool&) = delete;
-  RequestPool& operator=(const RequestPool&) = delete;
-  ~RequestPool() { detail::arenaUnref(arena_); }
-
-  [[nodiscard]] RequestPtr make() {
-    return std::allocate_shared<Request>(detail::RequestPoolAlloc<Request>{arena_});
-  }
-
-  [[nodiscard]] std::uint64_t hits() const noexcept { return arena_->hits; }
-  [[nodiscard]] std::uint64_t misses() const noexcept { return arena_->misses; }
-
- private:
-  detail::RequestArena* arena_;
-};
 
 }  // namespace cux::ucx

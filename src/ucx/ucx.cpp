@@ -44,8 +44,8 @@ Context::Context(hw::System& sys, const UcxConfig& cfg) : sys_(sys), cfg_(cfg) {
     r.setGauge("ucx.mp.bytes.direct", mp_bytes_direct_);
     r.setGauge("ucx.mp.bytes.staged", mp_bytes_staged_);
     r.setGauge("ucx.mp.bytes.rail", mp_bytes_rail_);
-    r.setGauge("ucx.req_pool.hits", req_pool_.hits());
-    r.setGauge("ucx.req_pool.misses", req_pool_.misses());
+    r.setGauge("ucx.req_pool.hits", req_hits_);
+    r.setGauge("ucx.req_pool.misses", req_misses_);
     r.setGauge("ucx.buf_pool.hits", buf_hits_);
     r.setGauge("ucx.buf_pool.misses", buf_misses_);
     r.setGauge("ucx.buf_pool.bytes", buf_pool_bytes_);

@@ -16,27 +16,30 @@
 /// nodes, 1536 ranks): the state a layer builds for its ranks and endpoints
 /// must grow with the peers each one talks to, not with the world squared.
 /// A counting operator new measures the bytes each build step allocates,
-/// and the calls each steady-state Jacobi halo message makes.
+/// and the calls each steady-state Jacobi halo message makes. The
+/// replacements are kept out of line (as in test_osu.cpp): inlined into this
+/// file's own new-expressions, GCC would flag the malloc/free pairing as
+/// mismatched.
 
 static std::uint64_t g_alloc_bytes = 0;
 static std::uint64_t g_alloc_calls = 0;
 
-void* operator new(std::size_t n) {
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_alloc_bytes += n;
   ++g_alloc_calls;
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) {
+[[gnu::noinline]] void* operator new[](std::size_t n) {
   g_alloc_bytes += n;
   ++g_alloc_calls;
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 

@@ -30,26 +30,28 @@
 
 // --------------------------------------------------------------------------
 // Global allocation counter: every operator new in this binary ticks it. The
-// zero-allocation test samples the counter around a steady-state traffic
-// region; everything else ignores it.
+// zero-allocation tests sample the counter around steady-state traffic
+// regions; everything else ignores it. The replacements are kept out of line
+// (as in test_osu.cpp): inlined into this file's own new-expressions, GCC
+// would flag the malloc/free pairing as mismatched.
 // --------------------------------------------------------------------------
 
 static std::uint64_t g_heap_allocs = 0;
 
-void* operator new(std::size_t n) {
+[[gnu::noinline]] void* operator new(std::size_t n) {
   ++g_heap_allocs;
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) {
+[[gnu::noinline]] void* operator new[](std::size_t n) {
   ++g_heap_allocs;
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -430,8 +432,8 @@ TEST(MatcherAllocations, SteadyStateEagerPathIsAllocationFree) {
     h.sys->engine.run();
   };
 
-  // Warm every pool and slab: request arena, payload buffer pool, bucket
-  // tables, engine event storage.
+  // Warm every pool and slab: the per-thread request and future slabs,
+  // payload buffer pool, bucket tables, engine event storage.
   for (int i = 0; i < 4; ++i) round();
 
   const std::uint64_t pool_misses_before =
@@ -447,6 +449,61 @@ TEST(MatcherAllocations, SteadyStateEagerPathIsAllocationFree) {
   EXPECT_EQ(pool_misses, 0u);
   EXPECT_GT(h.ctx->requestPoolHits(), 0u);
   EXPECT_GT(h.ctx->bufferPoolHits(), 0u);
+}
+
+// --------------------------------------------------------------------------
+// Requests come from the per-thread slab pool, shared across machines
+// --------------------------------------------------------------------------
+
+/// One eager exchange between PE 0 and PE 1: `n` receives posted, `n` sends,
+/// drained. Every request is held in `reqs`, so the exchange keeps 2n
+/// requests live at once on whichever machine runs it.
+void heldEagerExchange(Harness& h, int n, std::vector<ucx::RequestPtr>& reqs) {
+  std::vector<std::byte> src(256), dst(256);
+  ucx::Worker& w = h.ctx->worker(1);
+  for (int i = 0; i < n; ++i) {
+    const auto tag = static_cast<ucx::Tag>(i);
+    reqs.push_back(w.tagRecv(hw::MemRef::host(dst.data()), dst.size(), tag, ucx::kFullMask, {}));
+    reqs.push_back(h.ctx->tagSend(0, 1, hw::MemRef::host(src.data()), src.size(), tag, {}));
+  }
+  h.sys->engine.run();
+  for (const ucx::RequestPtr& r : reqs) EXPECT_TRUE(r->done());
+}
+
+TEST(RequestPool, SecondMachineReusesTheFirstMachinesBlocks) {
+  constexpr int kMessages = 32;
+  std::vector<ucx::RequestPtr> reqs;
+  reqs.reserve(2 * kMessages);
+  {
+    Harness first;
+    heldEagerExchange(first, kMessages, reqs);
+    reqs.clear();
+  }
+
+  Harness second;
+  // The blocks the first machine released serve the second one: making as
+  // many requests as the exchange holds touches no heap.
+  const std::uint64_t allocs_before = g_heap_allocs;
+  for (int i = 0; i < 2 * kMessages; ++i) reqs.push_back(second.ctx->makeRequest());
+  EXPECT_EQ(g_heap_allocs - allocs_before, 0u);
+  reqs.clear();
+
+  heldEagerExchange(second, kMessages, reqs);
+  second.sys->obs.refresh();
+  EXPECT_EQ(second.sys->obs.registry.gaugeValue("ucx.req_pool.misses"), 0u);
+  EXPECT_EQ(second.sys->obs.registry.gaugeValue("ucx.req_pool.hits"), 4u * kMessages);
+}
+
+TEST(RequestPool, RequestOutlivesItsSystem) {
+  std::vector<ucx::RequestPtr> reqs;
+  {
+    Harness h;
+    heldEagerExchange(h, 4, reqs);
+  }
+  // The Context and the System are gone; the requests' storage belongs to
+  // the thread's pool, so reading and dropping them is safe.
+  for (const ucx::RequestPtr& r : reqs) EXPECT_TRUE(r->done());
+  reqs.clear();
 }
 
 // --------------------------------------------------------------------------

@@ -22,27 +22,27 @@
 #include "ucx/context.hpp"
 
 // --------------------------------------------------------------------------
-// Global allocation counter (same technique as test_matcher.cpp): the
-// zero-allocation tests sample it around hot-path regions; everything else
-// ignores it.
+// Global allocation counter (same technique as test_matcher.cpp, out of
+// line for the same reason): the zero-allocation tests sample it around
+// hot-path regions; everything else ignores it.
 // --------------------------------------------------------------------------
 
 static std::uint64_t g_heap_allocs = 0;
 
-void* operator new(std::size_t n) {
+[[gnu::noinline]] void* operator new(std::size_t n) {
   ++g_heap_allocs;
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) {
+[[gnu::noinline]] void* operator new[](std::size_t n) {
   ++g_heap_allocs;
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
