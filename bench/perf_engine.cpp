@@ -1,5 +1,8 @@
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <iterator>
+
 #include "core/tag_scheme.hpp"
 #include "hw/cuda.hpp"
 #include "model/model.hpp"
@@ -113,6 +116,46 @@ void BM_EngineChain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_EngineChain)->Arg(16384);
+
+/// Delays of the lockstep mix: nine values spread log-uniformly over
+/// 512 ns – 32 ms (2^9 … 2^25 ns). Every timestamp is a multiple of 512 ns,
+/// so many events tie, as the lockstep blocks of a Jacobi sweep do.
+constexpr sim::Duration kLockstepDelays[] = {1u << 9,  1u << 11, 1u << 13, 1u << 15, 1u << 17,
+                                             1u << 19, 1u << 21, 1u << 23, 1u << 25};
+
+/// One lockstep event: fires, then schedules its successor. The payload
+/// sizes the capture like a completion continuation.
+struct LockstepEvent {
+  sim::Engine* e;
+  sim::SplitMix64* rng;
+  std::uint64_t payload[4];
+  void operator()() const {
+    LockstepEvent next = *this;
+    ++next.payload[0];
+    e->after(kLockstepDelays[rng->below(std::size(kLockstepDelays))], next);
+  }
+};
+
+/// Steady population: N pending events, each of which reschedules one
+/// successor when it fires, so the queue stays N deep. The figures' queue:
+/// on jacobi_scale most schedules see a heap of 2^11 – 2^14 entries (fig15
+/// peaks at 16.8 k) and equal timestamps are common. The population is
+/// built before timing; each iteration fires N events.
+void BM_EngineLockstep(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  sim::Engine e;
+  sim::SplitMix64 rng(13);
+  for (int i = 0; i < n; ++i) {
+    e.schedule(kLockstepDelays[rng.below(std::size(kLockstepDelays))],
+               LockstepEvent{&e, &rng, {}});
+  }
+  for (auto _ : state) {
+    for (int i = 0; i < n; ++i) e.step();
+  }
+  benchmark::DoNotOptimize(e.eventsProcessed());
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_EngineLockstep)->Arg(2048)->Arg(16384);
 
 // --------------------------------------------------------------------------
 // Protocol-layer hot paths

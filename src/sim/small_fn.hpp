@@ -63,17 +63,7 @@ class InlineFn<R(A...), Capacity> {
             typename = std::enable_if_t<!std::is_same_v<std::remove_cvref_t<F>, InlineFn> &&
                                         std::is_invocable_r_v<R, std::remove_cvref_t<F>&, A...>>>
   InlineFn(F&& f) {  // NOLINT(google-explicit-constructor)
-    using Fn = std::remove_cvref_t<F>;
-    if constexpr (detail::kNullable<Fn>) {
-      if (!f) return;
-    }
-    if constexpr (fitsInline<Fn>()) {
-      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-      ops_ = &InlineOps<Fn>::ops;
-    } else {
-      ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
-      ops_ = &HeapOps<Fn>::ops;
-    }
+    construct(std::forward<F>(f));
   }
 
   InlineFn(InlineFn&& other) noexcept : ops_(other.ops_) {
@@ -95,6 +85,21 @@ class InlineFn<R(A...), Capacity> {
   InlineFn& operator=(const InlineFn&) = delete;
 
   ~InlineFn() { reset(); }
+
+  /// Replaces the held callable with `f`, built directly in this object's
+  /// storage: no temporary InlineFn and no relocation through the ops table.
+  /// Passing an InlineFn of the same type moves it in. If building `f`
+  /// throws, this InlineFn is left empty.
+  template <typename F,
+            typename = std::enable_if_t<std::is_invocable_r_v<R, std::remove_cvref_t<F>&, A...>>>
+  void emplace(F&& f) {
+    if constexpr (std::is_same_v<std::remove_cvref_t<F>, InlineFn>) {
+      *this = std::forward<F>(f);
+    } else {
+      reset();
+      construct(std::forward<F>(f));
+    }
+  }
 
   /// Destroys the held callable (no-op when empty).
   void reset() noexcept {
@@ -129,6 +134,23 @@ class InlineFn<R(A...), Capacity> {
   /// standard containers, and an InlineFn nested in another one's capture
   /// then adds no padding. Over-aligned callables take the heap path.
   static constexpr std::size_t kAlign = alignof(void*);
+
+  /// Builds `f` in the (empty) storage; a nullable `f` that is empty leaves
+  /// this InlineFn empty.
+  template <typename F>
+  void construct(F&& f) {
+    using Fn = std::remove_cvref_t<F>;
+    if constexpr (detail::kNullable<Fn>) {
+      if (!f) return;
+    }
+    if constexpr (fitsInline<Fn>()) {
+      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+      ops_ = &InlineOps<Fn>::ops;
+    } else {
+      ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
+      ops_ = &HeapOps<Fn>::ops;
+    }
+  }
 
   struct Ops {
     R (*invoke)(void*, A&&...);

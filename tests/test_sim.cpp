@@ -2,7 +2,9 @@
 
 #include <deque>
 #include <functional>
+#include <iterator>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -141,6 +143,192 @@ TEST(Engine, DeterministicAcrossRuns) {
     return t;
   };
   EXPECT_EQ(trace(), trace());
+}
+
+TEST(Engine, ThrowingCallbackReleasesCapturesAndSlot) {
+  // An exception leaves run() through the engine. The throwing callback's
+  // captures are released while it unwinds, its slot is free again, and a
+  // second run() fires the remaining events in order.
+  sim::Engine e;
+  auto held = std::make_shared<int>(7);
+  std::vector<int> order;
+  e.schedule(10, [&order] { order.push_back(1); });
+  e.schedule(20, [held] {
+    if (*held == 7) throw std::runtime_error("callback failed");
+  });
+  e.schedule(20, [&order] { order.push_back(2); });
+  e.schedule(30, [&order] { order.push_back(3); });
+  EXPECT_EQ(held.use_count(), 2);
+  EXPECT_THROW(e.run(), std::runtime_error);
+  EXPECT_EQ(held.use_count(), 1);
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(e.now(), 20u);
+  EXPECT_EQ(e.eventsProcessed(), 2u);
+  EXPECT_EQ(e.nextEventTime(), 20u);
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_TRUE(e.empty());
+  EXPECT_EQ(e.eventsProcessed(), 4u);
+  // Every slot is back on the free list: an event scheduled and run now
+  // still fires exactly once, in order behind an equal-time one.
+  e.schedule(40, [&order] { order.push_back(4); });
+  e.schedule(40, [&order] { order.push_back(5); });
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(held.use_count(), 1);
+}
+
+/// Drives an Engine and a reference model with the same generated
+/// operations. The reference keeps pending events in a std::set ordered by
+/// (clamped time, scheduling sequence); every event the engine fires must be
+/// the reference's first, and the observers must agree after every
+/// operation.
+class EngineOrderCheck {
+ public:
+  explicit EngineOrderCheck(std::uint64_t seed) : rng_(seed) {}
+
+  void runOps(int ops) {
+    for (int op = 0; op < ops && !::testing::Test::HasFailure(); ++op) {
+      const std::uint64_t r = rng_.below(100);
+      if (r < 38) {
+        scheduleOne(false);
+      } else if (r < 53) {
+        scheduleOne(true);
+      } else if (r < 83) {
+        const bool had_event = !pending_.empty();
+        EXPECT_EQ(e_.step(), had_event);
+      } else if (r < 90) {
+        e_.stop();
+        stopped_ = true;
+      } else if (r < 99) {
+        runOnce();
+      } else {
+        const auto burst = static_cast<int>(rng_.below(600));
+        for (int i = 0; i < burst; ++i) scheduleOne(rng_.below(2) == 0);
+      }
+      expectAgreement();
+    }
+    // Drain, through any stop requests the remaining events make.
+    while (!pending_.empty() && !::testing::Test::HasFailure()) {
+      runOnce();
+      expectAgreement();
+    }
+    EXPECT_TRUE(e_.empty());
+  }
+
+ private:
+  struct Pending {
+    sim::TimePoint time;
+    std::uint64_t seq;
+    int id;
+    bool operator<(const Pending& o) const {
+      return time != o.time ? time < o.time : seq < o.seq;
+    }
+  };
+  static constexpr sim::Duration kDelays[] = {0, 1, 1, 7, 64, 64, 1000};
+
+  sim::Duration drawDelay() { return kDelays[rng_.below(std::size(kDelays))]; }
+
+  /// Equal timestamps, zero delays and past times that clamp, in about
+  /// equal shares.
+  sim::TimePoint drawTime() {
+    switch (rng_.below(4)) {
+      case 0:
+        return now_;
+      case 1:
+        return now_ + drawDelay();
+      case 2:
+        return rng_.below(now_ + 1);  // at or before now
+      default:
+        return (now_ / 64 + rng_.below(4)) * 64;  // a coarse grid: many ties
+    }
+  }
+
+  void scheduleOne(bool relative) {
+    const int id = next_id_++;
+    auto cb = [this, id] { fire(id); };
+    sim::TimePoint t = 0;
+    if (relative) {
+      const sim::Duration d = drawDelay();
+      t = now_ + d;
+      e_.after(d, cb);
+    } else {
+      t = drawTime();
+      e_.schedule(t, cb);
+    }
+    if (t < now_) {
+      ++clamped_;
+      t = now_;
+    }
+    pending_.insert(Pending{t, seq_++, id});
+  }
+
+  void runOnce() {
+    in_run_ = true;
+    e_.run();
+    in_run_ = false;
+    // run() returns on a drained queue or a stop request, and consumes the
+    // request.
+    EXPECT_TRUE(stopped_ || pending_.empty());
+    stopped_ = false;
+  }
+
+  void fire(int id) {
+    // run() must not fire an event once a stop is pending; step() ignores it.
+    if (in_run_) {
+      EXPECT_FALSE(stopped_);
+    }
+    ASSERT_FALSE(pending_.empty());
+    const Pending next = *pending_.begin();
+    pending_.erase(pending_.begin());
+    ASSERT_EQ(id, next.id) << "fired out of (time, seq) order at t=" << next.time;
+    now_ = next.time;
+    ++processed_;
+    EXPECT_EQ(e_.now(), now_);
+    // Re-entrant work: children scheduled from inside the callback, or a
+    // stop request.
+    const std::uint64_t r = rng_.below(16);
+    if (r < 4) {
+      scheduleOne(r % 2 == 0);
+    } else if (r == 4) {
+      scheduleOne(false);
+      scheduleOne(true);
+    } else if (r == 5) {
+      e_.stop();
+      stopped_ = true;
+    }
+  }
+
+  void expectAgreement() {
+    EXPECT_EQ(e_.now(), now_);
+    EXPECT_EQ(e_.empty(), pending_.empty());
+    EXPECT_EQ(e_.nextEventTime(),
+              pending_.empty() ? sim::Engine::kNoEvent : pending_.begin()->time);
+    EXPECT_EQ(e_.eventsProcessed(), processed_);
+    EXPECT_EQ(e_.eventsScheduled(), seq_);
+    EXPECT_EQ(e_.pastClamped(), clamped_);
+    EXPECT_EQ(e_.stopRequested(), stopped_);
+  }
+
+  sim::Engine e_;
+  sim::SplitMix64 rng_;
+  std::set<Pending> pending_;
+  sim::TimePoint now_ = 0;
+  std::uint64_t seq_ = 0;
+  std::uint64_t processed_ = 0;
+  std::uint64_t clamped_ = 0;
+  bool stopped_ = false;
+  bool in_run_ = false;
+  int next_id_ = 0;
+};
+
+TEST(Engine, MatchesReferenceOrder) {
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    SCOPED_TRACE(seed);
+    EngineOrderCheck check(seed);
+    check.runOps(3000);
+    if (HasFailure()) break;
+  }
 }
 
 TEST(SmallFn, InlineAndHeapPathsBothInvoke) {
